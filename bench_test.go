@@ -1098,14 +1098,17 @@ func BenchmarkRecoveryReplay(b *testing.B) {
 // staging, group commit), and the durable→replicated delta is the
 // hot-standby bill (one synchronous ship RPC per group commit, the
 // standby's own append+sync, its ack). Acceptance bars: durable ≤ 3×
-// volatile; replicated ≤ 2× durable.
+// volatile; replicated ≤ 2× durable. The group3 rung is the same op on
+// NewCluster{Replicas: 3} — two standbys behind one commit, the lease
+// fence on the admission path — whose allocs/op scripts/allocgate.sh
+// pins.
 func BenchmarkE18_DirEnter(b *testing.B) {
 	ctx := context.Background()
 	scheme, err := cap.NewScheme(cap.SchemeOneWay)
 	if err != nil {
 		b.Fatal(err)
 	}
-	rig := func(b *testing.B, durable, replicated bool) (*rpc.Client, *dirsvr.Server) {
+	rig := func(b *testing.B, durable, replicated bool) (*dirsvr.Client, cap.Port) {
 		b.Helper()
 		n := amnet.NewSimNet(amnet.SimConfig{})
 		b.Cleanup(func() { n.Close() })
@@ -1164,16 +1167,29 @@ func BenchmarkE18_DirEnter(b *testing.B) {
 		}
 		cfb := attach()
 		res := locate.New(cfb, locate.Config{})
-		return rpc.NewClient(cfb, res, rpc.ClientConfig{Source: src}), s
+		return dirsvr.NewClient(rpc.NewClient(cfb, res, rpc.ClientConfig{Source: src})), s.PutPort()
+	}
+	group := func(b *testing.B) (*dirsvr.Client, cap.Port) {
+		b.Helper()
+		cl, err := NewCluster(ClusterConfig{Seed: 0xE18, Replicas: 3})
+		if err != nil {
+			b.Fatal(err)
+		}
+		b.Cleanup(func() { cl.Close() })
+		return cl.Dirs(), cl.DirPort()
 	}
 	for _, mode := range []struct {
-		name                string
-		durable, replicated bool
-	}{{"volatile", false, false}, {"durable", true, false}, {"replicated", true, true}} {
+		name string
+		rig  func(b *testing.B) (*dirsvr.Client, cap.Port)
+	}{
+		{"volatile", func(b *testing.B) (*dirsvr.Client, cap.Port) { return rig(b, false, false) }},
+		{"durable", func(b *testing.B) (*dirsvr.Client, cap.Port) { return rig(b, true, false) }},
+		{"replicated", func(b *testing.B) (*dirsvr.Client, cap.Port) { return rig(b, true, true) }},
+		{"group3", group},
+	} {
 		b.Run(mode.name, func(b *testing.B) {
-			client, s := rig(b, mode.durable, mode.replicated)
-			dirs := dirsvr.NewClient(client)
-			root, err := dirs.CreateDir(ctx, s.PutPort())
+			dirs, port := mode.rig(b)
+			root, err := dirs.CreateDir(ctx, port)
 			if err != nil {
 				b.Fatal(err)
 			}

@@ -10,6 +10,7 @@ package amoeba
 import (
 	"context"
 	"fmt"
+	"runtime"
 	"strings"
 	"sync"
 	"testing"
@@ -496,5 +497,56 @@ func TestGroupLifecycleGuards(t *testing.T) {
 	// Replicate and Replicas stay mutually exclusive.
 	if _, err := NewCluster(ClusterConfig{Replicate: true, Replicas: 3}); err == nil {
 		t.Fatal("Replicate+Replicas accepted")
+	}
+}
+
+// TestGroupLanesDoNotLeak: every shipper owns one long-lived ship lane
+// per standby, and the group's life is a churn of shippers and peers —
+// Kill stops one, the election attaches a successor, Restart adds the
+// corpse back as a peer. After five rounds of that and Close, no lane
+// or shipper loop may be left, and the process is back to the
+// goroutines it had before the cluster booted.
+func TestGroupLanesDoNotLeak(t *testing.T) {
+	shipperGoroutines := func() int {
+		buf := make([]byte, 4<<20)
+		return strings.Count(string(buf[:runtime.Stack(buf, true)]), "created by amoeba/internal/repl.")
+	}
+	base := runtime.NumGoroutine()
+	cl, err := NewCluster(ClusterConfig{Seed: 0x1A9E, Replicas: 3, LeaseTerm: 150 * time.Millisecond})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer cl.Close()
+	pick := func(m Machines) amnet.MachineID { return m.Dirs }
+	dirs := cl.Dirs()
+	write := func(what string) {
+		untilOK(t, what, func(ctx context.Context) error {
+			_, err := dirs.CreateDir(ctx, cl.DirPort())
+			return err
+		})
+	}
+	for round := 0; round < 5; round++ {
+		old := killPrimary(t, cl, pick)
+		waitForFailover(t, cl, old, pick)
+		write("write after the election")
+		if err := cl.Restart(old); err != nil {
+			t.Fatalf("round %d: restart: %v", round, err)
+		}
+		write("write after the corpse rejoined")
+	}
+	if err := cl.Close(); err != nil {
+		t.Fatal(err)
+	}
+	if n := shipperGoroutines(); n != 0 {
+		t.Fatalf("%d repl goroutines outlived Cluster.Close", n)
+	}
+	deadline := time.Now().Add(5 * time.Second)
+	for runtime.NumGoroutine() > base {
+		if time.Now().After(deadline) {
+			buf := make([]byte, 4<<20)
+			t.Fatalf("%d goroutines after Close, %d before boot:\n%s",
+				runtime.NumGoroutine(), base, buf[:runtime.Stack(buf, true)])
+		}
+		time.Sleep(10 * time.Millisecond)
 	}
 }

@@ -7,6 +7,7 @@ import (
 	"io"
 	"net"
 	"sync"
+	"sync/atomic"
 
 	"amoeba/internal/wire"
 )
@@ -24,9 +25,13 @@ import (
 // sharing a host could impersonate one another; real deployments want
 // per-machine hosts, as in the paper).
 type TCPNet struct {
-	id       MachineID
-	registry map[MachineID]string
-	ln       net.Listener
+	id MachineID
+	ln net.Listener
+
+	// peers is the registry, copy-on-write: the read loops check every
+	// inbound frame's source against it without a lock; SetPeer
+	// publishes a fresh map under mu.
+	peers atomic.Pointer[map[MachineID]tcpPeer]
 
 	mu       sync.Mutex
 	conns    map[MachineID]net.Conn
@@ -54,19 +59,19 @@ func NewTCPNet(id MachineID, registry map[MachineID]string) (*TCPNet, error) {
 	if err != nil {
 		return nil, fmt.Errorf("amnet: listen %s: %w", addr, err)
 	}
-	reg := make(map[MachineID]string, len(registry))
+	peers := make(map[MachineID]tcpPeer, len(registry))
 	for k, v := range registry {
-		reg[k] = v
+		peers[k] = resolvePeer(v)
 	}
-	reg[id] = ln.Addr().String()
+	peers[id] = resolvePeer(ln.Addr().String())
 	t := &TCPNet{
 		id:       id,
-		registry: reg,
 		ln:       ln,
 		conns:    make(map[MachineID]net.Conn),
 		accepted: make(map[net.Conn]struct{}),
 		in:       make(chan Frame, 256),
 	}
+	t.peers.Store(&peers)
 	t.wg.Add(1)
 	go t.acceptLoop()
 	return t, nil
@@ -84,7 +89,13 @@ func (t *TCPNet) Addr() string { return t.ln.Addr().String() }
 func (t *TCPNet) SetPeer(id MachineID, addr string) {
 	t.mu.Lock()
 	defer t.mu.Unlock()
-	t.registry[id] = addr
+	old := *t.peers.Load()
+	peers := make(map[MachineID]tcpPeer, len(old)+1)
+	for k, v := range old {
+		peers[k] = v
+	}
+	peers[id] = resolvePeer(addr)
+	t.peers.Store(&peers)
 	if c, ok := t.conns[id]; ok {
 		c.Close()
 		delete(t.conns, id)
@@ -94,9 +105,10 @@ func (t *TCPNet) SetPeer(id MachineID, addr string) {
 // Registry returns a copy of the cluster map with this machine's
 // resolved address.
 func (t *TCPNet) Registry() map[MachineID]string {
-	out := make(map[MachineID]string, len(t.registry))
-	for k, v := range t.registry {
-		out[k] = v
+	peers := *t.peers.Load()
+	out := make(map[MachineID]string, len(peers))
+	for k, v := range peers {
+		out[k] = v.addr
 	}
 	return out
 }
@@ -145,16 +157,10 @@ func (t *TCPNet) Broadcast(payload []byte) error { return t.Send(BroadcastID, pa
 // block server) must be reachable by broadcast too.
 func (t *TCPNet) broadcast(payload []byte) error {
 	t.loopbackBuf(wire.NewFrom(payload))
-	t.mu.Lock()
-	ids := make([]MachineID, 0, len(t.registry))
-	for id := range t.registry {
+	for id := range *t.peers.Load() {
 		if id != t.id {
-			ids = append(ids, id)
+			_ = t.sendTo(id, wire.NewFrom(payload))
 		}
-	}
-	t.mu.Unlock()
-	for _, id := range ids {
-		_ = t.sendTo(id, wire.NewFrom(payload))
 	}
 	return nil
 }
@@ -213,14 +219,14 @@ func (t *TCPNet) conn(dst MachineID) (net.Conn, error) {
 		t.mu.Unlock()
 		return c, nil
 	}
-	addr, ok := t.registry[dst]
 	t.mu.Unlock()
+	p, ok := (*t.peers.Load())[dst]
 	if !ok {
 		return nil, fmt.Errorf("%w: %v", ErrNoRoute, dst)
 	}
-	c, err := net.Dial("tcp", addr)
+	c, err := net.Dial("tcp", p.addr)
 	if err != nil {
-		return nil, fmt.Errorf("amnet: dial %v (%s): %w", dst, addr, err)
+		return nil, fmt.Errorf("amnet: dial %v (%s): %w", dst, p.addr, err)
 	}
 	t.mu.Lock()
 	defer t.mu.Unlock()
@@ -293,6 +299,7 @@ func (t *TCPNet) readLoop(conn net.Conn) {
 		t.mu.Unlock()
 	}()
 	remoteHost, _, _ := net.SplitHostPort(conn.RemoteAddr().String())
+	remote := resolveHost(remoteHost)
 	for {
 		var hdr [14]byte
 		if _, err := io.ReadFull(conn, hdr[:]); err != nil {
@@ -312,7 +319,7 @@ func (t *TCPNet) readLoop(conn net.Conn) {
 			b.Release()
 			return
 		}
-		if !t.sourcePlausible(src, remoteHost) {
+		if !t.sourcePlausible(src, remote) {
 			b.Release()
 			continue // forged source: drop the frame
 		}
@@ -338,32 +345,49 @@ func (t *TCPNet) readLoop(conn net.Conn) {
 
 // sourcePlausible checks the claimed source machine against the
 // connection's remote host.
-func (t *TCPNet) sourcePlausible(src MachineID, remoteHost string) bool {
-	addr, ok := t.registry[src]
-	if !ok {
+func (t *TCPNet) sourcePlausible(src MachineID, remote tcpHost) bool {
+	p, ok := (*t.peers.Load())[src]
+	if !ok || p.bad {
 		return false
 	}
-	host, _, err := net.SplitHostPort(addr)
-	if err != nil {
-		return false
-	}
-	if host == "" || host == "0.0.0.0" || host == "::" {
-		return true // wildcard listener: cannot pin a host
-	}
-	return hostsEqual(host, remoteHost)
+	return p.wild || p.host.equal(remote)
 }
 
-func hostsEqual(a, b string) bool {
-	if a == b {
+// tcpPeer is one registry entry, its host resolved when the entry was
+// set so the per-frame source check parses nothing.
+type tcpPeer struct {
+	addr string // "host:port", as dialled
+	host tcpHost
+	wild bool // wildcard listener: cannot pin a host
+	bad  bool // unparsable address: no source is plausible
+}
+
+func resolvePeer(addr string) tcpPeer {
+	host, _, err := net.SplitHostPort(addr)
+	return tcpPeer{
+		addr: addr,
+		host: resolveHost(host),
+		wild: host == "" || host == "0.0.0.0" || host == "::",
+		bad:  err != nil,
+	}
+}
+
+// tcpHost is a host as written plus, when that is an IP literal, the
+// parsed address.
+type tcpHost struct {
+	name string
+	ip   net.IP
+}
+
+func resolveHost(h string) tcpHost { return tcpHost{name: h, ip: net.ParseIP(h)} }
+
+func (a tcpHost) equal(b tcpHost) bool {
+	if a.name == b.name {
 		return true
 	}
-	ipA, ipB := net.ParseIP(a), net.ParseIP(b)
-	if ipA != nil && ipB != nil {
-		if ipA.Equal(ipB) {
-			return true
-		}
+	if a.ip != nil && b.ip != nil {
 		// Loopback is loopback: 127.0.0.1 vs ::1 both mean "this host".
-		return ipA.IsLoopback() && ipB.IsLoopback()
+		return a.ip.Equal(b.ip) || a.ip.IsLoopback() && b.ip.IsLoopback()
 	}
 	return false
 }

@@ -23,7 +23,7 @@ func newTCPPair(t *testing.T) (*TCPNet, *TCPNet) {
 		t.Fatal(err)
 	}
 	// Stage 3: teach machine 1 machine 2's real address.
-	a.registry[2] = b.Addr()
+	a.SetPeer(2, b.Addr())
 	t.Cleanup(func() { a.Close(); b.Close() })
 	return a, b
 }
@@ -153,7 +153,7 @@ func TestHostsEqual(t *testing.T) {
 		{"example.com", "other.com", false},
 	}
 	for _, tc := range tests {
-		if got := hostsEqual(tc.a, tc.b); got != tc.want {
+		if got := resolveHost(tc.a).equal(resolveHost(tc.b)); got != tc.want {
 			t.Errorf("hostsEqual(%q, %q) = %v, want %v", tc.a, tc.b, got, tc.want)
 		}
 	}
@@ -172,4 +172,37 @@ func TestTCPNetSetPeer(t *testing.T) {
 		t.Fatal(err)
 	}
 	recvWithin(t, b.Recv(), 2*time.Second)
+}
+
+// TestTCPNetSetPeerWhileReceiving: the registry is read for every
+// inbound frame (the source-plausibility check) while SetPeer rewrites
+// it — the table must be safe to swap under traffic, and a swap of an
+// unrelated entry must not cost a single frame. Meaningful under -race.
+func TestTCPNetSetPeerWhileReceiving(t *testing.T) {
+	a, b := newTCPPair(t)
+	const count = 200
+	sent := make(chan error, 1)
+	go func() {
+		for i := 0; i < count; i++ {
+			if err := a.Send(b.ID(), []byte{byte(i)}); err != nil {
+				sent <- err
+				return
+			}
+		}
+		sent <- nil
+	}()
+	got := 0
+	deadline := time.After(5 * time.Second)
+	for got < count {
+		b.SetPeer(3, "127.0.0.1:1") // a peer that never speaks
+		select {
+		case <-b.Recv():
+			got++
+		case <-deadline:
+			t.Fatalf("received %d/%d frames", got, count)
+		}
+	}
+	if err := <-sent; err != nil {
+		t.Fatal(err)
+	}
 }

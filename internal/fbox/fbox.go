@@ -278,16 +278,34 @@ func (fb *FBox) get(g Port, advertise bool, reuse *Listener) (*Listener, error) 
 func (fb *FBox) Put(dst amnet.MachineID, msg Message) error {
 	b := wire.Get(wire.DefaultHeadroom, len(msg.Payload))
 	b.AppendBytes(msg.Payload)
-	return fb.PutBuf(dst, msg.Dest, msg.Reply, msg.Sig, b)
+	reply := msg.Reply
+	if reply != 0 {
+		reply = fb.F(reply)
+	}
+	return fb.send(dst, msg.Dest, reply, msg.Sig, b)
 }
 
 // PutBuf is the zero-copy PUT: b carries the message payload (built
 // with at least wire.DefaultHeadroom of headroom) and the frame header
 // is prepended in place before the same backing array goes to the NIC.
 // Ownership of b transfers to the F-box/NIC on every path, success or
-// failure. reply and sig are the sender's secrets; their one-way
-// images F(reply), F(sig) are what hit the wire.
-func (fb *FBox) PutBuf(dst amnet.MachineID, dest, reply, sig Port, b *wire.Buf) error {
+// failure. reply is the listener of the GET the sender has outstanding
+// for this message's answer (nil: none expected): its put-port F(G′)
+// was computed when the GET was posted and goes on the wire as is, so a
+// transaction pays F once — as the paper's F-box does — and the secret
+// G′ crosses this API once. sig is the sender's secret; its one-way
+// image F(sig) is what hits the wire.
+func (fb *FBox) PutBuf(dst amnet.MachineID, dest Port, reply *Listener, sig Port, b *wire.Buf) error {
+	var replyPut Port
+	if reply != nil {
+		replyPut = reply.put
+	}
+	return fb.send(dst, dest, replyPut, sig, b)
+}
+
+// send frames b with the already-transformed reply port and the still-
+// secret signature, and hands it to the NIC. It owns b.
+func (fb *FBox) send(dst amnet.MachineID, dest, replyPut, sig Port, b *wire.Buf) error {
 	fb.mu.Lock()
 	if fb.closed {
 		fb.mu.Unlock()
@@ -295,16 +313,13 @@ func (fb *FBox) PutBuf(dst amnet.MachineID, dest, reply, sig Port, b *wire.Buf) 
 		return ErrClosed
 	}
 	fb.mu.Unlock()
-	if reply != 0 {
-		reply = fb.F(reply)
-	}
 	if sig != 0 {
 		sig = fb.F(sig)
 	}
 	hdr := b.Prepend(headerSize)
 	hdr[0] = kindMessage
 	putPort(hdr[1:7], dest)
-	putPort(hdr[7:13], reply)
+	putPort(hdr[7:13], replyPut)
 	putPort(hdr[13:19], sig)
 	return fb.nic.SendBuf(dst, b)
 }

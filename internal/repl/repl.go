@@ -16,8 +16,9 @@
 // standby has appended the batch to its OWN log and acknowledged it.
 //
 // Shipping piggybacks on the primary's group commit — one ship RPC per
-// commit batch, issued from the committer goroutine after the local
-// sync — so replication adds a network round trip but NO extra fsyncs.
+// standby per commit batch, handed to that standby's ship lane after
+// the local sync and awaited before the batch's tickets complete — so
+// replication adds a network round trip but NO extra fsyncs.
 //
 // Wire format of one ship frame (the payload of an OpShip request):
 //
@@ -109,9 +110,7 @@ func Encode(recs []wal.Record, rebase bool, term uint64) []Frame {
 		need = MaxShipBytes
 	}
 	var frames []Frame
-	cur := make([]byte, frameHdr, need)
-	cur[0] = flags
-	binary.BigEndian.PutUint64(cur[1:9], term)
+	var cur []byte // the frame being filled; nil until an item needs one
 	count := 0
 	var first uint64
 	flush := func() {
@@ -120,10 +119,7 @@ func Encode(recs []wal.Record, rebase bool, term uint64) []Frame {
 		}
 		binary.BigEndian.PutUint16(cur[9:11], uint16(count))
 		frames = append(frames, Frame{Payload: cur, FirstSeq: first})
-		cur = make([]byte, frameHdr, need)
-		cur[0] = flags
-		binary.BigEndian.PutUint64(cur[1:9], term)
-		count = 0
+		cur, count = nil, 0
 	}
 	for _, r := range recs {
 		kind := byte(kindData)
@@ -132,6 +128,11 @@ func Encode(recs []wal.Record, rebase bool, term uint64) []Frame {
 		}
 		off := 0
 		for {
+			if cur == nil {
+				cur = make([]byte, frameHdr, need)
+				cur[0] = flags
+				binary.BigEndian.PutUint64(cur[1:9], term)
+			}
 			space := MaxShipBytes - len(cur) - itemHdr
 			if space <= 0 || (count >= 0xFFFF) {
 				flush()

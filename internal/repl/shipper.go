@@ -93,19 +93,44 @@ type ShipperStats struct {
 	Demoted    bool   // local WAL wedged; this primary renounced leadership
 }
 
-// peer is one standby's shipping state. Frames to a peer are
-// serialized by its own mutex (the commit sink, heartbeats and a
-// re-base must not interleave on one stream), so slow peers only slow
-// themselves.
+// peer is one standby's shipping state. Every frame to a peer — commit
+// batches, catch-up, re-bases, heartbeats — is sent by its lane, one
+// long-lived goroutine, so the lane IS the per-peer serializer: nothing
+// interleaves on one stream, and a slow peer only slows itself.
 type peer struct {
 	dest cap.Port
 
-	mu    sync.Mutex // serializes frames to this peer
-	fails int        // consecutive failed attempts (under mu)
+	work chan shipJob  // unbuffered: a send succeeds only into an idle lane
+	quit chan struct{} // closed to retire the lane (DropPeer, failed AddPeer)
+
+	fails int // consecutive failed attempts (lane-owned)
 
 	lost  atomic.Bool
 	acked atomic.Uint64 // this peer's durable high water
 	grant atomic.Int64  // unixnano SEND time of the last acked frame
+}
+
+// shipJob is one unit of lane work: an encoded batch to deliver, or
+// (frames == nil) one bare heartbeat, which nobody waits for.
+type shipJob struct {
+	frames []Frame
+	end    uint64 // one past the batch's last sequence (gap-healing bound)
+	rebase bool
+	batch  *shipBatch   // commit batch: count the ack, release the sink
+	reply  chan<- error // re-base: the caller wants the lane's verdict
+}
+
+// shipBatch is the countdown one commit batch's lanes report into.
+type shipBatch struct {
+	wg   sync.WaitGroup
+	acks atomic.Int32 // lanes that delivered the whole batch
+}
+
+// shipCounters is ShipperStats' live form: bumped lock-free from the
+// lanes, the sink and the loops.
+type shipCounters struct {
+	batches, frames, records, retries, catchUp, dropped atomic.Uint64
+	acked, heartbeats, rebases                          atomic.Uint64
 }
 
 // Shipper is the primary half of the replication channel, feeding N
@@ -142,20 +167,24 @@ type Shipper struct {
 	cancel context.CancelFunc
 	opts   []rpc.CallOption // per-attempt timeout/retries, built once
 	hbOpts []rpc.CallOption // heartbeat-only: one short attempt (see below)
+	hb     []byte           // the bare heartbeat frame at this term
 
 	sealed  atomic.Bool
 	deposed atomic.Bool
 	demoted atomic.Bool
+	stopped atomic.Bool // set (under mu) before ctx is cancelled
 
-	// mu guards the peer list and stats; the ship paths themselves run
-	// outside it (per-peer mutexes serialize each stream) so a stalled
-	// peer cannot wedge Stats or Fence.
-	mu      sync.Mutex
-	peers   []*peer
-	stopped bool
-	stats   ShipperStats
+	// peers is a copy-on-write snapshot: the sink, Fence (twice per
+	// operation) and the loops read it with one atomic load; AddPeer and
+	// DropPeer publish a fresh slice under mu, which also orders lane
+	// starts against Stop.
+	peers atomic.Pointer[[]*peer]
+	mu    sync.Mutex
 
-	wg sync.WaitGroup // heartbeat + reprobe loops
+	n     shipCounters
+	batch shipBatch // the sink's countdown; commits are serialized by the log
+
+	wg sync.WaitGroup // lanes + heartbeat + reprobe loops
 }
 
 // Attach starts replicating kernel k to the single receiver at dest,
@@ -188,24 +217,26 @@ func AttachGroup(k *svc.Kernel, c *rpc.Client, dests []cap.Port, o Options) (*Sh
 		// would otherwise renew it. Better to abandon a slow attempt and
 		// re-stamp fresh at the next tick.
 		s.hbOpts = []rpc.CallOption{rpc.WithTimeout(s.o.LeaseTerm / 3), rpc.WithRetries(0), rpc.WithRawStale()}
+		s.hb = EncodeHeartbeat(s.o.Term)
 	}
 	s.ctx, s.cancel = context.WithCancel(context.Background())
+	peers := make([]*peer, 0, len(dests))
 	for _, d := range dests {
-		s.peers = append(s.peers, &peer{dest: d})
+		p, _ := s.startLane(d) // cannot fail: nothing has stopped s yet
+		peers = append(peers, p)
 	}
+	s.peers.Store(&peers)
 	err := k.AttachReplica(func(snap []byte, next uint64) error {
-		// Seq next-1 makes every receiver expect exactly the next
-		// record the primary will commit.
-		base := []wal.Record{{Seq: next - 1, Checkpoint: true, Data: snap}}
-		for _, p := range s.peers {
-			if err := s.shipToPeer(p, Encode(base, true, s.o.Term), next, true); err != nil {
+		for _, p := range peers {
+			if err := s.shipBase(p, snap, next); err != nil {
 				return err
 			}
 		}
 		return nil
 	}, s.sink)
 	if err != nil {
-		s.cancel()
+		s.halt()
+		s.wg.Wait()
 		return nil, err
 	}
 	// A wedged WAL is a gray failure the group cannot see: the machine
@@ -223,40 +254,124 @@ func AttachGroup(k *svc.Kernel, c *rpc.Client, dests []cap.Port, o Options) (*Sh
 }
 
 // Stop detaches the shipper from the kernel, aborts any in-flight ship
-// RPC and stops the heartbeat/reprobe loops. Records committed after
-// Stop are not shipped. Kill and Promote paths call it; idempotent.
+// RPC, and returns once every lane and the heartbeat/reprobe loops have
+// exited. Records committed after Stop are not shipped. Kill and
+// Promote paths call it; idempotent.
 func (s *Shipper) Stop() {
-	s.cancel() // first: unblocks a sink mid-RPC so the lock frees fast
+	s.halt() // first: unblocks the lanes (and so a sink) mid-RPC
 	s.k.DetachReplica()
-	s.mu.Lock()
-	s.stopped = true
-	s.mu.Unlock()
 	s.wg.Wait()
+}
+
+// halt marks the shipper stopped and cancels its context. stopped goes
+// first, so whoever sees the context cancelled also sees stopped; under
+// mu, so no lane can start once the caller's wg.Wait has begun.
+func (s *Shipper) halt() {
+	s.mu.Lock()
+	s.stopped.Store(true)
+	s.mu.Unlock()
+	s.cancel()
+}
+
+// startLane creates the peer for dest and starts its lane.
+func (s *Shipper) startLane(dest cap.Port) (*peer, error) {
+	p := &peer{dest: dest, work: make(chan shipJob), quit: make(chan struct{})}
+	s.mu.Lock()
+	defer s.mu.Unlock()
+	if s.stopped.Load() {
+		return nil, s.ctx.Err()
+	}
+	s.wg.Add(1)
+	go s.lane(p)
+	return p, nil
+}
+
+// lane is a peer's ship goroutine: it owns every frame to that standby
+// until the peer is dropped or the shipper stops. A job it has accepted
+// is always carried through and reported, so nobody who handed one over
+// is left waiting on a retired lane.
+func (s *Shipper) lane(p *peer) {
+	defer s.wg.Done()
+	for {
+		select {
+		case j := <-p.work:
+			if j.frames == nil {
+				s.n.heartbeats.Add(1)
+				s.exchange(p, s.hb, s.hbOpts)
+				continue
+			}
+			if j.rebase {
+				p.fails = 0 // a re-base starts on a fresh attempt budget
+			}
+			err := s.shipFrames(p, j.frames, j.end, j.rebase)
+			if j.batch != nil {
+				if err == nil {
+					j.batch.acks.Add(1)
+				}
+				j.batch.wg.Done()
+			}
+			if j.reply != nil {
+				j.reply <- err
+			}
+		case <-p.quit:
+			return
+		case <-s.ctx.Done():
+			return
+		}
+	}
+}
+
+// handOff gives p's lane a job, waiting out whatever the lane is busy
+// with; false means the lane has retired (peer dropped, shipper
+// stopped) and will never take it.
+func (s *Shipper) handOff(p *peer, j shipJob) bool {
+	select {
+	case p.work <- j:
+		return true
+	case <-p.quit:
+	case <-s.ctx.Done():
+	}
+	return false
+}
+
+// shipBase ships a base snapshot to one peer through its lane and waits
+// for the verdict. Seq next-1 makes the receiver expect exactly the
+// next record the primary will commit. Callers hold the kernel
+// quiesced, so the peer rejoins the stream with no gap.
+func (s *Shipper) shipBase(p *peer, snap []byte, next uint64) error {
+	base := []wal.Record{{Seq: next - 1, Checkpoint: true, Data: snap}}
+	reply := make(chan error, 1)
+	if !s.handOff(p, shipJob{frames: Encode(base, true, s.o.Term), end: next, rebase: true, reply: reply}) {
+		if err := s.ctx.Err(); err != nil {
+			return err
+		}
+		return ErrBackupLost // dropped from the group mid-re-base
+	}
+	return <-reply
+}
+
+// peerList returns the current peer snapshot (read-only).
+func (s *Shipper) peerList() []*peer {
+	if ps := s.peers.Load(); ps != nil {
+		return *ps
+	}
+	return nil
 }
 
 // Lost reports whether every peer is currently lost (for the single-
 // backup legacy mode: whether THE backup is lost). A lost peer can
 // come back: the reprobe loop re-bases it on contact.
 func (s *Shipper) Lost() bool {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	if len(s.peers) == 0 {
-		return false
-	}
-	for _, p := range s.peers {
-		if !p.lost.Load() {
-			return false
-		}
-	}
-	return true
+	peers := s.peerList()
+	return len(peers) > 0 && lostAmong(peers) == len(peers)
 }
 
 // LostPeers returns how many peers are currently marked lost.
-func (s *Shipper) LostPeers() int {
-	s.mu.Lock()
-	defer s.mu.Unlock()
+func (s *Shipper) LostPeers() int { return lostAmong(s.peerList()) }
+
+func lostAmong(peers []*peer) int {
 	n := 0
-	for _, p := range s.peers {
+	for _, p := range peers {
 		if p.lost.Load() {
 			n++
 		}
@@ -270,10 +385,9 @@ func (s *Shipper) Term() uint64 { return s.o.Term }
 // Lag returns how many committed records the slowest live peer has not
 // yet acknowledged (0 on a healthy synchronous stream).
 func (s *Shipper) Lag() uint64 {
-	s.mu.Lock()
 	low := uint64(0)
 	any := false
-	for _, p := range s.peers {
+	for _, p := range s.peerList() {
 		if p.lost.Load() {
 			continue
 		}
@@ -283,9 +397,8 @@ func (s *Shipper) Lag() uint64 {
 		}
 	}
 	if !any {
-		low = s.stats.Acked
+		low = s.n.acked.Load()
 	}
-	s.mu.Unlock()
 	head := s.k.NextSeq() - 1
 	if head <= low {
 		return 0
@@ -295,22 +408,21 @@ func (s *Shipper) Lag() uint64 {
 
 // Stats returns a snapshot of the counters.
 func (s *Shipper) Stats() ShipperStats {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	st := s.stats
-	st.Sealed = s.sealed.Load()
-	st.Deposed = s.deposed.Load()
-	st.Demoted = s.demoted.Load()
-	st.Lost = len(s.peers) > 0
-	for _, p := range s.peers {
-		if !p.lost.Load() {
-			st.Lost = false
-		}
-		if a := p.acked.Load(); a > st.Acked {
-			st.Acked = a
-		}
+	return ShipperStats{
+		Batches:    s.n.batches.Load(),
+		Frames:     s.n.frames.Load(),
+		Records:    s.n.records.Load(),
+		Retries:    s.n.retries.Load(),
+		CatchUp:    s.n.catchUp.Load(),
+		Dropped:    s.n.dropped.Load(),
+		Acked:      s.n.acked.Load(),
+		Heartbeats: s.n.heartbeats.Load(),
+		Rebases:    s.n.rebases.Load(),
+		Lost:       s.Lost(),
+		Sealed:     s.sealed.Load(),
+		Deposed:    s.deposed.Load(),
+		Demoted:    s.demoted.Load(),
 	}
-	return st
 }
 
 // majority is the quorum size over the CONFIGURED group — dead peers
@@ -329,10 +441,7 @@ func (s *Shipper) LeaseValid() bool {
 	}
 	now := s.o.Now()
 	grants := 1 // the primary grants to itself
-	s.mu.Lock()
-	peers := append([]*peer(nil), s.peers...)
-	s.mu.Unlock()
-	for _, p := range peers {
+	for _, p := range s.peerList() {
 		if g := p.grant.Load(); g != 0 && now.Sub(time.Unix(0, g)) <= s.o.LeaseTerm {
 			grants++
 		}
@@ -357,7 +466,7 @@ func (s *Shipper) Fence() error {
 	return nil
 }
 
-// / Depose marks this shipper permanently done: a successor has been (or
+// Depose marks this shipper permanently done: a successor has been (or
 // is being) elected at a newer term. The fence refuses from here on
 // with ErrDeposed — which wraps rpc.ErrStaleAuthority, so clients stop
 // waiting out overload backoffs and re-locate at once — and shipping
@@ -388,114 +497,102 @@ func (s *Shipper) Demoted() bool { return s.demoted.Load() }
 // standby at dest through the snapshot path and adds it to the group.
 // The re-base runs quiesced, so the new peer joins with no gap.
 func (s *Shipper) AddPeer(dest cap.Port) error {
-	p := &peer{dest: dest}
-	return s.k.Resnapshot(func(snap []byte, next uint64) error {
-		base := []wal.Record{{Seq: next - 1, Checkpoint: true, Data: snap}}
-		if err := s.shipToPeer(p, Encode(base, true, s.o.Term), next, true); err != nil {
+	p, err := s.startLane(dest)
+	if err != nil {
+		return err
+	}
+	err = s.k.Resnapshot(func(snap []byte, next uint64) error {
+		if err := s.shipBase(p, snap, next); err != nil {
 			return err
 		}
 		s.mu.Lock()
-		s.peers = append(s.peers, p)
-		s.stats.Rebases++
+		peers := append(append([]*peer(nil), s.peerList()...), p)
+		s.peers.Store(&peers)
 		s.mu.Unlock()
+		s.n.rebases.Add(1)
 		return nil
 	})
+	if err != nil {
+		close(p.quit) // never published: nobody else can reach this lane
+	}
+	return err
 }
 
 // DropPeer removes the peer at dest from the group (its machine is
-// being restarted with a fresh receiver port, or retired for good).
+// being restarted with a fresh receiver port, or retired for good) and
+// retires its lane, which exits once the frame it may be mid-way
+// through resolves.
 func (s *Shipper) DropPeer(dest cap.Port) {
 	s.mu.Lock()
 	defer s.mu.Unlock()
-	for i, p := range s.peers {
+	old := s.peerList()
+	for i, p := range old {
 		if p.dest == dest {
-			s.peers = append(s.peers[:i], s.peers[i+1:]...)
+			peers := append(append([]*peer(nil), old[:i]...), old[i+1:]...)
+			s.peers.Store(&peers)
+			close(p.quit)
 			return
 		}
 	}
 }
 
-// sink is the log's commit sink: called from the single committer
-// goroutine, after the local sync, before the batch's tickets complete.
-// It ships to every live peer in parallel and returns when all have
-// durably acknowledged (or spent their attempt budgets): synchronous
-// replication to the whole live group, so even the slowest standby
-// holds every acknowledged op.
+// sink is the log's commit sink: called once per group commit (the log
+// serializes commits), after the local sync, before the batch's tickets
+// complete. It hands the encoded batch to every live peer's lane and
+// returns when all have durably acknowledged (or spent their attempt
+// budgets): synchronous replication to the whole live group, so even
+// the slowest standby holds every acknowledged op.
 func (s *Shipper) sink(recs []wal.Record) {
-	s.mu.Lock()
 	// A sealed or demoted primary stops shipping on purpose, not just
 	// acknowledging: its data frames refresh the standbys' last-contact
 	// clocks, and a primary that can never serve again yet keeps the
 	// failure detectors quiet would block the election that is the
 	// group's only way forward.
-	if s.stopped || s.deposed.Load() || s.demoted.Load() || s.sealed.Load() {
-		s.stats.Dropped += uint64(len(recs))
-		s.mu.Unlock()
+	if s.stopped.Load() || s.deposed.Load() || s.demoted.Load() || s.sealed.Load() {
+		s.n.dropped.Add(uint64(len(recs)))
 		return
 	}
-	peers := append([]*peer(nil), s.peers...)
-	s.stats.Batches++
-	s.stats.Records += uint64(len(recs))
-	s.mu.Unlock()
+	s.n.batches.Add(1)
+	s.n.records.Add(uint64(len(recs)))
 
-	live := make([]*peer, 0, len(peers))
-	for _, p := range peers {
-		if !p.lost.Load() {
-			live = append(live, p)
+	job := shipJob{frames: Encode(recs, false, s.o.Term), end: recs[len(recs)-1].Seq + 1, batch: &s.batch}
+	s.batch.acks.Store(0)
+	shipped := false
+	for _, p := range s.peerList() {
+		if p.lost.Load() {
+			continue
+		}
+		s.batch.wg.Add(1)
+		if s.handOff(p, job) {
+			shipped = true
+		} else {
+			s.batch.wg.Done()
 		}
 	}
-	if len(live) == 0 {
-		// Group mode: a batch that reaches NOBODY trivially missed its
-		// majority and must seal like any other — skipping the check
-		// here would let the primary acknowledge unreplicated ops in
-		// the window before its lease lapses, and a subsequent election
-		// would silently drop them.
-		if s.o.LeaseTerm > 0 {
-			s.sealed.Store(true)
-		}
-		s.mu.Lock()
-		s.stats.Dropped += uint64(len(recs))
-		s.mu.Unlock()
-		return
+	if !shipped {
+		s.n.dropped.Add(uint64(len(recs)))
 	}
-	frames := Encode(recs, false, s.o.Term)
-	end := recs[len(recs)-1].Seq + 1
-	acks := int32(0)
-	if len(live) == 1 {
-		if s.shipToPeer(live[0], frames, end, false) == nil {
-			acks = 1
-		}
-	} else {
-		var wg sync.WaitGroup
-		for _, p := range live {
-			wg.Add(1)
-			go func(p *peer) {
-				defer wg.Done()
-				if s.shipToPeer(p, frames, end, false) == nil {
-					atomic.AddInt32(&acks, 1)
-				}
-			}(p)
-		}
-		wg.Wait()
-	}
+	s.batch.wg.Wait()
 	// Majority seal, the quorum half of the split-brain guard: if this
 	// batch did not reach a majority of the CONFIGURED group, a
 	// successor could be elected among machines that never saw it —
 	// so neither this batch nor anything after it may be acknowledged.
-	// Sticky on purpose: the fence refuses from here on, clients fail
-	// over, and refusing an op that actually survived is safe (clients
-	// retry; the suites tolerate duplicate side effects), while
-	// acknowledging one that didn't is the one unforgivable lie.
-	if s.o.LeaseTerm > 0 && int(acks)+1 < s.majority() {
+	// A batch that reached NOBODY (every peer lost, or every lane
+	// retired) trivially missed its majority and seals like any other:
+	// skipping the check would let the primary acknowledge unreplicated
+	// ops in the window before its lease lapses, and a subsequent
+	// election would silently drop them. Sticky on purpose: the fence
+	// refuses from here on, clients fail over, and refusing an op that
+	// actually survived is safe (clients retry; the suites tolerate
+	// duplicate side effects), while acknowledging one that didn't is
+	// the one unforgivable lie.
+	if s.o.LeaseTerm > 0 && (!shipped || int(s.batch.acks.Load())+1 < s.majority()) {
 		s.sealed.Store(true)
 	}
 }
 
-// shipToPeer delivers one encoded batch to one peer, serialized with
-// that peer's other traffic.
-func (s *Shipper) shipToPeer(p *peer, frames []Frame, batchEnd uint64, rebase bool) error {
-	p.mu.Lock()
-	defer p.mu.Unlock()
+// shipFrames delivers one encoded batch to one peer (lane only).
+func (s *Shipper) shipFrames(p *peer, frames []Frame, batchEnd uint64, rebase bool) error {
 	for _, frame := range frames {
 		if err := s.sendFrame(p, frame, batchEnd, rebase); err != nil {
 			return err
@@ -504,40 +601,68 @@ func (s *Shipper) shipToPeer(p *peer, frames []Frame, batchEnd uint64, rebase bo
 	return nil
 }
 
-// sendFrame delivers one frame to one peer (caller holds p.mu). A
-// sequence-gap rejection is healed by re-shipping everything from the
-// receiver's high water through the end of the batch out of the
-// primary's own log (every batch record is committed before the sink
-// runs, so the log has them all); transport failures are retried until
-// the attempt budget is spent, and then the peer is marked lost.
+// exchange sends one frame to one peer (lane only) and books what the
+// reply proves: an OK carries the peer's durable high water and is a
+// lease grant; a stale-term bounce deposes this shipper. sent is taken
+// BEFORE the call — a grant is only as fresh as the moment the renewal
+// left. s.ctx carries only cancellation (Stop); the per-attempt timeout
+// rides the call option, so no deadline context is built on this hot
+// path.
+func (s *Shipper) exchange(p *peer, payload []byte, opts []rpc.CallOption) (rep rpc.Reply, sent time.Time, err error) {
+	s.n.frames.Add(1)
+	sent = s.o.Now()
+	rep, err = s.c.Trans(s.ctx, p.dest, rpc.Request{Op: OpShip, Data: payload}, opts...)
+	if err != nil {
+		return rep, sent, err
+	}
+	switch rep.Status {
+	case rpc.StatusOK:
+		if high, aerr := ParseAck(rep.Data); aerr == nil {
+			s.peerAcked(p, high)
+		}
+		p.grant.Store(sent.UnixNano())
+	case rpc.StatusStale:
+		s.Depose()
+	}
+	return rep, sent, nil
+}
+
+// failed books one failed attempt against p's budget: ErrBackupLost
+// once it is spent (the peer is marked lost), otherwise nil after the
+// backoff pause.
+func (s *Shipper) failed(p *peer) error {
+	p.fails++
+	s.n.retries.Add(1)
+	if p.fails >= s.o.Attempts {
+		p.lost.Store(true)
+		return ErrBackupLost
+	}
+	select {
+	case <-s.ctx.Done():
+	case <-time.After(s.o.Backoff):
+	}
+	return nil
+}
+
+// sendFrame delivers one frame to one peer (lane only). A sequence-gap
+// rejection is healed by re-shipping everything from the receiver's
+// high water through the end of the batch out of the primary's own log
+// (every batch record is committed before the sink runs, so the log has
+// them all); transport failures are retried until the attempt budget is
+// spent, and then the peer is marked lost.
 func (s *Shipper) sendFrame(p *peer, frame Frame, batchEnd uint64, rebase bool) error {
 	for {
-		if s.ctx.Err() != nil {
-			s.mu.Lock()
-			s.stats.Dropped++
-			s.mu.Unlock()
+		if s.stopped.Load() {
+			s.n.dropped.Add(1)
 			return s.ctx.Err()
 		}
-		s.mu.Lock()
-		s.stats.Frames++
-		s.mu.Unlock()
-		// s.ctx carries only cancellation (Stop); the per-attempt
-		// timeout rides the call option, so no deadline context is
-		// built on this hot path. sent is taken BEFORE the call: a
-		// grant is only as fresh as the moment the renewal left.
-		sent := s.o.Now()
-		rep, err := s.c.Trans(s.ctx, p.dest, rpc.Request{Op: OpShip, Data: frame.Payload}, s.opts...)
+		rep, sent, err := s.exchange(p, frame.Payload, s.opts)
 		if err == nil {
 			switch rep.Status {
 			case rpc.StatusOK:
 				p.fails = 0
-				if high, aerr := ParseAck(rep.Data); aerr == nil {
-					s.peerAcked(p, high)
-				}
-				p.grant.Store(sent.UnixNano())
 				return nil
 			case rpc.StatusStale:
-				s.Depose()
 				return ErrDeposed
 			case rpc.StatusConflict:
 				// A rebase frame can never gap; for the in-sequence
@@ -558,34 +683,26 @@ func (s *Shipper) sendFrame(p *peer, frame Frame, batchEnd uint64, rebase bool) 
 				}
 			}
 		}
-		p.fails++
-		s.mu.Lock()
-		s.stats.Retries++
-		s.mu.Unlock()
-		if p.fails >= s.o.Attempts {
-			p.lost.Store(true)
-			return ErrBackupLost
-		}
-		select {
-		case <-s.ctx.Done():
-		case <-time.After(s.o.Backoff):
+		if err := s.failed(p); err != nil {
+			return err
 		}
 	}
 }
 
 // peerAcked records a durable acknowledgement from one peer.
 func (s *Shipper) peerAcked(p *peer, high uint64) {
+	storeMax(&p.acked, high)
+	storeMax(&s.n.acked, high)
+}
+
+// storeMax raises a to v unless it is already there.
+func storeMax(a *atomic.Uint64, v uint64) {
 	for {
-		cur := p.acked.Load()
-		if high <= cur || p.acked.CompareAndSwap(cur, high) {
-			break
+		cur := a.Load()
+		if v <= cur || a.CompareAndSwap(cur, v) {
+			return
 		}
 	}
-	s.mu.Lock()
-	if high > s.stats.Acked {
-		s.stats.Acked = high
-	}
-	s.mu.Unlock()
 }
 
 // catchUp re-ships the committed records in [from, to) out of the
@@ -600,9 +717,7 @@ func (s *Shipper) catchUp(p *peer, from, to uint64) error {
 		if len(batch) == 0 {
 			return nil
 		}
-		s.mu.Lock()
-		s.stats.CatchUp += uint64(len(batch))
-		s.mu.Unlock()
+		s.n.catchUp.Add(uint64(len(batch)))
 		for _, frame := range Encode(batch, false, s.o.Term) {
 			if err := s.sendCatchUpFrame(p, frame.Payload); err != nil {
 				return err
@@ -638,46 +753,33 @@ var errStopScan = errors.New("repl: scan complete")
 // which the outer retry resolves.
 func (s *Shipper) sendCatchUpFrame(p *peer, frame []byte) error {
 	for {
-		if s.ctx.Err() != nil {
+		if s.stopped.Load() {
 			return s.ctx.Err()
 		}
-		s.mu.Lock()
-		s.stats.Frames++
-		s.mu.Unlock()
-		sent := s.o.Now()
-		rep, err := s.c.Trans(s.ctx, p.dest, rpc.Request{Op: OpShip, Data: frame}, s.opts...)
-		if err == nil && rep.Status == rpc.StatusStale {
-			s.Depose()
-			return ErrDeposed
-		}
-		if err == nil && (rep.Status == rpc.StatusOK || rep.Status == rpc.StatusConflict) {
-			if high, aerr := ParseAck(rep.Data); aerr == nil {
-				s.peerAcked(p, high)
+		rep, _, err := s.exchange(p, frame, s.opts)
+		if err == nil {
+			switch rep.Status {
+			case rpc.StatusStale:
+				return ErrDeposed
+			case rpc.StatusConflict:
+				if high, aerr := ParseAck(rep.Data); aerr == nil {
+					s.peerAcked(p, high)
+				}
+				fallthrough
+			case rpc.StatusOK:
+				p.fails = 0
+				return nil
 			}
-			if rep.Status == rpc.StatusOK {
-				p.grant.Store(sent.UnixNano())
-			}
-			p.fails = 0
-			return nil
 		}
-		p.fails++
-		s.mu.Lock()
-		s.stats.Retries++
-		s.mu.Unlock()
-		if p.fails >= s.o.Attempts {
-			p.lost.Store(true)
-			return ErrBackupLost
-		}
-		select {
-		case <-s.ctx.Done():
-		case <-time.After(s.o.Backoff):
+		if err := s.failed(p); err != nil {
+			return err
 		}
 	}
 }
 
 // heartbeatLoop renews the group lease while the commit stream is
-// idle: one bare frame per live peer per LeaseTerm/3, single attempt —
-// a missed heartbeat just waits for the next tick, and three fit in a
+// idle: one bare frame per peer per LeaseTerm/3, single attempt — a
+// missed heartbeat just waits for the next tick, and three fit in a
 // term, so one loss never lapses the lease.
 func (s *Shipper) heartbeatLoop() {
 	defer s.wg.Done()
@@ -703,11 +805,7 @@ func (s *Shipper) heartbeatLoop() {
 		if s.deposed.Load() || s.demoted.Load() || s.sealed.Load() {
 			return
 		}
-		hb := EncodeHeartbeat(s.o.Term)
-		s.mu.Lock()
-		peers := append([]*peer(nil), s.peers...)
-		s.mu.Unlock()
-		for _, p := range peers {
+		for _, p := range s.peerList() {
 			// Lost peers are heartbeated too: a peer that missed a few
 			// frames is LOST to the data stream (reprobeLoop re-bases
 			// it) but very much alive to the lease — if the primary went
@@ -715,41 +813,17 @@ func (s *Shipper) heartbeatLoop() {
 			// elect a second primary out of a transient loss. The
 			// heartbeat tells it "your primary lives"; the re-base
 			// catches its data up separately.
-			if !p.mu.TryLock() {
-				// The sink (or a catch-up) is mid-frame to this peer;
-				// its ack will renew the grant better than we can.
-				continue
+			//
+			// An offer, never a wait: each lane burns a dead peer's
+			// timeout alone, so one corpse cannot hold the next peer's
+			// heartbeat past the detector gap and cascade elections
+			// through a healthy group. A busy lane is mid-frame (or
+			// mid-heartbeat) to this peer, and that frame's ack will
+			// renew the grant better than a heartbeat queued behind it.
+			select {
+			case p.work <- shipJob{}:
+			default:
 			}
-			s.mu.Lock()
-			s.stats.Heartbeats++
-			s.stats.Frames++
-			s.mu.Unlock()
-			s.wg.Add(1)
-			go func(p *peer) {
-				// One goroutine per peer per tick: a dead peer burns its
-				// timeout budget alone instead of stalling the loop —
-				// sequentially, one corpse could hold the next peer's
-				// heartbeat past the detector gap and cascade elections
-				// through a healthy group. Pile-up is impossible: the
-				// peer lock is held until this send resolves, so next
-				// tick's TryLock skips the peer.
-				defer s.wg.Done()
-				defer p.mu.Unlock()
-				sent := s.o.Now()
-				rep, err := s.c.Trans(s.ctx, p.dest, rpc.Request{Op: OpShip, Data: hb}, s.hbOpts...)
-				if err != nil {
-					return
-				}
-				switch rep.Status {
-				case rpc.StatusOK:
-					if high, aerr := ParseAck(rep.Data); aerr == nil {
-						s.peerAcked(p, high)
-					}
-					p.grant.Store(sent.UnixNano())
-				case rpc.StatusStale:
-					s.Depose()
-				}
-			}(p)
 		}
 	}
 }
@@ -774,10 +848,7 @@ func (s *Shipper) reprobeLoop() {
 		if s.deposed.Load() || s.demoted.Load() || s.sealed.Load() {
 			return
 		}
-		s.mu.Lock()
-		peers := append([]*peer(nil), s.peers...)
-		s.mu.Unlock()
-		for _, p := range peers {
+		for _, p := range s.peerList() {
 			if !p.lost.Load() || s.ctx.Err() != nil {
 				continue
 			}
@@ -799,17 +870,11 @@ func (s *Shipper) reprobeLoop() {
 // it rejoins the stream with no gap) and marks it live.
 func (s *Shipper) rebasePeer(p *peer) error {
 	return s.k.Resnapshot(func(snap []byte, next uint64) error {
-		p.mu.Lock()
-		p.fails = 0
-		p.mu.Unlock()
-		base := []wal.Record{{Seq: next - 1, Checkpoint: true, Data: snap}}
-		if err := s.shipToPeer(p, Encode(base, true, s.o.Term), next, true); err != nil {
+		if err := s.shipBase(p, snap, next); err != nil {
 			return err
 		}
 		p.lost.Store(false)
-		s.mu.Lock()
-		s.stats.Rebases++
-		s.mu.Unlock()
+		s.n.rebases.Add(1)
 		return nil
 	})
 }

@@ -542,7 +542,7 @@ func (c *Client) attempt(ctx context.Context, machine amnet.MachineID, dest cap.
 	}
 	defer l.Close()
 
-	if err := c.fb.PutBuf(machine, dest, gPrime, o.sig, payload); err != nil {
+	if err := c.fb.PutBuf(machine, dest, l, o.sig, payload); err != nil {
 		return Reply{}, fmt.Errorf("rpc: put: %w", err)
 	}
 	timer := startTimer(o.timeout)

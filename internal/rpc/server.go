@@ -90,7 +90,8 @@ func DefaultMaxInflight() int { return 4 * runtime.GOMAXPROCS(0) }
 // with backpressure, not a goroutine per request.
 type Server struct {
 	fb          *fbox.FBox
-	get         cap.Port
+	get         cap.Port // the secret G
+	put         cap.Port // P = F(G), computed once: PutPort is on request paths
 	maxInflight int
 
 	mu       sync.Mutex
@@ -189,6 +190,7 @@ func NewServerWithConfig(fb *fbox.FBox, cfg ServerConfig) *Server {
 	s := &Server{
 		fb:          fb,
 		get:         g,
+		put:         fb.F(g),
 		maxInflight: n,
 		handlers:    make(map[uint16]Handler),
 	}
@@ -242,7 +244,7 @@ func (s *Server) SetMaxInflight(n int) {
 }
 
 // PutPort returns the public put-port P = F(G).
-func (s *Server) PutPort() cap.Port { return s.fb.F(s.get) }
+func (s *Server) PutPort() cap.Port { return s.put }
 
 // GetPort returns the secret get-port G. Callers must keep it secret;
 // it exists so a service can persist its identity across restarts.
@@ -719,7 +721,7 @@ func (s *Server) reply(sealer CapSealer, m fbox.Received, rep Reply) {
 		rep.releaseBuf()
 	}
 	// Best effort: an unreachable client retries with a new port.
-	_ = s.fb.PutBuf(m.From, m.Reply, 0, 0, b)
+	_ = s.fb.PutBuf(m.From, m.Reply, nil, 0, b)
 }
 
 // replyDataIsBuf reports whether rep.Data is exactly the live payload

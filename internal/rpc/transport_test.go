@@ -4,6 +4,7 @@ import (
 	"context"
 	"errors"
 	"sync"
+	"sync/atomic"
 	"testing"
 	"time"
 
@@ -253,6 +254,61 @@ func TestSignedTransaction(t *testing.T) {
 	got := <-sigSeen
 	if got != signer.Public() {
 		t.Fatalf("server saw signature %v, want published %v", got, signer.Public())
+	}
+}
+
+// countingF is a crypto.OneWay that counts its invocations.
+type countingF struct {
+	crypto.OneWay
+	n atomic.Int64
+}
+
+func (c *countingF) F(x uint64) uint64 {
+	c.n.Add(1)
+	return c.OneWay.F(x)
+}
+
+// TestOneFPerTransaction pins the client F-box's work at the paper's:
+// one F for the transaction's reply port (computed when the GET is
+// posted and reused for the request header), one more only when the
+// request is signed.
+func TestOneFPerTransaction(t *testing.T) {
+	ctx := context.Background()
+	n := amnet.NewSimNet(amnet.SimConfig{})
+	t.Cleanup(func() { n.Close() })
+	f := &countingF{OneWay: crypto.SHA48{Tag: 1}}
+	attach := func(f crypto.OneWay) *fbox.FBox {
+		nic, err := n.Attach()
+		if err != nil {
+			t.Fatal(err)
+		}
+		fb := fbox.New(nic, f)
+		t.Cleanup(func() { fb.Close() })
+		return fb
+	}
+	clientFB, serverFB := attach(f), attach(nil)
+	srv := NewServer(serverFB, crypto.NewSeededSource(1))
+	if err := srv.Start(); err != nil {
+		t.Fatal(err)
+	}
+	t.Cleanup(func() { srv.Close() })
+	client := NewClient(clientFB, locate.New(clientFB, locate.Config{}), ClientConfig{Source: crypto.NewSeededSource(2)})
+	signer := fbox.NewSigner(crypto.NewSeededSource(3), nil)
+
+	trans := func(opts ...CallOption) int64 {
+		t.Helper()
+		before := f.n.Load()
+		if _, err := client.Trans(ctx, srv.PutPort(), Request{Op: OpEcho}, opts...); err != nil {
+			t.Fatal(err)
+		}
+		return f.n.Load() - before
+	}
+	trans() // the first transaction also locates the server
+	if got := trans(); got != 1 {
+		t.Errorf("unsigned attempt applied F %d times, want 1", got)
+	}
+	if got := trans(WithSigner(signer)); got != 2 {
+		t.Errorf("signed attempt applied F %d times, want 2", got)
 	}
 }
 
