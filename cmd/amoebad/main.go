@@ -84,6 +84,7 @@ func main() {
 
 	metrics := obs.NewRegistry()
 	ring := obs.NewRing(1024)
+	registerTCPStats(metrics, nic)
 
 	var closers []func() error
 	startSvc := func(name string, put cap.Port, start func() error, close func() error) {
@@ -206,6 +207,26 @@ func main() {
 	log.Print("shutting down")
 	for i := len(closers) - 1; i >= 0; i-- {
 		_ = closers[i]()
+	}
+}
+
+// registerTCPStats exports the transport's counters. Frames per call
+// is what to watch: it falls to 1 when the lanes and readers stop
+// coalescing.
+func registerTCPStats(metrics *obs.Registry, nic *amnet.TCPNet) {
+	for _, c := range []struct {
+		name, help string
+		read       func(amnet.TCPStats) uint64
+	}{
+		{"amoeba_tcp_frames_out_total", "frames written to peers' sockets", func(s amnet.TCPStats) uint64 { return s.FramesOut }},
+		{"amoeba_tcp_write_calls_total", "write and writev calls that carried them", func(s amnet.TCPStats) uint64 { return s.WriteCalls }},
+		{"amoeba_tcp_frames_in_total", "frames read from peers' sockets, forgeries excluded", func(s amnet.TCPStats) uint64 { return s.FramesIn }},
+		{"amoeba_tcp_read_calls_total", "read calls that returned them", func(s amnet.TCPStats) uint64 { return s.ReadCalls }},
+		{"amoeba_tcp_lane_dropped_total", "outbound frames dropped at a full write lane", func(s amnet.TCPStats) uint64 { return s.LaneDropped }},
+		{"amoeba_tcp_in_dropped_total", "frames, from a socket or looped back, dropped at a full receive queue", func(s amnet.TCPStats) uint64 { return s.InDropped }},
+	} {
+		read := c.read
+		metrics.CounterFunc(c.name, "", c.help, func() uint64 { return read(nic.Stats()) })
 	}
 }
 

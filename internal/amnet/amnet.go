@@ -77,6 +77,14 @@ type NIC interface {
 	// headroom, hands the same backing array to the receiver where it
 	// can, and releases b when the frame leaves the machine. The
 	// caller must not touch b afterwards, success or failure.
+	//
+	// A nil error means the network has the frame, not that it
+	// arrived. On TCP it means the frame is queued behind the
+	// connection's writes in progress: ErrTooLarge, ErrNoRoute, a
+	// failed dial and ErrClosed are reported here; a later write error
+	// or a full queue loses the frame silently, as a LAN would, and
+	// Close writes what is still queued (for a bounded time) before it
+	// closes the connection.
 	SendBuf(dst MachineID, b *wire.Buf) error
 	// Broadcast transmits payload to every attached machine. The
 	// simulated LAN excludes the sender (hardware semantics); the TCP

@@ -4,10 +4,11 @@ import (
 	"encoding/binary"
 	"errors"
 	"fmt"
-	"io"
 	"net"
+	"runtime"
 	"sync"
 	"sync/atomic"
+	"time"
 
 	"amoeba/internal/wire"
 )
@@ -18,6 +19,14 @@ import (
 // demand, caching connections. Broadcast is sent peer-by-peer (the
 // paper notes LOCATE can be "carried out efficiently, even in a
 // network without broadcasting").
+//
+// Connections carry frames one way. Each outbound connection belongs
+// to a lane: a goroutine that owns every write to it, so a send is an
+// append to the lane's queue and whatever queued while the previous
+// write was in the kernel leaves in one writev. Each inbound
+// connection belongs to a reader that parses every frame one read
+// returned before it reads again. Neither holds a lock shared with
+// another connection while it is in the kernel.
 //
 // Source addresses: a frame's claimed Src is accepted only if the
 // remote host matches the registry entry for that Src, approximating
@@ -33,18 +42,70 @@ type TCPNet struct {
 	// publishes a fresh map under mu.
 	peers atomic.Pointer[map[MachineID]tcpPeer]
 
+	// mu guards the connection tables and closed, and orders loopback
+	// deliveries against Close closing in. It is never held across a
+	// socket call.
 	mu       sync.Mutex
-	conns    map[MachineID]net.Conn
+	lanes    map[MachineID]*tcpLane
 	accepted map[net.Conn]struct{}
-	in       chan Frame
 	closed   bool
-	wg       sync.WaitGroup
+
+	in    chan Frame
+	wg    sync.WaitGroup // acceptLoop, every readLoop, every lane
+	stats tcpCounters
 }
 
 var _ NIC = (*TCPNet)(nil)
 
-// tcpMagic guards against cross-protocol noise.
-const tcpMagic = 0xA0EB
+const (
+	// tcpMagic guards against cross-protocol noise.
+	tcpMagic = 0xA0EB
+	// tcpHdrLen is the transport header: magic, source, destination,
+	// payload length.
+	tcpHdrLen = 14
+	// tcpQueue is how many frames wait at either end of a connection:
+	// in a lane behind the write in progress, and in the inbound queue
+	// ahead of the F-box. Past it frames drop, as on SimNet.
+	tcpQueue = 256
+	// tcpReadBuf is each reader's buffer: a read returns up to this
+	// many bytes of small frames at once; a larger payload is read
+	// straight into its pooled buffer.
+	tcpReadBuf = 8 << 10
+	// tcpDialTimeout bounds a connect. A peer on the cluster's network
+	// answers in well under a millisecond; a black-holed registry entry
+	// must not hold a LOCATE broadcast for the kernel's two minutes.
+	tcpDialTimeout = 500 * time.Millisecond
+	// tcpCloseFlush bounds how long Close waits for queued frames to
+	// reach a peer that has stopped reading.
+	tcpCloseFlush = time.Second
+)
+
+// TCPStats counts one machine's transport activity. Frames per call is
+// the coalescing the lanes and the buffered readers achieve.
+type TCPStats struct {
+	FramesOut   uint64 // frames written to peers' sockets
+	WriteCalls  uint64 // write and writev calls that carried them
+	FramesIn    uint64 // frames read from peers' sockets, forgeries excluded
+	ReadCalls   uint64 // read calls that returned them
+	LaneDropped uint64 // outbound frames dropped at a full lane
+	InDropped   uint64 // frames, from a socket or looped back, dropped at a full receive queue
+}
+
+type tcpCounters struct {
+	framesOut, writeCalls, framesIn, readCalls, laneDropped, inDropped atomic.Uint64
+}
+
+// Stats returns a snapshot of the transport counters.
+func (t *TCPNet) Stats() TCPStats {
+	return TCPStats{
+		FramesOut:   t.stats.framesOut.Load(),
+		WriteCalls:  t.stats.writeCalls.Load(),
+		FramesIn:    t.stats.framesIn.Load(),
+		ReadCalls:   t.stats.readCalls.Load(),
+		LaneDropped: t.stats.laneDropped.Load(),
+		InDropped:   t.stats.inDropped.Load(),
+	}
+}
 
 // NewTCPNet attaches machine id to the cluster described by registry
 // (MachineID → "host:port"). The registry must contain id; its entry
@@ -67,9 +128,9 @@ func NewTCPNet(id MachineID, registry map[MachineID]string) (*TCPNet, error) {
 	t := &TCPNet{
 		id:       id,
 		ln:       ln,
-		conns:    make(map[MachineID]net.Conn),
+		lanes:    make(map[MachineID]*tcpLane),
 		accepted: make(map[net.Conn]struct{}),
-		in:       make(chan Frame, 256),
+		in:       make(chan Frame, tcpQueue),
 	}
 	t.peers.Store(&peers)
 	t.wg.Add(1)
@@ -85,10 +146,10 @@ func (t *TCPNet) Addr() string { return t.ln.Addr().String() }
 
 // SetPeer updates (or adds) a peer's address, for clusters whose
 // members bind ephemeral ports and learn each other's addresses after
-// startup. Existing cached connections to the peer are dropped.
+// startup. The cached connection to the peer is dropped, and with it
+// whatever its lane had not yet written.
 func (t *TCPNet) SetPeer(id MachineID, addr string) {
 	t.mu.Lock()
-	defer t.mu.Unlock()
 	old := *t.peers.Load()
 	peers := make(map[MachineID]tcpPeer, len(old)+1)
 	for k, v := range old {
@@ -96,9 +157,12 @@ func (t *TCPNet) SetPeer(id MachineID, addr string) {
 	}
 	peers[id] = resolvePeer(addr)
 	t.peers.Store(&peers)
-	if c, ok := t.conns[id]; ok {
-		c.Close()
-		delete(t.conns, id)
+	l := t.lanes[id]
+	delete(t.lanes, id)
+	t.mu.Unlock()
+	if l != nil {
+		l.retire()
+		l.conn.Close() // fails the lane's write, if one is in progress
 	}
 }
 
@@ -128,8 +192,9 @@ func (t *TCPNet) Send(dst MachineID, payload []byte) error {
 }
 
 // SendBuf implements NIC: the 14-byte transport header is prepended in
-// b's headroom and the payload goes to the socket from the same
-// backing array; b is released once written (or on any error path).
+// b's headroom and b is queued on the lane of dst's connection, which
+// writes header and payload from the same backing array and releases b
+// when that write has returned.
 func (t *TCPNet) SendBuf(dst MachineID, b *wire.Buf) error {
 	if b.Len() > MTU {
 		b.Release()
@@ -173,58 +238,75 @@ func (t *TCPNet) loopbackBuf(b *wire.Buf) {
 		b.Release()
 		return
 	}
+	t.deliver(Frame{Src: t.id, Dst: t.id, Payload: b.Bytes(), Buf: b})
+}
+
+// deliver queues f for Recv or, the queue being full, drops it. The
+// caller guarantees t.in is still open: a reader by being in t.wg,
+// loopbackBuf by holding t.mu with closed unset.
+func (t *TCPNet) deliver(f Frame) {
 	select {
-	case t.in <- Frame{Src: t.id, Dst: t.id, Payload: b.Bytes(), Buf: b}:
+	case t.in <- f:
 	default:
-		b.Release()
+		t.stats.inDropped.Add(1)
+		f.Release()
 	}
+}
+
+// putTCPHeader fills the transport header of a frame from src to dst
+// carrying n payload bytes.
+func putTCPHeader(hdr []byte, src, dst MachineID, n int) {
+	binary.BigEndian.PutUint16(hdr[0:], tcpMagic)
+	binary.BigEndian.PutUint32(hdr[2:], uint32(src))
+	binary.BigEndian.PutUint32(hdr[6:], uint32(dst))
+	binary.BigEndian.PutUint32(hdr[10:], uint32(n))
 }
 
 // sendTo owns b; the transport header goes into b's headroom so header
-// and payload leave in one Write from one backing array.
+// and payload leave from one backing array. Only finding the lane can
+// fail here — no route, a failed dial, a closed NIC; what happens to
+// the frame after it is queued is the network's business, as on a LAN.
 func (t *TCPNet) sendTo(dst MachineID, b *wire.Buf) error {
-	payloadLen := b.Len()
-	conn, err := t.conn(dst)
-	if err != nil {
-		b.Release()
-		return err
+	n := b.Len()
+	putTCPHeader(b.Prepend(tcpHdrLen), t.id, dst, n)
+	for {
+		l, err := t.lane(dst)
+		if err != nil {
+			b.Release()
+			return err
+		}
+		switch l.enqueue(b) {
+		case laneFull:
+			t.stats.laneDropped.Add(1)
+			b.Release()
+			return nil
+		case laneQueued:
+			return nil
+		}
+		// The lane retired between the lookup and the enqueue (SetPeer,
+		// a write error). It left the cache before it was marked, so
+		// the next lookup dials afresh or finds the NIC closed.
 	}
-	hdr := b.Prepend(14)
-	binary.BigEndian.PutUint16(hdr[0:], tcpMagic)
-	binary.BigEndian.PutUint32(hdr[2:], uint32(t.id))
-	binary.BigEndian.PutUint32(hdr[6:], uint32(dst))
-	binary.BigEndian.PutUint32(hdr[10:], uint32(payloadLen))
-	t.mu.Lock()
-	defer t.mu.Unlock()
-	defer b.Release()
-	if t.closed {
-		return ErrClosed
-	}
-	if _, err := conn.Write(b.Bytes()); err != nil {
-		delete(t.conns, dst)
-		conn.Close()
-		return fmt.Errorf("amnet: send to %v: %w", dst, err)
-	}
-	return nil
 }
 
-// conn returns a cached or fresh connection to dst.
-func (t *TCPNet) conn(dst MachineID) (net.Conn, error) {
+// lane returns the lane of the cached connection to dst, dialling one
+// if there is none.
+func (t *TCPNet) lane(dst MachineID) (*tcpLane, error) {
 	t.mu.Lock()
 	if t.closed {
 		t.mu.Unlock()
 		return nil, ErrClosed
 	}
-	if c, ok := t.conns[dst]; ok {
+	if l, ok := t.lanes[dst]; ok {
 		t.mu.Unlock()
-		return c, nil
+		return l, nil
 	}
 	t.mu.Unlock()
 	p, ok := (*t.peers.Load())[dst]
 	if !ok {
 		return nil, fmt.Errorf("%w: %v", ErrNoRoute, dst)
 	}
-	c, err := net.Dial("tcp", p.addr)
+	c, err := net.DialTimeout("tcp", p.addr, tcpDialTimeout)
 	if err != nil {
 		return nil, fmt.Errorf("amnet: dial %v (%s): %w", dst, p.addr, err)
 	}
@@ -234,18 +316,156 @@ func (t *TCPNet) conn(dst MachineID) (net.Conn, error) {
 		c.Close()
 		return nil, ErrClosed
 	}
-	if existing, ok := t.conns[dst]; ok {
+	if existing, ok := t.lanes[dst]; ok {
 		c.Close()
 		return existing, nil
 	}
-	t.conns[dst] = c
-	return c, nil
+	l := &tcpLane{dst: dst, conn: c, wake: make(chan struct{}, 1)}
+	t.lanes[dst] = l
+	t.wg.Add(1)
+	go t.runLane(l)
+	return l, nil
+}
+
+// tcpLane is one outbound connection and the queue of frames waiting
+// to be written to it. Senders append under mu; the lane's goroutine
+// is the only writer of conn.
+type tcpLane struct {
+	dst  MachineID
+	conn net.Conn
+	// wake holds a token while the lane has something to look at: the
+	// queue left empty, or the lane was retired.
+	wake chan struct{}
+
+	mu      sync.Mutex
+	q       []*wire.Buf // headers already prepended, in send order
+	retired bool        // no further frames are accepted
+
+	// vecs is the lane goroutine's reusable writev vector; out is the
+	// view of it that net.Buffers consumes.
+	vecs [][]byte
+	out  net.Buffers
+}
+
+type laneResult int
+
+const (
+	laneQueued laneResult = iota
+	laneFull
+	laneRetired
+)
+
+// enqueue takes b only when it returns laneQueued.
+func (l *tcpLane) enqueue(b *wire.Buf) laneResult {
+	l.mu.Lock()
+	if l.retired {
+		l.mu.Unlock()
+		return laneRetired
+	}
+	if len(l.q) >= tcpQueue {
+		l.mu.Unlock()
+		return laneFull
+	}
+	l.q = append(l.q, b)
+	first := len(l.q) == 1
+	l.mu.Unlock()
+	if first {
+		l.signal()
+	}
+	return laneQueued
+}
+
+func (l *tcpLane) signal() {
+	select {
+	case l.wake <- struct{}{}:
+	default:
+	}
+}
+
+// retire stops l accepting frames; its goroutine writes what is
+// already queued and exits.
+func (l *tcpLane) retire() {
+	l.mu.Lock()
+	l.retired = true
+	l.mu.Unlock()
+	l.signal()
+}
+
+// runLane writes l's queue to its connection until l is retired or a
+// write fails.
+func (t *TCPNet) runLane(l *tcpLane) {
+	defer t.wg.Done()
+	defer l.conn.Close()
+	var batch []*wire.Buf
+	for range l.wake {
+		// Every sender that is already runnable gets to enqueue before
+		// the queue is taken. On one processor the lane, woken by the
+		// first reply, would otherwise run before the second worker
+		// has replied and write each frame alone.
+		runtime.Gosched()
+		l.mu.Lock()
+		batch, l.q = l.q, batch[:0]
+		retired := l.retired
+		l.mu.Unlock()
+		err := t.writeFrames(l, batch)
+		releaseAll(batch) // only now: the kernel has copied them
+		if err != nil {
+			// The connection is dead. Uncache it so the next send
+			// dials again, and drop what queued behind the failed write.
+			t.mu.Lock()
+			if t.lanes[l.dst] == l {
+				delete(t.lanes, l.dst)
+			}
+			t.mu.Unlock()
+			l.mu.Lock()
+			l.retired = true
+			batch, l.q = l.q, nil
+			l.mu.Unlock()
+			releaseAll(batch)
+			return
+		}
+		if retired {
+			return // nothing was queued after the swap above
+		}
+	}
+}
+
+// writeFrames writes batch in one call: Write for one frame, writev for
+// several.
+func (t *TCPNet) writeFrames(l *tcpLane, batch []*wire.Buf) error {
+	var err error
+	switch len(batch) {
+	case 0:
+		return nil
+	case 1:
+		_, err = l.conn.Write(batch[0].Bytes())
+	default:
+		l.vecs = l.vecs[:0]
+		for _, b := range batch {
+			l.vecs = append(l.vecs, b.Bytes())
+		}
+		l.out = l.vecs
+		_, err = l.out.WriteTo(l.conn)
+	}
+	t.stats.writeCalls.Add(1)
+	if err == nil {
+		t.stats.framesOut.Add(uint64(len(batch)))
+	}
+	return err
+}
+
+func releaseAll(bufs []*wire.Buf) {
+	for i, b := range bufs {
+		b.Release()
+		bufs[i] = nil
+	}
 }
 
 // Recv implements NIC.
 func (t *TCPNet) Recv() <-chan Frame { return t.in }
 
-// Close implements NIC.
+// Close implements NIC. Frames already queued on a lane are written
+// before its socket closes, for at most tcpCloseFlush.
 func (t *TCPNet) Close() error {
 	t.mu.Lock()
 	if t.closed {
@@ -253,15 +473,17 @@ func (t *TCPNet) Close() error {
 		return nil
 	}
 	t.closed = true
-	for _, c := range t.conns {
-		c.Close()
-	}
-	t.conns = map[MachineID]net.Conn{}
+	lanes := t.lanes
+	t.lanes = nil
 	for c := range t.accepted {
 		c.Close()
 	}
-	t.accepted = map[net.Conn]struct{}{}
 	t.mu.Unlock()
+	deadline := time.Now().Add(tcpCloseFlush)
+	for _, l := range lanes {
+		l.retire()
+		l.conn.SetWriteDeadline(deadline)
+	}
 	t.ln.Close()
 	t.wg.Wait()
 	t.mu.Lock()
@@ -290,6 +512,9 @@ func (t *TCPNet) acceptLoop() {
 	}
 }
 
+// readLoop turns one inbound connection's byte stream into frames. It
+// ends at the first read error or protocol violation; Close ends it by
+// closing the connection.
 func (t *TCPNet) readLoop(conn net.Conn) {
 	defer t.wg.Done()
 	defer func() {
@@ -300,46 +525,63 @@ func (t *TCPNet) readLoop(conn net.Conn) {
 	}()
 	remoteHost, _, _ := net.SplitHostPort(conn.RemoteAddr().String())
 	remote := resolveHost(remoteHost)
+	buf := make([]byte, tcpReadBuf)
+	r, w := 0, 0 // buf[r:w] is read but not yet parsed
 	for {
-		var hdr [14]byte
-		if _, err := io.ReadFull(conn, hdr[:]); err != nil {
-			return
-		}
-		if binary.BigEndian.Uint16(hdr[0:]) != tcpMagic {
-			return // protocol violation: drop the connection
-		}
-		src := MachineID(binary.BigEndian.Uint32(hdr[2:]))
-		dst := MachineID(binary.BigEndian.Uint32(hdr[6:]))
-		n := binary.BigEndian.Uint32(hdr[10:])
-		if n > MTU {
-			return
-		}
-		b := wire.Get(0, int(n))
-		if _, err := io.ReadFull(conn, b.Extend(int(n))); err != nil {
-			b.Release()
-			return
-		}
-		if !t.sourcePlausible(src, remote) {
-			b.Release()
-			continue // forged source: drop the frame
-		}
-		t.mu.Lock()
-		closed := t.closed
-		delivered := false
-		if !closed {
-			select {
-			case t.in <- Frame{Src: src, Dst: dst, Payload: b.Bytes(), Buf: b}:
-				delivered = true
-			default:
+		// Parse every complete frame the last read returned.
+		for w-r >= tcpHdrLen {
+			hdr := buf[r : r+tcpHdrLen]
+			if binary.BigEndian.Uint16(hdr[0:]) != tcpMagic {
+				return // protocol violation: drop the connection
 			}
+			src := MachineID(binary.BigEndian.Uint32(hdr[2:]))
+			dst := MachineID(binary.BigEndian.Uint32(hdr[6:]))
+			size := binary.BigEndian.Uint32(hdr[10:])
+			if size > MTU {
+				return
+			}
+			n := int(size)
+			have := w - r - tcpHdrLen
+			if have < n && tcpHdrLen+n <= len(buf) {
+				break // the rest of this frame fits in buf: read on
+			}
+			b := wire.Get(0, n)
+			p := b.Extend(n)
+			if have >= n {
+				copy(p, buf[r+tcpHdrLen:])
+				r += tcpHdrLen + n
+			} else {
+				// Larger than buf could ever hold: the remainder goes
+				// from the socket straight into the pooled buffer.
+				copy(p, buf[r+tcpHdrLen:w])
+				r, w = 0, 0
+				for have < n {
+					m, err := conn.Read(p[have:])
+					t.stats.readCalls.Add(1)
+					if err != nil {
+						b.Release()
+						return
+					}
+					have += m
+				}
+			}
+			if !t.sourcePlausible(src, remote) {
+				b.Release() // forged source: drop the frame
+				continue
+			}
+			t.stats.framesIn.Add(1) // before the consumer can see the frame
+			t.deliver(Frame{Src: src, Dst: dst, Payload: b.Bytes(), Buf: b})
 		}
-		t.mu.Unlock()
-		if !delivered {
-			b.Release()
+		if r > 0 {
+			w = copy(buf, buf[r:w])
+			r = 0
 		}
-		if closed {
+		m, err := conn.Read(buf[w:])
+		t.stats.readCalls.Add(1)
+		if err != nil {
 			return
 		}
+		w += m
 	}
 }
 

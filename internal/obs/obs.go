@@ -140,6 +140,7 @@ type kind uint8
 
 const (
 	kindCounter kind = iota
+	kindCounterFunc
 	kindGauge
 	kindGaugeFunc
 	kindHistogram
@@ -153,6 +154,7 @@ type metric struct {
 	kind   kind
 	c      *Counter
 	g      *Gauge
+	cf     func() uint64
 	gf     func() float64
 	h      *Histogram
 }
@@ -238,6 +240,17 @@ func (r *Registry) Counter(name, labels, help string) *Counter {
 	return r.register(name, labels, help, kindCounter).c
 }
 
+// CounterFunc registers fn as a counter evaluated at scrape time, for
+// a total someone else already keeps (the TCP transport's frame and
+// syscall counts). Re-registering the same series replaces the
+// function, as with GaugeFunc.
+func (r *Registry) CounterFunc(name, labels, help string, fn func() uint64) {
+	m := r.register(name, labels, help, kindCounterFunc)
+	r.mu.Lock()
+	m.cf = fn
+	r.mu.Unlock()
+}
+
 // Gauge returns the gauge registered under (name, labels).
 func (r *Registry) Gauge(name, labels, help string) *Gauge {
 	return r.register(name, labels, help, kindGauge).g
@@ -298,6 +311,8 @@ func (r *Registry) WritePrometheus(w io.Writer) error {
 		switch m.kind {
 		case kindCounter:
 			_, err = fmt.Fprintf(w, "%s %d\n", m.series(), m.c.Value())
+		case kindCounterFunc:
+			_, err = fmt.Fprintf(w, "%s %d\n", m.series(), m.cf())
 		case kindGauge:
 			_, err = fmt.Fprintf(w, "%s %d\n", m.series(), m.g.Value())
 		case kindGaugeFunc:
@@ -353,6 +368,8 @@ func (r *Registry) WriteJSON(w io.Writer) error {
 		switch m.kind {
 		case kindCounter:
 			_, err = fmt.Fprintf(w, "%q: %d", m.series(), m.c.Value())
+		case kindCounterFunc:
+			_, err = fmt.Fprintf(w, "%q: %d", m.series(), m.cf())
 		case kindGauge:
 			_, err = fmt.Fprintf(w, "%q: %d", m.series(), m.g.Value())
 		case kindGaugeFunc:

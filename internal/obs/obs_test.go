@@ -94,6 +94,7 @@ func TestWritePrometheusFormat(t *testing.T) {
 	r := NewRegistry()
 	r.Counter("amoeba_requests_total", L("service", "dir", "op", "enter", "status", "ok"), "Requests.").Add(3)
 	r.Gauge("amoeba_queue_depth", L("service", "dir"), "Depth.").Set(5)
+	r.CounterFunc("amoeba_tcp_frames_out_total", "", "Frames.", func() uint64 { return 1 << 40 })
 	h := r.Histogram("amoeba_handle_ns", L("service", "dir"), "Handler time.")
 	h.Observe(100)
 	h.Observe(200000)
@@ -106,6 +107,8 @@ func TestWritePrometheusFormat(t *testing.T) {
 	for _, want := range []string{
 		"# TYPE amoeba_requests_total counter",
 		`amoeba_requests_total{service="dir",op="enter",status="ok"} 3`,
+		"# TYPE amoeba_tcp_frames_out_total counter",
+		"amoeba_tcp_frames_out_total 1099511627776", // an integer, not %g's 1.09951e+12
 		"# TYPE amoeba_queue_depth gauge",
 		`amoeba_queue_depth{service="dir"} 5`,
 		"# TYPE amoeba_handle_ns histogram",
@@ -134,6 +137,7 @@ func TestWriteJSONParses(t *testing.T) {
 	r.Counter("c", "", "").Add(1)
 	r.Gauge("g", L("a", "b"), "").Set(-2)
 	r.GaugeFunc("gf", "", "", func() float64 { return 1.5 })
+	r.CounterFunc("cf", "", "", func() uint64 { return 9 })
 	r.Histogram("h", "", "").Observe(10)
 	var buf bytes.Buffer
 	if err := r.WriteJSON(&buf); err != nil {
@@ -143,8 +147,8 @@ func TestWriteJSONParses(t *testing.T) {
 	if err := json.Unmarshal(buf.Bytes(), &m); err != nil {
 		t.Fatalf("WriteJSON output not valid JSON: %v\n%s", err, buf.String())
 	}
-	if len(m) != 4 {
-		t.Fatalf("got %d series, want 4: %v", len(m), m)
+	if len(m) != 5 {
+		t.Fatalf("got %d series, want 5: %v", len(m), m)
 	}
 }
 

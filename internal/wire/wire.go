@@ -60,6 +60,17 @@ func SetDebug(on bool) { debug.Store(on) }
 // DebugEnabled reports whether poison-on-release checking is armed.
 func DebugEnabled() bool { return debug.Load() }
 
+// live counts Bufs handed out and not yet released while debug is
+// armed (see Live).
+var live atomic.Int64
+
+// Live reports how many Bufs were obtained and not yet released while
+// debugging was armed. It is for tests, which arm debugging, run a
+// scenario on an otherwise quiet process and compare before with
+// after: an error path that drops a Buf without releasing it shows as
+// a difference.
+func Live() int64 { return live.Load() }
+
 // poisonByte fills released buffers in debug mode. Any deviation found
 // at reuse time proves a write-after-release.
 const poisonByte = 0xA5
@@ -87,6 +98,9 @@ func classFor(n int) int {
 // Get returns an empty Buf with the given headroom reserved and
 // capacity for at least `capacity` appended bytes.
 func Get(headroom, capacity int) *Buf {
+	if debug.Load() {
+		live.Add(1)
+	}
 	need := headroom + capacity
 	cls := classFor(need)
 	if cls < 0 {
@@ -169,9 +183,7 @@ func (b *Buf) reshape(headroom, capacity int) {
 	// nb's shell is garbage now; put the old array back in its pool by
 	// rebuilding a shell around it (the struct identity b must survive
 	// for the caller, so the old array gets a fresh shell).
-	if old.class >= 0 {
-		releaseShell(&Buf{data: old.data, class: old.class})
-	}
+	releaseShell(&Buf{data: old.data, class: old.class})
 }
 
 // Clone returns an independent pooled copy (same headroom, same
@@ -208,6 +220,9 @@ func checkPoison(b *Buf) {
 }
 
 func releaseShell(b *Buf) {
+	if debug.Load() {
+		live.Add(-1)
+	}
 	if b.class < 0 {
 		return // oversize: let the GC have it
 	}

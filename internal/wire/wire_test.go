@@ -120,3 +120,25 @@ func TestPoisonCleanRecycle(t *testing.T) {
 		b.Release()
 	}
 }
+
+// TestLiveCountsOutstanding: with debugging armed, Live rises by one
+// per Get and falls by one per Release, whatever happens in between —
+// growing past a size class, or an oversize buffer, re-homes the
+// payload without changing how many Bufs are out.
+func TestLiveCountsOutstanding(t *testing.T) {
+	SetDebug(true)
+	defer SetDebug(false)
+	base := Live()
+	a := Get(0, 8)
+	a.Extend(classSizes[0] + 1) // reshape into the next class
+	big := Get(0, classSizes[len(classSizes)-1]+1)
+	big.Extend(classSizes[len(classSizes)-1] + 2) // oversize to oversize
+	if got := Live() - base; got != 2 {
+		t.Fatalf("two Bufs out, Live moved by %d", got)
+	}
+	a.Release()
+	big.Release()
+	if got := Live() - base; got != 0 {
+		t.Fatalf("everything released, Live off by %d", got)
+	}
+}

@@ -20,10 +20,16 @@
 # per batch and copied the peer list under a lock three times per op;
 # a new allocation on the ship path is how that comes back.
 #
-# Usage: scripts/allocgate.sh            # default budgets 2 / 0 / 32
+# A fourth gate pins the same round trip over loopback TCP
+# (E11_TransTCP) at 2 allocs/op: the transport under the F-box may add
+# nothing to what the SimNet round trip allocates. It stood at 4 while
+# the read loop's header array escaped to the heap once per frame.
+#
+# Usage: scripts/allocgate.sh            # default budgets 2 / 0 / 32 / 2
 #        ALLOC_BUDGET=4 scripts/allocgate.sh
 #        CACHE_ALLOC_BUDGET=1 scripts/allocgate.sh
 #        GROUP_ALLOC_BUDGET=36 scripts/allocgate.sh
+#        TCP_ALLOC_BUDGET=3 scripts/allocgate.sh
 set -eu
 
 cd "$(dirname "$0")/.."
@@ -49,3 +55,4 @@ gate() {
 gate BenchmarkE11_TransSimnet "${ALLOC_BUDGET:-2}" "round trip"
 gate BenchmarkE24_CachedDirLookup/depth=16 "${CACHE_ALLOC_BUDGET:-0}" "cached lookup"
 gate BenchmarkE18_DirEnter/group3 "${GROUP_ALLOC_BUDGET:-32}" "group commit"
+gate BenchmarkE11_TransTCP "${TCP_ALLOC_BUDGET:-2}" "TCP round trip"
