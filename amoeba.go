@@ -49,8 +49,8 @@ type (
 	// Signer is an F-box digital-signature identity (§2.2).
 	Signer = fbox.Signer
 	// MachineID identifies a machine on the cluster network — the
-	// handle Kill, Restart, AddBackup and Promote take (see
-	// Cluster.Machines).
+	// handle Kill, Restart and Drain take (see Cluster.Machines and
+	// Cluster.ShardMachines).
 	MachineID = amnet.MachineID
 )
 

@@ -7,6 +7,7 @@ import (
 	stdlog "log"
 	"net"
 	"net/http"
+	"slices"
 	"sync"
 	"sync/atomic"
 	"time"
@@ -67,22 +68,19 @@ type ClusterConfig struct {
 	// composes with the F-box protection; a wiretap then sees only
 	// ciphertext capabilities. See EXPERIMENTS.md E8.
 	SealCapabilities bool
-	// Replicate boots the durable services (directory and bank) with a
-	// hot standby each: a backup machine holding the same state on its
-	// own write-ahead log, fed synchronously from the primary's commit
-	// path. After Kill of a replicated primary, Promote fails the
-	// service over to its standby with zero acknowledged operations
-	// lost. See EXPERIMENTS.md E19.
-	Replicate bool
-	// Replicas ≥ 2 boots each durable service as a replication GROUP
-	// of that total size (a primary plus Replicas-1 standbys) with
-	// leased leadership and automatic failover: the primary's serving
-	// lease is renewed by acks on the ship stream (bare heartbeats
-	// when idle), a lapsed lease fences acknowledgements, each standby
-	// runs a failure detector, and on primary silence the
-	// highest-acked standby auto-promotes — nobody calls Promote.
-	// Killed or promoted-away machines rejoin as fresh standbys via
-	// Restart. Mutually exclusive with Replicate. See EXPERIMENTS E21.
+	// Replicas ≥ 2 boots every shard of the durable services (directory
+	// and bank) as a replication GROUP of that total size (a primary plus
+	// Replicas-1 standbys, each on its own machine and write-ahead log)
+	// with leased leadership and automatic failover: commits ship
+	// synchronously to every live standby before the client is answered,
+	// the primary's serving lease is renewed by acks on the ship stream
+	// (bare heartbeats when idle), a lapsed lease fences
+	// acknowledgements, each standby runs a failure detector, and on
+	// primary silence the highest-acked standby takes the put-port over —
+	// no operator verb is involved. Killed, drained or deposed machines
+	// rejoin as fresh standbys via Restart. Replication is this or
+	// nothing: 0 or 1 leaves the services unreplicated. See EXPERIMENTS
+	// E19 (election floor) and E21.
 	Replicas int
 	// Shards ≥ 2 partitions each durable service's object space across
 	// that many machines: every shard serves the SAME put-port (one
@@ -90,9 +88,9 @@ type ClusterConfig struct {
 	// number to its shard, and capability tables mint only numbers that
 	// route back to the minting shard. Each shard may itself be a
 	// replication group (compose with Replicas); Cluster.Migrate moves
-	// single objects between shards live. Mutually exclusive with
-	// Replicate (the legacy single-standby mode predates sharding). See
-	// EXPERIMENTS.md E23.
+	// single objects between shards live. 0 or 1 is the one-shard case of
+	// the same machinery, with no shard map on the wire: clients route by
+	// LOCATE alone. See EXPERIMENTS.md E23.
 	Shards int
 	// LeaseTerm is the group serving-lease duration (default 150ms).
 	// Standby failure detectors fire after 1.5 terms of silence, so
@@ -142,6 +140,7 @@ type Cluster struct {
 	memory *memsvr.Server
 	blocks *blocksvr.Server
 	files  *flatfs.Server
+	multi  *mvfs.Server
 	disk   *vdisk.Disk
 
 	// matrix is non-nil when SealCapabilities is on.
@@ -163,33 +162,30 @@ type Cluster struct {
 	closers   []func() error
 	closing   atomic.Bool // set by Close; late detector fires become no-ops
 
-	// lifeMu serializes the lifecycle verbs — Kill, Restart, AddBackup,
-	// Promote — end to end: each publishes intermediate states (down
-	// flags, half-built standbys, a NIC that is closing) that the
-	// others must never observe mid-flight. These are rare operator
-	// actions; coarse serialization is the correctness tool, while mu
-	// below stays the fine-grained field guard.
+	// lifeMu serializes the lifecycle verbs — Kill, Restart, Drain,
+	// Migrate, elections — end to end: each publishes intermediate
+	// states (down flags, half-built standbys, a NIC that is closing)
+	// that the others must never observe mid-flight. These are rare
+	// operator actions; coarse serialization is the correctness tool,
+	// while mu below stays the fine-grained field guard.
 	lifeMu sync.Mutex
 
-	// mu guards the fields Kill/Restart swap out: the durable servers,
-	// their F-boxes, and the machine map.
-	mu       sync.Mutex
-	dirs     *dirsvr.Server
-	multi    *mvfs.Server
-	bank     *banksvr.Server
-	dirsFB   *fbox.FBox
-	bankFB   *fbox.FBox
-	dirsDown bool
-	bankDown bool
+	// mu guards everything Kill/Restart/elections swap: each shard's
+	// primary and group state, and the maps below.
+	mu sync.Mutex
+	// machines holds the client and the volatile services' hosts;
+	// Machines() fills Dirs and Bank in from shard 0's current primary.
 	machines Machines
 
-	// Stable storage and identity the durable services carry across
-	// Kill/Restart: the WAL disks survive the crash (they model the
-	// machine's disk), and the get-ports pin the servers' put-ports.
-	dirsWAL *vdisk.Disk
-	bankWAL *vdisk.Disk
-	dirsG   cap.Port
-	bankG   cap.Port
+	// The durable services: a slice of shards each (length ≥ 1; index =
+	// shard number), each shard optionally a replication group. The
+	// slices are append-only during boot and fixed afterwards (the
+	// shards themselves swap machines in place). atlas is the
+	// process-wide shard-map directory every resolver and kernel view
+	// reads; it stays empty on a one-shard cluster.
+	dirShards  []*svcShard
+	bankShards []*svcShard
+	atlas      *shard.Atlas
 
 	// walFaults maps each durable incarnation's machine to the fault
 	// injector wrapped around its WAL store — the chaos tests' handle
@@ -199,109 +195,29 @@ type Cluster struct {
 	// healthy disk).
 	walFaults map[amnet.MachineID]*vdisk.FaultStore
 
-	// Hot-standby state (ClusterConfig.Replicate / AddBackup): per
-	// durable service, the standby and the primary-side shipper, plus
-	// the set of machines whose put-port was promoted away. In legacy
-	// mode those machines may never re-register the port (the
-	// split-brain guard in Restart); in group mode Restart routes them
-	// back in as fresh standbys instead.
-	dirsBackup *standby
-	bankBackup *standby
-	dirsShip   *repl.Shipper
-	bankShip   *repl.Shipper
-	promoted   map[amnet.MachineID]promotedAway
-
-	// Replication groups (ClusterConfig.Replicas): per durable
-	// service, the standby set, the current term and the election
-	// generation. The active shipper doubles into dirsShip/bankShip so
-	// the gauges follow the current primary.
-	dirsGroup *replGroup
-	bankGroup *replGroup
-
-	// Sharding (ClusterConfig.Shards): the process-wide shard-map
-	// directory every resolver and kernel view reads, plus shards
-	// 1..M-1 of each durable service (shard 0 stays in the legacy
-	// fields above). The slices are append-only after boot (the shards
-	// themselves swap machines in place); guarded by cl.mu.
-	atlas      *shard.Atlas
-	dirShards  []*svcShard
-	bankShards []*svcShard
+	// retired maps each machine that has left its group's member list
+	// but may rejoin — one an election took the put-port away from, or a
+	// killed standby whose Restart is under way — to that group. Such a
+	// machine never serves its old log again (a deposed primary's tail
+	// past the successor's starting point is a dead branch of history);
+	// Restart re-attaches it as a FRESH standby instead.
+	retired map[amnet.MachineID]*replGroup
 }
 
-// promotedAway records why a machine may not simply re-register its
-// put-port: the service failed over, and seq is the successor's
-// starting high-water sequence — everything the dead machine's log
-// holds beyond its acknowledged prefix is a dead branch of history.
-type promotedAway struct {
-	service string
-	seq     uint64
-}
-
-// PromotedAwayError is Restart's typed refusal for a machine whose
-// put-port was promoted to a backup (legacy single-standby mode; a
-// replication group re-integrates the machine instead).
-type PromotedAwayError struct {
-	Machine amnet.MachineID
-	Service string
-	// DiscardedSeq is the high-water sequence the successor took over
-	// with; the refused machine's log beyond that point is discarded.
-	DiscardedSeq uint64
-}
-
-func (e *PromotedAwayError) Error() string {
-	return fmt.Sprintf("amoeba: machine %v's %s put-port was promoted to a backup; refusing to re-register it (split-brain); its log beyond seq %d is a dead branch",
-		e.Machine, e.Service, e.DiscardedSeq)
-}
-
-// replGroup is one durable service's replication-group state. Mutable
-// fields (term, gen, standbys, ship) are guarded by cl.mu for reads;
-// mutations additionally hold cl.lifeMu (elections, kills and
-// re-integrations serialize there).
+// replGroup is the replication-group half of a shard (nil on an
+// unreplicated one). Fields are guarded by cl.mu for reads; mutations
+// additionally hold cl.lifeMu (elections, kills and re-integrations
+// serialize there).
 type replGroup struct {
-	name string
+	sh   *svcShard
 	term uint64 // current replication epoch (starts at 1)
 	gen  uint64 // election generation; stale detector callbacks no-op
+	// ship is the current primary's fan-out shipper (stopped, but still
+	// set, between a primary's death and the election).
 	ship *repl.Shipper
 	// standbys holds every group member that is not the primary,
 	// including killed ones (down) awaiting re-integration.
-	standbys []*groupStandby
-	// build constructs a fresh standby incarnation of the service.
-	build func(fb *fbox.FBox, log *wal.Log) (kernelServer, *svc.Kernel, func(rec []byte) error, error)
-	// swap makes st the primary in the cluster's service fields and
-	// installs its shipper (called with cl.mu held).
-	swap func(st *groupStandby, ship *repl.Shipper)
-	// primary introspection + shipper bookkeeping (cl.mu held).
-	primaryKernel  func() *svc.Kernel
-	primaryFB      func() *fbox.FBox
-	primaryMachine func() amnet.MachineID
-	setShip        func(*repl.Shipper)
-}
-
-// groupStandby is one non-primary member of a replication group: an
-// un-started service kernel fed by a repl.Receiver, watched by a
-// failure detector.
-type groupStandby struct {
-	fb      *fbox.FBox
-	disk    *vdisk.Disk
-	recv    *repl.Receiver
-	machine amnet.MachineID
-	srv     kernelServer
-	kern    *svc.Kernel
-	det     *repl.Detector
-	down    bool
-}
-
-// standby is a hot backup of one durable service: an un-started service
-// kernel on its own machine and WAL disk, kept current by a
-// repl.Receiver. Promotion stops the receiver and starts the kernel —
-// the service reappears at the same put-port, on the standby's machine.
-type standby struct {
-	fb      *fbox.FBox
-	disk    *vdisk.Disk
-	recv    *repl.Receiver
-	machine amnet.MachineID
-	promote func() error // stop receiver, start kernel, swap cluster fields
-	discard func() error // drop the standby (receiver + kernel die)
+	standbys []*replica
 }
 
 // Machines identifies the cluster's machines on the simulated
@@ -317,12 +233,15 @@ type Machines struct {
 }
 
 // Machines returns the machine IDs of the cluster's client and
-// service hosts. A restarted service reappears on a NEW machine (a
-// re-incarnation elsewhere on the LAN) — re-read after Restart.
+// service hosts; Dirs and Bank are shard 0's current primary. A
+// restarted or failed-over service reappears on a NEW machine —
+// re-read after Restart or an election.
 func (cl *Cluster) Machines() Machines {
 	cl.mu.Lock()
 	defer cl.mu.Unlock()
-	return cl.machines
+	m := cl.machines
+	m.Dirs, m.Bank = cl.dirShards[0].primary.machine, cl.bankShards[0].primary.machine
+	return m
 }
 
 // NewCluster boots a cluster with every §3 service running.
@@ -330,17 +249,14 @@ func NewCluster(cfg ClusterConfig) (*Cluster, error) {
 	if cfg.Scheme == 0 {
 		cfg.Scheme = SchemeOneWay
 	}
-	if cfg.Replicate && cfg.Replicas >= 2 {
-		return nil, errors.New("amoeba: Replicate (manual single standby) and Replicas (auto-failover group) are mutually exclusive")
-	}
-	if cfg.Shards >= 2 && cfg.Replicate {
-		return nil, errors.New("amoeba: Shards and Replicate are mutually exclusive; shard replication composes with Replicas (group mode)")
-	}
 	if cfg.DiskBlocks == 0 {
 		cfg.DiskBlocks = 4096
 	}
 	if cfg.DiskBlockSize == 0 {
 		cfg.DiskBlockSize = 1024
+	}
+	if cfg.LeaseTerm <= 0 {
+		cfg.LeaseTerm = repl.DefaultLeaseTerm
 	}
 	scheme, err := cap.NewScheme(cfg.Scheme)
 	if err != nil {
@@ -365,7 +281,7 @@ func NewCluster(cfg ClusterConfig) (*Cluster, error) {
 		src:       src,
 		scheme:    scheme,
 		cfg:       cfg,
-		promoted:  make(map[amnet.MachineID]promotedAway),
+		retired:   make(map[amnet.MachineID]*replGroup),
 		walFaults: make(map[amnet.MachineID]*vdisk.FaultStore),
 		atlas:     shard.NewAtlas(),
 	}
@@ -459,18 +375,6 @@ func NewCluster(cfg ClusterConfig) (*Cluster, error) {
 		return nil, err
 	}
 
-	// Directory server — durable: its write-ahead log lives on a
-	// dedicated simulated disk that survives Kill/Restart, and its
-	// get-port is pinned so the reincarnation answers at the same
-	// put-port every directory capability names.
-	if cl.dirsWAL, err = vdisk.New(walBlocks, walBlockSize); err != nil {
-		return nil, err
-	}
-	cl.dirsG = cap.Port(crypto.Rand48(src))
-	if err := cl.startDirsvr(); err != nil {
-		return nil, err
-	}
-
 	// Multiversion file server.
 	mvFB, err := cl.newFBox()
 	if err != nil {
@@ -485,59 +389,27 @@ func NewCluster(cfg ClusterConfig) (*Cluster, error) {
 		return nil, err
 	}
 
-	// Bank server — durable, like the directory server: money must
-	// survive the machine.
-	if cl.bankWAL, err = vdisk.New(walBlocks, walBlockSize); err != nil {
-		return nil, err
-	}
-	cl.bankG = cap.Port(crypto.Rand48(src))
-	if err := cl.startBanksvr(); err != nil {
-		return nil, err
-	}
-
-	// Extra shards of the durable services (shard 0 is the pair booted
-	// above), then the shard maps — registered only once every shard's
-	// machine is known.
-	if cfg.Shards >= 2 {
-		if err := cl.startShards(); err != nil {
+	// The durable services: every shard's primary first, then
+	// (Replicas ≥ 2) each shard's replication group. Per-shard leases,
+	// detectors and elections — one shard's failover never touches
+	// another's.
+	for _, row := range []struct {
+		svc    *durableService
+		shards *[]*svcShard
+	}{{&directoryService, &cl.dirShards}, {&bankService, &cl.bankShards}} {
+		if err := cl.startService(row.svc, row.shards); err != nil {
 			return nil, err
 		}
 	}
-
-	// Hot standbys for the durable services: base snapshot + synchronous
-	// WAL shipping from the primaries' commit paths.
-	if cfg.Replicate {
-		if err := cl.AddBackup(cl.Machines().Dirs); err != nil {
-			return nil, err
-		}
-		if err := cl.AddBackup(cl.Machines().Bank); err != nil {
-			return nil, err
-		}
-	}
-	// Replication groups: N-1 standbys per durable service, leased
-	// leadership, automatic failover.
 	if cfg.Replicas >= 2 {
-		cl.dirsGroup = cl.newDirsGroup()
-		cl.bankGroup = cl.newBankGroup()
-		if err := cl.startGroup(cl.dirsGroup); err != nil {
-			return nil, err
-		}
-		if err := cl.startGroup(cl.bankGroup); err != nil {
-			return nil, err
-		}
-		// Every extra shard is its own replication group: per-shard
-		// leases, detectors and elections — one shard's failover never
-		// touches another's.
-		for _, sh := range append(append([]*svcShard(nil), cl.dirShards...), cl.bankShards...) {
-			sh.group = cl.newShardGroup(sh)
-			if err := cl.startGroup(sh.group); err != nil {
+		for _, sh := range cl.allShards() {
+			if err := cl.startGroup(sh); err != nil {
 				return nil, err
 			}
 		}
 	}
 
 	cl.registerGauges()
-	cl.registerShardMetrics()
 	if cfg.DebugAddr != "" {
 		if err := cl.startDebugServer(cfg.DebugAddr); err != nil {
 			return nil, err
@@ -549,7 +421,7 @@ func NewCluster(cfg ClusterConfig) (*Cluster, error) {
 }
 
 // WAL geometry for the durable services' simulated disks: 2048 × 512 B
-// (1 MiB) per service, checkpoint-compacted at half full.
+// (1 MiB) per machine, checkpoint-compacted at half full.
 const (
 	walBlocks    = 2048
 	walBlockSize = 512
@@ -572,12 +444,15 @@ func (cl *Cluster) walMetrics(service string) *wal.Metrics {
 	}
 }
 
-// Help strings for the gray-failure counters, shared by the boot-time
-// registration and the increment sites (the registry is idempotent on
-// (name, labels), and the help text must agree).
+// Help strings for counters registered from more than one place (the
+// registry is idempotent on (name, labels), and the help text must
+// agree): the gray-failure pair at boot and at the increment sites, the
+// election pair here and in the tests that read them.
 const (
-	wedgedHelp  = "write-ahead logs wedged by an I/O failure (log turned read-only)"
-	demotedHelp = "primaries that fail-stopped themselves over a wedged WAL (gray disk failure converted to a crash)"
+	wedgedHelp         = "write-ahead logs wedged by an I/O failure (log turned read-only)"
+	demotedHelp        = "primaries that fail-stopped themselves over a wedged WAL (gray disk failure converted to a crash)"
+	failoversHelp      = "automatic failovers (standby self-promotions)"
+	reintegrationsHelp = "machines re-attached to a replication group as fresh standbys"
 )
 
 // openWAL opens a durable service's write-ahead log over disk, wrapped
@@ -620,7 +495,7 @@ func (cl *Cluster) onWALWedge(service string, m amnet.MachineID, cause error) {
 		return
 	}
 	stdlog.Printf("amoeba: %s WAL on machine %v wedged: %v", service, m, cause)
-	cl.failStopWedged(service, m)
+	cl.failStopWedged(m)
 }
 
 // failStopWedged converts a gray failure into the fail-stop crash the
@@ -635,153 +510,117 @@ func (cl *Cluster) onWALWedge(service string, m amnet.MachineID, cause error) {
 // already answers every frame with its death, which drops it from the
 // ack quorum; the corpse waits for Kill+Restart to re-integrate with a
 // fresh disk.
-func (cl *Cluster) failStopWedged(service string, m amnet.MachineID) {
+func (cl *Cluster) failStopWedged(m amnet.MachineID) {
 	cl.lifeMu.Lock()
 	defer cl.lifeMu.Unlock()
 	if cl.closing.Load() {
 		return
 	}
 	cl.mu.Lock()
-	if g, st := cl.groupOfLocked(m); g != nil && st != nil {
+	sh, r := cl.memberLocked(m)
+	if sh == nil || r != sh.primary || r.down {
+		// Not a current primary: a standby, or already killed, or already
+		// failed over.
 		cl.mu.Unlock()
 		return
 	}
-	c := cl.durableCtlLocked(m)
-	if c == nil || c.down {
-		// Not a current primary (already killed, already failed over, or
-		// a legacy standby whose dead receiver suffices).
-		cl.mu.Unlock()
-		return
-	}
-	c.setDown(true)
+	r.down = true
+	ship := sh.shipLocked()
 	cl.mu.Unlock()
-	cl.reg.Counter("amoeba_self_demotions_total", obs.L("service", service), demotedHelp).Inc()
-	// Kill's teardown order, for Kill's reason: the NIC dies before the
-	// shipper so no handler can commit locally, skip the stopped ship,
-	// and still acknowledge its client.
-	_ = c.fb.Close()
-	if c.ship != nil {
-		c.ship.Stop()
-	}
-	_ = c.crash()
-	stdlog.Printf("amoeba: %s machine %v fail-stopped (wedged WAL); dead disk, dead machine", service, m)
+	cl.reg.Counter("amoeba_self_demotions_total", obs.L("service", sh.label), demotedHelp).Inc()
+	_ = crashPrimary(r, ship)
+	stdlog.Printf("amoeba: %s machine %v fail-stopped (wedged WAL); dead disk, dead machine", sh.label, m)
 }
 
-// registerGauges wires the scrape-time gauges: queue depth and queue
-// wait per service, WAL occupancy and replication lag for the durable
-// pair. Gauge functions run only when someone exports the registry, so
-// they may take cl.mu to read through Kill/Restart/Promote swaps.
+// registerGauges wires the scrape-time series: queue depth and queue
+// wait for every service; WAL occupancy, the gray-failure counters and
+// the replication gauges for every shard of the durable ones; the
+// shard-map generation and migration counter per durable service.
+// Gauge functions run only when someone exports the registry, so they
+// may take cl.mu to read through Kill/Restart/election swaps.
 func (cl *Cluster) registerGauges() {
-	type source struct {
-		name   string
-		kernel func() *svc.Kernel // nil while the service is down
-	}
-	static := func(k *svc.Kernel) func() *svc.Kernel {
-		return func() *svc.Kernel { return k }
-	}
-	sources := []source{
-		{"memory", static(cl.memory.Kernel)},
-		{"blocks", static(cl.blocks.Kernel)},
-		{"files", static(cl.files.Kernel)},
-		{"versions", static(cl.multi.Kernel)},
-		{"directory", func() *svc.Kernel {
-			cl.mu.Lock()
-			defer cl.mu.Unlock()
-			if cl.dirsDown || cl.dirs == nil {
-				return nil
+	// A gauge over a service's current kernel reads 0 while it is down.
+	kernelGauge := func(name, labels, help string, kernel func() *svc.Kernel, read func(*svc.Kernel) float64) {
+		cl.reg.GaugeFunc(name, labels, help, func() float64 {
+			if k := kernel(); k != nil {
+				return read(k)
 			}
-			return cl.dirs.Kernel
-		}},
-		{"bank", func() *svc.Kernel {
-			cl.mu.Lock()
-			defer cl.mu.Unlock()
-			if cl.bankDown || cl.bank == nil {
-				return nil
-			}
-			return cl.bank.Kernel
-		}},
-	}
-	for _, s := range sources {
-		kernel := s.kernel
-		labels := obs.L("service", s.name)
-		cl.reg.GaugeFunc("amoeba_queue_depth", labels, "requests queued for or occupying pool workers", func() float64 {
-			k := kernel()
-			if k == nil {
-				return 0
-			}
-			return float64(k.Inflight())
-		})
-		cl.reg.GaugeFunc("amoeba_queue_wait_ewma_ns", labels, "smoothed recent queue wait, nanoseconds", func() float64 {
-			k := kernel()
-			if k == nil {
-				return 0
-			}
-			return float64(k.QueueWaitEWMA())
+			return 0
 		})
 	}
-	for _, s := range sources[4:] { // the durable pair
-		kernel := s.kernel
-		labels := obs.L("service", s.name)
-		cl.reg.GaugeFunc("amoeba_wal_used_bytes", labels, "live write-ahead log bytes (head - start)", func() float64 {
-			k := kernel()
-			if k == nil {
-				return 0
-			}
-			return float64(k.LogStats().Used)
-		})
-		cl.reg.GaugeFunc("amoeba_wal_capacity_bytes", labels, "write-ahead log arena bytes usable before ErrFull", func() float64 {
-			k := kernel()
-			if k == nil {
-				return 0
-			}
-			return float64(k.LogStats().Capacity)
-		})
+	flag := func(b bool) float64 {
+		if b {
+			return 1
+		}
+		return 0
 	}
-	// Gray-failure counters exist from boot (not lazily at first wedge):
-	// a dashboard alerting on rate(amoeba_wal_wedged_total) needs the
-	// series present while it is still zero.
-	for _, name := range []string{"directory", "bank"} {
-		cl.reg.Counter("amoeba_wal_wedged_total", obs.L("service", name), wedgedHelp)
-		cl.reg.Counter("amoeba_self_demotions_total", obs.L("service", name), demotedHelp)
+	queueGauges := func(labels string, kernel func() *svc.Kernel) {
+		kernelGauge("amoeba_queue_depth", labels, "requests queued for or occupying pool workers", kernel,
+			func(k *svc.Kernel) float64 { return float64(k.Inflight()) })
+		kernelGauge("amoeba_queue_wait_ewma_ns", labels, "smoothed recent queue wait, nanoseconds", kernel,
+			func(k *svc.Kernel) float64 { return float64(k.QueueWaitEWMA()) })
 	}
-	ships := []struct {
+	for _, s := range []struct {
 		name string
-		ship func() *repl.Shipper
+		k    *svc.Kernel
 	}{
-		{"directory", func() *repl.Shipper { cl.mu.Lock(); defer cl.mu.Unlock(); return cl.dirsShip }},
-		{"bank", func() *repl.Shipper { cl.mu.Lock(); defer cl.mu.Unlock(); return cl.bankShip }},
+		{"memory", cl.memory.Kernel}, {"blocks", cl.blocks.Kernel},
+		{"files", cl.files.Kernel}, {"versions", cl.multi.Kernel},
+	} {
+		queueGauges(obs.L("service", s.name), func() *svc.Kernel { return s.k })
 	}
-	for _, s := range ships {
-		ship := s.ship
-		labels := obs.L("service", s.name)
-		cl.reg.GaugeFunc("amoeba_ship_lag_records", labels, "records committed locally but not yet acknowledged by the standby", func() float64 {
-			sh := ship()
-			if sh == nil {
-				return 0
+	for _, sh := range cl.allShards() {
+		labels := obs.L("service", sh.label)
+		kernel := func() *svc.Kernel {
+			cl.mu.Lock()
+			defer cl.mu.Unlock()
+			if sh.primary.down {
+				return nil
 			}
-			return float64(sh.Lag())
-		})
-		cl.reg.GaugeFunc("amoeba_ship_lost", labels, "1 when the replication stream was written off (standby is stale)", func() float64 {
-			sh := ship()
-			if sh == nil || !sh.Lost() {
-				return 0
-			}
-			return 1
-		})
-		cl.reg.GaugeFunc("amoeba_lease_valid", labels, "1 while the primary's serving lease holds a majority of fresh grants (always 1 outside group mode)", func() float64 {
-			sh := ship()
-			if sh == nil || !sh.LeaseValid() {
-				return 0
-			}
-			return 1
-		})
-		cl.reg.GaugeFunc("amoeba_repl_term", labels, "current replication epoch (0 = legacy single-standby mode)", func() float64 {
-			sh := ship()
-			if sh == nil {
-				return 0
-			}
-			return float64(sh.Term())
-		})
+			return sh.primary.kern
+		}
+		queueGauges(labels, kernel)
+		kernelGauge("amoeba_wal_used_bytes", labels, "live write-ahead log bytes (head - start)", kernel,
+			func(k *svc.Kernel) float64 { return float64(k.LogStats().Used) })
+		kernelGauge("amoeba_wal_capacity_bytes", labels, "write-ahead log arena bytes usable before ErrFull", kernel,
+			func(k *svc.Kernel) float64 { return float64(k.LogStats().Capacity) })
+		// Gray-failure counters exist from boot (not lazily at first
+		// wedge): a dashboard alerting on rate(amoeba_wal_wedged_total)
+		// needs the series present while it is still zero.
+		cl.reg.Counter("amoeba_wal_wedged_total", labels, wedgedHelp)
+		cl.reg.Counter("amoeba_self_demotions_total", labels, demotedHelp)
+
+		// Replication gauges follow the shard's current shipper and read
+		// 0 on an unreplicated shard.
+		shipGauge := func(name, help string, read func(*repl.Shipper) float64) {
+			cl.reg.GaugeFunc(name, labels, help, func() float64 {
+				cl.mu.Lock()
+				ship := sh.shipLocked()
+				cl.mu.Unlock()
+				if ship == nil {
+					return 0
+				}
+				return read(ship)
+			})
+		}
+		shipGauge("amoeba_ship_lag_records", "records committed locally but not yet acknowledged by the slowest live standby",
+			func(s *repl.Shipper) float64 { return float64(s.Lag()) })
+		shipGauge("amoeba_ship_lost", "1 when every standby's replication stream is currently written off",
+			func(s *repl.Shipper) float64 { return flag(s.Lost()) })
+		shipGauge("amoeba_lease_valid", "1 while the primary's serving lease holds a majority of fresh grants",
+			func(s *repl.Shipper) float64 { return flag(s.LeaseValid()) })
+		shipGauge("amoeba_repl_term", "current replication epoch (0 = unreplicated)",
+			func(s *repl.Shipper) float64 { return float64(s.Term()) })
+	}
+	// Sharding series, per service under shard 0's label, present from
+	// boot so dashboards see the zero. Per-shard request counters need
+	// no new series — every shard reports through the standard request
+	// metrics under its own label ("directory-1", …).
+	for _, shards := range [][]*svcShard{cl.dirShards, cl.bankShards} {
+		labels, port := obs.L("service", shards[0].label), shards[0].put
+		cl.reg.GaugeFunc("amoeba_shard_map_generation", labels, "current shard-map generation (0 = unsharded)",
+			func() float64 { return float64(cl.ShardMapGen(port)) })
+		cl.reg.Counter("amoeba_migrations_total", labels, migrationsHelp)
 	}
 }
 
@@ -816,38 +655,6 @@ func (cl *Cluster) AccessLog() *obs.Ring { return cl.ring }
 // or "" when ClusterConfig.DebugAddr was empty.
 func (cl *Cluster) DebugURL() string { return cl.debugURL }
 
-// startDirsvr boots a directory server incarnation over the cluster's
-// WAL disk; NewCluster and Restart share it.
-func (cl *Cluster) startDirsvr() error {
-	fb, err := cl.newFBox()
-	if err != nil {
-		return err
-	}
-	log, err := cl.openWAL("directory", fb, cl.dirsWAL)
-	if err != nil {
-		return err
-	}
-	s, err := dirsvr.NewDurable(fb, cl.scheme, cl.src, log, cl.dirsG)
-	if err != nil {
-		log.Close() // the kernel never took ownership
-		return err
-	}
-	s.SetMaxInflight(cl.cfg.MaxInflight)
-	s.SetObserver(cl.newStats("directory"))
-	s.SetLookupLease(cl.cfg.LookupLease)
-	cl.sealServer(fb, s.SetSealer)
-	cl.installShardView(s.Kernel, 0)
-	if err := cl.start(s.Start, s.Close); err != nil {
-		s.Close() // closes the log; a Restart retry reopens it
-		return err
-	}
-	cl.mu.Lock()
-	cl.dirs, cl.dirsFB, cl.machines.Dirs, cl.dirsDown = s, fb, fb.Machine(), false
-	cl.mu.Unlock()
-	cl.syncShardMachine(s.PutPort(), 0, fb.Machine())
-	return nil
-}
-
 // bankConfig resolves the bank policy (stable across restarts).
 func (cl *Cluster) bankConfig() banksvr.Config {
 	if cl.cfg.Bank != nil {
@@ -862,95 +669,6 @@ func (cl *Cluster) bankConfig() banksvr.Config {
 	}
 }
 
-// startBanksvr boots a bank server incarnation over the cluster's WAL
-// disk; NewCluster and Restart share it.
-func (cl *Cluster) startBanksvr() error {
-	fb, err := cl.newFBox()
-	if err != nil {
-		return err
-	}
-	log, err := cl.openWAL("bank", fb, cl.bankWAL)
-	if err != nil {
-		return err
-	}
-	s, err := banksvr.NewDurable(fb, cl.scheme, cl.src, cl.bankConfig(), log, cl.bankG)
-	if err != nil {
-		log.Close() // the kernel never took ownership
-		return err
-	}
-	s.SetMaxInflight(cl.cfg.MaxInflight)
-	s.SetObserver(cl.newStats("bank"))
-	cl.sealServer(fb, s.SetSealer)
-	cl.installShardView(s.Kernel, 0)
-	if err := cl.start(s.Start, s.Close); err != nil {
-		s.Close() // closes the log; a Restart retry reopens it
-		return err
-	}
-	cl.mu.Lock()
-	cl.bank, cl.bankFB, cl.machines.Bank, cl.bankDown = s, fb, fb.Machine(), false
-	cl.mu.Unlock()
-	cl.syncShardMachine(s.PutPort(), 0, fb.Machine())
-	return nil
-}
-
-// durableCtl is the per-service control surface Kill, Restart,
-// AddBackup and Promote share — one place that knows which cluster
-// fields belong to which durable service. Build it (and call setDown /
-// clearBackup) under cl.mu.
-type durableCtl struct {
-	name    string
-	fb      *fbox.FBox
-	crash   func() error
-	drain   func() error
-	down    bool
-	setDown func(bool)
-	restart func() error
-
-	ship        *repl.Shipper
-	backup      *standby
-	clearBackup func()       // detach the standby bookkeeping (cl.mu held)
-	attach      func() error // build and wire a standby (cl.mu NOT held)
-}
-
-func (cl *Cluster) durableCtlLocked(m amnet.MachineID) *durableCtl {
-	switch m {
-	case cl.machines.Dirs:
-		return &durableCtl{
-			name: "directory", fb: cl.dirsFB, crash: cl.dirs.Crash, drain: cl.dirs.Drain,
-			down:    cl.dirsDown,
-			setDown: func(v bool) { cl.dirsDown = v }, restart: cl.startDirsvr,
-			ship: cl.dirsShip, backup: cl.dirsBackup,
-			clearBackup: func() { cl.dirsBackup, cl.dirsShip = nil, nil },
-			attach:      cl.attachDirsBackup,
-		}
-	case cl.machines.Bank:
-		return &durableCtl{
-			name: "bank", fb: cl.bankFB, crash: cl.bank.Crash, drain: cl.bank.Drain,
-			down:    cl.bankDown,
-			setDown: func(v bool) { cl.bankDown = v }, restart: cl.startBanksvr,
-			ship: cl.bankShip, backup: cl.bankBackup,
-			clearBackup: func() { cl.bankBackup, cl.bankShip = nil, nil },
-			attach:      cl.attachBankBackup,
-		}
-	}
-	if sh := cl.shardOfLocked(m); sh != nil {
-		// Extra shards carry the same verbs as shard 0 minus the legacy
-		// single-standby pair (replication for them is group mode only).
-		return &durableCtl{
-			name: sh.service, fb: sh.fb, crash: sh.srv.Crash, drain: sh.kern.Drain,
-			down:        sh.down,
-			setDown:     func(v bool) { sh.down = v },
-			restart:     func() error { return cl.startShard(sh) },
-			ship:        sh.ship,
-			clearBackup: func() {},
-			attach: func() error {
-				return fmt.Errorf("amoeba: %s supports group replication (Replicas), not a legacy backup", sh.service)
-			},
-		}
-	}
-	return nil
-}
-
 // newShipClient builds the replication channel's RPC client on the
 // primary's machine. It skips the key-matrix sealer even when
 // SealCapabilities is on: the stream carries WAL records, never
@@ -963,194 +681,20 @@ func (cl *Cluster) newShipClient(fb *fbox.FBox) *rpc.Client {
 	return rpc.NewClient(fb, res, rpc.ClientConfig{Source: cl.src})
 }
 
-// buildDirsStandby constructs an un-started directory-server
-// incarnation over its own log — the standby half of both the legacy
-// single-backup path and the replication group.
-func (cl *Cluster) buildDirsStandby(fb *fbox.FBox, log *wal.Log) (kernelServer, *svc.Kernel, func(rec []byte) error, error) {
-	s, err := dirsvr.NewDurable(fb, cl.scheme, cl.src, log, cl.dirsG)
-	if err != nil {
-		return nil, nil, nil, err
-	}
-	s.SetMaxInflight(cl.cfg.MaxInflight)
-	// Same service label as the primary: the registry is idempotent, so
-	// after promotion the successor keeps accumulating into the SAME
-	// counters — no series break at failover.
-	s.SetObserver(cl.newStats("directory"))
-	s.SetLookupLease(cl.cfg.LookupLease)
-	cl.sealServer(fb, s.SetSealer)
-	cl.installShardView(s.Kernel, 0)
-	return s, s.Kernel, s.ReplayFn(), nil
-}
-
-// buildBankStandby is buildDirsStandby for the bank server.
-func (cl *Cluster) buildBankStandby(fb *fbox.FBox, log *wal.Log) (kernelServer, *svc.Kernel, func(rec []byte) error, error) {
-	s, err := banksvr.NewDurable(fb, cl.scheme, cl.src, cl.bankConfig(), log, cl.bankG)
-	if err != nil {
-		return nil, nil, nil, err
-	}
-	s.SetMaxInflight(cl.cfg.MaxInflight)
-	s.SetObserver(cl.newStats("bank")) // same label as the primary; see buildDirsStandby
-	cl.sealServer(fb, s.SetSealer)
-	cl.installShardView(s.Kernel, 0)
-	return s, s.Kernel, s.ReplayFn(), nil
-}
-
-// attachDirsBackup builds a directory-server standby and wires the
-// primary's commit path to it.
-func (cl *Cluster) attachDirsBackup() error {
-	cl.mu.Lock()
-	primary, pfb := cl.dirs, cl.dirsFB
-	cl.mu.Unlock()
-	return cl.attachBackup("directory", primary.Kernel, pfb,
-		cl.buildDirsStandby,
-		func(st *standby, s kernelServer) { // install (cl.mu held)
-			cl.dirsBackup = st
-		},
-		func(st *standby, s kernelServer) { // promote swap (cl.mu held)
-			cl.dirs = s.(*dirsvr.Server)
-			cl.dirsFB, cl.dirsWAL = st.fb, st.disk
-			cl.machines.Dirs = st.machine
-			cl.dirsDown = false
-		},
-		func(ship *repl.Shipper) { cl.dirsShip = ship },
-		func() (bool, bool) { return cl.dirsDown, cl.dirsBackup != nil },
-	)
-}
-
-// attachBankBackup builds a bank-server standby and wires the primary's
-// commit path to it.
-func (cl *Cluster) attachBankBackup() error {
-	cl.mu.Lock()
-	primary, pfb := cl.bank, cl.bankFB
-	cl.mu.Unlock()
-	return cl.attachBackup("bank", primary.Kernel, pfb,
-		cl.buildBankStandby,
-		func(st *standby, s kernelServer) {
-			cl.bankBackup = st
-		},
-		func(st *standby, s kernelServer) {
-			cl.bank = s.(*banksvr.Server)
-			cl.bankFB, cl.bankWAL = st.fb, st.disk
-			cl.machines.Bank = st.machine
-			cl.bankDown = false
-		},
-		func(ship *repl.Shipper) { cl.bankShip = ship },
-		func() (bool, bool) { return cl.bankDown, cl.bankBackup != nil },
-	)
-}
-
-// kernelServer is the slice of a durable service the standby machinery
-// needs: lifecycle plus nothing else.
-type kernelServer interface {
-	Start() error
-	Close() error
-	Crash() error
-}
-
-// attachBackup is the service-agnostic half of AddBackup: stand the
-// standby kernel up on a fresh machine and WAL disk, start its
-// receiver, and attach the primary's shipper (which quiesces the
-// primary, ships the base snapshot, and hooks the commit path).
-func (cl *Cluster) attachBackup(
-	name string,
-	primary *svc.Kernel,
-	primaryFB *fbox.FBox,
-	build func(fb *fbox.FBox, log *wal.Log) (kernelServer, *svc.Kernel, func(rec []byte) error, error),
-	install func(st *standby, s kernelServer),
-	swap func(st *standby, s kernelServer),
-	setShip func(*repl.Shipper),
-	state func() (down, hasBackup bool),
-) error {
-	fb, err := cl.newFBox()
-	if err != nil {
-		return err
-	}
-	disk, err := vdisk.New(walBlocks, walBlockSize)
-	if err != nil {
-		return err
-	}
-	log, err := cl.openWAL(name, fb, disk)
-	if err != nil {
-		return err
-	}
-	s, kern, replay, err := build(fb, log)
-	if err != nil {
-		log.Close() // the kernel never took ownership
-		return err
-	}
-	cl.addCloser(s.Close)
-	recv := repl.NewReceiver(fb, cl.src, kern, replay)
-	if err := recv.Start(); err != nil {
-		return err
-	}
-	cl.addCloser(recv.Close)
-	ship, err := repl.Attach(primary, cl.newShipClient(primaryFB), recv.Port(), repl.Options{})
-	if err != nil {
-		recv.Close()
-		return fmt.Errorf("amoeba: attaching %s backup: %w", name, err)
-	}
-	cl.addCloser(func() error { ship.Stop(); return nil })
-
-	st := &standby{fb: fb, disk: disk, recv: recv, machine: fb.Machine()}
-	st.promote = func() error {
-		if err := recv.Close(); err != nil {
-			return err
-		}
-		if err := s.Start(); err != nil {
-			return err
-		}
-		cl.mu.Lock()
-		swap(st, s)
-		cl.mu.Unlock()
-		return nil
-	}
-	st.discard = func() error {
-		err := recv.Close()
-		if cErr := s.Crash(); err == nil {
-			err = cErr
-		}
-		return err
-	}
-
-	cl.mu.Lock()
-	if down, has := state(); down || has {
-		cl.mu.Unlock()
-		ship.Stop()
-		st.discard()
-		return fmt.Errorf("amoeba: %s server changed while attaching its backup", name)
-	}
-	install(st, s)
-	setShip(ship)
-	cl.mu.Unlock()
-	return nil
-}
-
-// defaultLeaseTerm is the group serving lease when ClusterConfig
-// leaves LeaseTerm zero.
-const defaultLeaseTerm = 150 * time.Millisecond
-
-func (cl *Cluster) leaseTerm() time.Duration {
-	if cl.cfg.LeaseTerm > 0 {
-		return cl.cfg.LeaseTerm
-	}
-	return defaultLeaseTerm
-}
-
 // detectorGap is how long a standby tolerates primary silence before
 // electing: 1.5 lease terms. The old primary's lease lapses (measured
 // from its own send clock) after 1.0 terms, so even with the two clocks
 // skewed by up to half a term the fence closes before a successor
 // serves.
 func (cl *Cluster) detectorGap() time.Duration {
-	lt := cl.leaseTerm()
-	return lt + lt/2
+	return cl.cfg.LeaseTerm + cl.cfg.LeaseTerm/2
 }
 
-// groupShipOptions tunes a group-mode shipper for epoch term. The
-// attempt budget is kept small: a dead standby should be declared lost
-// (and shipped around) well before the client-visible RPC deadline.
-func (cl *Cluster) groupShipOptions(term uint64) repl.Options {
-	lt := cl.leaseTerm()
+// shipOptions tunes a shipper for epoch term. The attempt budget is
+// kept small: a dead standby should be declared lost (and shipped
+// around) well before the client-visible RPC deadline.
+func (cl *Cluster) shipOptions(term uint64) repl.Options {
+	lt := cl.cfg.LeaseTerm
 	return repl.Options{
 		Timeout:   lt,
 		Attempts:  4,
@@ -1162,104 +706,63 @@ func (cl *Cluster) groupShipOptions(term uint64) repl.Options {
 	}
 }
 
-// newDirsGroup binds the directory server's cluster fields into a
-// replication group descriptor.
-func (cl *Cluster) newDirsGroup() *replGroup {
-	return &replGroup{
-		name:  "directory",
-		build: cl.buildDirsStandby,
-		swap: func(st *groupStandby, ship *repl.Shipper) {
-			cl.dirs = st.srv.(*dirsvr.Server)
-			cl.dirsFB, cl.dirsWAL = st.fb, st.disk
-			cl.machines.Dirs = st.machine
-			cl.dirsDown = false
-			cl.dirsShip = ship
-			cl.syncShardMachine(cl.dirs.PutPort(), 0, st.machine)
-		},
-		primaryKernel:  func() *svc.Kernel { return cl.dirs.Kernel },
-		primaryFB:      func() *fbox.FBox { return cl.dirsFB },
-		primaryMachine: func() amnet.MachineID { return cl.machines.Dirs },
-		setShip:        func(s *repl.Shipper) { cl.dirsShip = s },
-	}
-}
-
-// newBankGroup is newDirsGroup for the bank server.
-func (cl *Cluster) newBankGroup() *replGroup {
-	return &replGroup{
-		name:  "bank",
-		build: cl.buildBankStandby,
-		swap: func(st *groupStandby, ship *repl.Shipper) {
-			cl.bank = st.srv.(*banksvr.Server)
-			cl.bankFB, cl.bankWAL = st.fb, st.disk
-			cl.machines.Bank = st.machine
-			cl.bankDown = false
-			cl.bankShip = ship
-			cl.syncShardMachine(cl.bank.PutPort(), 0, st.machine)
-		},
-		primaryKernel:  func() *svc.Kernel { return cl.bank.Kernel },
-		primaryFB:      func() *fbox.FBox { return cl.bankFB },
-		primaryMachine: func() amnet.MachineID { return cl.machines.Bank },
-		setShip:        func(s *repl.Shipper) { cl.bankShip = s },
-	}
-}
-
-// buildGroupStandby stands one standby up on a fresh machine and WAL
+// buildStandby stands one standby of sh up on a fresh machine and WAL
 // disk: an un-started service kernel fed by a started receiver.
-func (cl *Cluster) buildGroupStandby(g *replGroup) (*groupStandby, error) {
-	fb, err := cl.newFBox()
-	if err != nil {
-		return nil, err
-	}
+func (cl *Cluster) buildStandby(sh *svcShard) (*replica, error) {
 	disk, err := vdisk.New(walBlocks, walBlockSize)
 	if err != nil {
 		return nil, err
 	}
-	log, err := cl.openWAL(g.name, fb, disk)
+	st, replay, err := cl.buildReplica(sh, disk)
 	if err != nil {
 		return nil, err
 	}
-	s, kern, replay, err := g.build(fb, log)
-	if err != nil {
-		log.Close() // the kernel never took ownership
+	cl.addCloser(st.kern.Close)
+	st.recv = repl.NewReceiver(st.fb, cl.src, st.kern, replay)
+	if err := st.recv.Start(); err != nil {
 		return nil, err
 	}
-	cl.addCloser(s.Close)
-	recv := repl.NewReceiver(fb, cl.src, kern, replay)
-	if err := recv.Start(); err != nil {
-		return nil, err
-	}
-	cl.addCloser(recv.Close)
-	return &groupStandby{fb: fb, disk: disk, recv: recv, machine: fb.Machine(), srv: s, kern: kern}, nil
+	cl.addCloser(st.recv.Close)
+	return st, nil
 }
 
-// startGroup boots one durable service's replication group: Replicas-1
-// standbys, the primary's fan-out shipper at term 1 with the serving
-// lease installed as both replica fence and admission gate, and a
-// failure detector armed on every standby.
-func (cl *Cluster) startGroup(g *replGroup) error {
+// attachShipper makes p a group primary at epoch term: the fan-out
+// shipper to dests, its serving lease installed as both replica fence
+// and admission gate. An election calls it BEFORE starting the
+// successor's kernel, so the fence is in place from the first request —
+// there is no unfenced window.
+func (cl *Cluster) attachShipper(p *replica, dests []cap.Port, term uint64) (*repl.Shipper, error) {
+	ship, err := repl.AttachGroup(p.kern, cl.newShipClient(p.fb), dests, cl.shipOptions(term))
+	if err != nil {
+		return nil, err
+	}
+	cl.addCloser(func() error { ship.Stop(); return nil })
+	p.kern.SetReplicaFence(ship.Fence)
+	p.kern.SetAdmitGate(ship.Fence)
+	return ship, nil
+}
+
+// startGroup makes sh a replication group: Replicas-1 standbys, the
+// primary's shipper at term 1, and a failure detector armed on every
+// standby.
+func (cl *Cluster) startGroup(sh *svcShard) error {
+	g := &replGroup{sh: sh, term: 1}
 	dests := make([]cap.Port, 0, cl.cfg.Replicas-1)
 	for i := 0; i < cl.cfg.Replicas-1; i++ {
-		st, err := cl.buildGroupStandby(g)
+		st, err := cl.buildStandby(sh)
 		if err != nil {
 			return err
 		}
 		g.standbys = append(g.standbys, st)
 		dests = append(dests, st.recv.Port())
 	}
-	cl.mu.Lock()
-	pk, pfb := g.primaryKernel(), g.primaryFB()
-	cl.mu.Unlock()
-	g.term = 1
-	ship, err := repl.AttachGroup(pk, cl.newShipClient(pfb), dests, cl.groupShipOptions(g.term))
+	ship, err := cl.attachShipper(sh.primary, dests, g.term)
 	if err != nil {
-		return fmt.Errorf("amoeba: attaching %s group: %w", g.name, err)
+		return fmt.Errorf("amoeba: attaching %s group: %w", sh.label, err)
 	}
-	cl.addCloser(func() error { ship.Stop(); return nil })
-	pk.SetReplicaFence(ship.Fence)
-	pk.SetAdmitGate(ship.Fence)
-	cl.mu.Lock()
 	g.ship = ship
-	g.setShip(ship)
+	cl.mu.Lock()
+	sh.group = g
 	cl.mu.Unlock()
 	cl.startDetectors(g)
 	return nil
@@ -1272,7 +775,7 @@ func (cl *Cluster) startGroup(g *replGroup) error {
 func (cl *Cluster) startDetectors(g *replGroup) {
 	cl.mu.Lock()
 	gen := g.gen
-	sts := append([]*groupStandby(nil), g.standbys...)
+	sts := append([]*replica(nil), g.standbys...)
 	cl.mu.Unlock()
 	gap := cl.detectorGap()
 	for _, st := range sts {
@@ -1291,10 +794,12 @@ func (cl *Cluster) startDetectors(g *replGroup) {
 	}
 }
 
-// rearmFiredDetectors replaces any detector that has fired with a fresh
-// one, after an election was refused or vetoed: the alarm stays armed
-// without the refusal being final. Caller holds lifeMu.
-func (cl *Cluster) rearmFiredDetectors(g *replGroup) {
+// refuseElection counts a refused election and replaces any detector
+// that has fired with a fresh one: the alarm stays armed without the
+// refusal being final. Caller holds lifeMu.
+func (cl *Cluster) refuseElection(g *replGroup) {
+	cl.reg.Counter("amoeba_elections_refused_total", obs.L("service", g.sh.label),
+		"elections refused (no live quorum, or a sibling still hears the primary)").Inc()
 	cl.mu.Lock()
 	for _, st := range g.standbys {
 		if st.det != nil && st.det.Fired() {
@@ -1306,14 +811,12 @@ func (cl *Cluster) rearmFiredDetectors(g *replGroup) {
 	cl.startDetectors(g)
 }
 
-// autoFailover is the election a standby's failure detector fires when
-// the primary has been silent for 1.5 lease terms: the standby with
-// the highest durable high water wins, the others become its peers,
-// and the group moves to the next term. By the time this runs the old
-// primary's lease (1.0 terms, on its own clock) has lapsed, so it is
-// already refusing acknowledgements — the new primary can serve
-// without overlap even before any StatusStale bounce reaches the old
-// one.
+// autoFailover is what a standby's failure detector fires when the
+// primary has been silent for 1.5 lease terms: confirm the silence,
+// then elect. By the time this runs the old primary's lease (1.0
+// terms, on its own clock) has lapsed, so it is already refusing
+// acknowledgements — the successor can serve without overlap even
+// before any StatusStale bounce reaches the old one.
 func (cl *Cluster) autoFailover(g *replGroup, gen uint64) {
 	cl.lifeMu.Lock()
 	defer cl.lifeMu.Unlock()
@@ -1338,25 +841,33 @@ func (cl *Cluster) autoFailover(g *replGroup, gen uint64) {
 	for _, st := range g.standbys {
 		if !st.down && now.Sub(st.recv.LastContact()) < cl.detectorGap()/2 {
 			cl.mu.Unlock()
-			cl.reg.Counter("amoeba_elections_refused_total", obs.L("service", g.name),
-				"elections refused (no live quorum, or a sibling still hears the primary)").Inc()
-			cl.rearmFiredDetectors(g)
+			cl.refuseElection(g)
 			return
 		}
 	}
+	cl.mu.Unlock()
+	cl.elect(g)
+}
+
+// elect moves g's put-port to the live standby with the highest durable
+// high water, at the next term; the others become its peers. It asks
+// nobody whether the primary is really gone — autoFailover (silence
+// confirmed) and Drain (the primary just retired itself) decide that.
+// It reports whether a successor now serves. Caller holds lifeMu.
+func (cl *Cluster) elect(g *replGroup) bool {
+	cl.mu.Lock()
 	g.gen++
+	old, oldShip, term := g.sh.primary, g.ship, g.term+1
+	sts := append([]*replica(nil), g.standbys...)
+	cl.mu.Unlock()
 	live := 0
-	for _, st := range g.standbys {
+	for _, st := range sts {
 		if !st.down {
 			live++
 		}
 	}
-	oldMachine := g.primaryMachine()
-	oldShip, oldTerm := g.ship, g.term
-	sts := append([]*groupStandby(nil), g.standbys...)
-	cl.mu.Unlock()
 	if live == 0 {
-		return // nobody left to promote; the group is down until Restart
+		return false // nobody left to promote; the group is down until Restart
 	}
 	if live < cl.cfg.Replicas/2+1 {
 		// Not enough live members to grant the winner a serving lease:
@@ -1367,10 +878,8 @@ func (cl *Cluster) autoFailover(g *replGroup, gen uint64) {
 		// heartbeat quiets the alarm, and a truly dead one leaves the
 		// group fenced until Restart restores a quorum, which is exactly
 		// what CP demands.
-		cl.reg.Counter("amoeba_elections_refused_total", obs.L("service", g.name),
-			"elections refused (no live quorum, or a sibling still hears the primary)").Inc()
-		cl.rearmFiredDetectors(g)
-		return
+		cl.refuseElection(g)
+		return false
 	}
 	// Depose the old primary BEFORE choosing a winner. The old shipper
 	// — possibly still half-alive on a machine that merely stalled or
@@ -1382,9 +891,7 @@ func (cl *Cluster) autoFailover(g *replGroup, gen uint64) {
 	// later acknowledgement (StatusStale — clients re-locate at once
 	// instead of waiting out overload backoffs), so the highest high
 	// water read below bounds every acknowledged op.
-	if oldShip != nil {
-		oldShip.Depose()
-	}
+	oldShip.Depose()
 	// Quiet the group: the election IS the response to this silence, so
 	// every detector stops (winners and peers get fresh ones below),
 	// and the old primary's shipper is stopped for good.
@@ -1394,498 +901,240 @@ func (cl *Cluster) autoFailover(g *replGroup, gen uint64) {
 			st.det = nil
 		}
 	}
-	if oldShip != nil {
-		oldShip.Stop()
-	}
-	var win *groupStandby
+	oldShip.Stop()
+	var win *replica
+	var dests []cap.Port
 	for _, st := range sts {
-		if st.down {
-			continue
-		}
-		if win == nil || st.recv.High() > win.recv.High() {
+		if !st.down && (win == nil || st.recv.High() > win.recv.High()) {
 			win = st
 		}
 	}
-	if win == nil {
-		return
+	for _, st := range sts {
+		if st != win && !st.down {
+			dests = append(dests, st.recv.Port())
+		}
 	}
 	seq := win.recv.High()
-	var dests []cap.Port
-	for _, st := range sts {
-		if st == win || st.down {
-			continue
-		}
-		dests = append(dests, st.recv.Port())
-	}
 	// The winner's receiver dies before its kernel serves: a stale
 	// primary's ships must bounce off a dead port, not mutate a live
-	// service. The new shipper attaches BEFORE Start — its fence is in
-	// place from the first request, so there is no unfenced window.
+	// service.
 	win.recv.Close()
-	ship, err := repl.AttachGroup(win.kern, cl.newShipClient(win.fb), dests, cl.groupShipOptions(oldTerm+1))
+	ship, err := cl.attachShipper(win, dests, term)
 	if err != nil {
-		stdlog.Printf("amoeba: %s auto-failover: attaching successor shipper: %v", g.name, err)
-		return
+		stdlog.Printf("amoeba: %s election: attaching successor shipper: %v", g.sh.label, err)
+		return false
 	}
-	cl.addCloser(func() error { ship.Stop(); return nil })
-	win.kern.SetReplicaFence(ship.Fence)
-	win.kern.SetAdmitGate(ship.Fence)
-	if err := win.srv.Start(); err != nil {
-		stdlog.Printf("amoeba: %s auto-failover: starting successor: %v", g.name, err)
+	if err := win.kern.Start(); err != nil {
+		stdlog.Printf("amoeba: %s election: starting successor: %v", g.sh.label, err)
 		ship.Stop()
-		return
+		return false
 	}
 	cl.mu.Lock()
-	g.swap(win, ship)
-	g.ship = ship
-	g.term = oldTerm + 1
-	keep := g.standbys[:0]
-	for _, st := range g.standbys {
-		if st != win {
-			keep = append(keep, st)
-		}
-	}
-	g.standbys = keep
-	// The dead machine's log beyond seq is a dead branch of history;
+	g.sh.primary, g.ship, g.term = win, ship, term
+	g.standbys = slices.DeleteFunc(g.standbys, func(st *replica) bool { return st == win })
+	// The old machine's log beyond seq is a dead branch of history;
 	// Restart re-attaches it as a FRESH standby instead of letting it
 	// re-register the port.
-	cl.promoted[oldMachine] = promotedAway{service: g.name, seq: seq}
+	cl.retired[old.machine] = g
 	cl.mu.Unlock()
-	cl.reg.Counter("amoeba_failovers_total", obs.L("service", g.name),
-		"automatic failovers (standby self-promotions)").Inc()
-	stdlog.Printf("amoeba: %s auto-failover: machine %v promoted at seq %d (term %d)",
-		g.name, win.machine, seq, oldTerm+1)
+	cl.syncShardMachine(g.sh.put, g.sh.idx, win.machine)
+	cl.reg.Counter("amoeba_failovers_total", obs.L("service", g.sh.label), failoversHelp).Inc()
+	stdlog.Printf("amoeba: %s failover: machine %v promoted at seq %d (term %d)",
+		g.sh.label, win.machine, seq, term)
 	cl.startDetectors(g)
+	return true
 }
 
 // reintegrate attaches one fresh standby to a running group — the
-// Restart path for a machine that was killed, or promoted away, or
-// whose stream was written off. Caller holds lifeMu.
+// Restart path for a machine that was killed, or deposed, or drained
+// away. Caller holds lifeMu.
 func (cl *Cluster) reintegrate(g *replGroup) error {
-	st, err := cl.buildGroupStandby(g)
+	st, err := cl.buildStandby(g.sh)
 	if err != nil {
 		return err
 	}
 	cl.mu.Lock()
 	ship := g.ship
 	cl.mu.Unlock()
-	if ship == nil {
-		return fmt.Errorf("amoeba: %s group has no primary to re-integrate with", g.name)
-	}
 	// AddPeer quiesces the primary, ships the base snapshot, and adds
 	// the peer inside the quiesced window — no gap to catch up.
 	if err := ship.AddPeer(st.recv.Port()); err != nil {
-		return fmt.Errorf("amoeba: re-integrating %s standby: %w", g.name, err)
+		return fmt.Errorf("amoeba: re-integrating %s standby: %w", g.sh.label, err)
 	}
 	cl.mu.Lock()
 	g.standbys = append(g.standbys, st)
 	cl.mu.Unlock()
-	cl.reg.Counter("amoeba_reintegrations_total", obs.L("service", g.name),
-		"machines re-attached to a replication group as fresh standbys").Inc()
+	cl.reg.Counter("amoeba_reintegrations_total", obs.L("service", g.sh.label), reintegrationsHelp).Inc()
 	cl.startDetectors(g)
 	return nil
 }
 
-// groupsLocked returns every replication group — the shard-0 pair plus
-// one per extra shard (entries may be nil). Caller holds cl.mu.
-func (cl *Cluster) groupsLocked() []*replGroup {
-	gs := []*replGroup{cl.dirsGroup, cl.bankGroup}
-	for _, sh := range cl.dirShards {
-		gs = append(gs, sh.group)
-	}
-	for _, sh := range cl.bankShards {
-		gs = append(gs, sh.group)
-	}
-	return gs
-}
-
-// groupOfLocked returns the replication group machine m belongs to and
-// its standby record (nil when m is the group's primary). Caller holds
-// cl.mu.
-func (cl *Cluster) groupOfLocked(m amnet.MachineID) (*replGroup, *groupStandby) {
-	for _, g := range cl.groupsLocked() {
-		if g == nil {
-			continue
-		}
-		if g.primaryMachine() == m {
-			return g, nil
-		}
-		for _, st := range g.standbys {
-			if st.machine == m {
-				return g, st
-			}
-		}
-	}
-	return nil, nil
-}
-
-// groupByNameLocked resolves a service name to its replication group
-// (nil when that service is not group-replicated). Caller holds cl.mu.
-func (cl *Cluster) groupByNameLocked(name string) *replGroup {
-	for _, g := range cl.groupsLocked() {
-		if g != nil && g.name == name {
-			return g
-		}
-	}
-	return nil
-}
-
-// AddBackup attaches a hot standby to the durable service hosted on
-// machine m: a fresh machine with its own write-ahead log receives the
-// primary's base snapshot and, from then on, every committed record —
-// synchronously, before the primary acknowledges the mutation to its
-// client. One backup per service; the primary must be up.
-func (cl *Cluster) AddBackup(m amnet.MachineID) error {
-	cl.lifeMu.Lock()
-	defer cl.lifeMu.Unlock()
-	cl.mu.Lock()
-	if g, _ := cl.groupOfLocked(m); g != nil {
-		cl.mu.Unlock()
-		return fmt.Errorf("amoeba: the %s replication group manages its own membership; use Kill and Restart", g.name)
-	}
-	c := cl.durableCtlLocked(m)
-	if c == nil {
-		cl.mu.Unlock()
-		return fmt.Errorf("amoeba: machine %v does not host a replicable (durable) service", m)
-	}
-	if c.down {
-		cl.mu.Unlock()
-		return fmt.Errorf("amoeba: %s server is down; restart or promote first", c.name)
-	}
-	if c.backup != nil {
-		cl.mu.Unlock()
-		return fmt.Errorf("amoeba: %s server already has a backup", c.name)
-	}
-	attach := c.attach
-	cl.mu.Unlock()
-	return attach()
-}
-
-// DropBackup detaches and discards the durable service's hot standby
-// (the primary stays up, unreplicated). The recovery verb for a LOST
-// stream — a standby that stopped acknowledging is a stale snapshot
-// the shipper wrote off — after which AddBackup re-bases a fresh one
-// without any availability outage on the primary.
-func (cl *Cluster) DropBackup(m amnet.MachineID) error {
-	cl.lifeMu.Lock()
-	defer cl.lifeMu.Unlock()
-	cl.mu.Lock()
-	if g, _ := cl.groupOfLocked(m); g != nil {
-		cl.mu.Unlock()
-		return fmt.Errorf("amoeba: the %s replication group manages its own membership; use Kill and Restart", g.name)
-	}
-	c := cl.durableCtlLocked(m)
-	if c == nil {
-		cl.mu.Unlock()
-		return fmt.Errorf("amoeba: machine %v does not host a replicable (durable) service", m)
-	}
-	if c.backup == nil {
-		cl.mu.Unlock()
-		return fmt.Errorf("amoeba: %s server has no backup to drop", c.name)
-	}
-	st, ship := c.backup, c.ship
-	c.clearBackup()
-	cl.mu.Unlock()
+// crashPrimary is the teardown Kill and the wedged-WAL fail-stop share.
+// The NIC goes FIRST — a crash cuts the machine off mid-conversation;
+// in-flight replies vanish and clients retry. The order against the
+// shipper matters: were the stream stopped while the NIC still carried
+// replies, an in-flight handler could commit locally, skip the
+// (stopped) ship, and still acknowledge its client — an acked op no
+// standby ever saw, lost at the election. With the NIC down, any op
+// whose ship was cut off can no longer reach its client either, so
+// "acknowledged" still implies "on the standbys". Then the shipper dies
+// with its machine: aborting any in-flight ship attempt unwedges
+// handlers blocked on replication acks so the crash drains.
+func crashPrimary(p *replica, ship *repl.Shipper) error {
+	err := p.fb.Close()
 	if ship != nil {
 		ship.Stop()
 	}
-	return st.discard()
-}
-
-// Promote fails the durable service hosted on (dead) machine m over to
-// its hot standby: the standby's receiver stops, its kernel starts, and
-// the service advertises the SAME put-port from the standby's machine —
-// clients' stale routes time out, invalidate and re-broadcast LOCATE
-// (§2.2), landing on the new incarnation with every acknowledged
-// operation intact. The old machine is permanently barred from
-// re-registering the port (see Restart's split-brain guard).
-//
-// The primary must have been Killed first: promoting alongside a live
-// primary would put two servers behind one port.
-func (cl *Cluster) Promote(m amnet.MachineID) error {
-	cl.lifeMu.Lock()
-	defer cl.lifeMu.Unlock()
-	cl.mu.Lock()
-	if g, _ := cl.groupOfLocked(m); g != nil {
-		cl.mu.Unlock()
-		return fmt.Errorf("amoeba: the %s replication group elects its own primary; nobody calls Promote", g.name)
-	}
-	c := cl.durableCtlLocked(m)
-	if c == nil {
-		cl.mu.Unlock()
-		return fmt.Errorf("amoeba: machine %v does not host a promotable (durable) service", m)
-	}
-	if c.backup == nil {
-		cl.mu.Unlock()
-		return fmt.Errorf("amoeba: %s server has no backup to promote", c.name)
-	}
-	if !c.down {
-		cl.mu.Unlock()
-		return fmt.Errorf("amoeba: %s primary is still up; kill it before promoting (split-brain)", c.name)
-	}
-	if c.ship != nil && c.ship.Lost() {
-		// The stream died before the primary did: the standby is a
-		// stale snapshot missing every op acked after the loss —
-		// promoting it would contradict those acknowledgements.
-		// Restart the primary from its own log instead (its disk has
-		// everything), then DropBackup + AddBackup to re-replicate.
-		cl.mu.Unlock()
-		return fmt.Errorf("amoeba: %s backup was lost before the crash (stale stream); Restart the primary instead", c.name)
-	}
-	st, ship := c.backup, c.ship
-	c.clearBackup()
-	cl.promoted[m] = promotedAway{service: c.name, seq: st.recv.High()}
-	cl.mu.Unlock()
-	if ship != nil {
-		ship.Stop()
-	}
-	if err := st.promote(); err != nil {
-		// The standby failed to take the port: nothing registered it,
-		// so the dead machine keeps its right to Restart — un-retire it
-		// and discard the broken standby (its receiver may already be
-		// closed). The service stays down until Restart.
-		_ = st.discard()
-		cl.mu.Lock()
-		delete(cl.promoted, m)
-		cl.mu.Unlock()
-		return err
-	}
-	return nil
-}
-
-// Drain gracefully retires the durable service hosted on machine m —
-// the planned-maintenance counterpart of Kill. The transport stops
-// admitting (new requests are refused with rpc.StatusOverload, which
-// clients retry with backoff), every in-flight handler finishes,
-// commits, ships to the standby and REPLIES over a NIC that is still
-// up; then the final checkpoint runs and the log closes. Only after
-// the state is cold do the shipper and the NIC go away.
-//
-// With a hot standby attached the drain is a zero-downtime handoff:
-// the standby holds every acknowledged operation (shipping is
-// synchronous), so it immediately takes over the put-port from its own
-// machine. Without one, the service stays down until Restart — which
-// recovers from the drained WAL, whose final checkpoint makes that
-// restart cheap.
-func (cl *Cluster) Drain(m amnet.MachineID) error {
-	cl.lifeMu.Lock()
-	defer cl.lifeMu.Unlock()
-	cl.mu.Lock()
-	if g, _ := cl.groupOfLocked(m); g != nil {
-		cl.mu.Unlock()
-		return fmt.Errorf("amoeba: the %s replication group fails over automatically; Kill the machine instead of draining it", g.name)
-	}
-	c := cl.durableCtlLocked(m)
-	if c == nil {
-		cl.mu.Unlock()
-		return fmt.Errorf("amoeba: machine %v does not host a drainable (durable) service", m)
-	}
-	if c.down {
-		cl.mu.Unlock()
-		return fmt.Errorf("amoeba: %s server already down", c.name)
-	}
-	c.setDown(true)
-	st, ship := c.backup, c.ship
-	c.clearBackup()
-	cl.mu.Unlock()
-
-	// The reverse of Kill's order: the kernel drains FIRST, while the
-	// NIC still carries replies and the shipper still carries commits —
-	// in-flight work ends acknowledged on both disks, not severed.
-	err := c.drain()
-	if ship != nil {
-		ship.Stop()
-	}
-	if cErr := c.fb.Close(); err == nil {
-		err = cErr
-	}
-	if st == nil {
-		return err
-	}
-	// Handoff. The drained machine's log is complete up to this instant,
-	// but the successor diverges from its first acknowledged op on — so
-	// the old machine is barred from ever re-registering the put-port,
-	// exactly as after Promote.
-	cl.mu.Lock()
-	cl.promoted[m] = promotedAway{service: c.name, seq: st.recv.High()}
-	cl.mu.Unlock()
-	if pErr := st.promote(); pErr != nil {
-		// Nothing took the port; un-retire the machine (its disk is
-		// still authoritative) and discard the broken standby. The
-		// service stays down until Restart.
-		_ = st.discard()
-		cl.mu.Lock()
-		delete(cl.promoted, m)
-		cl.mu.Unlock()
-		if err == nil {
-			err = pErr
-		}
-	}
-	return err
-}
-
-// Kill crashes the service hosted on machine m: the NIC drops off the
-// network mid-conversation and the server dies without flushing or
-// checkpointing — only what its write-ahead log already committed
-// survives. Supported for the durable services (directory and bank).
-func (cl *Cluster) Kill(m amnet.MachineID) error {
-	cl.lifeMu.Lock()
-	defer cl.lifeMu.Unlock()
-	cl.mu.Lock()
-	// A group STANDBY dies quietly: its detector stops (it must not
-	// respond to its own death by electing anyone), the shipper drops
-	// the peer — majorities still count the configured group size, so
-	// losing standbys never loosens the quorum — and the machine waits
-	// for Restart to rejoin. A group PRIMARY falls through to the
-	// common path below: NIC, shipper, crash — and the surviving
-	// standbys' detectors run the election.
-	if g, st := cl.groupOfLocked(m); g != nil && st != nil {
-		if st.down {
-			cl.mu.Unlock()
-			return fmt.Errorf("amoeba: %s standby on machine %v already down", g.name, m)
-		}
-		st.down = true
-		det, ship := st.det, g.ship
-		st.det = nil
-		cl.mu.Unlock()
-		if det != nil {
-			det.Stop()
-		}
-		if ship != nil {
-			ship.DropPeer(st.recv.Port())
-		}
-		err := st.fb.Close()
-		if cErr := st.recv.Close(); err == nil {
-			err = cErr
-		}
-		if cErr := st.srv.Crash(); err == nil {
-			err = cErr
-		}
-		return err
-	}
-	c := cl.durableCtlLocked(m)
-	if c == nil {
-		cl.mu.Unlock()
-		return fmt.Errorf("amoeba: machine %v does not host a killable (durable) service", m)
-	}
-	if c.down {
-		cl.mu.Unlock()
-		return fmt.Errorf("amoeba: %s server already down", c.name)
-	}
-	c.setDown(true)
-	cl.mu.Unlock()
-	// The NIC goes FIRST — a crash cuts the machine off mid-
-	// conversation; in-flight replies vanish and clients retry. The
-	// order against the shipper matters: were the stream stopped while
-	// the NIC still carried replies, an in-flight handler could commit
-	// locally, skip the (stopped) ship, and still acknowledge its
-	// client — an acked op the standby never saw, lost at promotion.
-	// With the NIC down, any op whose ship was cut off can no longer
-	// reach its client either, so "acknowledged" still implies "on the
-	// standby".
-	err := c.fb.Close()
-	// Then the shipper dies with its machine: aborting any in-flight
-	// ship attempt unwedges handlers blocked on replication acks so the
-	// crash drains. The standby stays alive and based — ready for
-	// Promote.
-	if c.ship != nil {
-		c.ship.Stop()
-	}
-	if cerr := c.crash(); err == nil {
+	if cerr := p.kern.Crash(); err == nil {
 		err = cerr
 	}
 	return err
 }
 
-// Restart re-incarnates a killed service on a FRESH machine: the new
-// server recovers its state from the write-ahead log (same disk, same
-// get-port, new machine ID). Clients' cached locations go stale; their
-// next transaction times out, invalidates the cache entry and
-// re-broadcasts LOCATE — §2.2's discovery path for a moved server —
-// which the new incarnation answers.
+// Drain gracefully retires the durable primary hosted on machine m —
+// the planned-maintenance counterpart of Kill. The transport stops
+// admitting (new requests are refused with rpc.StatusOverload, which
+// clients retry with backoff), every in-flight handler finishes,
+// commits, ships to the standbys and REPLIES over a NIC that is still
+// up; then the final checkpoint runs and the log closes. Only after
+// the state is cold do the shipper and the NIC go away.
+//
+// On a replication group the drain is a zero-downtime handoff: the
+// standbys hold every acknowledged operation (shipping is synchronous),
+// so the election runs at once instead of waiting out a detector, and
+// the drained machine rejoins as a fresh standby via Restart like any
+// deposed primary. Unreplicated, the service stays down until Restart —
+// which recovers from the drained WAL, whose final checkpoint makes
+// that restart cheap.
+func (cl *Cluster) Drain(m amnet.MachineID) error {
+	cl.lifeMu.Lock()
+	defer cl.lifeMu.Unlock()
+	cl.mu.Lock()
+	sh, p := cl.memberLocked(m)
+	if sh == nil {
+		cl.mu.Unlock()
+		return fmt.Errorf("amoeba: machine %v does not host a drainable (durable) service", m)
+	}
+	if p != sh.primary {
+		cl.mu.Unlock()
+		return fmt.Errorf("amoeba: machine %v is a %s standby with nothing in flight to drain; Kill it instead", m, sh.label)
+	}
+	if p.down {
+		cl.mu.Unlock()
+		return fmt.Errorf("amoeba: %s server already down", sh.label)
+	}
+	p.down = true
+	g, ship := sh.group, sh.shipLocked()
+	cl.mu.Unlock()
+
+	// The reverse of Kill's order: the kernel drains FIRST, while the
+	// NIC still carries replies and the shipper still carries commits —
+	// in-flight work ends acknowledged on every disk, not severed.
+	err := p.kern.Drain()
+	if g != nil {
+		// Handoff. Should the election be refused (no live quorum) the
+		// machine simply looks dead from here on, and the standbys'
+		// detectors retry once Restart has restored one.
+		cl.elect(g)
+		ship.Stop()
+	}
+	if cErr := p.fb.Close(); err == nil {
+		err = cErr
+	}
+	return err
+}
+
+// Kill crashes the durable-service machine m: the NIC drops off the
+// network mid-conversation and the server dies without flushing or
+// checkpointing — only what its write-ahead log already committed
+// survives. Supported for every machine of the durable services
+// (directory and bank): primaries and group standbys alike.
+func (cl *Cluster) Kill(m amnet.MachineID) error {
+	cl.lifeMu.Lock()
+	defer cl.lifeMu.Unlock()
+	cl.mu.Lock()
+	sh, r := cl.memberLocked(m)
+	if sh == nil {
+		cl.mu.Unlock()
+		return fmt.Errorf("amoeba: machine %v does not host a killable (durable) service", m)
+	}
+	if r.down {
+		cl.mu.Unlock()
+		return fmt.Errorf("amoeba: %s machine %v already down", sh.label, m)
+	}
+	r.down = true
+	ship := sh.shipLocked()
+	if r == sh.primary {
+		// The surviving standbys' detectors (if any) run the election.
+		cl.mu.Unlock()
+		return crashPrimary(r, ship)
+	}
+	// A group STANDBY dies quietly: its detector stops (it must not
+	// respond to its own death by electing anyone), the shipper drops
+	// the peer — majorities still count the configured group size, so
+	// losing standbys never loosens the quorum — and the machine waits
+	// for Restart to rejoin.
+	det := r.det
+	r.det = nil
+	cl.mu.Unlock()
+	if det != nil {
+		det.Stop()
+	}
+	ship.DropPeer(r.recv.Port())
+	err := r.fb.Close()
+	if cErr := r.recv.Close(); err == nil {
+		err = cErr
+	}
+	if cErr := r.kern.Crash(); err == nil {
+		err = cErr
+	}
+	return err
+}
+
+// Restart brings a killed, drained or deposed machine's service back on
+// a FRESH machine. An unreplicated shard recovers its state from the
+// write-ahead log (same disk, same get-port, new machine ID): clients'
+// cached locations go stale; their next transaction times out,
+// invalidates the cache entry and re-broadcasts LOCATE — §2.2's
+// discovery path for a moved server — which the new incarnation
+// answers. A replication-group member rejoins as a fresh standby (new
+// disk, base snapshot from the current primary): its old log may hold
+// a tail the successor never acknowledged, so it is discarded — split
+// brain is prevented by lease plus quorum, not by exiling the machine.
 func (cl *Cluster) Restart(m amnet.MachineID) error {
 	cl.lifeMu.Lock()
 	defer cl.lifeMu.Unlock()
-	// Clearing the down flag under the lock claims the restart: a
-	// concurrent Restart of the same service sees "not down" and
-	// fails, so two incarnations can never share one WAL disk.
 	cl.mu.Lock()
-	// The split-brain guard: a machine whose put-port was promoted away
-	// may NEVER re-register it. Its WAL disk is a dead branch of
-	// history — the promoted incarnation has acknowledged operations
-	// this machine's log never saw — and a second server behind the
-	// port would split clients between two divergent states. In group
-	// mode that is not a dead end: the machine rejoins as a FRESH
-	// standby (new disk, base snapshot from the current primary), its
-	// old log discarded.
-	if pa, was := cl.promoted[m]; was {
-		if g := cl.groupByNameLocked(pa.service); g != nil {
-			delete(cl.promoted, m)
+	g := cl.retired[m]
+	if g == nil {
+		sh, r := cl.memberLocked(m)
+		if sh == nil {
 			cl.mu.Unlock()
-			stdlog.Printf("amoeba: machine %v rejoining the %s group as a fresh standby; its log beyond seq %d is discarded",
-				m, pa.service, pa.seq)
-			if err := cl.reintegrate(g); err != nil {
-				cl.mu.Lock()
-				cl.promoted[m] = pa // the machine stays retired
-				cl.mu.Unlock()
-				return err
-			}
-			return nil
+			return fmt.Errorf("amoeba: machine %v does not host a restartable (durable) service", m)
 		}
-		cl.mu.Unlock()
-		cl.reg.Counter("amoeba_restart_refused_total", obs.L("service", pa.service),
-			"restarts refused by the split-brain guard").Inc()
-		stdlog.Printf("amoeba: refusing restart of machine %v: %s put-port promoted away; its log beyond seq %d is a dead branch",
-			m, pa.service, pa.seq)
-		return &PromotedAwayError{Machine: m, Service: pa.service, DiscardedSeq: pa.seq}
-	}
-	// Group membership: a killed standby rejoins as a fresh standby; a
-	// killed primary must wait for the survivors' election to finish
-	// (after which this machine lands in the promoted map above).
-	if g, st := cl.groupOfLocked(m); g != nil {
-		if st == nil {
+		if !r.down {
 			cl.mu.Unlock()
-			return fmt.Errorf("amoeba: machine %v is the %s group primary; wait for auto-failover, then Restart re-attaches it", m, g.name)
+			return fmt.Errorf("amoeba: %s machine %v is not down", sh.label, m)
 		}
-		if !st.down {
+		if g = sh.group; g == nil {
 			cl.mu.Unlock()
-			return fmt.Errorf("amoeba: %s standby on machine %v is not down", g.name, m)
+			return cl.startShard(sh, r.disk)
 		}
-		keep := g.standbys[:0]
-		for _, s := range g.standbys {
-			if s != st {
-				keep = append(keep, s)
-			}
+		if r == sh.primary {
+			// A dead group primary must wait for the survivors' election
+			// (which retires this machine) before it can rejoin.
+			cl.mu.Unlock()
+			return fmt.Errorf("amoeba: machine %v is the %s group primary; wait for the election, then Restart re-attaches it", m, sh.label)
 		}
-		g.standbys = keep
-		cl.mu.Unlock()
-		return cl.reintegrate(g)
+		// A killed standby leaves the member list and rejoins the way a
+		// deposed primary does.
+		g.standbys = slices.DeleteFunc(g.standbys, func(st *replica) bool { return st == r })
 	}
-	c := cl.durableCtlLocked(m)
-	if c == nil {
-		cl.mu.Unlock()
-		return fmt.Errorf("amoeba: machine %v does not host a restartable (durable) service", m)
-	}
-	if !c.down {
-		cl.mu.Unlock()
-		return fmt.Errorf("amoeba: %s server is not down", c.name)
-	}
-	c.setDown(false)
-	// Restart, not Promote, wins this outage: the stale standby's
-	// stream died with the primary's shipper, so it is discarded here —
-	// AddBackup re-bases a fresh one from the restarted primary.
-	st, ship := c.backup, c.ship
-	c.clearBackup()
+	delete(cl.retired, m)
 	cl.mu.Unlock()
-	if ship != nil {
-		ship.Stop()
-	}
-	if st != nil {
-		_ = st.discard()
-	}
-	if err := c.restart(); err != nil {
+	if err := cl.reintegrate(g); err != nil {
 		cl.mu.Lock()
-		c.setDown(true)
+		cl.retired[m] = g // still entitled to rejoin; Restart may be retried
 		cl.mu.Unlock()
 		return err
 	}
@@ -1950,17 +1199,11 @@ func (cl *Cluster) Close() error {
 	// election already running finish on live resources.
 	cl.closing.Store(true)
 	cl.lifeMu.Lock()
-	cl.mu.Lock()
-	groups := cl.groupsLocked()
-	cl.mu.Unlock()
-	for _, g := range groups {
-		if g == nil {
+	for _, sh := range cl.allShards() {
+		if sh.group == nil {
 			continue
 		}
-		cl.mu.Lock()
-		sts := append([]*groupStandby(nil), g.standbys...)
-		cl.mu.Unlock()
-		for _, st := range sts {
+		for _, st := range sh.group.standbys {
 			if st.det != nil {
 				st.det.Stop()
 				st.det = nil
@@ -2022,11 +1265,7 @@ func (cl *Cluster) Dirs() *dirsvr.Client {
 // The put-port is pinned across Kill/Restart (the get-port is
 // persisted with the log), so a cached DirPort stays valid over a
 // crash.
-func (cl *Cluster) DirPort() Port {
-	cl.mu.Lock()
-	defer cl.mu.Unlock()
-	return cl.dirs.PutPort()
-}
+func (cl *Cluster) DirPort() Port { return cl.dirShards[0].put }
 
 // Versions returns a typed client for the multiversion file server
 // (§3.5).
@@ -2036,10 +1275,7 @@ func (cl *Cluster) Versions() *mvfs.Client {
 
 // Bank returns a typed client for the bank server (§3.6).
 func (cl *Cluster) Bank() *banksvr.Client {
-	cl.mu.Lock()
-	port := cl.bank.PutPort()
-	cl.mu.Unlock()
-	return banksvr.NewClient(cl.client, port)
+	return banksvr.NewClient(cl.client, cl.bankShards[0].put)
 }
 
 // NewUnixFS creates a fresh root directory and returns a UNIX-like

@@ -1,360 +1,60 @@
-// Failover chaos tests: kill a replicated durable service's primary
-// mid-soak and promote its hot standby — NO restart of the dead
-// machine. Clients must converge onto the promoted backup through
-// locate's invalidate-and-re-broadcast, every acknowledged operation
-// must be present on it (synchronous WAL shipping), and the split-brain
-// guard must keep the dead machine's port dead forever. Runs are
-// seeded; CI repeats them under -race. See EXPERIMENTS.md E19.
+// Forced-election chaos tests: kill a replication group's primary
+// mid-soak and run the election AT ONCE instead of waiting out the
+// standbys' failure detectors — the path Drain's handoff and
+// BenchmarkE19_Failover take, here under load and the race detector.
+// Clients must converge onto the successor through locate's
+// invalidate-and-re-broadcast with every acknowledged operation
+// present. The bodies are group_failover_test.go's; only who starts
+// the election differs. See EXPERIMENTS.md E19.
 package amoeba
 
 import (
-	"context"
 	"fmt"
-	"strings"
-	"sync"
 	"testing"
 	"time"
+
+	"amoeba/internal/amnet"
 )
 
-// failoverCluster is killCluster plus hot standbys for the durable
-// services.
-func failoverCluster(t *testing.T, seed uint64) *Cluster {
-	t.Helper()
-	cl, err := NewCluster(ClusterConfig{
-		Seed:      seed,
-		LossRate:  0.01,
-		Latency:   50 * time.Microsecond,
-		Jitter:    100 * time.Microsecond,
-		Replicate: true,
-	})
-	if err != nil {
-		t.Fatal(err)
+// failoverCluster is groupCluster, except that a forced run never waits
+// for a detector and so can afford a lease long enough that none false-
+// alarms: an unplanned election ahead of the kill would leave the group
+// one standby short (the deposed primary is not re-attached), and the
+// forced one would then be refused for want of a quorum.
+func failoverCluster(t *testing.T, seed uint64, forced bool) *Cluster {
+	if forced {
+		return groupClusterLease(t, seed, 400*time.Millisecond)
 	}
-	t.Cleanup(func() { cl.Close() })
-	return cl
+	return groupCluster(t, seed)
+}
+
+// forceElection runs sh's election now, provided dead is still its
+// primary (a detector false alarm may legally have moved the crown
+// already — see killPrimary).
+func forceElection(tb testing.TB, cl *Cluster, sh *svcShard, dead amnet.MachineID) {
+	tb.Helper()
+	cl.lifeMu.Lock()
+	defer cl.lifeMu.Unlock()
+	cl.mu.Lock()
+	g, cur := sh.group, sh.primary.machine
+	cl.mu.Unlock()
+	if cur == dead && !cl.elect(g) {
+		tb.Fatalf("forced %s election found no successor", sh.label)
+	}
 }
 
 func TestChaosFailoverDirsvr(t *testing.T) {
 	for i := 0; i < killRestartSeeds(t); i++ {
 		t.Run(fmt.Sprintf("seed=%d", i), func(t *testing.T) {
-			runFailoverDirsvr(t, 0xFA10_0000+uint64(i))
+			runAutoFailoverDirsvr(t, 0xFA10_0000+uint64(i), true)
 		})
 	}
-}
-
-func runFailoverDirsvr(t *testing.T, seed uint64) {
-	cl := failoverCluster(t, seed)
-	dirs := cl.Dirs()
-
-	var root Capability
-	untilOK(t, "create root", func(ctx context.Context) error {
-		var err error
-		root, err = dirs.CreateDir(ctx, cl.DirPort())
-		return err
-	})
-
-	// Phase 1: workers file entries against the replicated primary; each
-	// entry is a fresh subdirectory, so the test also proves created
-	// capabilities survive the failover (the standby recovered the
-	// table secrets, not re-rolled them).
-	const workers, perWorker = 4, 6
-	subs := make([]Capability, workers*perWorker)
-	enter := func(g, i int) {
-		name := fmt.Sprintf("w%d-e%d", g, i)
-		untilOK(t, "create "+name, func(ctx context.Context) error {
-			var err error
-			subs[g*perWorker+i], err = dirs.CreateDir(ctx, cl.DirPort())
-			return err
-		})
-		untilOK(t, "enter "+name, func(ctx context.Context) error {
-			err := dirs.Enter(ctx, root, name, subs[g*perWorker+i])
-			if err != nil && strings.Contains(err.Error(), "exists") {
-				return nil
-			}
-			return err
-		})
-	}
-	var wg sync.WaitGroup
-	for g := 0; g < workers; g++ {
-		wg.Add(1)
-		go func(g int) {
-			defer wg.Done()
-			for i := 0; i < perWorker/2; i++ {
-				enter(g, i)
-			}
-		}(g)
-	}
-	wg.Wait()
-
-	// Kill the primary — it never comes back. Workers keep filing
-	// entries straight through the outage, racing the promotion:
-	// timeout → invalidate → LOCATE lands them on the backup.
-	primary := cl.Machines().Dirs
-	if err := cl.Kill(primary); err != nil {
-		t.Fatal(err)
-	}
-	for g := 0; g < workers; g++ {
-		wg.Add(1)
-		go func(g int) {
-			defer wg.Done()
-			for i := perWorker / 2; i < perWorker; i++ {
-				enter(g, i)
-			}
-		}(g)
-	}
-	time.Sleep(5 * time.Millisecond) // let some attempts hit the corpse
-	if err := cl.Promote(primary); err != nil {
-		t.Fatal(err)
-	}
-	if cl.Machines().Dirs == primary {
-		t.Fatal("promotion did not move the directory service to a new machine")
-	}
-	wg.Wait()
-
-	// Every acknowledged entry is on the promoted backup, mapped to the
-	// exact capability the client was handed before the crash.
-	listed := make(map[string]Capability)
-	untilOK(t, "list", func(ctx context.Context) error {
-		entries, err := dirs.List(ctx, root)
-		if err != nil {
-			return err
-		}
-		clear(listed)
-		for _, e := range entries {
-			listed[e.Name] = e.Cap
-		}
-		return nil
-	})
-	if len(listed) != workers*perWorker {
-		t.Fatalf("root has %d entries after failover, want %d", len(listed), workers*perWorker)
-	}
-	for g := 0; g < workers; g++ {
-		for i := 0; i < perWorker; i++ {
-			name := fmt.Sprintf("w%d-e%d", g, i)
-			got, ok := listed[name]
-			if !ok {
-				t.Fatalf("acknowledged entry %q lost in the failover", name)
-			}
-			if got != subs[g*perWorker+i] {
-				t.Fatalf("entry %q failed over with a different capability", name)
-			}
-		}
-	}
-	// Capabilities created before the crash still validate against the
-	// promoted backup's table.
-	untilOK(t, "lookup into replicated subdir", func(ctx context.Context) error {
-		if err := dirs.Enter(ctx, subs[0], "alive", root); err != nil && !strings.Contains(err.Error(), "exists") {
-			return err
-		}
-		_, err := dirs.Lookup(ctx, subs[0], "alive")
-		return err
-	})
 }
 
 func TestChaosFailoverBanksvr(t *testing.T) {
 	for i := 0; i < killRestartSeeds(t); i++ {
 		t.Run(fmt.Sprintf("seed=%d", i), func(t *testing.T) {
-			runFailoverBanksvr(t, 0xFA10_B000+uint64(i))
+			runAutoFailoverBanksvr(t, 0xFA10_B000+uint64(i), true)
 		})
-	}
-}
-
-func runFailoverBanksvr(t *testing.T, seed uint64) {
-	cl := failoverCluster(t, seed)
-	bank := cl.Bank()
-
-	const accounts, grant = 6, 1000
-	caps := make([]Capability, accounts)
-	for i := range caps {
-		untilOK(t, "create account", func(ctx context.Context) error {
-			var err error
-			caps[i], err = bank.CreateAccount(ctx, "dollar", grant)
-			return err
-		})
-	}
-
-	// Workers shuffle money around a ring, straight through the kill
-	// and promotion. Transfers are NOT idempotent — a retry after a
-	// lost reply moves the money twice — but every movement stays
-	// inside the ring, so the conserved total is immune to retries,
-	// the crash, and the failover.
-	const workers, transfers = 4, 10
-	var wg sync.WaitGroup
-	work := func(g, lo int) {
-		defer wg.Done()
-		for i := lo; i < lo+transfers/2; i++ {
-			from := caps[(g+i)%accounts]
-			to := caps[(g+i+1)%accounts]
-			untilOK(t, "transfer", func(ctx context.Context) error {
-				err := bank.Transfer(ctx, from, to, "dollar", 1)
-				if err != nil && strings.Contains(err.Error(), "insufficient funds") {
-					return nil // ring got lopsided; the invariant is the total
-				}
-				return err
-			})
-		}
-	}
-	for g := 0; g < workers; g++ {
-		wg.Add(1)
-		go work(g, 0)
-	}
-	wg.Wait()
-
-	primary := cl.Machines().Bank
-	if err := cl.Kill(primary); err != nil {
-		t.Fatal(err)
-	}
-	for g := 0; g < workers; g++ {
-		wg.Add(1)
-		go work(g, transfers/2)
-	}
-	time.Sleep(5 * time.Millisecond)
-	if err := cl.Promote(primary); err != nil {
-		t.Fatal(err)
-	}
-	wg.Wait()
-
-	// Exact money conservation through the failover: every dollar
-	// minted into the ring is in exactly one account on the backup.
-	total := int64(0)
-	for i := range caps {
-		var bal map[string]int64
-		untilOK(t, "balance", func(ctx context.Context) error {
-			var err error
-			bal, err = bank.Balance(ctx, caps[i])
-			return err
-		})
-		total += bal["dollar"]
-	}
-	if total != accounts*grant {
-		t.Fatalf("money not conserved across failover: %d, want %d", total, accounts*grant)
-	}
-}
-
-// TestRestartAfterPromoteSplitBrain: once a machine's put-port has been
-// promoted to its backup, Restart of that machine must refuse to
-// re-register it — a second primary would split clients between two
-// divergent histories.
-func TestRestartAfterPromoteSplitBrain(t *testing.T) {
-	cl := failoverCluster(t, 0x5B11)
-	dirs := cl.Dirs()
-
-	var root Capability
-	untilOK(t, "create root", func(ctx context.Context) error {
-		var err error
-		root, err = dirs.CreateDir(ctx, cl.DirPort())
-		return err
-	})
-	untilOK(t, "enter", func(ctx context.Context) error {
-		err := dirs.Enter(ctx, root, "pre", root)
-		if err != nil && strings.Contains(err.Error(), "exists") {
-			return nil
-		}
-		return err
-	})
-
-	primary := cl.Machines().Dirs
-	if err := cl.Kill(primary); err != nil {
-		t.Fatal(err)
-	}
-	if err := cl.Promote(primary); err != nil {
-		t.Fatal(err)
-	}
-
-	// The guard: the dead machine may never re-register the port.
-	err := cl.Restart(primary)
-	if err == nil {
-		t.Fatal("Restart re-registered a promoted-away put-port (split-brain)")
-	}
-	if !strings.Contains(err.Error(), "split-brain") {
-		t.Fatalf("refusal lacks the split-brain diagnosis: %v", err)
-	}
-
-	// The promoted incarnation keeps exclusive ownership of the port:
-	// new work lands on it, and the pre-crash entry is still there.
-	untilOK(t, "post-guard lookup", func(ctx context.Context) error {
-		_, err := dirs.Lookup(ctx, root, "pre")
-		return err
-	})
-	untilOK(t, "post-guard enter", func(ctx context.Context) error {
-		err := dirs.Enter(ctx, root, "post", root)
-		if err != nil && strings.Contains(err.Error(), "exists") {
-			return nil
-		}
-		return err
-	})
-
-	// A promoted service can grow a NEW backup and fail over again:
-	// chained failover is the availability story end to end.
-	next := cl.Machines().Dirs
-	if err := cl.AddBackup(next); err != nil {
-		t.Fatal(err)
-	}
-	if err := cl.Kill(next); err != nil {
-		t.Fatal(err)
-	}
-	if err := cl.Promote(next); err != nil {
-		t.Fatal(err)
-	}
-	untilOK(t, "second failover lookup", func(ctx context.Context) error {
-		_, err := dirs.Lookup(ctx, root, "post")
-		return err
-	})
-}
-
-// TestPromoteGuards: Promote demands a dead primary and an attached
-// backup; AddBackup demands a live, un-replicated primary.
-func TestPromoteGuards(t *testing.T) {
-	cl := failoverCluster(t, 0x6A4D)
-	m := cl.Machines()
-
-	if err := cl.Promote(m.Dirs); err == nil || !strings.Contains(err.Error(), "still up") {
-		t.Fatalf("promote with a live primary: %v", err)
-	}
-	if err := cl.AddBackup(m.Dirs); err == nil || !strings.Contains(err.Error(), "already has a backup") {
-		t.Fatalf("double AddBackup: %v", err)
-	}
-	if err := cl.AddBackup(m.Memory); err == nil {
-		t.Fatal("AddBackup accepted a volatile service's machine")
-	}
-	if err := cl.Promote(m.Client); err == nil {
-		t.Fatal("Promote accepted the client machine")
-	}
-
-	// Kill then RESTART (no promote): legal, and the stale standby is
-	// discarded — a fresh AddBackup re-bases from the restarted primary.
-	if err := cl.Kill(m.Dirs); err != nil {
-		t.Fatal(err)
-	}
-	if err := cl.Restart(m.Dirs); err != nil {
-		t.Fatal(err)
-	}
-	// Restart reincarnated the service on a fresh machine.
-	if err := cl.Promote(cl.Machines().Dirs); err == nil || !strings.Contains(err.Error(), "no backup") {
-		t.Fatalf("promote after restart consumed the discarded standby: %v", err)
-	}
-	if err := cl.AddBackup(cl.Machines().Dirs); err != nil {
-		t.Fatalf("re-adding a backup after restart: %v", err)
-	}
-	dirs := cl.Dirs()
-	untilOK(t, "post-rebase create", func(ctx context.Context) error {
-		_, err := dirs.CreateDir(ctx, cl.DirPort())
-		return err
-	})
-
-	// DropBackup detaches a live standby without touching the primary;
-	// a fresh AddBackup re-bases.
-	if err := cl.DropBackup(cl.Machines().Dirs); err != nil {
-		t.Fatal(err)
-	}
-	if err := cl.DropBackup(cl.Machines().Dirs); err == nil {
-		t.Fatal("double DropBackup succeeded")
-	}
-	untilOK(t, "create while unreplicated", func(ctx context.Context) error {
-		_, err := dirs.CreateDir(ctx, cl.DirPort())
-		return err
-	})
-	if err := cl.AddBackup(cl.Machines().Dirs); err != nil {
-		t.Fatalf("re-adding after drop: %v", err)
 	}
 }

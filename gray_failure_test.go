@@ -313,9 +313,9 @@ func runOneWayPartition(t *testing.T, seed uint64) {
 	// Sever standby→primary for every standby: acknowledgements and
 	// lease grants vanish; the primary's own frames still arrive.
 	cl.mu.Lock()
-	primary := cl.machines.Dirs
+	primary := cl.dirShards[0].primary.machine
 	var standbys []amnet.MachineID
-	for _, st := range cl.dirsGroup.standbys {
+	for _, st := range cl.dirShards[0].group.standbys {
 		if !st.down {
 			standbys = append(standbys, st.machine)
 		}
@@ -370,7 +370,7 @@ func runOneWayPartition(t *testing.T, seed uint64) {
 		}
 	}
 	cl.mu.Lock()
-	term := cl.dirsGroup.term
+	term := cl.dirShards[0].group.term
 	cl.mu.Unlock()
 	if term < 2 {
 		t.Fatalf("group term %d after the one-way partition, want ≥ 2 (an election)", term)
@@ -401,8 +401,8 @@ func runFlappingLink(t *testing.T, seed uint64) {
 	})
 
 	cl.mu.Lock()
-	primary := cl.machines.Dirs
-	flappy := cl.dirsGroup.standbys[0].machine
+	primary := cl.dirShards[0].primary.machine
+	flappy := cl.dirShards[0].group.standbys[0].machine
 	cl.mu.Unlock()
 	// Up 40ms, down 25ms: the down windows are well inside the 225ms
 	// detector gap, so elections are rare — the exercise is the lost→
@@ -479,8 +479,8 @@ func TestStandbyWedgeDropsFromQuorum(t *testing.T) {
 	})
 
 	cl.mu.Lock()
-	primary := cl.machines.Dirs
-	stMachine := cl.dirsGroup.standbys[0].machine
+	primary := cl.dirShards[0].primary.machine
+	stMachine := cl.dirShards[0].group.standbys[0].machine
 	cl.mu.Unlock()
 	cl.WALFault(stMachine).FailWritesAfter(0)
 
@@ -500,7 +500,7 @@ func TestStandbyWedgeDropsFromQuorum(t *testing.T) {
 	deadline := time.Now().Add(15 * time.Second)
 	for {
 		cl.mu.Lock()
-		lost := cl.dirsShip.LostPeers()
+		lost := cl.dirShards[0].group.ship.LostPeers()
 		cl.mu.Unlock()
 		if lost >= 1 {
 			break
@@ -525,7 +525,7 @@ func TestStandbyWedgeDropsFromQuorum(t *testing.T) {
 	untilOK(t, "reintegrate standby", func(ctx context.Context) error { return cl.Restart(stMachine) })
 	cl.mu.Lock()
 	standbys := 0
-	for _, st := range cl.dirsGroup.standbys {
+	for _, st := range cl.dirShards[0].group.standbys {
 		if !st.down {
 			standbys++
 		}

@@ -1,7 +1,7 @@
 // Replication-group chaos tests: boot the durable services as
 // 3-replica groups (ClusterConfig.Replicas) and kill machines mid-soak
-// WITHOUT ever calling Promote — the standbys' failure detectors elect
-// the successor on their own. Zero acknowledged operations may be
+// with nobody at the wheel — the standbys' failure detectors elect the
+// successor on their own. Zero acknowledged operations may be
 // lost through any failover, killed machines rejoin as fresh standbys
 // via Restart, and a double failure (kill the newly promoted primary
 // too) still converges. See EXPERIMENTS.md E21.
@@ -23,17 +23,21 @@ import (
 // groups under mild network chaos, with a short lease so failovers
 // resolve in tens of milliseconds.
 func groupCluster(t *testing.T, seed uint64) *Cluster {
+	// The production default lease: short enough for sub-second
+	// failovers, long enough that the race detector's scheduler stalls
+	// rarely counterfeit a 1.5-term silence and false-alarm a detector.
+	return groupClusterLease(t, seed, 150*time.Millisecond)
+}
+
+func groupClusterLease(t *testing.T, seed uint64, lease time.Duration) *Cluster {
 	t.Helper()
 	cl, err := NewCluster(ClusterConfig{
-		Seed:     seed,
-		LossRate: 0.01,
-		Latency:  50 * time.Microsecond,
-		Jitter:   100 * time.Microsecond,
-		// The production default: short enough for sub-second failovers,
-		// long enough that the race detector's scheduler stalls rarely
-		// counterfeit a 1.5-term silence and false-alarm a detector.
+		Seed:      seed,
+		LossRate:  0.01,
+		Latency:   50 * time.Microsecond,
+		Jitter:    100 * time.Microsecond,
 		Replicas:  3,
-		LeaseTerm: 150 * time.Millisecond,
+		LeaseTerm: lease,
 	})
 	if err != nil {
 		t.Fatal(err)
@@ -81,13 +85,16 @@ func killPrimary(t *testing.T, cl *Cluster, pick func(Machines) amnet.MachineID)
 func TestChaosAutoFailoverDirsvr(t *testing.T) {
 	for i := 0; i < killRestartSeeds(t); i++ {
 		t.Run(fmt.Sprintf("seed=%d", i), func(t *testing.T) {
-			runAutoFailoverDirsvr(t, 0xE210_0000+uint64(i))
+			runAutoFailoverDirsvr(t, 0xE210_0000+uint64(i), false)
 		})
 	}
 }
 
-func runAutoFailoverDirsvr(t *testing.T, seed uint64) {
-	cl := groupCluster(t, seed)
+// runAutoFailoverDirsvr kills the directory primary mid-soak. With
+// forced unset nobody does anything about it — the detectors must;
+// forced runs the election at once (failover_test.go).
+func runAutoFailoverDirsvr(t *testing.T, seed uint64, forced bool) {
+	cl := failoverCluster(t, seed, forced)
 	dirs := cl.Dirs()
 
 	var root Capability
@@ -126,9 +133,9 @@ func runAutoFailoverDirsvr(t *testing.T, seed uint64) {
 	}
 	wg.Wait()
 
-	// Kill the primary. NOBODY calls Promote: the standbys' failure
-	// detectors notice the silent lease and elect the highest-acked one
-	// while the workers hammer straight through the outage.
+	// Kill the primary. The standbys' failure detectors notice the
+	// silent lease and elect the highest-acked one while the workers
+	// hammer straight through the outage.
 	primary := killPrimary(t, cl, func(m Machines) amnet.MachineID { return m.Dirs })
 	for g := 0; g < workers; g++ {
 		wg.Add(1)
@@ -138,6 +145,10 @@ func runAutoFailoverDirsvr(t *testing.T, seed uint64) {
 				enter(g, i)
 			}
 		}(g)
+	}
+	if forced {
+		time.Sleep(5 * time.Millisecond) // let some attempts hit the corpse
+		forceElection(t, cl, cl.dirShards[0], primary)
 	}
 	waitForFailover(t, cl, primary, func(m Machines) amnet.MachineID { return m.Dirs })
 	wg.Wait()
@@ -178,8 +189,8 @@ func runAutoFailoverDirsvr(t *testing.T, seed uint64) {
 		t.Fatalf("killed primary could not rejoin its group: %v", err)
 	}
 	cl.mu.Lock()
-	standbys := len(cl.dirsGroup.standbys)
-	term := cl.dirsGroup.term
+	standbys := len(cl.dirShards[0].group.standbys)
+	term := cl.dirShards[0].group.term
 	cl.mu.Unlock()
 	// A detector false alarm can legally run an extra election whose
 	// victim this test never restarts, so group wholeness is only
@@ -203,13 +214,13 @@ func runAutoFailoverDirsvr(t *testing.T, seed uint64) {
 func TestChaosAutoFailoverBanksvr(t *testing.T) {
 	for i := 0; i < killRestartSeeds(t); i++ {
 		t.Run(fmt.Sprintf("seed=%d", i), func(t *testing.T) {
-			runAutoFailoverBanksvr(t, 0xE210_B000+uint64(i))
+			runAutoFailoverBanksvr(t, 0xE210_B000+uint64(i), false)
 		})
 	}
 }
 
-func runAutoFailoverBanksvr(t *testing.T, seed uint64) {
-	cl := groupCluster(t, seed)
+func runAutoFailoverBanksvr(t *testing.T, seed uint64, forced bool) {
+	cl := failoverCluster(t, seed, forced)
 	bank := cl.Bank()
 
 	const accounts, grant = 6, 1000
@@ -248,6 +259,10 @@ func runAutoFailoverBanksvr(t *testing.T, seed uint64) {
 	for g := 0; g < workers; g++ {
 		wg.Add(1)
 		go work(g, transfers/2)
+	}
+	if forced {
+		time.Sleep(5 * time.Millisecond)
+		forceElection(t, cl, cl.bankShards[0], primary)
 	}
 	waitForFailover(t, cl, primary, func(m Machines) amnet.MachineID { return m.Bank })
 	wg.Wait()
@@ -373,15 +388,14 @@ func runDoubleFailure(t *testing.T, seed uint64) {
 		}
 	}
 	cl.mu.Lock()
-	term := cl.dirsGroup.term
+	term := cl.dirShards[0].group.term
 	cl.mu.Unlock()
 	if term < 3 {
 		t.Fatalf("group term %d after two elections, want ≥ 3", term)
 	}
 }
 
-// TestGroupLeaseSplitBrainGuard is the lease-era successor of
-// TestRestartAfterPromoteSplitBrain: split-brain is prevented by time
+// TestGroupLeaseSplitBrainGuard: split-brain is prevented by time
 // plus quorum (the old primary's lease lapses before any standby's
 // detector can fire, and stale terms bounce), NOT by exiling the dead
 // machine — so after the failover the machine REJOINS as a standby and
@@ -428,14 +442,14 @@ func TestGroupLeaseSplitBrainGuard(t *testing.T) {
 		t.Fatalf("lease-guarded group refused re-integration: %v", err)
 	}
 	cl.mu.Lock()
-	standbys, term := len(cl.dirsGroup.standbys), cl.dirsGroup.term
+	standbys, term := len(cl.dirShards[0].group.standbys), cl.dirShards[0].group.term
 	cl.mu.Unlock()
 	if (term == 2 && standbys != 2) || term < 2 {
 		t.Fatalf("after re-integration: %d standbys (want 2), term %d (want ≥ 2)", standbys, term)
 	}
 
 	// Chained failover: the re-formed group survives killing the NEW
-	// primary as well — the availability story end to end, no Promote.
+	// primary as well — the availability story end to end.
 	next := killPrimary(t, cl, func(m Machines) amnet.MachineID { return m.Dirs })
 	waitForFailover(t, cl, next, func(m Machines) amnet.MachineID { return m.Dirs })
 	untilOK(t, "second failover lookup", func(ctx context.Context) error {
@@ -444,28 +458,33 @@ func TestGroupLeaseSplitBrainGuard(t *testing.T) {
 	})
 }
 
-// TestGroupLifecycleGuards: the manual standby verbs refuse group
-// machines (the group manages itself), standby kills are absorbed
-// without an election, and a killed standby rejoins via Restart.
+// TestGroupLifecycleGuards: the lifecycle verbs refuse what makes no
+// sense on a group (restarting a live member, draining a standby,
+// restarting a dead primary ahead of its election), standby kills are
+// absorbed without an election, and a killed standby rejoins via
+// Restart.
 func TestGroupLifecycleGuards(t *testing.T) {
 	cl := groupCluster(t, 0x6A4E)
 	m := cl.Machines()
+	cl.mu.Lock()
+	stMachine := cl.dirShards[0].group.standbys[0].machine
+	cl.mu.Unlock()
 
-	if err := cl.Promote(m.Dirs); err == nil || !strings.Contains(err.Error(), "elects its own") {
-		t.Fatalf("Promote on a group primary: %v", err)
+	if err := cl.Restart(m.Dirs); err == nil || !strings.Contains(err.Error(), "not down") {
+		t.Fatalf("Restart of a live group primary: %v", err)
 	}
-	if err := cl.AddBackup(m.Dirs); err == nil || !strings.Contains(err.Error(), "manages its own membership") {
-		t.Fatalf("AddBackup on a group primary: %v", err)
+	if err := cl.Restart(stMachine); err == nil || !strings.Contains(err.Error(), "not down") {
+		t.Fatalf("Restart of a live standby: %v", err)
 	}
-	if err := cl.Drain(m.Bank); err == nil || !strings.Contains(err.Error(), "Kill the machine") {
-		t.Fatalf("Drain on a group primary: %v", err)
+	if err := cl.Drain(stMachine); err == nil || !strings.Contains(err.Error(), "standby") {
+		t.Fatalf("Drain of a standby: %v", err)
+	}
+	if err := cl.Kill(m.Memory); err == nil || !strings.Contains(err.Error(), "killable") {
+		t.Fatalf("Kill of a volatile service's machine: %v", err)
 	}
 
 	// Kill one standby: no election (the primary is fine), the group
 	// keeps serving, and the standby's machine can rejoin.
-	cl.mu.Lock()
-	stMachine := cl.dirsGroup.standbys[0].machine
-	cl.mu.Unlock()
 	if err := cl.Kill(stMachine); err != nil {
 		t.Fatal(err)
 	}
@@ -484,7 +503,7 @@ func TestGroupLifecycleGuards(t *testing.T) {
 		t.Fatalf("killed standby could not rejoin: %v", err)
 	}
 	cl.mu.Lock()
-	standbys := len(cl.dirsGroup.standbys)
+	standbys := len(cl.dirShards[0].group.standbys)
 	cl.mu.Unlock()
 	if standbys != 2 {
 		t.Fatalf("group has %d standbys after standby re-integration, want 2", standbys)
@@ -493,11 +512,6 @@ func TestGroupLifecycleGuards(t *testing.T) {
 		_, err := dirs.CreateDir(ctx, cl.DirPort())
 		return err
 	})
-
-	// Replicate and Replicas stay mutually exclusive.
-	if _, err := NewCluster(ClusterConfig{Replicate: true, Replicas: 3}); err == nil {
-		t.Fatal("Replicate+Replicas accepted")
-	}
 }
 
 // TestGroupLanesDoNotLeak: every shipper owns one long-lived ship lane

@@ -29,7 +29,9 @@ func TestFenceErrorTaxonomy(t *testing.T) {
 // seal (a batch missed majority), and every terminal state is sticky
 // and idempotent.
 func TestFencePrecedence(t *testing.T) {
-	s := &Shipper{}
+	// A group of one: the primary's own grant is the majority, so the
+	// lease never lapses and only the terminal states speak.
+	s := &Shipper{o: Options{GroupSize: 1}.withDefaults()}
 	if err := s.Fence(); err != nil {
 		t.Fatalf("fresh shipper fence = %v, want nil", err)
 	}

@@ -1,7 +1,8 @@
 // Package repl is the hot-standby replication layer: a primary
-// service's committed write-ahead-log stream, shipped over RPC to a
-// backup machine that keeps a warm, durable copy of the service ready
-// for promotion.
+// service's committed write-ahead-log stream, shipped over RPC to the
+// standby machines of its replication group, each of which keeps a
+// warm, durable copy of the service ready for promotion, plus the
+// leased leadership (lease.go) that decides when one of them may be.
 //
 // In the paper's model a service lives at a *port*, not a machine —
 // LOCATE re-broadcast (§2.2) exists precisely so clients find whoever

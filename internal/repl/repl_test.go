@@ -3,6 +3,7 @@ package repl
 import (
 	"context"
 	"encoding/binary"
+	"errors"
 	"sync"
 	"testing"
 	"time"
@@ -131,7 +132,8 @@ func (r *rig) newClientOn(fb *fbox.FBox) *rpc.Client {
 	return rpc.NewClient(fb, res, rpc.ClientConfig{Source: crypto.NewSeededSource(11)})
 }
 
-// replicatedCounter stands up primary + standby + receiver + shipper.
+// replicatedCounter stands up primary + standby + receiver + shipper:
+// the smallest group, two members.
 type replicatedCounter struct {
 	primary, backup         *counter
 	primaryFB, backupFB     *fbox.FBox
@@ -186,7 +188,7 @@ func newReplicatedCounterOpts(t *testing.T, r *rig, preOps int, o Options) *repl
 	}
 	t.Cleanup(func() { rc.recv.Close() })
 
-	rc.ship, err = Attach(rc.primary.Kernel, r.newClientOn(rc.primaryFB), rc.recv.Port(), o)
+	rc.ship, err = AttachGroup(rc.primary.Kernel, r.newClientOn(rc.primaryFB), []cap.Port{rc.recv.Port()}, o)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -194,47 +196,55 @@ func newReplicatedCounterOpts(t *testing.T, r *rig, preOps int, o Options) *repl
 	return rc
 }
 
-// TestShipperDeclaresBackupLost: a standby that stops acknowledging
-// must not wedge the primary — after the attempt budget the backup is
-// declared lost, the stream detaches, and clients keep getting served
-// (availability over replication).
-func TestShipperDeclaresBackupLost(t *testing.T) {
+// TestShipperSealsWhenOnlyPeerLost: a two-member group that loses its
+// one standby must not wedge the primary — after the attempt budget
+// the peer is declared lost — but it must not acknowledge either: the
+// batch missed its majority (1 of 2), so the group seals and the fence
+// refuses that operation and every later one. Consistency over
+// availability; there is no unreplicated fallback.
+func TestShipperSealsWhenOnlyPeerLost(t *testing.T) {
 	ctx := context.Background()
 	r := newRig(t)
 	rc := newReplicatedCounterOpts(t, r, 0, Options{
 		Timeout: 20 * time.Millisecond, Attempts: 2, Backoff: time.Millisecond,
 	})
+	rc.primary.SetReplicaFence(rc.ship.Fence)
 	port := rc.primary.PutPort()
 
-	if _, err := r.client.Trans(ctx, port, rpc.Request{Op: opInc, Data: []byte("ok")}); err != nil {
-		t.Fatal(err)
+	if rep, err := r.client.Trans(ctx, port, rpc.Request{Op: opInc, Data: []byte("ok")}); err != nil || rep.Status != rpc.StatusOK {
+		t.Fatalf("healthy two-member group refused an op: %v %+v", err, rep)
 	}
-	// The backup machine dies silently.
+	// The standby machine dies silently.
 	if err := rc.recv.Close(); err != nil {
 		t.Fatal(err)
 	}
 	// The op during the outage stalls for the attempt budget (which
-	// includes the shipper's futile LOCATE re-broadcasts), then the
-	// backup is written off and the reply still goes out. One client
-	// attempt with a generous timeout, so the stall isn't mistaken for
-	// a lost frame and retried into a double-increment.
-	if _, err := r.client.Trans(ctx, port, rpc.Request{Op: opInc, Data: []byte("during")},
-		rpc.WithTimeout(30*time.Second), rpc.WithRetries(0)); err != nil {
-		t.Fatalf("primary wedged behind a dead backup: %v", err)
+	// includes the shipper's futile LOCATE re-broadcasts), then the peer
+	// is written off and the reply goes out — as a refusal. One client
+	// attempt with a generous timeout and the raw status, so the stall
+	// isn't mistaken for a lost frame and the refusal isn't chased.
+	rep, err := r.client.Trans(ctx, port, rpc.Request{Op: opInc, Data: []byte("during")},
+		rpc.WithTimeout(30*time.Second), rpc.WithRetries(0), rpc.WithRawStale())
+	if err != nil {
+		t.Fatalf("primary wedged behind a dead standby: %v", err)
+	}
+	if rep.Status != rpc.StatusStale {
+		t.Fatalf("op that reached no standby was answered %v, want a stale-authority refusal", rep.Status)
 	}
 	if !rc.ship.Lost() {
-		t.Fatal("shipper never declared the backup lost")
+		t.Fatal("shipper never declared the standby lost")
 	}
-	// Later ops skip the dead stream entirely.
-	if _, err := r.client.Trans(ctx, port, rpc.Request{Op: opInc, Data: []byte("after")}); err != nil {
-		t.Fatal(err)
+	if err := rc.ship.Fence(); !errors.Is(err, ErrSealed) {
+		t.Fatalf("fence after the missed majority: %v, want ErrSealed", err)
 	}
-	if rc.primary.get("ok")+rc.primary.get("during")+rc.primary.get("after") != 3 {
-		t.Fatal("primary lost operations")
+	// Sealing is sticky: later ops are refused too.
+	rep, err = r.client.Trans(ctx, port, rpc.Request{Op: opInc, Data: []byte("after")}, rpc.WithRetries(0), rpc.WithRawStale())
+	if err != nil || rep.Status != rpc.StatusStale {
+		t.Fatalf("sealed primary answered a later op %v %+v", err, rep)
 	}
 	s := rc.ship.Stats()
-	if !s.Lost || s.Retries == 0 {
-		t.Fatalf("loss not recorded: %+v", s)
+	if !s.Lost || !s.Sealed || s.Retries == 0 {
+		t.Fatalf("loss and seal not recorded: %+v", s)
 	}
 }
 

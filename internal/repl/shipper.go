@@ -13,16 +13,19 @@ import (
 	"amoeba/internal/wal"
 )
 
-// ErrBackupLost is recorded when a backup stops acknowledging for
-// Options.Attempts consecutive tries: the primary keeps serving
-// (availability over replication) and stops shipping to that peer — but
-// unlike a write-off, a slow re-probe keeps ticking, and when the peer
-// answers again it is re-based through the snapshot path and rejoins
-// the stream with no operator involved.
+// ErrBackupLost is recorded when a standby stops acknowledging for
+// Options.Attempts consecutive tries: the shipper stops shipping to
+// that peer (a batch that thereby misses its majority seals the group)
+// — but unlike a write-off, a slow re-probe keeps ticking, and when the
+// peer answers again it is re-based through the snapshot path and
+// rejoins the stream with no operator involved.
 var ErrBackupLost = errors.New("repl: backup lost (stopped acknowledging)")
 
-// Options tunes a shipper. The zero value gets sensible defaults
-// (single-backup legacy mode: no lease, no heartbeats, term 0).
+// DefaultLeaseTerm is the serving-lease duration when Options (or
+// ClusterConfig) leaves LeaseTerm zero.
+const DefaultLeaseTerm = 150 * time.Millisecond
+
+// Options tunes a shipper. The zero value gets sensible defaults.
 type Options struct {
 	// Timeout bounds one ship RPC attempt (default 1s).
 	Timeout time.Duration
@@ -38,11 +41,12 @@ type Options struct {
 	// pause on a standby used to write it off permanently; now contact
 	// triggers a re-base via the snapshot path.
 	Reprobe time.Duration
-	// LeaseTerm, when positive, enables group mode: the shipper sends
-	// bare heartbeat frames at LeaseTerm/3 when the stream is idle,
-	// counts each peer's acknowledgement (of anything) as a lease
-	// grant, and Fence refuses acknowledgements once a majority of the
-	// configured group has been silent for a full term.
+	// LeaseTerm is the serving-lease duration (default
+	// DefaultLeaseTerm): the shipper sends bare heartbeat frames at
+	// LeaseTerm/3 when the stream is idle, counts each peer's
+	// acknowledgement (of anything) as a lease grant, and Fence refuses
+	// acknowledgements once a majority of the configured group has been
+	// silent for a full term.
 	LeaseTerm time.Duration
 	// GroupSize is the configured replica count N (primary plus all
 	// standbys, including currently-dead ones) that majorities are
@@ -57,19 +61,20 @@ type Options struct {
 	Now func() time.Time
 }
 
+// orDefault returns v, or def when v was left unset (zero or negative).
+func orDefault[T int | time.Duration](v, def T) T {
+	if v <= 0 {
+		return def
+	}
+	return v
+}
+
 func (o Options) withDefaults() Options {
-	if o.Timeout <= 0 {
-		o.Timeout = time.Second
-	}
-	if o.Attempts <= 0 {
-		o.Attempts = 8
-	}
-	if o.Backoff <= 0 {
-		o.Backoff = 5 * time.Millisecond
-	}
-	if o.Reprobe <= 0 {
-		o.Reprobe = 16 * o.Backoff
-	}
+	o.Timeout = orDefault(o.Timeout, time.Second)
+	o.Attempts = orDefault(o.Attempts, 8)
+	o.Backoff = orDefault(o.Backoff, 5*time.Millisecond)
+	o.Reprobe = orDefault(o.Reprobe, 16*o.Backoff)
+	o.LeaseTerm = orDefault(o.LeaseTerm, DefaultLeaseTerm)
 	if o.Now == nil {
 		o.Now = time.Now
 	}
@@ -134,7 +139,7 @@ type shipCounters struct {
 }
 
 // Shipper is the primary half of the replication channel, feeding N
-// standbys from one commit sink. Attach wires it into a durable
+// standbys from one commit sink. AttachGroup wires it into a durable
 // kernel's commit path: the kernel quiesces, ships a base snapshot to
 // every peer, and installs the shipper as the log's commit sink. From
 // then on every group commit's records are shipped to all live peers in
@@ -142,9 +147,9 @@ type shipCounters struct {
 // wait for every live standby's durable acknowledgement, so a double
 // failure still loses nothing that was acknowledged.
 //
-// Group mode (Options.LeaseTerm > 0) adds leased leadership: every
-// acknowledged frame doubles as a lease grant timestamped at its SEND
-// time, bare heartbeats renew grants when the stream is idle, and
+// Leadership is leased: every acknowledged frame doubles as a lease
+// grant timestamped at its SEND time, bare heartbeats renew grants when
+// the stream is idle, and
 // Fence — installed as the kernel's replica fence and admission gate —
 // refuses acknowledgements when a majority of the configured group has
 // been silent for a full term (the lease lapsed), when a committed
@@ -187,18 +192,12 @@ type Shipper struct {
 	wg sync.WaitGroup // lanes + heartbeat + reprobe loops
 }
 
-// Attach starts replicating kernel k to the single receiver at dest,
-// shipping through client c (a client on the primary's machine) — the
-// legacy one-standby mode: manual promotion, no lease. It returns once
-// the standby holds the primary's base snapshot; every mutation the
-// primary acknowledges afterwards is on the standby first.
-func Attach(k *svc.Kernel, c *rpc.Client, dest cap.Port, o Options) (*Shipper, error) {
-	return AttachGroup(k, c, []cap.Port{dest}, o)
-}
-
-// AttachGroup starts replicating kernel k to the receivers at dests.
-// With Options.LeaseTerm set this is a replication group: all-live-peer
-// synchronous shipping, lease-fenced acknowledgements, heartbeats.
+// AttachGroup starts replicating kernel k to the receivers at dests,
+// shipping through client c (a client on the primary's machine):
+// all-live-peer synchronous shipping, lease-fenced acknowledgements,
+// heartbeats. It returns once every standby holds the primary's base
+// snapshot; every mutation the primary acknowledges afterwards is on
+// the live standbys first.
 func AttachGroup(k *svc.Kernel, c *rpc.Client, dests []cap.Port, o Options) (*Shipper, error) {
 	s := &Shipper{k: k, c: c, o: o.withDefaults()}
 	if s.o.GroupSize <= 0 {
@@ -208,17 +207,15 @@ func AttachGroup(k *svc.Kernel, c *rpc.Client, dests []cap.Port, o Options) (*Sh
 	// protocol's term fence — the shipper must see it and depose, not
 	// have the client swallow it into an evict-and-relocate dance.
 	s.opts = []rpc.CallOption{rpc.WithTimeout(s.o.Timeout), rpc.WithRetries(1), rpc.WithRawStale()}
-	if s.o.LeaseTerm > 0 {
-		// Heartbeats: ONE attempt, bounded by the tick interval. A grant
-		// is stamped at send time, so an attempt that drags (or a retry
-		// after a lost first attempt) stores a grant that is already
-		// stale when it lands — under load that can wedge a lapsed lease
-		// permanently, because the fence blocks the data traffic that
-		// would otherwise renew it. Better to abandon a slow attempt and
-		// re-stamp fresh at the next tick.
-		s.hbOpts = []rpc.CallOption{rpc.WithTimeout(s.o.LeaseTerm / 3), rpc.WithRetries(0), rpc.WithRawStale()}
-		s.hb = EncodeHeartbeat(s.o.Term)
-	}
+	// Heartbeats: ONE attempt, bounded by the tick interval. A grant is
+	// stamped at send time, so an attempt that drags (or a retry after a
+	// lost first attempt) stores a grant that is already stale when it
+	// lands — under load that can wedge a lapsed lease permanently,
+	// because the fence blocks the data traffic that would otherwise
+	// renew it. Better to abandon a slow attempt and re-stamp fresh at
+	// the next tick.
+	s.hbOpts = []rpc.CallOption{rpc.WithTimeout(s.o.LeaseTerm / 3), rpc.WithRetries(0), rpc.WithRawStale()}
+	s.hb = EncodeHeartbeat(s.o.Term)
 	s.ctx, s.cancel = context.WithCancel(context.Background())
 	peers := make([]*peer, 0, len(dests))
 	for _, d := range dests {
@@ -244,11 +241,8 @@ func AttachGroup(k *svc.Kernel, c *rpc.Client, dests []cap.Port, o Options) (*Sh
 	// it to the failure the detectors WERE built for — the primary
 	// renounces leadership the moment its log wedges.
 	k.OnWedge(func(error) { s.SelfDemote() })
-	if s.o.LeaseTerm > 0 {
-		s.wg.Add(1)
-		go s.heartbeatLoop()
-	}
-	s.wg.Add(1)
+	s.wg.Add(2)
+	go s.heartbeatLoop()
 	go s.reprobeLoop()
 	return s, nil
 }
@@ -256,7 +250,7 @@ func AttachGroup(k *svc.Kernel, c *rpc.Client, dests []cap.Port, o Options) (*Sh
 // Stop detaches the shipper from the kernel, aborts any in-flight ship
 // RPC, and returns once every lane and the heartbeat/reprobe loops have
 // exited. Records committed after Stop are not shipped. Kill and
-// Promote paths call it; idempotent.
+// election paths call it; idempotent.
 func (s *Shipper) Stop() {
 	s.halt() // first: unblocks the lanes (and so a sink) mid-RPC
 	s.k.DetachReplica()
@@ -358,8 +352,7 @@ func (s *Shipper) peerList() []*peer {
 	return nil
 }
 
-// Lost reports whether every peer is currently lost (for the single-
-// backup legacy mode: whether THE backup is lost). A lost peer can
+// Lost reports whether every peer is currently lost. A lost peer can
 // come back: the reprobe loop re-bases it on contact.
 func (s *Shipper) Lost() bool {
 	peers := s.peerList()
@@ -436,9 +429,6 @@ func (s *Shipper) majority() int { return s.o.GroupSize/2 + 1 }
 // its lease is pessimistic by exactly the network delay — the safe
 // direction.
 func (s *Shipper) LeaseValid() bool {
-	if s.o.LeaseTerm <= 0 {
-		return true
-	}
 	now := s.o.Now()
 	grants := 1 // the primary grants to itself
 	for _, p := range s.peerList() {
@@ -449,7 +439,7 @@ func (s *Shipper) LeaseValid() bool {
 	return grants >= s.majority()
 }
 
-// Fence is the acknowledgement guard a group primary installs as its
+// Fence is the acknowledgement guard a primary installs as its
 // kernel's replica fence and admission gate: nil while this shipper is
 // entitled to acknowledge durable operations.
 func (s *Shipper) Fence() error {
@@ -493,9 +483,9 @@ func (s *Shipper) SelfDemote() {
 // wedged local WAL.
 func (s *Shipper) Demoted() bool { return s.demoted.Load() }
 
-// AddPeer re-bases a fresh (or returning, or formerly promoted-away)
-// standby at dest through the snapshot path and adds it to the group.
-// The re-base runs quiesced, so the new peer joins with no gap.
+// AddPeer re-bases a fresh (or returning, or deposed) standby at dest
+// through the snapshot path and adds it to the group. The re-base runs
+// quiesced, so the new peer joins with no gap.
 func (s *Shipper) AddPeer(dest cap.Port) error {
 	p, err := s.startLane(dest)
 	if err != nil {
@@ -586,7 +576,7 @@ func (s *Shipper) sink(recs []wal.Record) {
 	// actually survived is safe (clients retry; the suites tolerate
 	// duplicate side effects), while acknowledging one that didn't is
 	// the one unforgivable lie.
-	if s.o.LeaseTerm > 0 && (!shipped || int(s.batch.acks.Load())+1 < s.majority()) {
+	if !shipped || int(s.batch.acks.Load())+1 < s.majority() {
 		s.sealed.Store(true)
 	}
 }

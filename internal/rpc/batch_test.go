@@ -95,7 +95,7 @@ func TestBatchRejectsNesting(t *testing.T) {
 	ctx := context.Background()
 	r := newTestRig(t, cap.SchemeOneWay)
 	r.start(t)
-	inner := EncodeBatchItems([][]byte{EncodeRequest(Request{Op: OpEcho})})
+	inner := EncodeBatchItems([][]byte{requestBytes(Request{Op: OpEcho})})
 	_, err := r.client.Batch(ctx, r.server.PutPort(), []Request{{Op: OpBatch, Data: inner}})
 	if !IsStatus(err, StatusBadRequest) {
 		t.Fatalf("nested batch: %v", err)

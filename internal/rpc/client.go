@@ -105,7 +105,6 @@ func WithRetries(n int) CallOption {
 
 // WithSigner signs the transaction: the signer's secret rides in the
 // message header and is transformed to F(S) by the F-box (§2.2).
-// It absorbs the old TransSigned entry point.
 func WithSigner(s fbox.Signer) CallOption {
 	return func(o *callOptions) { o.sig = s.Secret() }
 }
@@ -605,14 +604,6 @@ func (c *Client) CallParts(ctx context.Context, c0 cap.Capability, op uint16, pa
 		return rep, &StatusError{Status: rep.Status, Detail: string(rep.Data)}
 	}
 	return rep, nil
-}
-
-// TransSigned is Trans with a signature.
-//
-// Deprecated: use Trans(ctx, dest, req, WithSigner(signer)), which
-// also accepts a context.
-func (c *Client) TransSigned(dest cap.Port, req Request, signer fbox.Signer) (Reply, error) {
-	return c.Trans(context.Background(), dest, req, WithSigner(signer))
 }
 
 // Restrict asks the server to fabricate a weaker capability (OpRestrict).

@@ -429,28 +429,6 @@ func budgetToWire(d time.Duration) uint32 {
 	return uint32(ms)
 }
 
-// EncodeRequest serializes a request for the F-box payload into a
-// fresh slice the caller owns. The transport itself encodes into
-// pooled buffers via appendRequest; this entry point serves tests and
-// tools.
-func EncodeRequest(req Request) []byte {
-	buf := make([]byte, 0, reqHeader+len(req.Data))
-	var op [2]byte
-	binary.BigEndian.PutUint16(op[:], req.Op)
-	buf = append(buf, op[:]...)
-	buf = req.Cap.AppendTo(buf)
-	var bd [4]byte
-	binary.BigEndian.PutUint32(bd[:], budgetToWire(req.Budget))
-	buf = append(buf, bd[:]...)
-	var rid [8]byte
-	binary.BigEndian.PutUint64(rid[:], req.ID)
-	buf = append(buf, rid[:]...)
-	var dl [4]byte
-	binary.BigEndian.PutUint32(dl[:], uint32(len(req.Data)))
-	buf = append(buf, dl[:]...)
-	return append(buf, req.Data...)
-}
-
 // appendRequest encodes req into the pooled buffer. The request data
 // is req.Data followed by the extra parts, so callers can assemble a
 // payload from scattered pieces (header array + bulk data) without an
@@ -496,21 +474,6 @@ func DecodeRequest(buf []byte) (Request, error) {
 		return Request{}, fmt.Errorf("%w: data length %d, have %d", ErrBadMessage, n, len(buf)-reqHeader)
 	}
 	return Request{Cap: c, Op: op, Budget: budget, ID: id, Data: buf[reqHeader:]}, nil
-}
-
-// EncodeReply serializes a reply for the F-box payload into a fresh
-// slice the caller owns (see EncodeRequest; the transport uses
-// appendReply).
-func EncodeReply(rep Reply) []byte {
-	buf := make([]byte, 0, wireHeader+len(rep.Data))
-	var st [2]byte
-	binary.BigEndian.PutUint16(st[:], uint16(rep.Status))
-	buf = append(buf, st[:]...)
-	buf = rep.Cap.AppendTo(buf)
-	var dl [4]byte
-	binary.BigEndian.PutUint32(dl[:], uint32(len(rep.Data)))
-	buf = append(buf, dl[:]...)
-	return append(buf, rep.Data...)
 }
 
 // appendReply encodes rep into the pooled buffer.

@@ -7,7 +7,25 @@ import (
 	"testing/quick"
 
 	"amoeba/internal/cap"
+	"amoeba/internal/wire"
 )
+
+// wireBytes runs one of the transport's own encoders (appendRequest,
+// appendReply) into a pooled buffer and returns a copy the test owns.
+func wireBytes(encode func(*wire.Buf)) []byte {
+	b := wire.Get(0, 64)
+	defer b.Release()
+	encode(b)
+	return append([]byte(nil), b.Bytes()...)
+}
+
+func requestBytes(req Request) []byte {
+	return wireBytes(func(b *wire.Buf) { appendRequest(b, req) })
+}
+
+func replyBytes(rep Reply) []byte {
+	return wireBytes(func(b *wire.Buf) { appendReply(b, rep) })
+}
 
 func TestRequestCodecRoundTrip(t *testing.T) {
 	prop := func(op uint16, server uint64, object uint32, rights uint8, check uint64, data []byte) bool {
@@ -21,7 +39,7 @@ func TestRequestCodecRoundTrip(t *testing.T) {
 			Op:   op,
 			Data: data,
 		}
-		dec, err := DecodeRequest(EncodeRequest(req))
+		dec, err := DecodeRequest(requestBytes(req))
 		return err == nil && dec.Op == req.Op && dec.Cap == req.Cap && bytes.Equal(dec.Data, req.Data)
 	}
 	if err := quick.Check(prop, nil); err != nil {
@@ -36,7 +54,7 @@ func TestReplyCodecRoundTrip(t *testing.T) {
 			Cap:    cap.Capability{Check: check & cap.CheckMask},
 			Data:   data,
 		}
-		dec, err := DecodeReply(EncodeReply(rep))
+		dec, err := DecodeReply(replyBytes(rep))
 		return err == nil && dec.Status == rep.Status && dec.Cap == rep.Cap && bytes.Equal(dec.Data, rep.Data)
 	}
 	if err := quick.Check(prop, nil); err != nil {
@@ -52,11 +70,11 @@ func TestDecodeRejectsMalformed(t *testing.T) {
 		t.Errorf("nil reply: %v", err)
 	}
 	// Length field inconsistent with actual data.
-	good := EncodeRequest(Request{Data: []byte("abc")})
+	good := requestBytes(Request{Data: []byte("abc")})
 	if _, err := DecodeRequest(good[:len(good)-1]); !errors.Is(err, ErrBadMessage) {
 		t.Errorf("truncated request: %v", err)
 	}
-	grown := append(EncodeReply(Reply{}), 0xff)
+	grown := append(replyBytes(Reply{}), 0xff)
 	if _, err := DecodeReply(grown); !errors.Is(err, ErrBadMessage) {
 		t.Errorf("padded reply: %v", err)
 	}

@@ -140,6 +140,7 @@ type Server struct {
 	inflight atomic.Int64
 	ewmaWait atomic.Int64
 	draining atomic.Bool
+	drainMu  sync.Mutex // see accept
 
 	// admitGate, when set, is consulted before every pool admission; a
 	// non-nil error sheds the request with StatusOverload. The serving
@@ -479,17 +480,18 @@ func (s *Server) loop(l *fbox.Listener) {
 			m.Release()
 			continue
 		}
-		if s.draining.Load() {
+		if !s.accept() {
 			// Graceful drain: everything new is refused — cheaply, with
 			// a status that tells the client the work was never started.
 			s.shed(sealer, m, req, shedDraining)
 			m.Release()
 			continue
 		}
+		// From here the request is counted in tasks: every path below
+		// either hands it to a worker or marks it Done.
 		if s.inline[req.Op] {
 			// Inline fast path (HandleInline): serve on the dispatch
 			// loop itself. tasks accounting keeps Close's drain exact.
-			s.tasks.Add(1)
 			s.serve(m, req, 0)
 			s.tasks.Done()
 			continue
@@ -506,6 +508,7 @@ func (s *Server) loop(l *fbox.Listener) {
 					s.shed(sealer, m, req, []byte(err.Error()))
 				}
 				m.Release()
+				s.tasks.Done()
 				continue
 			}
 		}
@@ -530,10 +533,10 @@ func (s *Server) loop(l *fbox.Listener) {
 				time.Duration(s.ewmaWait.Load()) >= remaining) {
 				s.shed(sealer, m, req, shedQueueWait)
 				m.Release()
+				s.tasks.Done()
 				continue
 			}
 		}
-		s.tasks.Add(1)
 		s.inflight.Add(1)
 		// Backpressure: when every worker is busy this send blocks,
 		// the listener queue and then the NIC queue fill, and excess
@@ -764,8 +767,25 @@ func (s *Server) Quiesce() (resume func()) {
 // shutdown wants for its final checkpoint. Drain does not reverse;
 // the only exit is Close.
 func (s *Server) Drain() {
+	s.drainMu.Lock()
 	s.draining.Store(true)
+	s.drainMu.Unlock()
 	s.tasks.Wait()
+}
+
+// accept counts one arriving request into tasks, unless the server is
+// draining. drainMu orders the dispatch loop's check-then-Add against
+// Drain's flip-then-Wait: a sync.WaitGroup may not see an Add from zero
+// race its Wait, and a request that slipped between the two would run
+// after Drain had reported the server quiet.
+func (s *Server) accept() bool {
+	s.drainMu.Lock()
+	defer s.drainMu.Unlock()
+	if s.draining.Load() {
+		return false
+	}
+	s.tasks.Add(1)
+	return true
 }
 
 // Draining reports whether Drain has been called.

@@ -248,7 +248,7 @@ func TestSignedTransaction(t *testing.T) {
 		return OkReply(nil)
 	})
 	r.start(t)
-	if _, err := r.client.TransSigned(r.server.PutPort(), Request{Op: 0x42}, signer); err != nil {
+	if _, err := r.client.Trans(context.Background(), r.server.PutPort(), Request{Op: 0x42}, WithSigner(signer)); err != nil {
 		t.Fatal(err)
 	}
 	got := <-sigSeen

@@ -70,7 +70,7 @@ func TestPromotionCrashMatrix(t *testing.T) {
 	if err := recv.Start(); err != nil {
 		t.Fatal(err)
 	}
-	ship, err := repl.Attach(primary.Kernel, r.NewClient(t), recv.Port(), repl.Options{})
+	ship, err := repl.AttachGroup(primary.Kernel, r.NewClient(t), []cap.Port{recv.Port()}, repl.Options{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -198,7 +198,7 @@ func TestPromotionShipsCheckpoints(t *testing.T) {
 		t.Fatal(err)
 	}
 	t.Cleanup(func() { recv.Close() })
-	ship, err := repl.Attach(primary.Kernel, r.NewClient(t), recv.Port(), repl.Options{})
+	ship, err := repl.AttachGroup(primary.Kernel, r.NewClient(t), []cap.Port{recv.Port()}, repl.Options{})
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -47,20 +47,28 @@ func killCluster(t *testing.T, seed uint64) *Cluster {
 // for a kill/restart window — runs out.
 func untilOK(t *testing.T, what string, op func(ctx context.Context) error) {
 	t.Helper()
+	if err := retryOK(what, op); err != nil {
+		t.Fatal(err)
+	}
+}
+
+// retryOK is untilOK for goroutines other than the test's own, which
+// may not call t.Fatal: it returns the failure instead.
+func retryOK(what string, op func(ctx context.Context) error) error {
 	var err error
 	for attempt := 0; attempt < 60; attempt++ {
 		ctx, cancel := context.WithTimeout(context.Background(), 2*time.Second)
 		err = op(ctx)
 		cancel()
 		if err == nil {
-			return
+			return nil
 		}
 		// A fenced or overloaded primary answers instantly — without a
 		// pause between tries, fast failures burn the whole attempt
 		// budget inside a single failover window.
 		time.Sleep(100 * time.Millisecond)
 	}
-	t.Fatalf("%s never converged: %v", what, err)
+	return fmt.Errorf("%s never converged: %w", what, err)
 }
 
 func TestChaosKillRestartDirsvr(t *testing.T) {

@@ -333,14 +333,14 @@ func drainAssertAll(t *testing.T, cl *Cluster, root Capability, acked map[string
 	}
 }
 
-// TestDrainHandoffMidSoak: Drain of a replicated primary mid-soak is a
-// zero-downtime restart — the standby takes the put-port over and not
-// one acknowledged entry is lost. Clients ride through on overload
-// retries and locate failover.
+// TestDrainHandoffMidSoak: Drain of a group primary mid-soak is a
+// zero-downtime restart — the election runs at once, a standby takes
+// the put-port over and not one acknowledged entry is lost. Clients
+// ride through on overload retries and locate failover.
 func TestDrainHandoffMidSoak(t *testing.T) {
 	for i := 0; i < 3; i++ {
 		t.Run(fmt.Sprintf("seed=%d", i), func(t *testing.T) {
-			cl := failoverCluster(t, 0xD0A1_0000+uint64(i))
+			cl := groupCluster(t, 0xD0A1_0000+uint64(i))
 			dirs := cl.Dirs()
 			var root Capability
 			untilOK(t, "create root", func(ctx context.Context) error {
@@ -364,14 +364,20 @@ func TestDrainHandoffMidSoak(t *testing.T) {
 				t.Fatalf("Drain: %v", drainErr)
 			}
 			if cl.Machines().Dirs == primary {
-				t.Fatal("drain with a standby did not move the service to the standby's machine")
+				t.Fatal("drain did not hand the service to a standby's machine")
 			}
 			drainAssertAll(t, cl, root, acked)
 
-			// The drained machine is retired for good (same split-brain
-			// guard as Promote).
-			if err := cl.Restart(primary); err == nil || !strings.Contains(err.Error(), "split-brain") {
-				t.Fatalf("drained-away machine restarted: %v", err)
+			// The drained machine is no exile: like any deposed primary
+			// it rejoins as a fresh standby, and the group is whole again.
+			if err := cl.Restart(primary); err != nil {
+				t.Fatalf("drained machine could not rejoin its group: %v", err)
+			}
+			cl.mu.Lock()
+			standbys, term := len(cl.dirShards[0].group.standbys), cl.dirShards[0].group.term
+			cl.mu.Unlock()
+			if (term == 2 && standbys != 2) || term < 2 {
+				t.Fatalf("after the drained machine rejoined: %d standbys (want 2), term %d (want ≥ 2)", standbys, term)
 			}
 		})
 	}

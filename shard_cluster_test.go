@@ -232,9 +232,3 @@ func TestMigrateErrors(t *testing.T) {
 		t.Fatal(err)
 	}
 }
-
-func TestShardsReplicateExclusive(t *testing.T) {
-	if _, err := NewCluster(ClusterConfig{Shards: 2, Replicate: true}); err == nil {
-		t.Fatal("Shards+Replicate accepted")
-	}
-}

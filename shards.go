@@ -6,6 +6,7 @@ import (
 
 	"amoeba/internal/amnet"
 	"amoeba/internal/cap"
+	"amoeba/internal/crypto"
 	"amoeba/internal/fbox"
 	"amoeba/internal/obs"
 	"amoeba/internal/repl"
@@ -17,31 +18,105 @@ import (
 	"amoeba/internal/wal"
 )
 
-// svcShard is one extra shard (index ≥ 1) of a sharded durable
-// service. Shard 0 lives in the cluster's legacy fields (dirs/bank and
-// friends), so every pre-sharding test and verb keeps working
-// unchanged; the extra shards carry the same machinery — own machine,
-// own WAL disk, optionally an own replication group — in this struct.
-// All shards of a service share ONE get-port, so they answer at the
-// same put-port every capability names; which machine a request goes
-// to is the shard map's decision, not LOCATE's.
-type svcShard struct {
-	base    string   // the service: "directory" or "bank"
-	service string   // metrics label, e.g. "directory-1"
-	idx     int      // shard index in the map (1..M-1)
-	g       cap.Port // the service's shared get-port
-	put     cap.Port // the service's shared put-port
-	disk    *vdisk.Disk
+// durableService is one row of the durable-service table — everything
+// that differs between the directory and the bank server as far as
+// boot, Kill/Restart, replication and sharding are concerned: a metrics
+// label and a constructor. open builds an un-started incarnation
+// recovered from log at get-port g, applies the service's own knobs,
+// and returns its kernel with the replay function a standby's receiver
+// applies shipped records through.
+type durableService struct {
+	name string
+	open func(cl *Cluster, fb *fbox.FBox, log *wal.Log, g cap.Port) (*svc.Kernel, func(rec []byte) error, error)
+}
 
-	// Current primary incarnation (guarded by cl.mu, like the legacy
-	// fields): Kill/Restart and group failover swap these.
+var (
+	directoryService = durableService{"directory", func(cl *Cluster, fb *fbox.FBox, log *wal.Log, g cap.Port) (*svc.Kernel, func(rec []byte) error, error) {
+		s, err := dirsvr.NewDurable(fb, cl.scheme, cl.src, log, g)
+		if err != nil {
+			return nil, nil, err
+		}
+		s.SetLookupLease(cl.cfg.LookupLease)
+		return s.Kernel, s.ReplayFn(), nil
+	}}
+	bankService = durableService{"bank", func(cl *Cluster, fb *fbox.FBox, log *wal.Log, g cap.Port) (*svc.Kernel, func(rec []byte) error, error) {
+		s, err := banksvr.NewDurable(fb, cl.scheme, cl.src, cl.bankConfig(), log, g)
+		if err != nil {
+			return nil, nil, err
+		}
+		return s.Kernel, s.ReplayFn(), nil
+	}}
+)
+
+// svcShard is one shard of a durable service — the unit Kill, Restart,
+// Drain, replication and migration all act on. An unsharded service is
+// simply the one-shard case. All shards of a service share ONE
+// get-port, so they answer at the same put-port every capability
+// names; which machine a request goes to is the shard map's decision,
+// not LOCATE's (with one shard there is no map, and LOCATE decides).
+type svcShard struct {
+	svc   *durableService
+	label string   // metrics label: the service name for shard 0, "directory-1", … beyond
+	idx   int      // shard index in the map
+	g     cap.Port // the service's shared get-port …
+	put   cap.Port // … and the put-port it publishes, F(g)
+
+	// Guarded by cl.mu: Restart and elections swap the primary; group is
+	// set once at boot (nil unless ClusterConfig.Replicas ≥ 2).
+	primary *replica
+	group   *replGroup
+}
+
+// replica is one machine's incarnation of a shard: its own F-box, its
+// own WAL disk, a service kernel. The primary's kernel serves; a group
+// standby's stays un-started, fed by recv and watched by det, until an
+// election starts it (the service then reappears at the same put-port,
+// on this machine). down, recv and det are guarded by cl.mu.
+type replica struct {
 	fb      *fbox.FBox
-	srv     kernelServer
+	disk    *vdisk.Disk
 	kern    *svc.Kernel
 	machine amnet.MachineID
 	down    bool
-	ship    *repl.Shipper
-	group   *replGroup // nil unless ClusterConfig.Replicas ≥ 2
+
+	recv *repl.Receiver
+	det  *repl.Detector
+}
+
+// shipLocked returns the shard's current shipper, nil when it is
+// unreplicated. Caller holds cl.mu.
+func (sh *svcShard) shipLocked() *repl.Shipper {
+	if sh.group == nil {
+		return nil
+	}
+	return sh.group.ship
+}
+
+// allShards returns every shard of both durable services. The slices
+// are fixed after boot, so no lock is needed to range over them (the
+// shards' fields still are guarded by cl.mu).
+func (cl *Cluster) allShards() []*svcShard {
+	return append(append([]*svcShard(nil), cl.dirShards...), cl.bankShards...)
+}
+
+// memberLocked resolves machine m to the shard it belongs to and its
+// replica there — the shard's primary or one of its group's standbys —
+// or (nil, nil). Caller holds cl.mu.
+func (cl *Cluster) memberLocked(m amnet.MachineID) (*svcShard, *replica) {
+	for _, sh := range cl.allShards() {
+		if sh.primary.machine == m {
+			return sh, sh.primary
+		}
+		if sh.group == nil {
+			continue
+		}
+		for _, st := range sh.group.standbys {
+			if st.machine == m {
+				return sh, st
+			}
+		}
+	}
+	return nil, nil
 }
 
 // installShardView wires a freshly built service kernel into the shard
@@ -62,196 +137,108 @@ func (cl *Cluster) installShardView(k *svc.Kernel, idx int) {
 
 // syncShardMachine points shard idx of port p at machine at (bumping
 // the map generation); no-op when p is unsharded. Every path that
-// changes which machine serves a shard — boot, restart, group
-// failover — funnels through here, so stale client routes always heal
-// against a map whose generation moved.
+// changes which machine serves a shard — restart, election — funnels
+// through here, so stale client routes always heal against a map whose
+// generation moved.
 func (cl *Cluster) syncShardMachine(p cap.Port, idx int, at amnet.MachineID) {
 	cl.atlas.Update(p, func(m *shard.Map) *shard.Map { return m.WithMachine(idx, at) })
 }
 
-// shardBuild returns the standby/primary builder for sh — the same
-// shape replGroup.build wants, so an extra shard's replication group
-// reuses the whole group machinery (startGroup, autoFailover,
-// reintegrate) untouched.
-func (cl *Cluster) shardBuild(sh *svcShard) func(fb *fbox.FBox, log *wal.Log) (kernelServer, *svc.Kernel, func(rec []byte) error, error) {
-	if sh.base == "directory" {
-		return func(fb *fbox.FBox, log *wal.Log) (kernelServer, *svc.Kernel, func(rec []byte) error, error) {
-			s, err := dirsvr.NewDurable(fb, cl.scheme, cl.src, log, sh.g)
-			if err != nil {
-				return nil, nil, nil, err
-			}
-			s.SetMaxInflight(cl.cfg.MaxInflight)
-			s.SetObserver(cl.newStats(sh.service))
-			s.SetLookupLease(cl.cfg.LookupLease)
-			cl.sealServer(fb, s.SetSealer)
-			cl.installShardView(s.Kernel, sh.idx)
-			return s, s.Kernel, s.ReplayFn(), nil
-		}
-	}
-	return func(fb *fbox.FBox, log *wal.Log) (kernelServer, *svc.Kernel, func(rec []byte) error, error) {
-		s, err := banksvr.NewDurable(fb, cl.scheme, cl.src, cl.bankConfig(), log, sh.g)
-		if err != nil {
-			return nil, nil, nil, err
-		}
-		s.SetMaxInflight(cl.cfg.MaxInflight)
-		s.SetObserver(cl.newStats(sh.service))
-		cl.sealServer(fb, s.SetSealer)
-		cl.installShardView(s.Kernel, sh.idx)
-		return s, s.Kernel, s.ReplayFn(), nil
-	}
-}
-
-// startShard boots (or re-boots, after Kill) one extra shard's primary
-// over its surviving WAL disk; NewCluster and Restart share it, like
-// startDirsvr for shard 0.
-func (cl *Cluster) startShard(sh *svcShard) error {
+// buildReplica constructs an un-started incarnation of sh on a fresh
+// machine over disk — the one builder behind boot, Restart and every
+// standby. The metrics label is the shard's, whichever machine serves
+// it: the registry is idempotent, so a restarted or elected successor
+// keeps accumulating into the SAME series — no break at failover.
+func (cl *Cluster) buildReplica(sh *svcShard, disk *vdisk.Disk) (*replica, func(rec []byte) error, error) {
 	fb, err := cl.newFBox()
 	if err != nil {
-		return err
+		return nil, nil, err
 	}
-	log, err := cl.openWAL(sh.service, fb, sh.disk)
+	log, err := cl.openWAL(sh.label, fb, disk)
 	if err != nil {
-		return err
+		return nil, nil, err
 	}
-	s, kern, _, err := cl.shardBuild(sh)(fb, log)
+	k, replay, err := sh.svc.open(cl, fb, log, sh.g)
 	if err != nil {
 		log.Close() // the kernel never took ownership
+		return nil, nil, err
+	}
+	k.SetMaxInflight(cl.cfg.MaxInflight)
+	k.SetObserver(cl.newStats(sh.label))
+	cl.sealServer(fb, k.SetSealer)
+	cl.installShardView(k, sh.idx)
+	return &replica{fb: fb, disk: disk, kern: k, machine: fb.Machine()}, replay, nil
+}
+
+// startShard boots (or re-boots, after Kill or Drain) sh's primary over
+// the WAL disk that survived it; boot and Restart share it.
+func (cl *Cluster) startShard(sh *svcShard, disk *vdisk.Disk) error {
+	p, _, err := cl.buildReplica(sh, disk)
+	if err != nil {
 		return err
 	}
-	if err := cl.start(s.Start, s.Close); err != nil {
-		s.Close() // closes the log; a Restart retry reopens it
+	if err := cl.start(p.kern.Start, p.kern.Close); err != nil {
+		p.kern.Close() // closes the log; a Restart retry reopens it
 		return err
 	}
 	cl.mu.Lock()
-	sh.fb, sh.srv, sh.kern, sh.machine, sh.down = fb, s, kern, fb.Machine(), false
+	sh.primary = p
 	cl.mu.Unlock()
-	cl.syncShardMachine(sh.put, sh.idx, fb.Machine())
+	cl.syncShardMachine(sh.put, sh.idx, p.machine)
 	return nil
 }
 
-// startShards boots shards 1..M-1 of both durable services and then
-// registers the shard maps — only once every shard's machine is known,
-// so the maps are never seen half-built. Before registration every
-// kernel's view answers "I own everything" (no map yet), which is
-// harmless: no client exists until NewCluster returns.
-func (cl *Cluster) startShards() error {
-	cl.mu.Lock()
-	dirPut, bankPut := cl.dirs.PutPort(), cl.bank.PutPort()
-	cl.mu.Unlock()
-	for i := 1; i < cl.cfg.Shards; i++ {
-		for _, base := range []struct {
-			name string
-			g    cap.Port
-			put  cap.Port
-		}{
-			{"directory", cl.dirsG, dirPut},
-			{"bank", cl.bankG, bankPut},
-		} {
-			disk, err := vdisk.New(walBlocks, walBlockSize)
-			if err != nil {
-				return err
-			}
-			sh := &svcShard{
-				base:    base.name,
-				service: fmt.Sprintf("%s-%d", base.name, i),
-				idx:     i,
-				g:       base.g,
-				put:     base.put,
-				disk:    disk,
-			}
-			if err := cl.startShard(sh); err != nil {
-				return err
-			}
-			cl.mu.Lock()
-			if base.name == "directory" {
-				cl.dirShards = append(cl.dirShards, sh)
-			} else {
-				cl.bankShards = append(cl.bankShards, sh)
-			}
-			cl.mu.Unlock()
+// startService boots every shard of one durable service into *shards —
+// each with its own machine and WAL disk (which models the machine's
+// disk and so survives Kill/Restart), all at one freshly drawn get-port
+// (which pins the put-port across incarnations) — and, when there is
+// more than one, registers the service's shard map. Before
+// registration every kernel's view answers "I own everything" (no map
+// yet), which is harmless: no client exists until NewCluster returns.
+func (cl *Cluster) startService(d *durableService, shards *[]*svcShard) error {
+	g := cap.Port(crypto.Rand48(cl.src))
+	put := cl.clientFB.F(g)
+	var machines []amnet.MachineID
+	for i := 0; i < max(cl.cfg.Shards, 1); i++ {
+		sh := &svcShard{svc: d, label: d.name, idx: i, g: g, put: put}
+		if i > 0 {
+			sh.label = fmt.Sprintf("%s-%d", d.name, i)
 		}
-	}
-	cl.mu.Lock()
-	dirMachines := []amnet.MachineID{cl.machines.Dirs}
-	for _, sh := range cl.dirShards {
-		dirMachines = append(dirMachines, sh.machine)
-	}
-	bankMachines := []amnet.MachineID{cl.machines.Bank}
-	for _, sh := range cl.bankShards {
-		bankMachines = append(bankMachines, sh.machine)
-	}
-	cl.mu.Unlock()
-	cl.atlas.Register(dirPut, shard.NewMap(dirMachines))
-	cl.atlas.Register(bankPut, shard.NewMap(bankMachines))
-	return nil
-}
-
-// newShardGroup binds an extra shard's fields into a replication-group
-// descriptor; the group machinery (leases, detectors, elections) is
-// shared with shard 0's groups.
-func (cl *Cluster) newShardGroup(sh *svcShard) *replGroup {
-	return &replGroup{
-		name:  sh.service,
-		build: cl.shardBuild(sh),
-		swap: func(st *groupStandby, ship *repl.Shipper) {
-			sh.srv, sh.kern, sh.fb, sh.disk = st.srv, st.kern, st.fb, st.disk
-			sh.machine = st.machine
-			sh.down = false
-			sh.ship = ship
-			cl.syncShardMachine(sh.put, sh.idx, st.machine)
-		},
-		primaryKernel:  func() *svc.Kernel { return sh.kern },
-		primaryFB:      func() *fbox.FBox { return sh.fb },
-		primaryMachine: func() amnet.MachineID { return sh.machine },
-		setShip:        func(s *repl.Shipper) { sh.ship = s },
-	}
-}
-
-// shardOfLocked resolves machine m to the extra shard it currently
-// hosts (nil when m is not an extra-shard primary). Caller holds cl.mu.
-func (cl *Cluster) shardOfLocked(m amnet.MachineID) *svcShard {
-	for _, sh := range cl.dirShards {
-		if sh.machine == m {
-			return sh
+		disk, err := vdisk.New(walBlocks, walBlockSize)
+		if err != nil {
+			return err
 		}
-	}
-	for _, sh := range cl.bankShards {
-		if sh.machine == m {
-			return sh
+		if err := cl.startShard(sh, disk); err != nil {
+			return err
 		}
+		cl.mu.Lock()
+		*shards = append(*shards, sh)
+		cl.mu.Unlock()
+		machines = append(machines, sh.primary.machine)
+	}
+	if len(machines) >= 2 {
+		cl.atlas.Register(put, shard.NewMap(machines))
 	}
 	return nil
 }
 
 // shardEndpointLocked resolves (put-port, shard index) to the serving
-// kernel and its machine's F-box, plus the service's base name. Caller
-// holds cl.mu.
-func (cl *Cluster) shardEndpointLocked(p cap.Port, idx int) (*svc.Kernel, *fbox.FBox, string, error) {
-	resolve := func(base string, down bool, k *svc.Kernel, fb *fbox.FBox, extras []*svcShard) (*svc.Kernel, *fbox.FBox, string, error) {
-		if idx == 0 {
-			if down {
-				return nil, nil, "", fmt.Errorf("amoeba: %s shard 0 is down", base)
-			}
-			return k, fb, base, nil
+// primary, plus shard 0's label (the service's name in the sharding
+// series). Caller holds cl.mu.
+func (cl *Cluster) shardEndpointLocked(p cap.Port, idx int) (*replica, string, error) {
+	for _, shards := range [][]*svcShard{cl.dirShards, cl.bankShards} {
+		if shards[0].put != p {
+			continue
 		}
-		for _, sh := range extras {
-			if sh.idx != idx {
-				continue
-			}
-			if sh.down {
-				return nil, nil, "", fmt.Errorf("amoeba: %s is down", sh.service)
-			}
-			return sh.kern, sh.fb, base, nil
+		if idx >= len(shards) {
+			return nil, "", fmt.Errorf("amoeba: %s has no shard %d", shards[0].label, idx)
 		}
-		return nil, nil, "", fmt.Errorf("amoeba: %s has no shard %d", base, idx)
+		if r := shards[idx].primary; !r.down {
+			return r, shards[0].label, nil
+		}
+		return nil, "", fmt.Errorf("amoeba: %s shard %d is down", shards[0].label, idx)
 	}
-	if cl.dirs != nil && p == cl.dirs.PutPort() {
-		return resolve("directory", cl.dirsDown, cl.dirs.Kernel, cl.dirsFB, cl.dirShards)
-	}
-	if cl.bank != nil && p == cl.bank.PutPort() {
-		return resolve("bank", cl.bankDown, cl.bank.Kernel, cl.bankFB, cl.bankShards)
-	}
-	return nil, nil, "", fmt.Errorf("amoeba: port %v hosts no sharded service", p)
+	return nil, "", fmt.Errorf("amoeba: port %v hosts no sharded service", p)
 }
 
 const migrationsHelp = "objects moved live between shards"
@@ -294,17 +281,18 @@ func (cl *Cluster) Migrate(ctx context.Context, p Port, obj uint32, dst int) err
 		return nil
 	}
 	cl.mu.Lock()
-	srcK, srcFB, base, err := cl.shardEndpointLocked(p, src)
+	from, base, err := cl.shardEndpointLocked(p, src)
 	if err != nil {
 		cl.mu.Unlock()
 		return err
 	}
-	dstK, dstFB, _, err := cl.shardEndpointLocked(p, dst)
+	to, _, err := cl.shardEndpointLocked(p, dst)
 	if err != nil {
 		cl.mu.Unlock()
 		return err
 	}
 	cl.mu.Unlock()
+	srcK, srcFB, dstK, dstFB := from.kern, from.fb, to.kern, to.fb
 
 	release, err := srcK.GateObject(obj)
 	if err != nil {
@@ -375,30 +363,4 @@ func (cl *Cluster) ShardOf(p Port, obj uint32) int {
 		return 0
 	}
 	return m.Home(obj)
-}
-
-// registerShardMetrics wires the sharding series: the map-generation
-// gauge per service and the migration counter (present from boot, so
-// dashboards see the zero). Per-shard request counters need no new
-// series — every shard reports through the standard request metrics
-// under its own service label ("directory-1", …).
-func (cl *Cluster) registerShardMetrics() {
-	for _, s := range []struct {
-		name string
-		port cap.Port
-	}{
-		{"directory", cl.dirs.PutPort()},
-		{"bank", cl.bank.PutPort()},
-	} {
-		port := s.port
-		cl.reg.GaugeFunc("amoeba_shard_map_generation", obs.L("service", s.name),
-			"current shard-map generation (0 = unsharded)", func() float64 {
-				m := cl.atlas.Lookup(port)
-				if m == nil {
-					return 0
-				}
-				return float64(m.Gen)
-			})
-		cl.reg.Counter("amoeba_migrations_total", obs.L("service", s.name), migrationsHelp)
-	}
 }
