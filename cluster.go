@@ -55,10 +55,9 @@ type ClusterConfig struct {
 	// MaxInflight bounds each service's worker pool (0 = the
 	// rpc.DefaultMaxInflight default). See rpc.ServerConfig.
 	MaxInflight int
-	// DiskBlocks and DiskBlockSize set the block server's geometry
-	// (defaults: 4096 × 1 KiB).
-	DiskBlocks    uint32
-	DiskBlockSize int
+	// DiskBlocks is the block server's size in 1 KiB blocks (default
+	// 4096).
+	DiskBlocks uint32
 	// Bank sets the bank server's policy (default: minting allowed,
 	// dollar/franc convertible at 5 francs per dollar).
 	Bank *banksvr.Config
@@ -103,9 +102,6 @@ type ClusterConfig struct {
 	// "127.0.0.1:0" for an ephemeral port (see Cluster.DebugURL).
 	// Empty leaves the listener off; metrics are collected either way.
 	DebugAddr string
-	// AccessLogSize bounds the in-memory ring of recent request records
-	// (rounded up to a power of two; default 1024).
-	AccessLogSize int
 	// LookupLease > 0 turns on lease-based client caching of directory
 	// lookups: the directory servers grant a lease of this duration on
 	// every lookup reply, and Dirs() returns a caching client that
@@ -252,9 +248,6 @@ func NewCluster(cfg ClusterConfig) (*Cluster, error) {
 	if cfg.DiskBlocks == 0 {
 		cfg.DiskBlocks = 4096
 	}
-	if cfg.DiskBlockSize == 0 {
-		cfg.DiskBlockSize = 1024
-	}
 	if cfg.LeaseTerm <= 0 {
 		cfg.LeaseTerm = repl.DefaultLeaseTerm
 	}
@@ -288,12 +281,8 @@ func NewCluster(cfg ClusterConfig) (*Cluster, error) {
 	if cfg.SealCapabilities {
 		cl.matrix = keymatrix.NewMatrix(src)
 	}
-	ringSize := cfg.AccessLogSize
-	if ringSize == 0 {
-		ringSize = 1024
-	}
 	cl.reg = obs.NewRegistry()
-	cl.ring = obs.NewRing(ringSize)
+	cl.ring = obs.NewRing(accessLogSize)
 	// Lookup-cache counters are registered even with leases off, so
 	// dashboards see the series at zero instead of a gap; the cache
 	// itself exists only when the knob is on.
@@ -336,7 +325,7 @@ func NewCluster(cfg ClusterConfig) (*Cluster, error) {
 	}
 
 	// Block server.
-	cl.disk, err = vdisk.New(cfg.DiskBlocks, cfg.DiskBlockSize)
+	cl.disk, err = vdisk.New(cfg.DiskBlocks, diskBlockSize)
 	if err != nil {
 		return nil, err
 	}
@@ -425,6 +414,13 @@ func NewCluster(cfg ClusterConfig) (*Cluster, error) {
 const (
 	walBlocks    = 2048
 	walBlockSize = 512
+)
+
+// Fixed sizes nobody ever configured: the block server's block, and the
+// access-log ring of recent request records.
+const (
+	diskBlockSize = 1024
+	accessLogSize = 1024
 )
 
 // newStats builds a service's request-metrics + access-log observer.
@@ -849,8 +845,8 @@ func (cl *Cluster) autoFailover(g *replGroup, gen uint64) {
 	cl.elect(g)
 }
 
-// elect moves g's put-port to the live standby with the highest durable
-// high water, at the next term; the others become its peers. It asks
+// elect moves g's put-port to the live standby with the newest durable
+// position (repl.Pos: term first, then sequence), at the next term; the others become its peers. It asks
 // nobody whether the primary is really gone — autoFailover (silence
 // confirmed) and Drain (the primary just retired itself) decide that.
 // It reports whether a successor now serves. Caller holds lifeMu.
@@ -902,11 +898,14 @@ func (cl *Cluster) elect(g *replGroup) bool {
 		}
 	}
 	oldShip.Stop()
+	// Newest by (term, seq): a standby left on an older term's base holds
+	// a numerically larger sequence in a dead numbering and must not win.
 	var win *replica
+	var at repl.Pos
 	var dests []cap.Port
 	for _, st := range sts {
-		if !st.down && (win == nil || st.recv.High() > win.recv.High()) {
-			win = st
+		if p := st.recv.Pos(); !st.down && (win == nil || at.Less(p)) {
+			win, at = st, p
 		}
 	}
 	for _, st := range sts {
@@ -914,7 +913,6 @@ func (cl *Cluster) elect(g *replGroup) bool {
 			dests = append(dests, st.recv.Port())
 		}
 	}
-	seq := win.recv.High()
 	// The winner's receiver dies before its kernel serves: a stale
 	// primary's ships must bounce off a dead port, not mutate a live
 	// service.
@@ -932,15 +930,15 @@ func (cl *Cluster) elect(g *replGroup) bool {
 	cl.mu.Lock()
 	g.sh.primary, g.ship, g.term = win, ship, term
 	g.standbys = slices.DeleteFunc(g.standbys, func(st *replica) bool { return st == win })
-	// The old machine's log beyond seq is a dead branch of history;
-	// Restart re-attaches it as a FRESH standby instead of letting it
-	// re-register the port.
+	// The old machine's log beyond that position is a dead branch of
+	// history; Restart re-attaches it as a FRESH standby instead of
+	// letting it re-register the port.
 	cl.retired[old.machine] = g
 	cl.mu.Unlock()
 	cl.syncShardMachine(g.sh.put, g.sh.idx, win.machine)
 	cl.reg.Counter("amoeba_failovers_total", obs.L("service", g.sh.label), failoversHelp).Inc()
-	stdlog.Printf("amoeba: %s failover: machine %v promoted at seq %d (term %d)",
-		g.sh.label, win.machine, seq, term)
+	stdlog.Printf("amoeba: %s failover: machine %v promoted at (term %d, seq %d) to term %d",
+		g.sh.label, win.machine, at.Term, at.Seq, term)
 	cl.startDetectors(g)
 	return true
 }
@@ -957,7 +955,7 @@ func (cl *Cluster) reintegrate(g *replGroup) error {
 	ship := g.ship
 	cl.mu.Unlock()
 	// AddPeer quiesces the primary, ships the base snapshot, and adds
-	// the peer inside the quiesced window — no gap to catch up.
+	// the peer inside the quiesced window — the stream has no gap.
 	if err := ship.AddPeer(st.recv.Port()); err != nil {
 		return fmt.Errorf("amoeba: re-integrating %s standby: %w", g.sh.label, err)
 	}

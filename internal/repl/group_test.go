@@ -2,6 +2,7 @@ package repl
 
 import (
 	"context"
+	"fmt"
 	"sync"
 	"testing"
 	"time"
@@ -449,5 +450,96 @@ func TestGroupAddPeerJoinsLive(t *testing.T) {
 	}
 	if lag := g.ship.Lag(); lag != 0 {
 		t.Fatalf("group lags %d after a live join", lag)
+	}
+}
+
+// TestGroupJoinShipsMultiFrameBase: a base snapshot bigger than one ship
+// frame joins through AttachGroup and AddPeer at a real term — to a
+// fresh receiver (term 0) and to one still based at the previous
+// primary's term. The acknowledgement of a buffered base fragment cannot
+// yet carry a position in the new term; it must still read as "on this
+// stream", or the shipper declares the peer lost mid-base and no
+// directory past ~1,300 entries can ever take a standby back.
+func TestGroupJoinShipsMultiFrameBase(t *testing.T) {
+	r := newRig(t)
+	node := func(g cap.Port) (*counter, *fbox.FBox) {
+		t.Helper()
+		disk, err := vdisk.New(8192, 256) // room for the fat checkpoint
+		if err != nil {
+			t.Fatal(err)
+		}
+		log, err := wal.Open(disk, wal.Options{})
+		if err != nil {
+			t.Fatal(err)
+		}
+		fb := r.attach()
+		c := newCounter(t, fb, log, g)
+		t.Cleanup(func() { c.Close() })
+		return c, fb
+	}
+	standby := func(seed uint64) (*counter, *Receiver) {
+		t.Helper()
+		b, fb := node(0)
+		recv := NewReceiver(fb, crypto.NewSeededSource(seed), b.Kernel, b.apply)
+		if err := recv.Start(); err != nil {
+			t.Fatal(err)
+		}
+		t.Cleanup(func() { recv.Close() })
+		return b, recv
+	}
+	// veteran follows a term-1 primary for a few records, which then
+	// goes away: it is left based at term 1, numbered in that log.
+	veteran, vrecv := standby(31)
+	old := newGroupRig(t, r, 0, Options{GroupSize: 1, Term: 1})
+	if err := old.ship.AddPeer(vrecv.Port()); err != nil {
+		t.Fatal(err)
+	}
+	old.inc(t, r, "old", 5)
+	old.ship.Stop()
+	if got := vrecv.Pos(); got.Term != 1 || got.Seq == 0 {
+		t.Fatalf("veteran at %+v, want a position in term 1", got)
+	}
+
+	// The term-2 primary (its own put-port) holds state that snapshots
+	// to more than one frame.
+	const names = 700
+	g := &groupRig{}
+	g.primary, g.primaryFB = node(0xfa7)
+	for i := 0; i < names; i++ {
+		g.primary.n[fmt.Sprintf("%0200d", i)] = uint64(i + 1)
+	}
+	if err := g.primary.Start(); err != nil {
+		t.Fatal(err)
+	}
+	fresh, frecv := standby(37)
+	var err error
+	g.ship, err = AttachGroup(g.primary.Kernel, r.newClientOn(g.primaryFB), []cap.Port{vrecv.Port(), frecv.Port()}, Options{Term: 2, GroupSize: 4})
+	if err != nil {
+		t.Fatalf("AttachGroup with a multi-frame base: %v", err)
+	}
+	t.Cleanup(g.ship.Stop)
+	if s := frecv.Stats(); s.Frames < 2 || s.Rebased != 1 {
+		t.Fatalf("base crossed in %d frame(s), %d installed; the test needs one fragmented base", s.Frames, s.Rebased)
+	}
+	late, lrecv := standby(41)
+	if err := g.ship.AddPeer(lrecv.Port()); err != nil {
+		t.Fatalf("AddPeer with a multi-frame base: %v", err)
+	}
+	g.inc(t, r, "live", 3)
+	for name, b := range map[string]*counter{"veteran": veteran, "fresh": fresh, "late": late} {
+		if got := b.get(fmt.Sprintf("%0200d", names-1)); got != names {
+			t.Fatalf("%s standby's base is missing state (last name = %d)", name, got)
+		}
+		if b.get("old") != 0 || b.get("live") != 3 {
+			t.Fatalf("%s standby holds old=%d live=%d, want 0 3", name, b.get("old"), b.get("live"))
+		}
+	}
+	for _, recv := range []*Receiver{vrecv, frecv, lrecv} {
+		if got := recv.Pos(); got.Term != 2 || got.Seq == 0 {
+			t.Fatalf("standby at %+v after joining term 2", got)
+		}
+	}
+	if s := g.ship.Stats(); s.Lost || s.Sealed || g.ship.LostPeers() != 0 || g.ship.Lag() != 0 {
+		t.Fatalf("group unhealthy after multi-frame joins: %+v lag %d", s, g.ship.Lag())
 	}
 }

@@ -75,7 +75,7 @@ func TestLaneStopAbortsShipInFlight(t *testing.T) {
 	// A sink that raced Stop past its own stopped check finds every
 	// lane retired: the hand-off is refused, not parked.
 	for i, p := range peers {
-		if g.ship.handOff(p, shipJob{frames: []Frame{{}}}) {
+		if g.ship.handOff(p, shipJob{frames: [][]byte{{}}}) {
 			t.Fatalf("lane %d accepted a job after Stop", i)
 		}
 	}
@@ -239,5 +239,29 @@ func TestLaneLifecycleLeaksNothing(t *testing.T) {
 	ship.Stop()
 	if lanes, loops := shipperGoroutines(); lanes != 0 || loops != 0 {
 		t.Fatalf("%d lanes and %d loops outlived Stop", lanes, loops)
+	}
+}
+
+// TestLaneStoppedShipperRefusesJoin: Stop marks the shipper stopped before
+// it cancels the context, and in that window a join (or a lane start,
+// or a frame send) must still fail — an AddPeer answered with the
+// not-yet-set ctx.Err() would report a standby joined that no sink feeds.
+func TestLaneStoppedShipperRefusesJoin(t *testing.T) {
+	r := newRig(t)
+	g := newGroupRig(t, r, 2, Options{GroupSize: 3, Term: 1})
+	g.ship.DropPeer(g.recvs[1].Port())
+	p := g.ship.peerList()[0]
+	// halt's first half, frozen: stopped is set, the context still live.
+	g.ship.mu.Lock()
+	g.ship.stopped.Store(true)
+	g.ship.mu.Unlock()
+	if err := g.ship.AddPeer(g.recvs[1].Port()); err == nil {
+		t.Fatal("AddPeer on a stopped shipper reported success")
+	}
+	if err := g.ship.join(p); err == nil {
+		t.Fatal("join on a stopped shipper reported success")
+	}
+	if err := g.ship.sendFrame(p, g.ship.hb); err == nil {
+		t.Fatal("a frame never sent counted as delivered")
 	}
 }

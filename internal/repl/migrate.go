@@ -61,7 +61,7 @@ func (m *MigrateReceiver) Start() error { return m.srv.Start() }
 func (m *MigrateReceiver) Close() error { return m.srv.Close() }
 
 func (m *MigrateReceiver) handle(_ context.Context, _ rpc.Meta, req rpc.Request) rpc.Reply {
-	items, rebase, _, err := Decode(req.Data)
+	items, rebase, term, err := Decode(req.Data)
 	if err != nil {
 		return rpc.ErrReply(rpc.StatusBadRequest, err.Error())
 	}
@@ -69,7 +69,7 @@ func (m *MigrateReceiver) handle(_ context.Context, _ rpc.Meta, req rpc.Request)
 	defer m.mu.Unlock()
 	gap := false
 	for _, it := range items {
-		v, rec, err := m.st.offer(it, rebase)
+		v, rec, err := m.st.offer(it, rebase, term)
 		if err != nil {
 			m.st.reset()
 			return rpc.ErrReply(rpc.StatusBadRequest, err.Error())
@@ -89,23 +89,24 @@ func (m *MigrateReceiver) handle(_ context.Context, _ rpc.Meta, req rpc.Request)
 				m.st.reset()
 				return rpc.ErrReplyFromErr(err)
 			}
-			m.st.applied(rec, rebase)
+			m.st.applied(rec, rebase, term)
 		}
 		if gap {
 			break
 		}
 	}
 	if gap {
-		return conflict(m.st.high())
+		return conflict(m.st.pos())
 	}
-	return rpc.OkReply(ackData(m.st.high()))
+	return rpc.OkReply(ackData(m.st.ack()))
 }
 
 // ShipObject sends one extracted object to a MigrateReceiver and
 // returns once the destination has acknowledged durable custody. seq
 // must increase across migrations to one destination (the cluster
-// passes its map generation counter): the sequencing core then treats
-// a redelivered older migration as the duplicate it is.
+// passes its map generation counter) and doubles as the frame's term:
+// the sequencing core then treats a redelivered older migration as the
+// older base it is.
 func ShipObject(ctx context.Context, c *rpc.Client, dest cap.Port, seq uint64, obj uint32, secret uint64, state []byte, opts ...rpc.CallOption) error {
 	payload := make([]byte, migPayloadHdr+len(state))
 	binary.BigEndian.PutUint32(payload[0:], obj&cap.ObjectMask)
@@ -115,7 +116,7 @@ func ShipObject(ctx context.Context, c *rpc.Client, dest cap.Port, seq uint64, o
 	// the receiver applies it without history, exactly once.
 	frames := Encode([]wal.Record{{Seq: seq, Checkpoint: true, Data: payload}}, true, seq)
 	for _, f := range frames {
-		rep, err := c.Trans(ctx, dest, rpc.Request{Op: OpMigrate, Data: f.Payload}, opts...)
+		rep, err := c.Trans(ctx, dest, rpc.Request{Op: OpMigrate, Data: f}, opts...)
 		if err != nil {
 			return fmt.Errorf("repl: shipping object %d: %w", obj, err)
 		}

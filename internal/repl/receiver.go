@@ -23,7 +23,7 @@ type ReceiverStats struct {
 	Gaps        uint64 // frames rejected with a sequence gap
 	Rebased     uint64 // base snapshots installed
 	Checkpoints uint64 // in-stream checkpoints applied (standby log compactions)
-	High        uint64 // durable high-water sequence
+	Pos         Pos    // durable position: the base's term, high water in it
 	Based       bool
 }
 
@@ -35,7 +35,7 @@ type ReceiverStats struct {
 // by a mutex, so the service's replay applier runs single-threaded,
 // exactly as it does during crash recovery.
 //
-// An acknowledgement (the high sequence in each reply) is sent only
+// An acknowledgement (the position in each reply) is sent only
 // after the batch's records are durable on the standby's OWN log: a
 // promoted backup that itself crashes still replays every record it
 // ever acknowledged.
@@ -108,11 +108,13 @@ func (r *Receiver) Term() uint64 {
 // instead of mutating a now-live service.
 func (r *Receiver) Close() error { return r.srv.Close() }
 
-// High returns the durable high-water sequence acknowledged so far.
-func (r *Receiver) High() uint64 {
+// Pos returns the durable position acknowledged so far: the term of the
+// base this standby's numbering started from, and the high water in it.
+// An election picks its winner by Pos.Less over these.
+func (r *Receiver) Pos() Pos {
 	r.mu.Lock()
 	defer r.mu.Unlock()
-	return r.st.high()
+	return r.st.pos()
 }
 
 // Stats returns a snapshot of the counters.
@@ -120,15 +122,15 @@ func (r *Receiver) Stats() ReceiverStats {
 	r.mu.Lock()
 	defer r.mu.Unlock()
 	s := r.stats
-	s.High = r.st.high()
+	s.Pos = r.st.pos()
 	s.Based = r.st.based
 	return s
 }
 
-// conflict is the sequence-gap rejection: the shipper reads the high
-// water out of the payload and back-fills from there.
-func conflict(high uint64) rpc.Reply {
-	return rpc.Reply{Status: rpc.StatusConflict, Data: ackData(high)}
+// conflict is the sequence-gap refusal: nothing was applied out of
+// order, and the sender must re-base this receiver.
+func conflict(at Pos) rpc.Reply {
+	return rpc.Reply{Status: rpc.StatusConflict, Data: ackData(at)}
 }
 
 func (r *Receiver) handleShip(_ context.Context, _ rpc.Meta, req rpc.Request) rpc.Reply {
@@ -145,21 +147,21 @@ func (r *Receiver) handleShip(_ context.Context, _ rpc.Meta, req rpc.Request) rp
 	// — its stream must not touch this standby's state (and must not
 	// read as a sign of life), it must learn it has been superseded.
 	if term < r.term {
-		return rpc.Reply{Status: rpc.StatusStale, Data: ackData(r.term)}
+		return rpc.Reply{Status: rpc.StatusStale, Data: ackData(Pos{Term: r.term})}
 	}
 	r.term = term
 	r.contact.Store(r.now().UnixNano())
 	if len(items) == 0 {
 		// Heartbeat: nothing to apply, just acknowledge (the ack is
-		// the lease grant) with the durable high water.
+		// the lease grant) with the durable position.
 		r.stats.Frames++
-		return rpc.OkReply(ackData(r.st.high()))
+		return rpc.OkReply(ackData(r.st.ack()))
 	}
 	r.stats.Frames++
 	gap := false
 	var last *wal.Ticket
 	for _, it := range items {
-		v, rec, err := r.st.offer(it, rebase)
+		v, rec, err := r.st.offer(it, rebase, term)
 		if err != nil {
 			r.st.reset()
 			return rpc.ErrReply(rpc.StatusBadRequest, err.Error())
@@ -178,7 +180,7 @@ func (r *Receiver) handleShip(_ context.Context, _ rpc.Meta, req rpc.Request) rp
 				return rpc.ErrReplyFromErr(err)
 			}
 			last = t
-			r.st.applied(rec, rebase)
+			r.st.applied(rec, rebase, term)
 			r.stats.Applied++
 			switch {
 			case rebase:
@@ -211,25 +213,23 @@ func (r *Receiver) handleShip(_ context.Context, _ rpc.Meta, req rpc.Request) rp
 	}
 	if gap {
 		r.stats.Gaps++
-		return conflict(r.st.high())
+		return conflict(r.st.pos())
 	}
-	return rpc.OkReply(ackData(r.st.high()))
+	return rpc.OkReply(ackData(r.st.ack()))
 }
 
 func (r *Receiver) handleSeq(_ context.Context, _ rpc.Meta, _ rpc.Request) rpc.Reply {
 	r.mu.Lock()
 	defer r.mu.Unlock()
 	// A standby whose own log wedged answers probes with its death, not
-	// its high water: an OK here would invite the primary to re-base a
+	// its position: an OK here would invite the primary to re-base a
 	// disk that takes nothing, and the ack quorum must not count us.
 	if r.dead != nil {
 		return rpc.ErrReplyFromErr(r.dead)
 	}
-	out := make([]byte, 0, 9)
+	based := byte(0)
 	if r.st.based {
-		out = append(out, 1)
-	} else {
-		out = append(out, 0)
+		based = 1
 	}
-	return rpc.OkReply(append(out, ackData(r.st.high())...))
+	return rpc.OkReply(append([]byte{based}, ackData(r.st.pos())...))
 }

@@ -35,10 +35,12 @@
 // detector without carrying records. term is the sender's replication
 // epoch; a receiver that has seen a higher term rejects the frame with
 // rpc.StatusStale (the sender is a deposed primary) and otherwise
-// adopts the term. Replies carry high(8), the receiver's durable
-// high-water sequence; a sequence gap is rejected with
-// rpc.StatusConflict (same high(8) payload) and the shipper heals it
-// by re-shipping from the receiver's high water via wal.ReadFrom.
+// adopts the term. Replies carry the receiver's durable position,
+// term(8) ∥ seq(8) (Pos); the shipper counts an acknowledgement only if
+// that term is its own (while a multi-frame base is still buffered the
+// reply names that base's term, sequence 0). A sequence gap is refused with
+// rpc.StatusConflict (same payload): nothing applies out of order, the
+// shipper marks the peer lost and re-bases it.
 package repl
 
 import (
@@ -51,9 +53,9 @@ import (
 
 // Operation codes (the replication channel's private protocol).
 const (
-	// OpShip carries one ship frame; reply data is high(8).
+	// OpShip carries one ship frame; reply data is the receiver's Pos.
 	OpShip uint16 = 0x0700 + iota
-	// OpSeq queries the receiver: reply data is based(1) ∥ high(8).
+	// OpSeq queries the receiver: reply data is based(1) ∥ Pos.
 	OpSeq
 )
 
@@ -85,17 +87,22 @@ type Item struct {
 	Frag       []byte
 }
 
-// Frame is one encoded ship frame plus the sequence of its first item
-// (the shipper's gap-healing anchor).
-type Frame struct {
-	Payload  []byte
-	FirstSeq uint64
+// Pos is a position in a replication stream. Every standby numbers its
+// own log from 1, so a sequence means something only inside the term
+// whose base started the numbering: positions order by term first,
+// sequence second, and this is the only comparison of two positions
+// anywhere in the package.
+type Pos struct{ Term, Seq uint64 }
+
+// Less reports whether p is strictly older than q.
+func (p Pos) Less(q Pos) bool {
+	return p.Term < q.Term || p.Term == q.Term && p.Seq < q.Seq
 }
 
 // Encode packs records into one or more ship frames stamped with the
 // sender's term, splitting records that exceed MaxShipBytes into
 // fragments.
-func Encode(recs []wal.Record, rebase bool, term uint64) []Frame {
+func Encode(recs []wal.Record, rebase bool, term uint64) [][]byte {
 	flags := byte(0)
 	if rebase {
 		flags = flagRebase
@@ -110,16 +117,15 @@ func Encode(recs []wal.Record, rebase bool, term uint64) []Frame {
 	if need > MaxShipBytes {
 		need = MaxShipBytes
 	}
-	var frames []Frame
+	var frames [][]byte
 	var cur []byte // the frame being filled; nil until an item needs one
 	count := 0
-	var first uint64
 	flush := func() {
 		if count == 0 {
 			return
 		}
 		binary.BigEndian.PutUint16(cur[9:11], uint16(count))
-		frames = append(frames, Frame{Payload: cur, FirstSeq: first})
+		frames = append(frames, cur)
 		cur, count = nil, 0
 	}
 	for _, r := range recs {
@@ -142,9 +148,6 @@ func Encode(recs []wal.Record, rebase bool, term uint64) []Frame {
 			n := len(r.Data) - off
 			if n > space {
 				n = space
-			}
-			if count == 0 {
-				first = r.Seq
 			}
 			var hdr [itemHdr]byte
 			binary.BigEndian.PutUint64(hdr[0:], r.Seq)
@@ -225,17 +228,18 @@ func Decode(frame []byte) (items []Item, rebase bool, term uint64, err error) {
 	return items, flags&flagRebase != 0, term, nil
 }
 
-// ackData encodes a reply payload carrying the high-water sequence.
-func ackData(high uint64) []byte {
-	var b [8]byte
-	binary.BigEndian.PutUint64(b[:], high)
+// ackData encodes a reply payload carrying the receiver's position.
+func ackData(p Pos) []byte {
+	var b [16]byte
+	binary.BigEndian.PutUint64(b[0:], p.Term)
+	binary.BigEndian.PutUint64(b[8:], p.Seq)
 	return b[:]
 }
 
-// ParseAck decodes a ship reply's high-water sequence.
-func ParseAck(data []byte) (uint64, error) {
-	if len(data) != 8 {
-		return 0, fmt.Errorf("repl: ack payload of %d bytes", len(data))
+// ParseAck decodes a ship reply's position.
+func ParseAck(data []byte) (Pos, error) {
+	if len(data) != 16 {
+		return Pos{}, fmt.Errorf("repl: ack payload of %d bytes", len(data))
 	}
-	return binary.BigEndian.Uint64(data), nil
+	return Pos{Term: binary.BigEndian.Uint64(data), Seq: binary.BigEndian.Uint64(data[8:])}, nil
 }

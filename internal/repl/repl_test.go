@@ -316,58 +316,63 @@ func TestShipPromoteEndToEnd(t *testing.T) {
 	}
 }
 
-// TestShipperHealsGapByCatchUp: records committed while the sink was
-// detached (a dropped shipment) make the receiver reject the next batch
-// with a sequence gap; the shipper must back-fill from its own log
-// (wal.ReadFrom) and converge without double-applying anything.
-func TestShipperHealsGapByCatchUp(t *testing.T) {
+// TestGapMarksPeerLostThenRebases: records committed while the sink was
+// detached (a dropped shipment) make the receiver refuse the next batch
+// with a sequence gap — nothing applies out of order. There is no
+// back-fill: the shipper marks the peer lost at once and the reprobe
+// loop re-bases it, the one way back onto the stream, after which the
+// standby has converged without double-applying anything.
+func TestGapMarksPeerLostThenRebases(t *testing.T) {
 	ctx := context.Background()
 	r := newRig(t)
-	rc := newReplicatedCounter(t, r, 0)
+	// GroupSize 1: the refused batch must not also seal the group (that
+	// rule has its own tests), or nobody would be left to re-base.
+	rc := newReplicatedCounterOpts(t, r, 0, Options{GroupSize: 1, Reprobe: 10 * time.Millisecond})
 	port := rc.primary.PutPort()
-
-	for i := 0; i < 3; i++ {
-		if _, err := r.client.Trans(ctx, port, rpc.Request{Op: opInc, Data: []byte("a")}); err != nil {
-			t.Fatal(err)
+	inc := func(name string, n int) {
+		t.Helper()
+		for i := 0; i < n; i++ {
+			if _, err := r.client.Trans(ctx, port, rpc.Request{Op: opInc, Data: []byte(name)}); err != nil {
+				t.Fatal(err)
+			}
 		}
 	}
+	inc("a", 3)
 	// Silently drop the stream: commits keep landing on the primary's
 	// log but stop reaching the standby.
-	rc.primary.DetachReplica()
-	for i := 0; i < 4; i++ {
-		if _, err := r.client.Trans(ctx, port, rpc.Request{Op: opInc, Data: []byte("b")}); err != nil {
-			t.Fatal(err)
-		}
-	}
+	rc.primary.SetReplicaSink(nil)
+	inc("b", 4)
 	if got := rc.backup.get("b"); got != 0 {
 		t.Fatalf("standby saw %d dropped records", got)
 	}
-	// Hand the shipper only the records that commit after re-attach:
-	// the receiver sees a gap and the shipper must heal it.
-	next := rc.primary.NextSeq()
-	var tail []wal.Record
-	if err := rc.primary.ReadFrom(next-1, func(rec wal.Record) error {
-		rec.Data = append([]byte(nil), rec.Data...)
-		tail = append(tail, rec)
-		return nil
-	}); err != nil {
-		t.Fatal(err)
-	}
-	if len(tail) != 1 {
-		t.Fatalf("tail scan found %d records, want 1", len(tail))
-	}
-	rc.ship.sink(tail)
-	if got := rc.backup.get("b"); got != 4 {
-		t.Fatalf("after catch-up standby b-count %d, want 4", got)
-	}
-	if got := rc.backup.get("a"); got != 3 {
-		t.Fatalf("catch-up disturbed earlier records: a-count %d, want 3", got)
-	}
-	if s := rc.ship.Stats(); s.CatchUp == 0 {
-		t.Fatalf("no catch-up recorded: %+v", s)
-	}
-	if s := rc.recv.Stats(); s.Gaps == 0 {
+	// Hand the shipper only the last of them: the receiver sees a gap.
+	before, recvBefore := rc.ship.Stats(), rc.recv.Stats()
+	rc.ship.sink([]wal.Record{{Seq: rc.primary.NextSeq() - 1, Data: []byte{0x01, 'b'}}})
+	// (The standby's state is not read here: the re-base may already be
+	// restoring it. The receiver's counters say what was applied.)
+	s := rc.recv.Stats()
+	if s.Gaps == 0 {
 		t.Fatalf("receiver never saw the gap: %+v", s)
+	}
+	if s.Applied-recvBefore.Applied != s.Rebased-recvBefore.Rebased {
+		t.Fatalf("standby applied a record across a gap: %+v → %+v", recvBefore, s)
+	}
+	// Lost until re-based (the reprobe loop may already have got to it).
+	if s := rc.ship.Stats(); !s.Lost && s.Rebases == before.Rebases {
+		t.Fatalf("a refused batch left the peer live and un-re-based: %+v", s)
+	}
+	waitFor(t, "the lost peer to be re-based", func() bool { return !rc.ship.Lost() })
+	if s := rc.ship.Stats(); s.Rebases != before.Rebases+1 || s.Sealed {
+		t.Fatalf("want exactly one re-base and no seal: %+v", s)
+	}
+	// The re-base carried what the stream dropped and re-installed the
+	// sink; the standby follows the live stream again.
+	inc("c", 2)
+	if a, b, c := rc.backup.get("a"), rc.backup.get("b"), rc.backup.get("c"); a != 3 || b != 4 || c != 2 {
+		t.Fatalf("standby holds a=%d b=%d c=%d, want 3 4 2", a, b, c)
+	}
+	if lag := rc.ship.Lag(); lag != 0 {
+		t.Fatalf("re-based stream lags %d records", lag)
 	}
 }
 
@@ -385,30 +390,30 @@ func TestReceiverRejectsStaleDupAndGap(t *testing.T) {
 			t.Fatal(err)
 		}
 	}
-	high := rc.recv.High()
+	high := rc.recv.Pos()
 	raw := r.newClientOn(r.attach())
 
 	// A duplicate of an already-applied record: skipped, same high.
-	dup := Encode([]wal.Record{{Seq: high, Data: []byte{0x01, 'x'}}}, false, 0)
-	rep, err := raw.Trans(ctx, rc.recv.Port(), rpc.Request{Op: OpShip, Data: dup[0].Payload})
+	dup := Encode([]wal.Record{{Seq: high.Seq, Data: []byte{0x01, 'x'}}}, false, 0)
+	rep, err := raw.Trans(ctx, rc.recv.Port(), rpc.Request{Op: OpShip, Data: dup[0]})
 	if err != nil || rep.Status != rpc.StatusOK {
 		t.Fatalf("dup ship: %v %+v", err, rep)
 	}
 	if got, _ := ParseAck(rep.Data); got != high {
-		t.Fatalf("dup ship moved high %d -> %d", high, got)
+		t.Fatalf("dup ship moved the position %+v -> %+v", high, got)
 	}
 	if got := rc.backup.get("x"); got != 5 {
 		t.Fatalf("duplicate was applied twice: x=%d", got)
 	}
 
 	// A future record (sequence gap): StatusConflict carrying high.
-	gap := Encode([]wal.Record{{Seq: high + 5, Data: []byte{0x01, 'x'}}}, false, 0)
-	rep, err = raw.Trans(ctx, rc.recv.Port(), rpc.Request{Op: OpShip, Data: gap[0].Payload})
+	gap := Encode([]wal.Record{{Seq: high.Seq + 5, Data: []byte{0x01, 'x'}}}, false, 0)
+	rep, err = raw.Trans(ctx, rc.recv.Port(), rpc.Request{Op: OpShip, Data: gap[0]})
 	if err != nil || rep.Status != rpc.StatusConflict {
 		t.Fatalf("gap ship: %v %+v", err, rep)
 	}
 	if got, _ := ParseAck(rep.Data); got != high {
-		t.Fatalf("gap nack reports high %d, want %d", got, high)
+		t.Fatalf("gap nack reports %+v, want %+v", got, high)
 	}
 	if got := rc.backup.get("x"); got != 5 {
 		t.Fatalf("gap record was applied: x=%d", got)
@@ -424,20 +429,20 @@ func TestReceiverRejectsStaleDupAndGap(t *testing.T) {
 			t.Fatalf("garbage frame %x accepted", junk)
 		}
 	}
-	if rc.recv.High() != high {
-		t.Fatal("junk moved the high water")
+	if rc.recv.Pos() != high {
+		t.Fatal("junk moved the position")
 	}
 
-	// OpSeq reports based + high.
+	// OpSeq reports based + position.
 	rep, err = raw.Trans(ctx, rc.recv.Port(), rpc.Request{Op: OpSeq})
-	if err != nil || rep.Status != rpc.StatusOK || len(rep.Data) != 9 {
+	if err != nil || rep.Status != rpc.StatusOK || len(rep.Data) != 17 {
 		t.Fatalf("seq query: %v %+v", err, rep)
 	}
 	if rep.Data[0] != 1 {
 		t.Fatal("receiver reports un-based after a base")
 	}
-	if got := binary.BigEndian.Uint64(rep.Data[1:]); got != high {
-		t.Fatalf("seq query high %d, want %d", got, high)
+	if got, _ := ParseAck(rep.Data[1:]); got != high {
+		t.Fatalf("seq query reports %+v, want %+v", got, high)
 	}
 }
 
@@ -452,22 +457,22 @@ func TestShipFragmentedRecord(t *testing.T) {
 	if len(frames) < 3 {
 		t.Fatalf("big record packed into %d frames, want ≥ 3", len(frames))
 	}
-	st := &stream{based: true, expected: 42}
+	st := &stream{based: true, next: Pos{Seq: 42}}
 	var got []wal.Record
 	for _, f := range frames {
-		items, rebase, _, err := Decode(f.Payload)
+		items, rebase, term, err := Decode(f)
 		if err != nil {
 			t.Fatal(err)
 		}
 		for _, it := range items {
-			v, rec, err := st.offer(it, rebase)
+			v, rec, err := st.offer(it, rebase, term)
 			if err != nil {
 				t.Fatal(err)
 			}
 			switch v {
 			case vApply:
 				got = append(got, rec)
-				st.applied(rec, rebase)
+				st.applied(rec, rebase, term)
 			case vWait:
 			default:
 				t.Fatalf("verdict %v for an in-order fragment", v)

@@ -1,8 +1,10 @@
 package repl
 
 import (
+	"cmp"
 	"context"
 	"errors"
+	"slices"
 	"sync"
 	"sync/atomic"
 	"time"
@@ -39,7 +41,7 @@ type Options struct {
 	// Reprobe is the interval at which LOST peers are probed for signs
 	// of life (default 16×Backoff). A transient partition or a long GC
 	// pause on a standby used to write it off permanently; now contact
-	// triggers a re-base via the snapshot path.
+	// triggers a re-base (Shipper.join).
 	Reprobe time.Duration
 	// LeaseTerm is the serving-lease duration (default
 	// DefaultLeaseTerm): the shipper sends bare heartbeat frames at
@@ -84,14 +86,13 @@ func (o Options) withDefaults() Options {
 // ShipperStats counts replication traffic on the primary.
 type ShipperStats struct {
 	Batches    uint64 // commit batches offered by the log's sink
-	Frames     uint64 // ship frames sent (incl. catch-up, heartbeats, retries)
+	Frames     uint64 // ship frames sent (incl. re-bases, heartbeats, retries)
 	Records    uint64 // records shipped (first transmission)
 	Retries    uint64 // failed attempts that were retried
-	CatchUp    uint64 // records re-shipped after a receiver gap
 	Dropped    uint64 // records NOT shipped to some peer (stopped or lost)
-	Acked      uint64 // highest durable high-water sequence any peer acked
+	Acked      uint64 // highest sequence any peer durably acked in this term
 	Heartbeats uint64 // bare lease-renewal frames sent
-	Rebases    uint64 // peers re-based after loss or (re)join
+	Rebases    uint64 // bases shipped: peers joined, rejoined or re-based after loss
 	Lost       bool   // every peer is currently lost
 	Sealed     bool   // a batch missed majority; acknowledgements fenced
 	Deposed    bool   // a newer term was observed; this primary is done
@@ -99,7 +100,7 @@ type ShipperStats struct {
 }
 
 // peer is one standby's shipping state. Every frame to a peer — commit
-// batches, catch-up, re-bases, heartbeats — is sent by its lane, one
+// batches, re-bases, heartbeats — is sent by its lane, one
 // long-lived goroutine, so the lane IS the per-peer serializer: nothing
 // interleaves on one stream, and a slow peer only slows itself.
 type peer struct {
@@ -111,16 +112,14 @@ type peer struct {
 	fails int // consecutive failed attempts (lane-owned)
 
 	lost  atomic.Bool
-	acked atomic.Uint64 // this peer's durable high water
+	acked atomic.Uint64 // this peer's durable high water, in the shipper's term
 	grant atomic.Int64  // unixnano SEND time of the last acked frame
 }
 
 // shipJob is one unit of lane work: an encoded batch to deliver, or
 // (frames == nil) one bare heartbeat, which nobody waits for.
 type shipJob struct {
-	frames []Frame
-	end    uint64 // one past the batch's last sequence (gap-healing bound)
-	rebase bool
+	frames [][]byte
 	batch  *shipBatch   // commit batch: count the ack, release the sink
 	reply  chan<- error // re-base: the caller wants the lane's verdict
 }
@@ -134,18 +133,20 @@ type shipBatch struct {
 // shipCounters is ShipperStats' live form: bumped lock-free from the
 // lanes, the sink and the loops.
 type shipCounters struct {
-	batches, frames, records, retries, catchUp, dropped atomic.Uint64
-	acked, heartbeats, rebases                          atomic.Uint64
+	batches, frames, records, retries, dropped atomic.Uint64
+	acked, heartbeats, rebases                 atomic.Uint64
 }
 
 // Shipper is the primary half of the replication channel, feeding N
 // standbys from one commit sink. AttachGroup wires it into a durable
-// kernel's commit path: the kernel quiesces, ships a base snapshot to
-// every peer, and installs the shipper as the log's commit sink. From
-// then on every group commit's records are shipped to all live peers in
-// parallel — the commit's tickets (and therefore the clients' replies)
-// wait for every live standby's durable acknowledgement, so a double
-// failure still loses nothing that was acknowledged.
+// kernel's commit path through join, the one way a standby ever gets
+// onto the stream: the kernel quiesces, every joining peer takes a base
+// snapshot at this shipper's term, and the shipper becomes the log's
+// commit sink. From then on every group commit's records are shipped to
+// all live peers in parallel — the commit's tickets (and therefore the
+// clients' replies) wait for every live standby's durable
+// acknowledgement, so a double failure still loses nothing that was
+// acknowledged.
 //
 // Leadership is leased: every acknowledged frame doubles as a lease
 // grant timestamped at its SEND time, bare heartbeats renew grants when
@@ -158,11 +159,12 @@ type shipCounters struct {
 // primary stops acknowledging strictly before the standbys' failure
 // detectors (lease term + skew) can elect a successor.
 //
-// Failure policy per peer: a sequence-gap rejection is healed in place
-// by re-shipping from that receiver's high water (wal.ReadFrom);
-// transport failures are retried Options.Attempts times and then the
-// peer is marked lost — shipped around, slow-reprobed, and re-based
-// through the snapshot path when it answers again.
+// Failure policy per peer: transport failures are retried
+// Options.Attempts times and then the peer is marked lost; a peer that
+// answers from off the stream — a sequence-gap refusal, or an
+// acknowledgement whose Pos is not in this shipper's term — is marked
+// lost at once. A lost peer is shipped around, slow-reprobed, and
+// re-joined when it answers again.
 type Shipper struct {
 	k *svc.Kernel
 	c *rpc.Client
@@ -217,21 +219,11 @@ func AttachGroup(k *svc.Kernel, c *rpc.Client, dests []cap.Port, o Options) (*Sh
 	s.hbOpts = []rpc.CallOption{rpc.WithTimeout(s.o.LeaseTerm / 3), rpc.WithRetries(0), rpc.WithRawStale()}
 	s.hb = EncodeHeartbeat(s.o.Term)
 	s.ctx, s.cancel = context.WithCancel(context.Background())
-	peers := make([]*peer, 0, len(dests))
-	for _, d := range dests {
-		p, _ := s.startLane(d) // cannot fail: nothing has stopped s yet
-		peers = append(peers, p)
+	peers := make([]*peer, len(dests))
+	for i, d := range dests {
+		peers[i], _ = s.startLane(d) // cannot fail: nothing has stopped s yet
 	}
-	s.peers.Store(&peers)
-	err := k.AttachReplica(func(snap []byte, next uint64) error {
-		for _, p := range peers {
-			if err := s.shipBase(p, snap, next); err != nil {
-				return err
-			}
-		}
-		return nil
-	}, s.sink)
-	if err != nil {
+	if err := s.join(peers...); err != nil {
 		s.halt()
 		s.wg.Wait()
 		return nil, err
@@ -253,13 +245,13 @@ func AttachGroup(k *svc.Kernel, c *rpc.Client, dests []cap.Port, o Options) (*Sh
 // election paths call it; idempotent.
 func (s *Shipper) Stop() {
 	s.halt() // first: unblocks the lanes (and so a sink) mid-RPC
-	s.k.DetachReplica()
+	s.k.SetReplicaSink(nil)
 	s.wg.Wait()
 }
 
-// halt marks the shipper stopped and cancels its context. stopped goes
-// first, so whoever sees the context cancelled also sees stopped; under
-// mu, so no lane can start once the caller's wg.Wait has begun.
+// halt marks the shipper stopped, THEN cancels: who sees the context
+// cancelled also sees stopped (not the converse: paths gated on stopped
+// return context.Canceled themselves). Under mu: no lane starts after it.
 func (s *Shipper) halt() {
 	s.mu.Lock()
 	s.stopped.Store(true)
@@ -273,7 +265,7 @@ func (s *Shipper) startLane(dest cap.Port) (*peer, error) {
 	s.mu.Lock()
 	defer s.mu.Unlock()
 	if s.stopped.Load() {
-		return nil, s.ctx.Err()
+		return nil, context.Canceled
 	}
 	s.wg.Add(1)
 	go s.lane(p)
@@ -294,10 +286,15 @@ func (s *Shipper) lane(p *peer) {
 				s.exchange(p, s.hb, s.hbOpts)
 				continue
 			}
-			if j.rebase {
+			if j.reply != nil {
 				p.fails = 0 // a re-base starts on a fresh attempt budget
 			}
-			err := s.shipFrames(p, j.frames, j.end, j.rebase)
+			var err error
+			for _, frame := range j.frames {
+				if err = s.sendFrame(p, frame); err != nil {
+					break
+				}
+			}
 			if j.batch != nil {
 				if err == nil {
 					j.batch.acks.Add(1)
@@ -326,22 +323,6 @@ func (s *Shipper) handOff(p *peer, j shipJob) bool {
 	case <-s.ctx.Done():
 	}
 	return false
-}
-
-// shipBase ships a base snapshot to one peer through its lane and waits
-// for the verdict. Seq next-1 makes the receiver expect exactly the
-// next record the primary will commit. Callers hold the kernel
-// quiesced, so the peer rejoins the stream with no gap.
-func (s *Shipper) shipBase(p *peer, snap []byte, next uint64) error {
-	base := []wal.Record{{Seq: next - 1, Checkpoint: true, Data: snap}}
-	reply := make(chan error, 1)
-	if !s.handOff(p, shipJob{frames: Encode(base, true, s.o.Term), end: next, rebase: true, reply: reply}) {
-		if err := s.ctx.Err(); err != nil {
-			return err
-		}
-		return ErrBackupLost // dropped from the group mid-re-base
-	}
-	return <-reply
 }
 
 // peerList returns the current peer snapshot (read-only).
@@ -406,7 +387,6 @@ func (s *Shipper) Stats() ShipperStats {
 		Frames:     s.n.frames.Load(),
 		Records:    s.n.records.Load(),
 		Retries:    s.n.retries.Load(),
-		CatchUp:    s.n.catchUp.Load(),
 		Dropped:    s.n.dropped.Load(),
 		Acked:      s.n.acked.Load(),
 		Heartbeats: s.n.heartbeats.Load(),
@@ -483,29 +463,69 @@ func (s *Shipper) SelfDemote() {
 // wedged local WAL.
 func (s *Shipper) Demoted() bool { return s.demoted.Load() }
 
-// AddPeer re-bases a fresh (or returning, or deposed) standby at dest
-// through the snapshot path and adds it to the group. The re-base runs
-// quiesced, so the new peer joins with no gap.
+// join is the one way onto the stream — the group's first attach, a
+// fresh or returning or deposed standby, a lost peer that answers
+// again. Inside ONE quiesced window it ships each of ps the base at this
+// shipper's term and, only if every one acknowledged it in that term,
+// publishes them as live members and installs the commit sink.
+// Quiesced, no handler is mid-flight and every ticket has been waited,
+// so each peer's next record is exactly the next one committed: there
+// is never a gap to heal. Nothing ships before the first window closes;
+// a group of no peers still gets its sink, so its first batch reaches
+// nobody and seals.
+func (s *Shipper) join(ps ...*peer) error {
+	return s.k.Resnapshot(func(snap []byte, next uint64) error {
+		// Seq next-1: each receiver then expects exactly the next record
+		// the primary commits. The lanes ship side by side; reply has
+		// room for every verdict, so none blocks on an early return.
+		reply := make(chan error, len(ps))
+		base := shipJob{frames: Encode([]wal.Record{{Seq: next - 1, Checkpoint: true, Data: snap}}, true, s.o.Term), reply: reply}
+		for _, p := range ps {
+			if !s.handOff(p, base) {
+				return cmp.Or(s.ctx.Err(), ErrBackupLost) // dropped mid-join
+			}
+		}
+		for range ps {
+			if err := <-reply; err != nil {
+				return err
+			}
+		}
+		s.mu.Lock()
+		defer s.mu.Unlock()
+		if s.stopped.Load() {
+			return context.Canceled // Stop has detached the sink; stay detached
+		}
+		peers := slices.Clone(s.peerList())
+		for _, p := range ps {
+			select {
+			case <-p.quit: // dropped with its base in flight: stays out
+				continue
+			default:
+			}
+			if !slices.Contains(peers, p) {
+				peers = append(peers, p)
+			}
+			p.lost.Store(false)
+		}
+		s.peers.Store(&peers)
+		s.n.rebases.Add(uint64(len(ps)))
+		s.k.SetReplicaSink(s.sink)
+		return nil
+	})
+}
+
+// AddPeer starts a lane to the fresh standby at dest and joins it to
+// the group — the re-integration path Restart uses.
 func (s *Shipper) AddPeer(dest cap.Port) error {
 	p, err := s.startLane(dest)
 	if err != nil {
 		return err
 	}
-	err = s.k.Resnapshot(func(snap []byte, next uint64) error {
-		if err := s.shipBase(p, snap, next); err != nil {
-			return err
-		}
-		s.mu.Lock()
-		peers := append(append([]*peer(nil), s.peerList()...), p)
-		s.peers.Store(&peers)
-		s.mu.Unlock()
-		s.n.rebases.Add(1)
-		return nil
-	})
-	if err != nil {
+	if err := s.join(p); err != nil {
 		close(p.quit) // never published: nobody else can reach this lane
+		return err
 	}
-	return err
+	return nil
 }
 
 // DropPeer removes the peer at dest from the group (its machine is
@@ -545,7 +565,7 @@ func (s *Shipper) sink(recs []wal.Record) {
 	s.n.batches.Add(1)
 	s.n.records.Add(uint64(len(recs)))
 
-	job := shipJob{frames: Encode(recs, false, s.o.Term), end: recs[len(recs)-1].Seq + 1, batch: &s.batch}
+	job := shipJob{frames: Encode(recs, false, s.o.Term), batch: &s.batch}
 	s.batch.acks.Store(0)
 	shipped := false
 	for _, p := range s.peerList() {
@@ -581,40 +601,35 @@ func (s *Shipper) sink(recs []wal.Record) {
 	}
 }
 
-// shipFrames delivers one encoded batch to one peer (lane only).
-func (s *Shipper) shipFrames(p *peer, frames []Frame, batchEnd uint64, rebase bool) error {
-	for _, frame := range frames {
-		if err := s.sendFrame(p, frame, batchEnd, rebase); err != nil {
-			return err
-		}
-	}
-	return nil
-}
-
 // exchange sends one frame to one peer (lane only) and books what the
-// reply proves: an OK carries the peer's durable high water and is a
-// lease grant; a stale-term bounce deposes this shipper. sent is taken
+// reply proves. Any OK is a lease grant, stamped with the time taken
 // BEFORE the call — a grant is only as fresh as the moment the renewal
-// left. s.ctx carries only cancellation (Stop); the per-attempt timeout
-// rides the call option, so no deadline context is built on this hot
-// path.
-func (s *Shipper) exchange(p *peer, payload []byte, opts []rpc.CallOption) (rep rpc.Reply, sent time.Time, err error) {
+// left. It is an acknowledgement only if its Pos is in this shipper's
+// term: a receiver that answers from another term is alive but not on
+// this stream (it never took our base), which exchange reports as the
+// conflict it is. A stale-term bounce deposes this shipper. s.ctx
+// carries only cancellation (Stop); the per-attempt timeout rides the
+// call option, so no deadline context is built on this hot path.
+func (s *Shipper) exchange(p *peer, payload []byte, opts []rpc.CallOption) (rpc.Status, error) {
 	s.n.frames.Add(1)
-	sent = s.o.Now()
-	rep, err = s.c.Trans(s.ctx, p.dest, rpc.Request{Op: OpShip, Data: payload}, opts...)
+	sent := s.o.Now()
+	rep, err := s.c.Trans(s.ctx, p.dest, rpc.Request{Op: OpShip, Data: payload}, opts...)
 	if err != nil {
-		return rep, sent, err
+		return 0, err
 	}
 	switch rep.Status {
 	case rpc.StatusOK:
-		if high, aerr := ParseAck(rep.Data); aerr == nil {
-			s.peerAcked(p, high)
-		}
 		p.grant.Store(sent.UnixNano())
+		at, aerr := ParseAck(rep.Data)
+		if aerr != nil || at.Term != s.o.Term {
+			return rpc.StatusConflict, nil
+		}
+		storeMax(&p.acked, at.Seq)
+		storeMax(&s.n.acked, at.Seq)
 	case rpc.StatusStale:
 		s.Depose()
 	}
-	return rep, sent, nil
+	return rep.Status, nil
 }
 
 // failed books one failed attempt against p's budget: ErrBackupLost
@@ -634,55 +649,35 @@ func (s *Shipper) failed(p *peer) error {
 	return nil
 }
 
-// sendFrame delivers one frame to one peer (lane only). A sequence-gap
-// rejection is healed by re-shipping everything from the receiver's
-// high water through the end of the batch out of the primary's own log
-// (every batch record is committed before the sink runs, so the log has
-// them all); transport failures are retried until the attempt budget is
-// spent, and then the peer is marked lost.
-func (s *Shipper) sendFrame(p *peer, frame Frame, batchEnd uint64, rebase bool) error {
+// sendFrame delivers one frame to one peer (lane only). A conflict —
+// the receiver saw a sequence gap and refused to apply out of order, or
+// it acknowledged from another term — marks the peer lost at once:
+// reprobeLoop re-joins it, the route every other loss takes. Transport
+// failures are retried until the attempt budget is spent, and then the
+// peer is marked lost.
+func (s *Shipper) sendFrame(p *peer, frame []byte) error {
 	for {
 		if s.stopped.Load() {
 			s.n.dropped.Add(1)
-			return s.ctx.Err()
+			return context.Canceled
 		}
-		rep, sent, err := s.exchange(p, frame.Payload, s.opts)
+		status, err := s.exchange(p, frame, s.opts)
 		if err == nil {
-			switch rep.Status {
+			switch status {
 			case rpc.StatusOK:
 				p.fails = 0
 				return nil
 			case rpc.StatusStale:
 				return ErrDeposed
 			case rpc.StatusConflict:
-				// A rebase frame can never gap; for the in-sequence
-				// stream, back-fill from the receiver's high water. If
-				// the catch-up covers the whole batch, this frame (and
-				// the batch's remaining frames, as duplicates) is done.
-				high, aerr := ParseAck(rep.Data)
-				if aerr == nil && !rebase {
-					if high+1 < batchEnd {
-						if cerr := s.catchUp(p, high+1, batchEnd); cerr != nil {
-							return cerr
-						}
-					}
-					if p.acked.Load() >= batchEnd-1 {
-						p.grant.Store(sent.UnixNano())
-						return nil
-					}
-				}
+				p.lost.Store(true)
+				return ErrBackupLost
 			}
 		}
 		if err := s.failed(p); err != nil {
 			return err
 		}
 	}
-}
-
-// peerAcked records a durable acknowledgement from one peer.
-func (s *Shipper) peerAcked(p *peer, high uint64) {
-	storeMax(&p.acked, high)
-	storeMax(&s.n.acked, high)
 }
 
 // storeMax raises a to v unless it is already there.
@@ -691,78 +686,6 @@ func storeMax(a *atomic.Uint64, v uint64) {
 		cur := a.Load()
 		if v <= cur || a.CompareAndSwap(cur, v) {
 			return
-		}
-	}
-}
-
-// catchUp re-ships the committed records in [from, to) out of the
-// primary's own log to one peer. ErrSeqTruncated cannot normally happen
-// — the receiver's high water only trails records it was already
-// shipped, which a checkpoint cannot outrun because checkpoints ship
-// through the same ordered stream — so it is treated as a lost backup.
-func (s *Shipper) catchUp(p *peer, from, to uint64) error {
-	batch := make([]wal.Record, 0, 64)
-	size := 0
-	flush := func() error {
-		if len(batch) == 0 {
-			return nil
-		}
-		s.n.catchUp.Add(uint64(len(batch)))
-		for _, frame := range Encode(batch, false, s.o.Term) {
-			if err := s.sendCatchUpFrame(p, frame.Payload); err != nil {
-				return err
-			}
-		}
-		batch, size = batch[:0], 0
-		return nil
-	}
-	err := s.k.ReadFrom(from, func(r wal.Record) error {
-		if r.Seq >= to {
-			return errStopScan
-		}
-		// ReadFrom's record data aliases its scan buffer; copy for the
-		// frames we batch up.
-		r.Data = append([]byte(nil), r.Data...)
-		batch = append(batch, r)
-		size += len(r.Data)
-		if size >= MaxShipBytes {
-			return flush()
-		}
-		return nil
-	})
-	if err != nil && !errors.Is(err, errStopScan) {
-		return err
-	}
-	return flush()
-}
-
-var errStopScan = errors.New("repl: scan complete")
-
-// sendCatchUpFrame is sendFrame without gap-healing (catch-up must not
-// recurse); a conflict here means the receiver advanced meanwhile,
-// which the outer retry resolves.
-func (s *Shipper) sendCatchUpFrame(p *peer, frame []byte) error {
-	for {
-		if s.stopped.Load() {
-			return s.ctx.Err()
-		}
-		rep, _, err := s.exchange(p, frame, s.opts)
-		if err == nil {
-			switch rep.Status {
-			case rpc.StatusStale:
-				return ErrDeposed
-			case rpc.StatusConflict:
-				if high, aerr := ParseAck(rep.Data); aerr == nil {
-					s.peerAcked(p, high)
-				}
-				fallthrough
-			case rpc.StatusOK:
-				p.fails = 0
-				return nil
-			}
-		}
-		if err := s.failed(p); err != nil {
-			return err
 		}
 	}
 }
@@ -820,8 +743,9 @@ func (s *Shipper) heartbeatLoop() {
 
 // reprobeLoop is the slow path back from the dead: every Reprobe it
 // pings each lost peer's receiver with an OpSeq query (cheap, no
-// records), and a peer that answers is re-based via the snapshot path
-// and resumes as a live member of the group.
+// records — a join attempt on a dead peer would hold the kernel
+// quiesced for a whole attempt budget), and a peer that answers is
+// re-joined and resumes as a live member of the group.
 func (s *Shipper) reprobeLoop() {
 	defer s.wg.Done()
 	tick := time.NewTicker(s.o.Reprobe)
@@ -846,25 +770,10 @@ func (s *Shipper) reprobeLoop() {
 			if err != nil || rep.Status != rpc.StatusOK {
 				continue
 			}
-			// Alive again. Re-base it: its log may have holes we
-			// shipped around while it was lost, so the only safe
-			// resumption point is a fresh snapshot.
-			if err := s.rebasePeer(p); err != nil {
-				continue // still flaky; next tick tries again
-			}
+			// Alive again. Its log may have holes we shipped around while
+			// it was lost, so the only safe resumption point is a fresh
+			// base; still flaky, and the next tick tries again.
+			_ = s.join(p)
 		}
 	}
-}
-
-// rebasePeer ships a returning peer a fresh base snapshot (quiesced, so
-// it rejoins the stream with no gap) and marks it live.
-func (s *Shipper) rebasePeer(p *peer) error {
-	return s.k.Resnapshot(func(snap []byte, next uint64) error {
-		if err := s.shipBase(p, snap, next); err != nil {
-			return err
-		}
-		p.lost.Store(false)
-		s.n.rebases.Add(1)
-		return nil
-	})
 }

@@ -16,8 +16,9 @@ const (
 	vSkip
 	// vWait: a fragment was buffered; the record is not yet complete.
 	vWait
-	// vGap: the item's sequence is ahead of the stream — records were
-	// lost in transit; reject the frame so the shipper back-fills.
+	// vGap: the item is ahead of the stream, or numbered in a term the
+	// stream has no base for — records were lost in transit; refuse the
+	// frame, so the shipper marks the peer lost and re-bases it.
 	vGap
 )
 
@@ -25,86 +26,105 @@ const (
 // fuzz harness can drive it directly with adversarial inputs. It
 // enforces the replication stream's safety rules:
 //
-//   - nothing applies before a base (rebase) checkpoint arrives;
+//   - nothing applies before a base (rebase) checkpoint arrives, and a
+//     record applies only in the term of the base it is numbered from
+//     (one from a newer term, whose base never arrived, is a gap);
 //   - each record applies exactly once, in sequence order — stale and
 //     duplicate items (network duplicates, RPC retries) are skipped,
 //     future items (a gap) are rejected;
 //   - fragments reassemble strictly in order, and a duplicate of the
 //     frame that is mid-assembly re-offers its fragments harmlessly;
-//   - a duplicate rebase that would rewind an already-advanced stream
-//     (a delayed base frame redelivered by the network) is skipped.
+//   - a base OLDER than the stream (Pos.Less: a delayed base frame
+//     redelivered by the network, or one from a superseded term) is
+//     skipped; a base at a newer term always applies, however low its
+//     sequence — the new primary numbers its own log.
 //
 // offer never mutates the applied horizon; the caller advances it with
 // applied() only after the record really was applied, so an apply
 // failure leaves the stream consistent for the shipper's retry.
 type stream struct {
-	based    bool
-	expected uint64 // next sequence to apply
-	part     *partial
+	based bool
+	next  Pos // term of the applied base ∥ next sequence to apply in it
+	part  *partial
 }
 
 // partial is a record mid-reassembly.
 type partial struct {
-	seq        uint64
+	at         Pos
 	checkpoint bool
 	rebase     bool
 	total      uint32
 	buf        []byte
 }
 
-// high is the acknowledged high-water sequence (0 before the base).
-func (st *stream) high() uint64 {
-	if !st.based || st.expected == 0 {
-		return 0
+// pos is the acknowledged position: the base's term and the high-water
+// sequence in it (zero before the base).
+func (st *stream) pos() Pos {
+	if !st.based || st.next.Seq == 0 {
+		return Pos{Term: st.next.Term}
 	}
-	return st.expected - 1
+	return Pos{Term: st.next.Term, Seq: st.next.Seq - 1}
+}
+
+// ack is the position a frame's reply carries: pos, except while a base
+// is mid-assembly. Nothing of that base is durable yet, so pos is still
+// the old base's — but the sender reads the ack's term as "this receiver
+// is on my stream", and a receiver buffering its base IS: the ack names
+// the base's term, with nothing (Seq 0) acknowledged in it. Elections
+// read pos, never ack: a buffered base is no claim to hold it.
+func (st *stream) ack() Pos {
+	if p := st.part; p != nil && p.rebase {
+		return Pos{Term: p.at.Term}
+	}
+	return st.pos()
 }
 
 // reset drops any partial reassembly (after a failed apply, so the
 // shipper's retry rebuilds the record from its first fragment).
 func (st *stream) reset() { st.part = nil }
 
-// offer examines one decoded item and says what to do with it. When it
-// returns vApply, rec is the complete record; the caller applies it and
-// then calls applied(rec, rebase).
-func (st *stream) offer(it Item, rebase bool) (v verdict, rec wal.Record, err error) {
+// offer examines one decoded item of a frame sent at term and says what
+// to do with it. When it returns vApply, rec is the complete record; the
+// caller applies it and then calls applied(rec, rebase, term).
+func (st *stream) offer(it Item, rebase bool, term uint64) (v verdict, rec wal.Record, err error) {
+	at := Pos{Term: term, Seq: it.Seq}
 	if rebase {
 		if !it.Checkpoint {
 			return 0, rec, fmt.Errorf("repl: rebase item %d is not a checkpoint", it.Seq)
 		}
-		// A redelivered base from before the stream advanced must not
-		// rewind state that newer records already moved.
-		if st.based && it.Seq < st.expected {
+		// A base older than the stream must not rewind state that newer
+		// records already moved.
+		if st.based && at.Less(st.next) {
 			return vSkip, rec, nil
 		}
-		return st.assemble(it, true)
+		return st.assemble(it, true, at)
 	}
 	if !st.based {
 		return vGap, rec, nil
 	}
 	switch {
-	case it.Seq < st.expected:
+	case at.Less(st.next):
 		return vSkip, rec, nil
-	case it.Seq > st.expected:
+	case st.next.Less(at):
 		return vGap, rec, nil
 	}
-	return st.assemble(it, false)
+	return st.assemble(it, false, at)
 }
 
 // assemble routes an in-sequence item through fragment reassembly.
-func (st *stream) assemble(it Item, rebase bool) (verdict, wal.Record, error) {
+func (st *stream) assemble(it Item, rebase bool, at Pos) (verdict, wal.Record, error) {
 	whole := it.Off == 0 && uint32(len(it.Frag)) == it.Total
 	if whole {
 		st.part = nil
 		return vApply, wal.Record{Seq: it.Seq, Checkpoint: it.Checkpoint, Data: it.Frag}, nil
 	}
 	p := st.part
-	if p == nil || p.seq != it.Seq || p.rebase != rebase {
+	if p == nil || p.at != at || p.rebase != rebase {
 		if it.Off != 0 {
 			return vGap, wal.Record{}, nil // lost the head of this record
 		}
 		st.part = &partial{
-			seq:        it.Seq,
+			at:         at,
 			checkpoint: it.Checkpoint,
 			rebase:     rebase,
 			total:      it.Total,
@@ -132,20 +152,22 @@ func (st *stream) finish() (verdict, wal.Record, error) {
 	p := st.part
 	if uint32(len(p.buf)) > p.total {
 		st.part = nil
-		return 0, wal.Record{}, fmt.Errorf("repl: record %d overflows its declared size", p.seq)
+		return 0, wal.Record{}, fmt.Errorf("repl: record %d overflows its declared size", p.at.Seq)
 	}
 	if uint32(len(p.buf)) < p.total {
 		return vWait, wal.Record{}, nil
 	}
 	st.part = nil
-	return vApply, wal.Record{Seq: p.seq, Checkpoint: p.checkpoint, Data: p.buf}, nil
+	return vApply, wal.Record{Seq: p.at.Seq, Checkpoint: p.checkpoint, Data: p.buf}, nil
 }
 
-// applied advances the stream past a successfully applied record.
-func (st *stream) applied(rec wal.Record, rebase bool) {
+// applied advances the stream past a successfully applied record; a
+// base also moves it into the term it was sent at.
+func (st *stream) applied(rec wal.Record, rebase bool, term uint64) {
 	if rebase {
 		st.based = true
+		st.next.Term = term
 	}
-	st.expected = rec.Seq + 1
+	st.next.Seq = rec.Seq + 1
 	st.part = nil
 }

@@ -2,7 +2,9 @@ package rpc
 
 import (
 	"context"
+	"strings"
 	"sync"
+	"sync/atomic"
 	"testing"
 	"time"
 
@@ -193,4 +195,43 @@ func TestConcurrentClientsOneServer(t *testing.T) {
 		}(g, client)
 	}
 	wg.Wait()
+}
+
+// TestOverMTUReplyFailsFast: a reply the wire cannot carry used to be
+// dropped in silence — the client retried, the handler re-executed, and
+// the caller learned nothing until its deadline. The server now answers
+// it once, for any handler, with a StatusServerError naming the size and
+// the limit.
+func TestOverMTUReplyFailsFast(t *testing.T) {
+	const opPlain, opPooled = 0x0A01, 0x0A02
+	r := newTestRig(t, cap.SchemeOneWay)
+	var runs atomic.Int32
+	r.server.Handle(opPlain, func(context.Context, Meta, Request) Reply {
+		runs.Add(1)
+		return OkReply(make([]byte, amnet.MTU))
+	})
+	r.server.Handle(opPooled, func(context.Context, Meta, Request) Reply {
+		runs.Add(1)
+		b := NewReplyBuf(amnet.MTU)
+		b.Extend(amnet.MTU)
+		return OkReplyBuf(b)
+	})
+	r.start(t)
+	for _, op := range []uint16{opPlain, opPooled} {
+		runs.Store(0)
+		start := time.Now()
+		rep, err := r.client.Trans(context.Background(), r.server.PutPort(), Request{Op: op})
+		if err != nil {
+			t.Fatalf("op %#x: an over-MTU reply left the client to time out: %v", op, err)
+		}
+		if rep.Status != StatusServerError || !strings.Contains(string(rep.Data), "exceeds") {
+			t.Fatalf("op %#x: reply %v %q, want a server error naming the limit", op, rep.Status, rep.Data)
+		}
+		if took := time.Since(start); took >= 500*time.Millisecond {
+			t.Fatalf("op %#x: answered after %v — a whole client attempt", op, took)
+		}
+		if n := runs.Load(); n != 1 {
+			t.Fatalf("op %#x: handler ran %d times, want 1", op, n)
+		}
+	}
 }

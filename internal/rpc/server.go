@@ -723,8 +723,15 @@ func (s *Server) reply(sealer CapSealer, m fbox.Received, rep Reply) {
 		appendReply(b, rep)
 		rep.releaseBuf()
 	}
-	// Best effort: an unreachable client retries with a new port.
-	_ = s.fb.PutBuf(m.From, m.Reply, nil, 0, b)
+	// Best effort: an unreachable client retries with a new port. But a
+	// reply the wire refuses to carry would be dropped on EVERY retry —
+	// the client would re-execute the request until its deadline — so
+	// that one is answered, for every handler, with a status that fits.
+	size := b.Len()
+	if err := s.fb.PutBuf(m.From, m.Reply, nil, 0, b); errors.Is(err, amnet.ErrTooLarge) {
+		s.reply(nil, m, ErrReply(StatusServerError,
+			fmt.Sprintf("reply of %d bytes exceeds the %d-byte network MTU", size, amnet.MTU)))
+	}
 }
 
 // replyDataIsBuf reports whether rep.Data is exactly the live payload

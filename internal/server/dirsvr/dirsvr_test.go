@@ -2,8 +2,10 @@ package dirsvr
 
 import (
 	"context"
+	"fmt"
 	"strings"
 	"testing"
+	"time"
 
 	"amoeba/internal/cap"
 	"amoeba/internal/rpc"
@@ -358,5 +360,33 @@ func TestDirectoryEntryForSelf(t *testing.T) {
 	got, err := d.LookupPath(ctx, dir, "self/self/self")
 	if err != nil || got != dir {
 		t.Fatalf("self path: %v %v", got, err)
+	}
+}
+
+// TestListTooLargeFailsFast: a directory whose listing no longer fits
+// one reply frame (≥ 5,462 six-byte names) used to hang every caller of
+// List until its deadline — the reply was dropped at the wire, silently,
+// on every retry. It now fails at once with a server error that says why.
+func TestListTooLargeFailsFast(t *testing.T) {
+	ctx := context.Background()
+	r := servertest.New(t, 0xD1F)
+	s := newServer(t, r)
+	d := NewClient(r.Client)
+	dir, err := d.CreateDir(ctx, s.PutPort())
+	if err != nil {
+		t.Fatal(err)
+	}
+	for i := 0; i < 5500; i++ {
+		if err := d.Enter(ctx, dir, fmt.Sprintf("e%05d", i), cap.Capability{Object: uint32(i)}); err != nil {
+			t.Fatal(err)
+		}
+	}
+	start := time.Now()
+	_, err = d.List(ctx, dir)
+	if !rpc.IsStatus(err, rpc.StatusServerError) || !strings.Contains(err.Error(), "exceeds") {
+		t.Fatalf("over-MTU List: %v, want a server error naming the limit", err)
+	}
+	if took := time.Since(start); took > time.Second {
+		t.Fatalf("over-MTU List took %v; it must fail fast, not time out", took)
 	}
 }

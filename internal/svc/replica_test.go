@@ -53,20 +53,24 @@ func TestKernelReplicaApply(t *testing.T) {
 		b.n[string(rec[1:])]++
 		return nil
 	}
-	err = p.AttachReplica(func(snap []byte, nextSeq uint64) error {
-		_, aerr := b.ReplicaApply(wal.Record{Seq: nextSeq - 1, Checkpoint: true, Data: snap}, apply)
-		return aerr
-	}, func(recs []wal.Record) {
-		for _, rec := range recs {
-			tk, aerr := b.ReplicaApply(rec, apply)
-			if aerr != nil {
-				t.Errorf("replica apply seq %d: %v", rec.Seq, aerr)
-				return
-			}
-			if aerr := tk.Wait(); aerr != nil {
-				t.Errorf("replica commit seq %d: %v", rec.Seq, aerr)
-			}
+	// The join window: base first, sink installed before the kernel resumes.
+	err = p.Resnapshot(func(snap []byte, nextSeq uint64) error {
+		if _, aerr := b.ReplicaApply(wal.Record{Seq: nextSeq - 1, Checkpoint: true, Data: snap}, apply); aerr != nil {
+			return aerr
 		}
+		p.SetReplicaSink(func(recs []wal.Record) {
+			for _, rec := range recs {
+				tk, aerr := b.ReplicaApply(rec, apply)
+				if aerr != nil {
+					t.Errorf("replica apply seq %d: %v", rec.Seq, aerr)
+					return
+				}
+				if aerr := tk.Wait(); aerr != nil {
+					t.Errorf("replica commit seq %d: %v", rec.Seq, aerr)
+				}
+			}
+		})
+		return nil
 	})
 	if err != nil {
 		t.Fatal(err)
@@ -92,7 +96,7 @@ func TestKernelReplicaApply(t *testing.T) {
 		t.Fatalf("shipped checkpoint corrupted the standby: %v", b.n)
 	}
 
-	p.DetachReplica()
+	p.SetReplicaSink(nil)
 
 	// The standby's own log must replay everything it acknowledged.
 	rlog, err := wal.Open(bdisk.Clone(), wal.Options{})
@@ -107,12 +111,12 @@ func TestKernelReplicaApply(t *testing.T) {
 	}
 }
 
-// TestAttachReplicaVolatileRefused: replication requires a log.
-func TestAttachReplicaVolatileRefused(t *testing.T) {
+// TestResnapshotVolatileRefused: replication requires a log.
+func TestResnapshotVolatileRefused(t *testing.T) {
 	_, fb := newRig(t)
 	c := newCounter(t, fb, nil, 0)
 	defer c.Close()
-	if err := c.AttachReplica(func([]byte, uint64) error { return nil }, nil); err == nil {
+	if err := c.Resnapshot(func([]byte, uint64) error { return nil }); err == nil {
 		t.Fatal("volatile kernel accepted a replica")
 	}
 	if _, err := c.ReplicaApply(wal.Record{Seq: 1, Data: []byte{0x01, 'x'}}, nil); err == nil {

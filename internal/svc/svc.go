@@ -632,40 +632,14 @@ func (k *Kernel) Recover(apply func(rec []byte) error) error {
 	})
 }
 
-// AttachReplica begins hot-standby replication from this (durable,
-// primary) kernel: it quiesces the service, hands base the checkpoint
-// envelope of the still state together with the log sequence number the
-// next mutation will get, and — only if base succeeds — installs sink
-// as the log's commit sink before resuming. Every record with sequence
-// ≥ nextSeq is then delivered to sink in commit order, after its group
-// commit and before its ticket completes (see wal.Log.SetSink), so the
-// standby acknowledges a mutation before the client does.
-//
-// base typically ships the envelope to the standby (Receiver installs
-// it via ReplicaApply's checkpoint path); its error aborts the attach
-// with no sink installed.
-func (k *Kernel) AttachReplica(base func(snap []byte, nextSeq uint64) error, sink func([]wal.Record)) error {
-	if k.log == nil {
-		return errors.New("svc: volatile kernel cannot replicate")
-	}
-	resume := k.srv.Quiesce()
-	defer resume()
-	// Quiesced, every staged record has committed (handlers wait on
-	// their tickets before replying), so the envelope and NextSeq are a
-	// consistent cut.
-	if err := base(k.envelope(), k.log.NextSeq()); err != nil {
-		return err
-	}
-	k.log.SetSink(sink)
-	return nil
-}
-
 // Resnapshot quiesces the service and hands base a fresh checkpoint
-// envelope plus the next log sequence, exactly as AttachReplica does —
-// but WITHOUT touching the commit sink. The fan-out shipper uses it to
-// re-base one returning standby while the rest of the group keeps its
-// stream: quiesced, no handler is mid-flight and every ticket has been
-// waited, so no sink delivery is concurrent with base.
+// envelope plus the log sequence number the next mutation will get.
+// Quiesced, every staged record has committed (handlers wait on their
+// tickets before replying) and no sink delivery is concurrent with base,
+// so the envelope and the sequence are a consistent cut. It is the one
+// window a standby joins a replication stream through: base ships the
+// envelope (a Receiver installs it via ReplicaApply's checkpoint path)
+// and installs the commit sink with SetReplicaSink before it returns.
 func (k *Kernel) Resnapshot(base func(snap []byte, nextSeq uint64) error) error {
 	if k.log == nil {
 		return errors.New("svc: volatile kernel cannot replicate")
@@ -675,10 +649,14 @@ func (k *Kernel) Resnapshot(base func(snap []byte, nextSeq uint64) error) error 
 	return base(k.envelope(), k.log.NextSeq())
 }
 
-// DetachReplica stops delivering committed records to the replica sink.
-func (k *Kernel) DetachReplica() {
+// SetReplicaSink installs sink as the log's commit sink (nil detaches
+// it): every record staged from here on is delivered to it in commit
+// order, after its group commit and before its ticket completes (see
+// wal.Log.SetSink), so a standby acknowledges a mutation before the
+// client does. No-op on a volatile kernel.
+func (k *Kernel) SetReplicaSink(sink func([]wal.Record)) {
 	if k.log != nil {
-		k.log.SetSink(nil)
+		k.log.SetSink(sink)
 	}
 }
 
@@ -699,15 +677,6 @@ func (k *Kernel) NextSeq() uint64 {
 		return 0
 	}
 	return k.log.NextSeq()
-}
-
-// ReadFrom streams committed log records with sequence ≥ from (the
-// replica catch-up path; see wal.Log.ReadFrom).
-func (k *Kernel) ReadFrom(from uint64, fn func(wal.Record) error) error {
-	if k.log == nil {
-		return errors.New("svc: volatile kernel has no log")
-	}
-	return k.log.ReadFrom(from, fn)
 }
 
 // ReplicaApply applies one shipped record to a STANDBY kernel — a

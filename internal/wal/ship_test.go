@@ -1,8 +1,6 @@
 package wal
 
 import (
-	"bytes"
-	"errors"
 	"fmt"
 	"testing"
 	"time"
@@ -87,103 +85,6 @@ func TestSinkSeesCommitsBeforeTickets(t *testing.T) {
 	tk.Wait()
 	if len(got) != 4 {
 		t.Fatal("detached sink still receives records")
-	}
-}
-
-// TestReadFromStreamsCommittedTail: ReadFrom replays exactly the
-// committed records ≥ from, and a from below the checkpointed start is
-// ErrSeqTruncated.
-func TestReadFromStreamsCommittedTail(t *testing.T) {
-	l, _ := openShipLog(t, 128)
-	for i := 0; i < 6; i++ {
-		tk, err := l.Append([]byte(fmt.Sprintf("rec%d", i)))
-		if err != nil {
-			t.Fatal(err)
-		}
-		if err := tk.Wait(); err != nil {
-			t.Fatal(err)
-		}
-	}
-	collect := func(from uint64) []Record {
-		var out []Record
-		if err := l.ReadFrom(from, func(r Record) error {
-			r.Data = append([]byte(nil), r.Data...)
-			out = append(out, r)
-			return nil
-		}); err != nil {
-			t.Fatalf("ReadFrom(%d): %v", from, err)
-		}
-		return out
-	}
-	all := collect(1)
-	if len(all) != 6 {
-		t.Fatalf("full scan found %d records, want 6", len(all))
-	}
-	for i, r := range all {
-		if r.Seq != uint64(i+1) || !bytes.Equal(r.Data, []byte(fmt.Sprintf("rec%d", i))) {
-			t.Fatalf("record %d: %+v", i, r)
-		}
-	}
-	tail := collect(4)
-	if len(tail) != 3 || tail[0].Seq != 4 {
-		t.Fatalf("tail scan: %+v", tail)
-	}
-	if got := collect(100); len(got) != 0 {
-		t.Fatalf("future scan returned %d records", len(got))
-	}
-
-	// Early-stop propagates the callback's error.
-	stop := errors.New("stop")
-	n := 0
-	if err := l.ReadFrom(1, func(Record) error { n++; return stop }); !errors.Is(err, stop) {
-		t.Fatalf("callback error lost: %v", err)
-	}
-	if n != 1 {
-		t.Fatalf("scan continued after error (%d records)", n)
-	}
-
-	// Checkpoint truncates; the reclaimed range is unreadable.
-	if err := l.Checkpoint([]byte("snap")); err != nil {
-		t.Fatal(err)
-	}
-	if err := l.ReadFrom(3, func(Record) error { return nil }); !errors.Is(err, ErrSeqTruncated) {
-		t.Fatalf("reclaimed scan: %v, want ErrSeqTruncated", err)
-	}
-	post := collect(7) // the checkpoint record itself
-	if len(post) != 1 || !post[0].Checkpoint {
-		t.Fatalf("post-checkpoint scan: %+v", post)
-	}
-}
-
-// TestReadFromSkipsUnflushedTail: records staged but not yet synced are
-// invisible to ReadFrom (a replica must never receive bytes the primary
-// could still lose).
-func TestReadFromSkipsUnflushedTail(t *testing.T) {
-	l, _ := openShipLog(t, 128)
-	tk, err := l.Append([]byte("committed"))
-	if err != nil {
-		t.Fatal(err)
-	}
-	if err := tk.Wait(); err != nil {
-		t.Fatal(err)
-	}
-	// Stage without waiting: the record may sit unflushed; grab the
-	// committed view immediately.
-	if _, err := l.Append([]byte("staged")); err != nil {
-		t.Fatal(err)
-	}
-	var n int
-	var flushed uint64
-	l.mu.Lock()
-	flushed = l.flushed
-	l.mu.Unlock()
-	if err := l.ReadFrom(1, func(r Record) error { n++; return nil }); err != nil {
-		t.Fatal(err)
-	}
-	// Whatever the committer managed to flush is fine; the scan must
-	// never exceed it. With flushed == first record only, n == 1.
-	if flushed < 40 && n != 1 { // first frame is 17+9=26 bytes
-		t.Fatalf("scan saw %d records with flushed=%d", n, flushed)
 	}
 }
 

@@ -44,11 +44,6 @@ var (
 	ErrNotRecovered = errors.New("wal: Recover must run before Append")
 	// ErrCorrupt is returned for an unusable superblock.
 	ErrCorrupt = errors.New("wal: corrupt superblock")
-	// ErrSeqTruncated is returned by ReadFrom when the requested
-	// sequence number lies before the log's start pointer: a checkpoint
-	// reclaimed it, so a replica that far behind needs a fresh base
-	// snapshot, not a record stream.
-	ErrSeqTruncated = errors.New("wal: sequence reclaimed by a checkpoint")
 	// ErrWedged wraps the I/O failure that wedged the log: a failed
 	// commit (or superblock write) makes the log permanently read-only,
 	// and every Append, Barrier and Close after it returns an error
@@ -59,8 +54,8 @@ var (
 	ErrWedged = errors.New("wal: wedged (I/O failure; log is read-only)")
 )
 
-// Record is one log record as seen by a replication sink or a ReadFrom
-// scan: the payload plus the metadata that orders and classifies it.
+// Record is one log record as seen by a replication sink: the payload
+// plus the metadata that orders and classifies it.
 type Record struct {
 	// Seq is the record's log sequence number (contiguous; gaps on the
 	// receiving side mean lost shipments).
@@ -737,46 +732,6 @@ func (l *Log) NextSeq() uint64 {
 	l.mu.Lock()
 	defer l.mu.Unlock()
 	return l.seq
-}
-
-// ReadFrom streams every committed record with sequence number ≥ from
-// to fn, in log order — the catch-up path for a replica that fell
-// behind. It scans stable storage only (staged-but-unsynced bytes are
-// invisible), and is safe to run concurrently with appends. A from
-// before the start pointer returns ErrSeqTruncated: those records were
-// reclaimed by a checkpoint and the replica needs a fresh base.
-func (l *Log) ReadFrom(from uint64, fn func(r Record) error) error {
-	l.mu.Lock()
-	if l.closed {
-		l.mu.Unlock()
-		return ErrClosed
-	}
-	if !l.recovered {
-		l.mu.Unlock()
-		return ErrNotRecovered
-	}
-	off, seq, flushed := l.start, l.startSeq, l.flushed
-	l.mu.Unlock()
-	if from < seq {
-		return fmt.Errorf("%w: want %d, log starts at %d", ErrSeqTruncated, from, seq)
-	}
-	s := &scanner{l: l, block: ^uint32(0)}
-	for {
-		rec, kind, next, ok := s.frame(off, seq)
-		if !ok || next > flushed {
-			// Tail, or a frame not yet on stable storage: the scan is
-			// complete. Seq contiguity below `flushed` is guaranteed by
-			// the frame seq check itself (a gap reads as a stale frame
-			// and stops the scan), so a clean stop IS gap-free.
-			return nil
-		}
-		if seq >= from {
-			if err := fn(Record{Seq: seq, Checkpoint: kind == kindCheckpoint, Data: rec}); err != nil {
-				return err
-			}
-		}
-		off, seq = next, seq+1
-	}
 }
 
 // Barrier returns once every record staged BEFORE the call is on
