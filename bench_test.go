@@ -1,6 +1,6 @@
 // Benchmarks regenerating the paper's figures and comparative claims.
-// Each BenchmarkXX corresponds to an experiment in DESIGN.md §4 and a
-// row in EXPERIMENTS.md. cmd/experiments runs the same code paths and
+// Each BenchmarkXX corresponds to a row of the table that opens
+// EXPERIMENTS.md (F1–F2, E1–E24). cmd/experiments runs the same code paths and
 // prints paper-style tables; these targets give the raw numbers via
 // `go test -bench=. -benchmem`.
 package amoeba
@@ -610,7 +610,7 @@ func BenchmarkE10_BankTransfer(b *testing.B) {
 func BenchmarkE11_TransSimnet(b *testing.B) {
 	ctx := context.Background()
 	cl := benchCluster(b)
-	port := cl.files.PutPort()
+	port := cl.put("files")
 	payload := make([]byte, 64)
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
@@ -676,7 +676,7 @@ func BenchmarkE12_Locate(b *testing.B) {
 	if err != nil {
 		b.Fatal(err)
 	}
-	port := cl.files.PutPort()
+	port := cl.put("files")
 	b.Run("cache-hit", func(b *testing.B) {
 		res := locate.New(fb, locate.Config{TTL: -1})
 		if _, err := res.Lookup(ctx, port); err != nil {
@@ -793,7 +793,7 @@ func BenchmarkBatch_FileRead(b *testing.B) {
 func BenchmarkBatch_Echo(b *testing.B) {
 	ctx := context.Background()
 	cl := benchCluster(b)
-	port := cl.files.PutPort()
+	port := cl.put("files")
 	payload := make([]byte, 64)
 	const n = 16
 	b.Run("sequential", func(b *testing.B) {
@@ -1236,7 +1236,7 @@ func BenchmarkE19_Failover(b *testing.B) {
 		if err := cl.Kill(primary); err != nil {
 			b.Fatal(err)
 		}
-		forceElection(b, cl, cl.dirShards[0], primary)
+		forceElection(b, cl, cl.shards["directory"][0], primary)
 		// First op against the elected standby: the client's cached
 		// route points at the corpse; a short per-attempt timeout makes
 		// the measured gap the failover's, not the default timeout's.

@@ -127,7 +127,7 @@ func TestChaosE10FileConvergence(t *testing.T) {
 func TestChaosE11EchoPartitionHeal(t *testing.T) {
 	cl := chaosCluster(t, 0xE11)
 	m := cl.Machines()
-	port := cl.files.PutPort()
+	port := cl.put("files")
 	payload := []byte("are you there?")
 
 	echo := func(ctx context.Context, opts ...rpc.CallOption) error {

@@ -1,12 +1,11 @@
 package amoeba
 
 import (
+	"cmp"
 	"context"
 	"errors"
 	"fmt"
 	stdlog "log"
-	"net"
-	"net/http"
 	"slices"
 	"sync"
 	"sync/atomic"
@@ -19,6 +18,7 @@ import (
 	"amoeba/internal/keymatrix"
 	"amoeba/internal/lease"
 	"amoeba/internal/locate"
+	"amoeba/internal/node"
 	"amoeba/internal/obs"
 	"amoeba/internal/repl"
 	"amoeba/internal/rpc"
@@ -76,10 +76,11 @@ type ClusterConfig struct {
 	// (bare heartbeats when idle), a lapsed lease fences
 	// acknowledgements, each standby runs a failure detector, and on
 	// primary silence the highest-acked standby takes the put-port over —
-	// no operator verb is involved. Killed, drained or deposed machines
-	// rejoin as fresh standbys via Restart. Replication is this or
-	// nothing: 0 or 1 leaves the services unreplicated. See EXPERIMENTS
-	// E19 (election floor) and E21.
+	// no operator verb is involved. The group keeps its size: a killed or
+	// drained machine's place waits for Restart to fill it with a fresh
+	// standby, and a primary deposed while alive refills its own at once.
+	// Replication is this or nothing: 0 or 1 leaves the services
+	// unreplicated. See EXPERIMENTS E19 (election floor) and E21.
 	Replicas int
 	// Shards ≥ 2 partitions each durable service's object space across
 	// that many machines: every shard serves the SAME put-port (one
@@ -125,19 +126,17 @@ type ClusterConfig struct {
 // storage, so Kill and Restart model a machine crash the cluster
 // actually recovers from.
 type Cluster struct {
-	net    *amnet.SimNet
-	src    crypto.Source
-	scheme cap.Scheme
-	cfg    ClusterConfig
+	net *amnet.SimNet
+	src crypto.Source
+	cfg ClusterConfig
 
 	client   *rpc.Client
 	clientFB *fbox.FBox
 
-	memory *memsvr.Server
-	blocks *blocksvr.Server
-	files  *flatfs.Server
-	multi  *mvfs.Server
-	disk   *vdisk.Disk
+	// env is what every service on every machine is built from (the
+	// internal/node table does the building); disk is the block server's.
+	env  *node.Env
+	disk *vdisk.Disk
 
 	// matrix is non-nil when SealCapabilities is on.
 	matrix *keymatrix.Matrix
@@ -154,6 +153,8 @@ type Cluster struct {
 	// Dirs() client; non-nil only when ClusterConfig.LookupLease > 0.
 	lookupCache *lease.Cache
 
+	// closers end what no replica owns: the client's and NewMachine's
+	// F-boxes and the debug listener. Replicas end in retire.
 	closersMu sync.Mutex
 	closers   []func() error
 	closing   atomic.Bool // set by Close; late detector fires become no-ops
@@ -167,53 +168,26 @@ type Cluster struct {
 	lifeMu sync.Mutex
 
 	// mu guards everything Kill/Restart/elections swap: each shard's
-	// primary and group state, and the maps below.
+	// slots, primary and group state, and walFaults below.
 	mu sync.Mutex
-	// machines holds the client and the volatile services' hosts;
-	// Machines() fills Dirs and Bank in from shard 0's current primary.
-	machines Machines
 
-	// The durable services: a slice of shards each (length ≥ 1; index =
-	// shard number), each shard optionally a replication group. The
-	// slices are append-only during boot and fixed afterwards (the
-	// shards themselves swap machines in place). atlas is the
-	// process-wide shard-map directory every resolver and kernel view
-	// reads; it stays empty on a one-shard cluster.
-	dirShards  []*svcShard
-	bankShards []*svcShard
-	atlas      *shard.Atlas
+	// shards holds every service's shards under its metrics label (index
+	// = shard number): one single-slot shard for each volatile service, ≥ 1
+	// for the durable ones, each optionally a replication group. The map
+	// is filled during boot and fixed afterwards (the shards themselves
+	// swap machines in place). atlas is the process-wide shard-map
+	// directory every resolver and kernel view reads; it stays empty on a
+	// one-shard cluster.
+	shards map[string][]*svcShard
+	atlas  *shard.Atlas
 
 	// walFaults maps each durable incarnation's machine to the fault
 	// injector wrapped around its WAL store — the chaos tests' handle
 	// for killing any machine's disk mid-soak. Keyed by machine because
 	// a machine IS an incarnation here: Restart reopens the same disk
 	// under a new machine and a fresh injector (a replaced disk is a
-	// healthy disk).
+	// healthy disk). An entry lives as long as its replica is up.
 	walFaults map[amnet.MachineID]*vdisk.FaultStore
-
-	// retired maps each machine that has left its group's member list
-	// but may rejoin — one an election took the put-port away from, or a
-	// killed standby whose Restart is under way — to that group. Such a
-	// machine never serves its old log again (a deposed primary's tail
-	// past the successor's starting point is a dead branch of history);
-	// Restart re-attaches it as a FRESH standby instead.
-	retired map[amnet.MachineID]*replGroup
-}
-
-// replGroup is the replication-group half of a shard (nil on an
-// unreplicated one). Fields are guarded by cl.mu for reads; mutations
-// additionally hold cl.lifeMu (elections, kills and re-integrations
-// serialize there).
-type replGroup struct {
-	sh   *svcShard
-	term uint64 // current replication epoch (starts at 1)
-	gen  uint64 // election generation; stale detector callbacks no-op
-	// ship is the current primary's fan-out shipper (stopped, but still
-	// set, between a primary's death and the election).
-	ship *repl.Shipper
-	// standbys holds every group member that is not the primary,
-	// including killed ones (down) awaiting re-integration.
-	standbys []*replica
 }
 
 // Machines identifies the cluster's machines on the simulated
@@ -235,9 +209,12 @@ type Machines struct {
 func (cl *Cluster) Machines() Machines {
 	cl.mu.Lock()
 	defer cl.mu.Unlock()
-	m := cl.machines
-	m.Dirs, m.Bank = cl.dirShards[0].primary.machine, cl.bankShards[0].primary.machine
-	return m
+	at := func(label string) amnet.MachineID { return cl.shards[label][0].primary.machine }
+	return Machines{
+		Client: cl.clientFB.Machine(),
+		Memory: at("memory"), Blocks: at("blocks"), Files: at("files"),
+		Dirs: at("directory"), Versions: at("versions"), Bank: at("bank"),
+	}
 }
 
 // NewCluster boots a cluster with every §3 service running.
@@ -272,17 +249,25 @@ func NewCluster(cfg ClusterConfig) (*Cluster, error) {
 			Seed:      cfg.Seed,
 		}),
 		src:       src,
-		scheme:    scheme,
 		cfg:       cfg,
-		retired:   make(map[amnet.MachineID]*replGroup),
+		shards:    make(map[string][]*svcShard),
 		walFaults: make(map[amnet.MachineID]*vdisk.FaultStore),
 		atlas:     shard.NewAtlas(),
+		reg:       obs.NewRegistry(),
+		ring:      obs.NewRing(accessLogSize),
 	}
 	if cfg.SealCapabilities {
 		cl.matrix = keymatrix.NewMatrix(src)
 	}
-	cl.reg = obs.NewRegistry()
-	cl.ring = obs.NewRing(accessLogSize)
+	cl.env = &node.Env{
+		Scheme:      scheme,
+		Source:      src,
+		MaxInflight: cfg.MaxInflight,
+		Metrics:     cl.reg,
+		Ring:        cl.ring,
+		Bank:        cfg.Bank,
+		LookupLease: cfg.LookupLease,
+	}
 	// Lookup-cache counters are registered even with leases off, so
 	// dashboards see the series at zero instead of a gap; the cache
 	// itself exists only when the knob is on.
@@ -308,85 +293,16 @@ func NewCluster(cfg ClusterConfig) (*Cluster, error) {
 		return nil, err
 	}
 	cl.client = cl.newRPCClient(cl.clientFB)
-	cl.machines.Client = cl.clientFB.Machine()
 
-	// Memory server.
-	memFB, err := cl.newFBox()
-	if err != nil {
+	// Every service's serving incarnation first, one machine each, in
+	// table order; then (Replicas ≥ 2) each durable shard's replication
+	// group. Per-shard leases, detectors and elections — one shard's
+	// failover never touches another's.
+	if cl.disk, err = vdisk.New(cfg.DiskBlocks, diskBlockSize); err != nil {
 		return nil, err
 	}
-	cl.machines.Memory = memFB.Machine()
-	cl.memory = memsvr.New(memFB, scheme, src)
-	cl.memory.SetMaxInflight(cfg.MaxInflight)
-	cl.memory.SetObserver(cl.newStats("memory"))
-	cl.sealServer(memFB, cl.memory.SetSealer)
-	if err := cl.start(cl.memory.Start, cl.memory.Close); err != nil {
-		return nil, err
-	}
-
-	// Block server.
-	cl.disk, err = vdisk.New(cfg.DiskBlocks, diskBlockSize)
-	if err != nil {
-		return nil, err
-	}
-	blkFB, err := cl.newFBox()
-	if err != nil {
-		return nil, err
-	}
-	cl.machines.Blocks = blkFB.Machine()
-	cl.blocks, err = blocksvr.New(blkFB, scheme, src, cl.disk)
-	if err != nil {
-		return nil, err
-	}
-	cl.blocks.SetMaxInflight(cfg.MaxInflight)
-	cl.blocks.SetObserver(cl.newStats("blocks"))
-	cl.sealServer(blkFB, cl.blocks.SetSealer)
-	if err := cl.start(cl.blocks.Start, cl.blocks.Close); err != nil {
-		return nil, err
-	}
-
-	// Flat file server (a client of the block server, from its own
-	// machine).
-	fileFB, err := cl.newFBox()
-	if err != nil {
-		return nil, err
-	}
-	fileRPC := cl.newRPCClient(fileFB)
-	cl.machines.Files = fileFB.Machine()
-	cl.files, err = flatfs.New(context.Background(), fileFB, scheme, src, blocksvr.NewClient(fileRPC, cl.blocks.PutPort()))
-	if err != nil {
-		return nil, err
-	}
-	cl.files.SetMaxInflight(cfg.MaxInflight)
-	cl.files.SetObserver(cl.newStats("files"))
-	cl.sealServer(fileFB, cl.files.SetSealer)
-	if err := cl.start(cl.files.Start, cl.files.Close); err != nil {
-		return nil, err
-	}
-
-	// Multiversion file server.
-	mvFB, err := cl.newFBox()
-	if err != nil {
-		return nil, err
-	}
-	cl.machines.Versions = mvFB.Machine()
-	cl.multi = mvfs.New(mvFB, scheme, src)
-	cl.multi.SetMaxInflight(cfg.MaxInflight)
-	cl.multi.SetObserver(cl.newStats("versions"))
-	cl.sealServer(mvFB, cl.multi.SetSealer)
-	if err := cl.start(cl.multi.Start, cl.multi.Close); err != nil {
-		return nil, err
-	}
-
-	// The durable services: every shard's primary first, then
-	// (Replicas ≥ 2) each shard's replication group. Per-shard leases,
-	// detectors and elections — one shard's failover never touches
-	// another's.
-	for _, row := range []struct {
-		svc    *durableService
-		shards *[]*svcShard
-	}{{&directoryService, &cl.dirShards}, {&bankService, &cl.bankShards}} {
-		if err := cl.startService(row.svc, row.shards); err != nil {
+	for _, row := range node.Services {
+		if err := cl.startService(row); err != nil {
 			return nil, err
 		}
 	}
@@ -400,9 +316,12 @@ func NewCluster(cfg ClusterConfig) (*Cluster, error) {
 
 	cl.registerGauges()
 	if cfg.DebugAddr != "" {
-		if err := cl.startDebugServer(cfg.DebugAddr); err != nil {
-			return nil, err
+		url, stop, err := node.ListenDebug(cfg.DebugAddr, cl.reg, cl.ring)
+		if err != nil {
+			return nil, fmt.Errorf("amoeba: %w", err)
 		}
+		cl.debugURL = url
+		cl.addCloser(stop)
 	}
 
 	ok = true
@@ -422,23 +341,6 @@ const (
 	diskBlockSize = 1024
 	accessLogSize = 1024
 )
-
-// newStats builds a service's request-metrics + access-log observer.
-// The registry is idempotent on (name, labels), so a restarted or
-// promoted incarnation under the same label continues the original
-// counters instead of resetting them.
-func (cl *Cluster) newStats(service string) *obs.ServerStats {
-	return obs.NewServerStats(cl.reg, cl.ring, service, rpc.StatusName)
-}
-
-// walMetrics builds a durable service's commit-path histograms. Like
-// newStats, re-building for a new incarnation lands on the same series.
-func (cl *Cluster) walMetrics(service string) *wal.Metrics {
-	return &wal.Metrics{
-		SyncLatency:  cl.reg.Histogram("amoeba_wal_sync_ns", obs.L("service", service), "write-ahead log group-commit latency (arena write + sync), nanoseconds"),
-		BatchRecords: cl.reg.Histogram("amoeba_wal_batch_records", obs.L("service", service), "records per write-ahead log group commit"),
-	}
-}
 
 // Help strings for counters registered from more than one place (the
 // registry is idempotent on (name, labels), and the help text must
@@ -461,7 +363,12 @@ const (
 func (cl *Cluster) openWAL(service string, fb *fbox.FBox, disk *vdisk.Disk) (*wal.Log, error) {
 	m := fb.Machine()
 	fs := vdisk.NewFaultStore(disk, cl.cfg.Seed^uint64(m)*0x9E3779B97F4A7C15)
-	log, err := wal.Open(fs, wal.Options{Metrics: cl.walMetrics(service)})
+	// The registry is idempotent on (name, labels): every incarnation's
+	// commit-path histograms land on the same series.
+	log, err := wal.Open(fs, wal.Options{Metrics: &wal.Metrics{
+		SyncLatency:  cl.reg.Histogram("amoeba_wal_sync_ns", obs.L("service", service), "write-ahead log group-commit latency (arena write + sync), nanoseconds"),
+		BatchRecords: cl.reg.Histogram("amoeba_wal_batch_records", obs.L("service", service), "records per write-ahead log group commit"),
+	}})
 	if err != nil {
 		return nil, err
 	}
@@ -484,48 +391,33 @@ func (cl *Cluster) WALFault(m amnet.MachineID) *vdisk.FaultStore {
 }
 
 // onWALWedge is every WAL's wedge callback (it runs on the log's own
-// callback goroutine, so it may block on the lifecycle lock).
+// callback goroutine, so it may block on the lifecycle lock). It
+// converts a gray failure into the fail-stop crash the rest of the
+// cluster already understands. A wedged PRIMARY is the nightmare case:
+// its disk takes nothing, yet its NIC keeps answering LOCATE and
+// heartbeats, so no failure detector anywhere would fire. The shipper
+// has already renounced leadership (repl.Shipper.SelfDemote fences
+// acknowledgements and silences heartbeats); tearing the machine down
+// here finishes the job — the NIC goes away, LOCATE stops answering for
+// it, and the standbys elect exactly as if the machine had crashed. A
+// wedged group STANDBY needs none of this: its receiver already answers
+// every frame with its death, which drops it from the ack quorum; the
+// corpse waits for Kill+Restart to re-integrate with a fresh disk.
 func (cl *Cluster) onWALWedge(service string, m amnet.MachineID, cause error) {
 	cl.reg.Counter("amoeba_wal_wedged_total", obs.L("service", service), wedgedHelp).Inc()
-	if cl.closing.Load() {
-		return
-	}
-	stdlog.Printf("amoeba: %s WAL on machine %v wedged: %v", service, m, cause)
-	cl.failStopWedged(m)
-}
-
-// failStopWedged converts a gray failure into the fail-stop crash the
-// rest of the cluster already understands. A wedged PRIMARY is the
-// nightmare case: its disk takes nothing, yet its NIC keeps answering
-// LOCATE and heartbeats, so no failure detector anywhere would fire.
-// The shipper has already renounced leadership (repl.Shipper.SelfDemote
-// fences acknowledgements and silences heartbeats); tearing the machine
-// down here finishes the job — the NIC goes away, LOCATE stops
-// answering for it, and the standbys elect exactly as if the machine
-// had crashed. A wedged group STANDBY needs none of this: its receiver
-// already answers every frame with its death, which drops it from the
-// ack quorum; the corpse waits for Kill+Restart to re-integrate with a
-// fresh disk.
-func (cl *Cluster) failStopWedged(m amnet.MachineID) {
 	cl.lifeMu.Lock()
 	defer cl.lifeMu.Unlock()
 	if cl.closing.Load() {
 		return
 	}
-	cl.mu.Lock()
-	sh, r := cl.memberLocked(m)
-	if sh == nil || r != sh.primary || r.down {
-		// Not a current primary: a standby, or already killed, or already
-		// failed over.
-		cl.mu.Unlock()
-		return
+	stdlog.Printf("amoeba: %s WAL on machine %v wedged: %v", service, m, cause)
+	r := cl.member(m)
+	if r == nil || r != r.sh.primary || r.down {
+		return // a standby, or already killed, or already failed over
 	}
-	r.down = true
-	ship := sh.shipLocked()
-	cl.mu.Unlock()
-	cl.reg.Counter("amoeba_self_demotions_total", obs.L("service", sh.label), demotedHelp).Inc()
-	_ = crashPrimary(r, ship)
-	stdlog.Printf("amoeba: %s machine %v fail-stopped (wedged WAL); dead disk, dead machine", sh.label, m)
+	cl.reg.Counter("amoeba_self_demotions_total", obs.L("service", r.sh.label), demotedHelp).Inc()
+	_ = cl.retire(r, crashed) // the machine is being written off; its close errors interest nobody
+	stdlog.Printf("amoeba: %s machine %v fail-stopped (wedged WAL); dead disk, dead machine", r.sh.label, m)
 }
 
 // registerGauges wires the scrape-time series: queue depth and queue
@@ -535,51 +427,27 @@ func (cl *Cluster) failStopWedged(m amnet.MachineID) {
 // Gauge functions run only when someone exports the registry, so they
 // may take cl.mu to read through Kill/Restart/election swaps.
 func (cl *Cluster) registerGauges() {
-	// A gauge over a service's current kernel reads 0 while it is down.
-	kernelGauge := func(name, labels, help string, kernel func() *svc.Kernel, read func(*svc.Kernel) float64) {
-		cl.reg.GaugeFunc(name, labels, help, func() float64 {
-			if k := kernel(); k != nil {
-				return read(k)
-			}
-			return 0
-		})
-	}
 	flag := func(b bool) float64 {
 		if b {
 			return 1
 		}
 		return 0
 	}
-	queueGauges := func(labels string, kernel func() *svc.Kernel) {
-		kernelGauge("amoeba_queue_depth", labels, "requests queued for or occupying pool workers", kernel,
-			func(k *svc.Kernel) float64 { return float64(k.Inflight()) })
-		kernelGauge("amoeba_queue_wait_ewma_ns", labels, "smoothed recent queue wait, nanoseconds", kernel,
-			func(k *svc.Kernel) float64 { return float64(k.QueueWaitEWMA()) })
-	}
-	for _, s := range []struct {
-		name string
-		k    *svc.Kernel
-	}{
-		{"memory", cl.memory.Kernel}, {"blocks", cl.blocks.Kernel},
-		{"files", cl.files.Kernel}, {"versions", cl.multi.Kernel},
-	} {
-		queueGauges(obs.L("service", s.name), func() *svc.Kernel { return s.k })
+	for _, row := range node.Services {
+		for _, sh := range cl.shards[row.Label] {
+			// A gauge over a shard's serving kernel reads 0 while it is down.
+			node.Gauges(cl.reg, sh.label, row.Durable, func() *svc.Kernel {
+				cl.mu.Lock()
+				defer cl.mu.Unlock()
+				if sh.primary.down {
+					return nil
+				}
+				return sh.primary.kern
+			})
+		}
 	}
 	for _, sh := range cl.allShards() {
 		labels := obs.L("service", sh.label)
-		kernel := func() *svc.Kernel {
-			cl.mu.Lock()
-			defer cl.mu.Unlock()
-			if sh.primary.down {
-				return nil
-			}
-			return sh.primary.kern
-		}
-		queueGauges(labels, kernel)
-		kernelGauge("amoeba_wal_used_bytes", labels, "live write-ahead log bytes (head - start)", kernel,
-			func(k *svc.Kernel) float64 { return float64(k.LogStats().Used) })
-		kernelGauge("amoeba_wal_capacity_bytes", labels, "write-ahead log arena bytes usable before ErrFull", kernel,
-			func(k *svc.Kernel) float64 { return float64(k.LogStats().Capacity) })
 		// Gray-failure counters exist from boot (not lazily at first
 		// wedge): a dashboard alerting on rate(amoeba_wal_wedged_total)
 		// needs the series present while it is still zero.
@@ -591,7 +459,7 @@ func (cl *Cluster) registerGauges() {
 		shipGauge := func(name, help string, read func(*repl.Shipper) float64) {
 			cl.reg.GaugeFunc(name, labels, help, func() float64 {
 				cl.mu.Lock()
-				ship := sh.shipLocked()
+				ship := sh.primary.ship
 				cl.mu.Unlock()
 				if ship == nil {
 					return 0
@@ -607,36 +475,16 @@ func (cl *Cluster) registerGauges() {
 			func(s *repl.Shipper) float64 { return flag(s.LeaseValid()) })
 		shipGauge("amoeba_repl_term", "current replication epoch (0 = unreplicated)",
 			func(s *repl.Shipper) float64 { return float64(s.Term()) })
-	}
-	// Sharding series, per service under shard 0's label, present from
-	// boot so dashboards see the zero. Per-shard request counters need
-	// no new series — every shard reports through the standard request
-	// metrics under its own label ("directory-1", …).
-	for _, shards := range [][]*svcShard{cl.dirShards, cl.bankShards} {
-		labels, port := obs.L("service", shards[0].label), shards[0].put
-		cl.reg.GaugeFunc("amoeba_shard_map_generation", labels, "current shard-map generation (0 = unsharded)",
-			func() float64 { return float64(cl.ShardMapGen(port)) })
-		cl.reg.Counter("amoeba_migrations_total", labels, migrationsHelp)
-	}
-}
-
-// startDebugServer exposes the registry, access log and pprof on
-// cfg.DebugAddr.
-func (cl *Cluster) startDebugServer(addr string) error {
-	ln, err := net.Listen("tcp", addr)
-	if err != nil {
-		return fmt.Errorf("amoeba: debug listener: %w", err)
-	}
-	cl.debugURL = "http://" + ln.Addr().String()
-	srv := &http.Server{Handler: obs.Mux(cl.reg, cl.ring, rpc.StatusName)}
-	go srv.Serve(ln)
-	cl.addCloser(func() error {
-		if err := srv.Close(); err != nil && err != http.ErrServerClosed {
-			return err
+		// Sharding series, per service under shard 0's label, present from
+		// boot so dashboards see the zero. Per-shard request counters need
+		// no new series — every shard reports through the standard request
+		// metrics under its own label ("directory-1", …).
+		if sh.idx == 0 {
+			cl.reg.GaugeFunc("amoeba_shard_map_generation", labels, "current shard-map generation (0 = unsharded)",
+				func() float64 { return float64(cl.ShardMapGen(sh.put)) })
+			cl.reg.Counter("amoeba_migrations_total", labels, migrationsHelp)
 		}
-		return nil
-	})
-	return nil
+	}
 }
 
 // Metrics returns the cluster-wide metric registry (counters, gauges
@@ -650,20 +498,6 @@ func (cl *Cluster) AccessLog() *obs.Ring { return cl.ring }
 // DebugURL returns the debug HTTP server's base URL ("http://host:port"),
 // or "" when ClusterConfig.DebugAddr was empty.
 func (cl *Cluster) DebugURL() string { return cl.debugURL }
-
-// bankConfig resolves the bank policy (stable across restarts).
-func (cl *Cluster) bankConfig() banksvr.Config {
-	if cl.cfg.Bank != nil {
-		return *cl.cfg.Bank
-	}
-	return banksvr.Config{
-		MintingAllowed: true,
-		Rates: map[[2]string]banksvr.Rate{
-			{"dollar", "franc"}: {Num: 5, Den: 1},
-			{"franc", "dollar"}: {Num: 1, Den: 5},
-		},
-	}
-}
 
 // newShipClient builds the replication channel's RPC client on the
 // primary's machine. It skips the key-matrix sealer even when
@@ -686,39 +520,18 @@ func (cl *Cluster) detectorGap() time.Duration {
 	return cl.cfg.LeaseTerm + cl.cfg.LeaseTerm/2
 }
 
-// shipOptions tunes a shipper for epoch term. The attempt budget is
-// kept small: a dead standby should be declared lost (and shipped
-// around) well before the client-visible RPC deadline.
-func (cl *Cluster) shipOptions(term uint64) repl.Options {
-	lt := cl.cfg.LeaseTerm
-	return repl.Options{
-		Timeout:   lt,
-		Attempts:  4,
-		Backoff:   2 * time.Millisecond,
-		Reprobe:   lt,
-		LeaseTerm: lt,
-		GroupSize: cl.cfg.Replicas,
-		Term:      term,
-	}
-}
-
 // buildStandby stands one standby of sh up on a fresh machine and WAL
 // disk: an un-started service kernel fed by a started receiver.
 func (cl *Cluster) buildStandby(sh *svcShard) (*replica, error) {
-	disk, err := vdisk.New(walBlocks, walBlockSize)
+	st, replay, err := cl.buildReplica(sh, nil)
 	if err != nil {
 		return nil, err
 	}
-	st, replay, err := cl.buildReplica(sh, disk)
-	if err != nil {
-		return nil, err
-	}
-	cl.addCloser(st.kern.Close)
 	st.recv = repl.NewReceiver(st.fb, cl.src, st.kern, replay)
 	if err := st.recv.Start(); err != nil {
+		cl.retire(st, crashed)
 		return nil, err
 	}
-	cl.addCloser(st.recv.Close)
 	return st, nil
 }
 
@@ -727,40 +540,52 @@ func (cl *Cluster) buildStandby(sh *svcShard) (*replica, error) {
 // and admission gate. An election calls it BEFORE starting the
 // successor's kernel, so the fence is in place from the first request —
 // there is no unfenced window.
-func (cl *Cluster) attachShipper(p *replica, dests []cap.Port, term uint64) (*repl.Shipper, error) {
-	ship, err := repl.AttachGroup(p.kern, cl.newShipClient(p.fb), dests, cl.shipOptions(term))
+func (cl *Cluster) attachShipper(p *replica, dests []cap.Port, term uint64) error {
+	// The attempt budget is kept small: a dead standby should be declared
+	// lost (and shipped around) well before the client-visible RPC deadline.
+	lt := cl.cfg.LeaseTerm
+	ship, err := repl.AttachGroup(p.kern, cl.newShipClient(p.fb), dests, repl.Options{
+		Timeout:   lt,
+		Attempts:  4,
+		Backoff:   2 * time.Millisecond,
+		Reprobe:   lt,
+		LeaseTerm: lt,
+		GroupSize: len(p.sh.slots),
+		Term:      term,
+	})
 	if err != nil {
-		return nil, err
+		return fmt.Errorf("amoeba: attaching %s group: %w", p.sh.label, err)
 	}
-	cl.addCloser(func() error { ship.Stop(); return nil })
+	cl.mu.Lock()
+	p.ship = ship
+	cl.mu.Unlock()
 	p.kern.SetReplicaFence(ship.Fence)
 	p.kern.SetAdmitGate(ship.Fence)
-	return ship, nil
+	return nil
 }
 
-// startGroup makes sh a replication group: Replicas-1 standbys, the
-// primary's shipper at term 1, and a failure detector armed on every
-// standby.
+// startGroup makes sh a replication group: a standby in every slot but
+// the primary's, the primary's shipper at term 1, and a failure
+// detector armed on every standby.
 func (cl *Cluster) startGroup(sh *svcShard) error {
-	g := &replGroup{sh: sh, term: 1}
-	dests := make([]cap.Port, 0, cl.cfg.Replicas-1)
-	for i := 0; i < cl.cfg.Replicas-1; i++ {
+	var dests []cap.Port
+	for i := 1; i < len(sh.slots); i++ {
 		st, err := cl.buildStandby(sh)
 		if err != nil {
 			return err
 		}
-		g.standbys = append(g.standbys, st)
+		cl.mu.Lock()
+		sh.slots[i] = st
+		cl.mu.Unlock()
 		dests = append(dests, st.recv.Port())
 	}
-	ship, err := cl.attachShipper(sh.primary, dests, g.term)
-	if err != nil {
-		return fmt.Errorf("amoeba: attaching %s group: %w", sh.label, err)
+	if err := cl.attachShipper(sh.primary, dests, 1); err != nil {
+		return err
 	}
-	g.ship = ship
 	cl.mu.Lock()
-	sh.group = g
+	sh.term = 1
 	cl.mu.Unlock()
-	cl.startDetectors(g)
+	cl.startDetectors(sh)
 	return nil
 }
 
@@ -768,13 +593,11 @@ func (cl *Cluster) startGroup(sh *svcShard) error {
 // lacks one, bound to the CURRENT election generation — a detector
 // that fires after a later election resolves to a no-op. Callers hold
 // lifeMu (boot runs before any lifecycle verb can race).
-func (cl *Cluster) startDetectors(g *replGroup) {
+func (cl *Cluster) startDetectors(sh *svcShard) {
 	cl.mu.Lock()
-	gen := g.gen
-	sts := append([]*replica(nil), g.standbys...)
-	cl.mu.Unlock()
-	gap := cl.detectorGap()
-	for _, st := range sts {
+	defer cl.mu.Unlock()
+	gen, gap := sh.gen, cl.detectorGap()
+	for _, st := range sh.standbysLocked() {
 		if st.down || st.det != nil {
 			continue
 		}
@@ -782,29 +605,28 @@ func (cl *Cluster) startDetectors(g *replGroup) {
 		// from the detector's poll loop, and the election stops every
 		// detector in the group — including, possibly, a second one
 		// mid-fire, which would deadlock if the first held its loop.
-		det := repl.NewDetector(gap, st.recv.LastContact, func() {
-			go cl.autoFailover(g, gen)
+		st.det = repl.NewDetector(gap, st.recv.LastContact, func() {
+			go cl.autoFailover(sh, gen)
 		}, nil)
-		st.det = det
-		det.Start()
+		st.det.Start()
 	}
 }
 
 // refuseElection counts a refused election and replaces any detector
 // that has fired with a fresh one: the alarm stays armed without the
 // refusal being final. Caller holds lifeMu.
-func (cl *Cluster) refuseElection(g *replGroup) {
-	cl.reg.Counter("amoeba_elections_refused_total", obs.L("service", g.sh.label),
+func (cl *Cluster) refuseElection(sh *svcShard) {
+	cl.reg.Counter("amoeba_elections_refused_total", obs.L("service", sh.label),
 		"elections refused (no live quorum, or a sibling still hears the primary)").Inc()
 	cl.mu.Lock()
-	for _, st := range g.standbys {
+	for _, st := range sh.standbysLocked() {
 		if st.det != nil && st.det.Fired() {
 			st.det.Stop()
 			st.det = nil
 		}
 	}
 	cl.mu.Unlock()
-	cl.startDetectors(g)
+	cl.startDetectors(sh)
 }
 
 // autoFailover is what a standby's failure detector fires when the
@@ -813,18 +635,11 @@ func (cl *Cluster) refuseElection(g *replGroup) {
 // terms, on its own clock) has lapsed, so it is already refusing
 // acknowledgements — the successor can serve without overlap even
 // before any StatusStale bounce reaches the old one.
-func (cl *Cluster) autoFailover(g *replGroup, gen uint64) {
+func (cl *Cluster) autoFailover(sh *svcShard, gen uint64) {
 	cl.lifeMu.Lock()
 	defer cl.lifeMu.Unlock()
 	if cl.closing.Load() {
 		return // teardown, not an outage
-	}
-	cl.mu.Lock()
-	if g.gen != gen {
-		// A concurrent detector already ran this election (or a later
-		// one); this silence is old news.
-		cl.mu.Unlock()
-		return
 	}
 	// Confirm the silence with the rest of the group before deposing
 	// anyone: the primary heartbeats EVERY live standby, so if any
@@ -834,38 +649,42 @@ func (cl *Cluster) autoFailover(g *replGroup, gen uint64) {
 	// electing on one member's say-so under load is how live primaries
 	// get exiled.
 	now := time.Now()
-	for _, st := range g.standbys {
-		if !st.down && now.Sub(st.recv.LastContact()) < cl.detectorGap()/2 {
-			cl.mu.Unlock()
-			cl.refuseElection(g)
-			return
-		}
-	}
+	cl.mu.Lock()
+	stale := sh.gen != gen
+	heard := slices.ContainsFunc(sh.standbysLocked(), func(st *replica) bool {
+		return !st.down && now.Sub(st.recv.LastContact()) < cl.detectorGap()/2
+	})
 	cl.mu.Unlock()
-	cl.elect(g)
+	switch {
+	case stale:
+		// A concurrent detector already ran this election (or a later
+		// one); this silence is old news.
+	case heard:
+		cl.refuseElection(sh)
+	default:
+		cl.elect(sh)
+	}
 }
 
-// elect moves g's put-port to the live standby with the newest durable
-// position (repl.Pos: term first, then sequence), at the next term; the others become its peers. It asks
-// nobody whether the primary is really gone — autoFailover (silence
-// confirmed) and Drain (the primary just retired itself) decide that.
-// It reports whether a successor now serves. Caller holds lifeMu.
-func (cl *Cluster) elect(g *replGroup) bool {
+// elect moves sh's put-port to the live standby with the newest durable
+// position (repl.Pos: term first, then sequence), at the next term; the
+// others become its peers. It asks nobody whether the primary is really
+// gone — autoFailover (silence confirmed) and Drain (the primary has
+// just left) decide that. A primary it deposes while still up goes
+// through retire and its slot is rebuilt as a fresh standby at once: an
+// election never shrinks the group. It reports whether a successor now
+// serves. Caller holds lifeMu.
+func (cl *Cluster) elect(sh *svcShard) bool {
 	cl.mu.Lock()
-	g.gen++
-	old, oldShip, term := g.sh.primary, g.ship, g.term+1
-	sts := append([]*replica(nil), g.standbys...)
+	sh.gen++
+	old, deposedAlive, term := sh.primary, !sh.primary.down, sh.term+1
+	sts := sh.standbysLocked()
 	cl.mu.Unlock()
-	live := 0
-	for _, st := range sts {
-		if !st.down {
-			live++
-		}
-	}
-	if live == 0 {
+	sts = slices.DeleteFunc(sts, func(st *replica) bool { return st.down })
+	if len(sts) == 0 {
 		return false // nobody left to promote; the group is down until Restart
 	}
-	if live < cl.cfg.Replicas/2+1 {
+	if len(sts) < len(sh.slots)/2+1 {
 		// Not enough live members to grant the winner a serving lease:
 		// majorities count the CONFIGURED group, dead members included,
 		// so promoting here would depose a primary that may merely be
@@ -874,7 +693,7 @@ func (cl *Cluster) elect(g *replGroup) bool {
 		// heartbeat quiets the alarm, and a truly dead one leaves the
 		// group fenced until Restart restores a quorum, which is exactly
 		// what CP demands.
-		cl.refuseElection(g)
+		cl.refuseElection(sh)
 		return false
 	}
 	// Depose the old primary BEFORE choosing a winner. The old shipper
@@ -887,29 +706,35 @@ func (cl *Cluster) elect(g *replGroup) bool {
 	// later acknowledgement (StatusStale — clients re-locate at once
 	// instead of waiting out overload backoffs), so the highest high
 	// water read below bounds every acknowledged op.
-	oldShip.Depose()
+	old.ship.Depose()
 	// Quiet the group: the election IS the response to this silence, so
-	// every detector stops (winners and peers get fresh ones below),
-	// and the old primary's shipper is stopped for good.
+	// every detector stops (winners and peers get fresh ones below), and
+	// the old primary, if Kill or Drain has not ended it already, ends
+	// here, the way a crashed one does — deposed while alive (a stall, a
+	// partition, a false alarm), its log beyond the winner's position is
+	// a dead branch of history. From here on every member that is up is
+	// a standby.
+	cl.mu.Lock()
 	for _, st := range sts {
 		if st.det != nil {
 			st.det.Stop()
 			st.det = nil
 		}
 	}
-	oldShip.Stop()
+	cl.mu.Unlock()
+	cl.retire(old, crashed)
 	// Newest by (term, seq): a standby left on an older term's base holds
 	// a numerically larger sequence in a dead numbering and must not win.
 	var win *replica
 	var at repl.Pos
-	var dests []cap.Port
 	for _, st := range sts {
-		if p := st.recv.Pos(); !st.down && (win == nil || at.Less(p)) {
+		if p := st.recv.Pos(); win == nil || at.Less(p) {
 			win, at = st, p
 		}
 	}
+	var dests []cap.Port
 	for _, st := range sts {
-		if st != win && !st.down {
+		if st != win {
 			dests = append(dests, st.recv.Port())
 		}
 	}
@@ -917,76 +742,31 @@ func (cl *Cluster) elect(g *replGroup) bool {
 	// primary's ships must bounce off a dead port, not mutate a live
 	// service.
 	win.recv.Close()
-	ship, err := cl.attachShipper(win, dests, term)
-	if err != nil {
-		stdlog.Printf("amoeba: %s election: attaching successor shipper: %v", g.sh.label, err)
-		return false
+	err := cl.attachShipper(win, dests, term)
+	if err == nil {
+		err = win.kern.Start()
 	}
-	if err := win.kern.Start(); err != nil {
-		stdlog.Printf("amoeba: %s election: starting successor: %v", g.sh.label, err)
-		ship.Stop()
+	if err != nil {
+		stdlog.Printf("amoeba: %s election: installing successor: %v", sh.label, err)
+		cl.retire(win, crashed) // neither standby nor primary now: a down slot Restart can rebuild
 		return false
 	}
 	cl.mu.Lock()
-	g.sh.primary, g.ship, g.term = win, ship, term
-	g.standbys = slices.DeleteFunc(g.standbys, func(st *replica) bool { return st == win })
-	// The old machine's log beyond that position is a dead branch of
-	// history; Restart re-attaches it as a FRESH standby instead of
-	// letting it re-register the port.
-	cl.retired[old.machine] = g
+	sh.primary, sh.term, win.recv = win, term, nil
 	cl.mu.Unlock()
-	cl.syncShardMachine(g.sh.put, g.sh.idx, win.machine)
-	cl.reg.Counter("amoeba_failovers_total", obs.L("service", g.sh.label), failoversHelp).Inc()
+	cl.syncShardMachine(sh.put, sh.idx, win.machine)
+	cl.reg.Counter("amoeba_failovers_total", obs.L("service", sh.label), failoversHelp).Inc()
 	stdlog.Printf("amoeba: %s failover: machine %v promoted at (term %d, seq %d) to term %d",
-		g.sh.label, win.machine, at.Term, at.Seq, term)
-	cl.startDetectors(g)
+		sh.label, win.machine, at.Term, at.Seq, term)
+	cl.startDetectors(sh)
+	if deposedAlive {
+		// Nobody will Restart a machine nobody killed: its slot comes
+		// back at once, through the same door Restart uses.
+		if err := cl.rejoin(old, old.machine); err != nil {
+			stdlog.Printf("amoeba: %s election: %v (machine %v waits for Restart)", sh.label, err, old.machine)
+		}
+	}
 	return true
-}
-
-// reintegrate attaches one fresh standby to a running group — the
-// Restart path for a machine that was killed, or deposed, or drained
-// away. Caller holds lifeMu.
-func (cl *Cluster) reintegrate(g *replGroup) error {
-	st, err := cl.buildStandby(g.sh)
-	if err != nil {
-		return err
-	}
-	cl.mu.Lock()
-	ship := g.ship
-	cl.mu.Unlock()
-	// AddPeer quiesces the primary, ships the base snapshot, and adds
-	// the peer inside the quiesced window — the stream has no gap.
-	if err := ship.AddPeer(st.recv.Port()); err != nil {
-		return fmt.Errorf("amoeba: re-integrating %s standby: %w", g.sh.label, err)
-	}
-	cl.mu.Lock()
-	g.standbys = append(g.standbys, st)
-	cl.mu.Unlock()
-	cl.reg.Counter("amoeba_reintegrations_total", obs.L("service", g.sh.label), reintegrationsHelp).Inc()
-	cl.startDetectors(g)
-	return nil
-}
-
-// crashPrimary is the teardown Kill and the wedged-WAL fail-stop share.
-// The NIC goes FIRST — a crash cuts the machine off mid-conversation;
-// in-flight replies vanish and clients retry. The order against the
-// shipper matters: were the stream stopped while the NIC still carried
-// replies, an in-flight handler could commit locally, skip the
-// (stopped) ship, and still acknowledge its client — an acked op no
-// standby ever saw, lost at the election. With the NIC down, any op
-// whose ship was cut off can no longer reach its client either, so
-// "acknowledged" still implies "on the standbys". Then the shipper dies
-// with its machine: aborting any in-flight ship attempt unwedges
-// handlers blocked on replication acks so the crash drains.
-func crashPrimary(p *replica, ship *repl.Shipper) error {
-	err := p.fb.Close()
-	if ship != nil {
-		ship.Stop()
-	}
-	if cerr := p.kern.Crash(); err == nil {
-		err = cerr
-	}
-	return err
 }
 
 // Drain gracefully retires the durable primary hosted on machine m —
@@ -1000,44 +780,29 @@ func crashPrimary(p *replica, ship *repl.Shipper) error {
 // On a replication group the drain is a zero-downtime handoff: the
 // standbys hold every acknowledged operation (shipping is synchronous),
 // so the election runs at once instead of waiting out a detector, and
-// the drained machine rejoins as a fresh standby via Restart like any
-// deposed primary. Unreplicated, the service stays down until Restart —
+// the drained machine rejoins as a fresh standby via Restart. Should
+// the election be refused (no live quorum) the machine simply looks
+// dead from here on, and the standbys' detectors retry once Restart has
+// restored one. Unreplicated, the service stays down until Restart —
 // which recovers from the drained WAL, whose final checkpoint makes
 // that restart cheap.
 func (cl *Cluster) Drain(m amnet.MachineID) error {
 	cl.lifeMu.Lock()
 	defer cl.lifeMu.Unlock()
-	cl.mu.Lock()
-	sh, p := cl.memberLocked(m)
-	if sh == nil {
-		cl.mu.Unlock()
+	p := cl.member(m)
+	if p == nil {
 		return fmt.Errorf("amoeba: machine %v does not host a drainable (durable) service", m)
 	}
+	sh := p.sh
 	if p != sh.primary {
-		cl.mu.Unlock()
 		return fmt.Errorf("amoeba: machine %v is a %s standby with nothing in flight to drain; Kill it instead", m, sh.label)
 	}
 	if p.down {
-		cl.mu.Unlock()
 		return fmt.Errorf("amoeba: %s server already down", sh.label)
 	}
-	p.down = true
-	g, ship := sh.group, sh.shipLocked()
-	cl.mu.Unlock()
-
-	// The reverse of Kill's order: the kernel drains FIRST, while the
-	// NIC still carries replies and the shipper still carries commits —
-	// in-flight work ends acknowledged on every disk, not severed.
-	err := p.kern.Drain()
-	if g != nil {
-		// Handoff. Should the election be refused (no live quorum) the
-		// machine simply looks dead from here on, and the standbys'
-		// detectors retry once Restart has restored one.
-		cl.elect(g)
-		ship.Stop()
-	}
-	if cErr := p.fb.Close(); err == nil {
-		err = cErr
+	err := cl.retire(p, drained)
+	if len(sh.slots) > 1 {
+		cl.elect(sh)
 	}
 	return err
 }
@@ -1046,107 +811,69 @@ func (cl *Cluster) Drain(m amnet.MachineID) error {
 // network mid-conversation and the server dies without flushing or
 // checkpointing — only what its write-ahead log already committed
 // survives. Supported for every machine of the durable services
-// (directory and bank): primaries and group standbys alike.
+// (directory and bank): primaries and group standbys alike. A dead
+// primary's surviving standbys run the election, from their detectors;
+// a dead standby is simply shipped around. Either waits for Restart.
 func (cl *Cluster) Kill(m amnet.MachineID) error {
 	cl.lifeMu.Lock()
 	defer cl.lifeMu.Unlock()
-	cl.mu.Lock()
-	sh, r := cl.memberLocked(m)
-	if sh == nil {
-		cl.mu.Unlock()
+	r := cl.member(m)
+	if r == nil {
 		return fmt.Errorf("amoeba: machine %v does not host a killable (durable) service", m)
 	}
 	if r.down {
-		cl.mu.Unlock()
-		return fmt.Errorf("amoeba: %s machine %v already down", sh.label, m)
+		return fmt.Errorf("amoeba: %s machine %v already down", r.sh.label, m)
 	}
-	r.down = true
-	ship := sh.shipLocked()
-	if r == sh.primary {
-		// The surviving standbys' detectors (if any) run the election.
-		cl.mu.Unlock()
-		return crashPrimary(r, ship)
-	}
-	// A group STANDBY dies quietly: its detector stops (it must not
-	// respond to its own death by electing anyone), the shipper drops
-	// the peer — majorities still count the configured group size, so
-	// losing standbys never loosens the quorum — and the machine waits
-	// for Restart to rejoin.
-	det := r.det
-	r.det = nil
-	cl.mu.Unlock()
-	if det != nil {
-		det.Stop()
-	}
-	ship.DropPeer(r.recv.Port())
-	err := r.fb.Close()
-	if cErr := r.recv.Close(); err == nil {
-		err = cErr
-	}
-	if cErr := r.kern.Crash(); err == nil {
-		err = cErr
-	}
-	return err
+	return cl.retire(r, crashed)
 }
 
-// Restart brings a killed, drained or deposed machine's service back on
-// a FRESH machine. An unreplicated shard recovers its state from the
-// write-ahead log (same disk, same get-port, new machine ID): clients'
-// cached locations go stale; their next transaction times out,
-// invalidates the cache entry and re-broadcasts LOCATE — §2.2's
-// discovery path for a moved server — which the new incarnation
-// answers. A replication-group member rejoins as a fresh standby (new
-// disk, base snapshot from the current primary): its old log may hold
-// a tail the successor never acknowledged, so it is discarded — split
-// brain is prevented by lease plus quorum, not by exiling the machine.
+// Restart brings a killed or drained machine's service back on a FRESH
+// machine, in the slot the old one occupied. An unreplicated shard
+// recovers its state from the write-ahead log (same disk, same
+// get-port, new machine ID): clients' cached locations go stale; their
+// next transaction times out, invalidates the cache entry and
+// re-broadcasts LOCATE — §2.2's discovery path for a moved server —
+// which the new incarnation answers. A replication-group member rejoins
+// as a fresh standby (see rejoin). A failed Restart leaves the slot
+// down and may be retried.
 func (cl *Cluster) Restart(m amnet.MachineID) error {
 	cl.lifeMu.Lock()
 	defer cl.lifeMu.Unlock()
-	cl.mu.Lock()
-	g := cl.retired[m]
-	if g == nil {
-		sh, r := cl.memberLocked(m)
-		if sh == nil {
-			cl.mu.Unlock()
-			return fmt.Errorf("amoeba: machine %v does not host a restartable (durable) service", m)
-		}
-		if !r.down {
-			cl.mu.Unlock()
-			return fmt.Errorf("amoeba: %s machine %v is not down", sh.label, m)
-		}
-		if g = sh.group; g == nil {
-			cl.mu.Unlock()
-			return cl.startShard(sh, r.disk)
-		}
-		if r == sh.primary {
-			// A dead group primary must wait for the survivors' election
-			// (which retires this machine) before it can rejoin.
-			cl.mu.Unlock()
-			return fmt.Errorf("amoeba: machine %v is the %s group primary; wait for the election, then Restart re-attaches it", m, sh.label)
-		}
-		// A killed standby leaves the member list and rejoins the way a
-		// deposed primary does.
-		g.standbys = slices.DeleteFunc(g.standbys, func(st *replica) bool { return st == r })
+	r := cl.member(m)
+	switch {
+	case r == nil && cl.find(func(r *replica) bool { return r.was == m }) != nil:
+		return nil // m was deposed while alive: the election already rebuilt its slot
+	case r == nil:
+		return fmt.Errorf("amoeba: machine %v does not host a restartable (durable) service", m)
+	case !r.down:
+		return fmt.Errorf("amoeba: %s machine %v is not down", r.sh.label, m)
+	case len(r.sh.slots) == 1:
+		return cl.startShard(r.sh, r.disk)
+	case r == r.sh.primary:
+		// A dead group primary must wait for the survivors' election
+		// before it can rejoin as their standby.
+		return fmt.Errorf("amoeba: machine %v is the %s group primary; wait for the election, then Restart re-attaches it", m, r.sh.label)
 	}
-	delete(cl.retired, m)
-	cl.mu.Unlock()
-	if err := cl.reintegrate(g); err != nil {
-		cl.mu.Lock()
-		cl.retired[m] = g // still entitled to rejoin; Restart may be retried
-		cl.mu.Unlock()
-		return err
-	}
-	return nil
+	return cl.rejoin(r, 0)
 }
 
-func (cl *Cluster) newFBox() (*fbox.FBox, error) {
+// attach puts a fresh machine on the simulated network.
+func (cl *Cluster) attach() (*fbox.FBox, error) {
 	nic, err := cl.net.Attach()
 	if err != nil {
 		return nil, fmt.Errorf("amoeba: attaching machine: %w", err)
 	}
-	fb := fbox.New(nic, nil)
-	cl.addCloser(fb.Close)
-	return fb, nil
+	return fbox.New(nic, nil), nil
+}
+
+// newFBox attaches a machine no replica owns (the client's,
+// NewMachine's); Close shuts it.
+func (cl *Cluster) newFBox() (*fbox.FBox, error) {
+	fb, err := cl.attach()
+	if err == nil {
+		cl.addCloser(fb.Close)
+	}
+	return fb, err
 }
 
 func (cl *Cluster) addCloser(f func() error) {
@@ -1172,39 +899,24 @@ func (cl *Cluster) sealerFor(fb *fbox.FBox) rpc.CapSealer {
 	return cl.matrix.DynamicGuard(fb.Machine(), nil)
 }
 
-// sealServer installs a guard on a service server when sealing is on.
-func (cl *Cluster) sealServer(fb *fbox.FBox, set func(rpc.CapSealer)) {
-	if s := cl.sealerFor(fb); s != nil {
-		set(s)
-	}
-}
-
-func (cl *Cluster) start(start func() error, close func() error) error {
-	if err := start(); err != nil {
-		return err
-	}
-	cl.addCloser(close)
-	return nil
-}
-
 // Close shuts every server and machine down.
 func (cl *Cluster) Close() error {
-	// Quiet the failure detectors before tearing anything down: closing
-	// the receivers below looks exactly like a dead primary, and a
-	// detector that fires mid-teardown would run an election over closed
-	// resources. The flag catches fires already in flight (queued on
-	// lifeMu); the Stops catch future ones. Taking lifeMu first lets any
-	// election already running finish on live resources.
+	// The flag first: retiring the members below looks exactly like a
+	// dead primary, and a detector that fires mid-teardown must not run
+	// an election over closed resources — fires already in flight (queued
+	// on lifeMu) see it and return. Taking lifeMu lets any election
+	// already running finish on live resources. Then every slot of every
+	// shard retires, in reverse boot order (the file server before its
+	// block server) — as a crash: nobody will read these disks again.
 	cl.closing.Store(true)
 	cl.lifeMu.Lock()
-	for _, sh := range cl.allShards() {
-		if sh.group == nil {
-			continue
-		}
-		for _, st := range sh.group.standbys {
-			if st.det != nil {
-				st.det.Stop()
-				st.det = nil
+	var firstErr error
+	for i := len(node.Services) - 1; i >= 0; i-- {
+		for _, sh := range cl.shards[node.Services[i].Label] {
+			for _, r := range sh.slots {
+				if r != nil {
+					firstErr = cmp.Or(firstErr, cl.retire(r, crashed))
+				}
 			}
 		}
 	}
@@ -1213,38 +925,32 @@ func (cl *Cluster) Close() error {
 	closers := cl.closers
 	cl.closers = nil
 	cl.closersMu.Unlock()
-	var firstErr error
 	for i := len(closers) - 1; i >= 0; i-- {
-		if err := closers[i](); err != nil && firstErr == nil {
-			firstErr = err
-		}
+		firstErr = cmp.Or(firstErr, closers[i]())
 	}
-	if err := cl.net.Close(); err != nil && firstErr == nil {
-		firstErr = err
-	}
-	return firstErr
+	return cmp.Or(firstErr, cl.net.Close())
 }
 
 // Memory returns a typed client for the memory server (§3.1).
 func (cl *Cluster) Memory() *memsvr.Client {
-	return memsvr.NewClient(cl.client, cl.memory.PutPort())
+	return memsvr.NewClient(cl.client, cl.put("memory"))
 }
 
 // Blocks returns a typed client for the block server (§3.2).
 func (cl *Cluster) Blocks() *blocksvr.Client {
-	return blocksvr.NewClient(cl.client, cl.blocks.PutPort())
+	return blocksvr.NewClient(cl.client, cl.put("blocks"))
 }
 
 // Files returns a typed client for the flat file server (§3.3).
 func (cl *Cluster) Files() *flatfs.Client {
-	return flatfs.NewClient(cl.client, cl.files.PutPort())
+	return flatfs.NewClient(cl.client, cl.put("files"))
 }
 
 // FilesFor binds a flat-file client to a different RPC client (one
 // obtained from NewMachine) — a second user process with its own
 // machine, reply ports and locate cache.
 func (cl *Cluster) FilesFor(c *rpc.Client) *flatfs.Client {
-	return flatfs.NewClient(c, cl.files.PutPort())
+	return flatfs.NewClient(c, cl.put("files"))
 }
 
 // Dirs returns a typed client for directory services (§3.4). With
@@ -1263,17 +969,17 @@ func (cl *Cluster) Dirs() *dirsvr.Client {
 // The put-port is pinned across Kill/Restart (the get-port is
 // persisted with the log), so a cached DirPort stays valid over a
 // crash.
-func (cl *Cluster) DirPort() Port { return cl.dirShards[0].put }
+func (cl *Cluster) DirPort() Port { return cl.put("directory") }
 
 // Versions returns a typed client for the multiversion file server
 // (§3.5).
 func (cl *Cluster) Versions() *mvfs.Client {
-	return mvfs.NewClient(cl.client, cl.multi.PutPort())
+	return mvfs.NewClient(cl.client, cl.put("versions"))
 }
 
 // Bank returns a typed client for the bank server (§3.6).
 func (cl *Cluster) Bank() *banksvr.Client {
-	return banksvr.NewClient(cl.client, cl.bankShards[0].put)
+	return banksvr.NewClient(cl.client, cl.put("bank"))
 }
 
 // NewUnixFS creates a fresh root directory and returns a UNIX-like

@@ -63,7 +63,10 @@ func main() {
 		return
 	}
 
-	reg := parseRegistry(*registry)
+	reg, err := amnet.ParseRegistry(*registry)
+	if err != nil {
+		log.Fatalf("amoeba: %v", err)
+	}
 	nic, err := amnet.NewTCPNet(amnet.MachineID(*machine), reg)
 	if err != nil {
 		log.Fatalf("amoeba: %v", err)
@@ -180,43 +183,4 @@ func parseUint(s string) uint64 {
 		log.Fatalf("amoeba: bad number %q", s)
 	}
 	return v
-}
-
-func parseRegistry(s string) map[amnet.MachineID]string {
-	out := make(map[amnet.MachineID]string)
-	for _, pair := range splitComma(s) {
-		id, addr, ok := cut(pair, '=')
-		if !ok {
-			log.Fatalf("amoeba: bad registry entry %q", pair)
-		}
-		n, err := strconv.ParseUint(id, 10, 32)
-		if err != nil {
-			log.Fatalf("amoeba: bad machine id %q", id)
-		}
-		out[amnet.MachineID(n)] = addr
-	}
-	return out
-}
-
-func splitComma(s string) []string {
-	var out []string
-	start := 0
-	for i := 0; i <= len(s); i++ {
-		if i == len(s) || s[i] == ',' {
-			if i > start {
-				out = append(out, s[start:i])
-			}
-			start = i + 1
-		}
-	}
-	return out
-}
-
-func cut(s string, sep byte) (string, string, bool) {
-	for i := 0; i < len(s); i++ {
-		if s[i] == sep {
-			return s[:i], s[i+1:], true
-		}
-	}
-	return s, "", false
 }

@@ -15,15 +15,12 @@
 package main
 
 import (
-	"context"
 	"flag"
 	"fmt"
+	"io"
 	"log"
-	"net"
-	"net/http"
 	"os"
 	"os/signal"
-	"strconv"
 	"strings"
 	"syscall"
 
@@ -32,14 +29,10 @@ import (
 	"amoeba/internal/crypto"
 	"amoeba/internal/fbox"
 	"amoeba/internal/locate"
+	"amoeba/internal/node"
 	"amoeba/internal/obs"
 	"amoeba/internal/rpc"
-	"amoeba/internal/server/banksvr"
 	"amoeba/internal/server/blocksvr"
-	"amoeba/internal/server/dirsvr"
-	"amoeba/internal/server/flatfs"
-	"amoeba/internal/server/memsvr"
-	"amoeba/internal/server/mvfs"
 	"amoeba/internal/svc"
 	"amoeba/internal/vdisk"
 )
@@ -59,155 +52,109 @@ var (
 
 func main() {
 	flag.Parse()
-	reg, err := parseRegistry(*registry)
-	if err != nil {
+	sig := make(chan os.Signal, 1)
+	signal.Notify(sig, syscall.SIGINT, syscall.SIGTERM)
+	if err := run(os.Stdout, sig); err != nil {
 		log.Fatalf("amoebad: %v", err)
+	}
+}
+
+// run joins the cluster the flags describe, starts the requested
+// services from the internal/node table — announcing each on out as
+// "name<TAB>put-port" once it serves — and serves until stop delivers.
+// Whatever it opened is closed on the way out, newest first, whether it
+// ends by signal or by a service that would not start.
+func run(out io.Writer, stop <-chan os.Signal) error {
+	reg, err := amnet.ParseRegistry(*registry)
+	if err != nil {
+		return err
 	}
 	scheme, err := cap.NewScheme(cap.SchemeID(*schemeFlag))
 	if err != nil {
-		log.Fatalf("amoebad: %v", err)
+		return err
 	}
-	var src crypto.Source
+	src := crypto.SystemSource()
 	if *seed != 0 {
 		src = crypto.NewSeededSource(*seed ^ uint64(*machine)<<32)
-	} else {
-		src = crypto.SystemSource()
 	}
-
 	nic, err := amnet.NewTCPNet(amnet.MachineID(*machine), reg)
 	if err != nil {
-		log.Fatalf("amoebad: %v", err)
+		return err
 	}
 	fb := fbox.New(nic, nil)
 	defer fb.Close()
 	log.Printf("machine %d listening on %s (scheme %v)", *machine, nic.Addr(), cap.SchemeID(*schemeFlag))
 
-	metrics := obs.NewRegistry()
-	ring := obs.NewRing(1024)
-	registerTCPStats(metrics, nic)
-
-	var closers []func() error
-	startSvc := func(name string, put cap.Port, start func() error, close func() error) {
-		if err := start(); err != nil {
-			log.Fatalf("amoebad: starting %s: %v", name, err)
-		}
-		closers = append(closers, close)
-		fmt.Printf("%s\t%s\n", name, put)
-	}
-	// observe wires a service's request metrics, access-log records and
-	// queue gauges into this daemon's registry (call before startSvc —
-	// the observer must be set before the server starts).
-	observe := func(name string, k *svc.Kernel) {
-		k.SetObserver(obs.NewServerStats(metrics, ring, name, rpc.StatusName))
-		labels := obs.L("service", name)
-		metrics.GaugeFunc("amoeba_queue_depth", labels, "requests queued for or occupying pool workers", func() float64 {
-			return float64(k.Inflight())
-		})
-		metrics.GaugeFunc("amoeba_queue_wait_ewma_ns", labels, "smoothed recent queue wait, nanoseconds", func() float64 {
-			return float64(k.QueueWaitEWMA())
-		})
-	}
-
+	env := &node.Env{Scheme: scheme, Source: src, Metrics: obs.NewRegistry(), Ring: obs.NewRing(1024)}
+	registerTCPStats(env.Metrics, nic)
 	var blockPort cap.Port
-	for _, svc := range strings.Split(*services, ",") {
-		switch strings.TrimSpace(svc) {
-		case "mem":
-			s := memsvr.New(fb, scheme, src)
-			observe("mem", s.Kernel)
-			startSvc("mem", s.PutPort(), s.Start, s.Close)
-		case "block":
-			var disk vdisk.Store
-			if *diskPath != "" {
-				fd, err := vdisk.OpenFile(*diskPath, uint32(*diskBlocks), *blockSize)
-				if err != nil {
-					log.Fatalf("amoebad: %v", err)
-				}
-				defer fd.Close()
-				disk = fd
-			} else {
-				md, err := vdisk.New(uint32(*diskBlocks), *blockSize)
-				if err != nil {
-					log.Fatalf("amoebad: %v", err)
-				}
-				disk = md
-			}
-			s, err := blocksvr.New(fb, scheme, src, disk)
-			if err != nil {
-				log.Fatalf("amoebad: %v", err)
-			}
-			if *statePath != "" {
-				if snap, err := os.ReadFile(*statePath); err == nil {
-					if err := s.RestoreState(snap); err != nil {
-						log.Fatalf("amoebad: restoring block state: %v", err)
-					}
-					log.Printf("block: restored %d-byte state snapshot", len(snap))
-				} else if !os.IsNotExist(err) {
-					log.Fatalf("amoebad: reading %s: %v", *statePath, err)
-				}
-				closers = append(closers, func() error {
-					return os.WriteFile(*statePath, s.SnapshotState(), 0o600)
-				})
-			}
-			blockPort = s.PutPort()
-			observe("block", s.Kernel)
-			startSvc("block", s.PutPort(), s.Start, s.Close)
-		case "file":
-			// The file server needs a block server; find one via
-			// LOCATE if this daemon does not run its own.
-			client := rpc.NewClient(fb, locate.New(fb, locate.Config{}), rpc.ClientConfig{Source: src})
-			port := blockPort
-			if port == 0 {
-				log.Printf("file: no local block server; relying on -block-port or cluster LOCATE")
-				log.Fatalf("amoebad: 'file' requires 'block' in the same daemon (run them together or extend the registry)")
-			}
-			s, err := flatfs.New(context.Background(), fb, scheme, src, blocksvr.NewClient(client, port))
-			if err != nil {
-				log.Fatalf("amoebad: %v", err)
-			}
-			observe("file", s.Kernel)
-			startSvc("file", s.PutPort(), s.Start, s.Close)
-		case "dir":
-			s := dirsvr.New(fb, scheme, src)
-			observe("dir", s.Kernel)
-			startSvc("dir", s.PutPort(), s.Start, s.Close)
-		case "mv":
-			s := mvfs.New(fb, scheme, src)
-			observe("mv", s.Kernel)
-			startSvc("mv", s.PutPort(), s.Start, s.Close)
-		case "bank":
-			s := banksvr.New(fb, scheme, src, banksvr.Config{
-				MintingAllowed: true,
-				Rates: map[[2]string]banksvr.Rate{
-					{"dollar", "franc"}: {Num: 5, Den: 1},
-					{"franc", "dollar"}: {Num: 1, Den: 5},
-				},
-			})
-			observe("bank", s.Kernel)
-			startSvc("bank", s.PutPort(), s.Start, s.Close)
-		case "":
-		default:
-			log.Fatalf("amoebad: unknown service %q", svc)
+	for _, name := range strings.Split(*services, ",") {
+		if name = strings.TrimSpace(name); name == "" {
+			continue
 		}
+		row := node.Lookup(name)
+		if row == nil {
+			return fmt.Errorf("unknown service %q", name)
+		}
+		var deps node.Deps
+		switch {
+		case name == "block" && *diskPath != "":
+			fd, err := vdisk.OpenFile(*diskPath, uint32(*diskBlocks), *blockSize)
+			if err != nil {
+				return err
+			}
+			defer fd.Close()
+			deps.Store = fd
+		case name == "block":
+			if deps.Store, err = vdisk.New(uint32(*diskBlocks), *blockSize); err != nil {
+				return err
+			}
+		case row.NeedsBlocks && blockPort == 0:
+			return fmt.Errorf("%q needs a block server, and finds one only in its own daemon: list \"block\" before it in -services", name)
+		case row.NeedsBlocks:
+			client := rpc.NewClient(fb, locate.New(fb, locate.Config{}), rpc.ClientConfig{Source: src})
+			deps.Blocks = blocksvr.NewClient(client, blockPort)
+		}
+		if name == "block" && *statePath != "" {
+			if deps.State, err = os.ReadFile(*statePath); err == nil {
+				log.Printf("block: restoring %d-byte state snapshot", len(deps.State))
+			} else if !os.IsNotExist(err) {
+				return err
+			}
+		}
+		k, _, err := row.Open(env, fb, name, deps)
+		if err != nil {
+			return err
+		}
+		node.Gauges(env.Metrics, name, false, func() *svc.Kernel { return k })
+		if name == "block" {
+			blockPort = k.PutPort()
+			if *statePath != "" { // saved once the server below has closed
+				defer func() {
+					if err := os.WriteFile(*statePath, k.Table().Snapshot(), 0o600); err != nil {
+						log.Printf("block: saving state: %v", err)
+					}
+				}()
+			}
+		}
+		if err := k.Start(); err != nil {
+			return fmt.Errorf("starting %s: %w", name, err)
+		}
+		defer k.Close()
+		fmt.Fprintf(out, "%s\t%s\n", name, k.PutPort())
 	}
 
 	if *debugAddr != "" {
-		ln, err := net.Listen("tcp", *debugAddr)
+		url, closeDebug, err := node.ListenDebug(*debugAddr, env.Metrics, env.Ring)
 		if err != nil {
-			log.Fatalf("amoebad: debug listener: %v", err)
+			return err
 		}
-		srv := &http.Server{Handler: obs.Mux(metrics, ring, rpc.StatusName)}
-		go srv.Serve(ln)
-		closers = append(closers, srv.Close)
-		log.Printf("debug http on http://%s", ln.Addr())
+		defer closeDebug()
+		log.Printf("debug http on %s", url)
 	}
-
-	sig := make(chan os.Signal, 1)
-	signal.Notify(sig, syscall.SIGINT, syscall.SIGTERM)
-	<-sig
+	<-stop
 	log.Print("shutting down")
-	for i := len(closers) - 1; i >= 0; i-- {
-		_ = closers[i]()
-	}
+	return nil
 }
 
 // registerTCPStats exports the transport's counters. Frames per call
@@ -228,27 +175,4 @@ func registerTCPStats(metrics *obs.Registry, nic *amnet.TCPNet) {
 		read := c.read
 		metrics.CounterFunc(c.name, "", c.help, func() uint64 { return read(nic.Stats()) })
 	}
-}
-
-func parseRegistry(s string) (map[amnet.MachineID]string, error) {
-	out := make(map[amnet.MachineID]string)
-	for _, pair := range strings.Split(s, ",") {
-		pair = strings.TrimSpace(pair)
-		if pair == "" {
-			continue
-		}
-		id, addr, ok := strings.Cut(pair, "=")
-		if !ok {
-			return nil, fmt.Errorf("bad registry entry %q (want id=host:port)", pair)
-		}
-		n, err := strconv.ParseUint(id, 10, 32)
-		if err != nil {
-			return nil, fmt.Errorf("bad machine id %q: %w", id, err)
-		}
-		out[amnet.MachineID(n)] = addr
-	}
-	if len(out) == 0 {
-		return nil, fmt.Errorf("empty registry")
-	}
-	return out, nil
 }

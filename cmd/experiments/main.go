@@ -1,5 +1,5 @@
-// Command experiments regenerates every experiment in DESIGN.md §4 and
-// prints the tables recorded in EXPERIMENTS.md: the comparative
+// Command experiments regenerates every experiment in EXPERIMENTS.md's
+// opening table and prints the tables recorded there: the comparative
 // properties and costs of the paper's four rights-protection schemes,
 // the F-box and signature properties of Fig. 1, the §2.4 key-matrix
 // behaviour, the sparseness sweep, and end-to-end service costs.

@@ -11,22 +11,9 @@ package amoeba
 import (
 	"fmt"
 	"testing"
-	"time"
 
 	"amoeba/internal/amnet"
 )
-
-// failoverCluster is groupCluster, except that a forced run never waits
-// for a detector and so can afford a lease long enough that none false-
-// alarms: an unplanned election ahead of the kill would leave the group
-// one standby short (the deposed primary is not re-attached), and the
-// forced one would then be refused for want of a quorum.
-func failoverCluster(t *testing.T, seed uint64, forced bool) *Cluster {
-	if forced {
-		return groupClusterLease(t, seed, 400*time.Millisecond)
-	}
-	return groupCluster(t, seed)
-}
 
 // forceElection runs sh's election now, provided dead is still its
 // primary (a detector false alarm may legally have moved the crown
@@ -36,9 +23,9 @@ func forceElection(tb testing.TB, cl *Cluster, sh *svcShard, dead amnet.MachineI
 	cl.lifeMu.Lock()
 	defer cl.lifeMu.Unlock()
 	cl.mu.Lock()
-	g, cur := sh.group, sh.primary.machine
+	cur := sh.primary.machine
 	cl.mu.Unlock()
-	if cur == dead && !cl.elect(g) {
+	if cur == dead && !cl.elect(sh) {
 		tb.Fatalf("forced %s election found no successor", sh.label)
 	}
 }

@@ -313,9 +313,9 @@ func runOneWayPartition(t *testing.T, seed uint64) {
 	// Sever standby→primary for every standby: acknowledgements and
 	// lease grants vanish; the primary's own frames still arrive.
 	cl.mu.Lock()
-	primary := cl.dirShards[0].primary.machine
+	primary := cl.shards["directory"][0].primary.machine
 	var standbys []amnet.MachineID
-	for _, st := range cl.dirShards[0].group.standbys {
+	for _, st := range cl.shards["directory"][0].standbysLocked() {
 		if !st.down {
 			standbys = append(standbys, st.machine)
 		}
@@ -370,10 +370,19 @@ func runOneWayPartition(t *testing.T, seed uint64) {
 		}
 	}
 	cl.mu.Lock()
-	term := cl.dirShards[0].group.term
+	term := cl.shards["directory"][0].term
 	cl.mu.Unlock()
 	if term < 2 {
 		t.Fatalf("group term %d after the one-way partition, want ≥ 2 (an election)", term)
+	}
+	// The deposed primary was alive throughout: nobody restarts it, and
+	// the group is three live members again.
+	for deadline := time.Now().Add(5 * time.Second); liveStandbys(cl, cl.shards["directory"][0]) != 2; {
+		if time.Now().After(deadline) {
+			t.Fatalf("group has %d live standbys after the one-way partition, want 2 (the deposed primary re-attaches itself)",
+				liveStandbys(cl, cl.shards["directory"][0]))
+		}
+		time.Sleep(5 * time.Millisecond)
 	}
 }
 
@@ -401,8 +410,8 @@ func runFlappingLink(t *testing.T, seed uint64) {
 	})
 
 	cl.mu.Lock()
-	primary := cl.dirShards[0].primary.machine
-	flappy := cl.dirShards[0].group.standbys[0].machine
+	primary := cl.shards["directory"][0].primary.machine
+	flappy := cl.shards["directory"][0].standbysLocked()[0].machine
 	cl.mu.Unlock()
 	// Up 40ms, down 25ms: the down windows are well inside the 225ms
 	// detector gap, so elections are rare — the exercise is the lost→
@@ -479,8 +488,8 @@ func TestStandbyWedgeDropsFromQuorum(t *testing.T) {
 	})
 
 	cl.mu.Lock()
-	primary := cl.dirShards[0].primary.machine
-	stMachine := cl.dirShards[0].group.standbys[0].machine
+	primary := cl.shards["directory"][0].primary.machine
+	stMachine := cl.shards["directory"][0].standbysLocked()[0].machine
 	cl.mu.Unlock()
 	cl.WALFault(stMachine).FailWritesAfter(0)
 
@@ -500,7 +509,7 @@ func TestStandbyWedgeDropsFromQuorum(t *testing.T) {
 	deadline := time.Now().Add(15 * time.Second)
 	for {
 		cl.mu.Lock()
-		lost := cl.dirShards[0].group.ship.LostPeers()
+		lost := cl.shards["directory"][0].primary.ship.LostPeers()
 		cl.mu.Unlock()
 		if lost >= 1 {
 			break
@@ -523,15 +532,7 @@ func TestStandbyWedgeDropsFromQuorum(t *testing.T) {
 		t.Fatal(err)
 	}
 	untilOK(t, "reintegrate standby", func(ctx context.Context) error { return cl.Restart(stMachine) })
-	cl.mu.Lock()
-	standbys := 0
-	for _, st := range cl.dirShards[0].group.standbys {
-		if !st.down {
-			standbys++
-		}
-	}
-	cl.mu.Unlock()
-	if standbys != 2 {
+	if standbys := liveStandbys(cl, cl.shards["directory"][0]); standbys != 2 {
 		t.Fatalf("group has %d live standbys after re-integration, want 2", standbys)
 	}
 	untilOK(t, "write after standby rejoin", func(ctx context.Context) error {

@@ -23,27 +23,37 @@ import (
 // groups under mild network chaos, with a short lease so failovers
 // resolve in tens of milliseconds.
 func groupCluster(t *testing.T, seed uint64) *Cluster {
+	t.Helper()
 	// The production default lease: short enough for sub-second
 	// failovers, long enough that the race detector's scheduler stalls
 	// rarely counterfeit a 1.5-term silence and false-alarm a detector.
-	return groupClusterLease(t, seed, 150*time.Millisecond)
-}
-
-func groupClusterLease(t *testing.T, seed uint64, lease time.Duration) *Cluster {
-	t.Helper()
 	cl, err := NewCluster(ClusterConfig{
 		Seed:      seed,
 		LossRate:  0.01,
 		Latency:   50 * time.Microsecond,
 		Jitter:    100 * time.Microsecond,
 		Replicas:  3,
-		LeaseTerm: lease,
+		LeaseTerm: 150 * time.Millisecond,
 	})
 	if err != nil {
 		t.Fatal(err)
 	}
 	t.Cleanup(func() { cl.Close() })
 	return cl
+}
+
+// liveStandbys counts sh's standbys that are up — Replicas-1 of them on
+// a whole group.
+func liveStandbys(cl *Cluster, sh *svcShard) int {
+	cl.mu.Lock()
+	defer cl.mu.Unlock()
+	n := 0
+	for _, st := range sh.standbysLocked() {
+		if !st.down {
+			n++
+		}
+	}
+	return n
 }
 
 // waitForFailover blocks until the service identified by pick moves off
@@ -94,7 +104,7 @@ func TestChaosAutoFailoverDirsvr(t *testing.T) {
 // forced unset nobody does anything about it — the detectors must;
 // forced runs the election at once (failover_test.go).
 func runAutoFailoverDirsvr(t *testing.T, seed uint64, forced bool) {
-	cl := failoverCluster(t, seed, forced)
+	cl := groupCluster(t, seed)
 	dirs := cl.Dirs()
 
 	var root Capability
@@ -148,7 +158,7 @@ func runAutoFailoverDirsvr(t *testing.T, seed uint64, forced bool) {
 	}
 	if forced {
 		time.Sleep(5 * time.Millisecond) // let some attempts hit the corpse
-		forceElection(t, cl, cl.dirShards[0], primary)
+		forceElection(t, cl, cl.shards["directory"][0], primary)
 	}
 	waitForFailover(t, cl, primary, func(m Machines) amnet.MachineID { return m.Dirs })
 	wg.Wait()
@@ -188,16 +198,14 @@ func runAutoFailoverDirsvr(t *testing.T, seed uint64, forced bool) {
 	if err := cl.Restart(primary); err != nil {
 		t.Fatalf("killed primary could not rejoin its group: %v", err)
 	}
-	cl.mu.Lock()
-	standbys := len(cl.dirShards[0].group.standbys)
-	term := cl.dirShards[0].group.term
-	cl.mu.Unlock()
-	// A detector false alarm can legally run an extra election whose
-	// victim this test never restarts, so group wholeness is only
-	// asserted on the clean single-election run.
-	if term == 2 && standbys != 2 {
+	// Whole again, however many elections ran: one a detector false
+	// alarm adds re-attaches its own victim.
+	if standbys := liveStandbys(cl, cl.shards["directory"][0]); standbys != 2 {
 		t.Fatalf("group has %d standbys after re-integration, want 2", standbys)
 	}
+	cl.mu.Lock()
+	term := cl.shards["directory"][0].term
+	cl.mu.Unlock()
 	if term < 2 {
 		t.Fatalf("group term %d after a failover, want ≥ 2", term)
 	}
@@ -220,7 +228,7 @@ func TestChaosAutoFailoverBanksvr(t *testing.T) {
 }
 
 func runAutoFailoverBanksvr(t *testing.T, seed uint64, forced bool) {
-	cl := failoverCluster(t, seed, forced)
+	cl := groupCluster(t, seed)
 	bank := cl.Bank()
 
 	const accounts, grant = 6, 1000
@@ -262,7 +270,7 @@ func runAutoFailoverBanksvr(t *testing.T, seed uint64, forced bool) {
 	}
 	if forced {
 		time.Sleep(5 * time.Millisecond)
-		forceElection(t, cl, cl.bankShards[0], primary)
+		forceElection(t, cl, cl.shards["bank"][0], primary)
 	}
 	waitForFailover(t, cl, primary, func(m Machines) amnet.MachineID { return m.Bank })
 	wg.Wait()
@@ -388,7 +396,7 @@ func runDoubleFailure(t *testing.T, seed uint64) {
 		}
 	}
 	cl.mu.Lock()
-	term := cl.dirShards[0].group.term
+	term := cl.shards["directory"][0].term
 	cl.mu.Unlock()
 	if term < 3 {
 		t.Fatalf("group term %d after two elections, want ≥ 3", term)
@@ -442,9 +450,9 @@ func TestGroupLeaseSplitBrainGuard(t *testing.T) {
 		t.Fatalf("lease-guarded group refused re-integration: %v", err)
 	}
 	cl.mu.Lock()
-	standbys, term := len(cl.dirShards[0].group.standbys), cl.dirShards[0].group.term
+	term := cl.shards["directory"][0].term
 	cl.mu.Unlock()
-	if (term == 2 && standbys != 2) || term < 2 {
+	if standbys := liveStandbys(cl, cl.shards["directory"][0]); standbys != 2 || term < 2 {
 		t.Fatalf("after re-integration: %d standbys (want 2), term %d (want ≥ 2)", standbys, term)
 	}
 
@@ -467,7 +475,7 @@ func TestGroupLifecycleGuards(t *testing.T) {
 	cl := groupCluster(t, 0x6A4E)
 	m := cl.Machines()
 	cl.mu.Lock()
-	stMachine := cl.dirShards[0].group.standbys[0].machine
+	stMachine := cl.shards["directory"][0].standbysLocked()[0].machine
 	cl.mu.Unlock()
 
 	if err := cl.Restart(m.Dirs); err == nil || !strings.Contains(err.Error(), "not down") {
@@ -502,10 +510,7 @@ func TestGroupLifecycleGuards(t *testing.T) {
 	if err := cl.Restart(stMachine); err != nil {
 		t.Fatalf("killed standby could not rejoin: %v", err)
 	}
-	cl.mu.Lock()
-	standbys := len(cl.dirShards[0].group.standbys)
-	cl.mu.Unlock()
-	if standbys != 2 {
+	if standbys := liveStandbys(cl, cl.shards["directory"][0]); standbys != 2 {
 		t.Fatalf("group has %d standbys after standby re-integration, want 2", standbys)
 	}
 	untilOK(t, "write after standby rejoin", func(ctx context.Context) error {

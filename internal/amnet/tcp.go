@@ -6,6 +6,8 @@ import (
 	"fmt"
 	"net"
 	"runtime"
+	"strconv"
+	"strings"
 	"sync"
 	"sync/atomic"
 	"time"
@@ -105,6 +107,31 @@ func (t *TCPNet) Stats() TCPStats {
 		LaneDropped: t.stats.laneDropped.Load(),
 		InDropped:   t.stats.inDropped.Load(),
 	}
+}
+
+// ParseRegistry reads the cluster map the commands take on their
+// command lines: "id=host:port,id=host:port,…" (blanks around entries
+// and empty entries ignored).
+func ParseRegistry(s string) (map[MachineID]string, error) {
+	out := make(map[MachineID]string)
+	for _, pair := range strings.Split(s, ",") {
+		if pair = strings.TrimSpace(pair); pair == "" {
+			continue
+		}
+		id, addr, ok := strings.Cut(pair, "=")
+		if !ok {
+			return nil, fmt.Errorf("bad registry entry %q (want id=host:port)", pair)
+		}
+		n, err := strconv.ParseUint(id, 10, 32)
+		if err != nil {
+			return nil, fmt.Errorf("bad machine id %q: %w", id, err)
+		}
+		out[MachineID(n)] = addr
+	}
+	if len(out) == 0 {
+		return nil, errors.New("empty registry")
+	}
+	return out, nil
 }
 
 // NewTCPNet attaches machine id to the cluster described by registry

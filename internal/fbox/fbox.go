@@ -18,7 +18,8 @@
 // The paper puts the F-box in VLSI on the network interface. Here it is
 // a software shim that owns the machine's NIC; the substitution
 // preserves the security argument because code built on this package
-// has no other path to the wire (see DESIGN.md).
+// has no other path to the wire (EXPERIMENTS.md F1 and E7 check the
+// properties; examples/intruder plays the attacks against them).
 package fbox
 
 import (

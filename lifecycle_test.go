@@ -108,13 +108,13 @@ func runLifecycleScript(t *testing.T, cl *Cluster, sub lifecycleSubject) lifecyc
 	group := func() (primary, standby amnet.MachineID, term uint64, live int) {
 		cl.mu.Lock()
 		defer cl.mu.Unlock()
-		for _, st := range sh.group.standbys {
+		for _, st := range sh.standbysLocked() {
 			if !st.down {
 				live++
 				standby = st.machine
 			}
 		}
-		return sh.primary.machine, standby, sh.group.term, live
+		return sh.primary.machine, standby, sh.term, live
 	}
 	failovers := cl.Metrics().Counter("amoeba_failovers_total", obs.L("service", sh.label), failoversHelp)
 	reintegrations := cl.Metrics().Counter("amoeba_reintegrations_total", obs.L("service", sh.label), reintegrationsHelp)
@@ -215,7 +215,7 @@ func directorySubject(t *testing.T, cl *Cluster, idx int) lifecycleSubject {
 	var mu sync.Mutex
 	acked := make(map[string]bool)
 	return lifecycleSubject{
-		sh: cl.dirShards[idx],
+		sh: cl.shards["directory"][idx],
 		write: func(tag string) error {
 			err := retryOK("enter "+tag, func(ctx context.Context) error {
 				err := dirs.Enter(ctx, home, tag, home)
@@ -258,7 +258,7 @@ func bankSubject(t *testing.T, cl *Cluster, idx int) lifecycleSubject {
 	var mu sync.Mutex
 	acked := make(map[cap.Capability]int64)
 	return lifecycleSubject{
-		sh: cl.bankShards[idx],
+		sh: cl.shards["bank"][idx],
 		write: func(tag string) error {
 			for {
 				var acct cap.Capability

@@ -374,9 +374,9 @@ func TestDrainHandoffMidSoak(t *testing.T) {
 				t.Fatalf("drained machine could not rejoin its group: %v", err)
 			}
 			cl.mu.Lock()
-			standbys, term := len(cl.dirShards[0].group.standbys), cl.dirShards[0].group.term
+			term := cl.shards["directory"][0].term
 			cl.mu.Unlock()
-			if (term == 2 && standbys != 2) || term < 2 {
+			if standbys := liveStandbys(cl, cl.shards["directory"][0]); standbys != 2 || term < 2 {
 				t.Fatalf("after the drained machine rejoined: %d standbys (want 2), term %d (want ≥ 2)", standbys, term)
 			}
 		})

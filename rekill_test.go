@@ -54,34 +54,14 @@ func TestRekillReattach(t *testing.T) {
 	}
 }
 
-// rekillAndReattach is one round's fault: kill sh's primary, wait for
+// rekillAndReattach is one round's fault: kill the group's primary, wait for
 // the standbys to elect, re-attach the corpse as a fresh standby.
-func rekillAndReattach(t *testing.T, cl *Cluster, sh *svcShard, pick func(Machines) amnet.MachineID) {
+func rekillAndReattach(t *testing.T, cl *Cluster, pick func(Machines) amnet.MachineID) {
 	t.Helper()
-	reattachRetired(t, cl, sh)
 	killed := killPrimary(t, cl, pick)
 	waitForFailover(t, cl, killed, pick)
-	reattachRetired(t, cl, sh)
-}
-
-// reattachRetired restarts every machine an election retired from sh's
-// group: the primary the test killed and, with it, any primary a
-// detector false alarm deposed along the way (ROADMAP 1(c): nobody else
-// re-attaches those, and a group left short refuses its next election).
-func reattachRetired(t *testing.T, cl *Cluster, sh *svcShard) {
-	t.Helper()
-	cl.mu.Lock()
-	var retired []amnet.MachineID
-	for m, g := range cl.retired {
-		if g == sh.group {
-			retired = append(retired, m)
-		}
-	}
-	cl.mu.Unlock()
-	for _, m := range retired {
-		if err := cl.Restart(m); err != nil {
-			t.Fatalf("re-attaching machine %v: %v", m, err)
-		}
+	if err := cl.Restart(killed); err != nil {
+		t.Fatalf("re-attaching machine %v: %v", killed, err)
 	}
 }
 
@@ -129,7 +109,7 @@ func rekillDirectory(t *testing.T, cl *Cluster, seed uint64) {
 	}
 	for round := 0; round < rekillRounds(); round++ {
 		ops(round, 0)
-		rekillAndReattach(t, cl, cl.dirShards[0], func(m Machines) amnet.MachineID { return m.Dirs })
+		rekillAndReattach(t, cl, func(m Machines) amnet.MachineID { return m.Dirs })
 		ops(round, 1)
 		model, listed := map[string]bool{}, map[string]bool{}
 		for _, name := range names {
@@ -213,7 +193,7 @@ func rekillBank(t *testing.T, cl *Cluster, seed uint64) {
 	}
 	for round := 0; round < rekillRounds(); round++ {
 		ops()
-		rekillAndReattach(t, cl, cl.bankShards[0], func(m Machines) amnet.MachineID { return m.Bank })
+		rekillAndReattach(t, cl, func(m Machines) amnet.MachineID { return m.Bank })
 		ops()
 		got := balances()
 		total := int64(0)
@@ -262,7 +242,7 @@ func TestRekillReattachFatBase(t *testing.T) {
 		enter(fmt.Sprintf("fat-%0196d", i))
 	}
 	for round := 0; round < 3; round++ {
-		rekillAndReattach(t, cl, cl.dirShards[0], func(m Machines) amnet.MachineID { return m.Dirs })
+		rekillAndReattach(t, cl, func(m Machines) amnet.MachineID { return m.Dirs })
 		enter(fmt.Sprintf("after-%0194d", round))
 		// Looked up one by one: the listing itself is over one reply frame.
 		for _, name := range names {
@@ -272,7 +252,7 @@ func TestRekillReattachFatBase(t *testing.T) {
 			})
 		}
 		cl.mu.Lock()
-		lost := cl.dirShards[0].group.ship.LostPeers()
+		lost := cl.shards["directory"][0].primary.ship.LostPeers()
 		cl.mu.Unlock()
 		if lost != 0 {
 			t.Fatalf("round %d: %d standbys off the stream after re-attachment", round, lost)

@@ -232,3 +232,147 @@ func TestMigrateErrors(t *testing.T) {
 		t.Fatal(err)
 	}
 }
+
+// TestMigrateAbortLeavesObjectAtSource: a migration that cannot finish
+// — the caller gave up while the object was in flight, or the
+// destination's machine had just died — leaves no trace. The object
+// serves from its source under the same capability, the shard map has
+// not moved, and the same migration succeeds once the cause is gone.
+func TestMigrateAbortLeavesObjectAtSource(t *testing.T) {
+	for _, tc := range []struct {
+		name  string
+		fault func(t *testing.T, cl *Cluster, dst int) (ctx context.Context, mend func())
+	}{
+		{"cancelled context", func(t *testing.T, cl *Cluster, dst int) (context.Context, func()) {
+			// Extracted and gated, then the ship to the destination is
+			// refused its context: the abort path puts the object back.
+			ctx, cancel := context.WithCancel(context.Background())
+			cancel()
+			return ctx, func() {}
+		}},
+		{"destination primary killed", func(t *testing.T, cl *Cluster, dst int) (context.Context, func()) {
+			m := cl.ShardMachines(cl.DirPort())[dst]
+			if err := cl.Kill(m); err != nil {
+				t.Fatal(err)
+			}
+			return context.Background(), func() {
+				if err := cl.Restart(m); err != nil {
+					t.Fatal(err)
+				}
+			}
+		}},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			ctx := context.Background()
+			cl := shardedCluster(t, 2, 0x5AD5)
+			dirs := cl.Dirs()
+			root, err := dirs.CreateDir(ctx, cl.DirPort())
+			if err != nil {
+				t.Fatal(err)
+			}
+			if err := dirs.Enter(ctx, root, "kept", root); err != nil {
+				t.Fatal(err)
+			}
+			src := cl.ShardOf(cl.DirPort(), root.Object)
+			gen := cl.ShardMapGen(cl.DirPort())
+
+			broken, mend := tc.fault(t, cl, 1-src)
+			if err := cl.Migrate(broken, cl.DirPort(), root.Object, 1-src); err == nil {
+				t.Fatal("Migrate succeeded")
+			}
+			if got := cl.ShardMapGen(cl.DirPort()); got != gen {
+				t.Fatalf("shard map generation %d after a failed migration, was %d", got, gen)
+			}
+			if got := cl.ShardOf(cl.DirPort(), root.Object); got != src {
+				t.Fatalf("object homed on shard %d after a failed migration, was on %d", got, src)
+			}
+			if got, err := dirs.Lookup(ctx, root, "kept"); err != nil || got != root {
+				t.Fatalf("lookup at the source after a failed migration: %v, %v", got, err)
+			}
+			if err := dirs.Enter(ctx, root, "later", root); err != nil {
+				t.Fatalf("enter at the source after a failed migration: %v", err)
+			}
+
+			mend()
+			if err := cl.Migrate(ctx, cl.DirPort(), root.Object, 1-src); err != nil {
+				t.Fatalf("migrating again: %v", err)
+			}
+			for _, name := range []string{"kept", "later"} {
+				if got, err := dirs.Lookup(ctx, root, name); err != nil || got != root {
+					t.Fatalf("lookup of %q after the migration that did finish: %v, %v", name, got, err)
+				}
+			}
+		})
+	}
+}
+
+// TestShardedMigrateOutSurvivesSourceRestart: an account that migrated
+// away stays away when its old shard crashes and replays its log — the
+// migrate-out record removes it there — so the money is in one place.
+func TestShardedMigrateOutSurvivesSourceRestart(t *testing.T) {
+	ctx := context.Background()
+	cl := shardedCluster(t, 2, 0x5AD6)
+	bank := cl.Bank()
+
+	// Accounts on both shards, some money moved between neighbours.
+	var accts []cap.Capability
+	byShard := map[int][]cap.Capability{}
+	for i := 0; i < 8; i++ {
+		acct, err := bank.CreateAccount(ctx, "dollar", int64(100+i))
+		if err != nil {
+			t.Fatal(err)
+		}
+		accts = append(accts, acct)
+		s := cl.ShardOf(bank.Port(), acct.Object)
+		byShard[s] = append(byShard[s], acct)
+	}
+	for s, on := range byShard {
+		if len(on) < 2 {
+			t.Fatalf("shard %d holds %d accounts, want ≥ 2", s, len(on))
+		}
+		if err := bank.Transfer(ctx, on[0], on[1], "dollar", 30); err != nil {
+			t.Fatal(err)
+		}
+	}
+	balances := func() (each map[cap.Capability]int64, total int64) {
+		each = make(map[cap.Capability]int64)
+		for _, acct := range accts {
+			untilOK(t, "balance", func(ctx context.Context) error {
+				bal, err := bank.Balance(ctx, acct)
+				each[acct] = bal["dollar"]
+				return err
+			})
+			total += each[acct]
+		}
+		return each, total
+	}
+	before, supply := balances()
+
+	moved := byShard[0][0]
+	if err := cl.Migrate(ctx, bank.Port(), moved.Object, 1); err != nil {
+		t.Fatal(err)
+	}
+	source := cl.ShardMachines(bank.Port())[0]
+	if err := cl.Kill(source); err != nil {
+		t.Fatal(err)
+	}
+	if err := cl.Restart(source); err != nil {
+		t.Fatal(err)
+	}
+
+	cl.mu.Lock()
+	_, resurrected := cl.shards["bank"][0].primary.kern.Table().SecretOf(moved.Object)
+	cl.mu.Unlock()
+	if resurrected {
+		t.Fatal("the restarted source shard holds the account that migrated away")
+	}
+	after, total := balances()
+	if total != supply {
+		t.Fatalf("money supply %d after the source's restart, was %d", total, supply)
+	}
+	for acct, was := range before {
+		if after[acct] != was {
+			t.Fatalf("account %v holds %d after the source's restart, held %d", acct, after[acct], was)
+		}
+	}
+}

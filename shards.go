@@ -1,138 +1,119 @@
 package amoeba
 
 import (
+	"cmp"
 	"context"
 	"fmt"
+	"slices"
 
 	"amoeba/internal/amnet"
 	"amoeba/internal/cap"
 	"amoeba/internal/crypto"
 	"amoeba/internal/fbox"
+	"amoeba/internal/node"
 	"amoeba/internal/obs"
 	"amoeba/internal/repl"
-	"amoeba/internal/server/banksvr"
-	"amoeba/internal/server/dirsvr"
+	"amoeba/internal/server/blocksvr"
 	"amoeba/internal/shard"
 	"amoeba/internal/svc"
 	"amoeba/internal/vdisk"
-	"amoeba/internal/wal"
 )
 
-// durableService is one row of the durable-service table — everything
-// that differs between the directory and the bank server as far as
-// boot, Kill/Restart, replication and sharding are concerned: a metrics
-// label and a constructor. open builds an un-started incarnation
-// recovered from log at get-port g, applies the service's own knobs,
-// and returns its kernel with the replay function a standby's receiver
-// applies shipped records through.
-type durableService struct {
-	name string
-	open func(cl *Cluster, fb *fbox.FBox, log *wal.Log, g cap.Port) (*svc.Kernel, func(rec []byte) error, error)
-}
-
-var (
-	directoryService = durableService{"directory", func(cl *Cluster, fb *fbox.FBox, log *wal.Log, g cap.Port) (*svc.Kernel, func(rec []byte) error, error) {
-		s, err := dirsvr.NewDurable(fb, cl.scheme, cl.src, log, g)
-		if err != nil {
-			return nil, nil, err
-		}
-		s.SetLookupLease(cl.cfg.LookupLease)
-		return s.Kernel, s.ReplayFn(), nil
-	}}
-	bankService = durableService{"bank", func(cl *Cluster, fb *fbox.FBox, log *wal.Log, g cap.Port) (*svc.Kernel, func(rec []byte) error, error) {
-		s, err := banksvr.NewDurable(fb, cl.scheme, cl.src, cl.bankConfig(), log, g)
-		if err != nil {
-			return nil, nil, err
-		}
-		return s.Kernel, s.ReplayFn(), nil
-	}}
-)
-
-// svcShard is one shard of a durable service — the unit Kill, Restart,
-// Drain, replication and migration all act on. An unsharded service is
-// simply the one-shard case. All shards of a service share ONE
-// get-port, so they answer at the same put-port every capability
-// names; which machine a request goes to is the shard map's decision,
-// not LOCATE's (with one shard there is no map, and LOCATE decides).
+// svcShard is one shard of a service — the unit Kill, Restart, Drain,
+// replication and migration all act on. An unsharded service is simply
+// the one-shard case, and the four volatile services are one-shard,
+// one-slot, log-less cases of the same thing (which the lifecycle verbs
+// refuse). All shards of a service share ONE get-port, so they answer at
+// the same put-port every capability names; which machine a request
+// goes to is the shard map's decision, not LOCATE's (with one shard
+// there is no map, and LOCATE decides).
 type svcShard struct {
-	svc   *durableService
-	label string   // metrics label: the service name for shard 0, "directory-1", … beyond
+	svc   *node.Service
+	label string   // metrics label: the service's for shard 0, "directory-1", … beyond
 	idx   int      // shard index in the map
-	g     cap.Port // the service's shared get-port …
-	put   cap.Port // … and the put-port it publishes, F(g)
+	g     cap.Port // the service's shared get-port (0: each incarnation draws its own) …
+	put   cap.Port // … and the put-port it publishes; fixed once booted
 
-	// Guarded by cl.mu: Restart and elections swap the primary; group is
-	// set once at boot (nil unless ClusterConfig.Replicas ≥ 2).
+	// The membership, guarded by cl.mu for reads; mutations also hold
+	// cl.lifeMu. slots has one entry per configured member — Replicas of
+	// them on a replication group, else one — and never changes length:
+	// a machine that dies stays in its slot, down, until Restart (or, for
+	// a primary deposed while alive, the election itself) rebuilds the
+	// slot on a fresh machine. Majorities count len(slots). Exactly one
+	// slot is the primary; its ship is the group's shipper (stopped, but
+	// still set, between a primary's death and the election).
+	slots   []*replica
 	primary *replica
-	group   *replGroup
+	term    uint64 // current replication epoch (1 from boot; 0 = unreplicated)
+	gen     uint64 // election generation; stale detector callbacks no-op
 }
 
 // replica is one machine's incarnation of a shard: its own F-box, its
-// own WAL disk, a service kernel. The primary's kernel serves; a group
-// standby's stays un-started, fed by recv and watched by det, until an
-// election starts it (the service then reappears at the same put-port,
-// on this machine). down, recv and det are guarded by cl.mu.
+// own WAL disk (nil on a volatile service), a service kernel. The
+// primary's kernel serves and, on a group, ships; a group standby's
+// stays un-started, fed by recv and watched by det, until an election
+// starts it (the service then reappears at the same put-port, on this
+// machine). buildReplica and its callers make these; retire unmakes
+// every one of them. down, recv, det and ship are guarded by cl.mu.
 type replica struct {
+	sh      *svcShard
 	fb      *fbox.FBox
 	disk    *vdisk.Disk
 	kern    *svc.Kernel
 	machine amnet.MachineID
-	down    bool
+	// was is the machine this incarnation replaced in its slot, when that
+	// one was a primary deposed while alive and so re-attached without a
+	// Restart — which is therefore a no-op for it. Fixed once built.
+	was  amnet.MachineID
+	down bool
 
-	recv *repl.Receiver
-	det  *repl.Detector
+	recv *repl.Receiver // standby only; nil once elected
+	det  *repl.Detector // standby only
+	ship *repl.Shipper  // group primary only
 }
 
-// shipLocked returns the shard's current shipper, nil when it is
-// unreplicated. Caller holds cl.mu.
-func (sh *svcShard) shipLocked() *repl.Shipper {
-	if sh.group == nil {
-		return nil
+// standbysLocked returns every member of sh that is not the primary,
+// down ones included. Caller holds cl.mu.
+func (sh *svcShard) standbysLocked() []*replica {
+	out := make([]*replica, 0, len(sh.slots))
+	for _, r := range sh.slots {
+		if r != sh.primary {
+			out = append(out, r)
+		}
 	}
-	return sh.group.ship
+	return out
 }
 
-// allShards returns every shard of both durable services. The slices
-// are fixed after boot, so no lock is needed to range over them (the
-// shards' fields still are guarded by cl.mu).
+// allShards returns every shard of the durable services. The map is
+// fixed after boot, so no lock is needed to range over it (the shards'
+// fields still are guarded by cl.mu).
 func (cl *Cluster) allShards() []*svcShard {
-	return append(append([]*svcShard(nil), cl.dirShards...), cl.bankShards...)
+	var out []*svcShard
+	for _, row := range node.Services {
+		if row.Durable {
+			out = append(out, cl.shards[row.Label]...)
+		}
+	}
+	return out
 }
 
-// memberLocked resolves machine m to the shard it belongs to and its
-// replica there — the shard's primary or one of its group's standbys —
-// or (nil, nil). Caller holds cl.mu.
-func (cl *Cluster) memberLocked(m amnet.MachineID) (*svcShard, *replica) {
+// find returns the durable services' first slot — up or down, primary
+// or standby — that match accepts, or nil. What it returns stays true
+// for as long as the caller holds lifeMu.
+func (cl *Cluster) find(match func(*replica) bool) *replica {
+	cl.mu.Lock()
+	defer cl.mu.Unlock()
 	for _, sh := range cl.allShards() {
-		if sh.primary.machine == m {
-			return sh, sh.primary
-		}
-		if sh.group == nil {
-			continue
-		}
-		for _, st := range sh.group.standbys {
-			if st.machine == m {
-				return sh, st
-			}
+		if i := slices.IndexFunc(sh.slots, match); i >= 0 {
+			return sh.slots[i]
 		}
 	}
-	return nil, nil
+	return nil
 }
 
-// installShardView wires a freshly built service kernel into the shard
-// map: dispatch refuses objects other shards own (StatusWrongShard),
-// and the capability table only mints object numbers that hash (or are
-// overridden) back to this shard — so a create handled by shard k
-// yields a capability that routes to shard k forever. No-op when the
-// cluster is unsharded: the kernel then pays one nil atomic load per
-// request and nothing else.
-func (cl *Cluster) installShardView(k *svc.Kernel, idx int) {
-	if cl.cfg.Shards < 2 {
-		return
-	}
-	v := shard.NewView(cl.atlas, k.PutPort(), idx)
-	k.SetShardView(v)
-	k.Table().SetAllocFilter(v.Owns)
+// member returns the slot machine m occupies (see find).
+func (cl *Cluster) member(m amnet.MachineID) *replica {
+	return cl.find(func(r *replica) bool { return r.machine == m })
 }
 
 // syncShardMachine points shard idx of port p at machine at (bumping
@@ -145,100 +126,219 @@ func (cl *Cluster) syncShardMachine(p cap.Port, idx int, at amnet.MachineID) {
 }
 
 // buildReplica constructs an un-started incarnation of sh on a fresh
-// machine over disk — the one builder behind boot, Restart and every
-// standby. The metrics label is the shard's, whichever machine serves
+// machine — the one constructor behind boot, Restart and every standby,
+// of all six services. A durable service's runs over disk, the WAL disk
+// that survived its last incarnation, or over a fresh one when disk is
+// nil. The metrics label is the shard's, whichever machine serves
 // it: the registry is idempotent, so a restarted or elected successor
 // keeps accumulating into the SAME series — no break at failover.
-func (cl *Cluster) buildReplica(sh *svcShard, disk *vdisk.Disk) (*replica, func(rec []byte) error, error) {
-	fb, err := cl.newFBox()
+// Nothing it makes is registered anywhere else: whoever holds the
+// replica ends it with retire, as a failed build has done already.
+func (cl *Cluster) buildReplica(sh *svcShard, disk *vdisk.Disk) (*replica, node.Replay, error) {
+	fb, err := cl.attach()
 	if err != nil {
 		return nil, nil, err
 	}
-	log, err := cl.openWAL(sh.label, fb, disk)
+	r := &replica{sh: sh, fb: fb, disk: disk, machine: fb.Machine()}
+	deps := node.Deps{Port: sh.g, Sealer: cl.sealerFor(r.fb), Store: cl.disk}
+	if sh.svc.NeedsBlocks {
+		// A client of the block server, from this service's own machine.
+		deps.Blocks = blocksvr.NewClient(cl.newRPCClient(r.fb), cl.put("blocks"))
+	}
+	if sh.svc.Durable {
+		if r.disk == nil {
+			r.disk, err = vdisk.New(walBlocks, walBlockSize)
+		}
+		if err == nil {
+			deps.Log, err = cl.openWAL(sh.label, r.fb, r.disk)
+		}
+	}
+	var replay node.Replay
+	if err == nil {
+		r.kern, replay, err = sh.svc.Open(cl.env, r.fb, sh.label, deps)
+	}
 	if err != nil {
+		cl.retire(r, crashed)
 		return nil, nil, err
 	}
-	k, replay, err := sh.svc.open(cl, fb, log, sh.g)
-	if err != nil {
-		log.Close() // the kernel never took ownership
-		return nil, nil, err
+	if cl.cfg.Shards >= 2 && sh.svc.Durable {
+		// Wire the kernel into the shard map: dispatch refuses objects
+		// other shards own (StatusWrongShard), and the capability table
+		// only mints object numbers that hash (or are overridden) back to
+		// this shard — so a create handled by shard k yields a capability
+		// that routes to shard k forever. An unsharded kernel pays one nil
+		// atomic load per request and nothing else.
+		v := shard.NewView(cl.atlas, r.kern.PutPort(), sh.idx)
+		r.kern.SetShardView(v)
+		r.kern.Table().SetAllocFilter(v.Owns)
 	}
-	k.SetMaxInflight(cl.cfg.MaxInflight)
-	k.SetObserver(cl.newStats(sh.label))
-	cl.sealServer(fb, k.SetSealer)
-	cl.installShardView(k, sh.idx)
-	return &replica{fb: fb, disk: disk, kern: k, machine: fb.Machine()}, replay, nil
+	return r, replay, nil
 }
 
-// startShard boots (or re-boots, after Kill or Drain) sh's primary over
-// the WAL disk that survived it; boot and Restart share it.
+// exit is how a replica leaves service: the one argument of retire.
+type exit int
+
+const (
+	// crashed: the NIC goes FIRST — a crash cuts the machine off
+	// mid-conversation; in-flight replies vanish and clients retry. The
+	// order against the shipper matters: were the stream stopped while
+	// the NIC still carried replies, an in-flight handler could commit
+	// locally, skip the (stopped) ship, and still acknowledge its client —
+	// an acked op no standby ever saw, lost at the election. With the NIC
+	// down, any op whose ship was cut off can no longer reach its client
+	// either, so "acknowledged" still implies "on the standbys". Then the
+	// shipper dies with its machine (aborting any in-flight ship attempt
+	// unwedges handlers blocked on replication acks, so the crash drains)
+	// and the kernel without a checkpoint: only what its log already
+	// committed survives.
+	crashed exit = iota
+	// drained: the reverse, for Drain — the kernel first, while the NIC
+	// still carries replies and the shipper still carries commits, so
+	// in-flight work ends acknowledged on every disk, not severed.
+	drained
+)
+
+// retire is the one way a replica stops being a live member, whoever
+// decided it — Kill, the wedged-WAL fail-stop, Drain, an election that
+// deposed it while it was up, Close, a constructor that failed half-way
+// — and it ends everything the constructors made: the detector (a
+// standby must not answer its own death by electing anyone), its place
+// among the primary's peers (majorities still count the configured
+// group, so losing standbys never loosens the quorum), the receiver,
+// shipper, kernel and F-box, and its disk-fault handle. The slot keeps
+// the corpse, down, until something rebuilds it. Idempotent. Caller
+// holds lifeMu.
+func (cl *Cluster) retire(r *replica, how exit) error {
+	cl.mu.Lock()
+	if r.down {
+		cl.mu.Unlock()
+		return nil
+	}
+	r.down = true
+	det, lead := r.det, r.sh.primary
+	r.det = nil
+	delete(cl.walFaults, r.machine)
+	cl.mu.Unlock()
+	if det != nil {
+		det.Stop()
+	}
+	if r.recv != nil && lead != nil && lead.ship != nil {
+		lead.ship.DropPeer(r.recv.Port())
+	}
+	var err error
+	if how == drained {
+		err = r.kern.Drain()
+	} else {
+		err = r.fb.Close()
+	}
+	if r.recv != nil {
+		err = cmp.Or(err, r.recv.Close())
+	}
+	if r.ship != nil {
+		r.ship.Stop()
+	}
+	if r.kern != nil {
+		err = cmp.Or(err, r.kern.Crash()) // no-op once drained
+	}
+	return cmp.Or(err, r.fb.Close())
+}
+
+// rejoin rebuilds the slot the down member old occupies as a fresh
+// standby — new machine, new disk, base snapshot from the current
+// primary — the one way back into a group, for Restart and for an
+// election that deposed a live primary alike. old's own log may hold a
+// tail the successor never acknowledged, so it is discarded: split
+// brain is prevented by lease plus quorum, not by exiling the machine.
+// On failure the slot stays down, to be retried. was names the machine
+// (old's, or none) whose Restart the newcomer has made unnecessary.
+// Caller holds lifeMu.
+func (cl *Cluster) rejoin(old *replica, was amnet.MachineID) error {
+	sh := old.sh
+	st, err := cl.buildStandby(sh)
+	if err != nil {
+		return err
+	}
+	st.was = was
+	cl.mu.Lock()
+	ship := sh.primary.ship
+	cl.mu.Unlock()
+	// AddPeer quiesces the primary, ships the base snapshot, and adds
+	// the peer inside the quiesced window — the stream has no gap.
+	if err := ship.AddPeer(st.recv.Port()); err != nil {
+		cl.retire(st, crashed)
+		return fmt.Errorf("amoeba: re-integrating %s standby: %w", sh.label, err)
+	}
+	cl.mu.Lock()
+	sh.slots[slices.Index(sh.slots, old)] = st
+	cl.mu.Unlock()
+	cl.reg.Counter("amoeba_reintegrations_total", obs.L("service", sh.label), reintegrationsHelp).Inc()
+	cl.startDetectors(sh)
+	return nil
+}
+
+// startShard boots (or re-boots, after Kill or Drain) sh's one serving
+// incarnation over the WAL disk that survived the last; boot and the
+// unreplicated Restart share it.
 func (cl *Cluster) startShard(sh *svcShard, disk *vdisk.Disk) error {
 	p, _, err := cl.buildReplica(sh, disk)
 	if err != nil {
 		return err
 	}
-	if err := cl.start(p.kern.Start, p.kern.Close); err != nil {
-		p.kern.Close() // closes the log; a Restart retry reopens it
+	if err := p.kern.Start(); err != nil {
+		cl.retire(p, crashed) // abandons the log; a Restart retry reopens it
 		return err
 	}
 	cl.mu.Lock()
-	sh.primary = p
+	sh.slots[0], sh.primary = p, p
 	cl.mu.Unlock()
 	cl.syncShardMachine(sh.put, sh.idx, p.machine)
 	return nil
 }
 
-// startService boots every shard of one durable service into *shards —
+// startService boots every shard of one table row — a durable service's
 // each with its own machine and WAL disk (which models the machine's
 // disk and so survives Kill/Restart), all at one freshly drawn get-port
 // (which pins the put-port across incarnations) — and, when there is
-// more than one, registers the service's shard map. Before
-// registration every kernel's view answers "I own everything" (no map
-// yet), which is harmless: no client exists until NewCluster returns.
-func (cl *Cluster) startService(d *durableService, shards *[]*svcShard) error {
-	g := cap.Port(crypto.Rand48(cl.src))
-	put := cl.clientFB.F(g)
+// more than one, registers the service's shard map. Before registration
+// every kernel's view answers "I own everything" (no map yet), which is
+// harmless: no client exists until NewCluster returns.
+func (cl *Cluster) startService(row *node.Service) error {
+	n, slots, g := 1, 1, cap.Port(0)
+	if row.Durable {
+		n, slots, g = max(cl.cfg.Shards, 1), max(cl.cfg.Replicas, 1), cap.Port(crypto.Rand48(cl.src))
+	}
 	var machines []amnet.MachineID
-	for i := 0; i < max(cl.cfg.Shards, 1); i++ {
-		sh := &svcShard{svc: d, label: d.name, idx: i, g: g, put: put}
+	for i := 0; i < n; i++ {
+		sh := &svcShard{svc: row, label: row.Label, idx: i, g: g, slots: make([]*replica, slots)}
 		if i > 0 {
-			sh.label = fmt.Sprintf("%s-%d", d.name, i)
+			sh.label = fmt.Sprintf("%s-%d", row.Label, i)
 		}
-		disk, err := vdisk.New(walBlocks, walBlockSize)
-		if err != nil {
+		cl.shards[row.Label] = append(cl.shards[row.Label], sh)
+		if err := cl.startShard(sh, nil); err != nil {
 			return err
 		}
-		if err := cl.startShard(sh, disk); err != nil {
-			return err
-		}
-		cl.mu.Lock()
-		*shards = append(*shards, sh)
-		cl.mu.Unlock()
+		sh.put = sh.primary.kern.PutPort()
 		machines = append(machines, sh.primary.machine)
 	}
-	if len(machines) >= 2 {
-		cl.atlas.Register(put, shard.NewMap(machines))
+	if n >= 2 {
+		cl.atlas.Register(cl.put(row.Label), shard.NewMap(machines))
 	}
 	return nil
 }
 
-// shardEndpointLocked resolves (put-port, shard index) to the serving
-// primary, plus shard 0's label (the service's name in the sharding
-// series). Caller holds cl.mu.
-func (cl *Cluster) shardEndpointLocked(p cap.Port, idx int) (*replica, string, error) {
-	for _, shards := range [][]*svcShard{cl.dirShards, cl.bankShards} {
-		if shards[0].put != p {
-			continue
-		}
-		if idx >= len(shards) {
-			return nil, "", fmt.Errorf("amoeba: %s has no shard %d", shards[0].label, idx)
-		}
-		if r := shards[idx].primary; !r.down {
-			return r, shards[0].label, nil
-		}
-		return nil, "", fmt.Errorf("amoeba: %s shard %d is down", shards[0].label, idx)
+// put returns the put-port of the service labelled label.
+func (cl *Cluster) put(label string) cap.Port { return cl.shards[label][0].put }
+
+// shardPrimary resolves (put-port, shard index) to the serving primary.
+func (cl *Cluster) shardPrimary(p cap.Port, idx int) (*replica, error) {
+	r := cl.find(func(r *replica) bool { return r == r.sh.primary && r.sh.put == p && r.sh.idx == idx })
+	if r == nil {
+		return nil, fmt.Errorf("amoeba: port %v has no shard %d", p, idx)
 	}
-	return nil, "", fmt.Errorf("amoeba: port %v hosts no sharded service", p)
+	if r.down {
+		return nil, fmt.Errorf("amoeba: %s shard %d is down", r.sh.svc.Label, idx)
+	}
+	return r, nil
 }
 
 const migrationsHelp = "objects moved live between shards"
@@ -280,18 +380,14 @@ func (cl *Cluster) Migrate(ctx context.Context, p Port, obj uint32, dst int) err
 	if src == dst {
 		return nil
 	}
-	cl.mu.Lock()
-	from, base, err := cl.shardEndpointLocked(p, src)
+	from, err := cl.shardPrimary(p, src)
 	if err != nil {
-		cl.mu.Unlock()
 		return err
 	}
-	to, _, err := cl.shardEndpointLocked(p, dst)
+	to, err := cl.shardPrimary(p, dst)
 	if err != nil {
-		cl.mu.Unlock()
 		return err
 	}
-	cl.mu.Unlock()
 	srcK, srcFB, dstK, dstFB := from.kern, from.fb, to.kern, to.fb
 
 	release, err := srcK.GateObject(obj)
@@ -328,7 +424,7 @@ func (cl *Cluster) Migrate(ctx context.Context, p Port, obj uint32, dst int) err
 	// leaving two shards claiming the object.
 	commitErr := srcK.CommitMigrateOut(obj)
 	cl.atlas.Update(p, func(cur *shard.Map) *shard.Map { return cur.WithOverride(obj, dst) })
-	cl.reg.Counter("amoeba_migrations_total", obs.L("service", base), migrationsHelp).Inc()
+	cl.reg.Counter("amoeba_migrations_total", obs.L("service", from.sh.svc.Label), migrationsHelp).Inc()
 	return commitErr
 }
 
