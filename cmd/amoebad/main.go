@@ -170,7 +170,7 @@ func registerTCPStats(metrics *obs.Registry, nic *amnet.TCPNet) {
 		{"amoeba_tcp_frames_in_total", "frames read from peers' sockets, forgeries excluded", func(s amnet.TCPStats) uint64 { return s.FramesIn }},
 		{"amoeba_tcp_read_calls_total", "read calls that returned them", func(s amnet.TCPStats) uint64 { return s.ReadCalls }},
 		{"amoeba_tcp_lane_dropped_total", "outbound frames dropped at a full write lane", func(s amnet.TCPStats) uint64 { return s.LaneDropped }},
-		{"amoeba_tcp_in_dropped_total", "frames, from a socket or looped back, dropped at a full receive queue", func(s amnet.TCPStats) uint64 { return s.InDropped }},
+		{"amoeba_tcp_in_dropped_total", "frames, from a socket or looped back, dropped at a full F-box listener queue", func(s amnet.TCPStats) uint64 { return s.InDropped }},
 	} {
 		read := c.read
 		metrics.CounterFunc(c.name, "", c.help, func() uint64 { return read(nic.Stats()) })

@@ -9,9 +9,9 @@
 // with configurable latency, loss and wiretaps (the paper's "building
 // full of rooms with wall sockets"); and a TCP transport for running
 // real multi-process clusters. The F-box (package fbox) interposes on a
-// NIC; the simulated network is the substitute for the paper's VLSI
-// F-box placement — hosts built on this stack structurally cannot emit
-// or receive a frame except through their F-box.
+// NIC as its receiver; the simulated network is the substitute for the
+// paper's VLSI F-box placement — hosts built on this stack structurally
+// cannot emit or receive a frame except through their F-box.
 package amnet
 
 import (
@@ -92,10 +92,28 @@ type NIC interface {
 	// whose services must be able to LOCATE one another. Best effort:
 	// unreachable peers just miss the frame.
 	Broadcast(payload []byte) error
-	// Recv returns the channel of inbound frames. It is closed when
-	// the NIC is closed or detached.
+	// Recv returns the queue the default receiver fills: every inbound
+	// frame until SetReceiver installs another receiver, none after.
+	// Past its length (SimConfig.QueueLen on SimNet, 256 on TCP) frames
+	// drop and count as overruns. It is closed when the NIC is closed or
+	// detached.
 	Recv() <-chan Frame
-	// Close detaches the NIC. Further sends fail with ErrClosed.
+	// SetReceiver makes fn the receiver: every inbound frame is handed
+	// to exactly one receiver, on the goroutine that carried it — the
+	// sender's or a delivery timer's on SimNet, the connection's reader
+	// or (loopback) the sender's on TCP. The contract, both ways:
+	//   - fn runs concurrently with itself and must never block: an
+	//     input it cannot take is dropped, as a full hardware queue
+	//     drops it. It owns the frame on every path.
+	//   - fn is never called with a NIC lock held, so it may send —
+	//     to the frame's source, or to itself.
+	//   - fn returns false only for a frame it dropped for want of
+	//     room; the NIC counts that where it counts an overrun.
+	// Install it before the machine's address is handed out: frames
+	// that arrived earlier stay on the Recv queue.
+	SetReceiver(fn func(Frame) (accepted bool))
+	// Close detaches the NIC. Further sends fail with ErrClosed. A
+	// delivery already past the NIC may still reach the receiver.
 	Close() error
 }
 

@@ -3,6 +3,7 @@ package amnet
 import (
 	"fmt"
 	"sync"
+	"sync/atomic"
 	"time"
 
 	"amoeba/internal/crypto"
@@ -18,15 +19,15 @@ import (
 type SimNet struct {
 	cfg SimConfig
 
-	mu      sync.RWMutex
-	nextID  MachineID
-	nics    map[MachineID]*simNIC
-	taps    []*Tap
-	cut     map[[2]MachineID]bool // severed pairs (symmetric partitions)
-	cutDir  map[[2]MachineID]bool // severed directions {src, dst} (gray links)
-	closed  bool
-	stats   Stats
-	statsMu sync.Mutex
+	mu     sync.RWMutex
+	nextID MachineID
+	nics   map[MachineID]*simNIC
+	taps   []*Tap
+	cut    map[[2]MachineID]bool // severed pairs (symmetric partitions)
+	cutDir map[[2]MachineID]bool // severed directions {src, dst} (gray links)
+	closed bool
+
+	stats simCounters
 }
 
 // SimConfig tunes the simulated network. The zero value is a perfect,
@@ -53,8 +54,9 @@ type SimConfig struct {
 	// addresses. Leave false to model the paper's assumption; set true
 	// to run the replay-attack-succeeds ablation.
 	AllowSourceForgery bool
-	// QueueLen is each NIC's inbound queue length (default 256).
-	// Frames arriving at a full queue are dropped, like a real NIC.
+	// QueueLen is the length of each NIC's Recv queue and each tap's
+	// (default 256). Frames arriving at a full queue are dropped, like
+	// a real NIC.
 	QueueLen int
 	// Seed makes loss and jitter deterministic; 0 uses a fixed default
 	// so simulations are reproducible by default.
@@ -64,11 +66,15 @@ type SimConfig struct {
 // Stats counts network activity, for experiments.
 type Stats struct {
 	Sent       uint64 // frames handed to the network
-	Delivered  uint64 // frame deliveries (broadcast counts each copy)
+	Delivered  uint64 // frames a receiver took (broadcast counts each copy)
 	Lost       uint64 // frames dropped by the loss model
-	Overrun    uint64 // frames dropped at a full receive queue
+	Overrun    uint64 // frames a receiver dropped at a full queue: Recv's, or an F-box listener's
 	Duplicated uint64 // extra copies delivered by the duplication model
 	Reordered  uint64 // frames held back by the reordering model
+}
+
+type simCounters struct {
+	sent, delivered, lost, overrun, duplicated, reordered atomic.Uint64
 }
 
 // NewSimNet builds an empty simulated network.
@@ -106,6 +112,7 @@ func (n *SimNet) Attach() (NIC, error) {
 		in:  make(chan Frame, n.cfg.QueueLen),
 		rnd: crypto.NewSeededSource(n.cfg.Seed ^ uint64(id)*0x9e3779b97f4a7c15),
 	}
+	nic.SetReceiver(nic.enqueue)
 	n.nics[id] = nic
 	return nic, nil
 }
@@ -208,9 +215,14 @@ func pairKey(a, b MachineID) [2]MachineID {
 
 // Stats returns a snapshot of the network counters.
 func (n *SimNet) Stats() Stats {
-	n.statsMu.Lock()
-	defer n.statsMu.Unlock()
-	return n.stats
+	return Stats{
+		Sent:       n.stats.sent.Load(),
+		Delivered:  n.stats.delivered.Load(),
+		Lost:       n.stats.lost.Load(),
+		Overrun:    n.stats.overrun.Load(),
+		Duplicated: n.stats.duplicated.Load(),
+		Reordered:  n.stats.reordered.Load(),
+	}
 }
 
 // Close detaches every NIC and tap.
@@ -279,7 +291,7 @@ func (n *SimNet) transmit(f Frame) error {
 	taps := n.taps
 	n.mu.RUnlock()
 
-	n.bumpSent()
+	n.stats.sent.Add(1)
 	// Taps see every frame, before loss (they sit on the wire).
 	for _, t := range taps {
 		t.deliver(cloneFrame(f))
@@ -295,11 +307,11 @@ func (n *SimNet) transmit(f Frame) error {
 	return nil
 }
 
-// deliverTo owns f: every path either hands it to the NIC queue or
-// releases it.
+// deliverTo owns f: every path either hands it to the NIC's receiver
+// or releases it.
 func (n *SimNet) deliverTo(nic *simNIC, f Frame) {
 	if n.cfg.LossRate > 0 && nic.chance(n.cfg.LossRate) {
-		n.bumpLost()
+		n.stats.lost.Add(1)
 		f.Release()
 		return
 	}
@@ -311,12 +323,12 @@ func (n *SimNet) deliverTo(nic *simNIC, f Frame) {
 	// it can overtake it.
 	if n.cfg.Reorder > 0 && nic.chance(n.cfg.Reorder) {
 		delay += n.cfg.ReorderWindow
-		n.bumpReordered()
+		n.stats.reordered.Add(1)
 	}
 	// Duplication: a second copy arrives shortly after the first —
 	// the shape a retransmission crossing its reply produces.
 	if n.cfg.Duplicate > 0 && nic.chance(n.cfg.Duplicate) {
-		n.bumpDuplicated()
+		n.stats.duplicated.Add(1)
 		dupFrame := cloneFrame(f)
 		dup := delay + n.cfg.ReorderWindow + 100*time.Microsecond
 		time.AfterFunc(dup, func() { nic.deliver(dupFrame, n) })
@@ -328,22 +340,19 @@ func (n *SimNet) deliverTo(nic *simNIC, f Frame) {
 	time.AfterFunc(delay, func() { nic.deliver(f, n) })
 }
 
-func (n *SimNet) bumpSent()       { n.statsMu.Lock(); n.stats.Sent++; n.statsMu.Unlock() }
-func (n *SimNet) bumpLost()       { n.statsMu.Lock(); n.stats.Lost++; n.statsMu.Unlock() }
-func (n *SimNet) bumpDelivered()  { n.statsMu.Lock(); n.stats.Delivered++; n.statsMu.Unlock() }
-func (n *SimNet) bumpOverrun()    { n.statsMu.Lock(); n.stats.Overrun++; n.statsMu.Unlock() }
-func (n *SimNet) bumpDuplicated() { n.statsMu.Lock(); n.stats.Duplicated++; n.statsMu.Unlock() }
-func (n *SimNet) bumpReordered()  { n.statsMu.Lock(); n.stats.Reordered++; n.statsMu.Unlock() }
-
 // simNIC implements NIC on a SimNet.
 type simNIC struct {
-	net *SimNet
-	id  MachineID
-	rnd *crypto.SeededSource
+	net  *SimNet
+	id   MachineID
+	rnd  *crypto.SeededSource
+	recv atomic.Pointer[func(Frame) bool]
 
+	// closed is read lock-free on every send and delivery and set under
+	// mu, which orders the default receiver's sends on in against Close
+	// closing it.
+	closed atomic.Bool
 	mu     sync.Mutex
 	in     chan Frame
-	closed bool
 }
 
 var _ NIC = (*simNIC)(nil)
@@ -357,10 +366,7 @@ func (nic *simNIC) Send(dst MachineID, payload []byte) error {
 // SendBuf implements NIC: ownership of b transfers to the network,
 // which releases it on every non-delivery path.
 func (nic *simNIC) SendBuf(dst MachineID, b *wire.Buf) error {
-	nic.mu.Lock()
-	closed := nic.closed
-	nic.mu.Unlock()
-	if closed {
+	if nic.closed.Load() {
 		b.Release()
 		return ErrClosed
 	}
@@ -372,6 +378,8 @@ func (nic *simNIC) Broadcast(payload []byte) error {
 }
 
 func (nic *simNIC) Recv() <-chan Frame { return nic.in }
+
+func (nic *simNIC) SetReceiver(fn func(Frame) bool) { nic.recv.Store(&fn) }
 
 func (nic *simNIC) Close() error {
 	nic.net.mu.Lock()
@@ -391,25 +399,47 @@ func (nic *simNIC) closeLocked() {
 }
 
 func (nic *simNIC) closeInner() {
-	if !nic.closed {
-		nic.closed = true
+	if !nic.closed.Swap(true) {
 		close(nic.in)
 	}
 }
 
+// deliver hands f to the receiver on the calling goroutine — the
+// sender's, or a latency, reorder or duplicate timer's — with no lock
+// held: two machines whose receivers answer each other (LOCATE) would
+// otherwise each hold its own NIC's lock while waiting for the other's.
 func (nic *simNIC) deliver(f Frame, n *SimNet) {
-	nic.mu.Lock()
-	defer nic.mu.Unlock()
-	if nic.closed {
+	if nic.closed.Load() {
 		f.Release()
 		return
 	}
-	select {
-	case nic.in <- f:
-		n.bumpDelivered()
-	default:
-		n.bumpOverrun()
+	if (*nic.recv.Load())(f) {
+		n.stats.delivered.Add(1)
+	} else {
+		n.stats.overrun.Add(1)
+	}
+}
+
+// enqueue is the default receiver: the Recv queue.
+func (nic *simNIC) enqueue(f Frame) bool {
+	nic.mu.Lock()
+	defer nic.mu.Unlock()
+	if nic.closed.Load() {
 		f.Release()
+		return true
+	}
+	return offer(nic.in, f)
+}
+
+// offer queues f on q or, q being full, releases it and reports the
+// drop. The caller keeps q open until it returns.
+func offer(q chan<- Frame, f Frame) bool {
+	select {
+	case q <- f:
+		return true
+	default:
+		f.Release()
+		return false
 	}
 }
 
@@ -456,11 +486,7 @@ func (t *Tap) deliver(f Frame) {
 		f.Release()
 		return
 	}
-	select {
-	case t.in <- f:
-	default: // taps never block the network
-		f.Release()
-	}
+	offer(t.in, f) // taps never block the network
 }
 
 func (t *Tap) closeOnce() {

@@ -27,8 +27,10 @@ import (
 // append to the lane's queue and whatever queued while the previous
 // write was in the kernel leaves in one writev. Each inbound
 // connection belongs to a reader that parses every frame one read
-// returned before it reads again. Neither holds a lock shared with
-// another connection while it is in the kernel.
+// returned before it reads again, handing each to the receiver on its
+// own goroutine; a frame to this machine itself reaches the receiver on
+// the sender's goroutine. Neither holds a lock shared with another
+// connection while it is in the kernel, nor while the receiver runs.
 //
 // Source addresses: a frame's claimed Src is accepted only if the
 // remote host matches the registry entry for that Src, approximating
@@ -44,16 +46,16 @@ type TCPNet struct {
 	// publishes a fresh map under mu.
 	peers atomic.Pointer[map[MachineID]tcpPeer]
 
-	// mu guards the connection tables and closed, and orders loopback
-	// deliveries against Close closing in. It is never held across a
-	// socket call.
+	// mu guards the connection tables and closed. It is never held
+	// across a socket call or a call to the receiver.
 	mu       sync.Mutex
 	lanes    map[MachineID]*tcpLane
 	accepted map[net.Conn]struct{}
 	closed   bool
 
-	in    chan Frame
-	wg    sync.WaitGroup // acceptLoop, every readLoop, every lane
+	recv  atomic.Pointer[func(Frame) bool]
+	in    chan Frame     // the default receiver's queue, closed by Close
+	wg    sync.WaitGroup // acceptLoop, every readLoop, every lane, every loopback delivery
 	stats tcpCounters
 }
 
@@ -65,9 +67,9 @@ const (
 	// tcpHdrLen is the transport header: magic, source, destination,
 	// payload length.
 	tcpHdrLen = 14
-	// tcpQueue is how many frames wait at either end of a connection:
-	// in a lane behind the write in progress, and in the inbound queue
-	// ahead of the F-box. Past it frames drop, as on SimNet.
+	// tcpQueue is how many frames wait in a lane behind the write in
+	// progress, and on the Recv queue of a NIC with the default
+	// receiver. Past it frames drop, as on SimNet.
 	tcpQueue = 256
 	// tcpReadBuf is each reader's buffer: a read returns up to this
 	// many bytes of small frames at once; a larger payload is read
@@ -90,7 +92,7 @@ type TCPStats struct {
 	FramesIn    uint64 // frames read from peers' sockets, forgeries excluded
 	ReadCalls   uint64 // read calls that returned them
 	LaneDropped uint64 // outbound frames dropped at a full lane
-	InDropped   uint64 // frames, from a socket or looped back, dropped at a full receive queue
+	InDropped   uint64 // frames, from a socket or looped back, the receiver dropped at a full queue: Recv's, or an F-box listener's
 }
 
 type tcpCounters struct {
@@ -159,6 +161,7 @@ func NewTCPNet(id MachineID, registry map[MachineID]string) (*TCPNet, error) {
 		accepted: make(map[net.Conn]struct{}),
 		in:       make(chan Frame, tcpQueue),
 	}
+	t.SetReceiver(func(f Frame) bool { return offer(t.in, f) }) // the Recv queue
 	t.peers.Store(&peers)
 	t.wg.Add(1)
 	go t.acceptLoop()
@@ -257,26 +260,29 @@ func (t *TCPNet) broadcast(payload []byte) error {
 	return nil
 }
 
-// loopbackBuf owns b: it is handed to the local queue or released.
+// loopbackBuf owns b: it is handed to the receiver, on the sender's
+// goroutine, or released. The delivery joins t.wg under t.mu but runs
+// after it is released: a daemon's LOCATE of a service it hosts itself
+// is answered by a receiver that sends back through here.
 func (t *TCPNet) loopbackBuf(b *wire.Buf) {
 	t.mu.Lock()
-	defer t.mu.Unlock()
 	if t.closed {
+		t.mu.Unlock()
 		b.Release()
 		return
 	}
+	t.wg.Add(1)
+	t.mu.Unlock()
+	defer t.wg.Done()
 	t.deliver(Frame{Src: t.id, Dst: t.id, Payload: b.Bytes(), Buf: b})
 }
 
-// deliver queues f for Recv or, the queue being full, drops it. The
-// caller guarantees t.in is still open: a reader by being in t.wg,
-// loopbackBuf by holding t.mu with closed unset.
+// deliver hands f to the receiver, counting a frame it dropped. The
+// caller is in t.wg, so Close cannot close t.in under the default
+// receiver.
 func (t *TCPNet) deliver(f Frame) {
-	select {
-	case t.in <- f:
-	default:
+	if !(*t.recv.Load())(f) {
 		t.stats.inDropped.Add(1)
-		f.Release()
 	}
 }
 
@@ -491,6 +497,9 @@ func releaseAll(bufs []*wire.Buf) {
 // Recv implements NIC.
 func (t *TCPNet) Recv() <-chan Frame { return t.in }
 
+// SetReceiver implements NIC.
+func (t *TCPNet) SetReceiver(fn func(Frame) bool) { t.recv.Store(&fn) }
+
 // Close implements NIC. Frames already queued on a lane are written
 // before its socket closes, for at most tcpCloseFlush.
 func (t *TCPNet) Close() error {
@@ -513,9 +522,7 @@ func (t *TCPNet) Close() error {
 	}
 	t.ln.Close()
 	t.wg.Wait()
-	t.mu.Lock()
 	close(t.in)
-	t.mu.Unlock()
 	return nil
 }
 

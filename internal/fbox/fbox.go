@@ -20,6 +20,12 @@
 // preserves the security argument because code built on this package
 // has no other path to the wire (EXPERIMENTS.md F1 and E7 check the
 // properties; examples/intruder plays the attacks against them).
+//
+// Like the hardware, the F-box has no thread of its own. It is the
+// NIC's receiver (amnet.NIC.SetReceiver): each inbound frame is
+// filtered and dropped into its listener's queue on the goroutine that
+// carried it, so between the wire and a service there is exactly one
+// queue, the listener's.
 package fbox
 
 import (
@@ -67,9 +73,11 @@ type Received struct {
 	// unreleased buffer is simply garbage-collected — but the RPC hot
 	// paths release after decoding.
 	Buf *wire.Buf
-	// At is when the frame came off the NIC. Queue-wait accounting
-	// starts here, not at dispatch: time spent in the listener queue is
-	// wait the sender's deadline is already paying for.
+	// At is when the frame came off the NIC, stamped for service
+	// listeners (Get) only; a reply listener's is zero. Queue-wait
+	// accounting starts here, not at dispatch: time spent in the
+	// listener queue is wait the sender's deadline is already paying
+	// for.
 	At time.Time
 }
 
@@ -106,11 +114,10 @@ const headerSize = 19
 // transport's own header) get their frame header prepended in place.
 const Headroom = headerSize
 
-// listenerQueue is a service Listener's buffer depth. It matches the
-// NIC's inbound queue (amnet default 256) so the receive pump can
-// spill an entire backed-up NIC queue into one listener without
-// dropping; beyond that, overflow drops the message, as the hardware
-// would.
+// listenerQueue is a service Listener's buffer depth, the same 256
+// frames a NIC's own Recv queue holds: it is the only queue between
+// the wire and the service. Beyond it a message drops, as the hardware
+// would, and the NIC counts the drop as an overrun.
 const listenerQueue = 256
 
 // replyQueue is a one-shot reply Listener's buffer depth: one reply is
@@ -131,13 +138,12 @@ type FBox struct {
 	locates   map[Port]bool // ports this F-box answers LOCATE for
 	waiters   map[Port][]chan amnet.MachineID
 	closed    bool
-	done      chan struct{}
-	wg        sync.WaitGroup
 }
 
 // New wraps a NIC in an F-box using the given one-way function (nil
-// selects SHA-48 with the port-transform tag). The F-box starts its
-// receive pump immediately.
+// selects SHA-48 with the port-transform tag). It installs the F-box as
+// the NIC's receiver and starts no goroutine: from here on every frame
+// the NIC takes in is handled on the goroutine that carried it.
 func New(nic amnet.NIC, f crypto.OneWay) *FBox {
 	if f == nil {
 		f = crypto.SHA48{Tag: 1}
@@ -148,10 +154,8 @@ func New(nic amnet.NIC, f crypto.OneWay) *FBox {
 		listeners: make(map[Port]*Listener),
 		locates:   make(map[Port]bool),
 		waiters:   make(map[Port][]chan amnet.MachineID),
-		done:      make(chan struct{}),
 	}
-	fb.wg.Add(1)
-	go fb.pump()
+	nic.SetReceiver(fb.handleFrame)
 	return fb
 }
 
@@ -203,7 +207,7 @@ func (l *Listener) Close() {
 	}
 	if l.pooled && !fb.closed {
 		fb.mu.Unlock()
-		// The map delete above (under the lock the pump delivers
+		// The map delete above (under the lock handleFrame delivers
 		// under) guarantees no further sends; drain what raced in
 		// before it, then recycle.
 		for {
@@ -218,7 +222,7 @@ func (l *Listener) Close() {
 		replyListeners.Put(l)
 		return
 	}
-	// Closing under the F-box lock serializes with the pump's
+	// Closing under the F-box lock serializes with handleFrame's
 	// (non-blocking) deliveries, so a frame in flight can never be
 	// sent on a closed channel.
 	close(l.ch)
@@ -365,7 +369,8 @@ func (fb *FBox) Locate(p Port) (replies <-chan amnet.MachineID, cancel func(), e
 	return ch, cancel, nil
 }
 
-// Close shuts the F-box and its NIC down.
+// Close shuts the F-box and its NIC down. A delivery racing it finds
+// no listener and releases its frame.
 func (fb *FBox) Close() error {
 	fb.mu.Lock()
 	if fb.closed {
@@ -378,8 +383,9 @@ func (fb *FBox) Close() error {
 	// recycling a pooled reply listener — the stale handle would then
 	// close (and double-pool) a listener already re-registered
 	// elsewhere. Under fb.mu the map holds exactly the live listeners,
-	// closing the channels here is safe against the pump (it delivers
-	// under this lock), and fb.closed stops any re-registration.
+	// closing the channels here is safe against handleFrame (it
+	// delivers under this lock), and fb.closed stops any
+	// re-registration.
 	for put, l := range fb.listeners {
 		delete(fb.listeners, put)
 		delete(fb.locates, put)
@@ -387,34 +393,24 @@ func (fb *FBox) Close() error {
 		close(l.ch)
 	}
 	fb.mu.Unlock()
-
-	close(fb.done)
-	err := fb.nic.Close()
-	fb.wg.Wait()
-	return err
+	return fb.nic.Close()
 }
 
-// pump is the receive loop: decode, filter, deliver.
-func (fb *FBox) pump() {
-	defer fb.wg.Done()
-	for {
-		select {
-		case <-fb.done:
-			return
-		case f, ok := <-fb.nic.Recv():
-			if !ok {
-				return
-			}
-			fb.handleFrame(f)
-		}
-	}
-}
-
-func (fb *FBox) handleFrame(f amnet.Frame) {
+// handleFrame is the F-box's receive, the NIC's receiver: decode,
+// filter, deliver. It runs on whichever goroutine carried the frame,
+// concurrently with itself and with every other F-box call, which is
+// safe because the only state it touches is the fb.mu-guarded maps.
+// It never blocks — it is the input action of an I/O automaton, which
+// must always be enabled: a listener delivery is a send-or-drop under
+// fb.mu, a LOCATE answer a send on the NIC with no lock held (on TCP
+// the first frame to a peer may dial, for at most the transport's dial
+// timeout). It returns false only for a message dropped at a full
+// listener queue; a frame for a port nobody GETs is not a drop.
+func (fb *FBox) handleFrame(f amnet.Frame) (accepted bool) {
 	kind, msg, err := decodeFrame(f.Payload)
 	if err != nil {
 		f.Release()
-		return // malformed: drop, as hardware would
+		return true // malformed: drop, as hardware would
 	}
 	if kind != kindMessage {
 		defer f.Release()
@@ -427,9 +423,14 @@ func (fb *FBox) handleFrame(f amnet.Frame) {
 		// non-delivery path releases it.
 		delivered := false
 		fb.mu.Lock()
-		if l := fb.listeners[msg.Dest]; l != nil {
+		l := fb.listeners[msg.Dest]
+		if l != nil {
+			m := Received{Message: msg, From: f.Src, Buf: f.Buf}
+			if !l.pooled {
+				m.At = time.Now() // a reply or ack skips the clock read
+			}
 			select {
-			case l.ch <- Received{Message: msg, From: f.Src, Buf: f.Buf, At: time.Now()}:
+			case l.ch <- m:
 				delivered = true
 			default: // listener queue full: drop
 			}
@@ -438,12 +439,13 @@ func (fb *FBox) handleFrame(f amnet.Frame) {
 		if !delivered {
 			f.Release()
 		}
+		return delivered || l == nil
 	case kindLocate:
 		fb.mu.Lock()
 		_, here := fb.locates[msg.Dest]
 		fb.mu.Unlock()
 		if !here {
-			return
+			return true
 		}
 		var buf [headerSize]byte
 		buf[0] = kindLocateR
@@ -461,6 +463,7 @@ func (fb *FBox) handleFrame(f amnet.Frame) {
 			}
 		}
 	}
+	return true
 }
 
 // encodeFrame lays a message out as kind ∥ dest ∥ reply ∥ sig ∥ payload.

@@ -71,9 +71,9 @@ type ServerConfig struct {
 	// MaxInflight bounds the number of concurrently executing
 	// handlers — the worker pool size (default GOMAXPROCS×4). When
 	// every worker is busy the dispatch loop stops pulling from the
-	// listener, the NIC queue fills, and excess load is shed at the
-	// wire instead of as unbounded goroutines. Clients see a timeout
-	// and retry, exactly as for a lost frame.
+	// listener, the listener queue fills, and excess load is shed at
+	// the wire instead of as unbounded goroutines. Clients see a
+	// timeout and retry, exactly as for a lost frame.
 	MaxInflight int
 }
 
@@ -539,8 +539,9 @@ func (s *Server) loop(l *fbox.Listener) {
 		}
 		s.inflight.Add(1)
 		// Backpressure: when every worker is busy this send blocks,
-		// the listener queue and then the NIC queue fill, and excess
-		// load is shed at the wire — clients time out and retry.
+		// the listener queue fills, and excess load is shed at the
+		// wire (the NIC counts it as an overrun) — clients time out
+		// and retry.
 		// Ownership of m's frame buffer rides into the job; the worker
 		// releases it once the reply is on the wire.
 		s.work <- job{m: m, req: req, enq: enq}
