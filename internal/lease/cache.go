@@ -24,6 +24,24 @@
 // Keys are full capabilities (port, object, rights, check), so two
 // differently-restricted capabilities for the same directory never
 // share entries — a cache hit can never launder rights.
+//
+// The index is shaped like the walks it serves. dirs maps a directory
+// capability, exactly as presented, to a node; a node maps component
+// names to entries and points at the directory's floor cell, which is
+// shared by every capability of that (server, object). Each entry
+// carries a link to the node cached under exactly its own capability,
+// so a walk hashes one capability (the root) and then hops pointers,
+// probing one string per component. Two invariants keep the links
+// honest:
+//
+//   - A link is set only from dirs[e.c], the full capability the
+//     server returned — never from the object number — so a
+//     restricted capability reaches its own node or misses, never the
+//     owner's bindings.
+//   - A node that leaves dirs (Drop, or eviction emptying it) is
+//     retired: its names map is cleared under the write lock, so every
+//     walk through a stale link misses there, and the walk re-probes
+//     dirs so a later Put for the same capability is linked afresh.
 package lease
 
 import (
@@ -37,18 +55,21 @@ import (
 	"amoeba/internal/obs"
 )
 
-// Key identifies one cached binding: the directory capability exactly
-// as presented (rights and check included) plus the component name.
-type Key struct {
-	Dir  cap.Capability
-	Name string
+// node holds the bindings cached under one directory capability.
+// names is nil once the node is retired (no longer in dirs); a live
+// node is never empty.
+type node struct {
+	names map[string]*entry
+	floor *floorCell // the directory's write floor, shared
 }
 
 type entry struct {
 	c      cap.Capability
 	gen    uint64
-	expiry int64      // UnixNano; valid strictly before this instant
-	floor  *floorCell // the owning directory's write floor, shared
+	expiry int64 // UnixNano; valid strictly before this instant
+	// next caches dirs[c]: a walk sets it under the read lock, hence
+	// atomic. nil or retired means "probe dirs again".
+	next atomic.Pointer[node]
 }
 
 // dirID names a directory server-side — the floor table is keyed by
@@ -59,7 +80,7 @@ type dirID struct {
 	object uint32
 }
 
-// floorCell holds one directory's write floor. Every entry under the
+// floorCell holds one directory's write floor. Every node of the
 // directory points at the same cell, so the hot read path checks the
 // floor with one atomic load instead of a second map lookup. Writes
 // happen under the cache's write lock; reads are lock-free.
@@ -98,15 +119,19 @@ type Cache struct {
 	// time.Now().UnixNano.
 	Now func() int64
 
-	mu      sync.RWMutex
-	entries map[Key]entry
-	floors  map[dirID]*floorCell
-	max     int
-	ctr     Counters
+	mu     sync.RWMutex
+	dirs   map[cap.Capability]*node
+	floors map[dirID]*floorCell
+	n      int // bindings across all nodes
+	max    int
+	ctr    Counters
 }
 
 // DefaultMax bounds the cache when New is given max <= 0.
 const DefaultMax = 4096
+
+// evictSample is how many bindings eviction looks at to find a victim.
+const evictSample = 8
 
 // New builds a cache holding at most max bindings.
 func New(max int, ctr Counters) *Cache {
@@ -115,72 +140,76 @@ func New(max int, ctr Counters) *Cache {
 	}
 	ctr.fill()
 	return &Cache{
-		Now:     func() int64 { return time.Now().UnixNano() },
-		entries: make(map[Key]entry),
-		floors:  make(map[dirID]*floorCell),
-		max:     max,
-		ctr:     ctr,
+		Now:    func() int64 { return time.Now().UnixNano() },
+		dirs:   make(map[cap.Capability]*node),
+		floors: make(map[dirID]*floorCell),
+		max:    max,
+		ctr:    ctr,
 	}
+}
+
+// stopper picks the counter for a binding that cannot be served at
+// instant now, or nil if it can. A binding is usable iff it exists,
+// its lease has not expired AND its generation is at or above the
+// directory's write floor.
+func (ca *Cache) stopper(n *node, e *entry, now int64) *obs.Counter {
+	switch {
+	case e == nil:
+		return ca.ctr.Misses
+	case now >= e.expiry:
+		return ca.ctr.Expired
+	case e.gen < n.floor.gen.Load():
+		return ca.ctr.Invalidated
+	}
+	return nil
 }
 
 // Get returns the cached binding for name in dir if it is still
 // usable at instant now (pass one clock read through a whole path
-// walk). A binding is usable iff its lease has not expired AND its
-// generation is at or above the directory's write floor.
+// walk).
 func (ca *Cache) Get(dir cap.Capability, name string, now int64) (cap.Capability, bool) {
 	ca.mu.RLock()
-	e, ok := ca.entries[Key{Dir: dir, Name: name}]
+	n := ca.dirs[dir]
+	var e *entry
+	if n != nil {
+		e = n.names[name]
+	}
+	if stop := ca.stopper(n, e, now); stop != nil {
+		ca.mu.RUnlock()
+		stop.Inc()
+		return cap.Capability{}, false
+	}
+	c := e.c // Put rewrites entries in place: copy under the lock
 	ca.mu.RUnlock()
-	if !ok {
-		ca.ctr.Misses.Inc()
-		return cap.Capability{}, false
-	}
-	if now >= e.expiry {
-		ca.ctr.Expired.Inc()
-		return cap.Capability{}, false
-	}
-	if e.gen < e.floor.gen.Load() {
-		ca.ctr.Invalidated.Inc()
-		return cap.Capability{}, false
-	}
 	ca.ctr.Hits.Inc()
-	return e.c, true
+	return c, true
 }
 
 // ResolvePath walks as many leading components of path as cached
 // bindings allow, under a single lock acquisition — the hot fully-
-// cached walk costs one RLock cycle and one map probe per component,
-// with no allocations. It returns the capability reached, the
-// unresolved remainder of path (""), and the number of components
-// served. Component splitting matches the dirsvr walk: empty
-// components (leading, trailing, doubled slashes) are skipped.
+// cached walk costs one RLock cycle, one capability hash (the root)
+// and one name probe per component, with no allocations. It returns
+// the capability reached, the unresolved remainder of path (""), and
+// the number of components served. Component splitting matches the
+// dirsvr walk: empty components (leading, trailing, doubled slashes)
+// are skipped.
 func (ca *Cache) ResolvePath(dir cap.Capability, path string, now int64) (cap.Capability, string, int) {
 	served := 0
+	path = trimSlashes(path)
 	ca.mu.RLock()
-	for {
-		for len(path) > 0 && path[0] == '/' {
-			path = path[1:]
-		}
-		if path == "" {
-			break
-		}
+	n := ca.dirs[dir]
+	for path != "" {
 		name, after := path, ""
 		if i := strings.IndexByte(path, '/'); i >= 0 {
-			name, after = path[:i], path[i+1:]
+			name, after = path[:i], trimSlashes(path[i+1:])
 		}
-		e, ok := ca.entries[Key{Dir: dir, Name: name}]
-		var stopper *obs.Counter
-		switch {
-		case !ok:
-			stopper = ca.ctr.Misses
-		case now >= e.expiry:
-			stopper = ca.ctr.Expired
-		case e.gen < e.floor.gen.Load():
-			stopper = ca.ctr.Invalidated
+		var e *entry
+		if n != nil {
+			e = n.names[name]
 		}
-		if stopper != nil {
+		if stop := ca.stopper(n, e, now); stop != nil {
 			ca.mu.RUnlock()
-			stopper.Inc()
+			stop.Inc()
 			if served > 0 {
 				ca.ctr.Hits.Add(uint64(served))
 			}
@@ -188,6 +217,9 @@ func (ca *Cache) ResolvePath(dir cap.Capability, path string, now int64) (cap.Ca
 		}
 		dir, path = e.c, after
 		served++
+		if path != "" { // the leaf's link is never needed
+			n = ca.followLocked(e)
+		}
 	}
 	ca.mu.RUnlock()
 	if served > 0 {
@@ -196,18 +228,55 @@ func (ca *Cache) ResolvePath(dir cap.Capability, path string, now int64) (cap.Ca
 	return dir, "", served
 }
 
+// followLocked returns the node cached under exactly e.c, or nil,
+// refreshing e's link when it is missing or retired. Callers hold at
+// least the read lock.
+func (ca *Cache) followLocked(e *entry) *node {
+	if n := e.next.Load(); n != nil && n.names != nil {
+		return n
+	}
+	n := ca.dirs[e.c]
+	if n != nil {
+		e.next.Store(n)
+	}
+	return n
+}
+
+// trimSlashes strips leading slashes.
+func trimSlashes(path string) string {
+	for len(path) > 0 && path[0] == '/' {
+		path = path[1:]
+	}
+	return path
+}
+
 // Put caches a binding the server just granted a lease on: name in dir
 // resolves to c, observed at directory generation gen, valid until
 // expiry (UnixNano — stamp it from a clock read taken BEFORE the
 // request was sent, so the cached window is conservative).
 func (ca *Cache) Put(dir cap.Capability, name string, c cap.Capability, gen uint64, expiry int64) {
-	k := Key{Dir: dir, Name: name}
 	ca.mu.Lock()
-	if _, present := ca.entries[k]; !present && len(ca.entries) >= ca.max {
-		ca.evictOneLocked()
+	defer ca.mu.Unlock()
+	n := ca.dirs[dir]
+	if n != nil {
+		if e := n.names[name]; e != nil {
+			if e.c != c {
+				e.next.Store(nil) // the link must name dirs[e.c]
+			}
+			e.c, e.gen, e.expiry = c, gen, expiry
+			return
+		}
 	}
-	ca.entries[k] = entry{c: c, gen: gen, expiry: expiry, floor: ca.floorLocked(dir.Server, dir.Object)}
-	ca.mu.Unlock()
+	if ca.n >= ca.max {
+		ca.evictOneLocked()
+		n = ca.dirs[dir] // eviction may have retired it
+	}
+	if n == nil {
+		n = &node{names: make(map[string]*entry), floor: ca.floorLocked(dir.Server, dir.Object)}
+		ca.dirs[dir] = n
+	}
+	n.names[name] = &entry{c: c, gen: gen, expiry: expiry}
+	ca.n++
 }
 
 // floorLocked returns the directory's floor cell, creating it at zero.
@@ -221,21 +290,45 @@ func (ca *Cache) floorLocked(server cap.Port, object uint32) *floorCell {
 	return f
 }
 
-// evictOneLocked drops one binding, preferring an already-dead one.
-// Go's random map iteration makes this a cheap random-replacement
-// policy — fine for a cache whose entries expire on their own anyway.
+// retireLocked takes a node out of dirs and empties it, so a walk
+// holding a stale link to it misses there.
+func (ca *Cache) retireLocked(dir cap.Capability, n *node) {
+	ca.n -= len(n.names)
+	n.names = nil
+	delete(ca.dirs, dir)
+}
+
+// evictOneLocked drops one binding out of a bounded sample: the first
+// lapsed one (it costs nothing to lose), else the last one sampled.
+// Go's random map iteration order makes this a
+// cheap random-replacement policy — fine for a cache whose entries
+// expire on their own anyway — and the sample bound keeps a Put at
+// capacity from scanning the whole cache under the write lock.
 func (ca *Cache) evictOneLocked() {
 	now := ca.Now()
-	var victim Key
-	found := false
-	for k, e := range ca.entries {
-		victim, found = k, true
-		if now >= e.expiry {
-			break // a lapsed binding costs nothing to lose
+	var (
+		vDir  cap.Capability
+		vNode *node
+		vName string
+	)
+	seen := 0
+sample:
+	for dir, n := range ca.dirs {
+		for name, e := range n.names {
+			vDir, vNode, vName = dir, n, name
+			seen++
+			if now >= e.expiry || seen == evictSample {
+				break sample
+			}
 		}
 	}
-	if found {
-		delete(ca.entries, victim)
+	if vNode == nil {
+		return
+	}
+	delete(vNode.names, vName)
+	ca.n--
+	if len(vNode.names) == 0 {
+		ca.retireLocked(vDir, vNode)
 	}
 }
 
@@ -252,27 +345,30 @@ func (ca *Cache) Observe(server cap.Port, object uint32, gen uint64) {
 	ca.mu.Unlock()
 }
 
-// Drop forgets every binding under a directory and clears its floor —
-// for DestroyDir, after which the object number may be reused by a
-// fresh directory whose generations restart at zero.
+// Drop forgets every binding under a directory — through every
+// capability for it — and clears its floor: for DestroyDir, after
+// which the object number may be reused by a fresh directory whose
+// generations restart at zero.
 func (ca *Cache) Drop(server cap.Port, object uint32) {
-	id := dirID{server: server, object: object}
 	ca.mu.Lock()
-	for k := range ca.entries {
-		if k.Dir.Server == server && k.Dir.Object == object {
-			delete(ca.entries, k)
+	for dir, n := range ca.dirs {
+		if dir.Server == server && dir.Object == object {
+			ca.retireLocked(dir, n)
 		}
 	}
-	delete(ca.floors, id)
+	delete(ca.floors, dirID{server: server, object: object})
 	ca.mu.Unlock()
 }
 
 // Flush empties the cache (floors included). For tests and for
-// clients that learn out-of-band that their world changed.
+// clients that learn out-of-band that their world changed. The old
+// nodes need no retiring: every link into them starts from an entry
+// that only they hold.
 func (ca *Cache) Flush() {
 	ca.mu.Lock()
-	ca.entries = make(map[Key]entry)
+	ca.dirs = make(map[cap.Capability]*node)
 	ca.floors = make(map[dirID]*floorCell)
+	ca.n = 0
 	ca.mu.Unlock()
 }
 
@@ -281,7 +377,7 @@ func (ca *Cache) Flush() {
 func (ca *Cache) Len() int {
 	ca.mu.RLock()
 	defer ca.mu.RUnlock()
-	return len(ca.entries)
+	return ca.n
 }
 
 // Poison makes every future Get under the directory miss until new

@@ -112,9 +112,9 @@ func TestLeaseOwnWritesInvalidatePrecisely(t *testing.T) {
 	oldCap := cap.Capability{Server: 0xBEEF, Object: 1, Rights: cap.RightRead, Check: 0x1111}
 	newCap := cap.Capability{Server: 0xBEEF, Object: 2, Rights: cap.RightRead, Check: 0x2222}
 	for _, e := range []struct {
-		d    cap.Capability
-		n    string
-		c    cap.Capability
+		d cap.Capability
+		n string
+		c cap.Capability
 	}{{dir, "f", oldCap}, {other, "g", oldCap}} {
 		if err := rig.d.Enter(ctx, e.d, e.n, e.c); err != nil {
 			t.Fatal(err)
