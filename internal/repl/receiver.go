@@ -160,11 +160,18 @@ func (r *Receiver) handleShip(_ context.Context, _ rpc.Meta, req rpc.Request) rp
 	r.stats.Frames++
 	gap := false
 	var last *wal.Ticket
+	// abort resets the stream on a bad frame. Records the frame already
+	// staged still need their waiter (see wal.Log.Append); the reply is
+	// an error either way, so the wait's own error adds nothing.
+	abort := func(rep rpc.Reply) rpc.Reply {
+		_ = last.Wait()
+		r.st.reset()
+		return rep
+	}
 	for _, it := range items {
 		v, rec, err := r.st.offer(it, rebase, term)
 		if err != nil {
-			r.st.reset()
-			return rpc.ErrReply(rpc.StatusBadRequest, err.Error())
+			return abort(rpc.ErrReply(rpc.StatusBadRequest, err.Error()))
 		}
 		switch v {
 		case vSkip:
@@ -175,11 +182,12 @@ func (r *Receiver) handleShip(_ context.Context, _ rpc.Meta, req rpc.Request) rp
 			gap = true
 		case vApply:
 			t, err := r.k.ReplicaApply(rec, r.apply)
-			if err != nil {
-				r.st.reset()
-				return rpc.ErrReplyFromErr(err)
+			if t != nil {
+				last = t
 			}
-			last = t
+			if err != nil {
+				return abort(rpc.ErrReplyFromErr(err))
+			}
 			r.st.applied(rec, rebase, term)
 			r.stats.Applied++
 			switch {
@@ -195,18 +203,15 @@ func (r *Receiver) handleShip(_ context.Context, _ rpc.Meta, req rpc.Request) rp
 	}
 	// Durability before acknowledgement: the standby's own log must
 	// cover every record in the frame before its sequence counts as
-	// high water. One inline flush + wait covers them all — the log
-	// commits in stage order, so the LAST record's ticket implies the
-	// rest (and a checkpoint's nil ticket was durable synchronously) —
-	// and flushing on this goroutine keeps the ack (which gates the
-	// primary's client reply) off the committer's wake-up latency. A failed
+	// high water. One wait covers them all — the log commits in stage
+	// order, so the LAST record's ticket implies the rest (a checkpoint
+	// is durable on return and commits everything staged before it) —
+	// and the wait leads the commit on this goroutine, so the ack (which
+	// gates the primary's client reply) pays no scheduler hand-off. A failed
 	// commit here is fatal: the stream has advanced past records the
 	// standby's disk never took, so no later frame may be acknowledged
 	// either — the shipper sees the persistent error and declares the
 	// backup lost.
-	if last != nil {
-		r.k.Flush()
-	}
 	if err := last.Wait(); err != nil {
 		r.dead = fmt.Errorf("repl: standby log failed: %w", err)
 		return rpc.ErrReplyFromErr(r.dead)

@@ -716,11 +716,12 @@ func (s *Server) destroyAccount(_ context.Context, _ rpc.Meta, req rpc.Request) 
 		s.treasury[c] += v
 	}
 	s.treasuryMu.Unlock()
-	if err := s.table.DestroyObject(req.Cap.Object); err != nil {
-		return rpc.ErrReplyFromErr(err)
-	}
+	derr := s.table.DestroyObject(req.Cap.Object)
 	if err := t.Wait(); err != nil {
 		return rpc.ErrReplyFromErr(err)
+	}
+	if derr != nil {
+		return rpc.ErrReplyFromErr(derr)
 	}
 	return rpc.OkReply(nil)
 }

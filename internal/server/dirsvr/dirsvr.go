@@ -688,11 +688,12 @@ func (s *Server) destroyDir(_ context.Context, _ rpc.Meta, req rpc.Request) rpc.
 	if aerr != nil {
 		return rpc.ErrReplyFromErr(aerr)
 	}
-	if err := s.table.DestroyObject(req.Cap.Object); err != nil {
-		return rpc.ErrReplyFromErr(err)
-	}
+	derr := s.table.DestroyObject(req.Cap.Object)
 	if err := t.Wait(); err != nil {
 		return rpc.ErrReplyFromErr(err)
+	}
+	if derr != nil {
+		return rpc.ErrReplyFromErr(derr)
 	}
 	return rpc.OkReply(nil)
 }

@@ -2,6 +2,7 @@ package svc
 
 import (
 	"context"
+	"errors"
 	"testing"
 
 	"amoeba/internal/rpc"
@@ -108,6 +109,39 @@ func TestKernelReplicaApply(t *testing.T) {
 	defer reborn.Close()
 	if reborn.n["pre"] != 3 || reborn.n["live"] != 5 {
 		t.Fatalf("standby disk replay diverged: %v", reborn.n)
+	}
+}
+
+// TestKernelReplicaApplyErrorReturnsTicket: a record whose apply fails
+// is already staged in the standby's log, and the log has no goroutine
+// to commit it — ReplicaApply must hand back the ticket its waiter
+// needs, and waiting on it commits the record.
+func TestKernelReplicaApplyErrorReturnsTicket(t *testing.T) {
+	disk, err := vdisk.New(128, 256)
+	if err != nil {
+		t.Fatal(err)
+	}
+	log, err := wal.Open(disk, wal.Options{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	_, fb := newRig(t)
+	b := newCounter(t, fb, log, 0)
+	defer b.Close()
+	tk, err := b.ReplicaApply(wal.Record{Seq: 1, Data: []byte{0x01, 'x'}}, func([]byte) error {
+		return errors.New("apply refused")
+	})
+	if err == nil {
+		t.Fatal("failed apply reported success")
+	}
+	if tk == nil {
+		t.Fatal("failed apply dropped the staged record's ticket")
+	}
+	if err := tk.Wait(); err != nil {
+		t.Fatal(err)
+	}
+	if s := b.LogStats(); s.Commits != 1 {
+		t.Fatalf("log made %d commits, want 1", s.Commits)
 	}
 }
 

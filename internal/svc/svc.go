@@ -557,13 +557,13 @@ func (k *Kernel) InstallMigrated(obj uint32, secret uint64, state []byte) error 
 		return err
 	}
 	k.table.InstallSecret(obj, secret)
-	if err := k.install(obj, state); err != nil {
-		return err
+	// Wait even when install fails: the staged record needs a waiter to
+	// commit it (see wal.Log.Append).
+	ierr := k.install(obj, state)
+	if err := tk.Wait(); ierr == nil {
+		ierr = err
 	}
-	if tk != nil {
-		return tk.Wait()
-	}
-	return nil
+	return ierr
 }
 
 // applyKernelRec consumes the kernel's own record tags during replay
@@ -660,16 +660,6 @@ func (k *Kernel) SetReplicaSink(sink func([]wal.Record)) {
 	}
 }
 
-// Flush commits the log's staged records on the caller's goroutine
-// (see wal.Log.Flush); the replication receiver calls it once per ship
-// frame so its durable acknowledgement never waits out a committer
-// wake-up. No-op on a volatile kernel.
-func (k *Kernel) Flush() {
-	if k.log != nil {
-		k.log.Flush()
-	}
-}
-
 // NextSeq returns the log sequence the next mutation will get (0 on a
 // volatile kernel).
 func (k *Kernel) NextSeq() uint64 {
@@ -714,15 +704,14 @@ func (k *Kernel) ReplicaApply(r wal.Record, apply func(rec []byte) error) (*wal.
 	if err != nil {
 		return nil, err
 	}
+	// Past the append the ticket is returned even with an error: the
+	// record is staged and still needs its waiter (see wal.Log.Append).
 	if consumed, err := k.applyKernelRec(r.Data); consumed {
-		if err != nil {
-			return nil, err
-		}
-		return t, nil
+		return t, err
 	}
 	if apply != nil {
 		if err := apply(r.Data); err != nil {
-			return nil, err
+			return t, err
 		}
 	}
 	return t, nil

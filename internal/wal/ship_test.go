@@ -2,6 +2,8 @@ package wal
 
 import (
 	"fmt"
+	"sync"
+	"sync/atomic"
 	"testing"
 	"time"
 
@@ -54,8 +56,8 @@ func TestSinkSeesCommitsBeforeTickets(t *testing.T) {
 		if err := tk.Wait(); err != nil {
 			t.Fatal(err)
 		}
-		// The sink ran strictly before Wait returned (same goroutine
-		// ordering in the committer), so the record is already here.
+		// The sink ran strictly before Wait returned (the pass ships
+		// before it completes the ticket), so the record is already here.
 		select {
 		case <-shipped:
 		default:
@@ -85,6 +87,50 @@ func TestSinkSeesCommitsBeforeTickets(t *testing.T) {
 	tk.Wait()
 	if len(got) != 4 {
 		t.Fatal("detached sink still receives records")
+	}
+}
+
+// TestStaleWaiterDoesNotLead: a waiter whose batch committed while it
+// queued for the commit must return without a pass of its own.
+// Committing whatever was staged meanwhile splits the next batch, whose
+// own waiters are about to lead it — on a replicated primary that is
+// one extra ship round (and sync) per stale waiter. Eight appenders
+// against a sink that costs 50µs share ships several records at a time
+// only when stale waiters stand aside.
+func TestStaleWaiterDoesNotLead(t *testing.T) {
+	l, _ := openShipLog(t, 4096)
+	var calls, recs atomic.Int64
+	l.SetSink(func(batch []Record) {
+		time.Sleep(50 * time.Microsecond)
+		calls.Add(1)
+		recs.Add(int64(len(batch)))
+	})
+	const writers, per = 8, 500
+	var wg sync.WaitGroup
+	for w := 0; w < writers; w++ {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			for i := 0; i < per; i++ {
+				tk, err := l.Append([]byte("stale-waiter"))
+				if err == nil {
+					err = tk.Wait()
+				}
+				if err != nil {
+					t.Error(err)
+					return
+				}
+			}
+		}()
+	}
+	wg.Wait()
+	if recs.Load() != writers*per {
+		t.Fatalf("sink saw %d records, want %d", recs.Load(), writers*per)
+	}
+	perCall := float64(recs.Load()) / float64(calls.Load())
+	t.Logf("%d records in %d ship rounds (%.2f records/round)", recs.Load(), calls.Load(), perCall)
+	if perCall < 3 {
+		t.Fatalf("%.2f records per ship round, want >= 3: stale waiters are splitting batches", perCall)
 	}
 }
 
@@ -132,6 +178,8 @@ func TestBarrierCoversInFlightBatch(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
+	// The appender's Wait leads the commit and blocks in the gated Sync.
+	waited := leadInBackground(l, tk)
 	barrier := make(chan error, 1)
 	go func() { barrier <- l.Barrier() }()
 	select {
@@ -143,7 +191,7 @@ func TestBarrierCoversInFlightBatch(t *testing.T) {
 	if err := <-barrier; err != nil {
 		t.Fatalf("barrier after release: %v", err)
 	}
-	if err := tk.Wait(); err != nil {
+	if err := <-waited; err != nil {
 		t.Fatal(err)
 	}
 }

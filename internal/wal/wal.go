@@ -8,8 +8,10 @@
 // Layout: block 0 is a superblock; the remaining blocks form a circular
 // byte arena of CRC-framed records addressed by monotonically
 // increasing offsets. Appends are group-committed — concurrent
-// appenders share one Store.Sync — and a reply is only sent once Wait
-// returns, so every capability a client holds names durable state.
+// appenders share one Store.Sync, run by whichever of them waits first
+// (the log starts no goroutine of its own) — and a reply is only sent
+// once Wait returns, so every capability a client holds names durable
+// state.
 // Checkpoint writes a state snapshot into the log and advances the
 // superblock's start pointer past everything the snapshot covers,
 // reclaiming the space behind it. Recovery scans from the start
@@ -124,40 +126,35 @@ type Stats struct {
 type Ticket struct {
 	done chan struct{}
 	err  error
-	// flush, when set (replicated logs), lets the first waiter LEAD the
-	// commit on its own goroutine instead of waiting out the committer's
-	// wake-up — see Wait.
-	flush func()
+	log  *Log
 }
 
 // Wait blocks for the group commit. A nil ticket (from a volatile
 // kernel) returns immediately.
 //
-// On a replicated log the ticket's latency already contains a network
-// round trip (the batch ships to the standby before tickets complete),
-// so Wait runs the commit pass inline on the caller's goroutine when it
-// can claim it — leader-led group commit. The first waiter commits and
-// ships the whole staged batch; later waiters find nothing staged and
-// fall through to the channel. Batching is preserved (one sync and one
-// ship per batch, whoever leads), and two scheduler hand-offs leave the
-// acknowledgement path of every replicated operation.
+// The log has no commit goroutine: the batch's first waiter LEADS the
+// commit on its own goroutine — one write, one Store.Sync and one sink
+// call for every record staged so far — and completes the ticket.
+// Waiters that queued behind the leader find their ticket complete and
+// return without a pass of their own, so a batch costs one sync and one
+// ship however many appenders wait on it, and no scheduler hand-off
+// sits between a record and its acknowledgement.
 func (t *Ticket) Wait() error {
 	if t == nil {
 		return nil
 	}
-	if t.flush != nil {
-		select {
-		case <-t.done: // already committed
-		default:
-			t.flush()
-		}
+	select {
+	case <-t.done: // already committed
+	default:
+		t.log.lead(t)
+		<-t.done
 	}
-	<-t.done
 	return t.err
 }
 
 // Log is a write-ahead log over one vdisk.Store. Safe for concurrent
-// appenders; a single committer goroutine batches their syncs.
+// appenders; whichever of them waits first commits the batch for all of
+// them (see Ticket.Wait).
 type Log struct {
 	store     vdisk.Store
 	bs        uint64 // block size
@@ -169,7 +166,6 @@ type Log struct {
 	mu         sync.Mutex
 	recovered  bool
 	closed     bool
-	abandoned  bool  // Abandon: skip the final flush, drop staged bytes
 	ioErr      error // a failed commit wedges the log read-only (wraps ErrWedged)
 	onWedge    []func(err error)
 	start      uint64
@@ -188,14 +184,12 @@ type Log struct {
 
 	ckMu sync.Mutex // serializes Checkpoint
 
-	// commitMu serializes commit passes: the committer goroutine and
-	// Flush callers never write the arena concurrently.
+	// commitMu serializes commit passes: leading waiters and Close never
+	// write the arena concurrently, and Abandon fences on it.
 	commitMu sync.Mutex
+	tail     []byte // commitMu: the zero-padded partial tail block
 
 	pressure chan struct{}
-	kick     chan struct{}
-	stop     chan struct{}
-	done     chan struct{}
 }
 
 // Open attaches a log to a store, formatting it when empty. Call
@@ -209,10 +203,8 @@ func Open(store vdisk.Store, opts Options) (*Log, error) {
 		store:    store,
 		bs:       bs,
 		arena:    uint64(store.NBlocks()-1) * bs,
+		tail:     make([]byte, bs),
 		pressure: make(chan struct{}, 1),
-		kick:     make(chan struct{}, 1),
-		stop:     make(chan struct{}),
-		done:     make(chan struct{}),
 	}
 	l.metrics = opts.Metrics
 	l.maxRecord = opts.MaxRecord
@@ -230,7 +222,6 @@ func Open(store vdisk.Store, opts Options) (*Log, error) {
 	if err := l.loadSuper(); err != nil {
 		return nil, err
 	}
-	go l.committer()
 	return l, nil
 }
 
@@ -417,19 +408,15 @@ func (s *scanner) frame(off, seq uint64) (rec []byte, kind byte, next uint64, ok
 // record is durable once Ticket.Wait returns nil. Callers ordering
 // matters to (a service appending under its object lock) rely on stage
 // order being commit order, which the single staging buffer guarantees.
+//
+// Append wakes nothing: the batch commits when one of its waiters leads
+// it (see Ticket.Wait), or at Close. Every staged record must therefore
+// have a waiter — Barrier waits passively for the pending batch and
+// relies on it. A caller that drops its ticket leaves the record staged
+// until a later record's waiter or Close commits it.
 func (l *Log) Append(rec []byte) (*Ticket, error) {
 	t, _, _, err := l.stage(kindData, rec)
-	if err != nil {
-		return nil, err
-	}
-	// A flush-capable ticket's waiter leads the commit itself (see
-	// Ticket.Wait); kicking the committer too would only race it for
-	// commitMu and re-add the scheduler hop the lead exists to remove.
-	// The committer still covers stragglers at Close.
-	if t.flush == nil {
-		l.kickCommitter()
-	}
-	return t, nil
+	return t, err
 }
 
 // stage frames rec into the staging buffer under the lock, returning
@@ -480,10 +467,7 @@ func (l *Log) stage(kind byte, rec []byte) (*Ticket, uint64, uint64, error) {
 		})
 	}
 	if l.ticket == nil {
-		l.ticket = &Ticket{done: make(chan struct{})}
-		if l.sink != nil {
-			l.ticket.flush = l.Flush
-		}
+		l.ticket = &Ticket{done: make(chan struct{}), log: l}
 	}
 	if l.head-l.start > l.highWater {
 		l.signalPressure()
@@ -504,69 +488,46 @@ func (l *Log) signalPressure() {
 	}
 }
 
-func (l *Log) kickCommitter() {
-	select {
-	case l.kick <- struct{}{}:
-	default:
-	}
-}
-
-// committer is the single group-commit goroutine: each run writes every
-// staged byte and issues ONE Store.Sync for the whole batch, then wakes
-// every appender that staged into it.
-func (l *Log) committer() {
-	defer close(l.done)
-	for {
-		select {
-		case <-l.kick:
-			l.commit()
-		case <-l.stop:
-			l.mu.Lock()
-			abandoned := l.abandoned
-			l.mu.Unlock()
-			if !abandoned {
-				l.commit() // final flush for any staged stragglers
-			}
-			return
-		}
-	}
-}
-
-func (l *Log) commit() {
+// lead commits t's batch on the waiter's goroutine. It is ticket-aware:
+// a waiter whose batch committed while it queued for commitMu returns
+// without a pass — committing whatever was staged since would split the
+// next batch, whose own waiters are about to lead it.
+func (l *Log) lead(t *Ticket) {
 	l.commitMu.Lock()
 	defer l.commitMu.Unlock()
+	select {
+	case <-t.done:
+	default:
+		l.commit()
+	}
+}
+
+// commit is one group-commit pass: it writes every staged byte, issues
+// ONE Store.Sync for the whole batch, then wakes every appender that
+// staged into it. Callers hold commitMu.
+func (l *Log) commit() {
 	l.mu.Lock()
 	t := l.ticket
-	if l.abandoned {
-		// A kick can still be pending when Abandon lands; the crash
-		// contract says staged bytes never reach the store after it.
-		l.ticket = nil
-		l.mu.Unlock()
-		if t != nil {
-			t.err = ErrClosed
-			close(t.done)
-		}
-		return
-	}
-	if l.ioErr != nil {
-		// The log is wedged: a failed batch must NEVER be retried onto
-		// the disk (its appenders were already told it failed), so no
-		// further bytes are written — pending waiters get the error.
-		err := l.ioErr
-		l.ticket = nil
-		l.mu.Unlock()
-		if t != nil {
-			t.err = err
-			close(t.done)
-		}
-		return
-	}
-	if t == nil && l.head == l.flushed {
+	if t == nil {
+		// Nothing staged — or Abandon took the batch, and the crash
+		// contract says its bytes never reach the store.
 		l.mu.Unlock()
 		return
 	}
 	l.ticket = nil
-	data := append([]byte(nil), l.buf...)
+	if l.ioErr != nil {
+		// The log is wedged: a failed batch must NEVER be retried onto
+		// the disk (its appenders were already told it failed), so no
+		// further bytes are written — pending waiters get the error.
+		t.err = l.ioErr
+		l.mu.Unlock()
+		close(t.done)
+		return
+	}
+	// The pass writes straight from the staging buffer, capped at its
+	// length: appenders only write past it, and finishCommit trims the
+	// buffer (under commitMu) only after the write.
+	data := l.buf[:len(l.buf):len(l.buf)]
 	ds, nf := l.bufStart, l.head
 	ship, sink := l.pending, l.sink
 	l.pending = nil
@@ -582,7 +543,7 @@ func (l *Log) commit() {
 	if err == nil {
 		err = l.store.Sync()
 	}
-	if err == nil && l.metrics != nil && batchRecs > 0 {
+	if err == nil && l.metrics != nil {
 		if h := l.metrics.SyncLatency; h != nil {
 			h.ObserveDuration(time.Since(syncStart))
 		}
@@ -641,24 +602,22 @@ func (l *Log) finishCommit(t *Ticket, err error, nf uint64) {
 		}
 	}
 	l.mu.Unlock()
-	if t != nil {
-		t.err = err
-		close(t.done)
-	}
+	t.err = err
+	close(t.done)
 }
 
 // writeRange writes the staged bytes [ds, ds+len(data)) block by block,
 // zero-padding the partial tail block (the pad is rewritten by the next
-// commit; a crash leaves zeros the scanner treats as the tail).
+// commit; a crash leaves zeros the scanner treats as the tail). Callers
+// hold commitMu, which owns the tail scratch block.
 func (l *Log) writeRange(ds uint64, data []byte) error {
-	blk := make([]byte, l.bs)
 	for i := 0; i < len(data); i += int(l.bs) {
 		chunk := data[i:min(i+int(l.bs), len(data))]
 		out := chunk
 		if len(chunk) < int(l.bs) {
-			copy(blk, chunk)
-			clear(blk[len(chunk):])
-			out = blk
+			copy(l.tail, chunk)
+			clear(l.tail[len(chunk):])
+			out = l.tail
 		}
 		if err := l.store.Write(l.blockOf(ds+uint64(i)), out); err != nil {
 			return fmt.Errorf("wal: writing log block: %w", err)
@@ -689,7 +648,6 @@ func (l *Log) Checkpoint(snap []byte) error {
 		rearm()
 		return err
 	}
-	l.kickCommitter()
 	if err := t.Wait(); err != nil {
 		rearm()
 		return err
@@ -711,13 +669,14 @@ func (l *Log) Checkpoint(snap []byte) error {
 }
 
 // SetSink installs fn as the log's commit sink: after every successful
-// group commit, the committer hands fn the batch's records — in stage
-// (= commit = replay) order, from the single committer goroutine, and
-// BEFORE the batch's tickets complete, so a handler that replies after
-// Ticket.Wait knows the sink has seen its record. Only records staged
-// after the sink is installed are delivered (a replica attaching
-// mid-life gets the earlier state from a base snapshot instead). A nil
-// fn detaches. The sink must not append to this log.
+// group commit, the pass hands fn the batch's records — in stage
+// (= commit = replay) order, on the leading waiter's goroutine with
+// commitMu held (so no two calls overlap), and BEFORE the batch's
+// tickets complete, so a handler that replies after Ticket.Wait knows
+// the sink has seen its record. Only records staged after the sink is
+// installed are delivered (a replica attaching mid-life gets the
+// earlier state from a base snapshot instead). A nil fn detaches. The
+// sink must not append to this log.
 func (l *Log) SetSink(fn func(recs []Record)) {
 	l.mu.Lock()
 	l.sink = fn
@@ -753,10 +712,10 @@ func (l *Log) Barrier() error {
 	if t != nil {
 		// The observed record is in this batch or an earlier one;
 		// commits are ordered, so this ticket covers it. Wait
-		// PASSIVELY — leading the commit here (Ticket.Wait's flush)
-		// would split group-commit batches early and charge observers
-		// an extra sync+ship; the batch's own appenders lead it, and
-		// every staged record has an appender about to Wait.
+		// PASSIVELY — leading the commit here (Ticket.Wait) would split
+		// group-commit batches early and charge observers an extra
+		// sync+ship; the batch's own appenders lead it, and every staged
+		// record has an appender about to Wait (see Append).
 		<-t.done
 		return t.err
 	}
@@ -797,21 +756,6 @@ func (l *Log) OnWedge(fn func(err error)) {
 	l.mu.Unlock()
 }
 
-// Flush runs a group-commit pass on the CALLER's goroutine instead of
-// waiting for the committer to wake: the staged batch (if any) is on
-// stable storage — and its tickets complete — before Flush returns.
-// The low-latency path for a single-writer caller like the replication
-// receiver, whose acknowledgement gates the primary's reply; under
-// concurrent appenders it simply becomes one more committer.
-func (l *Log) Flush() {
-	l.mu.Lock()
-	ok := l.recovered && !l.closed
-	l.mu.Unlock()
-	if ok {
-		l.commit()
-	}
-}
-
 // Pressure signals (at most once per checkpoint cycle) when the log
 // crosses its high-water mark; the kernel's checkpoint loop listens.
 func (l *Log) Pressure() <-chan struct{} { return l.pressure }
@@ -826,10 +770,10 @@ func (l *Log) Stats() Stats {
 	return s
 }
 
-// Close flushes staged records and stops the committer. Records whose
-// tickets were never waited on are still made durable — a crash (see
-// Abandon) loses them instead, which is safe because their replies
-// were never sent.
+// Close commits any staged stragglers on the caller's goroutine and
+// closes the log. Records whose tickets were never waited on are still
+// made durable — a crash (see Abandon) loses them instead, which is safe
+// because their replies were never sent.
 func (l *Log) Close() error {
 	l.mu.Lock()
 	if l.closed {
@@ -838,8 +782,9 @@ func (l *Log) Close() error {
 	}
 	l.closed = true
 	l.mu.Unlock()
-	close(l.stop)
-	<-l.done
+	l.commitMu.Lock()
+	l.commit()
+	l.commitMu.Unlock()
 	l.mu.Lock()
 	defer l.mu.Unlock()
 	return l.ioErr
@@ -858,19 +803,14 @@ func (l *Log) Abandon() error {
 		return nil
 	}
 	l.closed = true
-	l.abandoned = true
 	t := l.ticket
 	l.ticket = nil
 	l.mu.Unlock()
-	close(l.stop)
-	<-l.done
-	// Fence in-flight commit passes: a ticket waiter can LEAD a commit
-	// (Ticket.Wait's flush) and be mid-write when Abandon lands —
-	// draining the committer goroutine alone does not cover it. Taking
-	// commitMu waits any such pass out, so when Abandon returns no
-	// goroutine is writing the store (a Restart may reopen the disk
-	// immediately); a leader that had not yet passed the abandoned
-	// check drops its batch instead (see commit).
+	// Fence in-flight commit passes: a leading waiter can be mid-write
+	// when Abandon lands. Taking commitMu waits any such pass out, so
+	// when Abandon returns no goroutine is writing the store (a Restart
+	// may reopen the disk immediately); a waiter that leads after this
+	// finds no ticket to take and writes nothing (see commit).
 	l.commitMu.Lock()
 	l.commitMu.Unlock() //nolint:staticcheck // empty critical section IS the fence
 	if t != nil {

@@ -6,6 +6,7 @@ import (
 	"errors"
 	"fmt"
 	"hash/crc32"
+	"runtime"
 	"sync"
 	"sync/atomic"
 	"testing"
@@ -141,13 +142,12 @@ func TestCheckpointMidLogSupersedes(t *testing.T) {
 	l := openLog(t, d, Options{})
 	recoverAll(t, l)
 	mustAppend(t, l, []byte("before"))
-	// Stage a checkpoint frame by hand, committing it WITHOUT the
-	// superblock update — exactly the torn crash window.
+	// Stage a checkpoint frame by hand, committing it (the Wait leads)
+	// WITHOUT the superblock update — exactly the torn crash window.
 	tk, _, _, err := l.stage(kindCheckpoint, []byte("snap"))
 	if err != nil {
 		t.Fatal(err)
 	}
-	l.kickCommitter()
 	if err := tk.Wait(); err != nil {
 		t.Fatal(err)
 	}
@@ -447,8 +447,35 @@ func TestCloseFlushesStragglers(t *testing.T) {
 	}
 }
 
-// gateSync, once armed, blocks Sync until released — freezing the
-// committer mid-batch so a test can pile up genuinely staged-but-
+// TestOpenStartsNoGoroutine: the log has no commit goroutine — every
+// batch is committed by one of its waiters, or by Close.
+func TestOpenStartsNoGoroutine(t *testing.T) {
+	d := newDisk(t, 256, 256)
+	before := runtime.NumGoroutine()
+	l, err := Open(d, Options{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if after := runtime.NumGoroutine(); after != before {
+		t.Fatalf("Open: %d goroutines, was %d", after, before)
+	}
+	recoverAll(t, l)
+	for i := 0; i < 1000; i++ {
+		mustAppend(t, l, rec(i))
+	}
+	if after := runtime.NumGoroutine(); after != before {
+		t.Fatalf("after 1000 commits: %d goroutines, was %d", after, before)
+	}
+	if err := l.Close(); err != nil {
+		t.Fatal(err)
+	}
+	if after := runtime.NumGoroutine(); after != before {
+		t.Fatalf("Close: %d goroutines, was %d", after, before)
+	}
+}
+
+// gateSync, once armed, blocks Sync until released — freezing a
+// leading waiter mid-batch so a test can pile up genuinely staged-but-
 // uncommitted records.
 type gateSync struct {
 	*vdisk.Disk
@@ -463,6 +490,23 @@ func (g *gateSync) Sync() error {
 	return g.Disk.Sync()
 }
 
+// leadInBackground waits on tk in a new goroutine — leading its batch's
+// commit there — and returns once that pass has taken the batch, so a
+// record staged afterwards lands in a distinct batch.
+func leadInBackground(l *Log, tk *Ticket) <-chan error {
+	waited := make(chan error, 1)
+	go func() { waited <- tk.Wait() }()
+	for {
+		l.mu.Lock()
+		taken := l.ticket != tk
+		l.mu.Unlock()
+		if taken {
+			return waited
+		}
+		time.Sleep(100 * time.Microsecond)
+	}
+}
+
 // TestAbandonDropsStagedRecords: Abandon is the crash path — records
 // whose group commit had not completed must NOT reach the store (Close
 // would flush them), and their waiters must fail with ErrClosed.
@@ -475,22 +519,12 @@ func TestAbandonDropsStagedRecords(t *testing.T) {
 	}
 	recoverAll(t, l)
 	g.armed.Store(true)
-	// First record: its batch's Sync blocks on the gate.
+	// First record: its leader's Sync blocks on the gate.
 	t1, err := l.Append([]byte("committed"))
 	if err != nil {
 		t.Fatal(err)
 	}
-	// Wait for the committer to take the first batch, so the second
-	// record lands in a distinct, never-committed batch.
-	for {
-		l.mu.Lock()
-		taken := l.ticket == nil
-		l.mu.Unlock()
-		if taken {
-			break
-		}
-		time.Sleep(100 * time.Microsecond)
-	}
+	w1 := leadInBackground(l, t1)
 	// Second record: staged behind the stuck batch, never committed.
 	t2, err := l.Append([]byte("staged-only"))
 	if err != nil {
@@ -499,8 +533,8 @@ func TestAbandonDropsStagedRecords(t *testing.T) {
 	done := make(chan error, 1)
 	go func() { done <- l.Abandon() }()
 	// Only release the stuck batch once Abandon has marked the log
-	// (otherwise the committer could legitimately commit the second
-	// batch before the "crash" happens).
+	// (otherwise a waiter could legitimately commit the second batch
+	// before the "crash" happens).
 	for {
 		l.mu.Lock()
 		closed := l.closed
@@ -514,7 +548,7 @@ func TestAbandonDropsStagedRecords(t *testing.T) {
 	if err := <-done; err != nil {
 		t.Fatal(err)
 	}
-	if err := t1.Wait(); err != nil {
+	if err := <-w1; err != nil {
 		t.Fatalf("in-flight batch: %v", err)
 	}
 	if err := t2.Wait(); err != ErrClosed {

@@ -15,20 +15,23 @@
 #
 # A third gate pins one replicated commit on a 3-replica group
 # (E18_DirEnter/group3: the client round trip, the WAL append, one ship
-# frame to each of two standbys through their lanes, both acks) at 32
+# frame to each of two standbys through their lanes, both acks) at 25
 # allocs/op. It stood at 43 while the sink started a goroutine per peer
-# per batch and copied the peer list under a lock three times per op;
-# a new allocation on the ship path is how that comes back.
+# per batch and copied the peer list under a lock three times per op,
+# and at 32 while every commit on each of the three logs copied the
+# staging buffer and allocated a tail block (and the primary's ticket
+# carried a Flush method value); a new allocation on the ship or commit
+# path is how either comes back.
 #
 # A fourth gate pins the same round trip over loopback TCP
 # (E11_TransTCP) at 2 allocs/op: the transport under the F-box may add
 # nothing to what the SimNet round trip allocates. It stood at 4 while
 # the read loop's header array escaped to the heap once per frame.
 #
-# Usage: scripts/allocgate.sh            # default budgets 2 / 0 / 32 / 2
+# Usage: scripts/allocgate.sh            # default budgets 2 / 0 / 25 / 2
 #        ALLOC_BUDGET=4 scripts/allocgate.sh
 #        CACHE_ALLOC_BUDGET=1 scripts/allocgate.sh
-#        GROUP_ALLOC_BUDGET=36 scripts/allocgate.sh
+#        GROUP_ALLOC_BUDGET=28 scripts/allocgate.sh
 #        TCP_ALLOC_BUDGET=3 scripts/allocgate.sh
 set -eu
 
@@ -54,5 +57,5 @@ gate() {
 
 gate BenchmarkE11_TransSimnet "${ALLOC_BUDGET:-2}" "round trip"
 gate BenchmarkE24_CachedDirLookup/depth=16 "${CACHE_ALLOC_BUDGET:-0}" "cached lookup"
-gate BenchmarkE18_DirEnter/group3 "${GROUP_ALLOC_BUDGET:-32}" "group commit"
+gate BenchmarkE18_DirEnter/group3 "${GROUP_ALLOC_BUDGET:-25}" "group commit"
 gate BenchmarkE11_TransTCP "${TCP_ALLOC_BUDGET:-2}" "TCP round trip"
