@@ -52,9 +52,6 @@ type ClusterConfig struct {
 	LossRate  float64
 	Duplicate float64
 	Reorder   float64
-	// MaxInflight bounds each service's worker pool (0 = the
-	// rpc.DefaultMaxInflight default). See rpc.ServerConfig.
-	MaxInflight int
 	// DiskBlocks is the block server's size in 1 KiB blocks (default
 	// 4096).
 	DiskBlocks uint32
@@ -262,7 +259,6 @@ func NewCluster(cfg ClusterConfig) (*Cluster, error) {
 	cl.env = &node.Env{
 		Scheme:      scheme,
 		Source:      src,
-		MaxInflight: cfg.MaxInflight,
 		Metrics:     cl.reg,
 		Ring:        cl.ring,
 		Bank:        cfg.Bank,
@@ -523,11 +519,11 @@ func (cl *Cluster) detectorGap() time.Duration {
 // buildStandby stands one standby of sh up on a fresh machine and WAL
 // disk: an un-started service kernel fed by a started receiver.
 func (cl *Cluster) buildStandby(sh *svcShard) (*replica, error) {
-	st, replay, err := cl.buildReplica(sh, nil)
+	st, err := cl.buildReplica(sh, nil)
 	if err != nil {
 		return nil, err
 	}
-	st.recv = repl.NewReceiver(st.fb, cl.src, st.kern, replay)
+	st.recv = repl.NewReceiver(st.fb, cl.src, st.kern)
 	if err := st.recv.Start(); err != nil {
 		cl.retire(st, crashed)
 		return nil, err

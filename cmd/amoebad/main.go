@@ -122,7 +122,7 @@ func run(out io.Writer, stop <-chan os.Signal) error {
 				return err
 			}
 		}
-		k, _, err := row.Open(env, fb, name, deps)
+		k, err := row.Open(env, fb, name, deps)
 		if err != nil {
 			return err
 		}

@@ -1,6 +1,6 @@
 // Package node is the one place a machine's services are constructed:
 // a table with a row per §3 service, the per-kernel wiring every host
-// repeats (worker pool, request metrics, sealer, scrape-time gauges) and
+// repeats (request metrics, sealer, scrape-time gauges) and
 // the debug listener. Cluster boots its machines from it on the
 // simulated network; cmd/amoebad boots one on TCP.
 package node
@@ -32,7 +32,6 @@ import (
 type Env struct {
 	Scheme      cap.Scheme
 	Source      crypto.Source
-	MaxInflight int // worker-pool bound; 0 = the rpc default
 	Metrics     *obs.Registry
 	Ring        *obs.Ring
 	Bank        *banksvr.Config // bank policy; nil = minting allowed, 5 francs to the dollar
@@ -58,55 +57,50 @@ type Deps struct {
 	Blocks *blocksvr.Client
 }
 
-// Replay applies one shipped or recovered log record to a service's
-// state — what a standby's receiver feeds (nil from a row that is not
-// Durable).
-type Replay = func(rec []byte) error
-
 // Service is one row of the table.
 type Service struct {
 	Name        string // as amoebad's -services and stdout spell it
 	Label       string // Cluster's metrics label
 	Durable     bool   // honours Deps.Log and Deps.Port
 	NeedsBlocks bool   // needs Deps.Blocks
-	open        func(env *Env, fb *fbox.FBox, d Deps) (*svc.Kernel, Replay, error)
+	open        func(env *Env, fb *fbox.FBox, d Deps) (*svc.Kernel, error)
 }
 
 // Services is the table, in Cluster's boot order (blocks before the
 // file service that is its client).
 var Services = []*Service{
-	{Name: "mem", Label: "memory", open: func(env *Env, fb *fbox.FBox, _ Deps) (*svc.Kernel, Replay, error) {
-		return memsvr.New(fb, env.Scheme, env.Source).Kernel, nil, nil
+	{Name: "mem", Label: "memory", open: func(env *Env, fb *fbox.FBox, _ Deps) (*svc.Kernel, error) {
+		return memsvr.New(fb, env.Scheme, env.Source).Kernel, nil
 	}},
-	{Name: "block", Label: "blocks", open: func(env *Env, fb *fbox.FBox, d Deps) (*svc.Kernel, Replay, error) {
+	{Name: "block", Label: "blocks", open: func(env *Env, fb *fbox.FBox, d Deps) (*svc.Kernel, error) {
 		s, err := blocksvr.New(fb, env.Scheme, env.Source, d.Store)
 		if err == nil && d.State != nil {
 			err = s.RestoreState(d.State)
 		}
 		if err != nil {
-			return nil, nil, err
+			return nil, err
 		}
-		return s.Kernel, nil, nil
+		return s.Kernel, nil
 	}},
-	{Name: "file", Label: "files", NeedsBlocks: true, open: func(env *Env, fb *fbox.FBox, d Deps) (*svc.Kernel, Replay, error) {
+	{Name: "file", Label: "files", NeedsBlocks: true, open: func(env *Env, fb *fbox.FBox, d Deps) (*svc.Kernel, error) {
 		s, err := flatfs.New(context.Background(), fb, env.Scheme, env.Source, d.Blocks)
 		if err != nil {
-			return nil, nil, err
+			return nil, err
 		}
-		return s.Kernel, nil, nil
+		return s.Kernel, nil
 	}},
-	{Name: "mv", Label: "versions", open: func(env *Env, fb *fbox.FBox, _ Deps) (*svc.Kernel, Replay, error) {
-		return mvfs.New(fb, env.Scheme, env.Source).Kernel, nil, nil
+	{Name: "mv", Label: "versions", open: func(env *Env, fb *fbox.FBox, _ Deps) (*svc.Kernel, error) {
+		return mvfs.New(fb, env.Scheme, env.Source).Kernel, nil
 	}},
-	{Name: "dir", Label: "directory", Durable: true, open: func(env *Env, fb *fbox.FBox, d Deps) (*svc.Kernel, Replay, error) {
+	{Name: "dir", Label: "directory", Durable: true, open: func(env *Env, fb *fbox.FBox, d Deps) (*svc.Kernel, error) {
 		s, err := dirsvr.NewDurable(fb, env.Scheme, env.Source, d.Log, d.Port)
 		if err != nil {
-			return nil, nil, err
+			return nil, err
 		}
 		s.SetLookupLease(env.LookupLease)
-		return s.Kernel, s.ReplayFn(), nil
+		return s.Kernel, nil
 	}},
-	{Name: "bank", Label: "bank", Durable: true, open: func(env *Env, fb *fbox.FBox, d Deps) (*svc.Kernel, Replay, error) {
+	{Name: "bank", Label: "bank", Durable: true, open: func(env *Env, fb *fbox.FBox, d Deps) (*svc.Kernel, error) {
 		cfg := banksvr.Config{
 			MintingAllowed: true,
 			Rates: map[[2]string]banksvr.Rate{
@@ -119,9 +113,9 @@ var Services = []*Service{
 		}
 		s, err := banksvr.NewDurable(fb, env.Scheme, env.Source, cfg, d.Log, d.Port)
 		if err != nil {
-			return nil, nil, err
+			return nil, err
 		}
-		return s.Kernel, s.ReplayFn(), nil
+		return s.Kernel, nil
 	}},
 }
 
@@ -138,20 +132,19 @@ func Lookup(name string) *Service {
 // Open builds an un-started incarnation of s on fb, reporting its
 // requests under label. The caller starts the kernel and, later, closes
 // or crashes it.
-func (s *Service) Open(env *Env, fb *fbox.FBox, label string, d Deps) (*svc.Kernel, Replay, error) {
-	k, replay, err := s.open(env, fb, d)
+func (s *Service) Open(env *Env, fb *fbox.FBox, label string, d Deps) (*svc.Kernel, error) {
+	k, err := s.open(env, fb, d)
 	if err != nil {
 		if d.Log != nil {
 			d.Log.Close() // the kernel never took ownership
 		}
-		return nil, nil, fmt.Errorf("opening %s: %w", s.Name, err)
+		return nil, fmt.Errorf("opening %s: %w", s.Name, err)
 	}
-	k.SetMaxInflight(env.MaxInflight)
 	k.SetObserver(obs.NewServerStats(env.Metrics, env.Ring, label, rpc.StatusName))
 	if d.Sealer != nil {
 		k.SetSealer(d.Sealer)
 	}
-	return k, replay, nil
+	return k, nil
 }
 
 // Gauges registers the scrape-time series of the service reporting

@@ -41,12 +41,9 @@ func TestEveryRowServes(t *testing.T) {
 		if Lookup(row.Name) != row {
 			t.Fatalf("Lookup(%q) does not find its row", row.Name)
 		}
-		k, replay, err := row.Open(env, fb, row.Label, Deps{Store: disk, Blocks: blocks})
+		k, err := row.Open(env, fb, row.Label, Deps{Store: disk, Blocks: blocks})
 		if err != nil {
 			t.Fatal(err)
-		}
-		if (replay != nil) != row.Durable {
-			t.Errorf("%s: replay function %v, Durable %v", row.Name, replay != nil, row.Durable)
 		}
 		Gauges(env.Metrics, row.Label, false, func() *svc.Kernel { return k })
 		if err := k.Start(); err != nil {
@@ -97,12 +94,12 @@ func TestDurableRowRecovers(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		k, replay, err := row.Open(env, rig.NewFBox(t), row.Label, Deps{Log: log, Port: g})
+		k, err := row.Open(env, rig.NewFBox(t), row.Label, Deps{Log: log, Port: g})
 		if err != nil {
 			t.Fatal(err)
 		}
-		if replay == nil || !k.Durable() {
-			t.Fatal("a durable incarnation needs a replay function and a log")
+		if !k.Durable() {
+			t.Fatal("a durable incarnation needs a log")
 		}
 		Gauges(env.Metrics, row.Label, true, func() *svc.Kernel { return k })
 		if err := k.Start(); err != nil {
@@ -147,7 +144,7 @@ func TestOpenFailureNamesTheService(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	_, _, err = Lookup("block").Open(testEnv(t, rig), rig.NewFBox(t), "blocks", Deps{Store: disk, State: []byte("not a snapshot")})
+	_, err = Lookup("block").Open(testEnv(t, rig), rig.NewFBox(t), "blocks", Deps{Store: disk, State: []byte("not a snapshot")})
 	if err == nil || !strings.Contains(err.Error(), "opening block") {
 		t.Fatalf("Open over a garbage state snapshot: %v", err)
 	}

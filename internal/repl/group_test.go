@@ -57,7 +57,7 @@ func newGroupRig(t *testing.T, r *rig, n int, o Options) *groupRig {
 		fb := r.attach()
 		b := newCounter(t, fb, blog, g.primary.GetPort())
 		t.Cleanup(func() { b.Close() })
-		recv := NewReceiver(fb, crypto.NewSeededSource(uint64(17+i)), b.Kernel, b.apply)
+		recv := NewReceiver(fb, crypto.NewSeededSource(uint64(17+i)), b.Kernel)
 		if err := recv.Start(); err != nil {
 			t.Fatal(err)
 		}
@@ -349,7 +349,7 @@ func TestClockSkewLeaseLapsesBeforeDetectorFires(t *testing.T) {
 	bfb := r.attach()
 	backup := newCounter(t, bfb, blog, primary.GetPort())
 	t.Cleanup(func() { backup.Close() })
-	recv := NewReceiver(bfb, crypto.NewSeededSource(23), backup.Kernel, backup.apply)
+	recv := NewReceiver(bfb, crypto.NewSeededSource(23), backup.Kernel)
 	recv.SetClock(sc.Now)
 	if err := recv.Start(); err != nil {
 		t.Fatal(err)
@@ -432,7 +432,7 @@ func TestGroupAddPeerJoinsLive(t *testing.T) {
 	fb := r.attach()
 	b := newCounter(t, fb, blog, g.primary.GetPort())
 	t.Cleanup(func() { b.Close() })
-	recv := NewReceiver(fb, crypto.NewSeededSource(29), b.Kernel, b.apply)
+	recv := NewReceiver(fb, crypto.NewSeededSource(29), b.Kernel)
 	if err := recv.Start(); err != nil {
 		t.Fatal(err)
 	}
@@ -480,7 +480,7 @@ func TestGroupJoinShipsMultiFrameBase(t *testing.T) {
 	standby := func(seed uint64) (*counter, *Receiver) {
 		t.Helper()
 		b, fb := node(0)
-		recv := NewReceiver(fb, crypto.NewSeededSource(seed), b.Kernel, b.apply)
+		recv := NewReceiver(fb, crypto.NewSeededSource(seed), b.Kernel)
 		if err := recv.Start(); err != nil {
 			t.Fatal(err)
 		}

@@ -209,7 +209,7 @@ func TestLaneLifecycleLeaksNothing(t *testing.T) {
 	fb := r.attach()
 	b := newCounter(t, fb, blog, g.primary.GetPort())
 	t.Cleanup(func() { b.Close() })
-	recv := NewReceiver(fb, crypto.NewSeededSource(31), b.Kernel, b.apply)
+	recv := NewReceiver(fb, crypto.NewSeededSource(31), b.Kernel)
 	if err := recv.Start(); err != nil {
 		t.Fatal(err)
 	}

@@ -40,10 +40,9 @@ type ReceiverStats struct {
 // promoted backup that itself crashes still replays every record it
 // ever acknowledged.
 type Receiver struct {
-	srv   *rpc.Server
-	k     *svc.Kernel
-	apply func(rec []byte) error
-	now   func() time.Time
+	srv *rpc.Server
+	k   *svc.Kernel
+	now func() time.Time
 
 	// contact is the arrival time (unixnano) of the last TERM-VALID
 	// ship frame — heartbeats included, OpSeq probes excluded (a
@@ -58,13 +57,13 @@ type Receiver struct {
 	stats ReceiverStats
 }
 
-// NewReceiver builds a receiver feeding the standby kernel k, applying
-// service records through apply (the same function the service hands to
-// svc.Kernel.Recover). Call Start to begin listening; the receiver's
+// NewReceiver builds a receiver feeding the standby kernel k, which
+// applies service records through the applier its service handed to
+// svc.Kernel.Recover. Call Start to begin listening; the receiver's
 // port (a fresh private one, NOT the service port) is what the primary
 // ships to.
-func NewReceiver(fb *fbox.FBox, src crypto.Source, k *svc.Kernel, apply func(rec []byte) error) *Receiver {
-	r := &Receiver{k: k, apply: apply, now: time.Now}
+func NewReceiver(fb *fbox.FBox, src crypto.Source, k *svc.Kernel) *Receiver {
+	r := &Receiver{k: k, now: time.Now}
 	r.srv = rpc.NewServer(fb, src)
 	// Inline dispatch: the stream is serialized by r.mu anyway, so the
 	// worker-pool handoff would buy nothing and cost two goroutine
@@ -181,7 +180,7 @@ func (r *Receiver) handleShip(_ context.Context, _ rpc.Meta, req rpc.Request) rp
 		case vGap:
 			gap = true
 		case vApply:
-			t, err := r.k.ReplicaApply(rec, r.apply)
+			t, err := r.k.ReplicaApply(rec)
 			if t != nil {
 				last = t
 			}

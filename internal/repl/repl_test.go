@@ -182,7 +182,7 @@ func newReplicatedCounterOpts(t *testing.T, r *rig, preOps int, o Options) *repl
 	rc.backupFB = r.attach()
 	rc.backup = newCounter(t, rc.backupFB, blog, rc.primary.GetPort())
 	t.Cleanup(func() { rc.backup.Close() })
-	rc.recv = NewReceiver(rc.backupFB, crypto.NewSeededSource(13), rc.backup.Kernel, rc.backup.apply)
+	rc.recv = NewReceiver(rc.backupFB, crypto.NewSeededSource(13), rc.backup.Kernel)
 	if err := rc.recv.Start(); err != nil {
 		t.Fatal(err)
 	}

@@ -3,7 +3,6 @@ package rpc
 import (
 	"context"
 	"errors"
-	"fmt"
 	"sync"
 	"testing"
 	"time"
@@ -48,14 +47,13 @@ func occupyWorker(t *testing.T, r *testRig, op uint16) (release func(), done cha
 // with StatusOverload before touching the pool; an unbudgeted request
 // is never deadline-shed.
 func TestAdmissionShedsDoomedRequests(t *testing.T) {
-	r := newTestRig(t, cap.SchemeOneWay)
-	r.server.SetMaxInflight(1)
+	r := newPoolRig(t, 1)
 	stats := obs.NewServerStats(obs.NewRegistry(), nil, "test", StatusName)
 	r.server.SetObserver(stats)
 	release, done := occupyWorker(t, r, 0x0001)
 	defer release()
 
-	// The pool is saturated (inflight == poolSize == 1); make the
+	// The pool is saturated (inflight == pool == 1); make the
 	// smoothed queue wait say "a second" so any sane budget is doomed.
 	r.server.ewmaWait.Store(int64(time.Second))
 
@@ -102,8 +100,7 @@ func TestAdmissionShedsDoomedRequests(t *testing.T) {
 
 // Drain sheds everything new while in-flight work runs to completion.
 func TestDrainFinishesInflightAndShedsNew(t *testing.T) {
-	r := newTestRig(t, cap.SchemeOneWay)
-	r.server.SetMaxInflight(1)
+	r := newPoolRig(t, 1)
 	release, done := occupyWorker(t, r, 0x0001)
 
 	drained := make(chan struct{})
@@ -136,70 +133,6 @@ func TestDrainFinishesInflightAndShedsNew(t *testing.T) {
 	case <-time.After(5 * time.Second):
 		t.Fatal("Drain never returned after in-flight work finished")
 	}
-}
-
-// SetMaxInflight resizes the pool while traffic is running: no lost
-// or failed requests, and the new size takes effect.
-func TestSetMaxInflightLiveResize(t *testing.T) {
-	r := newTestRig(t, cap.SchemeOneWay)
-	r.server.SetMaxInflight(2)
-	r.start(t)
-
-	const workers, iters = 8, 40
-	errs := make(chan error, workers)
-	var wg sync.WaitGroup
-	for w := 0; w < workers; w++ {
-		wg.Add(1)
-		go func(w int) {
-			defer wg.Done()
-			for i := 0; i < iters; i++ {
-				payload := []byte(fmt.Sprintf("w%d-%d", w, i))
-				rep, err := r.client.Trans(context.Background(), r.server.PutPort(),
-					Request{Op: OpEcho, Data: payload}, WithTimeout(5*time.Second))
-				if err != nil {
-					errs <- fmt.Errorf("worker %d iter %d: %w", w, i, err)
-					return
-				}
-				if rep.Status != StatusOK || string(rep.Data) != string(payload) {
-					errs <- fmt.Errorf("worker %d iter %d: bad reply %v %q", w, i, rep.Status, rep.Data)
-					return
-				}
-			}
-		}(w)
-	}
-	for _, n := range []int{8, 1, 4} {
-		time.Sleep(10 * time.Millisecond)
-		r.server.SetMaxInflight(n)
-		if got := r.server.MaxInflight(); got != n {
-			t.Fatalf("MaxInflight after resize = %d, want %d", got, n)
-		}
-	}
-	wg.Wait()
-	close(errs)
-	for err := range errs {
-		t.Error(err)
-	}
-	// The server still serves after all the churn.
-	rep, err := r.client.Trans(context.Background(), r.server.PutPort(), Request{Op: OpEcho, Data: []byte("after")})
-	if err != nil || rep.Status != StatusOK {
-		t.Fatalf("post-resize call: %v %v", rep.Status, err)
-	}
-}
-
-// Resizing before Start still just records the size (the regression
-// this satellite fixes is the post-Start panic; pre-Start behaviour
-// must not change).
-func TestSetMaxInflightBeforeStart(t *testing.T) {
-	r := newTestRig(t, cap.SchemeOneWay)
-	r.server.SetMaxInflight(3)
-	if got := r.server.MaxInflight(); got != 3 {
-		t.Fatalf("MaxInflight = %d, want 3", got)
-	}
-	r.server.SetMaxInflight(0) // no-op, keeps current
-	if got := r.server.MaxInflight(); got != 3 {
-		t.Fatalf("MaxInflight after SetMaxInflight(0) = %d, want 3", got)
-	}
-	r.start(t)
 }
 
 // A shed must never burn the caller's whole deadline: against a

@@ -162,9 +162,8 @@ func TestHandleRefusesOpBatch(t *testing.T) {
 	r.server.Handle(OpBatch, func(context.Context, Meta, Request) Reply { return Reply{} })
 }
 
-// TestBatchUnderSaturatedPool proves the fan-out cannot deadlock: a
-// tiny pool is filled entirely with batches, whose sub-requests must
-// then run inline on the batch's own worker.
+// TestBatchUnderSaturatedPool: a tiny pool filled entirely with
+// batches still serves every one of them, each on its own worker.
 func TestBatchUnderSaturatedPool(t *testing.T) {
 	ctx := context.Background()
 	r := newPoolRig(t, 2)
@@ -194,6 +193,94 @@ func TestBatchUnderSaturatedPool(t *testing.T) {
 	wg.Wait()
 }
 
+// TestBatchOccupiesOneWorker: a batch is one in-flight request, so it
+// holds exactly one worker while its sub-requests run. With a pool of
+// two and a batch stuck in its first sub-request, the second worker
+// must still serve a plain request.
+func TestBatchOccupiesOneWorker(t *testing.T) {
+	ctx := context.Background()
+	r := newPoolRig(t, 2)
+	entered := make(chan struct{}, 2) // one per sub-request
+	release := make(chan struct{})
+	r.server.Handle(0x60, func(context.Context, Meta, Request) Reply {
+		entered <- struct{}{}
+		<-release
+		return OkReply(nil)
+	})
+	r.start(t)
+	var releaseOnce sync.Once
+	defer releaseOnce.Do(func() { close(release) })
+
+	batch := make(chan error, 1)
+	go func() {
+		_, err := r.client.Batch(ctx, r.server.PutPort(), []Request{{Op: 0x60}, {Op: 0x60}},
+			WithTimeout(10*time.Second), WithRetries(0))
+		batch <- err
+	}()
+	select {
+	case <-entered:
+	case <-time.After(5 * time.Second):
+		t.Fatal("batch never reached its first sub-request")
+	}
+	rep, err := r.client.Trans(ctx, r.server.PutPort(), Request{Op: OpEcho, Data: []byte("free")},
+		WithTimeout(2*time.Second), WithRetries(0))
+	if err != nil || rep.Status != StatusOK || string(rep.Data) != "free" {
+		t.Fatalf("echo beside a held batch: %v %+v (the batch took more than one worker)", err, rep)
+	}
+	releaseOnce.Do(func() { close(release) })
+	if err := <-batch; err != nil {
+		t.Fatalf("batch: %v", err)
+	}
+}
+
+// TestBatchRunsInOrder: a batch's sub-requests run one after another,
+// in the order the frame carries them, even with idle workers to spare.
+func TestBatchRunsInOrder(t *testing.T) {
+	ctx := context.Background()
+	r := newPoolRig(t, 4)
+	var (
+		running atomic.Int32
+		mu      sync.Mutex
+		order   []byte
+	)
+	r.server.Handle(0x61, func(_ context.Context, _ Meta, req Request) Reply {
+		defer running.Add(-1)
+		if running.Add(1) != 1 {
+			return ErrReply(StatusServerError, "another sub-request of the batch is running")
+		}
+		mu.Lock()
+		order = append(order, req.Data[0])
+		mu.Unlock()
+		time.Sleep(2 * time.Millisecond) // room for a concurrent sibling to show
+		return OkReply(nil)
+	})
+	r.start(t)
+	const n = 8
+	reqs := make([]Request, n)
+	for i := range reqs {
+		reqs[i] = Request{Op: 0x61, Data: []byte{byte(i)}}
+	}
+	reps, err := r.client.Batch(ctx, r.server.PutPort(), reqs, WithTimeout(5*time.Second), WithRetries(0))
+	if err != nil {
+		t.Fatal(err)
+	}
+	for i, rep := range reps {
+		if rep.Status != StatusOK {
+			t.Errorf("item %d: %v %s", i, rep.Status, rep.Data)
+		}
+	}
+	mu.Lock()
+	defer mu.Unlock()
+	if len(order) != n {
+		t.Fatalf("%d of %d sub-requests ran alone", len(order), n)
+	}
+	for i, got := range order {
+		if got != byte(i) {
+			t.Fatalf("start order %v, want 0..%d", order, n-1)
+		}
+	}
+}
+
 // newPoolRig is newTestRig with an explicit MaxInflight.
 func newPoolRig(t *testing.T, maxInflight int) *testRig {
 	t.Helper()
@@ -216,7 +303,7 @@ func newPoolRig(t *testing.T, maxInflight int) *testRig {
 		t.Fatal(err)
 	}
 	r.table = cap.NewTable(scheme, r.server.PutPort(), src)
-	r.server.ServeTable(r.table)
+	r.server.ServeTable(r.table, nil, nil)
 	res := locate.New(r.clientFB, locate.Config{Timeout: 200 * time.Millisecond, Attempts: 3})
 	r.client = NewClient(r.clientFB, res, ClientConfig{Timeout: 2 * time.Second, Retries: 2, Source: src})
 	return r

@@ -241,7 +241,7 @@ func TestLocateBudgetRearmsOnAuthorityChange(t *testing.T) {
 	n.Partition(clientFB.Machine(), staleFB.Machine())
 	waitFor("a post-partition failed broadcast", func() bool { return res.Stats().Failures > f0 })
 	succFB := attach()
-	succ := NewServerWithPort(succFB, stale.GetPort())
+	succ := NewServerWithConfig(succFB, ServerConfig{Port: stale.GetPort()})
 	succ.Handle(OpEcho, func(_ context.Context, _ Meta, req Request) Reply { return OkReply(req.Data) })
 	if err := succ.Start(); err != nil {
 		t.Fatal(err)

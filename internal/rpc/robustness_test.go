@@ -160,7 +160,7 @@ func TestConcurrentClientsOneServer(t *testing.T) {
 		t.Fatal(err)
 	}
 	table := cap.NewTable(scheme, server.PutPort(), src)
-	server.ServeTable(table)
+	server.ServeTable(table, nil, nil)
 	if err := server.Start(); err != nil {
 		t.Fatal(err)
 	}

@@ -54,7 +54,7 @@ func newSealedRig(t *testing.T) *sealedRig {
 		t.Fatal(err)
 	}
 	r.table = cap.NewTable(scheme, r.server.PutPort(), src)
-	r.server.ServeTable(r.table)
+	r.server.ServeTable(r.table, nil, nil)
 	r.server.SetSealer(r.sGuard)
 
 	res := locate.New(r.clientFB, locate.Config{Timeout: 200 * time.Millisecond})

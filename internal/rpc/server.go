@@ -68,18 +68,15 @@ type ServerConfig struct {
 	// a well-known put-port after a restart persist G and pass it
 	// here). Zero draws a fresh port from Source.
 	Port cap.Port
-	// MaxInflight bounds the number of concurrently executing
-	// handlers — the worker pool size (default GOMAXPROCS×4). When
-	// every worker is busy the dispatch loop stops pulling from the
-	// listener, the listener queue fills, and excess load is shed at
-	// the wire instead of as unbounded goroutines. Clients see a
-	// timeout and retry, exactly as for a lost frame.
+	// MaxInflight is the worker-pool size — the bound on concurrently
+	// executing requests, a batch counting as one — fixed for the
+	// server's life (zero selects 4×GOMAXPROCS). When every worker is
+	// busy the dispatch loop stops pulling from the listener, the
+	// listener queue fills, and excess load is shed at the wire instead
+	// of as unbounded goroutines. Clients see a timeout and retry,
+	// exactly as for a lost frame.
 	MaxInflight int
 }
-
-// DefaultMaxInflight returns the worker-pool size used when
-// ServerConfig.MaxInflight is zero.
-func DefaultMaxInflight() int { return 4 * runtime.GOMAXPROCS(0) }
 
 // Server is an Amoeba service process: it chooses a secret get-port G,
 // does GET(G) through its F-box, and dispatches arriving requests to
@@ -89,10 +86,10 @@ func DefaultMaxInflight() int { return 4 * runtime.GOMAXPROCS(0) }
 // Dispatch is bounded: requests run on a pool of MaxInflight workers
 // with backpressure, not a goroutine per request.
 type Server struct {
-	fb          *fbox.FBox
-	get         cap.Port // the secret G
-	put         cap.Port // P = F(G), computed once: PutPort is on request paths
-	maxInflight int
+	fb   *fbox.FBox
+	get  cap.Port // the secret G
+	put  cap.Port // P = F(G), computed once: PutPort is on request paths
+	pool int      // worker-pool size, fixed at construction
 
 	mu       sync.Mutex
 	handlers map[uint16]Handler
@@ -117,12 +114,11 @@ type Server struct {
 	// request cannot deadlock against a pending writer.
 	gate sync.RWMutex
 
-	// work hands requests to pool workers. It is unbuffered on
-	// purpose: a send succeeds only when a worker is actually free,
-	// which is what makes batch fan-out (trySubmit-or-inline)
-	// deadlock-free.
+	// work hands requests from the dispatch loop to pool workers. It is
+	// unbuffered for backpressure: a send succeeds only when a worker is
+	// actually free, so a saturated pool stops the loop and the queue
+	// builds in the listener, where overload is shed. Close closes it.
 	work    chan job
-	stop    chan struct{}
 	tasks   sync.WaitGroup // accepted requests in flight
 	loopWG  sync.WaitGroup // the dispatch loop
 	workers sync.WaitGroup // pool workers
@@ -132,11 +128,9 @@ type Server struct {
 	stats *obs.ServerStats
 
 	// Admission-control state, all read lock-free on the dispatch path:
-	// poolSize mirrors maxInflight for readers outside mu; inflight
-	// counts requests handed to (or queued for) the pool; ewmaWait is
-	// an EWMA of recent queue waits in nanoseconds (α = 1/8, updated at
-	// worker pickup); draining sheds everything once set.
-	poolSize atomic.Int64
+	// inflight counts requests handed to (or queued for) the pool;
+	// ewmaWait is an EWMA of recent queue waits in nanoseconds (α = 1/8,
+	// updated at worker pickup); draining sheds everything once set.
 	inflight atomic.Int64
 	ewmaWait atomic.Int64
 	draining atomic.Bool
@@ -149,11 +143,9 @@ type Server struct {
 	admitGate atomic.Value // of func() error
 }
 
-// job is one unit of worker-pool work: either a decoded request (the
-// common case — carried by value so dispatch allocates nothing) or a
-// batch sub-request closure.
+// job is one unit of worker-pool work: a decoded request, carried by
+// value so dispatch allocates nothing.
 type job struct {
-	fn  func() // batch fan-out; nil for ordinary requests
 	m   fbox.Received
 	req Request
 	enq time.Time // when dispatch queued it (feeds the queue-wait EWMA)
@@ -165,13 +157,6 @@ type job struct {
 // clients.
 func NewServer(fb *fbox.FBox, src crypto.Source) *Server {
 	return NewServerWithConfig(fb, ServerConfig{Source: src})
-}
-
-// NewServerWithPort creates a server listening on a specific secret
-// get-port (services that must reappear at a well-known put-port after
-// a restart persist G and pass it here).
-func NewServerWithPort(fb *fbox.FBox, g cap.Port) *Server {
-	return NewServerWithConfig(fb, ServerConfig{Port: g})
 }
 
 // NewServerWithConfig creates a server with explicit tuning.
@@ -186,61 +171,14 @@ func NewServerWithConfig(fb *fbox.FBox, cfg ServerConfig) *Server {
 	}
 	n := cfg.MaxInflight
 	if n <= 0 {
-		n = DefaultMaxInflight()
+		n = 4 * runtime.GOMAXPROCS(0)
 	}
-	s := &Server{
-		fb:          fb,
-		get:         g,
-		put:         fb.F(g),
-		maxInflight: n,
-		handlers:    make(map[uint16]Handler),
-	}
-	s.poolSize.Store(int64(n))
-	return s
-}
-
-// MaxInflight returns the worker-pool size.
-func (s *Server) MaxInflight() int { return int(s.poolSize.Load()) }
-
-// SetMaxInflight resizes the worker pool (n <= 0 keeps the current
-// size). Before Start it simply records the size. After Start it
-// resizes LIVE: the server quiesces (every in-flight handler
-// finishes), the old workers are told to retire, and n fresh workers
-// take over the same work channel — so an operator (or an admission
-// controller) can grow or shrink concurrency under load without
-// restarting the service. Requests arriving during the resize queue
-// behind the quiesce gate exactly as they do for a checkpoint.
-func (s *Server) SetMaxInflight(n int) {
-	if n <= 0 {
-		return
-	}
-	s.mu.Lock()
-	if !s.started || s.closed {
-		s.maxInflight = n
-		s.poolSize.Store(int64(n))
-		s.mu.Unlock()
-		return
-	}
-	s.mu.Unlock()
-
-	// Live resize. The quiesce gate is the barrier: once held, no
-	// handler is mid-flight, so every live worker is either idle in its
-	// select or parked on the gate with a claimed job — both exit (or
-	// proceed and then exit) cleanly when their stop channel closes.
-	resume := s.Quiesce()
-	defer resume()
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	if s.closed || n == s.maxInflight {
-		return
-	}
-	close(s.stop) // retire the old generation as it drains
-	s.stop = make(chan struct{})
-	s.maxInflight = n
-	s.poolSize.Store(int64(n))
-	for i := 0; i < n; i++ {
-		s.workers.Add(1)
-		go s.worker(s.stop)
+	return &Server{
+		fb:       fb,
+		get:      g,
+		put:      fb.F(g),
+		pool:     n,
+		handlers: make(map[uint16]Handler),
 	}
 }
 
@@ -290,30 +228,24 @@ func (s *Server) HandleInline(op uint16, h Handler) {
 // (OpRestrict, OpRevoke, OpValidate, OpEcho) to a capability table.
 // Every Amoeba service calls this (via the svc kernel); it is what
 // makes capability handling uniform across services.
-func (s *Server) ServeTable(t *cap.Table) {
-	s.ServeTableWithRevoke(t, func(_ context.Context, _ Meta, req Request) Reply {
-		nc, err := t.Revoke(req.Cap)
-		if err != nil {
-			return ErrReplyFromErr(err)
+//
+// revoke, when non-nil, replaces the OpRevoke handler — revocation is
+// the one table op that mutates server state, so a durable service
+// substitutes one that writes the re-key ahead to its log before
+// replying. wrap, when non-nil, is applied to every table handler (the
+// service kernel passes its durability barrier, so even a Validate
+// reply — which observes table secrets whose re-key record may still
+// be in flight — waits for the log).
+func (s *Server) ServeTable(t *cap.Table, revoke Handler, wrap func(Handler) Handler) {
+	if revoke == nil {
+		revoke = func(_ context.Context, _ Meta, req Request) Reply {
+			nc, err := t.Revoke(req.Cap)
+			if err != nil {
+				return ErrReplyFromErr(err)
+			}
+			return CapReply(nc)
 		}
-		return CapReply(nc)
-	})
-}
-
-// ServeTableWithRevoke is ServeTable with a custom OpRevoke handler —
-// revocation is the one table op that mutates server state, so durable
-// services substitute a handler that writes the re-key ahead to their
-// log before replying.
-func (s *Server) ServeTableWithRevoke(t *cap.Table, revoke Handler) {
-	s.ServeTableWith(t, revoke, nil)
-}
-
-// ServeTableWith is the fully-general wiring: a custom revoke handler
-// plus an optional wrapper applied to every table handler (the service
-// kernel passes its durability barrier, so even a Validate reply —
-// which observes table secrets whose re-key record may still be in
-// flight — waits for the log).
-func (s *Server) ServeTableWith(t *cap.Table, revoke Handler, wrap func(Handler) Handler) {
+	}
 	if wrap == nil {
 		wrap = func(h Handler) Handler { return h }
 	}
@@ -403,7 +335,6 @@ func (s *Server) Start() error {
 	s.baseCtx, s.cancel = context.WithCancel(context.Background())
 	s.handlerCtx = context.WithValue(s.baseCtx, baseCtxKey{}, s.baseCtx)
 	s.work = make(chan job)
-	s.stop = make(chan struct{})
 	if s.stats != nil {
 		// Freeze the per-opcode metric families now, so the hot path
 		// only ever reads the stats maps.
@@ -416,39 +347,28 @@ func (s *Server) Start() error {
 	}
 	s.mu.Unlock()
 
-	for i := 0; i < s.maxInflight; i++ {
+	for i := 0; i < s.pool; i++ {
 		s.workers.Add(1)
-		go s.worker(s.stop)
+		go s.worker()
 	}
 	s.loopWG.Add(1)
 	go s.loop(l)
 	return nil
 }
 
-// worker runs pool jobs until its generation's stop channel closes.
-// stop is an argument, not the field: a live SetMaxInflight swaps the
-// field for the next generation while this one drains.
-func (s *Server) worker(stop chan struct{}) {
+// worker runs pool jobs until Close closes the work channel.
+func (s *Server) worker() {
 	defer s.workers.Done()
-	for {
-		select {
-		case j := <-s.work:
-			if j.fn != nil {
-				j.fn()
-				continue
-			}
-			// Fold this job's queue wait into the EWMA admission
-			// control reads (α = 1/8; the racy load/store loses an
-			// occasional update, which a smoothed estimate absorbs).
-			wait := time.Since(j.enq)
-			old := s.ewmaWait.Load()
-			s.ewmaWait.Store(old + (int64(wait)-old)/8)
-			s.serve(j.m, j.req, wait)
-			s.inflight.Add(-1)
-			s.tasks.Done()
-		case <-stop:
-			return
-		}
+	for j := range s.work {
+		// Fold this job's queue wait into the EWMA admission control
+		// reads (α = 1/8; the racy load/store loses an occasional
+		// update, which a smoothed estimate absorbs).
+		wait := time.Since(j.enq)
+		old := s.ewmaWait.Load()
+		s.ewmaWait.Store(old + (int64(wait)-old)/8)
+		s.serve(j.m, j.req, wait)
+		s.inflight.Add(-1)
+		s.tasks.Done()
 	}
 }
 
@@ -529,7 +449,7 @@ func (s *Server) loop(l *fbox.Listener) {
 		// anything, with a status the client can tell apart from loss.
 		if req.Budget > 0 {
 			remaining := req.Budget - time.Since(enq)
-			if remaining <= 0 || (s.inflight.Load() >= s.poolSize.Load() &&
+			if remaining <= 0 || (s.inflight.Load() >= int64(s.pool) &&
 				time.Duration(s.ewmaWait.Load()) >= remaining) {
 				s.shed(sealer, m, req, shedQueueWait)
 				m.Release()
@@ -613,11 +533,11 @@ func (s *Server) serve(m fbox.Received, req Request, wait time.Duration) {
 	}
 }
 
-// serveBatch fans an OpBatch frame's sub-requests out across the
-// worker pool and packs the replies, preserving order. Sub-requests
-// run concurrently when workers are idle and inline on the batch's own
-// worker otherwise, so a pool saturated with batches still makes
-// progress (no nested-dispatch deadlock).
+// serveBatch runs an OpBatch frame's sub-requests in order, on the
+// worker that admitted the frame, and packs the replies. A batch is
+// one in-flight request to admission control and to the pool: it
+// occupies exactly one worker, however many sub-requests it carries.
+// Every item is decoded and checked before any of them runs.
 func (s *Server) serveBatch(ctx context.Context, sealer CapSealer, md Meta, req Request) Reply {
 	raw, err := DecodeBatchItems(req.Data)
 	if err != nil {
@@ -641,26 +561,13 @@ func (s *Server) serveBatch(ctx context.Context, sealer CapSealer, md Meta, req 
 		subs[i] = sub
 	}
 	replies := make([]Reply, len(subs))
-	var wg sync.WaitGroup
-	for i := range subs {
-		i := i
-		run := func() {
-			defer wg.Done()
-			h := s.handlers[subs[i].Op]
-			if h == nil {
-				replies[i] = ErrReply(StatusNoSuchOp, fmt.Sprintf("op %#04x", subs[i].Op))
-				return
-			}
-			replies[i] = h(ctx, md, subs[i])
-		}
-		wg.Add(1)
-		select {
-		case s.work <- job{fn: run}: // an idle worker took it
-		default:
-			run() // pool busy: the batch's own slot guarantees progress
+	for i, sub := range subs {
+		if h := s.handlers[sub.Op]; h != nil {
+			replies[i] = h(ctx, md, sub)
+		} else {
+			replies[i] = ErrReply(StatusNoSuchOp, fmt.Sprintf("op %#04x", sub.Op))
 		}
 	}
-	wg.Wait()
 	size := 0
 	for i := range replies {
 		if sealer != nil {
@@ -822,7 +729,7 @@ func (s *Server) Close() error {
 	s.closed = true
 	l := s.listener
 	cancel := s.cancel
-	stop := s.stop
+	work := s.work
 	s.mu.Unlock()
 	if l != nil {
 		l.Close()
@@ -832,8 +739,8 @@ func (s *Server) Close() error {
 	}
 	s.loopWG.Wait() // drains any remaining queued messages to workers
 	s.tasks.Wait()  // every accepted request has replied
-	if stop != nil {
-		close(stop)
+	if work != nil {
+		close(work) // the loop, its only sender, has exited
 	}
 	s.workers.Wait()
 	return nil

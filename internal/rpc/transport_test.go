@@ -47,7 +47,7 @@ func newTestRig(t *testing.T, schemeID cap.SchemeID) *testRig {
 		t.Fatal(err)
 	}
 	r.table = cap.NewTable(scheme, r.server.PutPort(), src)
-	r.server.ServeTable(r.table)
+	r.server.ServeTable(r.table, nil, nil)
 
 	res := locate.New(r.clientFB, locate.Config{Timeout: 200 * time.Millisecond, Attempts: 3})
 	r.client = NewClient(r.clientFB, res, ClientConfig{Timeout: 500 * time.Millisecond, Retries: 2, Source: src})
@@ -193,7 +193,7 @@ func TestServerRestartFoundByRetry(t *testing.T) {
 	}
 	fb2 := fbox.New(nic, nil)
 	t.Cleanup(func() { fb2.Close() })
-	s2 := NewServerWithPort(fb2, g)
+	s2 := NewServerWithConfig(fb2, ServerConfig{Port: g})
 	s2.Handle(OpEcho, func(_ context.Context, _ Meta, req Request) Reply { return OkReply(req.Data) })
 	if err := s2.Start(); err != nil {
 		t.Fatal(err)

@@ -157,11 +157,6 @@ func NewDurable(fb *fbox.FBox, scheme cap.Scheme, src crypto.Source, cfg Config,
 	return s, nil
 }
 
-// ReplayFn exposes the redo-record applier for a hot-standby receiver
-// (repl.NewReceiver): the standby applies the primary's shipped records
-// through exactly the code path crash recovery replays them through.
-func (s *Server) ReplayFn() func(rec []byte) error { return s.apply }
-
 // Redo-record tags (first byte; svc.RecKernel is reserved).
 const (
 	recCreate   byte = 0x01 // obj(4) secret(8) curLen(1) cur amount(8)

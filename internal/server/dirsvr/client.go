@@ -171,8 +171,7 @@ func (d *Client) Restrict(ctx context.Context, c cap.Capability, mask cap.Rights
 // different server, the walk simply continues there — §3.4's
 // transparent distribution — so a path crossing k servers costs k
 // round trips, not one per component. Empty components (leading,
-// trailing or doubled slashes) are ignored. Servers predating
-// OpLookupPath are handled by falling back to per-component Lookup.
+// trailing or doubled slashes) are ignored.
 func (d *Client) LookupPath(ctx context.Context, root cap.Capability, path string) (cap.Capability, error) {
 	cur, rest := root, path
 	if d.cache != nil {
@@ -200,9 +199,6 @@ func (d *Client) lookupPathRemote(ctx context.Context, cur cap.Capability, path,
 		}
 		rep, err := d.c.Call(ctx, cur, OpLookupPath, []byte(strings.Join(comps, "/")))
 		if err != nil {
-			if rpc.IsStatus(err, rpc.StatusNoSuchOp) {
-				return d.lookupPathIterative(ctx, cur, comps, full)
-			}
 			return cap.Nil, fmt.Errorf("dirsvr: resolving %q: %w", full, err)
 		}
 		if len(rep.Data) < 2+cap.Size {
@@ -251,19 +247,6 @@ func (d *Client) mergeWalk(dir cap.Capability, comps []string, consumed int, tra
 		dir = step
 		at += 8 + cap.Size
 	}
-}
-
-// lookupPathIterative is the pre-OpLookupPath walk: one Lookup per
-// component.
-func (d *Client) lookupPathIterative(ctx context.Context, cur cap.Capability, comps []string, path string) (cap.Capability, error) {
-	for _, comp := range comps {
-		next, err := d.Lookup(ctx, cur, comp)
-		if err != nil {
-			return cap.Nil, fmt.Errorf("dirsvr: resolving %q at %q: %w", path, comp, err)
-		}
-		cur = next
-	}
-	return cur, nil
 }
 
 // splitComponents returns path's non-empty components.

@@ -89,6 +89,19 @@ func TestLookupPathServerWalkMatchesIterative(t *testing.T) {
 	}
 }
 
+// lookupPathIterative is the reference walk the server's must match:
+// one Lookup per component.
+func (d *Client) lookupPathIterative(ctx context.Context, cur cap.Capability, comps []string, path string) (cap.Capability, error) {
+	for _, comp := range comps {
+		next, err := d.Lookup(ctx, cur, comp)
+		if err != nil {
+			return cap.Nil, fmt.Errorf("dirsvr: resolving %q at %q: %w", path, comp, err)
+		}
+		cur = next
+	}
+	return cur, nil
+}
+
 // TestLookupPathRightsEnforcedMidWalk: the server validates RightRead
 // at every step of the walk, so a read-restricted intermediate
 // directory stops a path lookup exactly as it stops a single Lookup.

@@ -66,7 +66,7 @@ func TestPromotionCrashMatrix(t *testing.T) {
 		t.Fatal(err)
 	}
 	t.Cleanup(func() { backup.Close() })
-	recv := repl.NewReceiver(backupFB, r.Src, backup.Kernel, backup.ReplayFn())
+	recv := repl.NewReceiver(backupFB, r.Src, backup.Kernel)
 	if err := recv.Start(); err != nil {
 		t.Fatal(err)
 	}
@@ -193,7 +193,7 @@ func TestPromotionShipsCheckpoints(t *testing.T) {
 		t.Fatal(err)
 	}
 	t.Cleanup(func() { backup.Close() })
-	recv := repl.NewReceiver(backupFB, r.Src, backup.Kernel, backup.ReplayFn())
+	recv := repl.NewReceiver(backupFB, r.Src, backup.Kernel)
 	if err := recv.Start(); err != nil {
 		t.Fatal(err)
 	}

@@ -2,7 +2,6 @@ package svc
 
 import (
 	"context"
-	"errors"
 	"testing"
 
 	"amoeba/internal/rpc"
@@ -50,18 +49,14 @@ func TestKernelReplicaApply(t *testing.T) {
 	b := newCounter(t, standbyFB, blog, p.GetPort())
 	defer b.Close()
 
-	apply := func(rec []byte) error {
-		b.n[string(rec[1:])]++
-		return nil
-	}
 	// The join window: base first, sink installed before the kernel resumes.
 	err = p.Resnapshot(func(snap []byte, nextSeq uint64) error {
-		if _, aerr := b.ReplicaApply(wal.Record{Seq: nextSeq - 1, Checkpoint: true, Data: snap}, apply); aerr != nil {
+		if _, aerr := b.ReplicaApply(wal.Record{Seq: nextSeq - 1, Checkpoint: true, Data: snap}); aerr != nil {
 			return aerr
 		}
 		p.SetReplicaSink(func(recs []wal.Record) {
 			for _, rec := range recs {
-				tk, aerr := b.ReplicaApply(rec, apply)
+				tk, aerr := b.ReplicaApply(rec)
 				if aerr != nil {
 					t.Errorf("replica apply seq %d: %v", rec.Seq, aerr)
 					return
@@ -128,9 +123,9 @@ func TestKernelReplicaApplyErrorReturnsTicket(t *testing.T) {
 	_, fb := newRig(t)
 	b := newCounter(t, fb, log, 0)
 	defer b.Close()
-	tk, err := b.ReplicaApply(wal.Record{Seq: 1, Data: []byte{0x01, 'x'}}, func([]byte) error {
-		return errors.New("apply refused")
-	})
+	// A kernel record one byte long is malformed: its apply fails after
+	// the append staged it.
+	tk, err := b.ReplicaApply(wal.Record{Seq: 1, Data: []byte{RecKernel}})
 	if err == nil {
 		t.Fatal("failed apply reported success")
 	}
@@ -153,7 +148,7 @@ func TestResnapshotVolatileRefused(t *testing.T) {
 	if err := c.Resnapshot(func([]byte, uint64) error { return nil }); err == nil {
 		t.Fatal("volatile kernel accepted a replica")
 	}
-	if _, err := c.ReplicaApply(wal.Record{Seq: 1, Data: []byte{0x01, 'x'}}, nil); err == nil {
+	if _, err := c.ReplicaApply(wal.Record{Seq: 1, Data: []byte{0x01, 'x'}}); err == nil {
 		t.Fatal("volatile kernel applied a replica record")
 	}
 }

@@ -3,9 +3,10 @@
 // the standard capability-maintenance opcodes, and the start/close
 // lifecycle — plus, optionally, write-ahead durability.
 //
-// A service embeds *Kernel and inherits Start, Close, PutPort, Table,
-// SetSealer and SetMaxInflight; it registers its operation handlers
-// with Handle and keeps only its own object state.
+// A service embeds *Kernel and inherits Start, Close, PutPort, Table
+// and SetSealer; it registers its operation handlers with Handle and
+// keeps only its own object state. The transport's worker pool is the
+// rpc default, sized once when the kernel is built.
 //
 // Durability: a kernel built with Config.Log writes redo records ahead
 // of replies. A handler stages its record with Append while it holds
@@ -63,14 +64,12 @@ type Config struct {
 	// and passes it on restart so it reappears at the same put-port
 	// P = F(G) — the address every outstanding capability names.
 	Port cap.Port
-	// MaxInflight bounds the worker pool (0 = rpc default).
-	MaxInflight int
 	// Log makes the service durable. The kernel takes ownership: Close
 	// checkpoints into it and closes it. Size the log for the service:
-	// a checkpoint must fit one record (wal.Options.MaxRecord, by
-	// default a quarter of the arena), so the arena needs to hold a
-	// full state snapshot with room to spare — a service that outgrows
-	// it sees ErrFull on appends until state shrinks.
+	// a checkpoint must fit one record (the smaller of 1 MiB and a
+	// quarter of the arena), so the arena needs to hold a full state
+	// snapshot with room to spare — a service that outgrows it sees
+	// ErrFull on appends until state shrinks.
 	Log *wal.Log
 	// Snapshot serializes the service's object state for a checkpoint.
 	// It is called quiesced (no handler in flight). Required with Log.
@@ -104,6 +103,9 @@ type Kernel struct {
 	extract func(obj uint32) ([]byte, error)
 	install func(obj uint32, state []byte) error
 	remove  func(obj uint32)
+	// apply is the service's redo-record applier, kept from Recover:
+	// the replica stream (ReplicaApply) replays through the same one.
+	apply func(rec []byte) error
 
 	revMu sync.Mutex // orders revoke records with their table re-key
 
@@ -128,7 +130,7 @@ type Kernel struct {
 	// a primary whose lease has lapsed may have executed the mutation,
 	// but it must not promise the client the mutation is decided, since
 	// a majority of the group may already be electing a successor.
-	fence atomic.Value // of func() error
+	fence atomic.Pointer[func() error]
 
 	mu        sync.Mutex
 	recovered bool
@@ -154,9 +156,8 @@ func NewWithConfig(fb *fbox.FBox, scheme cap.Scheme, cfg Config) *Kernel {
 		remove:  cfg.RemoveObject,
 	}
 	k.srv = rpc.NewServerWithConfig(fb, rpc.ServerConfig{
-		Source:      cfg.Source,
-		Port:        cfg.Port,
-		MaxInflight: cfg.MaxInflight,
+		Source: cfg.Source,
+		Port:   cfg.Port,
 	})
 	k.table = cap.NewTable(scheme, k.srv.PutPort(), cfg.Source)
 	k.serveTable()
@@ -191,8 +192,8 @@ func (k *Kernel) observed(h rpc.Handler) rpc.Handler {
 		// answers StatusStale, which makes the client evict its cached
 		// route and re-LOCATE immediately; a transient refusal answers
 		// StatusOverload — back off and retry, the lease may come back.
-		if f, _ := k.fence.Load().(func() error); f != nil {
-			if err := f(); err != nil {
+		if f := k.fence.Load(); f != nil && *f != nil {
+			if err := (*f)(); err != nil {
 				if errors.Is(err, rpc.ErrStaleAuthority) {
 					return rpc.ErrReply(rpc.StatusStale, err.Error())
 				}
@@ -294,7 +295,7 @@ func (k *Kernel) ShardGen() uint64 {
 // every handler's durability barrier; a non-nil error converts the
 // reply into StatusOverload. Swappable after Start — replication
 // attaches to a running kernel.
-func (k *Kernel) SetReplicaFence(f func() error) { k.fence.Store(f) }
+func (k *Kernel) SetReplicaFence(f func() error) { k.fence.Store(&f) }
 
 // SetAdmitGate installs (nil removes) an admission predicate on the
 // transport; see rpc.Server.SetAdmitGate. Where the replica fence
@@ -326,7 +327,7 @@ func (k *Kernel) OnWedge(fn func(err error)) {
 // capabilities at the next restart.
 func (k *Kernel) serveTable() {
 	t := k.table
-	k.srv.ServeTableWith(t, func(_ context.Context, _ rpc.Meta, req rpc.Request) rpc.Reply {
+	k.srv.ServeTable(t, func(_ context.Context, _ rpc.Meta, req rpc.Request) rpc.Reply {
 		if k.log == nil {
 			nc, err := t.Revoke(req.Cap)
 			if err != nil {
@@ -383,11 +384,6 @@ func (k *Kernel) Table() *cap.Table { return k.table }
 // SetSealer installs a §2.4 capability sealer on the transport (call
 // before Start).
 func (k *Kernel) SetSealer(sealer rpc.CapSealer) { k.srv.SetSealer(sealer) }
-
-// SetMaxInflight resizes the transport worker pool — before Start it
-// records the size, after Start it resizes live under the quiesce
-// gate; see rpc.Server.SetMaxInflight.
-func (k *Kernel) SetMaxInflight(n int) { k.srv.SetMaxInflight(n) }
 
 // SetObserver installs the per-request instrumentation handle on the
 // transport (call before Start); see rpc.Server.SetObserver.
@@ -610,9 +606,10 @@ func (k *Kernel) applyKernelRec(rec []byte) (bool, error) {
 // Recover replays the log: the newest checkpoint is restored (via
 // Config.Restore and the table snapshot), then every record after it
 // is handed to apply in commit order — kernel records (revocation
-// re-keys) are consumed internally. Recover must run before Start on a
-// durable kernel; on a volatile one it is a no-op, so services call it
-// unconditionally.
+// re-keys) are consumed internally. The kernel keeps apply: a standby's
+// ReplicaApply routes the shipped records through it too. Recover must
+// run before Start on a durable kernel; on a volatile one it is a
+// no-op, so services call it unconditionally.
 func (k *Kernel) Recover(apply func(rec []byte) error) error {
 	if k.log == nil {
 		return nil
@@ -623,13 +620,18 @@ func (k *Kernel) Recover(apply func(rec []byte) error) error {
 		return errors.New("svc: already recovered")
 	}
 	k.recovered = true
+	k.apply = apply
 	k.mu.Unlock()
-	return k.log.Recover(k.restoreCheckpoint, func(rec []byte) error {
-		if consumed, err := k.applyKernelRec(rec); consumed {
-			return err
-		}
-		return apply(rec)
-	})
+	return k.log.Recover(k.restoreCheckpoint, k.replay)
+}
+
+// replay routes one record, recovered or shipped: kernel records are
+// consumed here, service records go to the applier Recover was given.
+func (k *Kernel) replay(rec []byte) error {
+	if consumed, err := k.applyKernelRec(rec); consumed {
+		return err
+	}
+	return k.apply(rec)
 }
 
 // Resnapshot quiesces the service and hands base a fresh checkpoint
@@ -674,15 +676,15 @@ func (k *Kernel) NextSeq() uint64 {
 // mutated only by its replication receiver. A data record is appended
 // to the standby's own log and then routed exactly as Recover routes a
 // replayed record (kernel revoke records re-key the table, service
-// records go to apply); the returned ticket commits it — the receiver
-// waits before acknowledging, so an acknowledged record survives a
-// crash of the standby itself. A checkpoint record replaces the whole
-// kernel state (table + service) and compacts the standby's log; it is
-// durable on return (nil ticket).
+// records go to Recover's applier); the returned ticket commits it —
+// the receiver waits before acknowledging, so an acknowledged record
+// survives a crash of the standby itself. A checkpoint record replaces
+// the whole kernel state (table + service) and compacts the standby's
+// log; it is durable on return (nil ticket).
 //
 // The standby's log can be smaller than the stream: on ErrFull the
 // kernel checkpoints its own state to reclaim space and retries once.
-func (k *Kernel) ReplicaApply(r wal.Record, apply func(rec []byte) error) (*wal.Ticket, error) {
+func (k *Kernel) ReplicaApply(r wal.Record) (*wal.Ticket, error) {
 	if k.log == nil {
 		return nil, errors.New("svc: volatile kernel cannot apply a replica stream")
 	}
@@ -706,15 +708,7 @@ func (k *Kernel) ReplicaApply(r wal.Record, apply func(rec []byte) error) (*wal.
 	}
 	// Past the append the ticket is returned even with an error: the
 	// record is staged and still needs its waiter (see wal.Log.Append).
-	if consumed, err := k.applyKernelRec(r.Data); consumed {
-		return t, err
-	}
-	if apply != nil {
-		if err := apply(r.Data); err != nil {
-			return t, err
-		}
-	}
-	return t, nil
+	return t, k.replay(r.Data)
 }
 
 const ckMagic = 0xA0EB_C4EC

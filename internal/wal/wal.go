@@ -39,7 +39,8 @@ var (
 	ErrFull = errors.New("wal: log full (checkpoint to reclaim space)")
 	// ErrClosed is returned after Close.
 	ErrClosed = errors.New("wal: closed")
-	// ErrTooLarge is returned for records beyond Options.MaxRecord.
+	// ErrTooLarge is returned for records beyond the log's record bound:
+	// the smaller of 1 MiB and a quarter of the arena.
 	ErrTooLarge = errors.New("wal: record too large")
 	// ErrNotRecovered is returned by Append before Recover has run:
 	// appending into an unscanned log would clobber the tail.
@@ -81,18 +82,17 @@ const (
 
 	kindData       = 0x01
 	kindCheckpoint = 0x02
+
+	// maxRecordBytes bounds one record's payload; a log whose arena is
+	// under 4 MiB bounds it at a quarter of the arena instead, so a
+	// checkpoint always fits.
+	maxRecordBytes = 1 << 20
 )
 
 var crcTable = crc32.MakeTable(crc32.Castagnoli)
 
-// Options tunes a log. The zero value gets sensible defaults.
+// Options tunes a log. The zero value observes nothing.
 type Options struct {
-	// MaxRecord bounds one record's payload (default: the smaller of
-	// 1 MiB and a quarter of the arena, so a checkpoint always fits).
-	MaxRecord int
-	// HighWater is the used-bytes fraction past which the Pressure
-	// channel fires (default 0.5).
-	HighWater float64
 	// Metrics, when set, has the commit path observe its group
 	// commits: the wall time of each write+sync pass and how many
 	// records it covered. Sync latency is the floor under every
@@ -159,8 +159,8 @@ type Log struct {
 	store     vdisk.Store
 	bs        uint64 // block size
 	arena     uint64 // arena bytes (blocks 1..n-1)
-	maxRecord int
-	highWater uint64
+	maxRecord int    // min(maxRecordBytes, arena/4)
+	highWater uint64 // half the capacity: past it, Pressure fires
 	metrics   *Metrics
 
 	mu         sync.Mutex
@@ -207,18 +207,8 @@ func Open(store vdisk.Store, opts Options) (*Log, error) {
 		pressure: make(chan struct{}, 1),
 	}
 	l.metrics = opts.Metrics
-	l.maxRecord = opts.MaxRecord
-	if l.maxRecord <= 0 {
-		l.maxRecord = 1 << 20
-	}
-	if max := int(l.arena / 4); l.maxRecord > max {
-		l.maxRecord = max
-	}
-	hw := opts.HighWater
-	if hw <= 0 || hw >= 1 {
-		hw = 0.5
-	}
-	l.highWater = uint64(float64(l.capacity()) * hw)
+	l.maxRecord = min(maxRecordBytes, int(l.arena/4))
+	l.highWater = l.capacity() / 2
 	if err := l.loadSuper(); err != nil {
 		return nil, err
 	}

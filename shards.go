@@ -134,10 +134,10 @@ func (cl *Cluster) syncShardMachine(p cap.Port, idx int, at amnet.MachineID) {
 // keeps accumulating into the SAME series — no break at failover.
 // Nothing it makes is registered anywhere else: whoever holds the
 // replica ends it with retire, as a failed build has done already.
-func (cl *Cluster) buildReplica(sh *svcShard, disk *vdisk.Disk) (*replica, node.Replay, error) {
+func (cl *Cluster) buildReplica(sh *svcShard, disk *vdisk.Disk) (*replica, error) {
 	fb, err := cl.attach()
 	if err != nil {
-		return nil, nil, err
+		return nil, err
 	}
 	r := &replica{sh: sh, fb: fb, disk: disk, machine: fb.Machine()}
 	deps := node.Deps{Port: sh.g, Sealer: cl.sealerFor(r.fb), Store: cl.disk}
@@ -153,13 +153,12 @@ func (cl *Cluster) buildReplica(sh *svcShard, disk *vdisk.Disk) (*replica, node.
 			deps.Log, err = cl.openWAL(sh.label, r.fb, r.disk)
 		}
 	}
-	var replay node.Replay
 	if err == nil {
-		r.kern, replay, err = sh.svc.Open(cl.env, r.fb, sh.label, deps)
+		r.kern, err = sh.svc.Open(cl.env, r.fb, sh.label, deps)
 	}
 	if err != nil {
 		cl.retire(r, crashed)
-		return nil, nil, err
+		return nil, err
 	}
 	if cl.cfg.Shards >= 2 && sh.svc.Durable {
 		// Wire the kernel into the shard map: dispatch refuses objects
@@ -172,7 +171,7 @@ func (cl *Cluster) buildReplica(sh *svcShard, disk *vdisk.Disk) (*replica, node.
 		r.kern.SetShardView(v)
 		r.kern.Table().SetAllocFilter(v.Owns)
 	}
-	return r, replay, nil
+	return r, nil
 }
 
 // exit is how a replica leaves service: the one argument of retire.
@@ -280,7 +279,7 @@ func (cl *Cluster) rejoin(old *replica, was amnet.MachineID) error {
 // incarnation over the WAL disk that survived the last; boot and the
 // unreplicated Restart share it.
 func (cl *Cluster) startShard(sh *svcShard, disk *vdisk.Disk) error {
-	p, _, err := cl.buildReplica(sh, disk)
+	p, err := cl.buildReplica(sh, disk)
 	if err != nil {
 		return err
 	}
