@@ -103,45 +103,6 @@ func BenchmarkE1to4_Validate(b *testing.B) {
 	})
 }
 
-func BenchmarkE1_Scheme0Validate(b *testing.B) {
-	s := cap.CompareScheme{}
-	secret := s.PrepareSecret(12345)
-	owner := s.Mint(cap.Port(0xABC), 1, secret)
-	b.ReportAllocs()
-	for i := 0; i < b.N; i++ {
-		if _, err := s.Validate(owner, secret); err != nil {
-			b.Fatal(err)
-		}
-	}
-}
-
-func BenchmarkE2_Scheme1Validate(b *testing.B) {
-	s, err := cap.NewEncryptedScheme(nil)
-	if err != nil {
-		b.Fatal(err)
-	}
-	secret := s.PrepareSecret(12345)
-	owner := s.Mint(cap.Port(0xABC), 1, secret)
-	b.ReportAllocs()
-	for i := 0; i < b.N; i++ {
-		if _, err := s.Validate(owner, secret); err != nil {
-			b.Fatal(err)
-		}
-	}
-}
-
-func BenchmarkE3_Scheme2Validate(b *testing.B) {
-	s := cap.NewOneWayScheme(nil)
-	secret := s.PrepareSecret(12345)
-	owner := s.Mint(cap.Port(0xABC), 1, secret)
-	b.ReportAllocs()
-	for i := 0; i < b.N; i++ {
-		if _, err := s.Validate(owner, secret); err != nil {
-			b.Fatal(err)
-		}
-	}
-}
-
 // E4: scheme 3 validation cost grows with the number of deleted
 // rights (the server applies one commutative function per cleared
 // bit).

@@ -273,9 +273,6 @@ func NewCluster(cfg ClusterConfig) (*Cluster, error) {
 		Expired:     cl.reg.Counter("amoeba_lookup_cache_expired_total", obs.L("service", "directory"), "cached bindings refused because their lease lapsed"),
 		Invalidated: cl.reg.Counter("amoeba_lookup_cache_invalidated_total", obs.L("service", "directory"), "cached bindings refused because the client's own write superseded them"),
 	}
-	if cfg.LookupLease > 0 {
-		cl.lookupCache = lease.New(0, lookupCtr)
-	}
 	ok := false
 	defer func() {
 		if !ok {
@@ -289,6 +286,9 @@ func NewCluster(cfg ClusterConfig) (*Cluster, error) {
 		return nil, err
 	}
 	cl.client = cl.newRPCClient(cl.clientFB)
+	if cfg.LookupLease > 0 {
+		cl.lookupCache = lease.New(0, lookupCtr, cl.clientFB.Clock())
+	}
 
 	// Every service's serving incarnation first, one machine each, in
 	// table order; then (Replicas ≥ 2) each durable shard's replication
@@ -358,7 +358,7 @@ const (
 // liability the moment it keeps answering the network.
 func (cl *Cluster) openWAL(service string, fb *fbox.FBox, disk *vdisk.Disk) (*wal.Log, error) {
 	m := fb.Machine()
-	fs := vdisk.NewFaultStore(disk, cl.cfg.Seed^uint64(m)*0x9E3779B97F4A7C15)
+	fs := vdisk.NewFaultStore(disk, cl.cfg.Seed^uint64(m)*0x9E3779B97F4A7C15, fb.Clock())
 	// The registry is idempotent on (name, labels): every incarnation's
 	// commit-path histograms land on the same series.
 	log, err := wal.Open(fs, wal.Options{Metrics: &wal.Metrics{
@@ -601,9 +601,9 @@ func (cl *Cluster) startDetectors(sh *svcShard) {
 		// from the detector's poll loop, and the election stops every
 		// detector in the group — including, possibly, a second one
 		// mid-fire, which would deadlock if the first held its loop.
-		st.det = repl.NewDetector(gap, st.recv.LastContact, func() {
+		st.det = repl.NewDetector(st.recv, gap, func() {
 			go cl.autoFailover(sh, gen)
-		}, nil)
+		})
 		st.det.Start()
 	}
 }
@@ -643,12 +643,11 @@ func (cl *Cluster) autoFailover(sh *svcShard, gen uint64) {
 	// stall — a GC pause counterfeits a silent primary on the stalled
 	// side only. This is the in-process analogue of a pre-vote round;
 	// electing on one member's say-so under load is how live primaries
-	// get exiled.
-	now := time.Now()
+	// get exiled. Each sibling measures the silence on its own clock.
 	cl.mu.Lock()
 	stale := sh.gen != gen
 	heard := slices.ContainsFunc(sh.standbysLocked(), func(st *replica) bool {
-		return !st.down && now.Sub(st.recv.LastContact()) < cl.detectorGap()/2
+		return !st.down && st.recv.Silence() < cl.detectorGap()/2
 	})
 	cl.mu.Unlock()
 	switch {

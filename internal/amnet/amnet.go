@@ -18,6 +18,7 @@ import (
 	"errors"
 	"fmt"
 
+	"amoeba/internal/clock"
 	"amoeba/internal/wire"
 )
 
@@ -112,6 +113,9 @@ type NIC interface {
 	// Install it before the machine's address is handed out: frames
 	// that arrived earlier stay on the Recv queue.
 	SetReceiver(fn func(Frame) (accepted bool))
+	// Clock is the machine's time: everything built over the NIC reads
+	// it, and nothing compares it with another machine's.
+	Clock() clock.Clock
 	// Close detaches the NIC. Further sends fail with ErrClosed. A
 	// delivery already past the NIC may still reach the receiver.
 	Close() error

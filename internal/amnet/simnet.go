@@ -6,6 +6,7 @@ import (
 	"sync/atomic"
 	"time"
 
+	"amoeba/internal/clock"
 	"amoeba/internal/crypto"
 	"amoeba/internal/wire"
 )
@@ -18,6 +19,7 @@ import (
 // unforgeable source address.
 type SimNet struct {
 	cfg SimConfig
+	clk clock.Clock // every attached machine's, and the delivery timers'
 
 	mu     sync.RWMutex
 	nextID MachineID
@@ -90,6 +92,7 @@ func NewSimNet(cfg SimConfig) *SimNet {
 	}
 	return &SimNet{
 		cfg:    cfg,
+		clk:    clock.Real,
 		nextID: 1,
 		nics:   make(map[MachineID]*simNIC),
 		cut:    make(map[[2]MachineID]bool),
@@ -175,19 +178,21 @@ func (n *SimNet) FlapLink(a, b MachineID, upFor, downFor time.Duration) (stop fu
 	exited := make(chan struct{})
 	go func() {
 		defer close(exited)
-		for {
+		t := n.clk.NewTimer(upFor)
+		defer t.Stop()
+		for up := true; ; up = !up {
 			select {
 			case <-done:
 				return
-			case <-time.After(upFor):
+			case <-t.C():
 			}
-			n.Partition(a, b)
-			select {
-			case <-done:
-				return
-			case <-time.After(downFor):
+			if up {
+				n.Partition(a, b)
+				t.Reset(downFor)
+			} else {
+				n.Heal(a, b)
+				t.Reset(upFor)
 			}
-			n.Heal(a, b)
 		}
 	}()
 	var once sync.Once
@@ -331,13 +336,13 @@ func (n *SimNet) deliverTo(nic *simNIC, f Frame) {
 		n.stats.duplicated.Add(1)
 		dupFrame := cloneFrame(f)
 		dup := delay + n.cfg.ReorderWindow + 100*time.Microsecond
-		time.AfterFunc(dup, func() { nic.deliver(dupFrame, n) })
+		n.clk.AfterFunc(dup, func() { nic.deliver(dupFrame, n) })
 	}
 	if delay == 0 {
 		nic.deliver(f, n)
 		return
 	}
-	time.AfterFunc(delay, func() { nic.deliver(f, n) })
+	n.clk.AfterFunc(delay, func() { nic.deliver(f, n) })
 }
 
 // simNIC implements NIC on a SimNet.
@@ -380,6 +385,8 @@ func (nic *simNIC) Broadcast(payload []byte) error {
 func (nic *simNIC) Recv() <-chan Frame { return nic.in }
 
 func (nic *simNIC) SetReceiver(fn func(Frame) bool) { nic.recv.Store(&fn) }
+
+func (nic *simNIC) Clock() clock.Clock { return nic.net.clk }
 
 func (nic *simNIC) Close() error {
 	nic.net.mu.Lock()

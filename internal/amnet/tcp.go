@@ -12,6 +12,7 @@ import (
 	"sync/atomic"
 	"time"
 
+	"amoeba/internal/clock"
 	"amoeba/internal/wire"
 )
 
@@ -499,6 +500,9 @@ func (t *TCPNet) Recv() <-chan Frame { return t.in }
 
 // SetReceiver implements NIC.
 func (t *TCPNet) SetReceiver(fn func(Frame) bool) { t.recv.Store(&fn) }
+
+// Clock implements NIC: a daemon runs on the wall clock.
+func (t *TCPNet) Clock() clock.Clock { return clock.Real }
 
 // Close implements NIC. Frames already queued on a lane are written
 // before its socket closes, for at most tcpCloseFlush.

@@ -37,6 +37,7 @@ import (
 
 	"amoeba/internal/amnet"
 	"amoeba/internal/cap"
+	"amoeba/internal/clock"
 	"amoeba/internal/crypto"
 	"amoeba/internal/wire"
 )
@@ -73,11 +74,11 @@ type Received struct {
 	// unreleased buffer is simply garbage-collected — but the RPC hot
 	// paths release after decoding.
 	Buf *wire.Buf
-	// At is when the frame came off the NIC, stamped for service
-	// listeners (Get) only; a reply listener's is zero. Queue-wait
-	// accounting starts here, not at dispatch: time spent in the
-	// listener queue is wait the sender's deadline is already paying
-	// for.
+	// At is when the frame came off the NIC, on the machine's clock,
+	// stamped for service listeners (Get) only; a reply listener's is
+	// zero. Queue-wait accounting starts here, not at dispatch: time
+	// spent in the listener queue is wait the sender's deadline is
+	// already paying for.
 	At time.Time
 }
 
@@ -166,6 +167,9 @@ func (fb *FBox) F(p Port) Port {
 
 // Machine returns the machine this F-box is attached to.
 func (fb *FBox) Machine() amnet.MachineID { return fb.nic.ID() }
+
+// Clock returns the machine's clock: its NIC's.
+func (fb *FBox) Clock() clock.Clock { return fb.nic.Clock() }
 
 // Listener receives messages for one GET port.
 type Listener struct {
@@ -427,7 +431,7 @@ func (fb *FBox) handleFrame(f amnet.Frame) (accepted bool) {
 		if l != nil {
 			m := Received{Message: msg, From: f.Src, Buf: f.Buf}
 			if !l.pooled {
-				m.At = time.Now() // a reply or ack skips the clock read
+				m.At = fb.nic.Clock().Now() // a reply or ack skips the clock read
 			}
 			select {
 			case l.ch <- m:

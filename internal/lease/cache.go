@@ -49,9 +49,9 @@ import (
 	"strings"
 	"sync"
 	"sync/atomic"
-	"time"
 
 	"amoeba/internal/cap"
+	"amoeba/internal/clock"
 	"amoeba/internal/obs"
 )
 
@@ -115,9 +115,7 @@ func (c *Counters) fill() {
 // Cache is a bounded lookup cache. All methods are safe for concurrent
 // use; the hit path takes a read lock and allocates nothing.
 type Cache struct {
-	// Now is the clock, overridable in tests. Defaults to
-	// time.Now().UnixNano.
-	Now func() int64
+	clk clock.Clock // the client machine's
 
 	mu     sync.RWMutex
 	dirs   map[cap.Capability]*node
@@ -133,14 +131,15 @@ const DefaultMax = 4096
 // evictSample is how many bindings eviction looks at to find a victim.
 const evictSample = 8
 
-// New builds a cache holding at most max bindings.
-func New(max int, ctr Counters) *Cache {
+// New builds a cache holding at most max bindings, whose leases run on
+// clk, the client machine's clock.
+func New(max int, ctr Counters, clk clock.Clock) *Cache {
 	if max <= 0 {
 		max = DefaultMax
 	}
 	ctr.fill()
 	return &Cache{
-		Now:    func() int64 { return time.Now().UnixNano() },
+		clk:    clk,
 		dirs:   make(map[cap.Capability]*node),
 		floors: make(map[dirID]*floorCell),
 		max:    max,
@@ -289,6 +288,9 @@ func (ca *Cache) floorLocked(server cap.Port, object uint32) *floorCell {
 	}
 	return f
 }
+
+// Now reads the client machine's clock, in unix nanoseconds.
+func (ca *Cache) Now() int64 { return ca.clk.Now().UnixNano() }
 
 // retireLocked takes a node out of dirs and empties it, so a walk
 // holding a stale link to it misses there.

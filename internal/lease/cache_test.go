@@ -6,10 +6,21 @@ import (
 	"sync"
 	"sync/atomic"
 	"testing"
+	"time"
 
 	"amoeba/internal/cap"
+	"amoeba/internal/clock"
 	"amoeba/internal/obs"
 )
+
+// stoppedAt is a clock stopped at a unix-nanosecond instant. The tests
+// hand every lookup its instant; only eviction reads the cache's clock.
+type stoppedAt struct {
+	clock.Clock // unset: the cache reads only Now
+	ns          int64
+}
+
+func (c stoppedAt) Now() time.Time { return time.Unix(0, c.ns) }
 
 func testDir(obj uint32) cap.Capability {
 	return cap.Capability{
@@ -28,9 +39,8 @@ func testEntry(obj uint32) cap.Capability {
 
 func TestCacheHitMissExpiry(t *testing.T) {
 	var ctr Counters
-	c := New(0, ctr)
 	clock := int64(1000)
-	c.Now = func() int64 { return clock }
+	c := New(0, ctr, stoppedAt{ns: clock})
 
 	dir, ent := testDir(1), testEntry(2)
 	if _, ok := c.Get(dir, "a", clock); ok {
@@ -49,7 +59,7 @@ func TestCacheHitMissExpiry(t *testing.T) {
 }
 
 func TestCacheKeysAreFullCapabilities(t *testing.T) {
-	c := New(0, Counters{})
+	c := New(0, Counters{}, stoppedAt{})
 	dir := testDir(1)
 	restricted := dir
 	restricted.Rights = cap.RightRead
@@ -61,7 +71,7 @@ func TestCacheKeysAreFullCapabilities(t *testing.T) {
 }
 
 func TestCacheFloorInvalidatesOwnWrites(t *testing.T) {
-	c := New(0, Counters{})
+	c := New(0, Counters{}, stoppedAt{})
 	dir := testDir(7)
 	c.Put(dir, "a", testEntry(2), 4, 1_000_000)
 	c.Observe(dir.Server, dir.Object, 5) // my write bumped the dir to gen 5
@@ -80,7 +90,7 @@ func TestCacheFloorInvalidatesOwnWrites(t *testing.T) {
 }
 
 func TestCacheDropForgetsDirectory(t *testing.T) {
-	c := New(0, Counters{})
+	c := New(0, Counters{}, stoppedAt{})
 	dir, other := testDir(1), testDir(2)
 	c.Put(dir, "a", testEntry(3), 1, 1_000_000)
 	c.Put(dir, "b", testEntry(4), 1, 1_000_000)
@@ -102,7 +112,7 @@ func TestCacheDropForgetsDirectory(t *testing.T) {
 }
 
 func TestCachePoisonFailsClosed(t *testing.T) {
-	c := New(0, Counters{})
+	c := New(0, Counters{}, stoppedAt{})
 	dir := testDir(1)
 	c.Put(dir, "a", testEntry(2), 1, 1_000_000)
 	c.Poison(dir.Server, dir.Object)
@@ -116,7 +126,7 @@ func TestCachePoisonFailsClosed(t *testing.T) {
 }
 
 func TestCacheBounded(t *testing.T) {
-	c := New(8, Counters{})
+	c := New(8, Counters{}, stoppedAt{})
 	dir := testDir(1)
 	for i := 0; i < 100; i++ {
 		c.Put(dir, fmt.Sprintf("n%d", i), testEntry(uint32(i)), 1, 1_000_000)
@@ -133,7 +143,7 @@ func TestCacheCounters(t *testing.T) {
 		Expired:     &obs.Counter{},
 		Invalidated: &obs.Counter{},
 	}
-	c := New(0, ctr)
+	c := New(0, ctr, stoppedAt{})
 	dir := testDir(1)
 	c.Get(dir, "a", 0)                    // miss
 	c.Put(dir, "a", testEntry(2), 3, 100) //
@@ -172,7 +182,7 @@ func chain(c *Cache, base uint32, depth int) (cap.Capability, string, cap.Capabi
 }
 
 func TestCacheDropRetiresLinkedNode(t *testing.T) {
-	c := New(0, Counters{})
+	c := New(0, Counters{}, stoppedAt{})
 	root, a, b := testDir(1), testDir(2), testDir(3)
 	c.Put(root, "a", a, 1, 1_000_000)
 	c.Put(a, "b", b, 1, 1_000_000)
@@ -192,8 +202,7 @@ func TestCacheDropRetiresLinkedNode(t *testing.T) {
 }
 
 func TestCacheEvictionRetiresLinkedNode(t *testing.T) {
-	c := New(2, Counters{})
-	c.Now = func() int64 { return 500 } // the eviction clock
+	c := New(2, Counters{}, stoppedAt{ns: 500}) // the eviction clock
 	root, a, b, other := testDir(1), testDir(2), testDir(3), testDir(4)
 	c.Put(root, "a", a, 1, 1_000_000)
 	c.Put(a, "b", b, 1, 100) // lapsed by the eviction clock
@@ -224,7 +233,7 @@ func TestCacheLinksKeepFullCapabilities(t *testing.T) {
 
 	// The walk steps through the restricted capability; only the owner
 	// has bindings under the directory.
-	c := New(0, Counters{})
+	c := New(0, Counters{}, stoppedAt{})
 	c.Put(testDir(1), "a", restricted, 1, 1_000_000)
 	c.Put(owner, "b", x, 1, 1_000_000)
 	if got, _, n := c.ResolvePath(testDir(1), "a/b", 0); n != 1 || got != restricted {
@@ -237,7 +246,7 @@ func TestCacheLinksKeepFullCapabilities(t *testing.T) {
 
 	// The reverse: the walk steps through the owner capability; only the
 	// restricted one has bindings.
-	c = New(0, Counters{})
+	c = New(0, Counters{}, stoppedAt{})
 	c.Put(testDir(1), "a", owner, 1, 1_000_000)
 	c.Put(restricted, "b", y, 1, 1_000_000)
 	if got, _, n := c.ResolvePath(testDir(1), "a/b", 0); n != 1 || got != owner {
@@ -254,7 +263,7 @@ func TestCacheSoakDropIsFinal(t *testing.T) {
 	if testing.Short() {
 		rounds = 500
 	}
-	c := New(64, Counters{})
+	c := New(64, Counters{}, stoppedAt{})
 	root := testDir(1)
 	name := func(r int) string { return fmt.Sprintf("r%d", r) }
 	xdir := func(r int) cap.Capability { return testDir(uint32(1000 + r)) }
@@ -318,7 +327,7 @@ func TestCacheSoakDropIsFinal(t *testing.T) {
 }
 
 func TestCacheDeepHitAllocatesNothing(t *testing.T) {
-	c := New(0, Counters{})
+	c := New(0, Counters{}, stoppedAt{})
 	root, path, want := chain(c, 1, 8)
 	allocs := testing.AllocsPerRun(1000, func() {
 		if got, _, n := c.ResolvePath(root, path, 0); n != 8 || got != want {
@@ -333,7 +342,7 @@ func TestCacheDeepHitAllocatesNothing(t *testing.T) {
 func BenchmarkResolvePath(b *testing.B) {
 	for _, depth := range []int{1, 8, 16} {
 		b.Run(fmt.Sprintf("depth=%d", depth), func(b *testing.B) {
-			c := New(0, Counters{})
+			c := New(0, Counters{}, stoppedAt{})
 			root, path, _ := chain(c, 1, depth)
 			b.ReportAllocs()
 			b.ResetTimer()
@@ -355,7 +364,7 @@ func BenchmarkCachePutAtCapacity(b *testing.B) {
 	}
 	for _, max := range []int{1024, 16384} {
 		b.Run(fmt.Sprintf("max=%d", max), func(b *testing.B) {
-			c := New(max, Counters{})
+			c := New(max, Counters{}, stoppedAt{})
 			put := func(i int) {
 				c.Put(testDir(uint32(i/len(names))), names[i%len(names)], testEntry(2), 1, 1<<62)
 			}
@@ -372,7 +381,7 @@ func BenchmarkCachePutAtCapacity(b *testing.B) {
 }
 
 func BenchmarkCacheHit(b *testing.B) {
-	c := New(0, Counters{})
+	c := New(0, Counters{}, stoppedAt{})
 	dir := testDir(1)
 	c.Put(dir, "component", testEntry(2), 1, 1<<62)
 	b.ReportAllocs()

@@ -69,9 +69,8 @@ type flight struct {
 // Resolver locates ports through an F-box and caches the results.
 // It is safe for concurrent use.
 type Resolver struct {
-	fb  *fbox.FBox
+	fb  *fbox.FBox // routes are learned and aged on its machine's clock
 	cfg Config
-	now func() time.Time // test hook
 
 	mu      sync.Mutex
 	cache   map[cap.Port]entry
@@ -110,7 +109,6 @@ func New(fb *fbox.FBox, cfg Config) *Resolver {
 	return &Resolver{
 		fb:      fb,
 		cfg:     cfg.withDefaults(),
-		now:     time.Now,
 		cache:   make(map[cap.Port]entry),
 		flights: make(map[cap.Port]*flight),
 		maps:    make(map[cap.Port]mapEntry),
@@ -127,7 +125,7 @@ func New(fb *fbox.FBox, cfg Config) *Resolver {
 func (r *Resolver) Lookup(ctx context.Context, p cap.Port) (amnet.MachineID, error) {
 	for {
 		r.mu.Lock()
-		if e, ok := r.cache[p]; ok && (r.cfg.TTL < 0 || r.now().Sub(e.learned) < r.cfg.TTL) {
+		if e, ok := r.cache[p]; ok && (r.cfg.TTL < 0 || r.fb.Clock().Now().Sub(e.learned) < r.cfg.TTL) {
 			r.stats.Hits++
 			r.mu.Unlock()
 			return e.at, nil
@@ -157,7 +155,7 @@ func (r *Resolver) Lookup(ctx context.Context, p cap.Port) (amnet.MachineID, err
 		r.mu.Lock()
 		delete(r.flights, p)
 		if f.err == nil {
-			r.cache[p] = entry{at: f.at, learned: r.now()}
+			r.cache[p] = entry{at: f.at, learned: r.fb.Clock().Now()}
 		} else if errors.Is(f.err, ErrNotFound) {
 			r.stats.Failures++
 		}
@@ -181,7 +179,7 @@ func (r *Resolver) LookupObject(ctx context.Context, p cap.Port, obj uint32, has
 	if r.cfg.Atlas == nil {
 		return r.Lookup(ctx, p)
 	}
-	now := r.now()
+	now := r.fb.Clock().Now()
 	r.mu.Lock()
 	e, ok := r.maps[p]
 	m := e.m
@@ -267,14 +265,14 @@ func (r *Resolver) broadcastOnce(ctx context.Context, p cap.Port) (amnet.Machine
 		return 0, fmt.Errorf("locate: %w", err)
 	}
 	defer cancel()
-	timer := time.NewTimer(r.cfg.Timeout)
+	timer := r.fb.Clock().NewTimer(r.cfg.Timeout)
 	defer timer.Stop()
 	select {
 	case at := <-replies:
 		return at, nil
 	case <-ctx.Done():
 		return 0, ctx.Err()
-	case <-timer.C:
+	case <-timer.C():
 		return 0, ErrNotFound
 	}
 }
@@ -336,7 +334,7 @@ func (r *Resolver) Evict(p cap.Port, at amnet.MachineID) {
 func (r *Resolver) Insert(p cap.Port, at amnet.MachineID) {
 	r.mu.Lock()
 	defer r.mu.Unlock()
-	r.cache[p] = entry{at: at, learned: r.now()}
+	r.cache[p] = entry{at: at, learned: r.fb.Clock().Now()}
 }
 
 // Stats returns a snapshot of the counters.

@@ -3,11 +3,13 @@ package locate
 import (
 	"context"
 	"errors"
+	"sync/atomic"
 	"testing"
 	"time"
 
 	"amoeba/internal/amnet"
 	"amoeba/internal/cap"
+	"amoeba/internal/clock"
 	"amoeba/internal/crypto"
 	"amoeba/internal/fbox"
 )
@@ -32,6 +34,35 @@ func newRig(t *testing.T) *rig {
 		return fb
 	}
 	return &rig{net: n, client: attach(), server: attach()}
+}
+
+// skewedNIC is a machine whose clock runs ahead of the network's by an
+// offset the test moves.
+type skewedNIC struct {
+	amnet.NIC
+	clk *offsetClock
+}
+
+func (n skewedNIC) Clock() clock.Clock { return n.clk }
+
+type offsetClock struct {
+	clock.Clock
+	off atomic.Int64
+}
+
+func (c *offsetClock) Now() time.Time { return c.Clock.Now().Add(time.Duration(c.off.Load())) }
+
+// skewedMachine attaches one more machine, with a movable clock.
+func (r *rig) skewedMachine(t *testing.T) (*fbox.FBox, *offsetClock) {
+	t.Helper()
+	nic, err := r.net.Attach()
+	if err != nil {
+		t.Fatal(err)
+	}
+	clk := &offsetClock{Clock: nic.Clock()}
+	fb := fbox.New(skewedNIC{nic, clk}, nil)
+	t.Cleanup(func() { fb.Close() })
+	return fb, clk
 }
 
 func fastCfg() Config {
@@ -183,12 +214,13 @@ func TestTTLExpiry(t *testing.T) {
 	p := r.server.F(g)
 	cfg := fastCfg()
 	cfg.TTL = 10 * time.Millisecond
-	res := New(r.client, cfg)
+	fb, clk := r.skewedMachine(t)
+	res := New(fb, cfg)
 	if _, err := res.Lookup(ctx, p); err != nil {
 		t.Fatal(err)
 	}
-	// Warp the clock past the TTL.
-	res.now = func() time.Time { return time.Now().Add(time.Hour) }
+	// Warp the client machine's clock past the TTL.
+	clk.off.Store(int64(time.Hour))
 	if _, err := res.Lookup(ctx, p); err != nil {
 		t.Fatal(err)
 	}
@@ -202,9 +234,10 @@ func TestNegativeTTLNeverExpires(t *testing.T) {
 	r := newRig(t)
 	cfg := fastCfg()
 	cfg.TTL = -1
-	res := New(r.client, cfg)
+	fb, clk := r.skewedMachine(t)
+	res := New(fb, cfg)
 	res.Insert(cap.Port(9), r.server.Machine())
-	res.now = func() time.Time { return time.Now().Add(1000 * time.Hour) }
+	clk.off.Store(int64(1000 * time.Hour))
 	if _, err := res.Lookup(ctx, cap.Port(9)); err != nil {
 		t.Fatal(err)
 	}

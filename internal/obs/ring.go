@@ -11,6 +11,8 @@ import (
 	"io"
 	"sync/atomic"
 	"time"
+
+	"amoeba/internal/clock"
 )
 
 // ReqRecord is one completed (or shed) request as seen by a server.
@@ -100,7 +102,7 @@ func (r *Ring) Push(svcIdx uint16, reqID uint64, op uint16, status uint16, from 
 		flags = 1
 	}
 	s.seq.Add(1) // odd: write in progress
-	s.timeNS.Store(time.Now().UnixNano())
+	s.timeNS.Store(clock.Real.Now().UnixNano())
 	s.reqID.Store(reqID)
 	s.packed.Store(uint64(status)<<48 | uint64(op)<<32 | uint64(svcIdx)<<16 | flags)
 	s.from.Store(from)

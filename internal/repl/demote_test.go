@@ -31,7 +31,7 @@ func TestFenceErrorTaxonomy(t *testing.T) {
 func TestFencePrecedence(t *testing.T) {
 	// A group of one: the primary's own grant is the majority, so the
 	// lease never lapses and only the terminal states speak.
-	s := &Shipper{o: Options{GroupSize: 1}.withDefaults()}
+	s := &Shipper{c: newRig(t).client, o: Options{GroupSize: 1}.withDefaults()}
 	if err := s.Fence(); err != nil {
 		t.Fatalf("fresh shipper fence = %v, want nil", err)
 	}

@@ -3,7 +3,6 @@ package repl
 import (
 	"context"
 	"fmt"
-	"sync"
 	"testing"
 	"time"
 
@@ -288,26 +287,6 @@ func TestGroupStaleTermDeposesOldPrimary(t *testing.T) {
 	}
 }
 
-// fakeClock is a hand-advanced clock for the skew tests.
-type fakeClock struct {
-	mu sync.Mutex
-	t  time.Time
-}
-
-func newFakeClock() *fakeClock { return &fakeClock{t: time.Unix(1_000_000, 0)} }
-
-func (c *fakeClock) Now() time.Time {
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	return c.t
-}
-
-func (c *fakeClock) Advance(d time.Duration) {
-	c.mu.Lock()
-	c.t = c.t.Add(d)
-	c.mu.Unlock()
-}
-
 // TestClockSkewLeaseLapsesBeforeDetectorFires is the split-brain timing
 // guarantee under clock skew: the primary measures its lease on its own
 // clock from frame SEND time, the standby measures silence on ITS clock
@@ -319,38 +298,21 @@ func (c *fakeClock) Advance(d time.Duration) {
 // onExpire runs. The assertion is made at the fire instant itself.
 func TestClockSkewLeaseLapsesBeforeDetectorFires(t *testing.T) {
 	const lt = 100 * time.Millisecond
-	pc, sc := newFakeClock(), newFakeClock()
 
 	r := newRig(t)
-	// Bespoke rig: the receiver needs its clock injected before Start.
-	disk, err := vdisk.New(512, 256)
-	if err != nil {
-		t.Fatal(err)
-	}
-	plog, err := wal.Open(disk, wal.Options{})
-	if err != nil {
-		t.Fatal(err)
-	}
 	pfb := r.attach()
-	primary := newCounter(t, pfb, plog, 0)
+	primary := newCounter(t, pfb, newLog(t), 0)
 	if err := primary.Start(); err != nil {
 		t.Fatal(err)
 	}
 	t.Cleanup(func() { primary.Close() })
 
-	bdisk, err := vdisk.New(512, 256)
-	if err != nil {
-		t.Fatal(err)
-	}
-	blog, err := wal.Open(bdisk, wal.Options{})
-	if err != nil {
-		t.Fatal(err)
-	}
-	bfb := r.attach()
-	backup := newCounter(t, bfb, blog, primary.GetPort())
+	// The standby machine's clock is the skewed one: its receiver and
+	// detector read it through the machine's NIC.
+	bfb, sc := r.attachSkewed()
+	backup := newCounter(t, bfb, newLog(t), primary.GetPort())
 	t.Cleanup(func() { backup.Close() })
 	recv := NewReceiver(bfb, crypto.NewSeededSource(23), backup.Kernel)
-	recv.SetClock(sc.Now)
 	if err := recv.Start(); err != nil {
 		t.Fatal(err)
 	}
@@ -359,14 +321,14 @@ func TestClockSkewLeaseLapsesBeforeDetectorFires(t *testing.T) {
 	ship, err := AttachGroup(primary.Kernel, r.newClientOn(pfb), []cap.Port{recv.Port()}, Options{
 		LeaseTerm: lt, GroupSize: 3, Term: 1,
 		Timeout: 10 * time.Millisecond, Attempts: 2, Backoff: time.Millisecond,
-		Now: pc.Now,
 	})
 	if err != nil {
 		t.Fatal(err)
 	}
 	t.Cleanup(ship.Stop)
 
-	// One acknowledged op: grant stamped at pc-now, contact at sc-now.
+	// One acknowledged op: grant stamped on the primary's clock, contact
+	// on the standby's.
 	if _, err := r.client.Trans(context.Background(), primary.PutPort(),
 		rpc.Request{Op: opInc, Data: []byte("a")}, rpc.WithTimeout(5*time.Second), rpc.WithRetries(0)); err != nil {
 		t.Fatal(err)
@@ -378,20 +340,20 @@ func TestClockSkewLeaseLapsesBeforeDetectorFires(t *testing.T) {
 	// the fence checked AT THE FIRE INSTANT — the moment a successor
 	// would start an election.
 	fenceAtFire := make(chan error, 1)
-	det := NewDetector(lt*3/2, recv.LastContact, func() {
+	det := NewDetector(recv, lt*3/2, func() {
 		fenceAtFire <- ship.Fence()
-	}, sc.Now)
+	})
 	det.Start()
 	t.Cleanup(det.Stop)
 
 	// Worst tolerated skew: the standby's clock steps forward by just
 	// under half a term immediately after the last contact, pulling the
 	// detector's firing as early as the design tolerates.
-	sc.Advance(lt/2 - lt/10)
+	sc.off.Store(int64(lt/2 - lt/10))
 
-	// Both clocks now tick in lockstep. The detector (polling in real
-	// time) fires once sc-silence exceeds 1.5 terms — at which point
-	// pc-silence is > 1.0 term and the lease has already lapsed.
+	// Both clocks now tick in lockstep. The detector fires once
+	// standby-silence exceeds 1.5 terms — at which point primary-silence
+	// is > 1.0 term and the lease has already lapsed.
 	deadline := time.Now().Add(10 * time.Second)
 	for {
 		select {
@@ -408,8 +370,6 @@ func TestClockSkewLeaseLapsesBeforeDetectorFires(t *testing.T) {
 		if time.Now().After(deadline) {
 			t.Fatal("detector never fired")
 		}
-		pc.Advance(lt / 10)
-		sc.Advance(lt / 10)
 		time.Sleep(10 * time.Millisecond)
 	}
 }

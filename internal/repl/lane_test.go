@@ -165,7 +165,7 @@ func shipperGoroutines() (lanes, loops int) {
 	buf := make([]byte, 1<<20)
 	dump := string(buf[:runtime.Stack(buf, true)])
 	return strings.Count(dump, "repl.(*Shipper).lane("),
-		strings.Count(dump, "repl.(*Shipper).heartbeatLoop(") + strings.Count(dump, "repl.(*Shipper).reprobeLoop(")
+		strings.Count(dump, "repl.(*Shipper).every(")
 }
 
 // TestLaneLifecycleLeaksNothing: every lane AttachGroup and AddPeer

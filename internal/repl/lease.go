@@ -37,20 +37,20 @@ var (
 	ErrSelfDemoted = fmt.Errorf("repl: self-demoted (local WAL wedged): %w", rpc.ErrStaleAuthority)
 )
 
-// Detector is a standby's failure detector: it watches the receiver's
-// last-contact clock and fires onExpire exactly once when the primary's
-// heartbeats have been silent for longer than the expiry gap. The gap
-// must exceed the primary's lease term by the cluster's assumed clock
-// skew: the primary measures its lease from frame SEND time and the
-// standby measures silence from frame RECEIVE time, so with clocks
-// within the skew bound the old primary stops acknowledging strictly
-// before any standby starts an election — the split-brain guard is
-// time plus quorum, not an operator's memory of who was promoted.
+// Detector is a standby's failure detector: it watches its receiver's
+// Silence and fires onExpire exactly once when the primary's heartbeats
+// have been silent for longer than the expiry gap. The gap must exceed
+// the primary's lease term by the cluster's assumed clock skew: the
+// primary measures its lease on its own clock from frame SEND time and
+// the standby measures silence on its own clock from frame RECEIVE
+// time, so with clocks within the skew bound the old primary stops
+// acknowledging strictly before any standby starts an election — the
+// split-brain guard is time plus quorum, not an operator's memory of
+// who was promoted.
 type Detector struct {
+	r        *Receiver
 	gap      time.Duration
-	contact  func() time.Time
 	onExpire func()
-	now      func() time.Time
 
 	fired atomic.Bool
 	once  sync.Once
@@ -58,19 +58,14 @@ type Detector struct {
 	done  chan struct{}
 }
 
-// NewDetector builds (but does not start) a detector. contact returns
-// the receiver's last term-valid frame arrival; onExpire runs at most
-// once, on the detector's own goroutine. now is the clock (nil selects
-// time.Now — tests inject a skewed one).
-func NewDetector(gap time.Duration, contact func() time.Time, onExpire func(), now func() time.Time) *Detector {
-	if now == nil {
-		now = time.Now
-	}
+// NewDetector builds (but does not start) a detector over standby
+// receiver r. onExpire runs at most once, on the detector's own
+// goroutine.
+func NewDetector(r *Receiver, gap time.Duration, onExpire func()) *Detector {
 	return &Detector{
+		r:        r,
 		gap:      gap,
-		contact:  contact,
 		onExpire: onExpire,
-		now:      now,
 		stop:     make(chan struct{}),
 		done:     make(chan struct{}),
 	}
@@ -81,16 +76,17 @@ func NewDetector(gap time.Duration, contact func() time.Time, onExpire func(), n
 func (d *Detector) Start() {
 	go func() {
 		defer close(d.done)
-		tick := time.NewTicker(d.gap / 4)
+		tick := d.r.srv.Clock().NewTimer(d.gap / 4)
 		defer tick.Stop()
 		for {
 			select {
-			case <-tick.C:
-				if d.now().Sub(d.contact()) > d.gap {
+			case <-tick.C():
+				if d.r.Silence() > d.gap {
 					d.fired.Store(true)
 					d.onExpire()
 					return
 				}
+				tick.Reset(d.gap / 4)
 			case <-d.stop:
 				return
 			}

@@ -42,12 +42,11 @@ type ReceiverStats struct {
 type Receiver struct {
 	srv *rpc.Server
 	k   *svc.Kernel
-	now func() time.Time
 
-	// contact is the arrival time (unixnano) of the last TERM-VALID
-	// ship frame — heartbeats included, OpSeq probes excluded (a
-	// deposed primary's reprobes must not suppress the failure
-	// detector). It is what the standby's Detector watches.
+	// contact is when the last TERM-VALID ship frame arrived (unixnano,
+	// on this machine's clock) — heartbeats included, OpSeq probes
+	// excluded (a deposed primary's reprobes must not suppress the
+	// failure detector). It is what the standby's Detector watches.
 	contact atomic.Int64
 
 	mu    sync.Mutex
@@ -63,7 +62,7 @@ type Receiver struct {
 // port (a fresh private one, NOT the service port) is what the primary
 // ships to.
 func NewReceiver(fb *fbox.FBox, src crypto.Source, k *svc.Kernel) *Receiver {
-	r := &Receiver{k: k, now: time.Now}
+	r := &Receiver{k: k}
 	r.srv = rpc.NewServer(fb, src)
 	// Inline dispatch: the stream is serialized by r.mu anyway, so the
 	// worker-pool handoff would buy nothing and cost two goroutine
@@ -76,23 +75,25 @@ func NewReceiver(fb *fbox.FBox, src crypto.Source, k *svc.Kernel) *Receiver {
 // Port returns the receiver's put-port (the shipper's destination).
 func (r *Receiver) Port() cap.Port { return r.srv.PutPort() }
 
-// SetClock injects the clock used for last-contact stamps (tests skew
-// it); call before Start.
-func (r *Receiver) SetClock(now func() time.Time) { r.now = now }
-
 // Start begins receiving (advertises the private port for LOCATE).
 // The contact clock starts now: a standby that never hears from its
 // primary at all should still detect the silence, measured from its
 // own birth rather than from a heartbeat that never came.
 func (r *Receiver) Start() error {
-	r.contact.Store(r.now().UnixNano())
+	r.contact.Store(r.srv.Clock().Now().UnixNano())
 	return r.srv.Start()
 }
 
 // LastContact returns the arrival time of the last term-valid ship
-// frame (the failure detector's input).
+// frame, on the standby machine's clock.
 func (r *Receiver) LastContact() time.Time {
 	return time.Unix(0, r.contact.Load())
+}
+
+// Silence is how long the primary has been silent, measured on the
+// standby machine's own clock: the failure detector's input.
+func (r *Receiver) Silence() time.Duration {
+	return r.srv.Clock().Now().Sub(r.LastContact())
 }
 
 // Term returns the highest replication epoch this receiver has seen.
@@ -149,7 +150,7 @@ func (r *Receiver) handleShip(_ context.Context, _ rpc.Meta, req rpc.Request) rp
 		return rpc.Reply{Status: rpc.StatusStale, Data: ackData(Pos{Term: r.term})}
 	}
 	r.term = term
-	r.contact.Store(r.now().UnixNano())
+	r.contact.Store(r.srv.Clock().Now().UnixNano())
 	if len(items) == 0 {
 		// Heartbeat: nothing to apply, just acknowledge (the ack is
 		// the lease grant) with the durable position.

@@ -58,9 +58,6 @@ type Options struct {
 	// shipper sends. A receiver that has adopted a higher term rejects
 	// the frame with rpc.StatusStale and the shipper goes deposed.
 	Term uint64
-	// Now is the clock used for lease accounting (nil selects
-	// time.Now; the clock-skew tests inject offsets).
-	Now func() time.Time
 }
 
 // orDefault returns v, or def when v was left unset (zero or negative).
@@ -77,9 +74,6 @@ func (o Options) withDefaults() Options {
 	o.Backoff = orDefault(o.Backoff, 5*time.Millisecond)
 	o.Reprobe = orDefault(o.Reprobe, 16*o.Backoff)
 	o.LeaseTerm = orDefault(o.LeaseTerm, DefaultLeaseTerm)
-	if o.Now == nil {
-		o.Now = time.Now
-	}
 	return o
 }
 
@@ -234,8 +228,8 @@ func AttachGroup(k *svc.Kernel, c *rpc.Client, dests []cap.Port, o Options) (*Sh
 	// renounces leadership the moment its log wedges.
 	k.OnWedge(func(error) { s.SelfDemote() })
 	s.wg.Add(2)
-	go s.heartbeatLoop()
-	go s.reprobeLoop()
+	go s.every(s.o.LeaseTerm/3, s.heartbeat)
+	go s.every(s.o.Reprobe, s.reprobe)
 	return s, nil
 }
 
@@ -405,11 +399,11 @@ func (s *Shipper) majority() int { return s.o.GroupSize/2 + 1 }
 
 // LeaseValid reports whether a majority of the group (counting the
 // primary itself) has granted a lease renewal within the last term.
-// Grants are timestamped at frame SEND time, so the primary's view of
-// its lease is pessimistic by exactly the network delay — the safe
-// direction.
+// Grants are timestamped on the primary machine's clock at frame SEND
+// time, so its view of its lease is pessimistic by exactly the network
+// delay — the safe direction.
 func (s *Shipper) LeaseValid() bool {
-	now := s.o.Now()
+	now := s.c.Clock().Now()
 	grants := 1 // the primary grants to itself
 	for _, p := range s.peerList() {
 		if g := p.grant.Load(); g != 0 && now.Sub(time.Unix(0, g)) <= s.o.LeaseTerm {
@@ -612,7 +606,7 @@ func (s *Shipper) sink(recs []wal.Record) {
 // call option, so no deadline context is built on this hot path.
 func (s *Shipper) exchange(p *peer, payload []byte, opts []rpc.CallOption) (rpc.Status, error) {
 	s.n.frames.Add(1)
-	sent := s.o.Now()
+	sent := s.c.Clock().Now()
 	rep, err := s.c.Trans(s.ctx, p.dest, rpc.Request{Op: OpShip, Data: payload}, opts...)
 	if err != nil {
 		return 0, err
@@ -642,9 +636,11 @@ func (s *Shipper) failed(p *peer) error {
 		p.lost.Store(true)
 		return ErrBackupLost
 	}
+	t := s.c.Clock().NewTimer(s.o.Backoff)
+	defer t.Stop()
 	select {
 	case <-s.ctx.Done():
-	case <-time.After(s.o.Backoff):
+	case <-t.C():
 	}
 	return nil
 }
@@ -652,7 +648,7 @@ func (s *Shipper) failed(p *peer) error {
 // sendFrame delivers one frame to one peer (lane only). A conflict —
 // the receiver saw a sequence gap and refused to apply out of order, or
 // it acknowledged from another term — marks the peer lost at once:
-// reprobeLoop re-joins it, the route every other loss takes. Transport
+// reprobe re-joins it, the route every other loss takes. Transport
 // failures are retried until the attempt budget is spent, and then the
 // peer is marked lost.
 func (s *Shipper) sendFrame(p *peer, frame []byte) error {
@@ -690,90 +686,82 @@ func storeMax(a *atomic.Uint64, v uint64) {
 	}
 }
 
-// heartbeatLoop renews the group lease while the commit stream is
-// idle: one bare frame per peer per LeaseTerm/3, single attempt — a
-// missed heartbeat just waits for the next tick, and three fit in a
-// term, so one loss never lapses the lease.
-func (s *Shipper) heartbeatLoop() {
+// every runs tick once per period, on the primary machine's clock,
+// until the shipper stops or reaches a terminal state.
+//
+// Deliberate silence on any terminal state — deposed, sealed, or
+// self-demoted. Sealing and demotion are sticky: this primary will never
+// acknowledge again, so continuing to heartbeat would only hold the
+// standbys' detectors open forever and wedge the whole group behind a
+// leader that cannot lead. Going dark is what lets the existing election
+// machinery recover: contact goes stale, detectors fire, the highest
+// standby takes over. (This is also the liveness half of the
+// one-way-partition story: a primary that can send but not hear seals
+// under load, then stops transmitting, so the standbys that were hearing
+// its one-way traffic finally see the silence they need.) The reprobes
+// stop too: a re-based peer would read as contact, and a sealed or
+// demoted primary must not touch the group again.
+func (s *Shipper) every(period time.Duration, tick func()) {
 	defer s.wg.Done()
-	tick := time.NewTicker(s.o.LeaseTerm / 3)
-	defer tick.Stop()
+	t := s.c.Clock().NewTimer(period)
+	defer t.Stop()
 	for {
 		select {
 		case <-s.ctx.Done():
 			return
-		case <-tick.C:
+		case <-t.C():
 		}
-		// Deliberate silence on any terminal state — deposed, sealed, or
-		// self-demoted. Sealing and demotion are sticky: this primary
-		// will never acknowledge again, so continuing to heartbeat would
-		// only hold the standbys' detectors open forever and wedge the
-		// whole group behind a leader that cannot lead. Going dark is
-		// what lets the existing election machinery recover: contact
-		// goes stale, detectors fire, the highest standby takes over.
-		// (This is also the liveness half of the one-way-partition
-		// story: a primary that can send but not hear seals under load,
-		// then stops transmitting, so the standbys that were hearing
-		// its one-way traffic finally see the silence they need.)
+		t.Reset(period) // at once, as a ticker re-arms: a slow tick does not push back the next
 		if s.deposed.Load() || s.demoted.Load() || s.sealed.Load() {
 			return
 		}
-		for _, p := range s.peerList() {
-			// Lost peers are heartbeated too: a peer that missed a few
-			// frames is LOST to the data stream (reprobeLoop re-bases
-			// it) but very much alive to the lease — if the primary went
-			// silent toward it, its failure detector would fire and
-			// elect a second primary out of a transient loss. The
-			// heartbeat tells it "your primary lives"; the re-base
-			// catches its data up separately.
-			//
-			// An offer, never a wait: each lane burns a dead peer's
-			// timeout alone, so one corpse cannot hold the next peer's
-			// heartbeat past the detector gap and cascade elections
-			// through a healthy group. A busy lane is mid-frame (or
-			// mid-heartbeat) to this peer, and that frame's ack will
-			// renew the grant better than a heartbeat queued behind it.
-			select {
-			case p.work <- shipJob{}:
-			default:
-			}
+		tick()
+	}
+}
+
+// heartbeat renews the group lease while the commit stream is idle: one
+// bare frame per peer per LeaseTerm/3 (see every), single attempt — a
+// missed heartbeat just waits for the next tick, and three fit in a
+// term, so one loss never lapses the lease.
+func (s *Shipper) heartbeat() {
+	for _, p := range s.peerList() {
+		// Lost peers are heartbeated too: a peer that missed a few
+		// frames is LOST to the data stream (reprobe re-bases it) but
+		// very much alive to the lease — if the primary went silent
+		// toward it, its failure detector would fire and elect a second
+		// primary out of a transient loss. The heartbeat tells it "your
+		// primary lives"; the re-base catches its data up separately.
+		//
+		// An offer, never a wait: each lane burns a dead peer's timeout
+		// alone, so one corpse cannot hold the next peer's heartbeat
+		// past the detector gap and cascade elections through a healthy
+		// group. A busy lane is mid-frame (or mid-heartbeat) to this
+		// peer, and that frame's ack will renew the grant better than a
+		// heartbeat queued behind it.
+		select {
+		case p.work <- shipJob{}:
+		default:
 		}
 	}
 }
 
-// reprobeLoop is the slow path back from the dead: every Reprobe it
-// pings each lost peer's receiver with an OpSeq query (cheap, no
-// records — a join attempt on a dead peer would hold the kernel
-// quiesced for a whole attempt budget), and a peer that answers is
-// re-joined and resumes as a live member of the group.
-func (s *Shipper) reprobeLoop() {
-	defer s.wg.Done()
-	tick := time.NewTicker(s.o.Reprobe)
-	defer tick.Stop()
-	for {
-		select {
-		case <-s.ctx.Done():
-			return
-		case <-tick.C:
+// reprobe is the slow path back from the dead: every Reprobe it pings
+// each lost peer's receiver with an OpSeq query (cheap, no records — a
+// join attempt on a dead peer would hold the kernel quiesced for a
+// whole attempt budget), and a peer that answers is re-joined and
+// resumes as a live member of the group.
+func (s *Shipper) reprobe() {
+	for _, p := range s.peerList() {
+		if !p.lost.Load() || s.ctx.Err() != nil {
+			continue
 		}
-		// Same terminal-state silence as the heartbeat loop: a re-based
-		// peer would read as contact, and a sealed/demoted primary must
-		// not touch the group again.
-		if s.deposed.Load() || s.demoted.Load() || s.sealed.Load() {
-			return
+		rep, err := s.c.Trans(s.ctx, p.dest, rpc.Request{Op: OpSeq}, s.opts...)
+		if err != nil || rep.Status != rpc.StatusOK {
+			continue
 		}
-		for _, p := range s.peerList() {
-			if !p.lost.Load() || s.ctx.Err() != nil {
-				continue
-			}
-			rep, err := s.c.Trans(s.ctx, p.dest, rpc.Request{Op: OpSeq}, s.opts...)
-			if err != nil || rep.Status != rpc.StatusOK {
-				continue
-			}
-			// Alive again. Its log may have holes we shipped around while
-			// it was lost, so the only safe resumption point is a fresh
-			// base; still flaky, and the next tick tries again.
-			_ = s.join(p)
-		}
+		// Alive again. Its log may have holes we shipped around while it
+		// was lost, so the only safe resumption point is a fresh base;
+		// still flaky, and the next tick tries again.
+		_ = s.join(p)
 	}
 }

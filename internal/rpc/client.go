@@ -10,6 +10,7 @@ import (
 
 	"amoeba/internal/amnet"
 	"amoeba/internal/cap"
+	"amoeba/internal/clock"
 	"amoeba/internal/crypto"
 	"amoeba/internal/fbox"
 	"amoeba/internal/locate"
@@ -172,6 +173,9 @@ func (c *Client) requestID(ctx context.Context, explicit uint64) uint64 {
 // Resolver exposes the client's locate cache (for seeding and stats).
 func (c *Client) Resolver() *locate.Resolver { return c.res }
 
+// Clock returns the client machine's clock.
+func (c *Client) Clock() clock.Clock { return c.fb.Clock() }
+
 // options applies the per-call options over the client defaults.
 func (c *Client) options(opts []CallOption) callOptions {
 	o := callOptions{
@@ -266,7 +270,7 @@ func (c *Client) transact(ctx context.Context, dest cap.Port, opts []CallOption,
 			return Reply{}, 0, fmt.Errorf("rpc: %v: %w", dest, err)
 		}
 		if backoffNext && o.backoff > 0 {
-			if err := sleepCtx(ctx, o.backoff); err != nil {
+			if err := c.sleepCtx(ctx, o.backoff); err != nil {
 				return Reply{}, 0, fmt.Errorf("rpc: %v: %w", dest, err)
 			}
 		}
@@ -344,8 +348,7 @@ func (c *Client) transact(ctx context.Context, dest cap.Port, opts []CallOption,
 			// is nearly gone, hand the shed reply back instead of
 			// burning the last of the deadline on backoff.
 			d := overloadBackoff(o.backoff, attempt)
-			if dl, ok := ctx.Deadline(); ok {
-				left := time.Until(dl)
+			if left := remainingBudget(ctx); left > 0 {
 				if left <= minOverloadRetryBudget {
 					return rep, machine, nil
 				}
@@ -355,7 +358,7 @@ func (c *Client) transact(ctx context.Context, dest cap.Port, opts []CallOption,
 			}
 			lastErr = &StatusError{Status: StatusOverload, Detail: string(rep.Data)}
 			if d > 0 {
-				if serr := sleepCtx(ctx, d); serr != nil {
+				if serr := c.sleepCtx(ctx, d); serr != nil {
 					return rep, machine, nil // deadline hit mid-backoff
 				}
 			}
@@ -485,7 +488,8 @@ func overloadBackoff(base time.Duration, attempt int) time.Duration {
 }
 
 // remainingBudget converts a context deadline into the wire budget: the
-// time left until the deadline, or 0 when the context has none.
+// time left until the deadline, or 0 when the context has none. It is
+// read on the wall clock the deadline was set on, not the machine's.
 func remainingBudget(ctx context.Context) time.Duration {
 	dl, ok := ctx.Deadline()
 	if !ok {
@@ -498,11 +502,11 @@ func remainingBudget(ctx context.Context) time.Duration {
 }
 
 // sleepCtx waits d, returning early with ctx.Err() on cancellation.
-func sleepCtx(ctx context.Context, d time.Duration) error {
-	t := time.NewTimer(d)
-	defer t.Stop()
+func (c *Client) sleepCtx(ctx context.Context, d time.Duration) error {
+	t := c.startTimer(d)
+	defer stopTimer(t)
 	select {
-	case <-t.C:
+	case <-t.C():
 		return nil
 	case <-ctx.Done():
 		return ctx.Err()
@@ -511,18 +515,19 @@ func sleepCtx(ctx context.Context, d time.Duration) error {
 
 // timerPool recycles attempt timers: with Go's post-1.23 timer
 // semantics Reset after Stop is race-free, so one timer serves many
-// transactions instead of three allocations per attempt.
+// transactions instead of three allocations per attempt. Every clock's
+// timers are real ones, so one pool serves all machines.
 var timerPool sync.Pool
 
-func startTimer(d time.Duration) *time.Timer {
-	if t, ok := timerPool.Get().(*time.Timer); ok {
+func (c *Client) startTimer(d time.Duration) clock.Timer {
+	if t, ok := timerPool.Get().(clock.Timer); ok {
 		t.Reset(d)
 		return t
 	}
-	return time.NewTimer(d)
+	return c.fb.Clock().NewTimer(d)
 }
 
-func stopTimer(t *time.Timer) {
+func stopTimer(t clock.Timer) {
 	t.Stop()
 	timerPool.Put(t)
 }
@@ -544,7 +549,7 @@ func (c *Client) attempt(ctx context.Context, machine amnet.MachineID, dest cap.
 	if err := c.fb.PutBuf(machine, dest, l, o.sig, payload); err != nil {
 		return Reply{}, fmt.Errorf("rpc: put: %w", err)
 	}
-	timer := startTimer(o.timeout)
+	timer := c.startTimer(o.timeout)
 	defer stopTimer(timer)
 	select {
 	case m, ok := <-l.Recv():
@@ -568,7 +573,7 @@ func (c *Client) attempt(ctx context.Context, machine amnet.MachineID, dest cap.
 		return rep, nil
 	case <-ctx.Done():
 		return Reply{}, fmt.Errorf("rpc: %v: %w", dest, ctx.Err())
-	case <-timer.C:
+	case <-timer.C():
 		return Reply{}, ErrTimeout
 	}
 }

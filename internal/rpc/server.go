@@ -11,6 +11,7 @@ import (
 
 	"amoeba/internal/amnet"
 	"amoeba/internal/cap"
+	"amoeba/internal/clock"
 	"amoeba/internal/crypto"
 	"amoeba/internal/fbox"
 	"amoeba/internal/obs"
@@ -189,6 +190,9 @@ func (s *Server) PutPort() cap.Port { return s.put }
 // it exists so a service can persist its identity across restarts.
 func (s *Server) GetPort() cap.Port { return s.get }
 
+// Clock returns the server machine's clock.
+func (s *Server) Clock() clock.Clock { return s.fb.Clock() }
+
 // Handle registers a handler for an opcode. It must be called before
 // Start; registering twice for one opcode panics (a wiring bug), as
 // does registering the reserved OpBatch.
@@ -363,7 +367,7 @@ func (s *Server) worker() {
 		// Fold this job's queue wait into the EWMA admission control
 		// reads (α = 1/8; the racy load/store loses an occasional
 		// update, which a smoothed estimate absorbs).
-		wait := time.Since(j.enq)
+		wait := clock.Since(s.fb.Clock(), j.enq)
 		old := s.ewmaWait.Load()
 		s.ewmaWait.Store(old + (int64(wait)-old)/8)
 		s.serve(j.m, j.req, wait)
@@ -375,7 +379,7 @@ func (s *Server) worker() {
 func (s *Server) loop(l *fbox.Listener) {
 	defer s.loopWG.Done()
 	// Handlers and the sealer are frozen at Start; read them lock-free.
-	sealer := s.sealer
+	sealer, clk := s.sealer, s.fb.Clock()
 	for m := range l.Recv() {
 		req, err := DecodeRequest(m.Payload)
 		if err != nil {
@@ -437,9 +441,6 @@ func (s *Server) loop(l *fbox.Listener) {
 		// queue itself holds requests for most of their budget, and an
 		// EWMA that ignored that time admitted doomed requests.
 		enq := m.At
-		if enq.IsZero() {
-			enq = time.Now() // hand-built Received (tests, loopback)
-		}
 		// Deadline-aware admission: if the pool is saturated and recent
 		// queue waits already exceed this request's REMAINING budget —
 		// budget minus what the listener queue has already consumed —
@@ -448,7 +449,7 @@ func (s *Server) loop(l *fbox.Listener) {
 		// reply nobody is waiting for. Refuse it NOW, before it costs
 		// anything, with a status the client can tell apart from loss.
 		if req.Budget > 0 {
-			remaining := req.Budget - time.Since(enq)
+			remaining := req.Budget - clock.Since(clk, enq)
 			if remaining <= 0 || (s.inflight.Load() >= int64(s.pool) &&
 				time.Duration(s.ewmaWait.Load()) >= remaining) {
 				s.shed(sealer, m, req, shedQueueWait)
@@ -515,10 +516,10 @@ func (s *Server) serve(m fbox.Received, req Request, wait time.Duration) {
 		}
 	}
 	md := Meta{From: m.From, Sig: m.Sig, ReqID: req.ID}
-	st := s.stats
+	st, clk := s.stats, s.fb.Clock()
 	var start time.Time
 	if st != nil {
-		start = time.Now()
+		start = clk.Now()
 	}
 	var rep Reply
 	if req.Op == OpBatch {
@@ -529,7 +530,7 @@ func (s *Server) serve(m fbox.Received, req Request, wait time.Duration) {
 	status := rep.Status
 	s.reply(s.sealer, m, rep)
 	if st != nil {
-		st.Observe(req.Op, req.ID, uint32(m.From), uint16(status), wait, time.Since(start))
+		st.Observe(req.Op, req.ID, uint32(m.From), uint16(status), wait, clock.Since(clk, start))
 	}
 }
 

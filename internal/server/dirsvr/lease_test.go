@@ -6,14 +6,15 @@ import (
 	"time"
 
 	"amoeba/internal/cap"
+	"amoeba/internal/clock"
 	"amoeba/internal/lease"
 	"amoeba/internal/obs"
 	"amoeba/internal/rpc"
 	"amoeba/internal/server/servertest"
 )
 
-// leaseRig is a dirsvr with leases on plus a caching client driven by
-// a fake clock.
+// leaseRig is a dirsvr with leases on plus a caching client whose
+// clock is moved by hand.
 type leaseRig struct {
 	s     *Server
 	d     *Client
@@ -33,11 +34,18 @@ func newLeaseRig(t *testing.T, seed uint64, dur time.Duration) *leaseRig {
 		Expired:     &obs.Counter{},
 		Invalidated: &obs.Counter{},
 	}
-	cache := lease.New(0, ctr)
 	clock := new(int64)
-	cache.Now = func() int64 { return *clock }
+	cache := lease.New(0, ctr, handClock{ns: clock})
 	return &leaseRig{s: s, d: NewCachingClient(r.Client, cache), cache: cache, ctr: ctr, clock: clock}
 }
+
+// handClock reads unix nanoseconds from *ns, which the test moves.
+type handClock struct {
+	clock.Clock // unset: the cache reads only Now
+	ns          *int64
+}
+
+func (c handClock) Now() time.Time { return time.Unix(0, *c.ns) }
 
 func TestLeaseCachedLookupServesLocally(t *testing.T) {
 	ctx := context.Background()
@@ -206,7 +214,7 @@ func TestLeaseOffKeepsLegacyWire(t *testing.T) {
 	ctx := context.Background()
 	r := servertest.New(t, 0x1EA5)
 	s := newServer(t, r) // lease never set
-	d := NewCachingClient(r.Client, lease.New(0, lease.Counters{}))
+	d := NewCachingClient(r.Client, lease.New(0, lease.Counters{}, r.Client.Clock()))
 	dir, err := d.CreateDir(ctx, s.PutPort())
 	if err != nil {
 		t.Fatal(err)

@@ -4,6 +4,8 @@ import (
 	"errors"
 	"sync"
 	"time"
+
+	"amoeba/internal/clock"
 )
 
 // Injected fault errors. They are distinct from the organic vdisk
@@ -31,13 +33,15 @@ type FaultStats struct {
 // disk under a WAL return EIO after N more writes, report ENOSPC,
 // tear a write in half, rot bits on the way back out, or just get
 // slow. All faults are armed at runtime, so a chaos test can kill a
-// specific machine's disk mid-soak.
+// specific machine's disk mid-soak. The slow-disk fault sleeps on the
+// clock the store was built with: its machine's.
 //
 // Determinism: the only randomized fault is bit rot, driven by a
 // splitmix64 stream from the seed — same seed, same operation
 // sequence, same flipped bits.
 type FaultStore struct {
 	inner Store
+	clk   clock.Clock
 
 	mu         sync.Mutex
 	rng        uint64 // splitmix64 state, seeded
@@ -51,10 +55,10 @@ type FaultStore struct {
 
 var _ Store = (*FaultStore)(nil)
 
-// NewFaultStore wraps inner. With no faults armed it is a transparent
-// pass-through.
-func NewFaultStore(inner Store, seed uint64) *FaultStore {
-	return &FaultStore{inner: inner, rng: seed ^ 0x9E37_79B9_7F4A_7C15, writesLeft: -1}
+// NewFaultStore wraps inner, on the machine whose clock is clk. With no
+// faults armed it is a transparent pass-through.
+func NewFaultStore(inner Store, seed uint64, clk clock.Clock) *FaultStore {
+	return &FaultStore{inner: inner, clk: clk, rng: seed ^ 0x9E37_79B9_7F4A_7C15, writesLeft: -1}
 }
 
 // FailWritesAfter arms the EIO fault: the next n writes (including
@@ -188,9 +192,7 @@ func (d *FaultStore) ReadInto(n uint32, dst []byte) error {
 		d.stats.RottenReads++
 	}
 	d.mu.Unlock()
-	if slow > 0 {
-		time.Sleep(slow)
-	}
+	d.clk.Sleep(slow) // none when the fault is off
 	if err := d.inner.ReadInto(n, dst); err != nil {
 		return err
 	}
@@ -208,9 +210,7 @@ func (d *FaultStore) Write(n uint32, data []byte) error {
 	slow := d.slow
 	err, torn := d.writeFault()
 	d.mu.Unlock()
-	if slow > 0 {
-		time.Sleep(slow)
-	}
+	d.clk.Sleep(slow) // none when the fault is off
 	if err != nil {
 		if torn && len(data) >= 2 {
 			half := append(make([]byte, 0, len(data)), data[:len(data)/2]...)
@@ -228,9 +228,7 @@ func (d *FaultStore) Zero(n uint32) error {
 	slow := d.slow
 	err, _ := d.writeFault()
 	d.mu.Unlock()
-	if slow > 0 {
-		time.Sleep(slow)
-	}
+	d.clk.Sleep(slow) // none when the fault is off
 	if err != nil {
 		return err
 	}
@@ -249,9 +247,7 @@ func (d *FaultStore) Sync() error {
 		err = ErrInjectedIO
 	}
 	d.mu.Unlock()
-	if slow > 0 {
-		time.Sleep(slow)
-	}
+	d.clk.Sleep(slow) // none when the fault is off
 	if err != nil {
 		return err
 	}

@@ -5,6 +5,8 @@ import (
 	"errors"
 	"testing"
 	"time"
+
+	"amoeba/internal/clock"
 )
 
 func faultDisk(t *testing.T) (*Disk, *FaultStore) {
@@ -13,7 +15,7 @@ func faultDisk(t *testing.T) (*Disk, *FaultStore) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	return d, NewFaultStore(d, 42)
+	return d, NewFaultStore(d, 42, clock.Real)
 }
 
 func TestFaultStorePassThrough(t *testing.T) {
@@ -125,7 +127,7 @@ func TestFaultStoreBitRotDeterministic(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		fs := NewFaultStore(d, seed)
+		fs := NewFaultStore(d, seed, clock.Real)
 		blk := bytes.Repeat([]byte{0x55}, fs.BlockSize())
 		if err := fs.Write(0, blk); err != nil {
 			t.Fatal(err)
@@ -169,6 +171,18 @@ func TestFaultStoreBitRotDeterministic(t *testing.T) {
 	}
 }
 
+// sleepLog is a machine clock that records the sleeps asked of it.
+type sleepLog struct {
+	clock.Clock
+	slept []time.Duration
+}
+
+func (c *sleepLog) Sleep(d time.Duration) {
+	if d > 0 {
+		c.slept = append(c.slept, d)
+	}
+}
+
 func TestFaultStoreSlow(t *testing.T) {
 	_, fs := faultDisk(t)
 	fs.SetSlow(5 * time.Millisecond)
@@ -178,5 +192,25 @@ func TestFaultStoreSlow(t *testing.T) {
 	}
 	if d := time.Since(start); d < 5*time.Millisecond {
 		t.Fatalf("slow sync returned in %v, want ≥ 5ms", d)
+	}
+
+	// The delay is slept on the store's own clock, once per operation.
+	d, err := New(16, 64)
+	if err != nil {
+		t.Fatal(err)
+	}
+	clk := &sleepLog{Clock: clock.Real}
+	fs = NewFaultStore(d, 7, clk)
+	fs.SetSlow(time.Hour)
+	blk := make([]byte, fs.BlockSize())
+	if fs.Write(0, blk) != nil || fs.Zero(1) != nil || fs.ReadInto(0, blk) != nil || fs.Sync() != nil {
+		t.Fatal("a slow disk failed an operation")
+	}
+	if len(clk.slept) != 4 || clk.slept[0] != time.Hour {
+		t.Fatalf("slept %v on the store's clock, want four hours", clk.slept)
+	}
+	fs.Heal()
+	if fs.Sync(); len(clk.slept) != 4 {
+		t.Fatalf("a healed disk slept: %v", clk.slept)
 	}
 }

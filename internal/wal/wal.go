@@ -28,6 +28,7 @@ import (
 	"sync"
 	"time"
 
+	"amoeba/internal/clock"
 	"amoeba/internal/obs"
 	"amoeba/internal/vdisk"
 )
@@ -527,7 +528,7 @@ func (l *Log) commit() {
 
 	var syncStart time.Time
 	if l.metrics != nil {
-		syncStart = time.Now()
+		syncStart = clock.Real.Now() // the disk's real work, not protocol time
 	}
 	err := l.writeRange(ds, data)
 	if err == nil {
@@ -535,7 +536,7 @@ func (l *Log) commit() {
 	}
 	if err == nil && l.metrics != nil {
 		if h := l.metrics.SyncLatency; h != nil {
-			h.ObserveDuration(time.Since(syncStart))
+			h.ObserveDuration(clock.Since(clock.Real, syncStart))
 		}
 		if h := l.metrics.BatchRecords; h != nil {
 			h.Observe(batchRecs)

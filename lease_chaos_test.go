@@ -94,7 +94,7 @@ func runLookupLeaseRename(t *testing.T, seed uint64) {
 				return
 			}
 			ownHits := &obs.Counter{}
-			cache := lease.New(0, lease.Counters{Hits: ownHits})
+			cache := lease.New(0, lease.Counters{Hits: ownHits}, rc.Clock())
 			dc := dirsvr.NewCachingClient(rc, cache)
 			for !stop.Load() {
 				start := time.Now().UnixNano()
@@ -155,7 +155,7 @@ func runLookupLeaseRename(t *testing.T, seed uint64) {
 		if err != nil {
 			return err
 		}
-		dc := dirsvr.NewCachingClient(rc, lease.New(0, lease.Counters{}))
+		dc := dirsvr.NewCachingClient(rc, lease.New(0, lease.Counters{}, rc.Clock()))
 		c, err := dc.Lookup(ctx, dir, "target")
 		if err != nil {
 			return err
