@@ -30,9 +30,7 @@ import (
 	"amoeba/internal/server/mvfs"
 	"amoeba/internal/server/unixfs"
 	"amoeba/internal/shard"
-	"amoeba/internal/svc"
 	"amoeba/internal/vdisk"
-	"amoeba/internal/wal"
 )
 
 // ClusterConfig configures a simulated Amoeba cluster. The zero value
@@ -150,23 +148,18 @@ type Cluster struct {
 	// Dirs() client; non-nil only when ClusterConfig.LookupLease > 0.
 	lookupCache *lease.Cache
 
-	// closers end what no replica owns: the client's and NewMachine's
-	// F-boxes and the debug listener. Replicas end in retire.
+	// closers end what no replica owns (the client's and NewMachine's
+	// F-boxes, the debug listener); replicas end in retire.
 	closersMu sync.Mutex
 	closers   []func() error
 	closing   atomic.Bool // set by Close; late detector fires become no-ops
 
 	// lifeMu serializes the lifecycle verbs — Kill, Restart, Drain,
-	// Migrate, elections — end to end: each publishes intermediate
-	// states (down flags, half-built standbys, a NIC that is closing)
-	// that the others must never observe mid-flight. These are rare
-	// operator actions; coarse serialization is the correctness tool,
-	// while mu below stays the fine-grained field guard.
+	// Migrate, elections, and so every node.Replica verb — end to end:
+	// none may observe another's intermediate states. mu guards what they
+	// swap: each shard's slots, primary and group state, and down flags.
 	lifeMu sync.Mutex
-
-	// mu guards everything Kill/Restart/elections swap: each shard's
-	// slots, primary and group state, and walFaults below.
-	mu sync.Mutex
+	mu     sync.Mutex
 
 	// shards holds every service's shards under its metrics label (index
 	// = shard number): one single-slot shard for each volatile service, ≥ 1
@@ -177,14 +170,6 @@ type Cluster struct {
 	// one-shard cluster.
 	shards map[string][]*svcShard
 	atlas  *shard.Atlas
-
-	// walFaults maps each durable incarnation's machine to the fault
-	// injector wrapped around its WAL store — the chaos tests' handle
-	// for killing any machine's disk mid-soak. Keyed by machine because
-	// a machine IS an incarnation here: Restart reopens the same disk
-	// under a new machine and a fresh injector (a replaced disk is a
-	// healthy disk). An entry lives as long as its replica is up.
-	walFaults map[amnet.MachineID]*vdisk.FaultStore
 }
 
 // Machines identifies the cluster's machines on the simulated
@@ -206,7 +191,7 @@ type Machines struct {
 func (cl *Cluster) Machines() Machines {
 	cl.mu.Lock()
 	defer cl.mu.Unlock()
-	at := func(label string) amnet.MachineID { return cl.shards[label][0].primary.machine }
+	at := func(label string) amnet.MachineID { return cl.shards[label][0].primary.Machine() }
 	return Machines{
 		Client: cl.clientFB.Machine(),
 		Memory: at("memory"), Blocks: at("blocks"), Files: at("files"),
@@ -221,9 +206,6 @@ func NewCluster(cfg ClusterConfig) (*Cluster, error) {
 	}
 	if cfg.DiskBlocks == 0 {
 		cfg.DiskBlocks = 4096
-	}
-	if cfg.LeaseTerm <= 0 {
-		cfg.LeaseTerm = repl.DefaultLeaseTerm
 	}
 	scheme, err := cap.NewScheme(cfg.Scheme)
 	if err != nil {
@@ -245,13 +227,12 @@ func NewCluster(cfg ClusterConfig) (*Cluster, error) {
 			Reorder:   cfg.Reorder,
 			Seed:      cfg.Seed,
 		}),
-		src:       src,
-		cfg:       cfg,
-		shards:    make(map[string][]*svcShard),
-		walFaults: make(map[amnet.MachineID]*vdisk.FaultStore),
-		atlas:     shard.NewAtlas(),
-		reg:       obs.NewRegistry(),
-		ring:      obs.NewRing(accessLogSize),
+		src:    src,
+		cfg:    cfg,
+		shards: make(map[string][]*svcShard),
+		atlas:  shard.NewAtlas(),
+		reg:    obs.NewRegistry(),
+		ring:   obs.NewRing(accessLogSize),
 	}
 	if cfg.SealCapabilities {
 		cl.matrix = keymatrix.NewMatrix(src)
@@ -263,6 +244,8 @@ func NewCluster(cfg ClusterConfig) (*Cluster, error) {
 		Ring:        cl.ring,
 		Bank:        cfg.Bank,
 		LookupLease: cfg.LookupLease,
+		LeaseTerm:   cfg.LeaseTerm,
+		Seed:        cfg.Seed,
 	}
 	// Lookup-cache counters are registered even with leases off, so
 	// dashboards see the series at zero instead of a gap; the cache
@@ -338,10 +321,9 @@ const (
 	accessLogSize = 1024
 )
 
-// Help strings for counters registered from more than one place (the
-// registry is idempotent on (name, labels), and the help text must
-// agree): the gray-failure pair at boot and at the increment sites, the
-// election pair here and in the tests that read them.
+// Help strings for counters registered from more than one place (boot,
+// increment sites, tests): the registry is idempotent on (name, labels),
+// and the help text must agree.
 const (
 	wedgedHelp         = "write-ahead logs wedged by an I/O failure (log turned read-only)"
 	demotedHelp        = "primaries that fail-stopped themselves over a wedged WAL (gray disk failure converted to a crash)"
@@ -349,56 +331,25 @@ const (
 	reintegrationsHelp = "machines re-attached to a replication group as fresh standbys"
 )
 
-// openWAL opens a durable service's write-ahead log over disk, wrapped
-// in a deterministic fault injector keyed by the serving machine —
-// every WAL in the cluster (primaries and standbys alike) can have its
-// disk killed mid-soak via WALFault. The log's wedge callback is wired
-// here too: a wedged WAL bumps amoeba_wal_wedged_total and fail-stops
-// the machine, because a disk that takes nothing makes the machine a
-// liability the moment it keeps answering the network.
-func (cl *Cluster) openWAL(service string, fb *fbox.FBox, disk *vdisk.Disk) (*wal.Log, error) {
-	m := fb.Machine()
-	fs := vdisk.NewFaultStore(disk, cl.cfg.Seed^uint64(m)*0x9E3779B97F4A7C15, fb.Clock())
-	// The registry is idempotent on (name, labels): every incarnation's
-	// commit-path histograms land on the same series.
-	log, err := wal.Open(fs, wal.Options{Metrics: &wal.Metrics{
-		SyncLatency:  cl.reg.Histogram("amoeba_wal_sync_ns", obs.L("service", service), "write-ahead log group-commit latency (arena write + sync), nanoseconds"),
-		BatchRecords: cl.reg.Histogram("amoeba_wal_batch_records", obs.L("service", service), "records per write-ahead log group commit"),
-	}})
-	if err != nil {
-		return nil, err
-	}
-	log.OnWedge(func(cause error) { cl.onWALWedge(service, m, cause) })
-	cl.mu.Lock()
-	cl.walFaults[m] = fs
-	cl.mu.Unlock()
-	return log, nil
-}
-
-// WALFault returns the disk-fault injector wrapped around the WAL of
-// the durable incarnation on machine m (primary or standby), or nil if
-// m hosts no WAL. Restart reopens the service's disk under a NEW
-// machine with a fresh injector, so injected faults die with the
-// incarnation — re-read Machines after a restart.
+// WALFault returns the disk-fault injector around the WAL of the live
+// durable replica on machine m (primary or standby), or nil. Injected
+// faults die with the replica: Restart reopens the disk under a NEW
+// machine and a fresh injector — re-read Machines after a restart.
 func (cl *Cluster) WALFault(m amnet.MachineID) *vdisk.FaultStore {
-	cl.mu.Lock()
-	defer cl.mu.Unlock()
-	return cl.walFaults[m]
+	if r := cl.find(func(r *replica) bool { return r.Machine() == m && !r.down }); r != nil {
+		return r.Faults()
+	}
+	return nil
 }
 
-// onWALWedge is every WAL's wedge callback (it runs on the log's own
-// callback goroutine, so it may block on the lifecycle lock). It
-// converts a gray failure into the fail-stop crash the rest of the
-// cluster already understands. A wedged PRIMARY is the nightmare case:
-// its disk takes nothing, yet its NIC keeps answering LOCATE and
-// heartbeats, so no failure detector anywhere would fire. The shipper
-// has already renounced leadership (repl.Shipper.SelfDemote fences
-// acknowledgements and silences heartbeats); tearing the machine down
-// here finishes the job — the NIC goes away, LOCATE stops answering for
-// it, and the standbys elect exactly as if the machine had crashed. A
-// wedged group STANDBY needs none of this: its receiver already answers
-// every frame with its death, which drops it from the ack quorum; the
-// corpse waits for Kill+Restart to re-integrate with a fresh disk.
+// onWALWedge is every WAL's wedge callback (on the log's own goroutine,
+// so it may take lifeMu): it turns a gray failure into a fail-stop
+// crash. A wedged PRIMARY's disk takes nothing while its NIC keeps
+// answering, so no detector would fire; its shipper has already
+// renounced leadership (repl.Shipper.SelfDemote), and tearing the
+// machine down here lets the standbys elect as if it had crashed. A
+// wedged STANDBY's receiver answers every frame with its death, which
+// drops it from the ack quorum; it waits for Kill+Restart.
 func (cl *Cluster) onWALWedge(service string, m amnet.MachineID, cause error) {
 	cl.reg.Counter("amoeba_wal_wedged_total", obs.L("service", service), wedgedHelp).Inc()
 	cl.lifeMu.Lock()
@@ -412,33 +363,22 @@ func (cl *Cluster) onWALWedge(service string, m amnet.MachineID, cause error) {
 		return // a standby, or already killed, or already failed over
 	}
 	cl.reg.Counter("amoeba_self_demotions_total", obs.L("service", r.sh.label), demotedHelp).Inc()
-	_ = cl.retire(r, crashed) // the machine is being written off; its close errors interest nobody
+	_ = cl.retire(r, node.Crashed) // the machine is being written off; its close errors interest nobody
 	stdlog.Printf("amoeba: %s machine %v fail-stopped (wedged WAL); dead disk, dead machine", r.sh.label, m)
 }
 
-// registerGauges wires the scrape-time series: queue depth and queue
-// wait for every service; WAL occupancy, the gray-failure counters and
-// the replication gauges for every shard of the durable ones; the
-// shard-map generation and migration counter per durable service.
-// Gauge functions run only when someone exports the registry, so they
-// may take cl.mu to read through Kill/Restart/election swaps.
+// registerGauges wires the scrape-time series: each shard's serving
+// replica's (node.Gauges), the gray-failure counters of the durable
+// ones, and each durable service's shard-map generation and migration
+// counter. Gauge functions run only when someone exports the registry,
+// so they may take cl.mu to read through Kill/Restart/election swaps.
 func (cl *Cluster) registerGauges() {
-	flag := func(b bool) float64 {
-		if b {
-			return 1
-		}
-		return 0
-	}
 	for _, row := range node.Services {
 		for _, sh := range cl.shards[row.Label] {
-			// A gauge over a shard's serving kernel reads 0 while it is down.
-			node.Gauges(cl.reg, sh.label, row.Durable, func() *svc.Kernel {
+			node.Gauges(cl.reg, sh.label, row.Durable, func() *node.Replica {
 				cl.mu.Lock()
 				defer cl.mu.Unlock()
-				if sh.primary.down {
-					return nil
-				}
-				return sh.primary.kern
+				return sh.primary.Replica
 			})
 		}
 	}
@@ -449,28 +389,6 @@ func (cl *Cluster) registerGauges() {
 		// needs the series present while it is still zero.
 		cl.reg.Counter("amoeba_wal_wedged_total", labels, wedgedHelp)
 		cl.reg.Counter("amoeba_self_demotions_total", labels, demotedHelp)
-
-		// Replication gauges follow the shard's current shipper and read
-		// 0 on an unreplicated shard.
-		shipGauge := func(name, help string, read func(*repl.Shipper) float64) {
-			cl.reg.GaugeFunc(name, labels, help, func() float64 {
-				cl.mu.Lock()
-				ship := sh.primary.ship
-				cl.mu.Unlock()
-				if ship == nil {
-					return 0
-				}
-				return read(ship)
-			})
-		}
-		shipGauge("amoeba_ship_lag_records", "records committed locally but not yet acknowledged by the slowest live standby",
-			func(s *repl.Shipper) float64 { return float64(s.Lag()) })
-		shipGauge("amoeba_ship_lost", "1 when every standby's replication stream is currently written off",
-			func(s *repl.Shipper) float64 { return flag(s.Lost()) })
-		shipGauge("amoeba_lease_valid", "1 while the primary's serving lease holds a majority of fresh grants",
-			func(s *repl.Shipper) float64 { return flag(s.LeaseValid()) })
-		shipGauge("amoeba_repl_term", "current replication epoch (0 = unreplicated)",
-			func(s *repl.Shipper) float64 { return float64(s.Term()) })
 		// Sharding series, per service under shard 0's label, present from
 		// boot so dashboards see the zero. Per-shard request counters need
 		// no new series — every shard reports through the standard request
@@ -495,88 +413,27 @@ func (cl *Cluster) AccessLog() *obs.Ring { return cl.ring }
 // or "" when ClusterConfig.DebugAddr was empty.
 func (cl *Cluster) DebugURL() string { return cl.debugURL }
 
-// newShipClient builds the replication channel's RPC client on the
-// primary's machine. It skips the key-matrix sealer even when
-// SealCapabilities is on: the stream carries WAL records, never
-// capability fields, so there is nothing to seal.
-func (cl *Cluster) newShipClient(fb *fbox.FBox) *rpc.Client {
-	// TTL -1: the receiver's machine never moves within a shipper's
-	// lifetime, so the route needs no periodic reconfirmation (the RPC
-	// layer still evicts it on a delivery failure).
-	res := locate.New(fb, locate.Config{TTL: -1})
-	return rpc.NewClient(fb, res, rpc.ClientConfig{Source: cl.src})
-}
-
-// detectorGap is how long a standby tolerates primary silence before
-// electing: 1.5 lease terms. The old primary's lease lapses (measured
-// from its own send clock) after 1.0 terms, so even with the two clocks
-// skewed by up to half a term the fence closes before a successor
-// serves.
-func (cl *Cluster) detectorGap() time.Duration {
-	return cl.cfg.LeaseTerm + cl.cfg.LeaseTerm/2
-}
-
-// buildStandby stands one standby of sh up on a fresh machine and WAL
-// disk: an un-started service kernel fed by a started receiver.
-func (cl *Cluster) buildStandby(sh *svcShard) (*replica, error) {
-	st, err := cl.buildReplica(sh, nil)
-	if err != nil {
-		return nil, err
-	}
-	st.recv = repl.NewReceiver(st.fb, cl.src, st.kern)
-	if err := st.recv.Start(); err != nil {
-		cl.retire(st, crashed)
-		return nil, err
-	}
-	return st, nil
-}
-
-// attachShipper makes p a group primary at epoch term: the fan-out
-// shipper to dests, its serving lease installed as both replica fence
-// and admission gate. An election calls it BEFORE starting the
-// successor's kernel, so the fence is in place from the first request —
-// there is no unfenced window.
-func (cl *Cluster) attachShipper(p *replica, dests []cap.Port, term uint64) error {
-	// The attempt budget is kept small: a dead standby should be declared
-	// lost (and shipped around) well before the client-visible RPC deadline.
-	lt := cl.cfg.LeaseTerm
-	ship, err := repl.AttachGroup(p.kern, cl.newShipClient(p.fb), dests, repl.Options{
-		Timeout:   lt,
-		Attempts:  4,
-		Backoff:   2 * time.Millisecond,
-		Reprobe:   lt,
-		LeaseTerm: lt,
-		GroupSize: len(p.sh.slots),
-		Term:      term,
-	})
-	if err != nil {
-		return fmt.Errorf("amoeba: attaching %s group: %w", p.sh.label, err)
-	}
-	cl.mu.Lock()
-	p.ship = ship
-	cl.mu.Unlock()
-	p.kern.SetReplicaFence(ship.Fence)
-	p.kern.SetAdmitGate(ship.Fence)
-	return nil
-}
-
 // startGroup makes sh a replication group: a standby in every slot but
 // the primary's, the primary's shipper at term 1, and a failure
 // detector armed on every standby.
 func (cl *Cluster) startGroup(sh *svcShard) error {
-	var dests []cap.Port
+	var peers []*node.Replica
 	for i := 1; i < len(sh.slots); i++ {
-		st, err := cl.buildStandby(sh)
+		st, err := cl.open(sh, nil)
 		if err != nil {
+			return err
+		}
+		if err := st.Follow(); err != nil {
+			st.Retire(node.Crashed)
 			return err
 		}
 		cl.mu.Lock()
 		sh.slots[i] = st
 		cl.mu.Unlock()
-		dests = append(dests, st.recv.Port())
+		peers = append(peers, st.Replica)
 	}
-	if err := cl.attachShipper(sh.primary, dests, 1); err != nil {
-		return err
+	if err := sh.primary.Lead(peers, 1); err != nil {
+		return fmt.Errorf("amoeba: %s: %w", sh.label, err)
 	}
 	cl.mu.Lock()
 	sh.term = 1
@@ -586,25 +443,19 @@ func (cl *Cluster) startGroup(sh *svcShard) error {
 }
 
 // startDetectors arms a failure detector on every live standby that
-// lacks one, bound to the CURRENT election generation — a detector
-// that fires after a later election resolves to a no-op. Callers hold
-// lifeMu (boot runs before any lifecycle verb can race).
+// lacks one, bound to the CURRENT election generation: one that fires
+// after a later election is a no-op. Caller holds lifeMu (or boots).
 func (cl *Cluster) startDetectors(sh *svcShard) {
 	cl.mu.Lock()
 	defer cl.mu.Unlock()
-	gen, gap := sh.gen, cl.detectorGap()
+	gen := sh.gen
 	for _, st := range sh.standbysLocked() {
-		if st.down || st.det != nil {
+		if st.down {
 			continue
 		}
-		// The election runs on its own goroutine: onExpire is called
-		// from the detector's poll loop, and the election stops every
-		// detector in the group — including, possibly, a second one
-		// mid-fire, which would deadlock if the first held its loop.
-		st.det = repl.NewDetector(st.recv, gap, func() {
-			go cl.autoFailover(sh, gen)
-		})
-		st.det.Start()
+		// On its own goroutine: the election stops every detector,
+		// possibly this one mid-fire, which would deadlock its loop.
+		st.Arm(func() { go cl.autoFailover(sh, gen) })
 	}
 }
 
@@ -615,39 +466,34 @@ func (cl *Cluster) refuseElection(sh *svcShard) {
 	cl.reg.Counter("amoeba_elections_refused_total", obs.L("service", sh.label),
 		"elections refused (no live quorum, or a sibling still hears the primary)").Inc()
 	cl.mu.Lock()
-	for _, st := range sh.standbysLocked() {
-		if st.det != nil && st.det.Fired() {
-			st.det.Stop()
-			st.det = nil
+	sts := sh.standbysLocked()
+	cl.mu.Unlock()
+	for _, st := range sts {
+		if st.Fired() {
+			st.Disarm()
 		}
 	}
-	cl.mu.Unlock()
 	cl.startDetectors(sh)
 }
 
-// autoFailover is what a standby's failure detector fires when the
-// primary has been silent for 1.5 lease terms: confirm the silence,
-// then elect. By the time this runs the old primary's lease (1.0
-// terms, on its own clock) has lapsed, so it is already refusing
-// acknowledgements — the successor can serve without overlap even
-// before any StatusStale bounce reaches the old one.
+// autoFailover is what a standby's failure detector fires after 1.5
+// lease terms of primary silence: confirm the silence, then elect. The
+// old primary's lease (1.0 terms, its own clock) has lapsed by then, so
+// the successor serves without overlap.
 func (cl *Cluster) autoFailover(sh *svcShard, gen uint64) {
 	cl.lifeMu.Lock()
 	defer cl.lifeMu.Unlock()
 	if cl.closing.Load() {
 		return // teardown, not an outage
 	}
-	// Confirm the silence with the rest of the group before deposing
-	// anyone: the primary heartbeats EVERY live standby, so if any
-	// sibling heard it within half a detector gap the alarm is a local
-	// stall — a GC pause counterfeits a silent primary on the stalled
-	// side only. This is the in-process analogue of a pre-vote round;
-	// electing on one member's say-so under load is how live primaries
-	// get exiled. Each sibling measures the silence on its own clock.
+	// Confirm the silence with the group before deposing anyone: the
+	// primary heartbeats EVERY live standby, so a sibling that heard it
+	// lately means the alarm is a local stall (a GC pause). This is the
+	// in-process analogue of a pre-vote round.
 	cl.mu.Lock()
 	stale := sh.gen != gen
 	heard := slices.ContainsFunc(sh.standbysLocked(), func(st *replica) bool {
-		return !st.down && st.recv.Silence() < cl.detectorGap()/2
+		return !st.down && st.Hears()
 	})
 	cl.mu.Unlock()
 	switch {
@@ -661,14 +507,12 @@ func (cl *Cluster) autoFailover(sh *svcShard, gen uint64) {
 	}
 }
 
-// elect moves sh's put-port to the live standby with the newest durable
-// position (repl.Pos: term first, then sequence), at the next term; the
-// others become its peers. It asks nobody whether the primary is really
-// gone — autoFailover (silence confirmed) and Drain (the primary has
-// just left) decide that. A primary it deposes while still up goes
-// through retire and its slot is rebuilt as a fresh standby at once: an
-// election never shrinks the group. It reports whether a successor now
-// serves. Caller holds lifeMu.
+// elect moves sh's put-port to the live standby with the newest Pos, at
+// the next term; the others become its peers. autoFailover and Drain
+// decide the primary is gone. A primary deposed while still up is
+// retired and its slot rebuilt as a fresh standby at once: an election
+// never shrinks the group. It reports whether a successor now serves.
+// Caller holds lifeMu.
 func (cl *Cluster) elect(sh *svcShard) bool {
 	cl.mu.Lock()
 	sh.gen++
@@ -680,107 +524,75 @@ func (cl *Cluster) elect(sh *svcShard) bool {
 		return false // nobody left to promote; the group is down until Restart
 	}
 	if len(sts) < len(sh.slots)/2+1 {
-		// Not enough live members to grant the winner a serving lease:
-		// majorities count the CONFIGURED group, dead members included,
-		// so promoting here would depose a primary that may merely be
-		// slow and install one that can never serve. Refuse the election
-		// and re-arm the fired detector — a live primary's next
-		// heartbeat quiets the alarm, and a truly dead one leaves the
-		// group fenced until Restart restores a quorum, which is exactly
-		// what CP demands.
+		// Too few live members to grant the winner a serving lease
+		// (majorities count the CONFIGURED group): refuse and re-arm. A
+		// live primary's next heartbeat quiets the alarm; a dead one
+		// leaves the group fenced until Restart restores a quorum.
 		cl.refuseElection(sh)
 		return false
 	}
-	// Depose the old primary BEFORE choosing a winner. The old shipper
-	// — possibly still half-alive on a machine that merely stalled or
-	// sits behind a flapping link — could otherwise complete an
-	// in-flight batch after the high waters are read: an op acked by
-	// {old primary, one standby} in that window would be invisible to
-	// the winner pick and destroyed when that standby re-bases onto a
-	// lower-High successor. Once Depose returns the fence refuses every
-	// later acknowledgement (StatusStale — clients re-locate at once
-	// instead of waiting out overload backoffs), so the highest high
-	// water read below bounds every acknowledged op.
-	old.ship.Depose()
-	// Quiet the group: the election IS the response to this silence, so
-	// every detector stops (winners and peers get fresh ones below), and
-	// the old primary, if Kill or Drain has not ended it already, ends
-	// here, the way a crashed one does — deposed while alive (a stall, a
-	// partition, a false alarm), its log beyond the winner's position is
-	// a dead branch of history. From here on every member that is up is
-	// a standby.
-	cl.mu.Lock()
+	// Depose the old primary BEFORE choosing a winner: a half-alive old
+	// shipper could otherwise ack a batch, on {itself, one standby},
+	// after the positions are read, and that standby would then re-base
+	// onto a lower successor. Once Depose returns the fence refuses every
+	// later acknowledgement, so the newest Pos read below bounds every
+	// acknowledged op.
+	old.Depose()
+	// Quiet the group (fresh detectors come below) and end the old
+	// primary the way a crashed one ends: deposed while alive, its log
+	// beyond the winner's position is a dead branch of history.
 	for _, st := range sts {
-		if st.det != nil {
-			st.det.Stop()
-			st.det = nil
-		}
+		st.Disarm()
 	}
-	cl.mu.Unlock()
-	cl.retire(old, crashed)
+	cl.retire(old, node.Crashed)
 	// Newest by (term, seq): a standby left on an older term's base holds
 	// a numerically larger sequence in a dead numbering and must not win.
 	var win *replica
 	var at repl.Pos
 	for _, st := range sts {
-		if p := st.recv.Pos(); win == nil || at.Less(p) {
+		if p := st.Pos(); win == nil || at.Less(p) {
 			win, at = st, p
 		}
 	}
-	var dests []cap.Port
+	var peers []*node.Replica
 	for _, st := range sts {
 		if st != win {
-			dests = append(dests, st.recv.Port())
+			peers = append(peers, st.Replica)
 		}
 	}
-	// The winner's receiver dies before its kernel serves: a stale
-	// primary's ships must bounce off a dead port, not mutate a live
-	// service.
-	win.recv.Close()
-	err := cl.attachShipper(win, dests, term)
-	if err == nil {
-		err = win.kern.Start()
-	}
-	if err != nil {
+	if err := win.Lead(peers, term); err != nil {
 		stdlog.Printf("amoeba: %s election: installing successor: %v", sh.label, err)
-		cl.retire(win, crashed) // neither standby nor primary now: a down slot Restart can rebuild
+		cl.retire(win, node.Crashed) // neither standby nor primary now: a down slot Restart can rebuild
+		cl.startDetectors(sh)        // the survivors' alarms stay armed
 		return false
 	}
 	cl.mu.Lock()
-	sh.primary, sh.term, win.recv = win, term, nil
+	sh.primary, sh.term = win, term
 	cl.mu.Unlock()
-	cl.syncShardMachine(sh.put, sh.idx, win.machine)
+	cl.syncShardMachine(sh.put, sh.idx, win.Machine())
 	cl.reg.Counter("amoeba_failovers_total", obs.L("service", sh.label), failoversHelp).Inc()
 	stdlog.Printf("amoeba: %s failover: machine %v promoted at (term %d, seq %d) to term %d",
-		sh.label, win.machine, at.Term, at.Seq, term)
+		sh.label, win.Machine(), at.Term, at.Seq, term)
 	cl.startDetectors(sh)
 	if deposedAlive {
 		// Nobody will Restart a machine nobody killed: its slot comes
 		// back at once, through the same door Restart uses.
-		if err := cl.rejoin(old, old.machine); err != nil {
-			stdlog.Printf("amoeba: %s election: %v (machine %v waits for Restart)", sh.label, err, old.machine)
+		if err := cl.rejoin(old, old.Machine()); err != nil {
+			stdlog.Printf("amoeba: %s election: %v (machine %v waits for Restart)", sh.label, err, old.Machine())
 		}
 	}
 	return true
 }
 
 // Drain gracefully retires the durable primary hosted on machine m —
-// the planned-maintenance counterpart of Kill. The transport stops
-// admitting (new requests are refused with rpc.StatusOverload, which
-// clients retry with backoff), every in-flight handler finishes,
-// commits, ships to the standbys and REPLIES over a NIC that is still
-// up; then the final checkpoint runs and the log closes. Only after
-// the state is cold do the shipper and the NIC go away.
-//
-// On a replication group the drain is a zero-downtime handoff: the
-// standbys hold every acknowledged operation (shipping is synchronous),
-// so the election runs at once instead of waiting out a detector, and
-// the drained machine rejoins as a fresh standby via Restart. Should
-// the election be refused (no live quorum) the machine simply looks
-// dead from here on, and the standbys' detectors retry once Restart has
-// restored one. Unreplicated, the service stays down until Restart —
-// which recovers from the drained WAL, whose final checkpoint makes
-// that restart cheap.
+// the planned-maintenance counterpart of Kill (node.Drained: new
+// requests are refused with rpc.StatusOverload, in-flight ones finish,
+// ship and REPLY, the final checkpoint runs, then the shipper and NIC
+// go). On a replication group the election runs at once — the standbys
+// hold every acknowledged op — and the machine rejoins as a standby via
+// Restart; if it is refused (no live quorum) the detectors retry once
+// Restart has restored one. Unreplicated, the service stays down until
+// Restart recovers it from the drained WAL.
 func (cl *Cluster) Drain(m amnet.MachineID) error {
 	cl.lifeMu.Lock()
 	defer cl.lifeMu.Unlock()
@@ -795,20 +607,17 @@ func (cl *Cluster) Drain(m amnet.MachineID) error {
 	if p.down {
 		return fmt.Errorf("amoeba: %s server already down", sh.label)
 	}
-	err := cl.retire(p, drained)
+	err := cl.retire(p, node.Drained)
 	if len(sh.slots) > 1 {
 		cl.elect(sh)
 	}
 	return err
 }
 
-// Kill crashes the durable-service machine m: the NIC drops off the
-// network mid-conversation and the server dies without flushing or
-// checkpointing — only what its write-ahead log already committed
-// survives. Supported for every machine of the durable services
-// (directory and bank): primaries and group standbys alike. A dead
-// primary's surviving standbys run the election, from their detectors;
-// a dead standby is simply shipped around. Either waits for Restart.
+// Kill crashes the durable-service machine m, primary or standby
+// (node.Crashed): only what its write-ahead log committed survives. A
+// dead primary's standbys elect from their detectors; a dead standby is
+// shipped around. Either waits for Restart.
 func (cl *Cluster) Kill(m amnet.MachineID) error {
 	cl.lifeMu.Lock()
 	defer cl.lifeMu.Unlock()
@@ -819,18 +628,15 @@ func (cl *Cluster) Kill(m amnet.MachineID) error {
 	if r.down {
 		return fmt.Errorf("amoeba: %s machine %v already down", r.sh.label, m)
 	}
-	return cl.retire(r, crashed)
+	return cl.retire(r, node.Crashed)
 }
 
 // Restart brings a killed or drained machine's service back on a FRESH
-// machine, in the slot the old one occupied. An unreplicated shard
-// recovers its state from the write-ahead log (same disk, same
-// get-port, new machine ID): clients' cached locations go stale; their
-// next transaction times out, invalidates the cache entry and
-// re-broadcasts LOCATE — §2.2's discovery path for a moved server —
-// which the new incarnation answers. A replication-group member rejoins
-// as a fresh standby (see rejoin). A failed Restart leaves the slot
-// down and may be retried.
+// machine, in its old slot. An unreplicated shard recovers from its
+// write-ahead log (same disk and get-port): clients' cached locations
+// go stale, and their re-broadcast LOCATE — §2.2's path to a moved
+// server — finds the new incarnation. A group member rejoins as a fresh
+// standby. A failed Restart leaves the slot down, to be retried.
 func (cl *Cluster) Restart(m amnet.MachineID) error {
 	cl.lifeMu.Lock()
 	defer cl.lifeMu.Unlock()
@@ -843,7 +649,7 @@ func (cl *Cluster) Restart(m amnet.MachineID) error {
 	case !r.down:
 		return fmt.Errorf("amoeba: %s machine %v is not down", r.sh.label, m)
 	case len(r.sh.slots) == 1:
-		return cl.startShard(r.sh, r.disk)
+		return cl.startShard(r.sh, r.WAL())
 	case r == r.sh.primary:
 		// A dead group primary must wait for the survivors' election
 		// before it can rejoin as their standby.
@@ -896,13 +702,10 @@ func (cl *Cluster) sealerFor(fb *fbox.FBox) rpc.CapSealer {
 
 // Close shuts every server and machine down.
 func (cl *Cluster) Close() error {
-	// The flag first: retiring the members below looks exactly like a
-	// dead primary, and a detector that fires mid-teardown must not run
-	// an election over closed resources — fires already in flight (queued
-	// on lifeMu) see it and return. Taking lifeMu lets any election
-	// already running finish on live resources. Then every slot of every
-	// shard retires, in reverse boot order (the file server before its
-	// block server) — as a crash: nobody will read these disks again.
+	// The flag first: a detector that fires mid-teardown (queued on
+	// lifeMu) must not elect over closed resources. Then every slot
+	// retires, in reverse boot order (the file server before its block
+	// server), as a crash: nobody will read these disks again.
 	cl.closing.Store(true)
 	cl.lifeMu.Lock()
 	var firstErr error
@@ -910,7 +713,7 @@ func (cl *Cluster) Close() error {
 		for _, sh := range cl.shards[node.Services[i].Label] {
 			for _, r := range sh.slots {
 				if r != nil {
-					firstErr = cmp.Or(firstErr, cl.retire(r, crashed))
+					firstErr = cmp.Or(firstErr, cl.retire(r, node.Crashed))
 				}
 			}
 		}

@@ -28,12 +28,8 @@ import (
 	"amoeba/internal/cap"
 	"amoeba/internal/crypto"
 	"amoeba/internal/fbox"
-	"amoeba/internal/locate"
 	"amoeba/internal/node"
 	"amoeba/internal/obs"
-	"amoeba/internal/rpc"
-	"amoeba/internal/server/blocksvr"
-	"amoeba/internal/svc"
 	"amoeba/internal/vdisk"
 )
 
@@ -63,7 +59,9 @@ func main() {
 // services from the internal/node table — announcing each on out as
 // "name<TAB>put-port" once it serves — and serves until stop delivers.
 // Whatever it opened is closed on the way out, newest first, whether it
-// ends by signal or by a service that would not start.
+// ends by signal or by a service that would not start; a service leaves
+// through a drain, refusing new requests with StatusOverload while what
+// it admitted finishes.
 func run(out io.Writer, stop <-chan os.Signal) error {
 	reg, err := amnet.ParseRegistry(*registry)
 	if err != nil {
@@ -96,7 +94,7 @@ func run(out io.Writer, stop <-chan os.Signal) error {
 		if row == nil {
 			return fmt.Errorf("unknown service %q", name)
 		}
-		var deps node.Deps
+		deps := node.Deps{Label: name, Blocks: blockPort}
 		switch {
 		case name == "block" && *diskPath != "":
 			fd, err := vdisk.OpenFile(*diskPath, uint32(*diskBlocks), *blockSize)
@@ -111,9 +109,6 @@ func run(out io.Writer, stop <-chan os.Signal) error {
 			}
 		case row.NeedsBlocks && blockPort == 0:
 			return fmt.Errorf("%q needs a block server, and finds one only in its own daemon: list \"block\" before it in -services", name)
-		case row.NeedsBlocks:
-			client := rpc.NewClient(fb, locate.New(fb, locate.Config{}), rpc.ClientConfig{Source: src})
-			deps.Blocks = blocksvr.NewClient(client, blockPort)
 		}
 		if name == "block" && *statePath != "" {
 			if deps.State, err = os.ReadFile(*statePath); err == nil {
@@ -122,14 +117,15 @@ func run(out io.Writer, stop <-chan os.Signal) error {
 				return err
 			}
 		}
-		k, err := row.Open(env, fb, name, deps)
+		r, err := node.Open(env, row, fb, deps)
 		if err != nil {
 			return err
 		}
-		node.Gauges(env.Metrics, name, false, func() *svc.Kernel { return k })
+		k := r.Kernel()
+		node.Gauges(env.Metrics, name, false, func() *node.Replica { return r })
 		if name == "block" {
 			blockPort = k.PutPort()
-			if *statePath != "" { // saved once the server below has closed
+			if *statePath != "" { // saved once the server below has retired
 				defer func() {
 					if err := os.WriteFile(*statePath, k.Table().Snapshot(), 0o600); err != nil {
 						log.Printf("block: saving state: %v", err)
@@ -137,10 +133,10 @@ func run(out io.Writer, stop <-chan os.Signal) error {
 				}()
 			}
 		}
-		if err := k.Start(); err != nil {
+		defer r.Retire(node.Drained)
+		if err := r.Lead(nil, 0); err != nil {
 			return fmt.Errorf("starting %s: %w", name, err)
 		}
-		defer k.Close()
 		fmt.Fprintf(out, "%s\t%s\n", name, k.PutPort())
 	}
 

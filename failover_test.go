@@ -23,7 +23,7 @@ func forceElection(tb testing.TB, cl *Cluster, sh *svcShard, dead amnet.MachineI
 	cl.lifeMu.Lock()
 	defer cl.lifeMu.Unlock()
 	cl.mu.Lock()
-	cur := sh.primary.machine
+	cur := sh.primary.Machine()
 	cl.mu.Unlock()
 	if cur == dead && !cl.elect(sh) {
 		tb.Fatalf("forced %s election found no successor", sh.label)

@@ -313,11 +313,11 @@ func runOneWayPartition(t *testing.T, seed uint64) {
 	// Sever standby→primary for every standby: acknowledgements and
 	// lease grants vanish; the primary's own frames still arrive.
 	cl.mu.Lock()
-	primary := cl.shards["directory"][0].primary.machine
+	primary := cl.shards["directory"][0].primary.Machine()
 	var standbys []amnet.MachineID
 	for _, st := range cl.shards["directory"][0].standbysLocked() {
 		if !st.down {
-			standbys = append(standbys, st.machine)
+			standbys = append(standbys, st.Machine())
 		}
 	}
 	cl.mu.Unlock()
@@ -410,8 +410,8 @@ func runFlappingLink(t *testing.T, seed uint64) {
 	})
 
 	cl.mu.Lock()
-	primary := cl.shards["directory"][0].primary.machine
-	flappy := cl.shards["directory"][0].standbysLocked()[0].machine
+	primary := cl.shards["directory"][0].primary.Machine()
+	flappy := cl.shards["directory"][0].standbysLocked()[0].Machine()
 	cl.mu.Unlock()
 	// Up 40ms, down 25ms: the down windows are well inside the 225ms
 	// detector gap, so elections are rare — the exercise is the lost→
@@ -488,8 +488,8 @@ func TestStandbyWedgeDropsFromQuorum(t *testing.T) {
 	})
 
 	cl.mu.Lock()
-	primary := cl.shards["directory"][0].primary.machine
-	stMachine := cl.shards["directory"][0].standbysLocked()[0].machine
+	primary := cl.shards["directory"][0].primary.Machine()
+	stMachine := cl.shards["directory"][0].standbysLocked()[0].Machine()
 	cl.mu.Unlock()
 	cl.WALFault(stMachine).FailWritesAfter(0)
 
@@ -509,7 +509,7 @@ func TestStandbyWedgeDropsFromQuorum(t *testing.T) {
 	deadline := time.Now().Add(15 * time.Second)
 	for {
 		cl.mu.Lock()
-		lost := cl.shards["directory"][0].primary.ship.LostPeers()
+		lost := cl.shards["directory"][0].primary.Ship().LostPeers()
 		cl.mu.Unlock()
 		if lost >= 1 {
 			break
@@ -542,4 +542,69 @@ func TestStandbyWedgeDropsFromQuorum(t *testing.T) {
 		}
 		return err
 	})
+}
+
+// TestStandbyWedgeThenPrimaryDeath: the primary dies while a wedged
+// standby is still up, so the winner of the election cannot hand that
+// standby a base. The winner must serve anyway, with the wedged peer
+// starting out lost, and Kill + Restart of the wedged machine must give
+// it back its quorum. Every acknowledged entry survives.
+func TestStandbyWedgeThenPrimaryDeath(t *testing.T) {
+	cl := groupCluster(t, 0x57DC)
+	dirs := cl.Dirs()
+	var root Capability
+	untilOK(t, "create root", func(ctx context.Context) error {
+		var err error
+		root, err = dirs.CreateDir(ctx, cl.DirPort())
+		return err
+	})
+	var acked []string
+	enter := func(name string) {
+		untilOK(t, "enter "+name, func(ctx context.Context) error {
+			err := dirs.Enter(ctx, root, name, root)
+			if err != nil && strings.Contains(err.Error(), "exists") {
+				return nil
+			}
+			return err
+		})
+		acked = append(acked, name)
+	}
+	for i := 0; i < 4; i++ {
+		enter(fmt.Sprintf("before-wedge-%d", i))
+	}
+
+	sh := cl.shards["directory"][0]
+	cl.mu.Lock()
+	wedged := sh.standbysLocked()[0].Machine()
+	cl.mu.Unlock()
+	lost := func() int {
+		cl.mu.Lock()
+		defer cl.mu.Unlock()
+		return sh.primary.Ship().LostPeers()
+	}
+	cl.WALFault(wedged).FailWritesAfter(0)
+	for i := 0; len(acked) < 8 || lost() < 1; i++ {
+		if i > 2000 {
+			t.Fatal("wedged standby never written off the ack quorum")
+		}
+		enter(fmt.Sprintf("through-wedge-%d", i))
+	}
+
+	old := killPrimary(t, cl, func(m Machines) amnet.MachineID { return m.Dirs })
+	waitForFailover(t, cl, old, func(m Machines) amnet.MachineID { return m.Dirs })
+	if err := cl.Kill(wedged); err != nil {
+		t.Fatal(err)
+	}
+	untilOK(t, "restart the wedged standby", func(context.Context) error { return cl.Restart(wedged) })
+	untilOK(t, "restart the old primary", func(context.Context) error { return cl.Restart(old) })
+	enter("after")
+	for _, name := range acked {
+		untilOK(t, "lookup "+name, func(ctx context.Context) error {
+			_, err := dirs.Lookup(ctx, root, name)
+			return err
+		})
+	}
+	if standbys := liveStandbys(cl, sh); standbys != 2 {
+		t.Fatalf("group has %d live standbys after both restarts, want 2", standbys)
+	}
 }

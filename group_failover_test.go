@@ -475,7 +475,7 @@ func TestGroupLifecycleGuards(t *testing.T) {
 	cl := groupCluster(t, 0x6A4E)
 	m := cl.Machines()
 	cl.mu.Lock()
-	stMachine := cl.shards["directory"][0].standbysLocked()[0].machine
+	stMachine := cl.shards["directory"][0].standbysLocked()[0].Machine()
 	cl.mu.Unlock()
 
 	if err := cl.Restart(m.Dirs); err == nil || !strings.Contains(err.Error(), "not down") {

@@ -1,8 +1,11 @@
-// Package node is the one place a machine's services are constructed:
-// a table with a row per §3 service, the per-kernel wiring every host
-// repeats (request metrics, sealer, scrape-time gauges) and
-// the debug listener. Cluster boots its machines from it on the
-// simulated network; cmd/amoebad boots one on TCP.
+// Package node is the one place a machine's incarnation of a service is
+// put together and taken apart: a table with a row per §3 service, and
+// Replica, one machine's incarnation of one row. Open builds a Replica;
+// Follow, Lead and Retire change its role and touch only its own state.
+// What the election (still Cluster's, in shared memory) reads or calls
+// on another machine is five named methods: Pos, Hears, Depose, AddPeer,
+// DropPeer. Cluster boots its machines from here on the simulated
+// network; cmd/amoebad boots one on TCP.
 package node
 
 import (
@@ -16,6 +19,7 @@ import (
 	"amoeba/internal/crypto"
 	"amoeba/internal/fbox"
 	"amoeba/internal/obs"
+	"amoeba/internal/repl"
 	"amoeba/internal/rpc"
 	"amoeba/internal/server/banksvr"
 	"amoeba/internal/server/blocksvr"
@@ -36,32 +40,42 @@ type Env struct {
 	Ring        *obs.Ring
 	Bank        *banksvr.Config // bank policy; nil = minting allowed, 5 francs to the dollar
 	LookupLease time.Duration   // directory lookup lease; 0 = none granted
+	LeaseTerm   time.Duration   // a group primary's serving lease; 0 = repl.DefaultLeaseTerm
+	Seed        uint64          // seeds each WAL disk's fault injector, with the machine ID
 }
 
 // Deps is what ONE incarnation of one service is built over. Each row
 // reads the fields it needs and ignores the rest.
 type Deps struct {
-	// Log makes a Durable service write ahead to it and recover from it;
-	// nil means volatile. Open takes ownership: the kernel closes it, and
-	// a failed Open has closed it already.
-	Log *wal.Log
+	Label string // the metrics label its requests and log report under
+	// WAL is a Durable row's log disk, written ahead to and recovered
+	// from; nil means volatile. OnWedge runs (on its own goroutine) if
+	// the log wedges after an I/O failure.
+	WAL     vdisk.Store
+	OnWedge func(cause error)
 	// Port pins a Durable service's get-port, so a later incarnation
 	// reappears at the same put-port; 0 draws a fresh one.
 	Port   cap.Port
 	Sealer rpc.CapSealer // key-matrix guard for this machine; nil = unsealed
 	// Store is the block service's disk; State, when set, a capability-
 	// table snapshot (Kernel.Table().Snapshot()) restored over it.
-	Store vdisk.Store
-	State []byte
-	// Blocks is the file service's block server (NeedsBlocks).
-	Blocks *blocksvr.Client
+	Store  vdisk.Store
+	State  []byte
+	Blocks cap.Port // a NeedsBlocks row's block server put-port
+	Group  int      // replication group size, dead members included
+	// OwnFB says the machine dies with the replica: Retire closes the
+	// F-box. A host whose machine outlives each service leaves it false.
+	OwnFB bool
+
+	log    *wal.Log         // what Open builds over WAL …
+	blocks *blocksvr.Client // … and over Blocks
 }
 
 // Service is one row of the table.
 type Service struct {
 	Name        string // as amoebad's -services and stdout spell it
 	Label       string // Cluster's metrics label
-	Durable     bool   // honours Deps.Log and Deps.Port
+	Durable     bool   // honours Deps.WAL and Deps.Port
 	NeedsBlocks bool   // needs Deps.Blocks
 	open        func(env *Env, fb *fbox.FBox, d Deps) (*svc.Kernel, error)
 }
@@ -83,7 +97,7 @@ var Services = []*Service{
 		return s.Kernel, nil
 	}},
 	{Name: "file", Label: "files", NeedsBlocks: true, open: func(env *Env, fb *fbox.FBox, d Deps) (*svc.Kernel, error) {
-		s, err := flatfs.New(context.Background(), fb, env.Scheme, env.Source, d.Blocks)
+		s, err := flatfs.New(context.Background(), fb, env.Scheme, env.Source, d.blocks)
 		if err != nil {
 			return nil, err
 		}
@@ -93,7 +107,7 @@ var Services = []*Service{
 		return mvfs.New(fb, env.Scheme, env.Source).Kernel, nil
 	}},
 	{Name: "dir", Label: "directory", Durable: true, open: func(env *Env, fb *fbox.FBox, d Deps) (*svc.Kernel, error) {
-		s, err := dirsvr.NewDurable(fb, env.Scheme, env.Source, d.Log, d.Port)
+		s, err := dirsvr.NewDurable(fb, env.Scheme, env.Source, d.log, d.Port)
 		if err != nil {
 			return nil, err
 		}
@@ -111,7 +125,7 @@ var Services = []*Service{
 		if env.Bank != nil {
 			cfg = *env.Bank
 		}
-		s, err := banksvr.NewDurable(fb, env.Scheme, env.Source, cfg, d.Log, d.Port)
+		s, err := banksvr.NewDurable(fb, env.Scheme, env.Source, cfg, d.log, d.Port)
 		if err != nil {
 			return nil, err
 		}
@@ -129,49 +143,57 @@ func Lookup(name string) *Service {
 	return nil
 }
 
-// Open builds an un-started incarnation of s on fb, reporting its
-// requests under label. The caller starts the kernel and, later, closes
-// or crashes it.
-func (s *Service) Open(env *Env, fb *fbox.FBox, label string, d Deps) (*svc.Kernel, error) {
-	k, err := s.open(env, fb, d)
-	if err != nil {
-		if d.Log != nil {
-			d.Log.Close() // the kernel never took ownership
-		}
-		return nil, fmt.Errorf("opening %s: %w", s.Name, err)
-	}
-	k.SetObserver(obs.NewServerStats(env.Metrics, env.Ring, label, rpc.StatusName))
-	if d.Sealer != nil {
-		k.SetSealer(d.Sealer)
-	}
-	return k, nil
-}
-
 // Gauges registers the scrape-time series of the service reporting
-// under label: queue depth and queue wait, and write-ahead log
-// occupancy when it runs durable. kernel returns whichever kernel
-// serves it now, nil while none does (the gauges then read 0); it runs
-// only when someone exports the registry, so it may take locks.
-func Gauges(reg *obs.Registry, label string, durable bool, kernel func() *svc.Kernel) {
-	gauge := func(name, help string, read func(*svc.Kernel) float64) {
-		reg.GaugeFunc(name, obs.L("service", label), help, func() float64 {
-			if k := kernel(); k != nil {
-				return read(k)
+// under label: queue depth and queue wait, and, when it runs durable,
+// write-ahead log occupancy and the replication series (0 while
+// unreplicated). serving returns the replica serving it now; a retired
+// one reads 0 but for its stopped shipper's series. It runs only when
+// someone exports the registry, so it may take locks.
+func Gauges(reg *obs.Registry, label string, durable bool, serving func() *Replica) {
+	gauge := func(name, help string, read func(*Replica) float64) {
+		reg.GaugeFunc(name, obs.L("service", label), help, func() float64 { return read(serving()) })
+	}
+	kernel := func(name, help string, read func(*svc.Kernel) float64) {
+		gauge(name, help, func(r *Replica) float64 {
+			if r.retired.Load() {
+				return 0
+			}
+			return read(r.kern)
+		})
+	}
+	ship := func(name, help string, read func(*repl.Shipper) float64) {
+		gauge(name, help, func(r *Replica) float64 {
+			if s := r.Ship(); s != nil {
+				return read(s)
 			}
 			return 0
 		})
 	}
-	gauge("amoeba_queue_depth", "requests queued for or occupying pool workers",
+	flag := func(b bool) float64 {
+		if b {
+			return 1
+		}
+		return 0
+	}
+	kernel("amoeba_queue_depth", "requests queued for or occupying pool workers",
 		func(k *svc.Kernel) float64 { return float64(k.Inflight()) })
-	gauge("amoeba_queue_wait_ewma_ns", "smoothed recent queue wait, nanoseconds",
+	kernel("amoeba_queue_wait_ewma_ns", "smoothed recent queue wait, nanoseconds",
 		func(k *svc.Kernel) float64 { return float64(k.QueueWaitEWMA()) })
 	if !durable {
 		return
 	}
-	gauge("amoeba_wal_used_bytes", "live write-ahead log bytes (head - start)",
+	kernel("amoeba_wal_used_bytes", "live write-ahead log bytes (head - start)",
 		func(k *svc.Kernel) float64 { return float64(k.LogStats().Used) })
-	gauge("amoeba_wal_capacity_bytes", "write-ahead log arena bytes usable before ErrFull",
+	kernel("amoeba_wal_capacity_bytes", "write-ahead log arena bytes usable before ErrFull",
 		func(k *svc.Kernel) float64 { return float64(k.LogStats().Capacity) })
+	ship("amoeba_ship_lag_records", "records committed locally but not yet acknowledged by the slowest live standby",
+		func(s *repl.Shipper) float64 { return float64(s.Lag()) })
+	ship("amoeba_ship_lost", "1 when every standby's replication stream is currently written off",
+		func(s *repl.Shipper) float64 { return flag(s.Lost()) })
+	ship("amoeba_lease_valid", "1 while the primary's serving lease holds a majority of fresh grants",
+		func(s *repl.Shipper) float64 { return flag(s.LeaseValid()) })
+	ship("amoeba_repl_term", "current replication epoch (0 = unreplicated)",
+		func(s *repl.Shipper) float64 { return float64(s.Term()) })
 }
 
 // ListenDebug serves /metrics (Prometheus text), /debug/vars,

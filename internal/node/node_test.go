@@ -3,18 +3,17 @@ package node
 import (
 	"bytes"
 	"context"
+	"errors"
+	"slices"
 	"strings"
 	"testing"
 
 	"amoeba/internal/cap"
 	"amoeba/internal/obs"
 	"amoeba/internal/rpc"
-	"amoeba/internal/server/blocksvr"
 	"amoeba/internal/server/dirsvr"
 	"amoeba/internal/server/servertest"
-	"amoeba/internal/svc"
 	"amoeba/internal/vdisk"
-	"amoeba/internal/wal"
 )
 
 func testEnv(t *testing.T, rig *servertest.Rig) *Env {
@@ -25,33 +24,35 @@ func testEnv(t *testing.T, rig *servertest.Rig) *Env {
 	return &Env{Scheme: scheme, Source: rig.Src, Metrics: obs.NewRegistry(), Ring: obs.NewRing(64)}
 }
 
-// TestEveryRowServes boots the whole table on one machine, the way
-// amoebad does: every row answers at the put-port it reports, under the
-// label it was opened with, and Gauges adds its queue series.
+// TestEveryRowServes boots the whole table, a machine per row, the way
+// Cluster does (SimNet delivers no LOCATE broadcast to its sender, so a
+// file server finds its block server only on another machine): every
+// row answers at the put-port it reports, under the label it was opened
+// with, and Gauges adds its queue series.
 func TestEveryRowServes(t *testing.T) {
 	rig := servertest.New(t, 1)
 	env := testEnv(t, rig)
-	fb := rig.NewFBox(t)
 	disk, err := vdisk.New(64, 512)
 	if err != nil {
 		t.Fatal(err)
 	}
-	var blocks *blocksvr.Client
+	var blocks cap.Port
 	for _, row := range Services {
 		if Lookup(row.Name) != row {
 			t.Fatalf("Lookup(%q) does not find its row", row.Name)
 		}
-		k, err := row.Open(env, fb, row.Label, Deps{Store: disk, Blocks: blocks})
+		r, err := Open(env, row, rig.NewFBox(t), Deps{Label: row.Label, Store: disk, Blocks: blocks})
 		if err != nil {
 			t.Fatal(err)
 		}
-		Gauges(env.Metrics, row.Label, false, func() *svc.Kernel { return k })
-		if err := k.Start(); err != nil {
+		k := r.Kernel()
+		Gauges(env.Metrics, row.Label, false, func() *Replica { return r })
+		t.Cleanup(func() { r.Retire(Drained) })
+		if err := r.Lead(nil, 0); err != nil {
 			t.Fatal(err)
 		}
-		t.Cleanup(func() { k.Close() })
 		if row.Name == "block" {
-			blocks = blocksvr.NewClient(rig.Client, k.PutPort())
+			blocks = k.PutPort()
 		}
 		rep, err := rig.Client.Trans(context.Background(), k.PutPort(), rpc.Request{Op: rpc.OpEcho, Data: []byte(row.Name)})
 		if err != nil || rep.Status != rpc.StatusOK || string(rep.Data) != row.Name {
@@ -78,8 +79,8 @@ func TestEveryRowServes(t *testing.T) {
 	}
 }
 
-// TestDurableRowRecovers: a Durable row given a log writes ahead to it,
-// and a second incarnation opened over the same disk at the same
+// TestDurableRowRecovers: a Durable row given a WAL disk writes ahead to
+// it, and a second incarnation opened over the same disk at the same
 // get-port answers the first one's capabilities.
 func TestDurableRowRecovers(t *testing.T) {
 	rig := servertest.New(t, 2)
@@ -89,40 +90,36 @@ func TestDurableRowRecovers(t *testing.T) {
 		t.Fatal(err)
 	}
 	row, g := Lookup("dir"), cap.Port(0x1234_5678_9ABC)
-	open := func() *svc.Kernel {
-		log, err := wal.Open(disk, wal.Options{})
+	open := func() *Replica {
+		r, err := Open(env, row, rig.NewFBox(t), Deps{Label: row.Label, WAL: disk, Port: g})
 		if err != nil {
 			t.Fatal(err)
 		}
-		k, err := row.Open(env, rig.NewFBox(t), row.Label, Deps{Log: log, Port: g})
-		if err != nil {
+		if !r.Kernel().Durable() || r.Faults() == nil {
+			t.Fatal("a durable incarnation needs a log over a fault injector")
+		}
+		Gauges(env.Metrics, row.Label, true, func() *Replica { return r })
+		if err := r.Lead(nil, 0); err != nil {
 			t.Fatal(err)
 		}
-		if !k.Durable() {
-			t.Fatal("a durable incarnation needs a log")
-		}
-		Gauges(env.Metrics, row.Label, true, func() *svc.Kernel { return k })
-		if err := k.Start(); err != nil {
-			t.Fatal(err)
-		}
-		return k
+		return r
 	}
 	ctx, dirs := context.Background(), dirsvr.NewClient(rig.Client)
 	first := open()
-	root, err := dirs.CreateDir(ctx, first.PutPort())
+	root, err := dirs.CreateDir(ctx, first.Kernel().PutPort())
 	if err != nil {
 		t.Fatal(err)
 	}
 	if err := dirs.Enter(ctx, root, "kept", root); err != nil {
 		t.Fatal(err)
 	}
-	if err := first.Crash(); err != nil {
+	if err := first.Retire(Crashed); err != nil {
 		t.Fatal(err)
 	}
 	second := open()
-	defer second.Close()
-	if second.PutPort() != first.PutPort() {
-		t.Fatalf("put-port moved: %v, was %v", second.PutPort(), first.PutPort())
+	defer second.Retire(Drained)
+	if second.Kernel().PutPort() != first.Kernel().PutPort() {
+		t.Fatalf("put-port moved: %v, was %v", second.Kernel().PutPort(), first.Kernel().PutPort())
 	}
 	if got, err := dirs.Lookup(ctx, root, "kept"); err != nil || got != root {
 		t.Fatalf("lookup after recovery: %v, %v", got, err)
@@ -144,11 +141,105 @@ func TestOpenFailureNamesTheService(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	_, err = Lookup("block").Open(testEnv(t, rig), rig.NewFBox(t), "blocks", Deps{Store: disk, State: []byte("not a snapshot")})
+	_, err = Open(testEnv(t, rig), Lookup("block"), rig.NewFBox(t), Deps{Label: "blocks", Store: disk, State: []byte("not a snapshot")})
 	if err == nil || !strings.Contains(err.Error(), "opening block") {
 		t.Fatalf("Open over a garbage state snapshot: %v", err)
 	}
 	if Lookup("nfs") != nil {
 		t.Fatal("Lookup found a service that is not in the table")
+	}
+}
+
+// TestReplicaVerbsFailOver drives a three-machine directory group
+// through the Replica verbs alone, with no Cluster: a primary leads two
+// followers, commits writes, and crashes; both followers' detectors
+// fire; the one with the newest Pos leads the other at the next term at
+// the same put-port, and every acknowledged write reads back.
+func TestReplicaVerbsFailOver(t *testing.T) {
+	rig := servertest.New(t, 4)
+	env := testEnv(t, rig)
+	row, g := Lookup("dir"), cap.Port(0x0BAD_CAFE_F00D)
+	open := func() *Replica {
+		disk, err := vdisk.New(256, 512)
+		if err != nil {
+			t.Fatal(err)
+		}
+		r, err := Open(env, row, rig.NewFBox(t), Deps{Label: row.Label, WAL: disk, Port: g, Group: 3, OwnFB: true})
+		if err != nil {
+			t.Fatal(err)
+		}
+		t.Cleanup(func() { r.Retire(Crashed) })
+		return r
+	}
+	primary, sts := open(), []*Replica{open(), open()}
+	fired := make(chan *Replica, len(sts))
+	for _, st := range sts {
+		if err := st.Follow(); err != nil {
+			t.Fatal(err)
+		}
+	}
+	if err := primary.Lead(sts, 1); err != nil {
+		t.Fatal(err)
+	}
+	for _, st := range sts {
+		st.Arm(func() { fired <- st })
+	}
+
+	ctx, dirs := context.Background(), dirsvr.NewClient(rig.Client)
+	root, err := dirs.CreateDir(ctx, primary.Kernel().PutPort())
+	if err != nil {
+		t.Fatal(err)
+	}
+	names := []string{"a", "b", "c", "d", "e"}
+	for _, name := range names {
+		if err := dirs.Enter(ctx, root, name, root); err != nil {
+			t.Fatal(err)
+		}
+	}
+	for _, st := range sts {
+		if !st.Hears() || st.Fired() {
+			t.Fatal("a follower of a live primary does not hear it")
+		}
+	}
+
+	primary.Depose()
+	if err := primary.Retire(Crashed); err != nil {
+		t.Fatal(err)
+	}
+	for range sts {
+		<-fired
+	}
+	var win *Replica
+	for _, st := range sts {
+		if st.Hears() || !st.Fired() {
+			t.Fatal("a follower of a crashed primary still hears it")
+		}
+		st.Disarm()
+		if win == nil || win.Pos().Less(st.Pos()) {
+			win = st
+		}
+	}
+	rest := slices.DeleteFunc(slices.Clone(sts), func(st *Replica) bool { return st == win })
+	if err := win.Lead(rest, 2); err != nil {
+		t.Fatal(err)
+	}
+	if win.Kernel().PutPort() != primary.Kernel().PutPort() {
+		t.Fatal("the successor serves at another put-port")
+	}
+	for _, name := range append(names, "after") {
+		err := errors.New("not tried")
+		for i := 0; i < 50 && err != nil; i++ {
+			if name == "after" {
+				err = dirs.Enter(ctx, root, name, root)
+			} else {
+				_, err = dirs.Lookup(ctx, root, name)
+			}
+		}
+		if err != nil {
+			t.Fatalf("%s after the failover: %v", name, err)
+		}
+	}
+	if got := win.Ship().Term(); got != 2 {
+		t.Fatalf("successor ships at term %d, want 2", got)
 	}
 }

@@ -503,3 +503,50 @@ func TestGroupJoinShipsMultiFrameBase(t *testing.T) {
 		t.Fatalf("group unhealthy after multi-frame joins: %+v lag %d", s, g.ship.Lag())
 	}
 }
+
+// TestGroupFirstBaseFailureStartsLost: a destination that cannot take
+// its first base does not fail AttachGroup — it starts out lost (reprobe
+// re-joins it like any other loss), and the group serves on the
+// majority that took theirs.
+func TestGroupFirstBaseFailureStartsLost(t *testing.T) {
+	r := newRig(t)
+	pfb := r.attach()
+	primary := newCounter(t, pfb, newLog(t), 0)
+	if err := primary.Start(); err != nil {
+		t.Fatal(err)
+	}
+	t.Cleanup(func() { primary.Close() })
+	var dests []cap.Port
+	var recvs []*Receiver
+	for i := 0; i < 2; i++ {
+		fb := r.attach()
+		b := newCounter(t, fb, newLog(t), primary.GetPort())
+		t.Cleanup(func() { b.Close() })
+		recv := NewReceiver(fb, crypto.NewSeededSource(uint64(31+i)), b.Kernel)
+		if err := recv.Start(); err != nil {
+			t.Fatal(err)
+		}
+		t.Cleanup(func() { recv.Close() })
+		dests, recvs = append(dests, recv.Port()), append(recvs, recv)
+	}
+	recvs[1].Close() // a dead port: every base attempt times out
+
+	ship, err := AttachGroup(primary.Kernel, r.newClientOn(pfb), dests, Options{
+		GroupSize: 3, Term: 1, Timeout: 20 * time.Millisecond, Attempts: 2, Backoff: time.Millisecond,
+	})
+	if err != nil {
+		t.Fatalf("AttachGroup failed on one dead destination of two: %v", err)
+	}
+	t.Cleanup(ship.Stop)
+	if got := ship.LostPeers(); got != 1 {
+		t.Fatalf("%d peers lost after attach, want the dead one", got)
+	}
+	primary.SetReplicaFence(ship.Fence)
+	if _, err := r.client.Trans(context.Background(), primary.PutPort(), rpc.Request{Op: opInc, Data: []byte("a")},
+		rpc.WithTimeout(5*time.Second), rpc.WithRetries(0)); err != nil {
+		t.Fatal(err)
+	}
+	if s := ship.Stats(); s.Sealed || recvs[0].Pos().Seq == 0 {
+		t.Fatalf("the live majority did not carry the commit: %+v, standby at %+v", s, recvs[0].Pos())
+	}
+}

@@ -258,7 +258,7 @@ func TestLaneStoppedShipperRefusesJoin(t *testing.T) {
 	if err := g.ship.AddPeer(g.recvs[1].Port()); err == nil {
 		t.Fatal("AddPeer on a stopped shipper reported success")
 	}
-	if err := g.ship.join(p); err == nil {
+	if err := g.ship.join(false, p); err == nil {
 		t.Fatal("join on a stopped shipper reported success")
 	}
 	if err := g.ship.sendFrame(p, g.ship.hb); err == nil {

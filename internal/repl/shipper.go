@@ -217,7 +217,7 @@ func AttachGroup(k *svc.Kernel, c *rpc.Client, dests []cap.Port, o Options) (*Sh
 	for i, d := range dests {
 		peers[i], _ = s.startLane(d) // cannot fail: nothing has stopped s yet
 	}
-	if err := s.join(peers...); err != nil {
+	if err := s.join(true, peers...); err != nil {
 		s.halt()
 		s.wg.Wait()
 		return nil, err
@@ -466,8 +466,9 @@ func (s *Shipper) Demoted() bool { return s.demoted.Load() }
 // so each peer's next record is exactly the next one committed: there
 // is never a gap to heal. Nothing ships before the first window closes;
 // a group of no peers still gets its sink, so its first batch reaches
-// nobody and seals.
-func (s *Shipper) join(ps ...*peer) error {
+// nobody and seals. On the first join (AttachGroup) a peer whose base
+// spent its attempt budget starts out lost, for reprobe to re-join.
+func (s *Shipper) join(first bool, ps ...*peer) error {
 	return s.k.Resnapshot(func(snap []byte, next uint64) error {
 		// Seq next-1: each receiver then expects exactly the next record
 		// the primary commits. The lanes ship side by side; reply has
@@ -480,7 +481,7 @@ func (s *Shipper) join(ps ...*peer) error {
 			}
 		}
 		for range ps {
-			if err := <-reply; err != nil {
+			if err := <-reply; err != nil && !(first && errors.Is(err, ErrBackupLost)) {
 				return err
 			}
 		}
@@ -499,7 +500,7 @@ func (s *Shipper) join(ps ...*peer) error {
 			if !slices.Contains(peers, p) {
 				peers = append(peers, p)
 			}
-			p.lost.Store(false)
+			p.lost.Store(first && p.lost.Load()) // a failed first base leaves its peer lost
 		}
 		s.peers.Store(&peers)
 		s.n.rebases.Add(uint64(len(ps)))
@@ -515,7 +516,7 @@ func (s *Shipper) AddPeer(dest cap.Port) error {
 	if err != nil {
 		return err
 	}
-	if err := s.join(p); err != nil {
+	if err := s.join(false, p); err != nil {
 		close(p.quit) // never published: nobody else can reach this lane
 		return err
 	}
@@ -762,6 +763,6 @@ func (s *Shipper) reprobe() {
 		// Alive again. Its log may have holes we shipped around while it
 		// was lost, so the only safe resumption point is a fresh base;
 		// still flaky, and the next tick tries again.
-		_ = s.join(p)
+		_ = s.join(false, p)
 	}
 }

@@ -111,10 +111,10 @@ func runLifecycleScript(t *testing.T, cl *Cluster, sub lifecycleSubject) lifecyc
 		for _, st := range sh.standbysLocked() {
 			if !st.down {
 				live++
-				standby = st.machine
+				standby = st.Machine()
 			}
 		}
-		return sh.primary.machine, standby, sh.term, live
+		return sh.primary.Machine(), standby, sh.term, live
 	}
 	failovers := cl.Metrics().Counter("amoeba_failovers_total", obs.L("service", sh.label), failoversHelp)
 	reintegrations := cl.Metrics().Counter("amoeba_reintegrations_total", obs.L("service", sh.label), reintegrationsHelp)

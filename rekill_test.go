@@ -252,7 +252,7 @@ func TestRekillReattachFatBase(t *testing.T) {
 			})
 		}
 		cl.mu.Lock()
-		lost := cl.shards["directory"][0].primary.ship.LostPeers()
+		lost := cl.shards["directory"][0].primary.Ship().LostPeers()
 		cl.mu.Unlock()
 		if lost != 0 {
 			t.Fatalf("round %d: %d standbys off the stream after re-attachment", round, lost)

@@ -61,10 +61,10 @@ func TestUnplannedElectionRestoresGroup(t *testing.T) {
 					defer cl.mu.Unlock()
 					for _, st := range sh.standbysLocked() {
 						if !st.down {
-							standbys = append(standbys, st.machine)
+							standbys = append(standbys, st.Machine())
 						}
 					}
-					return sh.primary.machine, standbys, sh.term
+					return sh.primary.Machine(), standbys, sh.term
 				}
 				until := func(what string, ok func() bool) {
 					t.Helper()
@@ -112,9 +112,9 @@ func TestUnplannedElectionRestoresGroup(t *testing.T) {
 }
 
 // TestLifecycleLeaksNothing: every incarnation a slot ever held is gone
-// when the next one takes its place — nothing keeps a closer, a
-// disk-fault handle, a 1 MiB log disk or a goroutine of a dead
-// machine's. (Each used to leave four closures on a list only Close
+// when the next one takes its place — nothing keeps a closer, a 1 MiB
+// log disk or a goroutine of a dead machine's. (A disk-fault handle is
+// the replica's own and dies with it.) (Each used to leave four closures on a list only Close
 // drained: 40 restarts of one standby grew it from 27 to 147 entries
 // and the heap by 42 MiB.)
 func TestLifecycleLeaksNothing(t *testing.T) {
@@ -125,7 +125,7 @@ func TestLifecycleLeaksNothing(t *testing.T) {
 	defer cl.Close()
 	sub := directorySubject(t, cl, 0)
 	pick := func(m Machines) amnet.MachineID { return m.Dirs }
-	held := func() (closers, faults int, heap uint64) {
+	held := func() (closers int, heap uint64) {
 		runtime.GC()
 		runtime.GC()
 		var ms runtime.MemStats
@@ -133,10 +133,7 @@ func TestLifecycleLeaksNothing(t *testing.T) {
 		cl.closersMu.Lock()
 		closers = len(cl.closers)
 		cl.closersMu.Unlock()
-		cl.mu.Lock()
-		faults = len(cl.walFaults)
-		cl.mu.Unlock()
-		return closers, faults, ms.HeapInuse
+		return closers, ms.HeapInuse
 	}
 	write := func(tag string) {
 		if err := sub.write(tag); err != nil {
@@ -144,12 +141,12 @@ func TestLifecycleLeaksNothing(t *testing.T) {
 		}
 	}
 	write("boot")
-	closers0, faults0, heap0 := held()
+	closers0, heap0 := held()
 	goroutines0 := runtime.NumGoroutine()
 
 	for i := 0; i < 40; i++ {
 		cl.mu.Lock()
-		st := sub.sh.standbysLocked()[0].machine
+		st := sub.sh.standbysLocked()[0].Machine()
 		cl.mu.Unlock()
 		if err := cl.Kill(st); err != nil {
 			t.Fatal(err)
@@ -165,10 +162,10 @@ func TestLifecycleLeaksNothing(t *testing.T) {
 	}
 	sub.verify("50 rebuilt slots")
 
-	closers, faults, heap := held()
-	t.Logf("closers %d → %d, WAL fault handles %d → %d, heap in use %d → %d KiB", closers0, closers, faults0, faults, heap0>>10, heap>>10)
-	if closers != closers0 || faults != faults0 {
-		t.Errorf("after 50 kill+restart cycles: %d closers (boot %d), %d WAL fault handles (boot %d)", closers, closers0, faults, faults0)
+	closers, heap := held()
+	t.Logf("closers %d → %d, heap in use %d → %d KiB", closers0, closers, heap0>>10, heap>>10)
+	if closers != closers0 {
+		t.Errorf("after 50 kill+restart cycles: %d closers (boot %d)", closers, closers0)
 	}
 	if grown := int64(heap) - int64(heap0); grown >= 8<<20 {
 		t.Errorf("heap in use grew %d KiB over 50 kill+restart cycles, want < 8 MiB", grown>>10)

@@ -361,7 +361,7 @@ func TestShardedMigrateOutSurvivesSourceRestart(t *testing.T) {
 	}
 
 	cl.mu.Lock()
-	_, resurrected := cl.shards["bank"][0].primary.kern.Table().SecretOf(moved.Object)
+	_, resurrected := cl.shards["bank"][0].primary.Kernel().Table().SecretOf(moved.Object)
 	cl.mu.Unlock()
 	if resurrected {
 		t.Fatal("the restarted source shard holds the account that migrated away")

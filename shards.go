@@ -1,7 +1,6 @@
 package amoeba
 
 import (
-	"cmp"
 	"context"
 	"fmt"
 	"slices"
@@ -9,24 +8,19 @@ import (
 	"amoeba/internal/amnet"
 	"amoeba/internal/cap"
 	"amoeba/internal/crypto"
-	"amoeba/internal/fbox"
 	"amoeba/internal/node"
 	"amoeba/internal/obs"
 	"amoeba/internal/repl"
-	"amoeba/internal/server/blocksvr"
 	"amoeba/internal/shard"
-	"amoeba/internal/svc"
 	"amoeba/internal/vdisk"
 )
 
 // svcShard is one shard of a service — the unit Kill, Restart, Drain,
-// replication and migration all act on. An unsharded service is simply
-// the one-shard case, and the four volatile services are one-shard,
-// one-slot, log-less cases of the same thing (which the lifecycle verbs
-// refuse). All shards of a service share ONE get-port, so they answer at
-// the same put-port every capability names; which machine a request
-// goes to is the shard map's decision, not LOCATE's (with one shard
-// there is no map, and LOCATE decides).
+// replication and migration act on. An unsharded service is the
+// one-shard case; the four volatile services are one-slot, log-less
+// cases (which the lifecycle verbs refuse). All shards of a service
+// share ONE get-port and so put-port; the shard map, not LOCATE, picks
+// the machine (with one shard there is no map, and LOCATE decides).
 type svcShard struct {
 	svc   *node.Service
 	label string   // metrics label: the service's for shard 0, "directory-1", … beyond
@@ -34,42 +28,27 @@ type svcShard struct {
 	g     cap.Port // the service's shared get-port (0: each incarnation draws its own) …
 	put   cap.Port // … and the put-port it publishes; fixed once booted
 
-	// The membership, guarded by cl.mu for reads; mutations also hold
-	// cl.lifeMu. slots has one entry per configured member — Replicas of
-	// them on a replication group, else one — and never changes length:
-	// a machine that dies stays in its slot, down, until Restart (or, for
-	// a primary deposed while alive, the election itself) rebuilds the
-	// slot on a fresh machine. Majorities count len(slots). Exactly one
-	// slot is the primary; its ship is the group's shipper (stopped, but
-	// still set, between a primary's death and the election).
+	// The membership (cl.mu; mutations also hold lifeMu): one slot per
+	// configured member, never changing length — a dead machine stays in
+	// its slot, down, until Restart (or, for a primary deposed while
+	// alive, the election) rebuilds it. Majorities count len(slots).
+	// Exactly one slot is the primary.
 	slots   []*replica
 	primary *replica
 	term    uint64 // current replication epoch (1 from boot; 0 = unreplicated)
 	gen     uint64 // election generation; stale detector callbacks no-op
 }
 
-// replica is one machine's incarnation of a shard: its own F-box, its
-// own WAL disk (nil on a volatile service), a service kernel. The
-// primary's kernel serves and, on a group, ships; a group standby's
-// stays un-started, fed by recv and watched by det, until an election
-// starts it (the service then reappears at the same put-port, on this
-// machine). buildReplica and its callers make these; retire unmakes
-// every one of them. down, recv, det and ship are guarded by cl.mu.
+// replica is one slot's current incarnation: a machine's node.Replica of
+// the shard, plus what the group knows of it. open makes these; retire
+// unmakes every one. down is guarded by cl.mu.
 type replica struct {
-	sh      *svcShard
-	fb      *fbox.FBox
-	disk    *vdisk.Disk
-	kern    *svc.Kernel
-	machine amnet.MachineID
-	// was is the machine this incarnation replaced in its slot, when that
-	// one was a primary deposed while alive and so re-attached without a
-	// Restart — which is therefore a no-op for it. Fixed once built.
+	*node.Replica
+	sh *svcShard
+	// was is the machine this incarnation replaced, when that was a
+	// primary deposed while alive (its Restart is then a no-op).
 	was  amnet.MachineID
 	down bool
-
-	recv *repl.Receiver // standby only; nil once elected
-	det  *repl.Detector // standby only
-	ship *repl.Shipper  // group primary only
 }
 
 // standbysLocked returns every member of sh that is not the primary,
@@ -97,9 +76,8 @@ func (cl *Cluster) allShards() []*svcShard {
 	return out
 }
 
-// find returns the durable services' first slot — up or down, primary
-// or standby — that match accepts, or nil. What it returns stays true
-// for as long as the caller holds lifeMu.
+// find returns the durable services' first slot, up or down, that match
+// accepts, or nil; the answer holds while the caller holds lifeMu.
 func (cl *Cluster) find(match func(*replica) bool) *replica {
 	cl.mu.Lock()
 	defer cl.mu.Unlock()
@@ -113,158 +91,100 @@ func (cl *Cluster) find(match func(*replica) bool) *replica {
 
 // member returns the slot machine m occupies (see find).
 func (cl *Cluster) member(m amnet.MachineID) *replica {
-	return cl.find(func(r *replica) bool { return r.machine == m })
+	return cl.find(func(r *replica) bool { return r.Machine() == m })
 }
 
-// syncShardMachine points shard idx of port p at machine at (bumping
-// the map generation); no-op when p is unsharded. Every path that
-// changes which machine serves a shard — restart, election — funnels
-// through here, so stale client routes always heal against a map whose
-// generation moved.
+// syncShardMachine points shard idx of port p at machine at, bumping the
+// map generation so stale client routes heal; no-op when p is unsharded.
+// Every restart and election funnels through here.
 func (cl *Cluster) syncShardMachine(p cap.Port, idx int, at amnet.MachineID) {
 	cl.atlas.Update(p, func(m *shard.Map) *shard.Map { return m.WithMachine(idx, at) })
 }
 
-// buildReplica constructs an un-started incarnation of sh on a fresh
-// machine — the one constructor behind boot, Restart and every standby,
-// of all six services. A durable service's runs over disk, the WAL disk
-// that survived its last incarnation, or over a fresh one when disk is
-// nil. The metrics label is the shard's, whichever machine serves
-// it: the registry is idempotent, so a restarted or elected successor
-// keeps accumulating into the SAME series — no break at failover.
-// Nothing it makes is registered anywhere else: whoever holds the
-// replica ends it with retire, as a failed build has done already.
-func (cl *Cluster) buildReplica(sh *svcShard, disk *vdisk.Disk) (*replica, error) {
+// open builds an un-started incarnation of sh on a fresh machine: the
+// one door behind boot, Restart and every standby. A durable service's
+// runs over wal, the disk its last incarnation left, or a fresh one. The
+// metrics label is the shard's, so successors keep accumulating into the
+// SAME series. A failed open has ended what it built.
+func (cl *Cluster) open(sh *svcShard, wal vdisk.Store) (*replica, error) {
+	if sh.svc.Durable && wal == nil {
+		disk, err := vdisk.New(walBlocks, walBlockSize)
+		if err != nil {
+			return nil, err
+		}
+		wal = disk
+	}
 	fb, err := cl.attach()
 	if err != nil {
 		return nil, err
 	}
-	r := &replica{sh: sh, fb: fb, disk: disk, machine: fb.Machine()}
-	deps := node.Deps{Port: sh.g, Sealer: cl.sealerFor(r.fb), Store: cl.disk}
+	deps := node.Deps{Label: sh.label, Port: sh.g, Sealer: cl.sealerFor(fb), Store: cl.disk, Group: len(sh.slots), OwnFB: true}
 	if sh.svc.NeedsBlocks {
-		// A client of the block server, from this service's own machine.
-		deps.Blocks = blocksvr.NewClient(cl.newRPCClient(r.fb), cl.put("blocks"))
+		deps.Blocks = cl.put("blocks")
 	}
 	if sh.svc.Durable {
-		if r.disk == nil {
-			r.disk, err = vdisk.New(walBlocks, walBlockSize)
-		}
-		if err == nil {
-			deps.Log, err = cl.openWAL(sh.label, r.fb, r.disk)
-		}
+		deps.WAL = wal
+		deps.OnWedge = func(cause error) { cl.onWALWedge(sh.label, fb.Machine(), cause) }
 	}
-	if err == nil {
-		r.kern, err = sh.svc.Open(cl.env, r.fb, sh.label, deps)
-	}
+	nr, err := node.Open(cl.env, sh.svc, fb, deps)
 	if err != nil {
-		cl.retire(r, crashed)
 		return nil, err
 	}
 	if cl.cfg.Shards >= 2 && sh.svc.Durable {
 		// Wire the kernel into the shard map: dispatch refuses objects
-		// other shards own (StatusWrongShard), and the capability table
-		// only mints object numbers that hash (or are overridden) back to
-		// this shard — so a create handled by shard k yields a capability
-		// that routes to shard k forever. An unsharded kernel pays one nil
-		// atomic load per request and nothing else.
-		v := shard.NewView(cl.atlas, r.kern.PutPort(), sh.idx)
-		r.kern.SetShardView(v)
-		r.kern.Table().SetAllocFilter(v.Owns)
+		// other shards own (StatusWrongShard), and the table mints only
+		// object numbers that route back to this shard.
+		k := nr.Kernel()
+		v := shard.NewView(cl.atlas, k.PutPort(), sh.idx)
+		k.SetShardView(v)
+		k.Table().SetAllocFilter(v.Owns)
 	}
-	return r, nil
+	return &replica{Replica: nr, sh: sh}, nil
 }
 
-// exit is how a replica leaves service: the one argument of retire.
-type exit int
-
-const (
-	// crashed: the NIC goes FIRST — a crash cuts the machine off
-	// mid-conversation; in-flight replies vanish and clients retry. The
-	// order against the shipper matters: were the stream stopped while
-	// the NIC still carried replies, an in-flight handler could commit
-	// locally, skip the (stopped) ship, and still acknowledge its client —
-	// an acked op no standby ever saw, lost at the election. With the NIC
-	// down, any op whose ship was cut off can no longer reach its client
-	// either, so "acknowledged" still implies "on the standbys". Then the
-	// shipper dies with its machine (aborting any in-flight ship attempt
-	// unwedges handlers blocked on replication acks, so the crash drains)
-	// and the kernel without a checkpoint: only what its log already
-	// committed survives.
-	crashed exit = iota
-	// drained: the reverse, for Drain — the kernel first, while the NIC
-	// still carries replies and the shipper still carries commits, so
-	// in-flight work ends acknowledged on every disk, not severed.
-	drained
-)
-
-// retire is the one way a replica stops being a live member, whoever
-// decided it — Kill, the wedged-WAL fail-stop, Drain, an election that
-// deposed it while it was up, Close, a constructor that failed half-way
-// — and it ends everything the constructors made: the detector (a
-// standby must not answer its own death by electing anyone), its place
-// among the primary's peers (majorities still count the configured
-// group, so losing standbys never loosens the quorum), the receiver,
-// shipper, kernel and F-box, and its disk-fault handle. The slot keeps
-// the corpse, down, until something rebuilds it. Idempotent. Caller
-// holds lifeMu.
-func (cl *Cluster) retire(r *replica, how exit) error {
+// retire is the one way a replica stops being a live member — Kill, the
+// wedged-WAL fail-stop, Drain, an election, Close: its detector first,
+// then its place among the primary's peers, then the replica itself, in
+// the order how names. The slot keeps the corpse, down, until something
+// rebuilds it. Idempotent. Caller holds lifeMu.
+func (cl *Cluster) retire(r *replica, how node.Exit) error {
 	cl.mu.Lock()
 	if r.down {
 		cl.mu.Unlock()
 		return nil
 	}
 	r.down = true
-	det, lead := r.det, r.sh.primary
-	r.det = nil
-	delete(cl.walFaults, r.machine)
+	lead := r.sh.primary
 	cl.mu.Unlock()
-	if det != nil {
-		det.Stop()
+	r.Disarm()
+	if lead != nil && lead != r {
+		lead.DropPeer(r.Replica)
 	}
-	if r.recv != nil && lead != nil && lead.ship != nil {
-		lead.ship.DropPeer(r.recv.Port())
-	}
-	var err error
-	if how == drained {
-		err = r.kern.Drain()
-	} else {
-		err = r.fb.Close()
-	}
-	if r.recv != nil {
-		err = cmp.Or(err, r.recv.Close())
-	}
-	if r.ship != nil {
-		r.ship.Stop()
-	}
-	if r.kern != nil {
-		err = cmp.Or(err, r.kern.Crash()) // no-op once drained
-	}
-	return cmp.Or(err, r.fb.Close())
+	return r.Retire(how)
 }
 
-// rejoin rebuilds the slot the down member old occupies as a fresh
-// standby — new machine, new disk, base snapshot from the current
-// primary — the one way back into a group, for Restart and for an
-// election that deposed a live primary alike. old's own log may hold a
-// tail the successor never acknowledged, so it is discarded: split
-// brain is prevented by lease plus quorum, not by exiling the machine.
-// On failure the slot stays down, to be retried. was names the machine
-// (old's, or none) whose Restart the newcomer has made unnecessary.
-// Caller holds lifeMu.
+// rejoin rebuilds the down member old's slot as a fresh standby — new
+// machine, new disk, base snapshot from the primary: the one way back
+// into a group, for Restart and for an election that deposed a live
+// primary. old's log may hold a tail nobody acknowledged, so it is
+// discarded. On failure the slot stays down, to be retried. was names
+// the machine whose Restart the newcomer makes a no-op. Caller holds
+// lifeMu.
 func (cl *Cluster) rejoin(old *replica, was amnet.MachineID) error {
 	sh := old.sh
-	st, err := cl.buildStandby(sh)
+	st, err := cl.open(sh, nil)
 	if err != nil {
 		return err
 	}
 	st.was = was
 	cl.mu.Lock()
-	ship := sh.primary.ship
+	lead := sh.primary
 	cl.mu.Unlock()
-	// AddPeer quiesces the primary, ships the base snapshot, and adds
-	// the peer inside the quiesced window — the stream has no gap.
-	if err := ship.AddPeer(st.recv.Port()); err != nil {
-		cl.retire(st, crashed)
+	if err = st.Follow(); err == nil {
+		err = lead.AddPeer(st.Replica)
+	}
+	if err != nil {
+		st.Retire(node.Crashed)
 		return fmt.Errorf("amoeba: re-integrating %s standby: %w", sh.label, err)
 	}
 	cl.mu.Lock()
@@ -278,29 +198,28 @@ func (cl *Cluster) rejoin(old *replica, was amnet.MachineID) error {
 // startShard boots (or re-boots, after Kill or Drain) sh's one serving
 // incarnation over the WAL disk that survived the last; boot and the
 // unreplicated Restart share it.
-func (cl *Cluster) startShard(sh *svcShard, disk *vdisk.Disk) error {
-	p, err := cl.buildReplica(sh, disk)
+func (cl *Cluster) startShard(sh *svcShard, wal vdisk.Store) error {
+	p, err := cl.open(sh, wal)
 	if err != nil {
 		return err
 	}
-	if err := p.kern.Start(); err != nil {
-		cl.retire(p, crashed) // abandons the log; a Restart retry reopens it
+	if err := p.Lead(nil, 0); err != nil {
+		p.Retire(node.Crashed) // abandons the log; a Restart retry reopens it
 		return err
 	}
 	cl.mu.Lock()
 	sh.slots[0], sh.primary = p, p
 	cl.mu.Unlock()
-	cl.syncShardMachine(sh.put, sh.idx, p.machine)
+	cl.syncShardMachine(sh.put, sh.idx, p.Machine())
 	return nil
 }
 
-// startService boots every shard of one table row — a durable service's
-// each with its own machine and WAL disk (which models the machine's
-// disk and so survives Kill/Restart), all at one freshly drawn get-port
-// (which pins the put-port across incarnations) — and, when there is
-// more than one, registers the service's shard map. Before registration
-// every kernel's view answers "I own everything" (no map yet), which is
-// harmless: no client exists until NewCluster returns.
+// startService boots every shard of one table row — a durable one's
+// each on its own machine and WAL disk, all at one freshly drawn
+// get-port that pins the put-port across incarnations — and registers
+// the shard map when there are several (no client exists before
+// NewCluster returns, so a kernel's view briefly owning everything is
+// harmless).
 func (cl *Cluster) startService(row *node.Service) error {
 	n, slots, g := 1, 1, cap.Port(0)
 	if row.Durable {
@@ -316,8 +235,8 @@ func (cl *Cluster) startService(row *node.Service) error {
 		if err := cl.startShard(sh, nil); err != nil {
 			return err
 		}
-		sh.put = sh.primary.kern.PutPort()
-		machines = append(machines, sh.primary.machine)
+		sh.put = sh.primary.Kernel().PutPort()
+		machines = append(machines, sh.primary.Machine())
 	}
 	if n >= 2 {
 		cl.atlas.Register(cl.put(row.Label), shard.NewMap(machines))
@@ -344,28 +263,20 @@ const migrationsHelp = "objects moved live between shards"
 
 // Migrate moves ONE object of the sharded service at put-port p to
 // shard dst, live: the object is gated (requests for it park), cut out
-// of the source under its own lock, shipped over a private migration
-// channel, installed durably on the destination (and its standbys),
-// sealed out of the source's log, and finally re-homed in the shard
-// map — at which point the parked requests wake, bounce with
-// StatusWrongShard and the new generation, and every client re-routes.
-// The object stalls for the few milliseconds this takes; every other
-// object on every shard is untouched.
+// of the source, shipped over a private channel, installed durably on
+// the destination (and its standbys), sealed out of the source's log,
+// and re-homed in the shard map — the parked requests then bounce with
+// StatusWrongShard and every client re-routes. Other objects are
+// untouched.
 //
-// Crash safety hangs on the order above. Until the destination has
-// acknowledged durable custody, nothing is logged anywhere: a failure
-// aborts the move and the object serves from the source again (a crash
-// recovers it there — the copy the destination may hold is dark, since
-// the map never re-homed it, and is overwritten by any later retry).
-// After the acknowledgement the move is decided: the source seals a
-// migrate-out record and the map bumps, so no later state has the
-// object in two places.
+// Crash safety hangs on that order. Until the destination acknowledges
+// durable custody nothing is logged: a failure aborts the move, and the
+// object serves from the source (a copy the destination may hold stays
+// dark). After it the move is decided: the source seals a migrate-out
+// record and the map bumps, so no state has the object in two places.
 func (cl *Cluster) Migrate(ctx context.Context, p Port, obj uint32, dst int) error {
 	obj &= cap.ObjectMask
-	// lifeMu: a migration must not interleave with failovers or
-	// Kill/Restart swapping the endpoints out from under it. Migrations
-	// are millisecond-scale, so parking lifecycle verbs behind one is
-	// cheap.
+	// lifeMu: no failover or Kill/Restart swaps the endpoints mid-move.
 	cl.lifeMu.Lock()
 	defer cl.lifeMu.Unlock()
 	m := cl.atlas.Lookup(p)
@@ -387,7 +298,7 @@ func (cl *Cluster) Migrate(ctx context.Context, p Port, obj uint32, dst int) err
 	if err != nil {
 		return err
 	}
-	srcK, srcFB, dstK, dstFB := from.kern, from.fb, to.kern, to.fb
+	srcK, dstK := from.Kernel(), to.Kernel()
 
 	release, err := srcK.GateObject(obj)
 	if err != nil {
@@ -404,23 +315,19 @@ func (cl *Cluster) Migrate(ctx context.Context, p Port, obj uint32, dst int) err
 		}
 		return cause
 	}
-	// The receiver lives for this one migration: a fresh private port
-	// on the destination's machine, gone when the move settles. Nothing
-	// to keep consistent across failovers that way — the next migration
-	// builds its own against whatever machine is primary then.
-	recv := repl.NewMigrateReceiver(dstFB, cl.src, dstK)
+	// A receiver for this one migration: a fresh private port on the
+	// destination's machine, gone when the move settles.
+	recv := repl.NewMigrateReceiver(to.FBox(), cl.src, dstK)
 	if err := recv.Start(); err != nil {
 		return abort(err)
 	}
 	defer recv.Close()
-	if err := repl.ShipObject(ctx, cl.newShipClient(srcFB), recv.Port(), m.Gen+1, obj, secret, state); err != nil {
+	if err := repl.ShipObject(ctx, from.ShipClient(), recv.Port(), m.Gen+1, obj, secret, state); err != nil {
 		return abort(err)
 	}
-	// The destination holds the object durably: the move is decided.
-	// The migrate-out seal and the map bump both happen even if one of
-	// them errors — leaving the map pointing at a source that logged
-	// the departure (or a wedged source that will fail-stop) beats
-	// leaving two shards claiming the object.
+	// Decided: the seal and the map bump both happen even if one errors
+	// — a map pointing at a source that logged the departure beats two
+	// shards claiming the object.
 	commitErr := srcK.CommitMigrateOut(obj)
 	cl.atlas.Update(p, func(cur *shard.Map) *shard.Map { return cur.WithOverride(obj, dst) })
 	cl.reg.Counter("amoeba_migrations_total", obs.L("service", from.sh.svc.Label), migrationsHelp).Inc()
