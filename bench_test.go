@@ -10,7 +10,6 @@ import (
 	"fmt"
 	"io"
 	stdlog "log"
-	"strings"
 	"sync"
 	"sync/atomic"
 	"testing"
@@ -1376,8 +1375,9 @@ func BenchmarkE23_ShardedThroughput(b *testing.B) {
 					// name so both ops always apply cleanly. The transport
 					// is at-least-once: when a checkpoint stalls a reply
 					// past the retransmit timeout the retry re-applies, so
-					// "exists"/"no entry" against this worker's PRIVATE
-					// name just means the first attempt landed.
+					// a refusal ("exists"/"no entry", a server error)
+					// against this worker's PRIVATE name just means the
+					// first attempt landed.
 					for j := 0; ; j++ {
 						if next.Add(1) > int64(b.N) {
 							return
@@ -1387,8 +1387,7 @@ func BenchmarkE23_ShardedThroughput(b *testing.B) {
 						} else {
 							err = dc.Remove(ctx, roots[w], name)
 						}
-						if err != nil && !strings.Contains(err.Error(), "exists") &&
-							!strings.Contains(err.Error(), "no entry") {
+						if err != nil && !rpc.IsStatus(err, rpc.StatusServerError) {
 							b.Error(err)
 							return
 						}

@@ -9,7 +9,6 @@ package amoeba
 import (
 	"context"
 	"fmt"
-	"strings"
 	"sync"
 	"sync/atomic"
 	"testing"
@@ -18,27 +17,17 @@ import (
 	"amoeba/internal/lease"
 	"amoeba/internal/obs"
 	"amoeba/internal/server/dirsvr"
+	"amoeba/internal/server/servertest"
 )
 
 const renameLease = 20 * time.Millisecond
 
 func leaseChaosCluster(t *testing.T, seed uint64) *Cluster {
-	t.Helper()
-	cl, err := NewCluster(ClusterConfig{
-		Seed:        seed,
-		Latency:     50 * time.Microsecond,
-		Jitter:      100 * time.Microsecond,
-		LookupLease: renameLease,
-	})
-	if err != nil {
-		t.Fatal(err)
-	}
-	t.Cleanup(func() { cl.Close() })
-	return cl
+	return testCluster(t, ClusterConfig{Seed: seed, Latency: 50 * time.Microsecond, Jitter: 100 * time.Microsecond, LookupLease: renameLease})
 }
 
 func TestChaosLookupLeaseRename(t *testing.T) {
-	for i := 0; i < killRestartSeeds(t); i++ {
+	for i := 0; i < chaosSeeds(); i++ {
 		t.Run(fmt.Sprintf("seed=%d", i), func(t *testing.T) {
 			runLookupLeaseRename(t, 0x1EA5_0000+uint64(i))
 		})
@@ -193,42 +182,21 @@ func TestShardKillPromoteOverlappingMigration(t *testing.T) {
 func runKillPromoteOverlappingMigration(t *testing.T, seed uint64) {
 	ctx := context.Background()
 	cl := shardGroupCluster(t, seed)
-	dirs := cl.Dirs()
-
-	var hot Capability
-	untilOK(t, "create dir", func(ctx context.Context) error {
-		var err error
-		hot, err = dirs.CreateDir(ctx, cl.DirPort())
-		return err
-	})
-	marker := hot
-	acked := map[string]bool{}
-	enter := func(name string) {
-		untilOK(t, "enter "+name, func(ctx context.Context) error {
-			err := dirs.Enter(ctx, hot, name, marker)
-			// Names are unique per call site, so "exists" means an earlier
-			// attempt landed and only its ack was lost.
-			if err != nil && strings.Contains(err.Error(), "exists") {
-				return nil
-			}
-			return err
-		})
-		acked[name] = true
-	}
+	w := newWorkload(t, cl, "directory", 0, 2, seed)
+	hot := w.home
 	for i := 0; i < 5; i++ {
-		enter(fmt.Sprintf("pre%d", i))
+		w.mustWrite(fmt.Sprintf("pre%d", i))
 	}
 
-	// Clients hammering the hot directory all through the overlap.
+	// Clients hammering the hot directory all through the overlap, each
+	// on its own machine, each call recorded.
 	var (
 		stop atomic.Bool
 		wg   sync.WaitGroup
-		mu   sync.Mutex
-		late = map[string]bool{} // acked by the soak writers
 	)
-	for w := 0; w < 2; w++ {
+	for n := 0; n < 2; n++ {
 		wg.Add(1)
-		go func(w int) {
+		go func() {
 			defer wg.Done()
 			_, rc, err := cl.NewMachine()
 			if err != nil {
@@ -237,17 +205,14 @@ func runKillPromoteOverlappingMigration(t *testing.T, seed uint64) {
 			}
 			dc := dirsvr.NewClient(rc)
 			for seq := 0; !stop.Load(); seq++ {
-				name := fmt.Sprintf("w%d-%d", w, seq)
+				name := fmt.Sprintf("w%d-%d", n, seq)
 				opCtx, cancel := context.WithTimeout(ctx, 2*time.Second)
-				err := dc.Enter(opCtx, hot, name, marker)
+				w.h.Do(servertest.Op{Kind: servertest.Enter, Dir: hot, Name: name, Cap: hot}, func(*servertest.Op) error {
+					return dc.Enter(opCtx, hot, name, hot)
+				})
 				cancel()
-				if err == nil {
-					mu.Lock()
-					late[name] = true
-					mu.Unlock()
-				}
 			}
-		}(w)
+		}()
 	}
 
 	// The overlap: migrate the hot object to the other shard, then
@@ -255,8 +220,7 @@ func runKillPromoteOverlappingMigration(t *testing.T, seed uint64) {
 	// WrongShard bounce from the move and then a dead authority — two
 	// causes, two extra locate rounds.
 	time.Sleep(30 * time.Millisecond)
-	src := cl.ShardOf(cl.DirPort(), hot.Object)
-	dst := 1 - src
+	dst := 1 - cl.ShardOf(cl.DirPort(), hot.Object)
 	if err := cl.Migrate(ctx, cl.DirPort(), hot.Object, dst); err != nil {
 		t.Fatal(err)
 	}
@@ -274,32 +238,12 @@ func runKillPromoteOverlappingMigration(t *testing.T, seed uint64) {
 
 	// Post-promotion: the same client session (same locate cache, same
 	// shard map) converges without a fresh client.
-	enter("post-overlap")
+	w.mustWrite("post-overlap")
 	time.Sleep(30 * time.Millisecond)
 	stop.Store(true)
 	wg.Wait()
-	mu.Lock()
-	for name := range late {
-		acked[name] = true
+	if n := w.h.Len(); n < 12 {
+		t.Fatalf("soak recorded only %d calls; the overlap was not exercised", n)
 	}
-	mu.Unlock()
-
-	var entries []dirsvr.Entry
-	untilOK(t, "list", func(ctx context.Context) error {
-		var err error
-		entries, err = dirs.List(ctx, hot)
-		return err
-	})
-	present := make(map[string]bool, len(entries))
-	for _, e := range entries {
-		present[e.Name] = true
-	}
-	for name := range acked {
-		if !present[name] {
-			t.Fatalf("acked entry %q lost across migration+failover (%d acked, %d present)", name, len(acked), len(present))
-		}
-	}
-	if len(acked) < 6 {
-		t.Fatal("soak acknowledged almost nothing; the overlap was not exercised")
-	}
+	w.verify("migration+failover")
 }

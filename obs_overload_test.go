@@ -1,15 +1,13 @@
 // Serving-surface tests: overload soak (deadline-aware admission keeps
 // the p99 of admitted work near the uncontended baseline while sheds
-// absorb the excess), graceful drain mid-soak (zero acknowledged
-// operations lost across Drain, with and without a hot standby), and a
-// smoke test scraping the debug HTTP endpoints. See EXPERIMENTS.md E20.
+// absorb the excess) and a smoke test scraping the debug HTTP endpoints.
+// The drain soaks are rows in soak_test.go. See EXPERIMENTS.md E20.
 package amoeba
 
 import (
 	"context"
 	"encoding/json"
 	"errors"
-	"fmt"
 	"io"
 	"net/http"
 	"sort"
@@ -262,161 +260,6 @@ func runOverloadSoak(t *testing.T, burstFactor int) {
 	}
 	t.Logf("baseline p99 %v; overload: %d admitted (p99 %v), %d shed, %d late, %d slow done",
 		baseP99, len(admitted), p99(admitted), shed, late, slowDone.Load())
-}
-
-// drainSoakEntries files directory entries from several workers,
-// returning the (name → capability) map the clients were acknowledged.
-func drainSoakEntries(t *testing.T, cl *Cluster, root Capability, phase string, workers, perWorker int, barrier func()) map[string]Capability {
-	t.Helper()
-	dirs := cl.Dirs()
-	var mu sync.Mutex
-	acked := make(map[string]Capability)
-	var wg sync.WaitGroup
-	file := func(g, i int) {
-		name := fmt.Sprintf("%s-w%d-e%d", phase, g, i)
-		var sub Capability
-		untilOK(t, "create "+name, func(ctx context.Context) error {
-			var err error
-			sub, err = dirs.CreateDir(ctx, cl.DirPort())
-			return err
-		})
-		untilOK(t, "enter "+name, func(ctx context.Context) error {
-			err := dirs.Enter(ctx, root, name, sub)
-			if err != nil && strings.Contains(err.Error(), "exists") {
-				return nil
-			}
-			return err
-		})
-		mu.Lock()
-		acked[name] = sub
-		mu.Unlock()
-	}
-	for g := 0; g < workers; g++ {
-		wg.Add(1)
-		go func(g int) {
-			defer wg.Done()
-			for i := 0; i < perWorker; i++ {
-				file(g, i)
-				if barrier != nil && i == perWorker/2 && g == 0 {
-					barrier()
-				}
-			}
-		}(g)
-	}
-	wg.Wait()
-	return acked
-}
-
-func drainAssertAll(t *testing.T, cl *Cluster, root Capability, acked map[string]Capability) {
-	t.Helper()
-	dirs := cl.Dirs()
-	listed := make(map[string]Capability)
-	untilOK(t, "list after drain", func(ctx context.Context) error {
-		entries, err := dirs.List(ctx, root)
-		if err != nil {
-			return err
-		}
-		clear(listed)
-		for _, e := range entries {
-			listed[e.Name] = e.Cap
-		}
-		return nil
-	})
-	for name, want := range acked {
-		got, ok := listed[name]
-		if !ok {
-			t.Fatalf("acknowledged entry %q lost across the drain", name)
-		}
-		if got != want {
-			t.Fatalf("entry %q came back with a different capability", name)
-		}
-	}
-}
-
-// TestDrainHandoffMidSoak: Drain of a group primary mid-soak is a
-// zero-downtime restart — the election runs at once, a standby takes
-// the put-port over and not one acknowledged entry is lost. Clients
-// ride through on overload retries and locate failover.
-func TestDrainHandoffMidSoak(t *testing.T) {
-	for i := 0; i < 3; i++ {
-		t.Run(fmt.Sprintf("seed=%d", i), func(t *testing.T) {
-			cl := groupCluster(t, 0xD0A1_0000+uint64(i))
-			dirs := cl.Dirs()
-			var root Capability
-			untilOK(t, "create root", func(ctx context.Context) error {
-				var err error
-				root, err = dirs.CreateDir(ctx, cl.DirPort())
-				return err
-			})
-
-			primary := cl.Machines().Dirs
-			var drainErr error
-			var drained sync.WaitGroup
-			drained.Add(1)
-			acked := drainSoakEntries(t, cl, root, "hand", 4, 8, func() {
-				go func() {
-					defer drained.Done()
-					drainErr = cl.Drain(primary)
-				}()
-			})
-			drained.Wait()
-			if drainErr != nil {
-				t.Fatalf("Drain: %v", drainErr)
-			}
-			if cl.Machines().Dirs == primary {
-				t.Fatal("drain did not hand the service to a standby's machine")
-			}
-			drainAssertAll(t, cl, root, acked)
-
-			// The drained machine is no exile: like any deposed primary
-			// it rejoins as a fresh standby, and the group is whole again.
-			if err := cl.Restart(primary); err != nil {
-				t.Fatalf("drained machine could not rejoin its group: %v", err)
-			}
-			cl.mu.Lock()
-			term := cl.shards["directory"][0].term
-			cl.mu.Unlock()
-			if standbys := liveStandbys(cl, cl.shards["directory"][0]); standbys != 2 || term < 2 {
-				t.Fatalf("after the drained machine rejoined: %d standbys (want 2), term %d (want ≥ 2)", standbys, term)
-			}
-		})
-	}
-}
-
-// TestDrainRestartMidSoak: without a standby, Drain parks the service —
-// admission refused, in-flight finished, final checkpoint taken — and
-// Restart brings it back from the drained WAL with every acknowledged
-// entry intact.
-func TestDrainRestartMidSoak(t *testing.T) {
-	cl := killCluster(t, 0xD0A1_4E57)
-	dirs := cl.Dirs()
-	var root Capability
-	untilOK(t, "create root", func(ctx context.Context) error {
-		var err error
-		root, err = dirs.CreateDir(ctx, cl.DirPort())
-		return err
-	})
-
-	acked := drainSoakEntries(t, cl, root, "pre", 4, 6, nil)
-	m := cl.Machines().Dirs
-	if err := cl.Drain(m); err != nil {
-		t.Fatalf("Drain: %v", err)
-	}
-	// Down means down: a quick call must fail, not hang on a half-alive
-	// server.
-	ctx, cancel := context.WithTimeout(context.Background(), 100*time.Millisecond)
-	_, err := dirs.List(ctx, root)
-	cancel()
-	if err == nil {
-		t.Fatal("drained service still answered")
-	}
-	if err := cl.Restart(m); err != nil {
-		t.Fatalf("Restart after drain: %v", err)
-	}
-	for name, c := range drainSoakEntries(t, cl, root, "post", 2, 3, nil) {
-		acked[name] = c
-	}
-	drainAssertAll(t, cl, root, acked)
 }
 
 // TestMetricsEndpointSmoke boots a cluster with the debug listener on,

@@ -13,7 +13,6 @@ import (
 	"testing"
 	"time"
 
-	"amoeba/internal/amnet"
 	"amoeba/internal/obs"
 )
 
@@ -26,45 +25,17 @@ import (
 // never came back.
 func TestUnplannedElectionRestoresGroup(t *testing.T) {
 	const seed = 0x57A1
-	for _, tc := range []struct {
-		service string
-		subject func(*testing.T, *Cluster, int) lifecycleSubject
-		pick    func(Machines) amnet.MachineID
-	}{
-		{"directory", directorySubject, func(m Machines) amnet.MachineID { return m.Dirs }},
-		{"bank", bankSubject, func(m Machines) amnet.MachineID { return m.Bank }},
-	} {
+	for _, service := range []string{"directory", "bank"} {
 		for _, replicas := range []int{3, 5} {
-			t.Run(fmt.Sprintf("%s/replicas=%d", tc.service, replicas), func(t *testing.T) {
+			t.Run(fmt.Sprintf("%s/replicas=%d", service, replicas), func(t *testing.T) {
 				t.Parallel() // independent clusters that mostly wait on detectors
-				cl, err := NewCluster(ClusterConfig{Seed: seed, Replicas: replicas})
-				if err != nil {
-					t.Fatal(err)
-				}
-				t.Cleanup(func() { cl.Close() })
-				defer func() {
-					if t.Failed() {
-						t.Logf("seed %#x", seed)
-					}
-				}()
-				sub := tc.subject(t, cl, 0)
-				sh := sub.sh
+				cl := testCluster(t, ClusterConfig{Seed: seed, Replicas: replicas})
+				w := newWorkload(t, cl, service, 0, 2, seed)
+				sh := w.sh
 				write := func(tag string, n int) {
 					for i := 0; i < n; i++ {
-						if err := sub.write(fmt.Sprintf("%s-%d", tag, i)); err != nil {
-							t.Fatal(err)
-						}
+						w.mustWrite(fmt.Sprintf("%s-%d", tag, i))
 					}
-				}
-				group := func() (primary amnet.MachineID, standbys []amnet.MachineID, term uint64) {
-					cl.mu.Lock()
-					defer cl.mu.Unlock()
-					for _, st := range sh.standbysLocked() {
-						if !st.down {
-							standbys = append(standbys, st.Machine())
-						}
-					}
-					return sh.primary.Machine(), standbys, sh.term
 				}
 				until := func(what string, ok func() bool) {
 					t.Helper()
@@ -78,20 +49,20 @@ func TestUnplannedElectionRestoresGroup(t *testing.T) {
 				reintegrations := cl.reg.Counter("amoeba_reintegrations_total", obs.L("service", sh.label), reintegrationsHelp)
 
 				write("before", 20)
-				deposed, standbys, term0 := group()
+				deposed, standbys, term0 := group(cl, sh)
 				reint0 := reintegrations.Value()
 				for _, st := range standbys {
 					cl.Net().Partition(deposed, st)
 				}
 				until("the standbys never elected around the partitioned primary", func() bool {
-					_, _, term := group()
+					_, _, term := group(cl, sh)
 					return term > term0
 				})
 				for _, st := range standbys {
 					cl.Net().Heal(deposed, st)
 				}
 				until("the group never got back to full strength on its own", func() bool {
-					_, standbys, _ := group()
+					_, standbys, _ := group(cl, sh)
 					return len(standbys) == replicas-1
 				})
 				if reintegrations.Value() == reint0 {
@@ -102,10 +73,10 @@ func TestUnplannedElectionRestoresGroup(t *testing.T) {
 				}
 
 				write("between", 20)
-				second := killPrimary(t, cl, tc.pick)
-				until("second election never happened", func() bool { return tc.pick(cl.Machines()) != second })
+				second := killPrimary(t, cl, w.pick)
+				until("second election never happened", func() bool { return w.pick(cl.Machines()) != second })
 				write("after", 5)
-				sub.verify("two elections, one of them unplanned")
+				w.verify("two elections, one of them unplanned")
 			})
 		}
 	}
@@ -118,13 +89,8 @@ func TestUnplannedElectionRestoresGroup(t *testing.T) {
 // drained: 40 restarts of one standby grew it from 27 to 147 entries
 // and the heap by 42 MiB.)
 func TestLifecycleLeaksNothing(t *testing.T) {
-	cl, err := NewCluster(ClusterConfig{Seed: 0x1EAC, Replicas: 3})
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer cl.Close()
-	sub := directorySubject(t, cl, 0)
-	pick := func(m Machines) amnet.MachineID { return m.Dirs }
+	cl := testCluster(t, ClusterConfig{Seed: 0x1EAC, Replicas: 3})
+	w := newWorkload(t, cl, "directory", 0, 2, 0x1EAC)
 	held := func() (closers int, heap uint64) {
 		runtime.GC()
 		runtime.GC()
@@ -135,32 +101,26 @@ func TestLifecycleLeaksNothing(t *testing.T) {
 		cl.closersMu.Unlock()
 		return closers, ms.HeapInuse
 	}
-	write := func(tag string) {
-		if err := sub.write(tag); err != nil {
-			t.Fatal(err)
-		}
-	}
-	write("boot")
+	w.mustWrite("boot")
 	closers0, heap0 := held()
 	goroutines0 := runtime.NumGoroutine()
 
 	for i := 0; i < 40; i++ {
-		cl.mu.Lock()
-		st := sub.sh.standbysLocked()[0].Machine()
-		cl.mu.Unlock()
+		_, standbys, _ := group(cl, w.sh)
+		st := standbys[0]
 		if err := cl.Kill(st); err != nil {
 			t.Fatal(err)
 		}
 		untilOK(t, "restart standby", func(context.Context) error { return cl.Restart(st) })
-		write(fmt.Sprintf("standby-%d", i))
+		w.mustWrite(fmt.Sprintf("standby-%d", i))
 	}
 	for i := 0; i < 10; i++ {
-		old := killPrimary(t, cl, pick)
-		waitForFailover(t, cl, old, pick)
+		old := killPrimary(t, cl, w.pick)
+		waitForFailover(t, cl, old, w.pick)
 		untilOK(t, "restart primary", func(context.Context) error { return cl.Restart(old) })
-		write(fmt.Sprintf("primary-%d", i))
+		w.mustWrite(fmt.Sprintf("primary-%d", i))
 	}
-	sub.verify("50 rebuilt slots")
+	w.verify("50 rebuilt slots")
 
 	closers, heap := held()
 	t.Logf("closers %d → %d, heap in use %d → %d KiB", closers0, closers, heap0>>10, heap>>10)

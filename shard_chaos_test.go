@@ -1,14 +1,13 @@
-// Sharding chaos tests: migrate a hot object mid-soak and kill a
-// shard's group primary mid-soak. The invariants are the PR's
-// acceptance bar: zero acknowledged operations lost, the migrating
-// object stalls only for the move itself, and objects on OTHER shards
-// never stall at all. Seeded; CI repeats under -race.
+// Sharding chaos: migrate a hot object mid-soak. Zero acknowledged
+// operations lost, the migrating object stalls only for the move
+// itself, and objects on OTHER shards never stall at all. (A shard
+// primary's death mid-soak is a row in soak_test.go.) Seeded; CI
+// repeats under -race.
 package amoeba
 
 import (
 	"context"
 	"fmt"
-	"strings"
 	"sync"
 	"sync/atomic"
 	"testing"
@@ -22,22 +21,11 @@ import (
 // the migration is the only fault, so the "nobody else stalls"
 // assertion measures the migration, not the network.
 func migrateChaosCluster(t *testing.T, seed uint64) *Cluster {
-	t.Helper()
-	cl, err := NewCluster(ClusterConfig{
-		Seed:    seed,
-		Shards:  2,
-		Latency: 50 * time.Microsecond,
-		Jitter:  100 * time.Microsecond,
-	})
-	if err != nil {
-		t.Fatal(err)
-	}
-	t.Cleanup(func() { cl.Close() })
-	return cl
+	return testCluster(t, ClusterConfig{Seed: seed, Shards: 2, Latency: 50 * time.Microsecond, Jitter: 100 * time.Microsecond})
 }
 
 func TestChaosMigrateUnderLoad(t *testing.T) {
-	for i := 0; i < killRestartSeeds(t); i++ {
+	for i := 0; i < chaosSeeds(); i++ {
 		t.Run(fmt.Sprintf("seed=%d", i), func(t *testing.T) {
 			runMigrateUnderLoad(t, 0x316A_0000+uint64(i))
 		})
@@ -204,132 +192,9 @@ func runMigrateUnderLoad(t *testing.T, seed uint64) {
 }
 
 // shardGroupCluster: two shards, each a 3-member replication group —
-// the configuration TestChaosShardPrimaryKill needs (a 2-member group
+// the configuration a shard primary's death needs (a 2-member group
 // cannot elect: majorities count the configured size).
 func shardGroupCluster(t *testing.T, seed uint64) *Cluster {
-	t.Helper()
-	cl, err := NewCluster(ClusterConfig{
-		Seed:      seed,
-		Shards:    2,
-		Replicas:  3,
-		LossRate:  0.01,
-		Latency:   50 * time.Microsecond,
-		Jitter:    100 * time.Microsecond,
-		LeaseTerm: 150 * time.Millisecond,
-	})
-	if err != nil {
-		t.Fatal(err)
-	}
-	t.Cleanup(func() { cl.Close() })
-	return cl
-}
-
-func TestChaosShardPrimaryKill(t *testing.T) {
-	for i := 0; i < killRestartSeeds(t); i++ {
-		t.Run(fmt.Sprintf("seed=%d", i), func(t *testing.T) {
-			runShardPrimaryKill(t, 0x51AD_0000+uint64(i))
-		})
-	}
-}
-
-func runShardPrimaryKill(t *testing.T, seed uint64) {
-	ctx := context.Background()
-	cl := shardGroupCluster(t, seed)
-	dirs := cl.Dirs()
-
-	// One directory per shard, each seeded with acknowledged entries.
-	home := make([]cap.Capability, 2)
-	for {
-		var d cap.Capability
-		untilOK(t, "create dir", func(ctx context.Context) error {
-			var err error
-			d, err = dirs.CreateDir(ctx, cl.DirPort())
-			return err
-		})
-		home[cl.ShardOf(cl.DirPort(), d.Object)] = d
-		if home[0] != cap.Nil && home[1] != cap.Nil {
-			break
-		}
-	}
-	marker := home[0]
-	acked := [2]map[string]bool{{}, {}}
-	enter := func(s int, name string) {
-		untilOK(t, "enter "+name, func(ctx context.Context) error {
-			err := dirs.Enter(ctx, home[s], name, marker)
-			// Each name is unique to one call site, so "exists" means an
-			// earlier attempt landed and only its ack was lost.
-			if err != nil && strings.Contains(err.Error(), "exists") {
-				return nil
-			}
-			return err
-		})
-		acked[s][name] = true
-	}
-	for i := 0; i < 5; i++ {
-		enter(0, fmt.Sprintf("pre%d", i))
-		enter(1, fmt.Sprintf("pre%d", i))
-	}
-
-	// Kill shard 1's primary. Shard 0's group is untouched: its ops
-	// must keep succeeding on the FIRST attempt all through shard 1's
-	// outage and election (internal RPC retries absorb the 1% loss).
-	victim := cl.ShardMachines(cl.DirPort())[1]
-	if err := cl.Kill(victim); err != nil {
-		t.Fatal(err)
-	}
-	outageProbe := func(i int) {
-		name := fmt.Sprintf("during%d", i)
-		opCtx, cancel := context.WithTimeout(ctx, 5*time.Second)
-		err := dirs.Enter(opCtx, home[0], name, marker)
-		cancel()
-		// "exists" on this probe's unique name is a transport artifact,
-		// not a blip: the op applied and only its ack hit the 1% loss,
-		// so the in-call retransmit found it already entered.
-		if err != nil && !strings.Contains(err.Error(), "exists") {
-			t.Fatalf("shard 0 blipped during shard 1's outage: %v", err)
-		}
-		acked[0][name] = true
-	}
-	deadline := time.Now().Add(15 * time.Second)
-	probe := 0
-	for cl.ShardMachines(cl.DirPort())[1] == victim {
-		if time.Now().After(deadline) {
-			t.Fatal("shard 1 never failed over")
-		}
-		outageProbe(probe)
-		probe++
-		time.Sleep(20 * time.Millisecond)
-	}
-	successor := cl.ShardMachines(cl.DirPort())[1]
-	if successor == victim {
-		t.Fatal("no successor")
-	}
-
-	// Shard 1 converges on its new primary with every acked op intact;
-	// shard 0 never noticed.
-	enter(1, "post-failover")
-	enter(0, "post-failover")
-	for s := 0; s < 2; s++ {
-		var entries []dirsvr.Entry
-		untilOK(t, "list", func(ctx context.Context) error {
-			var err error
-			entries, err = dirs.List(ctx, home[s])
-			return err
-		})
-		present := make(map[string]bool, len(entries))
-		for _, e := range entries {
-			present[e.Name] = true
-		}
-		for name := range acked[s] {
-			if !present[name] {
-				t.Fatalf("shard %d: acked entry %q lost across the failover", s, name)
-			}
-		}
-	}
-
-	// The killed machine rejoins ITS shard's group as a fresh standby.
-	if err := cl.Restart(victim); err != nil {
-		t.Fatalf("reintegrating the killed primary: %v", err)
-	}
-	enter(1, "post-reintegration")
+	return testCluster(t, ClusterConfig{Seed: seed, Shards: 2, Replicas: 3, LossRate: 0.01,
+		Latency: 50 * time.Microsecond, Jitter: 100 * time.Microsecond, LeaseTerm: 150 * time.Millisecond})
 }
