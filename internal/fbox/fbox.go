@@ -363,14 +363,36 @@ func (fb *FBox) Locate(p Port) (replies <-chan amnet.MachineID, cancel func(), e
 		}
 	}
 
-	var buf [headerSize]byte
-	buf[0] = kindLocate
-	putPort(buf[1:7], p)
+	buf := locateFrame(kindLocate, p)
 	if err := fb.nic.Broadcast(buf[:]); err != nil {
 		cancel()
 		return nil, nil, fmt.Errorf("fbox: locate broadcast: %w", err)
 	}
 	return ch, cancel, nil
+}
+
+// ErrNotAdvertised is returned by Announce for a port this F-box holds
+// no advertised GET for.
+var ErrNotAdvertised = errors.New("fbox: no advertised GET for this port")
+
+// Announce broadcasts one unsolicited LOCATE answer for put-port p: a
+// machine that has just started serving p tells every querier whose
+// round is still open, instead of leaving it to wait out that round
+// and broadcast again. It vouches for exactly what the F-box's answer
+// to a LOCATE would, so p must be a port it answers LOCATE for (an
+// advertised GET); for any other port it sends nothing.
+func (fb *FBox) Announce(p Port) error {
+	fb.mu.Lock()
+	here := fb.locates[p]
+	fb.mu.Unlock()
+	if !here {
+		return fmt.Errorf("%w: %v", ErrNotAdvertised, p)
+	}
+	buf := locateFrame(kindLocateR, p)
+	if err := fb.nic.Broadcast(buf[:]); err != nil {
+		return fmt.Errorf("fbox: announce broadcast: %w", err)
+	}
+	return nil
 }
 
 // Close shuts the F-box and its NIC down. A delivery racing it finds
@@ -451,9 +473,7 @@ func (fb *FBox) handleFrame(f amnet.Frame) (accepted bool) {
 		if !here {
 			return true
 		}
-		var buf [headerSize]byte
-		buf[0] = kindLocateR
-		putPort(buf[1:7], msg.Dest)
+		buf := locateFrame(kindLocateR, msg.Dest)
 		// Best effort; the querier retries.
 		_ = fb.nic.Send(f.Src, buf[:])
 	case kindLocateR:
@@ -468,6 +488,13 @@ func (fb *FBox) handleFrame(f amnet.Frame) (accepted bool) {
 		}
 	}
 	return true
+}
+
+// locateFrame is a LOCATE query or answer: a bare header naming p.
+func locateFrame(kind byte, p Port) (buf [headerSize]byte) {
+	buf[0] = kind
+	putPort(buf[1:7], p)
+	return buf
 }
 
 // encodeFrame lays a message out as kind ∥ dest ∥ reply ∥ sig ∥ payload.

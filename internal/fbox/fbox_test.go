@@ -344,6 +344,57 @@ func TestLocateIgnoresUnadvertisedPort(t *testing.T) {
 	}
 }
 
+// TestAnnounceAnswersOpenLocate: an announced port reaches a querier
+// whose LOCATE round is open, as the announcer's own answer would.
+func TestAnnounceAnswersOpenLocate(t *testing.T) {
+	r := newRig(t)
+	g := r.port()
+	p := r.server.F(g)
+	replies, cancel, err := r.client.Locate(p)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer cancel()
+	if _, err := r.server.Get(g, true); err != nil {
+		t.Fatal(err)
+	}
+	if err := r.server.Announce(p); err != nil {
+		t.Fatal(err)
+	}
+	select {
+	case at := <-replies:
+		if at != r.server.Machine() {
+			t.Fatalf("announced from %v, want %v", at, r.server.Machine())
+		}
+	case <-time.After(time.Second):
+		t.Fatal("the announcement never reached the open round")
+	}
+}
+
+// TestAnnounceOnlyAdvertisedPorts: a reply port, a port with no GET and
+// a port whose GET was cancelled are refused, and nothing is sent.
+func TestAnnounceOnlyAdvertisedPorts(t *testing.T) {
+	r := newRig(t)
+	reply, gone := r.port(), r.port()
+	if _, err := r.server.Get(reply, false); err != nil {
+		t.Fatal(err)
+	}
+	l, err := r.server.Get(gone, true)
+	if err != nil {
+		t.Fatal(err)
+	}
+	l.Close()
+	sent := r.net.Stats().Sent
+	for _, p := range []Port{r.server.F(reply), r.server.F(r.port()), r.server.F(gone), reply} {
+		if err := r.server.Announce(p); !errors.Is(err, ErrNotAdvertised) {
+			t.Fatalf("Announce(%v): %v, want ErrNotAdvertised", p, err)
+		}
+	}
+	if n := r.net.Stats().Sent - sent; n != 0 {
+		t.Fatalf("refused announcements sent %d frames", n)
+	}
+}
+
 func TestFBoxClose(t *testing.T) {
 	n := amnet.NewSimNet(amnet.SimConfig{})
 	defer n.Close()

@@ -7,8 +7,11 @@ import (
 	"slices"
 	"strings"
 	"testing"
+	"time"
 
+	"amoeba/internal/amnet"
 	"amoeba/internal/cap"
+	"amoeba/internal/locate"
 	"amoeba/internal/obs"
 	"amoeba/internal/rpc"
 	"amoeba/internal/server/dirsvr"
@@ -241,5 +244,72 @@ func TestReplicaVerbsFailOver(t *testing.T) {
 	}
 	if got := win.Ship().Term(); got != 2 {
 		t.Fatalf("successor ships at term %d, want 2", got)
+	}
+}
+
+// TestLeadAnnouncesToOpenLocateRound: a client looks a group's
+// put-port up while nobody serves it, in one long LOCATE round. When a
+// standby takes over, Lead announces the port, and the open round ends
+// with the successor's machine at once instead of at its timeout.
+func TestLeadAnnouncesToOpenLocateRound(t *testing.T) {
+	rig := servertest.New(t, 5)
+	env := testEnv(t, rig)
+	row, g := Lookup("dir"), cap.Port(0x0A11_0C8E_D00D)
+	open := func() *Replica {
+		disk, err := vdisk.New(256, 512)
+		if err != nil {
+			t.Fatal(err)
+		}
+		r, err := Open(env, row, rig.NewFBox(t), Deps{Label: row.Label, WAL: disk, Port: g, Group: 2, OwnFB: true})
+		if err != nil {
+			t.Fatal(err)
+		}
+		t.Cleanup(func() { r.Retire(Crashed) })
+		return r
+	}
+	primary, st := open(), open()
+	if err := st.Follow(); err != nil {
+		t.Fatal(err)
+	}
+	if err := primary.Lead([]*Replica{st}, 1); err != nil {
+		t.Fatal(err)
+	}
+	put := primary.Kernel().PutPort()
+	primary.Depose()
+	if err := primary.Retire(Crashed); err != nil {
+		t.Fatal(err)
+	}
+
+	res := locate.New(rig.NewFBox(t), locate.Config{Timeout: 5 * time.Second, Attempts: 1})
+	type found struct {
+		at  amnet.MachineID
+		err error
+	}
+	got := make(chan found, 1)
+	go func() {
+		at, err := res.Lookup(context.Background(), put)
+		got <- found{at, err}
+	}()
+	// The round is open once its broadcast is counted and sent.
+	for res.Stats().Broadcasts == 0 {
+		time.Sleep(time.Millisecond)
+	}
+	time.Sleep(20 * time.Millisecond)
+	select {
+	case f := <-got:
+		t.Fatalf("the lookup ended while nobody served the port: %v %v", f.at, f.err)
+	default:
+	}
+
+	if err := st.Lead(nil, 2); err != nil {
+		t.Fatal(err)
+	}
+	select {
+	case f := <-got:
+		if f.err != nil || f.at != st.Machine() {
+			t.Fatalf("lookup after the takeover: %v %v, want %v", f.at, f.err, st.Machine())
+		}
+	case <-time.After(time.Second):
+		t.Fatal("the open LOCATE round did not end within 1s of the takeover")
 	}
 }

@@ -93,8 +93,11 @@ func (r *Replica) Follow() error {
 // BEFORE the kernel starts, so there is no unfenced window. A kernel
 // already serving (a group's first primary served alone while its
 // standbys were built) keeps serving; term 0 only starts the kernel.
+// A standby that takes over announces its put-port once its kernel
+// serves, so a client whose LOCATE round is open finds it at once.
 func (r *Replica) Lead(dests []*Replica, term uint64) error {
-	if r.recv != nil {
+	takeover := r.recv != nil
+	if takeover {
 		r.recv.Close()
 		r.recv = nil
 	}
@@ -105,9 +108,13 @@ func (r *Replica) Lead(dests []*Replica, term uint64) error {
 		}
 		// A small attempt budget: a dead standby is declared lost (and
 		// shipped around) well before the client-visible RPC deadline.
+		// An attempt is a third of a term, as a heartbeat's is: a lane
+		// waiting on a lost frame's ack sends no heartbeat, and a longer
+		// wait would leave a healthy standby silent past the pre-vote's
+		// half-gap Hears window.
 		lt := r.env.leaseTerm()
 		ship, err := repl.AttachGroup(r.kern, r.ShipClient(), ports, repl.Options{
-			Timeout: lt, Attempts: 4, Backoff: 2 * time.Millisecond, Reprobe: lt,
+			Timeout: lt / 3, Attempts: 4, Backoff: 2 * time.Millisecond, Reprobe: lt,
 			LeaseTerm: lt, GroupSize: r.group, Term: term,
 		})
 		if err != nil {
@@ -122,6 +129,11 @@ func (r *Replica) Lead(dests []*Replica, term uint64) error {
 			return err
 		}
 		r.serving = true
+	}
+	if takeover {
+		// Best effort: a client that misses it finds the port on its
+		// next LOCATE round.
+		_ = r.fb.Announce(r.kern.PutPort())
 	}
 	return nil
 }
@@ -172,9 +184,11 @@ func (r *Replica) Retire(how Exit) error {
 }
 
 // Arm starts this standby's failure detector unless one is armed: fire
-// runs once, on the detector's goroutine, after 1.5 lease terms of
-// primary silence — the old primary's lease (1.0 terms, its own clock)
-// lapses first even with the clocks half a term apart.
+// runs once, on the detector's goroutine, the moment primary silence
+// passes 1.5 lease terms, and never before one full 1.5-term gap after
+// Arm — so a detector re-armed after a refused election waits a whole
+// gap. The old primary's lease (1.0 terms, its own clock) lapses first
+// even with the clocks half a term apart.
 func (r *Replica) Arm(fire func()) {
 	if r.det == nil && r.recv != nil {
 		r.det = repl.NewDetector(r.recv, r.env.gap(), fire)

@@ -127,14 +127,17 @@ func TestMachineClockReachesEveryComponent(t *testing.T) {
 	const (
 		off  = -3 * time.Hour // behind the network, so a mixed-up stamp reads as hours of queueing
 		jump = 2 * time.Hour  // past the detector gap and the resolver TTL
-		gap  = 2 * time.Second
+		gap  = time.Second    // the skewed machine's detector gap
+		wait = 4 * gap        // how long the test waits for it to fire
 		tol  = time.Minute
 	)
 	r := newRig(t)
 	skewFB, clk := r.attachSkewed()
 	clk.off.Store(int64(off))
 	skew := newClockedMachine(t, skewFB, 0x5E0, gap)
-	plain := newClockedMachine(t, r.attach(), 0x9A0, gap)
+	// The unskewed machine's gap outlasts the wait, so its detector can
+	// fire only if the other machine's clock step reached it.
+	plain := newClockedMachine(t, r.attach(), 0x9A0, 2*wait)
 	ctx := context.Background()
 	near := func(what string, got, want time.Time) {
 		t.Helper()
@@ -159,6 +162,7 @@ func TestMachineClockReachesEveryComponent(t *testing.T) {
 		}
 	}
 
+	armed := time.Now()
 	skew.det.Start()
 	t.Cleanup(skew.det.Stop)
 	plain.det.Start()
@@ -166,14 +170,18 @@ func TestMachineClockReachesEveryComponent(t *testing.T) {
 	clk.off.Store(int64(off + jump))
 
 	// The skewed standby has heard nothing for two hours by its clock:
-	// its detector fires at its next poll. The unskewed one has been
-	// silent for less than its gap and must not.
+	// its detector fires at its deadline, one gap after it was armed —
+	// its first check. The unskewed one has been silent for seconds and
+	// must not fire, nor see the jump in its silence.
 	select {
 	case <-skew.fired:
-	case <-time.After(4 * gap):
+		if d := time.Since(armed); d < gap {
+			t.Fatalf("the skewed detector fired %v after arming, before its %v gap", d, gap)
+		}
+	case <-time.After(wait):
 		t.Fatal("the skewed machine's detector never fired")
 	}
-	if plain.det.Fired() || plain.recv.Silence() >= gap {
+	if plain.det.Fired() || plain.recv.Silence() >= tol {
 		t.Fatalf("the unskewed detector moved with the other machine's clock (silence %v)", plain.recv.Silence())
 	}
 	if s := skew.recv.Silence(); s < jump-tol {

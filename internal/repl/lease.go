@@ -71,22 +71,28 @@ func NewDetector(r *Receiver, gap time.Duration, onExpire func()) *Detector {
 	}
 }
 
-// Start begins watching. Polling at a quarter of the gap bounds the
-// detection latency at gap + gap/4 without a timer reset per frame.
+// Start begins watching. The first check comes one full gap after
+// Start, whatever the silence then: a detector re-armed after a refused
+// election must give the primary a whole gap to be heard again, not
+// fire at once on a silence that predates it. After that one timer is
+// re-armed for the gap minus the silence each check finds, so the
+// detector fires the moment silence passes the gap and never while it
+// is at or under it; under steady contact it wakes about once a gap.
 func (d *Detector) Start() {
 	go func() {
 		defer close(d.done)
-		tick := d.r.srv.Clock().NewTimer(d.gap / 4)
-		defer tick.Stop()
+		t := d.r.srv.Clock().NewTimer(d.gap)
+		defer t.Stop()
 		for {
 			select {
-			case <-tick.C():
-				if d.r.Silence() > d.gap {
+			case <-t.C():
+				s := d.r.Silence()
+				if s > d.gap {
 					d.fired.Store(true)
 					d.onExpire()
 					return
 				}
-				tick.Reset(d.gap / 4)
+				t.Reset(d.gap - s)
 			case <-d.stop:
 				return
 			}
