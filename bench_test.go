@@ -1,8 +1,9 @@
-// Benchmarks regenerating the paper's figures and comparative claims.
-// Each BenchmarkXX corresponds to a row of the table that opens
-// EXPERIMENTS.md (F1–F2, E1–E24). cmd/experiments runs the same code paths and
-// prints paper-style tables; these targets give the raw numbers via
-// `go test -bench=. -benchmem`.
+// Micro-benchmarks the repository benchmark (`go run ./bench`) cannot
+// replace. Three kinds stay here: the paper's primitives (F1–F2
+// and E1–E9 in the table that opens EXPERIMENTS.md), the four benchmarks
+// scripts/allocgate.sh gates on allocs/op, and service paths no bench/
+// workload or ladder rung runs, each naming its path in its doc comment.
+// Any other path bench/ measures is measured there only.
 package amoeba
 
 import (
@@ -10,7 +11,6 @@ import (
 	"fmt"
 	"io"
 	stdlog "log"
-	"sync"
 	"sync/atomic"
 	"testing"
 	"time"
@@ -361,7 +361,7 @@ func BenchmarkE9_ForgeryRejection(b *testing.B) {
 }
 
 // --------------------------------------------------------------------
-// E10: the §3 services end-to-end over the simulated network.
+// E10: the §3 services bench/ does not run, over the simulated network.
 
 func benchCluster(b *testing.B) *Cluster {
 	b.Helper()
@@ -373,6 +373,8 @@ func benchCluster(b *testing.B) *Cluster {
 	return cl
 }
 
+// BenchmarkE10_SegmentWrite prices one 4 KiB memory-server write: the
+// only measurement of memsvr, which no bench/ workload uses.
 func BenchmarkE10_SegmentWrite(b *testing.B) {
 	ctx := context.Background()
 	cl := benchCluster(b)
@@ -390,72 +392,12 @@ func BenchmarkE10_SegmentWrite(b *testing.B) {
 	}
 }
 
-func BenchmarkE10_FileWriteRead(b *testing.B) {
-	ctx := context.Background()
-	cl := benchCluster(b)
-	f, err := cl.Files().Create(ctx)
-	if err != nil {
-		b.Fatal(err)
-	}
-	data := make([]byte, 1024)
-	b.Run("write-1k", func(b *testing.B) {
-		b.SetBytes(1024)
-		for i := 0; i < b.N; i++ {
-			if err := cl.Files().WriteAt(ctx, f, uint64(i%64)*1024, data); err != nil {
-				b.Fatal(err)
-			}
-		}
-	})
-	b.Run("read-1k", func(b *testing.B) {
-		b.SetBytes(1024)
-		for i := 0; i < b.N; i++ {
-			if _, err := cl.Files().ReadAt(ctx, f, uint64(i%64)*1024, 1024); err != nil {
-				b.Fatal(err)
-			}
-		}
-	})
-}
-
-func BenchmarkE10_DirLookup(b *testing.B) {
-	ctx := context.Background()
-	cl := benchCluster(b)
-	dirs := cl.Dirs()
-	// Build a chain of depth d and look the whole path up.
-	for _, depth := range []int{1, 4, 16} {
-		root, err := dirs.CreateDir(ctx, cl.DirPort())
-		if err != nil {
-			b.Fatal(err)
-		}
-		cur := root
-		path := ""
-		for i := 0; i < depth; i++ {
-			sub, err := dirs.CreateDir(ctx, cl.DirPort())
-			if err != nil {
-				b.Fatal(err)
-			}
-			name := fmt.Sprintf("d%d", i)
-			if err := dirs.Enter(ctx, cur, name, sub); err != nil {
-				b.Fatal(err)
-			}
-			cur = sub
-			path += "/" + name
-		}
-		b.Run(fmt.Sprintf("depth=%d", depth), func(b *testing.B) {
-			for i := 0; i < b.N; i++ {
-				if _, err := dirs.LookupPath(ctx, root, path); err != nil {
-					b.Fatal(err)
-				}
-			}
-		})
-	}
-}
-
 // --------------------------------------------------------------------
-// E24: lease-cached path lookup. Same walk as E10's DirLookup, but the
-// cluster grants lookup leases, so after one warming walk every
-// iteration is served from the client cache — zero RPCs, zero allocs.
-// Compare against BenchmarkE10_DirLookup at equal depth for the cost
-// of the round trips the lease removed.
+// E24: lease-cached path lookup. The cluster grants lookup leases, so
+// after one warming walk every iteration is served from the client
+// cache — zero RPCs, zero allocs; scripts/allocgate.sh pins depth=16 at
+// 0. bench/'s dirsvr.walk8_miss_us against lease.walk8_hit_ns prices the
+// round trips the lease removes.
 
 func BenchmarkE24_CachedDirLookup(b *testing.B) {
 	ctx := context.Background()
@@ -509,9 +451,11 @@ func BenchmarkE24_CachedDirLookup(b *testing.B) {
 	}
 }
 
+// BenchmarkE10_MVCommit prices a multiversion commit (new version,
+// dirtied pages, copy-on-write commit) by pages dirtied: the only
+// measurement of mvfs, which no bench/ workload uses.
 func BenchmarkE10_MVCommit(b *testing.B) {
 	ctx := context.Background()
-	// COW commit cost as a function of dirtied pages.
 	cl := benchCluster(b)
 	mv := cl.Versions()
 	for _, dirty := range []int{1, 8, 64} {
@@ -537,30 +481,6 @@ func BenchmarkE10_MVCommit(b *testing.B) {
 				}
 			}
 		})
-	}
-}
-
-func BenchmarkE10_BankTransfer(b *testing.B) {
-	ctx := context.Background()
-	cl := benchCluster(b)
-	bank := cl.Bank()
-	src, err := bank.CreateAccount(ctx, "dollar", 1<<40)
-	if err != nil {
-		b.Fatal(err)
-	}
-	dst, err := bank.CreateAccount(ctx, "dollar", 0)
-	if err != nil {
-		b.Fatal(err)
-	}
-	deposit, err := bank.Restrict(ctx, dst, cap.RightCreate)
-	if err != nil {
-		b.Fatal(err)
-	}
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		if err := bank.Transfer(ctx, src, deposit, "dollar", 1); err != nil {
-			b.Fatal(err)
-		}
 	}
 }
 
@@ -626,40 +546,6 @@ func BenchmarkE11_TransTCP(b *testing.B) {
 	}
 }
 
-// --------------------------------------------------------------------
-// E12: LOCATE — cache hit vs broadcast round.
-
-func BenchmarkE12_Locate(b *testing.B) {
-	ctx := context.Background()
-	cl := benchCluster(b)
-	fb, _, err := cl.NewMachine()
-	if err != nil {
-		b.Fatal(err)
-	}
-	port := cl.put("files")
-	b.Run("cache-hit", func(b *testing.B) {
-		res := locate.New(fb, locate.Config{TTL: -1})
-		if _, err := res.Lookup(ctx, port); err != nil {
-			b.Fatal(err)
-		}
-		b.ResetTimer()
-		for i := 0; i < b.N; i++ {
-			if _, err := res.Lookup(ctx, port); err != nil {
-				b.Fatal(err)
-			}
-		}
-	})
-	b.Run("broadcast", func(b *testing.B) {
-		res := locate.New(fb, locate.Config{})
-		for i := 0; i < b.N; i++ {
-			res.Invalidate(port)
-			if _, err := res.Lookup(ctx, port); err != nil {
-				b.Fatal(err)
-			}
-		}
-	})
-}
-
 // E8 ablation: what capability sealing costs per transaction —
 // plain trans() vs. trans() with the §2.4 key matrix active.
 func BenchmarkE8_SealedRPC(b *testing.B) {
@@ -686,70 +572,12 @@ func BenchmarkE8_SealedRPC(b *testing.B) {
 }
 
 // --------------------------------------------------------------------
-// Batch: the OpBatch transaction vs per-object round trips, and the
-// parallel E10 twins over the sharded stores. See EXPERIMENTS.md E13.
+// E13 and E14: batching and concurrency.
 
-// BenchmarkBatch_FileRead is the headline batching claim: fetching 16
-// KiB of blocks from the block server as 16 individual transactions
-// vs one OpBatch frame, plus the flat file server's end-to-end ReadAt
-// (which batches internally since the throughput overhaul).
-func BenchmarkBatch_FileRead(b *testing.B) {
-	ctx := context.Background()
-	cl := benchCluster(b)
-	blocks := cl.Blocks()
-	const nblocks = 16
-	const bsize = 1024
-	caps := make([]cap.Capability, nblocks)
-	payload := make([]byte, bsize)
-	for i := range caps {
-		c, err := blocks.Alloc(ctx)
-		if err != nil {
-			b.Fatal(err)
-		}
-		caps[i] = c
-		if err := blocks.Write(ctx, c, payload); err != nil {
-			b.Fatal(err)
-		}
-	}
-	b.Run("per-block-roundtrips", func(b *testing.B) {
-		b.SetBytes(nblocks * bsize)
-		for i := 0; i < b.N; i++ {
-			for _, c := range caps {
-				if _, err := blocks.Read(ctx, c); err != nil {
-					b.Fatal(err)
-				}
-			}
-		}
-	})
-	b.Run("batched", func(b *testing.B) {
-		b.SetBytes(nblocks * bsize)
-		for i := 0; i < b.N; i++ {
-			if _, err := blocks.ReadBatch(ctx, caps); err != nil {
-				b.Fatal(err)
-			}
-		}
-	})
-	b.Run("flatfs-readat", func(b *testing.B) {
-		f, err := cl.Files().Create(ctx)
-		if err != nil {
-			b.Fatal(err)
-		}
-		data := make([]byte, nblocks*bsize)
-		if err := cl.Files().WriteAt(ctx, f, 0, data); err != nil {
-			b.Fatal(err)
-		}
-		b.ResetTimer()
-		b.SetBytes(nblocks * bsize)
-		for i := 0; i < b.N; i++ {
-			if _, err := cl.Files().ReadAt(ctx, f, 0, nblocks*bsize); err != nil {
-				b.Fatal(err)
-			}
-		}
-	})
-}
-
-// BenchmarkBatch_Echo prices the frame packing itself: 16 echoes as
-// 16 transactions vs one batch.
+// BenchmarkBatch_Echo prices the OpBatch frame packing itself: 16
+// echoes as 16 transactions vs one batch. It is the only measurement of
+// a batch with no service work in it; bench/'s blocksvr.readbatch16_us
+// prices a batch of block reads.
 func BenchmarkBatch_Echo(b *testing.B) {
 	ctx := context.Background()
 	cl := benchCluster(b)
@@ -781,10 +609,11 @@ func BenchmarkBatch_Echo(b *testing.B) {
 	})
 }
 
-// Parallel E10 twins: the same service operations issued from many
-// goroutines at once. Before the sharded stores these serialized on
-// each server's single mutex; now independent objects ride
-// independent shard locks and the worker pool.
+// The parallel E10 twins: one unreplicated server's operations issued
+// from many client machines at once, on independent objects, so they
+// contend only in its lock-striped store (internal/store) and worker
+// pool. They are the only measurements of that path: bench/'s
+// workloads run two load clients.
 
 func BenchmarkE10_SegmentWriteParallel(b *testing.B) {
 	ctx := context.Background()
@@ -901,113 +730,10 @@ func BenchmarkE10_DirLookupParallel(b *testing.B) {
 // --------------------------------------------------------------------
 // E18: write-ahead durability (see EXPERIMENTS.md E18).
 
-// BenchmarkWALAppend prices one durable record: stage, group-commit,
-// sync (a no-op on the memory disk, so this is the log's own
-// bookkeeping cost). The parallel variant shows group commit batching
-// concurrent appenders into shared syncs.
-func BenchmarkWALAppend(b *testing.B) {
-	newLog := func(b *testing.B) *wal.Log {
-		b.Helper()
-		disk, err := vdisk.New(8192, 1024)
-		if err != nil {
-			b.Fatal(err)
-		}
-		l, err := wal.Open(disk, wal.Options{})
-		if err != nil {
-			b.Fatal(err)
-		}
-		b.Cleanup(func() { l.Close() })
-		if err := l.Recover(nil, nil); err != nil {
-			b.Fatal(err)
-		}
-		return l
-	}
-	rec := make([]byte, 64)
-	append1 := func(b *testing.B, l *wal.Log) {
-		t, err := l.Append(rec)
-		if err == wal.ErrFull {
-			if err := l.Checkpoint([]byte{1}); err != nil {
-				b.Fatal(err)
-			}
-			t, err = l.Append(rec)
-		}
-		if err != nil {
-			b.Fatal(err)
-		}
-		if err := t.Wait(); err != nil {
-			b.Fatal(err)
-		}
-	}
-	b.Run("serial", func(b *testing.B) {
-		l := newLog(b)
-		b.SetBytes(int64(len(rec)))
-		b.ResetTimer()
-		for i := 0; i < b.N; i++ {
-			append1(b, l)
-		}
-	})
-	b.Run("parallel", func(b *testing.B) {
-		l := newLog(b)
-		b.SetBytes(int64(len(rec)))
-		b.SetParallelism(8) // goroutines, not CPUs: batching needs waiters
-		b.ResetTimer()
-		b.RunParallel(func(pb *testing.PB) {
-			for pb.Next() {
-				append1(b, l)
-			}
-		})
-		s := l.Stats()
-		if s.Commits > 0 {
-			b.ReportMetric(float64(s.Appends)/float64(s.Commits), "records/sync")
-		}
-	})
-	// groupcommit models a disk whose durability point costs real time
-	// (50µs), the regime group commit exists for: concurrent appenders
-	// share syncs, so throughput beats one-sync-per-record by the
-	// batching factor (see records/sync).
-	b.Run("groupcommit", func(b *testing.B) {
-		disk, err := vdisk.New(8192, 1024)
-		if err != nil {
-			b.Fatal(err)
-		}
-		l, err := wal.Open(&delaySyncDisk{Disk: disk, delay: 50 * time.Microsecond}, wal.Options{})
-		if err != nil {
-			b.Fatal(err)
-		}
-		b.Cleanup(func() { l.Close() })
-		if err := l.Recover(nil, nil); err != nil {
-			b.Fatal(err)
-		}
-		b.SetBytes(int64(len(rec)))
-		b.SetParallelism(8)
-		b.ResetTimer()
-		b.RunParallel(func(pb *testing.PB) {
-			for pb.Next() {
-				append1(b, l)
-			}
-		})
-		s := l.Stats()
-		if s.Commits > 0 {
-			b.ReportMetric(float64(s.Appends)/float64(s.Commits), "records/sync")
-		}
-	})
-}
-
-// delaySyncDisk makes the memory disk's durability point cost like a
-// real drive flush, so the group-commit benchmark measures batching.
-type delaySyncDisk struct {
-	*vdisk.Disk
-	delay time.Duration
-}
-
-func (d *delaySyncDisk) Sync() error {
-	time.Sleep(d.delay)
-	return d.Disk.Sync()
-}
-
 // BenchmarkRecoveryReplay times a full restart-recovery scan over a
 // 10k-record log: one iteration = open the log, replay every record,
-// close. The acceptance bar is well under a second.
+// close. It is the only measurement of WAL recovery, which no bench/
+// workload runs. The acceptance bar is well under a second.
 func BenchmarkRecoveryReplay(b *testing.B) {
 	disk, err := vdisk.New(8192, 1024)
 	if err != nil {
@@ -1156,8 +882,7 @@ func BenchmarkE18_DirEnter(b *testing.B) {
 
 // quietControlPlane silences the cluster's stdlog narration (elections,
 // re-integrations, fail-stops) for one failover benchmark: those lines
-// land on the same stream as the result line and split it, so
-// scripts/benchjson cannot parse the row.
+// land on the same stream as the benchmark's result row and split it.
 func quietControlPlane(b *testing.B) {
 	prev := stdlog.Writer()
 	stdlog.SetOutput(io.Discard)
@@ -1165,7 +890,8 @@ func quietControlPlane(b *testing.B) {
 }
 
 // BenchmarkE19_Failover measures the floor of the availability gap a
-// primary crash opens — failover with detection time taken out: each
+// primary crash opens — failover with detection time taken out, which
+// bench/'s failover_gap_ms, detection included, cannot show: each
 // iteration stands up a 3-replica cluster, runs a small acknowledged
 // workload, kills the directory primary, runs the election at once
 // (the same unexported elect the detectors and Drain call), and times
@@ -1216,63 +942,16 @@ func BenchmarkE19_Failover(b *testing.B) {
 }
 
 // --------------------------------------------------------------------
-// E21: replication groups & automatic failover (see EXPERIMENTS.md E21).
+// E22: gray failures (see EXPERIMENTS.md E22).
 
-// BenchmarkE21_AutoFailover is E19 with nobody at the wheel: a
-// 3-replica directory group, the primary killed, and nobody forcing
-// the election — the standbys' failure detectors must notice the
-// silent lease on their own, elect the highest-acked standby, and
-// start serving. The measured gap (kill → first acknowledged
-// post-failover op) is therefore detection (1.5 lease terms at the
-// default 150 ms term) + E19's floor (election + the client healing
-// its route).
-func BenchmarkE21_AutoFailover(b *testing.B) {
-	quietControlPlane(b)
-	ctx := context.Background()
-	for i := 0; i < b.N; i++ {
-		b.StopTimer()
-		cl, err := NewCluster(ClusterConfig{Seed: 0xE21_0000 + uint64(i), Replicas: 3})
-		if err != nil {
-			b.Fatal(err)
-		}
-		dirs := cl.Dirs()
-		root, err := dirs.CreateDir(ctx, cl.DirPort())
-		if err != nil {
-			b.Fatal(err)
-		}
-		entry := cap.Capability{Server: 1, Object: 2, Rights: cap.RightRead, Check: 3}
-		for j := 0; j < 8; j++ {
-			if err := dirs.Enter(ctx, root, fmt.Sprintf("e%d", j), entry); err != nil {
-				b.Fatal(err)
-			}
-		}
-		primary := cl.Machines().Dirs
-		b.StartTimer()
-		if err := cl.Kill(primary); err != nil {
-			b.Fatal(err)
-		}
-		lctx, cancel := context.WithTimeout(ctx, 30*time.Second)
-		for {
-			if _, err := cl.RPC().Call(lctx, root, dirsvr.OpLookup, []byte("e0"),
-				rpc.WithTimeout(5*time.Millisecond), rpc.WithRetries(400)); err == nil {
-				break
-			} else if lctx.Err() != nil {
-				b.Fatal(err)
-			}
-		}
-		cancel()
-		b.StopTimer()
-		cl.Close()
-	}
-}
-
-// BenchmarkE22_WedgedDiskFailover is E21 with a gray failure instead
-// of a crash: the primary's WAL disk starts returning EIO while its
-// NIC stays healthy. The first write springs the trap — the log
-// wedges, the primary self-demotes and is fail-stopped, the standbys'
-// detectors see silence and elect. Measured: fault injection → first
-// acknowledged post-failover write, i.e. E21's detection + election +
-// route-heal bill plus the wedge trip itself.
+// BenchmarkE22_WedgedDiskFailover is automatic failover after a gray
+// failure instead of a crash: the primary's WAL disk starts returning
+// EIO while its NIC stays healthy. The first write springs the trap —
+// the log wedges, the primary self-demotes and is fail-stopped, the
+// standbys' detectors see silence and elect. Measured: fault injection
+// → first acknowledged post-failover write, i.e. detection + election +
+// route heal plus the wedge trip itself. It is the only measurement of
+// the wedge path; bench/'s sim_failover kills its primaries.
 func BenchmarkE22_WedgedDiskFailover(b *testing.B) {
 	quietControlPlane(b)
 	ctx := context.Background()
@@ -1311,94 +990,5 @@ func BenchmarkE22_WedgedDiskFailover(b *testing.B) {
 		cancel()
 		b.StopTimer()
 		cl.Close()
-	}
-}
-
-// --------------------------------------------------------------------
-// E23: horizontal sharding (see EXPERIMENTS.md E23).
-
-// BenchmarkE23_ShardedThroughput measures dirsvr WRITE throughput as
-// the service's object space is split across 1, 2, and 4 shard
-// machines behind the SAME put-port. Every shard's WAL disk is slowed
-// to 1ms per block I/O (vdisk.FaultStore.SetSlow) so the durable log —
-// not this box's CPU — is the per-shard bottleneck, as it would be on
-// real hardware: group commit amortizes the sync, but staging is still
-// one block write per 512 bytes of records, so each shard's write
-// bandwidth is capped by its own disk. 64 closed-loop writers alternate
-// Enter/Remove on per-writer directories spread round-robin across the
-// shards; with M shards there are M WALs absorbing the same record
-// stream, so throughput scales with M (EXPERIMENTS.md E23 records the
-// curve; the acceptance bar is ≥1.7x at M=2 and ≥3x at M=4).
-func BenchmarkE23_ShardedThroughput(b *testing.B) {
-	ctx := context.Background()
-	const workers = 64
-	for _, shards := range []int{1, 2, 4} {
-		b.Run(fmt.Sprintf("shards=%d", shards), func(b *testing.B) {
-			cl, err := NewCluster(ClusterConfig{Seed: 0xE23, Shards: shards})
-			if err != nil {
-				b.Fatal(err)
-			}
-			defer cl.Close()
-			dirs := cl.Dirs()
-			roots := make([]cap.Capability, workers)
-			mark := cap.Capability{Server: 1, Object: 2, Rights: cap.RightRead, Check: 3}
-			for i := range roots {
-				if roots[i], err = dirs.CreateDir(ctx, cl.DirPort()); err != nil {
-					b.Fatal(err)
-				}
-			}
-			walMachines := []amnet.MachineID{cl.Machines().Dirs}
-			if shards >= 2 {
-				walMachines = cl.ShardMachines(cl.DirPort())
-			}
-			for _, m := range walMachines {
-				cl.WALFault(m).SetSlow(time.Millisecond)
-			}
-			var (
-				next atomic.Int64
-				wg   sync.WaitGroup
-			)
-			b.ResetTimer()
-			for w := 0; w < workers; w++ {
-				wg.Add(1)
-				go func(w int) {
-					defer wg.Done()
-					_, rc, err := cl.NewMachine()
-					if err != nil {
-						b.Error(err)
-						return
-					}
-					dc := dirsvr.NewClient(rc)
-					name := fmt.Sprintf("w%d", w)
-					// Alternation is per WORKER (the global counter only
-					// meters b.N): each worker enters then removes its own
-					// name so both ops always apply cleanly. The transport
-					// is at-least-once: when a checkpoint stalls a reply
-					// past the retransmit timeout the retry re-applies, so
-					// a refusal ("exists"/"no entry", a server error)
-					// against this worker's PRIVATE name just means the
-					// first attempt landed.
-					for j := 0; ; j++ {
-						if next.Add(1) > int64(b.N) {
-							return
-						}
-						if j%2 == 0 {
-							err = dc.Enter(ctx, roots[w], name, mark)
-						} else {
-							err = dc.Remove(ctx, roots[w], name)
-						}
-						if err != nil && !rpc.IsStatus(err, rpc.StatusServerError) {
-							b.Error(err)
-							return
-						}
-					}
-				}(w)
-			}
-			wg.Wait()
-			b.StopTimer()
-			for _, m := range walMachines {
-				cl.WALFault(m).SetSlow(0)
-			}
-		})
 	}
 }

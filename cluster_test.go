@@ -20,26 +20,100 @@ func newTestCluster(t *testing.T, cfg ClusterConfig) *Cluster {
 	return cl
 }
 
+// TestClusterBootsAllServices: every §3 service of one cluster answers
+// a round trip over the simulated network and gives back what it was
+// given (E10): a memory segment, a block, a flat file through the block
+// server, a directory entry, a committed multiversion page and a bank
+// transfer.
 func TestClusterBootsAllServices(t *testing.T) {
 	ctx := context.Background()
 	cl := newTestCluster(t, ClusterConfig{})
-	if _, err := cl.Memory().CreateSegment(ctx, 64); err != nil {
-		t.Errorf("memory: %v", err)
+	data := []byte("round trip")
+	check := func(what string, got []byte, err error) {
+		t.Helper()
+		if err != nil {
+			t.Fatalf("%s: %v", what, err)
+		}
+		if !bytes.HasPrefix(got, data) {
+			t.Fatalf("%s read back %q, want %q", what, got, data)
+		}
 	}
-	if _, err := cl.Blocks().Alloc(ctx); err != nil {
-		t.Errorf("blocks: %v", err)
+
+	seg, err := cl.Memory().CreateSegment(ctx, 64)
+	if err != nil {
+		t.Fatalf("memory: %v", err)
 	}
-	if _, err := cl.Files().Create(ctx); err != nil {
-		t.Errorf("files: %v", err)
+	if err := cl.Memory().Write(ctx, seg, 8, data); err != nil {
+		t.Fatalf("memory: %v", err)
 	}
-	if _, err := cl.Dirs().CreateDir(ctx, cl.DirPort()); err != nil {
-		t.Errorf("dirs: %v", err)
+	got, err := cl.Memory().Read(ctx, seg, 8, uint32(len(data)))
+	check("memory", got, err)
+
+	blk, err := cl.Blocks().Alloc(ctx)
+	if err != nil {
+		t.Fatalf("blocks: %v", err)
 	}
-	if _, err := cl.Versions().CreateFile(ctx); err != nil {
-		t.Errorf("versions: %v", err)
+	if err := cl.Blocks().Write(ctx, blk, data); err != nil {
+		t.Fatalf("blocks: %v", err)
 	}
-	if _, err := cl.Bank().CreateAccount(ctx, "dollar", 10); err != nil {
-		t.Errorf("bank: %v", err)
+	got, err = cl.Blocks().Read(ctx, blk)
+	check("blocks", got, err)
+
+	f, err := cl.Files().Create(ctx)
+	if err != nil {
+		t.Fatalf("files: %v", err)
+	}
+	if err := cl.Files().WriteAt(ctx, f, 1000, data); err != nil {
+		t.Fatalf("files: %v", err)
+	}
+	got, err = cl.Files().ReadAt(ctx, f, 1000, uint32(len(data)))
+	check("files", got, err)
+
+	dir, err := cl.Dirs().CreateDir(ctx, cl.DirPort())
+	if err != nil {
+		t.Fatalf("dirs: %v", err)
+	}
+	if err := cl.Dirs().Enter(ctx, dir, "file", f); err != nil {
+		t.Fatalf("dirs: %v", err)
+	}
+	if back, err := cl.Dirs().Lookup(ctx, dir, "file"); err != nil || back != f {
+		t.Fatalf("dirs: looked up %v, %v; want %v", back, err, f)
+	}
+
+	doc, err := cl.Versions().CreateFile(ctx)
+	if err != nil {
+		t.Fatalf("versions: %v", err)
+	}
+	v, err := cl.Versions().NewVersion(ctx, doc)
+	if err != nil {
+		t.Fatalf("versions: %v", err)
+	}
+	if err := cl.Versions().WritePage(ctx, v, 0, data); err != nil {
+		t.Fatalf("versions: %v", err)
+	}
+	if _, _, err := cl.Versions().Commit(ctx, v); err != nil {
+		t.Fatalf("versions: %v", err)
+	}
+	got, err = cl.Versions().ReadPage(ctx, doc, 0)
+	check("versions", got, err)
+
+	bank := cl.Bank()
+	src, err := bank.CreateAccount(ctx, "dollar", 10)
+	if err != nil {
+		t.Fatalf("bank: %v", err)
+	}
+	dst, err := bank.CreateAccount(ctx, "dollar", 0)
+	if err != nil {
+		t.Fatalf("bank: %v", err)
+	}
+	if err := bank.Transfer(ctx, src, dst, "dollar", 3); err != nil {
+		t.Fatalf("bank: %v", err)
+	}
+	for acct, want := range map[Capability]int64{src: 7, dst: 3} {
+		bal, err := bank.Balance(ctx, acct)
+		if err != nil || bal["dollar"] != want {
+			t.Fatalf("bank: balance %v, %v; want %d dollars", bal, err, want)
+		}
 	}
 }
 

@@ -88,8 +88,10 @@ func steppedStandby(t *testing.T) (*stepClock, *Receiver) {
 // TestDetectorFiresAtTheSilenceDeadline: the detector first waits one
 // full gap, even when the silence it is armed over is already past the
 // gap; each check that finds the primary heard re-arms the timer for
-// exactly the gap minus the silence; silence equal to the gap does not
-// fire it, and the first instant past the gap does.
+// the gap minus the silence; silence equal to the gap does not fire it,
+// and the first instant past the gap does. Every re-arm is positive: a
+// clock that reads the same instant twice (a virtual one) must not wake
+// the detector at that instant for ever.
 func TestDetectorFiresAtTheSilenceDeadline(t *testing.T) {
 	const gap = 300 * time.Millisecond
 	clk, recv := steppedStandby(t)
@@ -103,6 +105,9 @@ func TestDetectorFiresAtTheSilenceDeadline(t *testing.T) {
 		t.Helper()
 		select {
 		case d := <-clk.armed:
+			if d <= 0 {
+				t.Fatalf("re-armed for %v at silence %v: a clock that does not move spins", d, recv.Silence())
+			}
 			if d < want-time.Millisecond || d > want+time.Millisecond {
 				t.Fatalf("armed for %v, want %v (silence %v)", d, want, recv.Silence())
 			}
@@ -121,7 +126,10 @@ func TestDetectorFiresAtTheSilenceDeadline(t *testing.T) {
 	if s := recv.Silence(); s != gap {
 		t.Fatalf("silence %v, want %v", s, gap)
 	}
-	rearm(0)
+	rearm(time.Nanosecond)
+
+	clk.step(0) // the same instant read again
+	rearm(time.Nanosecond)
 
 	clk.step(time.Millisecond)
 	select {

@@ -75,9 +75,12 @@ func NewDetector(r *Receiver, gap time.Duration, onExpire func()) *Detector {
 // Start, whatever the silence then: a detector re-armed after a refused
 // election must give the primary a whole gap to be heard again, not
 // fire at once on a silence that predates it. After that one timer is
-// re-armed for the gap minus the silence each check finds, so the
-// detector fires the moment silence passes the gap and never while it
-// is at or under it; under steady contact it wakes about once a gap.
+// re-armed for the first instant past the gap, given the silence each
+// check finds, so the detector fires the moment silence passes the gap
+// and never while it is at or under it; under steady contact it wakes
+// about once a gap. The re-arm is never zero: on a clock that can read
+// the same instant twice, a zero re-arm at silence equal to the gap
+// would wake the detector at that instant for ever.
 func (d *Detector) Start() {
 	go func() {
 		defer close(d.done)
@@ -92,7 +95,7 @@ func (d *Detector) Start() {
 					d.onExpire()
 					return
 				}
-				t.Reset(d.gap - s)
+				t.Reset(d.gap - s + 1)
 			case <-d.stop:
 				return
 			}

@@ -28,11 +28,7 @@
 # nothing to what the SimNet round trip allocates. It stood at 4 while
 # the read loop's header array escaped to the heap once per frame.
 #
-# Usage: scripts/allocgate.sh            # default budgets 2 / 0 / 25 / 2
-#        ALLOC_BUDGET=4 scripts/allocgate.sh
-#        CACHE_ALLOC_BUDGET=1 scripts/allocgate.sh
-#        GROUP_ALLOC_BUDGET=28 scripts/allocgate.sh
-#        TCP_ALLOC_BUDGET=3 scripts/allocgate.sh
+# Usage: scripts/allocgate.sh   # budgets 2 / 0 / 25 / 2, fixed here
 set -eu
 
 cd "$(dirname "$0")/.."
@@ -55,7 +51,7 @@ gate() {
 	echo "allocgate: ok — $3 at ${allocs} allocs/op (budget $2)"
 }
 
-gate BenchmarkE11_TransSimnet "${ALLOC_BUDGET:-2}" "round trip"
-gate BenchmarkE24_CachedDirLookup/depth=16 "${CACHE_ALLOC_BUDGET:-0}" "cached lookup"
-gate BenchmarkE18_DirEnter/group3 "${GROUP_ALLOC_BUDGET:-25}" "group commit"
-gate BenchmarkE11_TransTCP "${TCP_ALLOC_BUDGET:-2}" "TCP round trip"
+gate BenchmarkE11_TransSimnet 2 "round trip"
+gate BenchmarkE24_CachedDirLookup/depth=16 0 "cached lookup"
+gate BenchmarkE18_DirEnter/group3 25 "group commit"
+gate BenchmarkE11_TransTCP 2 "TCP round trip"
