@@ -144,9 +144,10 @@ type (
 const OpEcho = rpc.OpEcho
 
 // Batch transaction surface: Cluster.RPC().Batch(ctx, dest, reqs)
-// packs several requests into one OpBatch frame; the server fans them
-// out across its worker pool and the replies come back in order. The
-// constants bound a single frame — split larger work across frames.
+// packs several requests into one OpBatch frame; the server runs them
+// in order on the one worker that admitted the frame, and the replies
+// come back in order. The constants bound a single frame — split
+// larger work across frames.
 const (
 	// OpBatch is the reserved batch-transaction opcode.
 	OpBatch = rpc.OpBatch

@@ -1,6 +1,6 @@
 // Micro-benchmarks the repository benchmark (`go run ./bench`) cannot
 // replace. Three kinds stay here: the paper's primitives (F1–F2
-// and E1–E9 in the table that opens EXPERIMENTS.md), the four benchmarks
+// and E1–E9 in the table that opens EXPERIMENTS.md), the five benchmarks
 // scripts/allocgate.sh gates on allocs/op, and service paths no bench/
 // workload or ladder rung runs, each naming its path in its doc comment.
 // Any other path bench/ measures is measured there only.
@@ -250,6 +250,41 @@ func BenchmarkE6_Revoke(b *testing.B) {
 			}
 		})
 	}
+}
+
+// E3/E6: the server's whole capability check, cap.Table.Demand, under
+// scheme 2. memo-hit presents the owner capability, the first to pass,
+// which the object's entry remembers, so no F is computed
+// (scripts/allocgate.sh gates it at 0 allocs/op); miss presents a
+// restricted capability for the same object, which the memo does not
+// hold, so every call computes F and stores nothing. The memo is
+// described in README.md's "Throughput" section.
+func BenchmarkTableDemand(b *testing.B) {
+	t := cap.NewTable(cap.NewOneWayScheme(nil), cap.Port(0xABC), crypto.NewSeededSource(3))
+	owner, err := t.Create()
+	if err != nil {
+		b.Fatal(err)
+	}
+	weak, err := t.Restrict(owner, cap.RightRead)
+	if err != nil {
+		b.Fatal(err)
+	}
+	b.Run("memo-hit", func(b *testing.B) {
+		b.ReportAllocs()
+		for i := 0; i < b.N; i++ {
+			if _, err := t.Demand(owner, cap.RightRead); err != nil {
+				b.Fatal(err)
+			}
+		}
+	})
+	b.Run("miss", func(b *testing.B) {
+		b.ReportAllocs()
+		for i := 0; i < b.N; i++ {
+			if _, err := t.Demand(weak, cap.RightRead); err != nil {
+				b.Fatal(err)
+			}
+		}
+	})
 }
 
 // E7: signature generation (F-transform on send) plus verification.

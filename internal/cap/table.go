@@ -23,16 +23,20 @@ var ErrTableFull = errors.New("cap: object table full (2^24 objects)")
 // Table and key their own object state by object number.
 //
 // Table is safe for concurrent use, and — since it sits on every
-// operation's hot path via Demand — the secrets live in a lock-striped
+// operation's hot path via Demand — the entries live in a lock-striped
 // store.Map, so validations of independent objects do not contend.
 // Only the allocator (object-number assignment and the free list) is
 // behind a single small mutex, and it does no I/O.
+//
+// Each entry also remembers the first capability that passed the
+// scheme check under the entry's secret (see Validate), so that
+// capability presented again costs a comparison, not another F.
 type Table struct {
 	scheme Scheme
 	server Port
 	src    crypto.Source
 
-	secrets *store.Map[uint64]
+	secrets *store.Map[entry]
 
 	allocMu sync.Mutex
 	next    uint32
@@ -45,6 +49,33 @@ type Table struct {
 	allocFilter func(uint32) bool
 }
 
+// entry is one object's row: its random number and the memo of the
+// first capability that validated under exactly that number. Every
+// path that sets a secret writes a whole new entry, memo empty, and a
+// memo is stored only by compare-and-swap against the memo-less entry
+// it was computed from, so a memo can never outlive its secret.
+type entry struct {
+	secret uint64
+	// memo is memoKey(c) | conveyed<<56 for the first c that passed
+	// scheme.Validate under secret; 0 means none yet.
+	memo uint64
+}
+
+// memoKey packs a capability's Rights and Check fields into 56 bits,
+// the part of the capability the scheme check reads beyond the object
+// number that selects the entry. A key of 0 is never memoized: it is
+// what memoKey returns for a check wider than its 48 bits, where the
+// packing would not be one to one, and the all-zero capability simply
+// pays for its check every time.
+func memoKey(c Capability) uint64 {
+	if c.Check&^CheckMask != 0 {
+		return 0
+	}
+	return uint64(c.Rights)<<48 | c.Check
+}
+
+const memoKeyMask = 1<<56 - 1
+
 // NewTable builds an object table for a server listening on the given
 // put-port, protecting its objects with the given scheme. A nil source
 // selects crypto/rand.
@@ -56,7 +87,7 @@ func NewTable(scheme Scheme, server Port, src crypto.Source) *Table {
 		scheme:  scheme,
 		server:  server & PortMask,
 		src:     src,
-		secrets: store.New[uint64](0),
+		secrets: store.New[entry](0),
 	}
 }
 
@@ -99,7 +130,7 @@ func (t *Table) CreateRecorded() (Capability, uint64, error) {
 // path for object creation. Replay is trusted: an existing entry is
 // overwritten.
 func (t *Table) InstallSecret(obj uint32, secret uint64) {
-	t.secrets.Put(obj&ObjectMask, secret)
+	t.secrets.Put(obj&ObjectMask, entry{secret: secret})
 }
 
 // ReplaceSecret replaces obj's secret only if the object is live — the
@@ -107,7 +138,7 @@ func (t *Table) InstallSecret(obj uint32, secret uint64) {
 // a destroy record (the two stage under different locks, so that order
 // is possible) must be a no-op, not a resurrection.
 func (t *Table) ReplaceSecret(obj uint32, secret uint64) {
-	t.secrets.Replace(obj&ObjectMask, secret)
+	t.secrets.Replace(obj&ObjectMask, entry{secret: secret})
 }
 
 // RevokeRecorded is Revoke, additionally returning the replacement
@@ -120,7 +151,7 @@ func (t *Table) RevokeRecorded(c Capability) (Capability, uint64, error) {
 	obj := c.Object & ObjectMask
 	// Replace, not Put: a destroy that races the re-key must win, or
 	// the revoke would resurrect a dead object.
-	if !t.secrets.Replace(obj, secret) {
+	if !t.secrets.Replace(obj, entry{secret: secret}) {
 		return Nil, 0, fmt.Errorf("cap: object %d: %w", obj, ErrNoSuchObject)
 	}
 	return t.scheme.Mint(t.server, obj, secret), secret, nil
@@ -135,7 +166,7 @@ func (t *Table) CreateObject(obj uint32) (Capability, error) {
 		return Nil, fmt.Errorf("cap: object number %d exceeds 24 bits", obj)
 	}
 	secret := t.scheme.PrepareSecret(crypto.Rand48(t.src))
-	if !t.secrets.PutIfAbsent(obj, secret) {
+	if !t.secrets.PutIfAbsent(obj, entry{secret: secret}) {
 		return Nil, fmt.Errorf("cap: object %d already live", obj)
 	}
 	return t.scheme.Mint(t.server, obj, secret), nil
@@ -155,7 +186,7 @@ func (t *Table) alloc(secret uint64) (uint32, error) {
 		}
 		// Free-list numbers are normally dead, but CreateObject may
 		// have re-claimed one explicitly; skip those.
-		if t.secrets.PutIfAbsent(obj, secret) {
+		if t.secrets.PutIfAbsent(obj, entry{secret: secret}) {
 			return obj, nil
 		}
 	}
@@ -165,7 +196,7 @@ func (t *Table) alloc(secret uint64) (uint32, error) {
 		if t.allocFilter != nil && !t.allocFilter(obj) {
 			continue
 		}
-		if t.secrets.PutIfAbsent(obj, secret) {
+		if t.secrets.PutIfAbsent(obj, entry{secret: secret}) {
 			return obj, nil
 		}
 	}
@@ -185,16 +216,42 @@ func (t *Table) SetAllocFilter(f func(uint32) bool) {
 // Validate checks a presented capability: the object must exist here
 // (right server, live object number) and the scheme check must pass.
 // On success it returns the rights the capability conveys.
+//
+// A capability whose Rights and Check fields equal those of the first
+// one that passed under the object's current secret gets that check's
+// answer back without computing F again: every scheme's check is a
+// function of those two fields and the secret alone. Only a passing
+// check is remembered, and only into the entry whose secret it was
+// computed under, so the memo accepts nothing the scheme would reject.
+// A memo, once stored, stays until the secret changes: a second
+// capability for the same object (a restricted copy beside the owner's)
+// computes F each time, under the read lock, exactly as without a memo,
+// instead of taking the write lock to displace the first.
 func (t *Table) Validate(c Capability) (Rights, error) {
 	if c.Server != t.server {
 		return 0, fmt.Errorf("cap: capability for server %s presented to %s: %w",
 			c.Server, t.server, ErrInvalidCapability)
 	}
-	secret, ok := t.secrets.Get(c.Object & ObjectMask)
+	obj := c.Object & ObjectMask
+	e, ok := t.secrets.Get(obj)
 	if !ok {
 		return 0, fmt.Errorf("cap: object %d: %w", c.Object, ErrNoSuchObject)
 	}
-	return t.scheme.Validate(c, secret)
+	key := memoKey(c)
+	if key != 0 && e.memo&memoKeyMask == key {
+		return Rights(e.memo >> 56), nil
+	}
+	rights, err := t.scheme.Validate(c, e.secret)
+	if err != nil {
+		return 0, err
+	}
+	if key != 0 && e.memo == 0 {
+		// Fails, harmlessly, if the entry changed since the Get: a
+		// re-key's new entry never takes this secret's memo, and of
+		// two first checks racing, one memo lands.
+		store.CompareAndSwap(t.secrets, obj, e, entry{secret: e.secret, memo: key | uint64(rights)<<56})
+	}
+	return rights, nil
 }
 
 // Demand validates c and then requires every right in need, returning
@@ -224,11 +281,11 @@ func (t *Table) Restrict(c Capability, mask Rights) (Capability, error) {
 		return Nil, fmt.Errorf("cap: capability for server %s presented to %s: %w",
 			c.Server, t.server, ErrInvalidCapability)
 	}
-	secret, ok := t.secrets.Get(c.Object & ObjectMask)
+	e, ok := t.secrets.Get(c.Object & ObjectMask)
 	if !ok {
 		return Nil, fmt.Errorf("cap: object %d: %w", c.Object, ErrNoSuchObject)
 	}
-	return t.scheme.Restrict(c, mask, secret)
+	return t.scheme.Restrict(c, mask, e.secret)
 }
 
 // Revoke implements §2.3 revocation: holders of the RightRevoke bit ask
@@ -267,7 +324,8 @@ func (t *Table) DestroyObject(obj uint32) error {
 // reads it to re-install the SAME secret on the destination shard, so
 // client-held capabilities stay valid across the move.
 func (t *Table) SecretOf(obj uint32) (uint64, bool) {
-	return t.secrets.Get(obj & ObjectMask)
+	e, ok := t.secrets.Get(obj & ObjectMask)
+	return e.secret, ok
 }
 
 // ForgetObject drops obj's entry WITHOUT recycling its number: the
@@ -289,13 +347,13 @@ func (t *Table) Snapshot() []byte {
 	t.allocMu.Lock()
 	next := t.next
 	t.allocMu.Unlock()
-	type entry struct {
+	type snapEntry struct {
 		obj    uint32
 		secret uint64
 	}
-	var entries []entry
-	t.secrets.Range(func(obj uint32, secret uint64) bool {
-		entries = append(entries, entry{obj, secret})
+	var entries []snapEntry
+	t.secrets.Range(func(obj uint32, e entry) bool {
+		entries = append(entries, snapEntry{obj, e.secret})
 		return true
 	})
 	buf := make([]byte, 0, 12+len(entries)*12)
@@ -329,10 +387,10 @@ func (t *Table) Restore(data []byte) error {
 	if uint32(len(data)-12) != n*12 {
 		return fmt.Errorf("cap: snapshot truncated: %d entries, %d bytes", n, len(data))
 	}
-	secrets := store.New[uint64](0)
+	secrets := store.New[entry](0)
 	for i := uint32(0); i < n; i++ {
 		e := data[12+i*12:]
-		secrets.Put(binary.BigEndian.Uint32(e), binary.BigEndian.Uint64(e[4:]))
+		secrets.Put(binary.BigEndian.Uint32(e), entry{secret: binary.BigEndian.Uint64(e[4:])})
 	}
 	t.allocMu.Lock()
 	t.secrets = secrets

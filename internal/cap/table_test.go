@@ -104,6 +104,13 @@ func TestTableRevocationInvalidatesAll(t *testing.T) {
 				}
 				copies = append(copies, weak)
 			}
+			// Validate every copy first, so each is the memo's answer
+			// once: revocation must drop the memo with the secret.
+			for i, c := range copies {
+				if _, err := tb.Validate(c); err != nil {
+					t.Fatalf("copy %d invalid before revocation: %v", i, err)
+				}
+			}
 			fresh, err := tb.Revoke(owner)
 			if err != nil {
 				t.Fatal(err)

@@ -384,10 +384,11 @@ func (c *Client) transact(ctx context.Context, dest cap.Port, opts []CallOption,
 }
 
 // Batch performs several sub-requests in ONE transaction frame: the
-// requests are packed into an OpBatch message, the server fans them
-// out across its worker pool, and the replies come back together, in
-// order. A multi-object operation — the flat file server fetching
-// every block of a file — costs one network round trip instead of N.
+// requests are packed into an OpBatch message, the server runs them in
+// order on the one worker that admitted the frame, and the replies come
+// back together, in order. A multi-object operation — the flat file
+// server fetching every block of a file — costs one network round trip
+// instead of N.
 //
 // The whole frame shares one reply port, one timeout and one retry
 // budget: a retry re-sends (and the server re-executes) every

@@ -52,12 +52,14 @@ var errDiskFull = fmt.Errorf("blocksvr: disk full")
 // Locking discipline: the data path takes NO server-wide lock — the
 // capability check goes through the lock-striped table, liveness is an
 // atomic load, and each block has its own mutex held across its vdisk
-// I/O. Per-block locks mean disk operations on *different* blocks
-// always overlap, while free/write races on the *same* block are
-// serialized (a write that passed validation can never land on a
-// block after it has been freed, zeroed and reallocated). Only the
-// allocator (bitmap scan, free count, cursor) takes allocMu, and it
-// is pure in-memory work.
+// I/O. So the server holds no lock of its own that makes operations on
+// *different* blocks wait for each other's I/O; whether they overlap
+// at the disk is the store's business (vdisk.Disk takes its whole-disk
+// lock exclusively for every Write, so writes serialize there).
+// Free/write races on the *same* block are serialized (a write that
+// passed validation can never land on a block after it has been
+// freed, zeroed and reallocated). Only the allocator (bitmap scan,
+// free count, cursor) takes allocMu, and it is pure in-memory work.
 type Server struct {
 	*svc.Kernel
 	table *cap.Table
@@ -188,14 +190,15 @@ func (s *Server) write(_ context.Context, _ rpc.Meta, req rpc.Request) rpc.Reply
 		return rpc.ErrReply(rpc.StatusBadRequest,
 			fmt.Sprintf("write of %d bytes into %d-byte block", len(req.Data), s.disk.BlockSize()))
 	}
-	// Zero-pad short writes in pooled scratch (the disk copies it into
-	// its own storage before we release).
-	b := wire.Get(0, s.disk.BlockSize())
-	defer b.Release()
-	img := b.Extend(s.disk.BlockSize())
-	pad := img[copy(img, req.Data):]
-	for i := range pad {
-		pad[i] = 0
+	// A full block goes to the disk straight from the request, which
+	// the disk copies into its own storage; only a short write is
+	// zero-padded, in pooled scratch released after the disk's copy.
+	img := req.Data
+	if len(img) < s.disk.BlockSize() {
+		b := wire.Get(0, s.disk.BlockSize())
+		defer b.Release()
+		img = b.Extend(s.disk.BlockSize())
+		clear(img[copy(img, req.Data):])
 	}
 	s.locks[block].Lock()
 	defer s.locks[block].Unlock()
@@ -365,9 +368,9 @@ func chunk(n, per int, fn func(lo, hi int) error) error {
 
 // ReadBatch reads many blocks in as few transactions as possible: the
 // block capabilities are packed into OpBatch frames sized against the
-// network MTU, the server fans the reads out across its worker pool,
-// and the contents come back in order — one round trip where a loop
-// over Read would take N. Any failed sub-read fails the whole call.
+// network MTU, the server runs each frame's reads in order on one
+// worker, and the contents come back in order — one round trip where a
+// loop over Read would take N. Any failed sub-read fails the whole call.
 func (b *Client) ReadBatch(ctx context.Context, blks []cap.Capability, opts ...rpc.CallOption) ([][]byte, error) {
 	if len(blks) == 0 {
 		return nil, nil

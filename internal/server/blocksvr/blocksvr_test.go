@@ -9,6 +9,7 @@ import (
 	"amoeba/internal/rpc"
 	"amoeba/internal/server/servertest"
 	"amoeba/internal/vdisk"
+	"amoeba/internal/wire"
 )
 
 func newServer(t *testing.T, nblocks uint32, blockSize int) (*servertest.Rig, *Client, *vdisk.Disk) {
@@ -138,6 +139,35 @@ func TestWriteTooLarge(t *testing.T) {
 	}
 	if err := b.Write(ctx, blk, make([]byte, 33)); !rpc.IsStatus(err, rpc.StatusBadRequest) {
 		t.Fatalf("oversized write: %v", err)
+	}
+}
+
+func TestShortWriteZeroPadded(t *testing.T) {
+	// A full-block write goes to the disk straight from the request; a
+	// short one through zeroed scratch. A short write after a full one
+	// must leave no byte of the full one behind, and none of the
+	// poison an armed wire pool leaves in a recycled buffer.
+	wire.SetDebug(true)
+	t.Cleanup(func() { wire.SetDebug(false) })
+	ctx := context.Background()
+	_, b, _ := newServer(t, 4, 32)
+	blk, err := b.Alloc(ctx)
+	if err != nil {
+		t.Fatal(err)
+	}
+	full := bytes.Repeat([]byte{0xFF}, 32)
+	if err := b.Write(ctx, blk, full); err != nil {
+		t.Fatal(err)
+	}
+	if got, err := b.Read(ctx, blk); err != nil || !bytes.Equal(got, full) {
+		t.Fatalf("full write read back %x, %v", got, err)
+	}
+	if err := b.Write(ctx, blk, []byte("abc")); err != nil {
+		t.Fatal(err)
+	}
+	want := append([]byte("abc"), make([]byte, 29)...)
+	if got, err := b.Read(ctx, blk); err != nil || !bytes.Equal(got, want) {
+		t.Fatalf("short write read back %x, %v; want %x", got, err, want)
 	}
 }
 

@@ -93,7 +93,9 @@ func (d *slowDisk) ReadInto(n uint32, dst []byte) error {
 // fix: with the liveness check atomic and no server lock held across
 // vdisk calls, reads of different blocks must overlap on the disk.
 // (Before the fix the server serialized the whole data path, so the
-// peak concurrency at the disk stayed 1.)
+// peak concurrency at the disk stayed 1.) slowDisk delays outside the
+// store's own lock, so the peak measures the server's locking only: a
+// vdisk.Disk still serializes writes under its whole-disk lock.
 func TestDiskIOOverlaps(t *testing.T) {
 	ctx := context.Background()
 	r := servertest.New(t, 0x51CC)

@@ -173,53 +173,44 @@ func (s *Server) write(ctx context.Context, _ rpc.Meta, req rpc.Request) rpc.Rep
 		}
 		return rpc.OkReply(nil)
 	}
-	// Read-modify-write, batched: only boundary blocks the payload
-	// covers partially need their current contents fetched; interior
-	// blocks are fully overwritten. All reads ride one batch frame,
-	// then all writes ride another — two nested round trips for the
-	// whole span instead of two per block.
+	// Read-modify-write, batched: a block the payload covers whole is
+	// written straight from the request (the batch frame is its only
+	// copy); only the boundary blocks it covers partially — at most the
+	// first and the last — have their current contents fetched. All
+	// reads ride one batch frame, then all writes ride another: two
+	// nested round trips for the whole span instead of two per block.
 	first := pos / s.bsize
 	last := (end - 1) / s.bsize
-	var partial []cap.Capability
-	var partialIdx []uint64
-	for bi := first; bi <= last; bi++ {
-		bstart := bi * s.bsize
+	images := make([][]byte, last-first+1)
+	var bound [2]int // images indexes of the partially covered blocks
+	var partial [2]cap.Capability
+	nb := 0
+	for i := range images {
+		bstart := (first + uint64(i)) * s.bsize
 		if pos > bstart || end < bstart+s.bsize {
-			partial = append(partial, f.blocks[bi])
-			partialIdx = append(partialIdx, bi)
+			bound[nb], partial[nb] = i, f.blocks[first+uint64(i)]
+			nb++
+		} else {
+			images[i] = payload[bstart-pos : bstart-pos+s.bsize]
 		}
 	}
-	old := make(map[uint64][]byte, len(partial))
-	if len(partial) > 0 {
-		blks, err := s.blocks.ReadBatch(ctx, partial)
+	if nb > 0 {
+		blks, err := s.blocks.ReadBatch(ctx, partial[:nb])
 		if err != nil {
 			return rpc.ErrReplyFromErr(err)
 		}
-		for i, bi := range partialIdx {
-			old[bi] = blks[i]
+		for j, i := range bound[:nb] {
+			bstart := (first + uint64(i)) * s.bsize
+			lo := uint64(0)
+			if pos > bstart {
+				lo = pos - bstart
+			}
+			hi := min(end-bstart, s.bsize)
+			copy(blks[j][lo:hi], payload[bstart+lo-pos:])
+			images[i] = blks[j]
 		}
 	}
-	caps := make([]cap.Capability, 0, last-first+1)
-	images := make([][]byte, 0, last-first+1)
-	for bi := first; bi <= last; bi++ {
-		blk := old[bi]
-		if blk == nil {
-			blk = make([]byte, s.bsize)
-		}
-		bstart := bi * s.bsize
-		lo := uint64(0)
-		if pos > bstart {
-			lo = pos - bstart
-		}
-		hi := s.bsize
-		if end < bstart+s.bsize {
-			hi = end - bstart
-		}
-		copy(blk[lo:hi], payload[bstart+lo-pos:])
-		caps = append(caps, f.blocks[bi])
-		images = append(images, blk)
-	}
-	if err := s.blocks.WriteBatch(ctx, caps, images); err != nil {
+	if err := s.blocks.WriteBatch(ctx, f.blocks[first:last+1], images); err != nil {
 		return rpc.ErrReplyFromErr(err)
 	}
 	if end > f.size {

@@ -155,6 +155,59 @@ func TestOverwrite(t *testing.T) {
 	}
 }
 
+func TestUnalignedWritesReadBackExact(t *testing.T) {
+	// Blocks the payload covers whole are written straight from the
+	// request; the boundary blocks are read, patched and written back.
+	// Each write below mixes the two, and the whole file must match a
+	// local model byte for byte afterwards.
+	ctx := context.Background()
+	const bs = 16
+	_, fc, _ := newStack(t, 64, bs)
+	f, err := fc.Create(ctx)
+	if err != nil {
+		t.Fatal(err)
+	}
+	model := make([]byte, 12*bs)
+	for i := range model {
+		model[i] = byte(i)
+	}
+	if err := fc.WriteAt(ctx, f, 0, model); err != nil {
+		t.Fatal(err)
+	}
+	fill := byte(0x80)
+	for _, w := range []struct {
+		name     string
+		pos, len int
+	}{
+		{"mid-block to mid-block across whole blocks", 5, 4*bs + 7},
+		{"exactly one aligned block", 3 * bs, bs},
+		{"one block's length, unaligned", 7*bs + 9, bs},
+		{"whole aligned blocks", 8 * bs, 3 * bs},
+		{"inside one block", 2*bs + 3, 5},
+		{"growing the file from mid-block", 11*bs + 4, 2*bs + 1},
+	} {
+		data := make([]byte, w.len)
+		for k := range data {
+			data[k] = fill + byte(k*7)
+		}
+		fill += 0x10
+		if err := fc.WriteAt(ctx, f, uint64(w.pos), data); err != nil {
+			t.Fatalf("%s: %v", w.name, err)
+		}
+		if end := w.pos + w.len; end > len(model) {
+			model = append(model, make([]byte, end-len(model))...)
+		}
+		copy(model[w.pos:], data)
+		got, err := fc.ReadAt(ctx, f, 0, uint32(len(model)))
+		if err != nil {
+			t.Fatalf("%s: %v", w.name, err)
+		}
+		if !bytes.Equal(got, model) {
+			t.Fatalf("%s: file differs from the model\ngot  %x\nwant %x", w.name, got, model)
+		}
+	}
+}
+
 func TestDestroyFreesBlocks(t *testing.T) {
 	ctx := context.Background()
 	_, fc, bc := newStack(t, 8, 32)

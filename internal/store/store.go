@@ -126,6 +126,21 @@ func (m *Map[V]) Replace(key uint32, value V) bool {
 	return true
 }
 
+// CompareAndSwap stores value under key only if the key currently
+// holds old, reporting whether it stored. A cache kept beside the value
+// (the capability table's validation memo) uses it so a write computed
+// from a value never lands on that value's replacement.
+func CompareAndSwap[V comparable](m *Map[V], key uint32, old, value V) bool {
+	s := m.shardFor(key)
+	s.mu.Lock()
+	defer s.mu.Unlock()
+	if cur, live := s.m[key]; !live || cur != old {
+		return false
+	}
+	s.m[key] = value
+	return true
+}
+
 // Delete removes key, returning the previous value and whether it was
 // present.
 func (m *Map[V]) Delete(key uint32) (V, bool) {

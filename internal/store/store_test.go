@@ -46,6 +46,23 @@ func TestPutIfAbsent(t *testing.T) {
 	}
 }
 
+func TestCompareAndSwap(t *testing.T) {
+	m := New[int](4)
+	if CompareAndSwap(m, 7, 0, 1) {
+		t.Fatal("CompareAndSwap stored under an absent key")
+	}
+	m.Put(7, 70)
+	if CompareAndSwap(m, 7, 71, 72) {
+		t.Fatal("CompareAndSwap stored over a value it did not expect")
+	}
+	if !CompareAndSwap(m, 7, 70, 72) {
+		t.Fatal("CompareAndSwap refused the expected value")
+	}
+	if v, _ := m.Get(7); v != 72 {
+		t.Fatalf("value after swap: %d", v)
+	}
+}
+
 func TestShardRounding(t *testing.T) {
 	for _, tc := range []struct{ in, want int }{
 		{1, 1}, {2, 2}, {3, 4}, {5, 8}, {8, 8}, {200, 256},

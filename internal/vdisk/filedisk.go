@@ -33,6 +33,9 @@ type Store interface {
 	// ReadInto reads block n into dst (exactly one block): the
 	// allocation-free path under batched reads.
 	ReadInto(n uint32, dst []byte) error
+	// Write replaces block n with data (exactly one block). It keeps
+	// no reference to data: the block server hands it request frames
+	// and pooled scratch that are reused once Write returns.
 	Write(n uint32, data []byte) error
 	Zero(n uint32) error
 	// Sync forces every completed write onto stable storage before

@@ -28,7 +28,12 @@
 # nothing to what the SimNet round trip allocates. It stood at 4 while
 # the read loop's header array escaped to the heap once per frame.
 #
-# Usage: scripts/allocgate.sh   # budgets 2 / 0 / 25 / 2, fixed here
+# A fifth gate pins the capability check answered by the table's
+# validation memo (BenchmarkTableDemand/memo-hit) at ZERO allocs/op:
+# the check every server runs on every request must stay a lookup and
+# a comparison.
+#
+# Usage: scripts/allocgate.sh   # budgets 2 / 0 / 25 / 2 / 0, fixed here
 set -eu
 
 cd "$(dirname "$0")/.."
@@ -55,3 +60,4 @@ gate BenchmarkE11_TransSimnet 2 "round trip"
 gate BenchmarkE24_CachedDirLookup/depth=16 0 "cached lookup"
 gate BenchmarkE18_DirEnter/group3 25 "group commit"
 gate BenchmarkE11_TransTCP 2 "TCP round trip"
+gate BenchmarkTableDemand/memo-hit 0 "memo-hit capability check"
