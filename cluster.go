@@ -510,7 +510,7 @@ func (cl *Cluster) autoFailover(sh *svcShard, gen uint64) {
 // elect moves sh's put-port to the live standby with the newest Pos, at
 // the next term; the others become its peers. autoFailover and Drain
 // decide the primary is gone. A primary deposed while still up is
-// retired and its slot rebuilt as a fresh standby at once: an election
+// taken down and its slot rebuilt as a fresh standby at once: an election
 // never shrinks the group. It reports whether a successor now serves.
 // Caller holds lifeMu.
 func (cl *Cluster) elect(sh *svcShard) bool {

@@ -1,7 +1,7 @@
 // Replication-group tests that are not soaks (those are rows in
 // soak_test.go): the split-brain guard across a failover and a chained
-// second one, the lifecycle verbs' refusals, and the ship lanes a churn
-// of shippers and peers must not leak. See EXPERIMENTS.md E21.
+// second one, the lifecycle verbs' refusals, and the shipper goroutines
+// a churn of shippers and peers must not leak. See EXPERIMENTS.md E21.
 package amoeba
 
 import (
@@ -93,12 +93,12 @@ func TestGroupLifecycleGuards(t *testing.T) {
 	w.verify("a standby's kill and rejoin")
 }
 
-// TestGroupLanesDoNotLeak: every shipper owns one long-lived ship lane
-// per standby, and the group's life is a churn of shippers and peers —
-// Kill stops one, the election attaches a successor, Restart adds the
-// corpse back as a peer. After five rounds of that and Close, no lane
-// or shipper loop may be left, and the process is back to the
-// goroutines it had before the cluster booted.
+// TestGroupLanesDoNotLeak: a shipper's goroutines are its heartbeat
+// and reprobe loops, and the group's life is a churn of shippers and
+// peers — Kill stops one, the election attaches a successor, Restart
+// adds the corpse back as a peer. After five rounds of that and Close,
+// no goroutine the repl package started may be left, and the process
+// is back to the goroutines it had before the cluster booted.
 func TestGroupLanesDoNotLeak(t *testing.T) {
 	shipperGoroutines := func() int {
 		buf := make([]byte, 4<<20)

@@ -165,6 +165,18 @@ func (r *Resolver) Lookup(ctx context.Context, p cap.Port) (amnet.MachineID, err
 	}
 }
 
+// Cached returns p's cached route, if it has one still trusted, without
+// ever broadcasting: for a caller that must not wait on a LOCATE.
+func (r *Resolver) Cached(p cap.Port) (amnet.MachineID, bool) {
+	r.mu.Lock()
+	defer r.mu.Unlock()
+	e, ok := r.cache[p]
+	if !ok || (r.cfg.TTL >= 0 && r.fb.Clock().Now().Sub(e.learned) >= r.cfg.TTL) {
+		return 0, false
+	}
+	return e.at, true
+}
+
 // LookupObject resolves (port, object) → machine. On a sharded port
 // (one with a map in the atlas) the object's home shard is computed
 // from the cached map and the per-shard route returned — no broadcast:

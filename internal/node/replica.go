@@ -108,10 +108,10 @@ func (r *Replica) Lead(dests []*Replica, term uint64) error {
 		}
 		// A small attempt budget: a dead standby is declared lost (and
 		// shipped around) well before the client-visible RPC deadline.
-		// An attempt is a third of a term, as a heartbeat's is: a lane
-		// waiting on a lost frame's ack sends no heartbeat, and a longer
-		// wait would leave a healthy standby silent past the pre-vote's
-		// half-gap Hears window.
+		// An attempt is a third of a term, as a heartbeat's is: no
+		// heartbeat goes to a peer whose frame's ack is awaited, and a
+		// longer wait would leave a healthy standby silent past the
+		// pre-vote's half-gap Hears window.
 		lt := r.env.leaseTerm()
 		ship, err := repl.AttachGroup(r.kern, r.ShipClient(), ports, repl.Options{
 			Timeout: lt / 3, Attempts: 4, Backoff: 2 * time.Millisecond, Reprobe: lt,
@@ -263,7 +263,8 @@ func (r *Replica) Ship() *repl.Shipper { return r.ship.Load() }
 // ShipClient is a replication channel's RPC client on this machine. It
 // skips the key-matrix sealer (the stream carries WAL records, never
 // capability fields) and, with TTL -1, route reconfirmation (the
-// receiver never moves; a delivery failure still evicts the route).
+// receiver never moves; a ship round never evicts a route, and only a
+// reprobe that times out does).
 func (r *Replica) ShipClient() *rpc.Client {
 	return rpc.NewClient(r.fb, locate.New(r.fb, locate.Config{TTL: -1}), rpc.ClientConfig{Source: r.env.Source})
 }

@@ -550,3 +550,59 @@ func TestGroupFirstBaseFailureStartsLost(t *testing.T) {
 		t.Fatalf("the live majority did not carry the commit: %+v, standby at %+v", s, recvs[0].Pos())
 	}
 }
+
+// TestGroupUnroutedPeerDelaysNoHeartbeat: a destination that could not
+// be located at attach (its receiver is gone, so every LOCATE for it
+// goes unanswered) starts out lost with no route. The heartbeat tick
+// must not wait on a LOCATE for it: the live standby's beats keep their
+// LeaseTerm/3 cadence and the lease stays valid term after term.
+func TestGroupUnroutedPeerDelaysNoHeartbeat(t *testing.T) {
+	const lt = 90 * time.Millisecond
+	r := newRig(t)
+	pfb := r.attach()
+	primary := newCounter(t, pfb, newLog(t), 0)
+	if err := primary.Start(); err != nil {
+		t.Fatal(err)
+	}
+	t.Cleanup(func() { primary.Close() })
+	var dests []cap.Port
+	var recvs []*Receiver
+	for i := 0; i < 2; i++ {
+		fb := r.attach()
+		b := newCounter(t, fb, newLog(t), primary.GetPort())
+		t.Cleanup(func() { b.Close() })
+		recv := NewReceiver(fb, crypto.NewSeededSource(uint64(41+i)), b.Kernel)
+		if err := recv.Start(); err != nil {
+			t.Fatal(err)
+		}
+		t.Cleanup(func() { recv.Close() })
+		dests, recvs = append(dests, recv.Port()), append(recvs, recv)
+	}
+	recvs[0].Close() // listed first: a tick that located it would stall before the live beat
+
+	ship, err := AttachGroup(primary.Kernel, r.newClientOn(pfb), dests, Options{
+		LeaseTerm: lt, GroupSize: 3, Term: 1, Reprobe: lt,
+		Timeout: lt / 3, Attempts: 1, Backoff: time.Millisecond,
+	})
+	if err != nil {
+		t.Fatalf("AttachGroup failed on one unlocatable destination of two: %v", err)
+	}
+	t.Cleanup(ship.Stop)
+	if got := ship.LostPeers(); got != 1 {
+		t.Fatalf("%d peers lost after attach, want the unlocatable one", got)
+	}
+
+	live := recvs[1]
+	last, gap := live.LastContact(), time.Duration(0)
+	for end := time.Now().Add(6 * lt); time.Now().Before(end); time.Sleep(2 * time.Millisecond) {
+		if !ship.LeaseValid() {
+			t.Fatal("lease lapsed while the live standby of a majority was reachable")
+		}
+		if c := live.LastContact(); c.After(last) {
+			gap, last = max(gap, c.Sub(last)), c
+		}
+	}
+	if gap == 0 || gap >= lt {
+		t.Fatalf("longest silence toward the live standby %v, want heartbeats at %v (well inside the %v term)", gap, lt/3, lt)
+	}
+}

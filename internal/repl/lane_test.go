@@ -30,8 +30,8 @@ func waitFor(t *testing.T, what string, cond func() bool) {
 
 // holdShipInFlight cuts the primary off from standby i and starts one
 // mutation, returning once its ship frame is on the (dead) wire: from
-// then until the attempt times out, that standby's lane is busy. done
-// reports the mutation's outcome.
+// then until the attempt times out, that standby has a data frame in
+// flight. done reports the mutation's outcome.
 func holdShipInFlight(t *testing.T, r *rig, g *groupRig, i int) (done <-chan error) {
 	t.Helper()
 	r.net.Partition(g.primaryFB.Machine(), g.backupFBs[i].Machine())
@@ -47,9 +47,8 @@ func holdShipInFlight(t *testing.T, r *rig, g *groupRig, i int) (done <-chan err
 }
 
 // TestLaneStopAbortsShipInFlight: Stop must not wait out a dead peer's
-// attempt budget — it aborts the lane's RPC, the sink (and the client
-// behind it) is released, every lane has exited by the time Stop
-// returns, and nothing handed over afterwards parks on a retired lane.
+// attempt budget — it aborts the round's RPC, the sink (and the client
+// behind it) is released, and a round that raced Stop sends nothing.
 func TestLaneStopAbortsShipInFlight(t *testing.T) {
 	const attempt = 2 * time.Second
 	r := newRig(t)
@@ -72,11 +71,18 @@ func TestLaneStopAbortsShipInFlight(t *testing.T) {
 		t.Fatal("the commit behind the aborted ship never completed")
 	}
 
-	// A sink that raced Stop past its own stopped check finds every
-	// lane retired: the hand-off is refused, not parked.
+	// A sink that raced Stop past its own stopped check ships nothing:
+	// every target ends refused, and no frame leaves.
+	frames := g.ship.Stats().Frames
+	if acked, targets, err := g.ship.ship(batchRound, peers, [][]byte{{}}); acked != 0 || targets != len(peers) || !errors.Is(err, context.Canceled) {
+		t.Fatalf("round after Stop: %d of %d acked, err %v; want none, context.Canceled", acked, targets, err)
+	}
+	if got := g.ship.Stats().Frames; got != frames {
+		t.Fatalf("round after Stop sent %d frames", got-frames)
+	}
 	for i, p := range peers {
-		if g.ship.handOff(p, shipJob{frames: [][]byte{{}}}) {
-			t.Fatalf("lane %d accepted a job after Stop", i)
+		if n := p.busy.Load(); n != 0 {
+			t.Fatalf("peer %d left marked busy (%d) by finished rounds", i, n)
 		}
 	}
 	// And the sink itself drops, counting what it did not ship.
@@ -87,9 +93,9 @@ func TestLaneStopAbortsShipInFlight(t *testing.T) {
 	}
 }
 
-// TestLaneHeartbeatSkipsBusyLane: a heartbeat is an offer to an idle
-// lane. While the lane is mid-frame none is sent — the frame's own ack
-// renews the grant — and none is queued to fire once the frame resolves.
+// TestLaneHeartbeatSkipsBusyLane: no heartbeat goes to a peer with a
+// data frame in flight — the frame's own ack renews the grant — and
+// none is queued to fire once the frame resolves.
 func TestLaneHeartbeatSkipsBusyLane(t *testing.T) {
 	const lt = 30 * time.Millisecond // heartbeat tick: 10ms
 	r := newRig(t)
@@ -102,9 +108,9 @@ func TestLaneHeartbeatSkipsBusyLane(t *testing.T) {
 
 	done := holdShipInFlight(t, r, g, 0)
 	busy := g.ship.Stats()
-	time.Sleep(10 * lt / 3 * 2) // twenty ticks, every one offered to a busy lane
+	time.Sleep(10 * lt / 3 * 2) // twenty ticks, every one finding the peer busy
 	if got := g.ship.Stats(); got.Heartbeats != busy.Heartbeats || got.Frames != busy.Frames {
-		t.Fatalf("heartbeats went out on a busy lane: %d → %d (frames %d → %d)",
+		t.Fatalf("heartbeats went out with a data frame in flight: %d → %d (frames %d → %d)",
 			busy.Heartbeats, got.Heartbeats, busy.Frames, got.Frames)
 	}
 
@@ -118,11 +124,11 @@ func TestLaneHeartbeatSkipsBusyLane(t *testing.T) {
 	if resolved > busy.Heartbeats+1 {
 		t.Fatalf("%d heartbeats were queued behind the data frame", resolved-busy.Heartbeats)
 	}
-	waitFor(t, "heartbeats to resume on the idle lane", func() bool { return g.ship.Stats().Heartbeats > resolved })
+	waitFor(t, "heartbeats to resume to the idle peer", func() bool { return g.ship.Stats().Heartbeats > resolved })
 }
 
 // TestLaneBatchReachingNoLaneSeals: in group mode a committed batch that
-// no lane takes — every peer lost, or every peer dropped — missed its
+// reaches no peer — every peer lost, or every peer dropped — missed its
 // majority as surely as one that timed out, and must seal.
 func TestLaneBatchReachingNoLaneSeals(t *testing.T) {
 	for _, tc := range []struct {
@@ -158,31 +164,46 @@ func TestLaneBatchReachingNoLaneSeals(t *testing.T) {
 	}
 }
 
-// shipperGoroutines counts the live lanes and heartbeat/reprobe loops
-// of every shipper in the process, from the goroutine dump — exact,
-// whatever else the test binary is running.
-func shipperGoroutines() (lanes, loops int) {
+// shipperGoroutines counts the goroutines the repl package has started
+// in the whole process, and among them the heartbeat/reprobe loops,
+// from the goroutine dump — exact, whatever else the test binary is
+// running.
+func shipperGoroutines() (all, loops int) {
 	buf := make([]byte, 1<<20)
 	dump := string(buf[:runtime.Stack(buf, true)])
-	return strings.Count(dump, "repl.(*Shipper).lane("),
+	return strings.Count(dump, "created by amoeba/internal/repl."),
 		strings.Count(dump, "repl.(*Shipper).every(")
 }
 
-// TestLaneLifecycleLeaksNothing: every lane AttachGroup and AddPeer
-// start is gone once DropPeer and Stop have run — including the lane of
-// an AddPeer that failed and the lane of a peer dropped mid-stream.
+// TestLaneLifecycleLeaksNothing: a shipper's only goroutines are its
+// heartbeat and reprobe loops — none per peer, none per batch, however
+// peers join (AttachGroup, AddPeer, a failed AddPeer) or leave (DropPeer)
+// — and Stop leaves none behind.
 func TestLaneLifecycleLeaksNothing(t *testing.T) {
 	o := Options{
 		LeaseTerm: 30 * time.Millisecond, GroupSize: 3, Term: 1,
 		Timeout: 20 * time.Millisecond, Attempts: 2, Backoff: time.Millisecond,
 	}
+	onlyLoops := func(when string) {
+		t.Helper()
+		// Polled: a loop just started may not show in the dump yet.
+		waitFor(t, when+": the 2 loops as the only repl goroutines", func() bool {
+			all, loops := shipperGoroutines()
+			return all == 2 && loops == 2
+		})
+	}
+	none := func(when string) {
+		t.Helper()
+		if all, _ := shipperGoroutines(); all != 0 {
+			t.Fatalf("%s: %d repl goroutines outlived Stop", when, all)
+		}
+	}
 	r := newRig(t)
 	g := newGroupRig(t, r, 2, o)
 	g.inc(t, r, "a", 1)
+	onlyLoops("attached, one batch shipped")
 	g.ship.Stop()
-	if lanes, loops := shipperGoroutines(); lanes != 0 || loops != 0 {
-		t.Fatalf("%d lanes and %d loops outlived Stop", lanes, loops)
-	}
+	none("first shipper stopped")
 
 	// A resolver that gives up fast: one AddPeer below targets a port
 	// nobody serves.
@@ -193,9 +214,7 @@ func TestLaneLifecycleLeaksNothing(t *testing.T) {
 		t.Fatal(err)
 	}
 	t.Cleanup(ship.Stop)
-	if lanes, _ := shipperGoroutines(); lanes != 2 {
-		t.Fatalf("attached: %d lanes, want one per peer", lanes)
-	}
+	onlyLoops("attached")
 
 	// A third standby joins; one that does not exist fails to.
 	disk, err := vdisk.New(512, 256)
@@ -224,28 +243,23 @@ func TestLaneLifecycleLeaksNothing(t *testing.T) {
 	if got := b.get("b"); got != 3 {
 		t.Fatalf("joined peer holds %d of 3 streamed records", got)
 	}
-	lanesAre := func(want int) func() bool {
-		return func() bool { lanes, _ := shipperGoroutines(); return lanes == want }
-	}
-	waitFor(t, "the failed AddPeer's lane to exit", lanesAre(3))
+	onlyLoops("three peers joined, one join failed")
 
 	ship.DropPeer(g.recvs[0].Port())
-	waitFor(t, "the dropped peer's lane to exit", lanesAre(2))
 	g.inc(t, r, "c", 2)
 	if got := g.backups[0].get("c"); got != 0 {
 		t.Fatalf("dropped peer still received %d records", got)
 	}
+	onlyLoops("one peer dropped")
 
 	ship.Stop()
-	if lanes, loops := shipperGoroutines(); lanes != 0 || loops != 0 {
-		t.Fatalf("%d lanes and %d loops outlived Stop", lanes, loops)
-	}
+	none("second shipper stopped")
 }
 
 // TestLaneStoppedShipperRefusesJoin: Stop marks the shipper stopped before
-// it cancels the context, and in that window a join (or a lane start,
-// or a frame send) must still fail — an AddPeer answered with the
-// not-yet-set ctx.Err() would report a standby joined that no sink feeds.
+// it cancels the context, and in that window a join (or a frame send)
+// must still fail — an AddPeer answered with the not-yet-set ctx.Err()
+// would report a standby joined that no sink feeds.
 func TestLaneStoppedShipperRefusesJoin(t *testing.T) {
 	r := newRig(t)
 	g := newGroupRig(t, r, 2, Options{GroupSize: 3, Term: 1})
@@ -261,7 +275,33 @@ func TestLaneStoppedShipperRefusesJoin(t *testing.T) {
 	if err := g.ship.join(false, p); err == nil {
 		t.Fatal("join on a stopped shipper reported success")
 	}
-	if err := g.ship.sendFrame(p, g.ship.hb); err == nil {
-		t.Fatal("a frame never sent counted as delivered")
+	if acked, _, err := g.ship.ship(batchRound, []*peer{p}, g.ship.beat); acked != 0 || err == nil {
+		t.Fatalf("a frame never sent counted as delivered (%d acked, err %v)", acked, err)
+	}
+}
+
+// TestShipBacksOffBetweenAttempts: a peer whose sends fail at once (its
+// machine left the network) spends its attempt budget one backoff pause
+// apart, including the pause after its very first attempt — a round
+// must not send to it again before that pause is over.
+func TestShipBacksOffBetweenAttempts(t *testing.T) {
+	const backoff = 40 * time.Millisecond
+	r := newRig(t)
+	g := newGroupRig(t, r, 1, Options{
+		LeaseTerm: time.Hour, GroupSize: 2, Term: 1, Reprobe: time.Hour,
+		Timeout: time.Second, Attempts: 3, Backoff: backoff,
+	})
+	g.inc(t, r, "a", 1) // the peer is located and live
+	if err := g.backupFBs[0].Close(); err != nil {
+		t.Fatal(err)
+	}
+	start := time.Now()
+	acked, _, err := g.ship.ship(batchRound, g.ship.peerList(), g.ship.beat)
+	took := time.Since(start)
+	if acked != 0 || !errors.Is(err, ErrBackupLost) {
+		t.Fatalf("round to a detached peer: %d acked, err %v; want 0, ErrBackupLost", acked, err)
+	}
+	if took < 2*backoff {
+		t.Fatalf("3 attempts took %v, want at least the 2 backoff pauses between them (%v)", took, 2*backoff)
 	}
 }

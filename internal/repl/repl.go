@@ -17,7 +17,7 @@
 // standby has appended the batch to its OWN log and acknowledged it.
 //
 // Shipping piggybacks on the primary's group commit — one ship RPC per
-// standby per commit batch, handed to that standby's ship lane after
+// standby per commit batch, sent from the committing goroutine after
 // the local sync and awaited before the batch's tickets complete — so
 // replication adds a network round trip but NO extra fsyncs.
 //

@@ -77,10 +77,10 @@ func newCounter(t *testing.T, fb *fbox.FBox, log *wal.Log, g cap.Port) *counter 
 			return nil
 		},
 	})
-	c.Handle(opInc, func(_ context.Context, _ rpc.Meta, req rpc.Request) rpc.Reply {
+	c.Handle(opInc, func(ctx context.Context, _ rpc.Meta, req rpc.Request) rpc.Reply {
 		rec := append([]byte{0x01}, req.Data...)
 		c.mu.Lock()
-		tk, err := c.Append(rec)
+		tk, err := c.Append(ctx, rec)
 		if err != nil {
 			c.mu.Unlock()
 			return rpc.ErrReplyFromErr(err)

@@ -10,6 +10,7 @@ import (
 	"time"
 
 	"amoeba/internal/cap"
+	"amoeba/internal/clock"
 	"amoeba/internal/rpc"
 	"amoeba/internal/svc"
 	"amoeba/internal/wal"
@@ -32,9 +33,8 @@ type Options struct {
 	// Timeout bounds one ship RPC attempt (default 1s).
 	Timeout time.Duration
 	// Attempts is how many consecutive failures the shipper tolerates
-	// before declaring a backup lost (default 8). Each attempt
-	// already carries the RPC client's own retries, so a lost frame or
-	// two never burns an attempt.
+	// before declaring a backup lost (default 8). Each attempt sends its
+	// frame up to twice, so one lost frame never burns an attempt.
 	Attempts int
 	// Backoff is the pause between failed attempts (default 5ms).
 	Backoff time.Duration
@@ -93,39 +93,24 @@ type ShipperStats struct {
 	Demoted    bool   // local WAL wedged; this primary renounced leadership
 }
 
-// peer is one standby's shipping state. Every frame to a peer — commit
-// batches, re-bases, heartbeats — is sent by its lane, one
-// long-lived goroutine, so the lane IS the per-peer serializer: nothing
-// interleaves on one stream, and a slow peer only slows itself.
+// peer is one standby's shipping state. No goroutine belongs to it:
+// its frames go out from whichever goroutine ships them — the
+// committer's for a batch, the joiner's for a base, the heartbeat
+// loop's for a beat (see Shipper.ship).
 type peer struct {
 	dest cap.Port
 
-	work chan shipJob  // unbuffered: a send succeeds only into an idle lane
-	quit chan struct{} // closed to retire the lane (DropPeer, failed AddPeer)
-
-	fails int // consecutive failed attempts (lane-owned)
+	busy    atomic.Int32 // batch and base rounds with a frame to this peer in flight
+	fails   atomic.Int32 // consecutive failed attempts
+	dropped atomic.Bool  // DropPeer removed it: a join with its base in flight leaves it out
 
 	lost  atomic.Bool
 	acked atomic.Uint64 // this peer's durable high water, in the shipper's term
-	grant atomic.Int64  // unixnano SEND time of the last acked frame
-}
-
-// shipJob is one unit of lane work: an encoded batch to deliver, or
-// (frames == nil) one bare heartbeat, which nobody waits for.
-type shipJob struct {
-	frames [][]byte
-	batch  *shipBatch   // commit batch: count the ack, release the sink
-	reply  chan<- error // re-base: the caller wants the lane's verdict
-}
-
-// shipBatch is the countdown one commit batch's lanes report into.
-type shipBatch struct {
-	wg   sync.WaitGroup
-	acks atomic.Int32 // lanes that delivered the whole batch
+	grant atomic.Uint64 // unixnano SEND time of the newest acked frame
 }
 
 // shipCounters is ShipperStats' live form: bumped lock-free from the
-// lanes, the sink and the loops.
+// rounds and the loops.
 type shipCounters struct {
 	batches, frames, records, retries, dropped atomic.Uint64
 	acked, heartbeats, rebases                 atomic.Uint64
@@ -137,10 +122,11 @@ type shipCounters struct {
 // onto the stream: the kernel quiesces, every joining peer takes a base
 // snapshot at this shipper's term, and the shipper becomes the log's
 // commit sink. From then on every group commit's records are shipped to
-// all live peers in parallel — the commit's tickets (and therefore the
-// clients' replies) wait for every live standby's durable
-// acknowledgement, so a double failure still loses nothing that was
-// acknowledged.
+// all live peers from the goroutine that commits them — every peer's
+// frame goes out before any ack is awaited — and the commit's tickets
+// (and therefore the clients' replies) wait for every live standby's
+// durable acknowledgement, so a double failure still loses nothing
+// that was acknowledged.
 //
 // Leadership is leased: every acknowledged frame doubles as a lease
 // grant timestamped at its SEND time, bare heartbeats renew grants when
@@ -166,9 +152,8 @@ type Shipper struct {
 
 	ctx    context.Context
 	cancel context.CancelFunc
-	opts   []rpc.CallOption // per-attempt timeout/retries, built once
-	hbOpts []rpc.CallOption // heartbeat-only: one short attempt (see below)
-	hb     []byte           // the bare heartbeat frame at this term
+	opts   []rpc.CallOption // the reprobe's timeout/retries, built once
+	beat   [][]byte         // the bare heartbeat frame at this term
 
 	sealed  atomic.Bool
 	deposed atomic.Bool
@@ -176,16 +161,15 @@ type Shipper struct {
 	stopped atomic.Bool // set (under mu) before ctx is cancelled
 
 	// peers is a copy-on-write snapshot: the sink, Fence (twice per
-	// operation) and the loops read it with one atomic load; AddPeer and
-	// DropPeer publish a fresh slice under mu, which also orders lane
-	// starts against Stop.
+	// operation) and the loops read it with one atomic load; join and
+	// DropPeer publish a fresh slice under mu, which also orders a
+	// join's publication against Stop.
 	peers atomic.Pointer[[]*peer]
 	mu    sync.Mutex
 
-	n     shipCounters
-	batch shipBatch // the sink's countdown; commits are serialized by the log
+	n shipCounters
 
-	wg sync.WaitGroup // lanes + heartbeat + reprobe loops
+	loops []chan struct{} // one per heartbeat/reprobe loop, closed as it exits
 }
 
 // AttachGroup starts replicating kernel k to the receivers at dests,
@@ -199,27 +183,18 @@ func AttachGroup(k *svc.Kernel, c *rpc.Client, dests []cap.Port, o Options) (*Sh
 	if s.o.GroupSize <= 0 {
 		s.o.GroupSize = 1 + len(dests)
 	}
-	// WithRawStale on both option sets: StatusStale IS the replication
-	// protocol's term fence — the shipper must see it and depose, not
-	// have the client swallow it into an evict-and-relocate dance.
+	// WithRawStale: StatusStale IS the replication protocol's term
+	// fence — the reprobe must see it, not have the client swallow it
+	// into an evict-and-relocate dance.
 	s.opts = []rpc.CallOption{rpc.WithTimeout(s.o.Timeout), rpc.WithRetries(1), rpc.WithRawStale()}
-	// Heartbeats: ONE attempt, bounded by the tick interval. A grant is
-	// stamped at send time, so an attempt that drags (or a retry after a
-	// lost first attempt) stores a grant that is already stale when it
-	// lands — under load that can wedge a lapsed lease permanently,
-	// because the fence blocks the data traffic that would otherwise
-	// renew it. Better to abandon a slow attempt and re-stamp fresh at
-	// the next tick.
-	s.hbOpts = []rpc.CallOption{rpc.WithTimeout(s.o.LeaseTerm / 3), rpc.WithRetries(0), rpc.WithRawStale()}
-	s.hb = EncodeHeartbeat(s.o.Term)
+	s.beat = [][]byte{EncodeHeartbeat(s.o.Term)}
 	s.ctx, s.cancel = context.WithCancel(context.Background())
 	peers := make([]*peer, len(dests))
 	for i, d := range dests {
-		peers[i], _ = s.startLane(d) // cannot fail: nothing has stopped s yet
+		peers[i] = &peer{dest: d}
 	}
 	if err := s.join(true, peers...); err != nil {
 		s.halt()
-		s.wg.Wait()
 		return nil, err
 	}
 	// A wedged WAL is a gray failure the group cannot see: the machine
@@ -227,96 +202,35 @@ func AttachGroup(k *svc.Kernel, c *rpc.Client, dests []cap.Port, o Options) (*Sh
 	// it to the failure the detectors WERE built for — the primary
 	// renounces leadership the moment its log wedges.
 	k.OnWedge(func(error) { s.SelfDemote() })
-	s.wg.Add(2)
-	go s.every(s.o.LeaseTerm/3, s.heartbeat)
-	go s.every(s.o.Reprobe, s.reprobe)
+	beats, probes := make(chan struct{}), make(chan struct{})
+	s.loops = []chan struct{}{beats, probes}
+	go s.every(s.o.LeaseTerm/3, s.heartbeat, beats)
+	go s.every(s.o.Reprobe, s.reprobe, probes)
 	return s, nil
 }
 
 // Stop detaches the shipper from the kernel, aborts any in-flight ship
-// RPC, and returns once every lane and the heartbeat/reprobe loops have
-// exited. Records committed after Stop are not shipped. Kill and
-// election paths call it; idempotent.
+// RPC, and returns once the heartbeat and reprobe loops have exited. A
+// round in flight on a committing goroutine ends at its next wait.
+// Records committed after Stop are not shipped. Kill and election paths
+// call it; idempotent.
 func (s *Shipper) Stop() {
-	s.halt() // first: unblocks the lanes (and so a sink) mid-RPC
+	s.halt() // first: unblocks a round (and so a sink) mid-RPC
 	s.k.SetReplicaSink(nil)
-	s.wg.Wait()
+	for _, done := range s.loops {
+		<-done
+	}
 }
 
 // halt marks the shipper stopped, THEN cancels: who sees the context
 // cancelled also sees stopped (not the converse: paths gated on stopped
-// return context.Canceled themselves). Under mu: no lane starts after it.
+// return context.Canceled themselves). Under mu: no join publishes
+// after it.
 func (s *Shipper) halt() {
 	s.mu.Lock()
 	s.stopped.Store(true)
 	s.mu.Unlock()
 	s.cancel()
-}
-
-// startLane creates the peer for dest and starts its lane.
-func (s *Shipper) startLane(dest cap.Port) (*peer, error) {
-	p := &peer{dest: dest, work: make(chan shipJob), quit: make(chan struct{})}
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	if s.stopped.Load() {
-		return nil, context.Canceled
-	}
-	s.wg.Add(1)
-	go s.lane(p)
-	return p, nil
-}
-
-// lane is a peer's ship goroutine: it owns every frame to that standby
-// until the peer is dropped or the shipper stops. A job it has accepted
-// is always carried through and reported, so nobody who handed one over
-// is left waiting on a retired lane.
-func (s *Shipper) lane(p *peer) {
-	defer s.wg.Done()
-	for {
-		select {
-		case j := <-p.work:
-			if j.frames == nil {
-				s.n.heartbeats.Add(1)
-				s.exchange(p, s.hb, s.hbOpts)
-				continue
-			}
-			if j.reply != nil {
-				p.fails = 0 // a re-base starts on a fresh attempt budget
-			}
-			var err error
-			for _, frame := range j.frames {
-				if err = s.sendFrame(p, frame); err != nil {
-					break
-				}
-			}
-			if j.batch != nil {
-				if err == nil {
-					j.batch.acks.Add(1)
-				}
-				j.batch.wg.Done()
-			}
-			if j.reply != nil {
-				j.reply <- err
-			}
-		case <-p.quit:
-			return
-		case <-s.ctx.Done():
-			return
-		}
-	}
-}
-
-// handOff gives p's lane a job, waiting out whatever the lane is busy
-// with; false means the lane has retired (peer dropped, shipper
-// stopped) and will never take it.
-func (s *Shipper) handOff(p *peer, j shipJob) bool {
-	select {
-	case p.work <- j:
-		return true
-	case <-p.quit:
-	case <-s.ctx.Done():
-	}
-	return false
 }
 
 // peerList returns the current peer snapshot (read-only).
@@ -406,7 +320,7 @@ func (s *Shipper) LeaseValid() bool {
 	now := s.c.Clock().Now()
 	grants := 1 // the primary grants to itself
 	for _, p := range s.peerList() {
-		if g := p.grant.Load(); g != 0 && now.Sub(time.Unix(0, g)) <= s.o.LeaseTerm {
+		if g := p.grant.Load(); g != 0 && now.Sub(time.Unix(0, int64(g))) <= s.o.LeaseTerm {
 			grants++
 		}
 	}
@@ -471,19 +385,10 @@ func (s *Shipper) Demoted() bool { return s.demoted.Load() }
 func (s *Shipper) join(first bool, ps ...*peer) error {
 	return s.k.Resnapshot(func(snap []byte, next uint64) error {
 		// Seq next-1: each receiver then expects exactly the next record
-		// the primary commits. The lanes ship side by side; reply has
-		// room for every verdict, so none blocks on an early return.
-		reply := make(chan error, len(ps))
-		base := shipJob{frames: Encode([]wal.Record{{Seq: next - 1, Checkpoint: true, Data: snap}}, true, s.o.Term), reply: reply}
-		for _, p := range ps {
-			if !s.handOff(p, base) {
-				return cmp.Or(s.ctx.Err(), ErrBackupLost) // dropped mid-join
-			}
-		}
-		for range ps {
-			if err := <-reply; err != nil && !(first && errors.Is(err, ErrBackupLost)) {
-				return err
-			}
+		// the primary commits.
+		base := Encode([]wal.Record{{Seq: next - 1, Checkpoint: true, Data: snap}}, true, s.o.Term)
+		if _, _, err := s.ship(baseRound, ps, base); err != nil && !(first && errors.Is(err, ErrBackupLost)) {
+			return err
 		}
 		s.mu.Lock()
 		defer s.mu.Unlock()
@@ -492,10 +397,8 @@ func (s *Shipper) join(first bool, ps ...*peer) error {
 		}
 		peers := slices.Clone(s.peerList())
 		for _, p := range ps {
-			select {
-			case <-p.quit: // dropped with its base in flight: stays out
-				continue
-			default:
+			if p.dropped.Load() {
+				continue // dropped with its base in flight: stays out
 			}
 			if !slices.Contains(peers, p) {
 				peers = append(peers, p)
@@ -509,24 +412,15 @@ func (s *Shipper) join(first bool, ps ...*peer) error {
 	})
 }
 
-// AddPeer starts a lane to the fresh standby at dest and joins it to
-// the group — the re-integration path Restart uses.
+// AddPeer joins the fresh standby at dest to the group — the
+// re-integration path Restart uses.
 func (s *Shipper) AddPeer(dest cap.Port) error {
-	p, err := s.startLane(dest)
-	if err != nil {
-		return err
-	}
-	if err := s.join(false, p); err != nil {
-		close(p.quit) // never published: nobody else can reach this lane
-		return err
-	}
-	return nil
+	return s.join(false, &peer{dest: dest})
 }
 
 // DropPeer removes the peer at dest from the group (its machine is
-// being restarted with a fresh receiver port, or retired for good) and
-// retires its lane, which exits once the frame it may be mid-way
-// through resolves.
+// being restarted with a fresh receiver port, or retired for good). A
+// round with a frame to it in flight carries that frame through.
 func (s *Shipper) DropPeer(dest cap.Port) {
 	s.mu.Lock()
 	defer s.mu.Unlock()
@@ -535,7 +429,7 @@ func (s *Shipper) DropPeer(dest cap.Port) {
 		if p.dest == dest {
 			peers := append(append([]*peer(nil), old[:i]...), old[i+1:]...)
 			s.peers.Store(&peers)
-			close(p.quit)
+			p.dropped.Store(true)
 			return
 		}
 	}
@@ -543,10 +437,10 @@ func (s *Shipper) DropPeer(dest cap.Port) {
 
 // sink is the log's commit sink: called once per group commit (the log
 // serializes commits), after the local sync, before the batch's tickets
-// complete. It hands the encoded batch to every live peer's lane and
-// returns when all have durably acknowledged (or spent their attempt
-// budgets): synchronous replication to the whole live group, so even
-// the slowest standby holds every acknowledged op.
+// complete. It ships the encoded batch to every live peer and returns
+// when all have durably acknowledged (or spent their attempt budgets):
+// synchronous replication to the whole live group, so even the slowest
+// standby holds every acknowledged op.
 func (s *Shipper) sink(recs []wal.Record) {
 	// A sealed or demoted primary stops shipping on purpose, not just
 	// acknowledging: its data frames refresh the standbys' last-contact
@@ -560,120 +454,291 @@ func (s *Shipper) sink(recs []wal.Record) {
 	s.n.batches.Add(1)
 	s.n.records.Add(uint64(len(recs)))
 
-	job := shipJob{frames: Encode(recs, false, s.o.Term), batch: &s.batch}
-	s.batch.acks.Store(0)
-	shipped := false
-	for _, p := range s.peerList() {
-		if p.lost.Load() {
-			continue
-		}
-		s.batch.wg.Add(1)
-		if s.handOff(p, job) {
-			shipped = true
-		} else {
-			s.batch.wg.Done()
-		}
-	}
-	if !shipped {
+	acked, targets, _ := s.ship(batchRound, s.peerList(), Encode(recs, false, s.o.Term))
+	if targets == 0 {
 		s.n.dropped.Add(uint64(len(recs)))
 	}
-	s.batch.wg.Wait()
 	// Majority seal, the quorum half of the split-brain guard: if this
 	// batch did not reach a majority of the CONFIGURED group, a
 	// successor could be elected among machines that never saw it —
 	// so neither this batch nor anything after it may be acknowledged.
-	// A batch that reached NOBODY (every peer lost, or every lane
-	// retired) trivially missed its majority and seals like any other:
-	// skipping the check would let the primary acknowledge unreplicated
-	// ops in the window before its lease lapses, and a subsequent
-	// election would silently drop them. Sticky on purpose: the fence
-	// refuses from here on, clients fail over, and refusing an op that
-	// actually survived is safe (clients retry; the suites tolerate
-	// duplicate side effects), while acknowledging one that didn't is
-	// the one unforgivable lie.
-	if !shipped || int(s.batch.acks.Load())+1 < s.majority() {
+	// A batch that reached NOBODY (every peer lost or dropped) trivially
+	// missed its majority and seals like any other: skipping the check
+	// would let the primary acknowledge unreplicated ops in the window
+	// before its lease lapses, and a subsequent election would silently
+	// drop them. Sticky on purpose: the fence refuses from here on,
+	// clients fail over, and refusing an op that actually survived is
+	// safe (clients retry; the suites tolerate duplicate side effects),
+	// while acknowledging one that didn't is the one unforgivable lie.
+	if targets == 0 || acked+1 < s.majority() {
 		s.sealed.Store(true)
 	}
 }
 
-// exchange sends one frame to one peer (lane only) and books what the
-// reply proves. Any OK is a lease grant, stamped with the time taken
-// BEFORE the call — a grant is only as fresh as the moment the renewal
-// left. It is an acknowledgement only if its Pos is in this shipper's
-// term: a receiver that answers from another term is alive but not on
-// this stream (it never took our base), which exchange reports as the
-// conflict it is. A stale-term bounce deposes this shipper. s.ctx
-// carries only cancellation (Stop); the per-attempt timeout rides the
-// call option, so no deadline context is built on this hot path.
-func (s *Shipper) exchange(p *peer, payload []byte, opts []rpc.CallOption) (rpc.Status, error) {
-	s.n.frames.Add(1)
-	sent := s.c.Clock().Now()
-	rep, err := s.c.Trans(s.ctx, p.dest, rpc.Request{Op: OpShip, Data: payload}, opts...)
-	if err != nil {
-		return 0, err
+// roundKind is what a round carries, which decides whom it goes to and
+// what a failure costs.
+type roundKind uint8
+
+const (
+	// batchRound: a commit batch, to every live peer. A failed attempt
+	// spends the peer's budget.
+	batchRound roundKind = iota
+	// baseRound: a join's base, to exactly the peers named (less any
+	// dropped meanwhile), on a fresh budget.
+	baseRound
+	// beatRound: a heartbeat, to every peer with a cached route and no
+	// batch or base frame in flight — that frame's ack renews the grant
+	// better. One attempt bounded by the tick interval, and a failure
+	// spends nothing: a missed heartbeat just waits for the next tick. A
+	// peer with no route is found by reprobe, not by a LOCATE that would
+	// stall the tick for every other peer.
+	beatRound
+)
+
+// flight is one target's progress through a round.
+type flight struct {
+	p      *peer
+	frame  int       // index of the frame in flight, or next to send
+	tries  int       // sends of that frame in the current attempt
+	call   rpc.Call  // the send in flight, unless paused
+	sent   time.Time // when call left: its ack's lease grant
+	due    time.Time // when call times out, or when a backoff pause ends
+	paused bool      // backing off between attempts, nothing in flight
+	over   bool
+	err    error // the outcome once over: nil when every frame was acked
+}
+
+// round is one ship: each target's flight, and the one timer the
+// shipping goroutine sleeps on. Rounds are pooled, so a steady stream
+// of commits allocates neither.
+type round struct {
+	kind    roundKind
+	frames  [][]byte
+	timeout time.Duration // one send's wait for its ack
+	fl      []flight
+	timer   clock.Timer
+}
+
+var rounds = sync.Pool{New: func() any { return new(round) }}
+
+// ship is the one ship routine, run on the calling goroutine: the
+// committer's (sink), the joiner's (join) or the heartbeat loop's. It
+// sends frames, in order, to each of ps the round's kind takes. Every
+// target's first frame goes out before any ack is awaited, and a reply
+// already in is taken before the round sleeps, so the round costs its
+// slowest peer's time, not the sum. On a LAN that delivers on the
+// sender's goroutine, a healthy standby has applied, logged and
+// acknowledged a frame before its send returns. Each attempt sends its
+// frame up to twice, so one lost frame never spends an attempt.
+//
+// It returns how many targets acknowledged every frame, how many there
+// were, and the gravest failure among the rest: ErrBackupLost only when
+// no other error occurred.
+func (s *Shipper) ship(kind roundKind, ps []*peer, frames [][]byte) (acked, targets int, err error) {
+	r := rounds.Get().(*round)
+	r.kind, r.frames, r.timeout = kind, frames, s.o.Timeout
+	if kind == beatRound {
+		r.timeout = s.o.LeaseTerm / 3
 	}
+	for _, p := range ps {
+		switch {
+		case kind == batchRound && p.lost.Load(),
+			kind == baseRound && p.dropped.Load(),
+			kind == beatRound && (p.busy.Load() > 0 || !s.routed(p)):
+			continue
+		case kind == baseRound:
+			p.fails.Store(0) // a re-base starts on a fresh attempt budget
+		case kind == beatRound:
+			s.n.heartbeats.Add(1)
+		}
+		if kind != beatRound {
+			p.busy.Add(1)
+		}
+		r.fl = append(r.fl, flight{p: p})
+	}
+	for i := range r.fl {
+		s.launch(r, &r.fl[i])
+	}
+	for s.step(r) {
+	}
+	var lost error
+	for _, f := range r.fl {
+		switch {
+		case f.err == nil:
+			acked++
+		case errors.Is(f.err, ErrBackupLost):
+			lost = f.err
+		case err == nil:
+			err = f.err
+		}
+	}
+	targets = len(r.fl)
+	if r.timer != nil {
+		r.timer.Stop()
+	}
+	clear(r.fl)
+	r.fl, r.frames = r.fl[:0], nil
+	rounds.Put(r)
+	return acked, targets, cmp.Or(err, lost)
+}
+
+// launch sends f's current frame — unless the shipper has stopped, which
+// ends f with context.Canceled.
+func (s *Shipper) launch(r *round, f *flight) {
+	f.paused = false
+	if s.stopped.Load() {
+		if r.kind != beatRound {
+			s.n.dropped.Add(1)
+		}
+		s.finish(r, f, context.Canceled)
+		return
+	}
+	m, err := s.c.Resolver().Lookup(s.ctx, f.p.dest)
+	f.sent = s.c.Clock().Now()
+	f.due = f.sent.Add(r.timeout)
+	var call rpc.Call
+	if err == nil {
+		s.n.frames.Add(1)
+		call, err = s.c.Send(s.ctx, m, f.p.dest, rpc.Request{Op: OpShip, Data: r.frames[f.frame]})
+	}
+	if err != nil {
+		s.land(r, f, rpc.Reply{}, err)
+		return
+	}
+	f.call = call
+}
+
+// routed reports whether p's receiver has a cached route, without
+// waiting on a LOCATE. The ship client's routes never expire (a receiver
+// never moves: a restarted standby comes back on a fresh port) and a
+// ship round never evicts one, so every peer that took a base has a
+// route — unless a reprobe that timed out evicted it, and then the next
+// reprobe locates it again.
+func (s *Shipper) routed(p *peer) bool {
+	_, ok := s.c.Resolver().Cached(p.dest)
+	return ok
+}
+
+// step takes one reply already in, if any; otherwise it sleeps on the
+// open flight due first — for its reply, its timeout or the end of its
+// pause — and moves it on. It reports whether any flight is still open.
+func (s *Shipper) step(r *round) bool {
+	var next *flight
+	for i := range r.fl {
+		f := &r.fl[i]
+		switch {
+		case f.over:
+		case !f.paused && f.call.Ready():
+			rep, err := f.call.Await(s.ctx, nil)
+			s.land(r, f, rep, err)
+			return true
+		case next == nil || f.due.Before(next.due):
+			next = f
+		}
+	}
+	if next == nil {
+		return false
+	}
+	d := next.due.Sub(s.c.Clock().Now())
+	if r.timer == nil {
+		r.timer = s.c.Clock().NewTimer(d)
+	} else {
+		r.timer.Reset(d)
+	}
+	if next.paused {
+		select {
+		case <-s.ctx.Done():
+		case <-r.timer.C():
+		}
+		s.launch(r, next)
+		return true
+	}
+	rep, err := next.call.Await(s.ctx, r.timer.C())
+	s.land(r, next, rep, err)
+	return true
+}
+
+// land books what one reply — or its absence, err — proves, and moves f
+// on: to its next frame, a second send, a backoff pause, or its end. A
+// conflict — the receiver saw a sequence gap and refused to apply out of
+// order, or it acknowledged from another term — marks the peer lost at
+// once: reprobe re-joins it, the route every other loss takes.
+func (s *Shipper) land(r *round, f *flight, rep rpc.Reply, err error) {
+	f.call = rpc.Call{}
+	var status rpc.Status
+	if err == nil {
+		status = s.book(f.p, f.sent, rep)
+	}
+	switch {
+	case r.kind == beatRound:
+		s.finish(r, f, err) // a heartbeat's outcome is its booking
+	case err == nil && status == rpc.StatusOK:
+		f.p.fails.Store(0)
+		f.frame, f.tries = f.frame+1, 0
+		if f.frame == len(r.frames) {
+			s.finish(r, f, nil)
+			return
+		}
+		s.launch(r, f)
+	case err == nil && status == rpc.StatusStale:
+		s.finish(r, f, ErrDeposed)
+	case err == nil && status == rpc.StatusConflict:
+		f.p.lost.Store(true)
+		s.finish(r, f, ErrBackupLost)
+	case s.stopped.Load():
+		s.n.dropped.Add(1)
+		s.finish(r, f, context.Canceled)
+	case err != nil && f.tries == 0:
+		f.tries++ // the attempt's second send
+		s.launch(r, f)
+	default:
+		s.failed(r, f)
+	}
+}
+
+// book records what one reply proves. Any OK is a lease grant, stamped
+// with the time taken BEFORE the send — a grant is only as fresh as the
+// moment the renewal left — and max-stored, since a heartbeat and a
+// batch to one peer may be acked out of order. It is an acknowledgement
+// only if its Pos is in this shipper's term: a receiver that answers
+// from another term is alive but not on this stream (it never took our
+// base), which book reports as the conflict it is. A stale-term bounce
+// deposes this shipper.
+func (s *Shipper) book(p *peer, sent time.Time, rep rpc.Reply) rpc.Status {
 	switch rep.Status {
 	case rpc.StatusOK:
-		p.grant.Store(sent.UnixNano())
-		at, aerr := ParseAck(rep.Data)
-		if aerr != nil || at.Term != s.o.Term {
-			return rpc.StatusConflict, nil
+		storeMax(&p.grant, uint64(sent.UnixNano()))
+		at, err := ParseAck(rep.Data)
+		if err != nil || at.Term != s.o.Term {
+			return rpc.StatusConflict
 		}
 		storeMax(&p.acked, at.Seq)
 		storeMax(&s.n.acked, at.Seq)
 	case rpc.StatusStale:
 		s.Depose()
 	}
-	return rep.Status, nil
+	return rep.Status
 }
 
-// failed books one failed attempt against p's budget: ErrBackupLost
-// once it is spent (the peer is marked lost), otherwise nil after the
-// backoff pause.
-func (s *Shipper) failed(p *peer) error {
-	p.fails++
+// failed books one failed attempt against f's peer: once its budget is
+// spent the peer is marked lost, otherwise f pauses for the backoff and
+// then sends its frame again.
+func (s *Shipper) failed(r *round, f *flight) {
 	s.n.retries.Add(1)
-	if p.fails >= s.o.Attempts {
-		p.lost.Store(true)
-		return ErrBackupLost
+	if int(f.p.fails.Add(1)) >= s.o.Attempts {
+		f.p.lost.Store(true)
+		s.finish(r, f, ErrBackupLost)
+		return
 	}
-	t := s.c.Clock().NewTimer(s.o.Backoff)
-	defer t.Stop()
-	select {
-	case <-s.ctx.Done():
-	case <-t.C():
-	}
-	return nil
+	f.tries, f.paused = 0, true
+	f.due = s.c.Clock().Now().Add(s.o.Backoff)
 }
 
-// sendFrame delivers one frame to one peer (lane only). A conflict —
-// the receiver saw a sequence gap and refused to apply out of order, or
-// it acknowledged from another term — marks the peer lost at once:
-// reprobe re-joins it, the route every other loss takes. Transport
-// failures are retried until the attempt budget is spent, and then the
-// peer is marked lost.
-func (s *Shipper) sendFrame(p *peer, frame []byte) error {
-	for {
-		if s.stopped.Load() {
-			s.n.dropped.Add(1)
-			return context.Canceled
-		}
-		status, err := s.exchange(p, frame, s.opts)
-		if err == nil {
-			switch status {
-			case rpc.StatusOK:
-				p.fails = 0
-				return nil
-			case rpc.StatusStale:
-				return ErrDeposed
-			case rpc.StatusConflict:
-				p.lost.Store(true)
-				return ErrBackupLost
-			}
-		}
-		if err := s.failed(p); err != nil {
-			return err
-		}
+// finish closes f with its outcome.
+func (s *Shipper) finish(r *round, f *flight, err error) {
+	f.over, f.err = true, err
+	if r.kind != beatRound {
+		f.p.busy.Add(-1)
 	}
 }
 
@@ -688,7 +753,8 @@ func storeMax(a *atomic.Uint64, v uint64) {
 }
 
 // every runs tick once per period, on the primary machine's clock,
-// until the shipper stops or reaches a terminal state.
+// until the shipper stops or reaches a terminal state, and then closes
+// done.
 //
 // Deliberate silence on any terminal state — deposed, sealed, or
 // self-demoted. Sealing and demotion are sticky: this primary will never
@@ -702,8 +768,8 @@ func storeMax(a *atomic.Uint64, v uint64) {
 // its one-way traffic finally see the silence they need.) The reprobes
 // stop too: a re-based peer would read as contact, and a sealed or
 // demoted primary must not touch the group again.
-func (s *Shipper) every(period time.Duration, tick func()) {
-	defer s.wg.Done()
+func (s *Shipper) every(period time.Duration, tick func(), done chan<- struct{}) {
+	defer close(done)
 	t := s.c.Clock().NewTimer(period)
 	defer t.Stop()
 	for {
@@ -724,27 +790,16 @@ func (s *Shipper) every(period time.Duration, tick func()) {
 // bare frame per peer per LeaseTerm/3 (see every), single attempt — a
 // missed heartbeat just waits for the next tick, and three fit in a
 // term, so one loss never lapses the lease.
-func (s *Shipper) heartbeat() {
-	for _, p := range s.peerList() {
-		// Lost peers are heartbeated too: a peer that missed a few
-		// frames is LOST to the data stream (reprobe re-bases it) but
-		// very much alive to the lease — if the primary went silent
-		// toward it, its failure detector would fire and elect a second
-		// primary out of a transient loss. The heartbeat tells it "your
-		// primary lives"; the re-base catches its data up separately.
-		//
-		// An offer, never a wait: each lane burns a dead peer's timeout
-		// alone, so one corpse cannot hold the next peer's heartbeat
-		// past the detector gap and cascade elections through a healthy
-		// group. A busy lane is mid-frame (or mid-heartbeat) to this
-		// peer, and that frame's ack will renew the grant better than a
-		// heartbeat queued behind it.
-		select {
-		case p.work <- shipJob{}:
-		default:
-		}
-	}
-}
+//
+// Lost peers are heartbeated too: a peer that missed a few frames is
+// LOST to the data stream (reprobe re-bases it) but very much alive to
+// the lease — if the primary went silent toward it, its failure
+// detector would fire and elect a second primary out of a transient
+// loss. The heartbeat tells it "your primary lives"; the re-base
+// catches its data up separately. Every beat goes out before any is
+// awaited, so a dead peer's timeout holds no other peer's heartbeat
+// past the detector gap.
+func (s *Shipper) heartbeat() { s.ship(beatRound, s.peerList(), s.beat) }
 
 // reprobe is the slow path back from the dead: every Reprobe it pings
 // each lost peer's receiver with an OpSeq query (cheap, no records — a

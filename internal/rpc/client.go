@@ -533,25 +533,64 @@ func stopTimer(t clock.Timer) {
 	timerPool.Put(t)
 }
 
-// attempt sends one request and waits one timeout for the reply. It
-// owns payload: the buffer is consumed by the PUT (or released on the
-// paths that never reach it).
+// attempt sends one request and waits one timeout for the reply: send,
+// then await. It owns payload: the buffer is consumed by the PUT (or
+// released on the paths that never reach it).
 func (c *Client) attempt(ctx context.Context, machine amnet.MachineID, dest cap.Port, payload *wire.Buf, o callOptions) (Reply, error) {
-	// Fresh one-shot reply port per attempt: stray replies from a
-	// previous timed-out attempt cannot be confused with this one.
+	call, err := c.send(machine, dest, payload, o.sig)
+	if err != nil {
+		return Reply{}, err
+	}
+	timer := c.startTimer(o.timeout)
+	defer stopTimer(timer)
+	return call.Await(ctx, timer.C())
+}
+
+// Call is one attempt in flight: its request is on the wire and its
+// one-shot reply port is open. Exactly one Await resolves it.
+type Call struct {
+	c    *Client
+	l    *fbox.Listener
+	dest cap.Port
+}
+
+// send is an attempt's first half: open a fresh one-shot reply port and
+// PUT payload, which it owns. A stray reply to an earlier attempt
+// cannot be confused with this one's.
+func (c *Client) send(machine amnet.MachineID, dest cap.Port, payload *wire.Buf, sig cap.Port) (Call, error) {
 	gPrime := cap.Port(crypto.Rand48(c.cfg.Source))
 	l, err := c.fb.GetReply(gPrime)
 	if err != nil {
 		payload.Release()
-		return Reply{}, fmt.Errorf("rpc: reply port: %w", err)
+		return Call{}, fmt.Errorf("rpc: reply port: %w", err)
 	}
-	defer l.Close()
+	if err := c.fb.PutBuf(machine, dest, l, sig, payload); err != nil {
+		l.Close()
+		return Call{}, fmt.Errorf("rpc: put: %w", err)
+	}
+	return Call{c: c, l: l, dest: dest}, nil
+}
 
-	if err := c.fb.PutBuf(machine, dest, l, o.sig, payload); err != nil {
-		return Reply{}, fmt.Errorf("rpc: put: %w", err)
+// Send is the first half of one attempt of Trans, for a caller that
+// routes its requests itself and keeps attempts to several servers in
+// flight from one goroutine: it encodes req and PUTs it to dest on
+// machine. Await is the second half.
+func (c *Client) Send(ctx context.Context, machine amnet.MachineID, dest cap.Port, req Request) (Call, error) {
+	payload, err := c.encodeRequest(ctx, req, machine, nil)
+	if err != nil {
+		return Call{}, err
 	}
-	timer := c.startTimer(o.timeout)
-	defer stopTimer(timer)
+	return c.send(machine, dest, payload, 0)
+}
+
+// Ready reports whether the reply is in: Await would not block.
+func (call *Call) Ready() bool { return len(call.l.Recv()) > 0 }
+
+// Await is an attempt's second half: the reply, or ErrTimeout once
+// expiry fires, or ctx's error. It closes the reply port.
+func (call *Call) Await(ctx context.Context, expiry <-chan time.Time) (Reply, error) {
+	c, l := call.c, call.l
+	defer l.Close()
 	select {
 	case m, ok := <-l.Recv():
 		if !ok {
@@ -573,8 +612,8 @@ func (c *Client) attempt(ctx context.Context, machine amnet.MachineID, dest cap.
 		m.Release()
 		return rep, nil
 	case <-ctx.Done():
-		return Reply{}, fmt.Errorf("rpc: %v: %w", dest, ctx.Err())
-	case <-timer.C():
+		return Reply{}, fmt.Errorf("rpc: %v: %w", call.dest, ctx.Err())
+	case <-expiry:
 		return Reply{}, ErrTimeout
 	}
 }

@@ -432,7 +432,7 @@ func validCurrency(c string) error {
 	return nil
 }
 
-func (s *Server) createAccount(_ context.Context, _ rpc.Meta, req rpc.Request) rpc.Reply {
+func (s *Server) createAccount(ctx context.Context, _ rpc.Meta, req rpc.Request) rpc.Reply {
 	currency, rest, err := takeCurrency(req.Data)
 	if err != nil {
 		return rpc.ErrReply(rpc.StatusBadRequest, err.Error())
@@ -472,7 +472,7 @@ func (s *Server) createAccount(_ context.Context, _ rpc.Meta, req rpc.Request) r
 		acct.balances[currency] = amount
 	}
 	s.accounts.Put(c.Object, acct)
-	t, err := s.Append(recCreateAccount(c.Object, secret, currency, amount))
+	t, err := s.Append(ctx, recCreateAccount(c.Object, secret, currency, amount))
 	if err != nil {
 		// Unlogged: roll the whole creation back.
 		s.accounts.Delete(c.Object)
@@ -531,7 +531,7 @@ func (s *Server) balance(_ context.Context, _ rpc.Meta, req rpc.Request) rpc.Rep
 	return rpc.OkReply(out)
 }
 
-func (s *Server) transfer(_ context.Context, _ rpc.Meta, req rpc.Request) rpc.Reply {
+func (s *Server) transfer(ctx context.Context, _ rpc.Meta, req rpc.Request) rpc.Reply {
 	// Withdrawal needs RightWrite on the source.
 	if _, err := s.table.Demand(req.Cap, cap.RightWrite); err != nil {
 		return rpc.ErrReplyFromErr(err)
@@ -599,7 +599,7 @@ func (s *Server) transfer(_ context.Context, _ rpc.Meta, req rpc.Request) rpc.Re
 				fmt.Sprintf("insufficient funds: have %d %s, need %d", from.balances[currency], currency, amount))
 		}
 		var aerr error
-		if t, aerr = s.Append(recTransferMoney(req.Cap.Object, dest.Object, currency, amount)); aerr != nil {
+		if t, aerr = s.Append(ctx, recTransferMoney(req.Cap.Object, dest.Object, currency, amount)); aerr != nil {
 			return rpc.ErrReplyFromErr(aerr)
 		}
 		from.balances[currency] -= amount
@@ -615,7 +615,7 @@ func (s *Server) transfer(_ context.Context, _ rpc.Meta, req rpc.Request) rpc.Re
 	return rep
 }
 
-func (s *Server) convert(_ context.Context, _ rpc.Meta, req rpc.Request) rpc.Reply {
+func (s *Server) convert(ctx context.Context, _ rpc.Meta, req rpc.Request) rpc.Reply {
 	if _, err := s.table.Demand(req.Cap, cap.RightWrite); err != nil {
 		return rpc.ErrReplyFromErr(err)
 	}
@@ -656,7 +656,7 @@ func (s *Server) convert(_ context.Context, _ rpc.Meta, req rpc.Request) rpc.Rep
 				fmt.Sprintf("insufficient funds: have %d %s, need %d", a.balances[fromCur], fromCur, amount))
 		}
 		var aerr error
-		if t, aerr = s.Append(recConvertMoney(req.Cap.Object, fromCur, toCur, amount, out)); aerr != nil {
+		if t, aerr = s.Append(ctx, recConvertMoney(req.Cap.Object, fromCur, toCur, amount, out)); aerr != nil {
 			return rpc.ErrReplyFromErr(aerr)
 		}
 		a.balances[fromCur] -= amount
@@ -672,7 +672,7 @@ func (s *Server) convert(_ context.Context, _ rpc.Meta, req rpc.Request) rpc.Rep
 	return rep
 }
 
-func (s *Server) destroyAccount(_ context.Context, _ rpc.Meta, req rpc.Request) rpc.Reply {
+func (s *Server) destroyAccount(ctx context.Context, _ rpc.Meta, req rpc.Request) rpc.Reply {
 	if _, err := s.table.Demand(req.Cap, cap.RightDestroy); err != nil {
 		return rpc.ErrReplyFromErr(err)
 	}
@@ -688,7 +688,7 @@ func (s *Server) destroyAccount(_ context.Context, _ rpc.Meta, req rpc.Request) 
 	// The destroy record is staged under the account lock, after every
 	// transfer that touched the account and before any that would have
 	// failed against the dead flag set below.
-	t, aerr := s.Append(recDestroyAccount(req.Cap.Object))
+	t, aerr := s.Append(ctx, recDestroyAccount(req.Cap.Object))
 	if aerr != nil {
 		a.mu.Unlock()
 		return rpc.ErrReplyFromErr(aerr)

@@ -396,13 +396,13 @@ func (s *Server) installObject(obj uint32, state []byte) error {
 // shard.
 func (s *Server) removeObject(obj uint32) { s.dirs.Delete(obj) }
 
-func (s *Server) createDir(_ context.Context, _ rpc.Meta, _ rpc.Request) rpc.Reply {
+func (s *Server) createDir(ctx context.Context, _ rpc.Meta, _ rpc.Request) rpc.Reply {
 	c, secret, err := s.table.CreateRecorded()
 	if err != nil {
 		return rpc.ErrReplyFromErr(err)
 	}
 	s.dirs.Put(c.Object, &directory{entries: make(map[string]cap.Capability)})
-	t, err := s.Append(recCreateDir(c.Object, secret))
+	t, err := s.Append(ctx, recCreateDir(c.Object, secret))
 	if err != nil {
 		// Unlogged: roll the creation back so memory matches the log.
 		s.dirs.Delete(c.Object)
@@ -526,7 +526,7 @@ func (s *Server) lookupPath(_ context.Context, _ rpc.Meta, req rpc.Request) rpc.
 	return rpc.OkReply(out)
 }
 
-func (s *Server) enter(_ context.Context, _ rpc.Meta, req rpc.Request) rpc.Reply {
+func (s *Server) enter(ctx context.Context, _ rpc.Meta, req rpc.Request) rpc.Reply {
 	d, err := s.dir(req.Cap, cap.RightWrite)
 	if err != nil {
 		return rpc.ErrReplyFromErr(err)
@@ -564,7 +564,7 @@ func (s *Server) enter(_ context.Context, _ rpc.Meta, req rpc.Request) rpc.Reply
 		d.mu.Unlock()
 		return rpc.ErrReply(rpc.StatusServerError, fmt.Sprintf("entry %q exists", name))
 	}
-	t, aerr := s.Append(recEnterDir(req.Cap.Object, name, entry))
+	t, aerr := s.Append(ctx, recEnterDir(req.Cap.Object, name, entry))
 	if aerr != nil {
 		d.mu.Unlock()
 		return rpc.ErrReplyFromErr(aerr)
@@ -592,7 +592,7 @@ func (s *Server) mutationReply(newGen uint64) rpc.Reply {
 	return rpc.OkReply(data)
 }
 
-func (s *Server) remove(_ context.Context, _ rpc.Meta, req rpc.Request) rpc.Reply {
+func (s *Server) remove(ctx context.Context, _ rpc.Meta, req rpc.Request) rpc.Reply {
 	d, err := s.dir(req.Cap, cap.RightWrite)
 	if err != nil {
 		return rpc.ErrReplyFromErr(err)
@@ -611,7 +611,7 @@ func (s *Server) remove(_ context.Context, _ rpc.Meta, req rpc.Request) rpc.Repl
 		d.mu.Unlock()
 		return rpc.ErrReply(rpc.StatusServerError, fmt.Sprintf("no entry %q", name))
 	}
-	t, aerr := s.Append(recRemoveDir(req.Cap.Object, name))
+	t, aerr := s.Append(ctx, recRemoveDir(req.Cap.Object, name))
 	if aerr != nil {
 		d.mu.Unlock()
 		return rpc.ErrReplyFromErr(aerr)
@@ -650,7 +650,7 @@ func (s *Server) list(_ context.Context, _ rpc.Meta, req rpc.Request) rpc.Reply 
 	return rpc.OkReply(out)
 }
 
-func (s *Server) destroyDir(_ context.Context, _ rpc.Meta, req rpc.Request) rpc.Reply {
+func (s *Server) destroyDir(ctx context.Context, _ rpc.Meta, req rpc.Request) rpc.Reply {
 	d, err := s.dir(req.Cap, cap.RightDestroy)
 	if err != nil {
 		return rpc.ErrReplyFromErr(err)
@@ -678,7 +678,7 @@ func (s *Server) destroyDir(_ context.Context, _ rpc.Meta, req rpc.Request) rpc.
 		return rpc.ErrReplyFromErr(fmt.Errorf("dirsvr: object %d: %w", req.Cap.Object, cap.ErrNoSuchObject))
 	}
 	s.dirs.Delete(req.Cap.Object)
-	t, aerr := s.Append(recObj(recDestroy, req.Cap.Object))
+	t, aerr := s.Append(ctx, recObj(recDestroy, req.Cap.Object))
 	d.mu.Unlock()
 	if aerr != nil {
 		return rpc.ErrReplyFromErr(aerr)

@@ -8,6 +8,7 @@ import (
 	"time"
 
 	"amoeba/internal/cap"
+	"amoeba/internal/fbox"
 	"amoeba/internal/rpc"
 	"amoeba/internal/server/blocksvr"
 	"amoeba/internal/server/servertest"
@@ -422,30 +423,104 @@ func TestCancelledContextAbortsFileOps(t *testing.T) {
 	}
 }
 
-// TestWriteDeadlinePropagatesToBlockServer drives a write whose parent
-// deadline has already expired by the time the file server's nested
-// block transactions run: the file server must report a failure rather
-// than grinding through its block I/O without a bound.
+// heldWrites holds every block write until release is closed, so a
+// nested block call outlives any budget the caller set.
+type heldWrites struct {
+	vdisk.Store
+	release chan struct{}
+}
+
+func (d *heldWrites) Write(n uint32, data []byte) error {
+	<-d.release
+	return d.Store.Write(n, data)
+}
+
+// TestWriteDeadlinePropagatesToBlockServer: a write's deadline bounds
+// the whole call tree. The block server holds its disk writes far past
+// the caller's budget; the nested block requests the file server sends
+// must carry a budget no larger than the caller's (the block handler's
+// context deadline is built from it), and the write must fail with the
+// deadline — or with the file server's report of the nested failure —
+// instead of waiting out the block I/O.
 func TestWriteDeadlinePropagatesToBlockServer(t *testing.T) {
 	ctx := context.Background()
-	_, fc, _ := newStack(t, 256, 64)
+	r := servertest.New(t, 0xF1A8)
+	scheme, err := cap.NewScheme(cap.SchemeOneWay)
+	if err != nil {
+		t.Fatal(err)
+	}
+	disk, err := vdisk.New(256, 64)
+	if err != nil {
+		t.Fatal(err)
+	}
+	held := &heldWrites{Store: disk, release: make(chan struct{})}
+	defer close(held.release)
+	bsFB, fsFB := r.NewFBox(t), r.NewFBox(t)
+	bs, err := blocksvr.New(bsFB, scheme, r.Src, held)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := bs.Start(); err != nil {
+		t.Fatal(err)
+	}
+	t.Cleanup(func() { bs.Close() })
+	fs, err := New(ctx, fsFB, scheme, r.Src, blocksvr.NewClient(r.NewClient(t), bs.PutPort()))
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := fs.Start(); err != nil {
+		t.Fatal(err)
+	}
+	t.Cleanup(func() { fs.Close() })
+	fc := NewClient(r.Client, fs.PutPort())
 	f, err := fc.Create(ctx)
 	if err != nil {
 		t.Fatal(err)
 	}
-	// A microscopic but non-zero budget: the client-side guard passes
-	// (the context is live when Trans starts) while the nested block
-	// RPC issued by the file server observes an expired deadline.
-	tiny, cancel := context.WithTimeout(ctx, time.Microsecond)
-	defer cancel()
-	err = fc.WriteAt(tiny, f, 0, bytes.Repeat([]byte("x"), 4096))
-	if err == nil {
-		t.Fatal("write with expired deadline succeeded")
+	tap, err := r.Net.Tap()
+	if err != nil {
+		t.Fatal(err)
 	}
-	// Either the client's own deadline fired first, or the file server
-	// reported the nested failure as a server error; both prove the
-	// deadline bounded the call tree.
+
+	const budget = 20 * time.Millisecond
+	short, cancel := context.WithTimeout(ctx, budget)
+	defer cancel()
+	err = fc.WriteAt(short, f, 0, bytes.Repeat([]byte("x"), 4096))
 	if !errors.Is(err, context.DeadlineExceeded) && !rpc.IsStatus(err, rpc.StatusServerError) {
-		t.Fatalf("err = %v, want deadline-bounded failure", err)
+		t.Fatalf("write past its deadline: err = %v, want a deadline-bounded failure", err)
+	}
+
+	// Every request that crossed the wire: the caller's to the file
+	// server, and the file server's nested ones to the block server.
+	var callerBudget time.Duration
+	var nested []time.Duration
+	for more := true; more; {
+		select {
+		case fr := <-tap.Recv():
+			if len(fr.Payload) > fbox.Headroom {
+				if req, err := rpc.DecodeRequest(fr.Payload[fbox.Headroom:]); err == nil {
+					switch fr.Dst {
+					case fsFB.Machine():
+						callerBudget = req.Budget
+					case bsFB.Machine():
+						nested = append(nested, req.Budget)
+					}
+				}
+			}
+			fr.Release()
+		default:
+			more = false
+		}
+	}
+	if callerBudget <= 0 || callerBudget > budget {
+		t.Fatalf("the write carried budget %v, want (0, %v]", callerBudget, budget)
+	}
+	if len(nested) == 0 {
+		t.Fatal("the file server sent the block server nothing")
+	}
+	for i, b := range nested {
+		if b <= 0 || b > callerBudget {
+			t.Fatalf("nested block request %d carried budget %v, want (0, %v]: its handler's deadline must not outlast the caller's", i, b, callerBudget)
+		}
 	}
 }

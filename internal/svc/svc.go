@@ -166,23 +166,29 @@ func NewWithConfig(fb *fbox.FBox, scheme cap.Scheme, cfg Config) *Kernel {
 
 // observed guards a handler's reply with the log's durability barrier:
 // whatever state the handler observed is on stable storage — and, when
-// replicated, on the standby — before the reply leaves. Mutating
-// handlers already wait on their own ticket, so for them the barrier
-// is a cheap re-check; the handlers it exists for are the OBSERVING
-// replies — reads, duplicate-suppression errors ("entry exists"),
-// absences — which would otherwise acknowledge state whose record is
-// still in flight. Without the fence, a client can hold a reply that a
-// crash-plus-failover contradicts: the canonical race is Enter's
-// reply lost, the retry answered "exists" off in-memory state, and the
-// machine killed before the original record reached the standby.
+// replicated, on the standbys — before the reply leaves. A handler that
+// staged its own record (Append) and saw it commit replies at once: it
+// observed only records staged before its own, and commits are ordered,
+// so its own commit already covers them. Waiting on the barrier instead
+// would hold its reply for whatever batch another writer staged in the
+// meantime. The barrier exists for the OBSERVING replies — reads,
+// duplicate-suppression errors ("entry exists"), absences, and errors —
+// which would otherwise acknowledge state whose record is still in
+// flight. Without it, a client can hold a reply that a
+// crash-plus-failover contradicts: the canonical race is Enter's reply
+// lost, the retry answered "exists" off in-memory state, and the machine
+// killed before the original record reached the standby.
 func (k *Kernel) observed(h rpc.Handler) rpc.Handler {
 	if k.log == nil {
 		return h
 	}
 	return func(ctx context.Context, md rpc.Meta, req rpc.Request) rpc.Reply {
-		rep := h(ctx, md, req)
-		if err := k.log.Barrier(); err != nil {
-			return rpc.ErrReplyFromErr(err)
+		w := &writeNote{Context: ctx, k: k}
+		rep := h(w, md, req)
+		if !w.settles(rep) {
+			if err := k.log.Barrier(); err != nil {
+				return rpc.ErrReplyFromErr(err)
+			}
 		}
 		// The replica fence runs AFTER the barrier: by now the record
 		// is locally durable and shipped, so the fence's only question
@@ -202,6 +208,30 @@ func (k *Kernel) observed(h rpc.Handler) rpc.Handler {
 		}
 		return rep
 	}
+}
+
+// writeNote is a durable handler's context: it notes the last record
+// the handler staged through Append, which decides whether its reply
+// needs the barrier (see observed).
+type writeNote struct {
+	context.Context
+	k *Kernel
+	t *wal.Ticket // the handler's last staged record's ticket
+}
+
+type writeNoteKey struct{}
+
+func (w *writeNote) Value(key any) any {
+	if key == (writeNoteKey{}) {
+		return w
+	}
+	return w.Context.Value(key)
+}
+
+// settles reports whether rep is a write's acknowledgement that needs no
+// barrier: an OK reply from a handler whose own record has committed.
+func (w *writeNote) settles(rep rpc.Reply) bool {
+	return rep.Status == rpc.StatusOK && w.t.Committed()
 }
 
 // migGate marks one object as mid-migration; dispatch for it parks on
@@ -327,7 +357,7 @@ func (k *Kernel) OnWedge(fn func(err error)) {
 // capabilities at the next restart.
 func (k *Kernel) serveTable() {
 	t := k.table
-	k.srv.ServeTable(t, func(_ context.Context, _ rpc.Meta, req rpc.Request) rpc.Reply {
+	k.srv.ServeTable(t, func(ctx context.Context, _ rpc.Meta, req rpc.Request) rpc.Reply {
 		if k.log == nil {
 			nc, err := t.Revoke(req.Cap)
 			if err != nil {
@@ -344,7 +374,7 @@ func (k *Kernel) serveTable() {
 			k.revMu.Unlock()
 			return rpc.ErrReplyFromErr(err)
 		}
-		tk, aerr := k.log.Append(revokeRecord(req.Cap.Object, secret))
+		tk, aerr := k.Append(ctx, revokeRecord(req.Cap.Object, secret))
 		k.revMu.Unlock()
 		if aerr == nil {
 			aerr = tk.Wait()
@@ -424,7 +454,10 @@ func (k *Kernel) Durable() bool { return k.log != nil }
 // Append stages one redo record, returning the group-commit ticket the
 // handler must Wait on before replying. On a volatile kernel it
 // returns (nil, nil), and a nil ticket's Wait is a no-op — handlers
-// are written once, durability decided by construction.
+// are written once, durability decided by construction. ctx is the
+// handler's: the record is noted there as the handler's own, so a reply
+// sent once it has committed skips the durability barrier (see
+// observed).
 //
 // Call it while holding the object lock that serialized the mutation:
 // the log's stage order is its replay order.
@@ -436,11 +469,15 @@ func (k *Kernel) Durable() bool { return k.log != nil }
 // Append, so the divergence cannot grow. Whether the failed batch's
 // prefix reached the disk is unknowable (the classic fsync-failure
 // ambiguity); restarting the service resolves it in the log's favor.
-func (k *Kernel) Append(rec []byte) (*wal.Ticket, error) {
+func (k *Kernel) Append(ctx context.Context, rec []byte) (*wal.Ticket, error) {
 	if k.log == nil {
 		return nil, nil
 	}
-	return k.log.Append(rec)
+	t, err := k.log.Append(rec)
+	if w, ok := ctx.Value(writeNoteKey{}).(*writeNote); ok && w.k == k && err == nil {
+		w.t = t
+	}
+	return t, err
 }
 
 // GateObject marks obj as mid-migration: dispatch for it parks until
@@ -513,7 +550,7 @@ func (k *Kernel) CommitMigrateOut(obj uint32) error {
 	rec := make([]byte, 5)
 	rec[0] = RecMigOut
 	binary.BigEndian.PutUint32(rec[1:], obj&cap.ObjectMask)
-	tk, err := k.Append(rec)
+	tk, err := k.Append(context.Background(), rec)
 	if err == nil {
 		err = tk.Wait()
 	}
@@ -548,7 +585,7 @@ func (k *Kernel) InstallMigrated(obj uint32, secret uint64, state []byte) error 
 	binary.BigEndian.PutUint32(rec[1:], obj)
 	binary.BigEndian.PutUint64(rec[5:], secret)
 	copy(rec[13:], state)
-	tk, err := k.Append(rec)
+	tk, err := k.Append(context.Background(), rec)
 	if err != nil {
 		return err
 	}

@@ -63,10 +63,10 @@ func newCounter(t *testing.T, fb *fbox.FBox, log *wal.Log, g cap.Port) *counter 
 			return nil
 		},
 	})
-	c.Handle(opInc, func(_ context.Context, _ rpc.Meta, req rpc.Request) rpc.Reply {
+	c.Handle(opInc, func(ctx context.Context, _ rpc.Meta, req rpc.Request) rpc.Reply {
 		rec := append([]byte{0x01}, req.Data...)
 		c.mu.Lock()
-		tk, err := c.Append(rec)
+		tk, err := c.Append(ctx, rec)
 		if err != nil {
 			c.mu.Unlock()
 			return rpc.ErrReplyFromErr(err)
@@ -220,7 +220,7 @@ func TestKernelVolatileAppendIsFree(t *testing.T) {
 	if c.Durable() {
 		t.Fatal("kernel without a log reports durable")
 	}
-	tk, err := c.Append([]byte{0x01, 'z'})
+	tk, err := c.Append(context.Background(), []byte{0x01, 'z'})
 	if err != nil || tk != nil {
 		t.Fatalf("volatile Append = (%v, %v), want (nil, nil)", tk, err)
 	}

@@ -2,6 +2,8 @@ package wal
 
 import (
 	"fmt"
+	"runtime"
+	"strings"
 	"sync"
 	"sync/atomic"
 	"testing"
@@ -192,6 +194,83 @@ func TestBarrierCoversInFlightBatch(t *testing.T) {
 		t.Fatalf("barrier after release: %v", err)
 	}
 	if err := <-waited; err != nil {
+		t.Fatal(err)
+	}
+}
+
+// TestWaiterLeavesCommitQueueWhenBatchCommits: a waiter queued for the
+// commit lock behind the pass that is committing its own batch returns
+// as soon as that pass completes its ticket, without ever taking the
+// lock. Queued behind the NEXT batch's leader instead, it would wait
+// out a whole commit pass — a sync and a ship round — for nothing.
+func TestWaiterLeavesCommitQueueWhenBatchCommits(t *testing.T) {
+	disk, err := vdisk.New(128, 256)
+	if err != nil {
+		t.Fatal(err)
+	}
+	g := &gatedDisk{Disk: disk, gate: make(chan struct{}, 1)}
+	g.gate <- struct{}{} // the format-time superblock sync
+	l, err := Open(g, Options{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	t.Cleanup(func() {
+		close(g.gate) // let teardown syncs through
+		l.Close()
+	})
+	if err := l.Recover(nil, nil); err != nil {
+		t.Fatal(err)
+	}
+	leaders := func(want int) {
+		t.Helper()
+		deadline := time.Now().Add(5 * time.Second)
+		for {
+			buf := make([]byte, 1<<20)
+			if strings.Count(string(buf[:runtime.Stack(buf, true)]), "wal.(*Log).lead(") == want {
+				return
+			}
+			if time.Now().After(deadline) {
+				t.Fatalf("never saw %d waiters leading or queued to", want)
+			}
+			time.Sleep(100 * time.Microsecond)
+		}
+	}
+
+	t1, err := l.Append([]byte("first batch"))
+	if err != nil {
+		t.Fatal(err)
+	}
+	first := leadInBackground(l, t1) // holds the commit lock, blocked in Sync
+	t2, err := l.Append([]byte("second batch"))
+	if err != nil {
+		t.Fatal(err)
+	}
+	second := make(chan error, 1)
+	go func() { second <- t2.Wait() }()
+	leaders(2) // the second batch's leader is first in the queue
+	waiter := make(chan error, 1)
+	go func() { waiter <- t1.Wait() }()
+	leaders(3) // and a second waiter on the first batch queues behind it
+
+	g.gate <- struct{}{} // the first pass's Sync; the second pass's stays held
+	select {
+	case err := <-waiter:
+		if err != nil {
+			t.Fatal(err)
+		}
+	case <-time.After(2 * time.Second):
+		t.Fatal("a waiter whose batch committed stayed queued for the commit lock behind the next batch's pass")
+	}
+	if err := <-first; err != nil {
+		t.Fatal(err)
+	}
+	select {
+	case err := <-second:
+		t.Fatalf("the second batch committed (%v) with its Sync held", err)
+	default:
+	}
+	g.gate <- struct{}{}
+	if err := <-second; err != nil {
 		t.Fatal(err)
 	}
 }

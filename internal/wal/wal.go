@@ -153,6 +153,21 @@ func (t *Ticket) Wait() error {
 	return t.err
 }
 
+// Committed reports whether the ticket's batch has committed without
+// error (false for a nil ticket): every record staged into it, and so
+// every record staged before them, is durable and shipped.
+func (t *Ticket) Committed() bool {
+	if t == nil {
+		return false
+	}
+	select {
+	case <-t.done:
+		return t.err == nil
+	default:
+		return false
+	}
+}
+
 // Log is a write-ahead log over one vdisk.Store. Safe for concurrent
 // appenders; whichever of them waits first commits the batch for all of
 // them (see Ticket.Wait).
@@ -185,10 +200,13 @@ type Log struct {
 
 	ckMu sync.Mutex // serializes Checkpoint
 
-	// commitMu serializes commit passes: leading waiters and Close never
-	// write the arena concurrently, and Abandon fences on it.
-	commitMu sync.Mutex
-	tail     []byte // commitMu: the zero-padded partial tail block
+	// commitLock serializes commit passes: leading waiters and Close
+	// never write the arena concurrently, and Barrier and Abandon fence
+	// on it. It is held while its one slot is full. A channel, not a
+	// mutex, so that a leading waiter can give up its place in the queue
+	// the moment another leader commits its batch (see lead).
+	commitLock chan struct{}
+	tail       []byte // commitLock: the zero-padded partial tail block
 
 	pressure chan struct{}
 }
@@ -201,11 +219,12 @@ func Open(store vdisk.Store, opts Options) (*Log, error) {
 		return nil, fmt.Errorf("wal: store has %d blocks, need at least 5", store.NBlocks())
 	}
 	l := &Log{
-		store:    store,
-		bs:       bs,
-		arena:    uint64(store.NBlocks()-1) * bs,
-		tail:     make([]byte, bs),
-		pressure: make(chan struct{}, 1),
+		store:      store,
+		bs:         bs,
+		arena:      uint64(store.NBlocks()-1) * bs,
+		tail:       make([]byte, bs),
+		commitLock: make(chan struct{}, 1),
+		pressure:   make(chan struct{}, 1),
 	}
 	l.metrics = opts.Metrics
 	l.maxRecord = min(maxRecordBytes, int(l.arena/4))
@@ -480,12 +499,19 @@ func (l *Log) signalPressure() {
 }
 
 // lead commits t's batch on the waiter's goroutine. It is ticket-aware:
-// a waiter whose batch committed while it queued for commitMu returns
-// without a pass — committing whatever was staged since would split the
-// next batch, whose own waiters are about to lead it.
+// a waiter whose batch another leader commits while it queues for the
+// commit lock returns at once, without ever taking the lock — holding
+// it only to find nothing to do would delay the next batch, whose own
+// waiters are about to lead it — and one that takes the lock after its
+// batch committed makes no pass, since committing whatever was staged
+// since would split that next batch.
 func (l *Log) lead(t *Ticket) {
-	l.commitMu.Lock()
-	defer l.commitMu.Unlock()
+	select {
+	case l.commitLock <- struct{}{}:
+	case <-t.done:
+		return
+	}
+	defer func() { <-l.commitLock }()
 	select {
 	case <-t.done:
 	default:
@@ -495,7 +521,7 @@ func (l *Log) lead(t *Ticket) {
 
 // commit is one group-commit pass: it writes every staged byte, issues
 // ONE Store.Sync for the whole batch, then wakes every appender that
-// staged into it. Callers hold commitMu.
+// staged into it. Callers hold the commit lock.
 func (l *Log) commit() {
 	l.mu.Lock()
 	t := l.ticket
@@ -517,7 +543,7 @@ func (l *Log) commit() {
 	}
 	// The pass writes straight from the staging buffer, capped at its
 	// length: appenders only write past it, and finishCommit trims the
-	// buffer (under commitMu) only after the write.
+	// buffer (under the commit lock) only after the write.
 	data := l.buf[:len(l.buf):len(l.buf)]
 	ds, nf := l.bufStart, l.head
 	ship, sink := l.pending, l.sink
@@ -600,7 +626,7 @@ func (l *Log) finishCommit(t *Ticket, err error, nf uint64) {
 // writeRange writes the staged bytes [ds, ds+len(data)) block by block,
 // zero-padding the partial tail block (the pad is rewritten by the next
 // commit; a crash leaves zeros the scanner treats as the tail). Callers
-// hold commitMu, which owns the tail scratch block.
+// hold the commit lock, which owns the tail scratch block.
 func (l *Log) writeRange(ds uint64, data []byte) error {
 	for i := 0; i < len(data); i += int(l.bs) {
 		chunk := data[i:min(i+int(l.bs), len(data))]
@@ -662,7 +688,7 @@ func (l *Log) Checkpoint(snap []byte) error {
 // SetSink installs fn as the log's commit sink: after every successful
 // group commit, the pass hands fn the batch's records — in stage
 // (= commit = replay) order, on the leading waiter's goroutine with
-// commitMu held (so no two calls overlap), and BEFORE the batch's
+// the commit lock held (so no two calls overlap), and BEFORE the batch's
 // tickets complete, so a handler that replies after Ticket.Wait knows
 // the sink has seen its record. Only records staged after the sink is
 // installed are delivered (a replica attaching mid-life gets the
@@ -711,9 +737,9 @@ func (l *Log) Barrier() error {
 		return t.err
 	}
 	// No pending ticket: the record's batch is either done or mid-pass
-	// (claimed); taking commitMu waits any in-flight pass out.
-	l.commitMu.Lock()
-	defer l.commitMu.Unlock()
+	// (claimed); taking the commit lock waits any in-flight pass out.
+	l.commitLock <- struct{}{}
+	defer func() { <-l.commitLock }()
 	l.mu.Lock()
 	defer l.mu.Unlock()
 	return l.ioErr
@@ -773,9 +799,9 @@ func (l *Log) Close() error {
 	}
 	l.closed = true
 	l.mu.Unlock()
-	l.commitMu.Lock()
+	l.commitLock <- struct{}{}
 	l.commit()
-	l.commitMu.Unlock()
+	<-l.commitLock
 	l.mu.Lock()
 	defer l.mu.Unlock()
 	return l.ioErr
@@ -798,12 +824,12 @@ func (l *Log) Abandon() error {
 	l.ticket = nil
 	l.mu.Unlock()
 	// Fence in-flight commit passes: a leading waiter can be mid-write
-	// when Abandon lands. Taking commitMu waits any such pass out, so
+	// when Abandon lands. Taking the commit lock waits any such pass out, so
 	// when Abandon returns no goroutine is writing the store (a Restart
 	// may reopen the disk immediately); a waiter that leads after this
 	// finds no ticket to take and writes nothing (see commit).
-	l.commitMu.Lock()
-	l.commitMu.Unlock() //nolint:staticcheck // empty critical section IS the fence
+	l.commitLock <- struct{}{}
+	<-l.commitLock // the empty critical section IS the fence
 	if t != nil {
 		t.err = ErrClosed
 		close(t.done)
