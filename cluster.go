@@ -254,7 +254,7 @@ func NewCluster(cfg ClusterConfig) (*Cluster, error) {
 		Hits:        cl.reg.Counter("amoeba_lookup_cache_hits_total", obs.L("service", "directory"), "directory lookups served from the client lease cache"),
 		Misses:      cl.reg.Counter("amoeba_lookup_cache_misses_total", obs.L("service", "directory"), "directory lookups with no cached binding"),
 		Expired:     cl.reg.Counter("amoeba_lookup_cache_expired_total", obs.L("service", "directory"), "cached bindings refused because their lease lapsed"),
-		Invalidated: cl.reg.Counter("amoeba_lookup_cache_invalidated_total", obs.L("service", "directory"), "cached bindings refused because the client's own write superseded them"),
+		Invalidated: cl.reg.Counter("amoeba_lookup_cache_invalidated_total", obs.L("service", "directory"), "cached bindings dropped because the client's own write superseded them"),
 	}
 	ok := false
 	defer func() {

@@ -56,3 +56,30 @@ func (realClock) AfterFunc(d time.Duration, f func()) Timer {
 type realTimer struct{ *time.Timer }
 
 func (t realTimer) C() <-chan time.Time { return t.Timer.C }
+
+// epoch anchors Mono readings; epochNS is its Unix time.
+var (
+	epoch   = time.Now()
+	epochNS = epoch.UnixNano()
+)
+
+// Mono is c's current reading in nanoseconds on a monotonic scale: the
+// Unix time of a process-wide epoch plus the time elapsed since it.
+// On the real clock the elapsed part is one monotonic read
+// (time.Since), so a step of the wall clock never moves a reading and
+// an interval between two readings is never stretched or shrunk by
+// one; it also costs less than Now. On any other clock it is
+// c.Now().Sub(epoch), so a skewed machine's readings move with its
+// clock, and a clock whose times carry no monotonic reading (a
+// stopped or stepped test clock) reads exactly its Now().UnixNano().
+// Readings from two machines' clocks are never compared.
+func Mono(c Clock) int64 {
+	if _, ok := c.(realClock); ok {
+		return epochNS + int64(time.Since(epoch))
+	}
+	return epochNS + int64(c.Now().Sub(epoch))
+}
+
+// MonoTime is the instant a Mono reading names, as a time.Time whose
+// Sub against another machine-clock time is exact.
+func MonoTime(ns int64) time.Time { return epoch.Add(time.Duration(ns - epochNS)) }

@@ -63,3 +63,37 @@ func TestSinceReadsTheClocksOwnNow(t *testing.T) {
 		t.Fatalf("Since on a clock an hour ahead: %v", d)
 	}
 }
+
+// stoppedClock reads one instant that carries no monotonic reading.
+type stoppedClock struct {
+	Clock
+	at time.Time
+}
+
+func (c stoppedClock) Now() time.Time { return c.at }
+
+func TestMonoTracksEachClock(t *testing.T) {
+	a := Mono(Real)
+	Real.Sleep(time.Millisecond)
+	b := Mono(Real)
+	if d := time.Duration(b - a); d < time.Millisecond || d > time.Minute {
+		t.Fatalf("two real readings a millisecond apart differ by %v", d)
+	}
+	// A skewed clock's readings move with it.
+	r := Mono(Real)
+	if d := time.Duration(Mono(aheadClock{Real}) - r); d < time.Hour || d > time.Hour+time.Minute {
+		t.Fatalf("a clock an hour ahead reads %v ahead", d)
+	}
+	// A clock with no monotonic reading reads its Unix time exactly.
+	at := time.Unix(1_000_000, 42)
+	if got := Mono(stoppedClock{at: at}); got != at.UnixNano() {
+		t.Fatalf("stopped clock reads %d, want %d", got, at.UnixNano())
+	}
+	// MonoTime names the instant a reading was taken at.
+	if d := Since(Real, MonoTime(b)); d < 0 || d > time.Minute {
+		t.Fatalf("a reading's instant is %v in the past", d)
+	}
+	if !MonoTime(at.UnixNano()).Equal(at) {
+		t.Fatalf("MonoTime(%d) = %v, want %v", at.UnixNano(), MonoTime(at.UnixNano()), at)
+	}
+}

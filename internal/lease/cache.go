@@ -13,9 +13,14 @@
 //     is strictly inside the server's) has not elapsed.
 //   - Directory generations make the client's OWN writes invalidate
 //     precisely: every dirsvr mutation bumps the directory's
-//     generation and the mutator's reply carries it; the cache keeps a
-//     per-directory floor and refuses any cached binding older than
-//     the floor, so a client never sees its own write undone.
+//     generation and the mutator's reply carries it. Observe drops
+//     the written name's bindings older than that generation, through
+//     every capability for the directory, and raises the directory's
+//     floor, below which Put admits no binding — so a reply that was
+//     in flight across the write cannot bring the old binding back. A
+//     client never sees its own write undone, and its bindings for the
+//     directory's other names survive it: each name is its own
+//     register.
 //   - Revocation fails closed architecturally: a cached capability is
 //     only a name for an object — using it still runs the server-side
 //     secret check, so a revoked capability is refused no matter how
@@ -28,20 +33,22 @@
 // The index is shaped like the walks it serves. dirs maps a directory
 // capability, exactly as presented, to a node; a node maps component
 // names to entries and points at the directory's floor cell, which is
-// shared by every capability of that (server, object). Each entry
-// carries a link to the node cached under exactly its own capability,
-// so a walk hashes one capability (the root) and then hops pointers,
-// probing one string per component. Two invariants keep the links
-// honest:
+// shared by every capability of that (server, object) and lists their
+// nodes, so a write or a Drop reaches all of them without scanning
+// dirs. Each entry carries a link to the node cached under exactly its
+// own capability, so a walk hashes one capability (the root) and then
+// hops pointers, probing one string per component. Two invariants keep
+// the links honest:
 //
 //   - A link is set only from dirs[e.c], the full capability the
 //     server returned — never from the object number — so a
 //     restricted capability reaches its own node or misses, never the
 //     owner's bindings.
-//   - A node that leaves dirs (Drop, or eviction emptying it) is
-//     retired: its names map is cleared under the write lock, so every
-//     walk through a stale link misses there, and the walk re-probes
-//     dirs so a later Put for the same capability is linked afresh.
+//   - A node that leaves dirs (Drop, Poison, or eviction or Observe
+//     emptying it) is retired: its names map is cleared under the
+//     write lock, so every walk through a stale link misses there, and
+//     the walk re-probes dirs so a later Put for the same capability
+//     is linked afresh.
 package lease
 
 import (
@@ -59,14 +66,15 @@ import (
 // names is nil once the node is retired (no longer in dirs); a live
 // node is never empty.
 type node struct {
+	dir   cap.Capability // its key in dirs
 	names map[string]*entry
-	floor *floorCell // the directory's write floor, shared
+	floor *floorCell // the directory's, shared
 }
 
 type entry struct {
 	c      cap.Capability
 	gen    uint64
-	expiry int64 // UnixNano; valid strictly before this instant
+	expiry int64 // a clock.Mono reading; valid strictly before it
 	// next caches dirs[c]: a walk sets it under the read lock, hence
 	// atomic. nil or retired means "probe dirs again".
 	next atomic.Pointer[node]
@@ -80,12 +88,12 @@ type dirID struct {
 	object uint32
 }
 
-// floorCell holds one directory's write floor. Every node of the
-// directory points at the same cell, so the hot read path checks the
-// floor with one atomic load instead of a second map lookup. Writes
-// happen under the cache's write lock; reads are lock-free.
+// floorCell is one directory's write floor and its live nodes, one per
+// capability cached. Only writers, under the cache's write lock, touch
+// it: the hit path never reads the floor, because Put enforces it.
 type floorCell struct {
-	gen atomic.Uint64
+	gen   uint64 // the newest generation this client's writes produced
+	nodes []*node
 }
 
 // Counters is the cache's observability surface. Nil fields are
@@ -94,7 +102,7 @@ type Counters struct {
 	Hits        *obs.Counter // served locally, zero RPCs
 	Misses      *obs.Counter // no binding cached
 	Expired     *obs.Counter // binding present but lease lapsed
-	Invalidated *obs.Counter // binding present but below the write floor
+	Invalidated *obs.Counter // binding dropped by the client's own write
 }
 
 func (c *Counters) fill() {
@@ -148,17 +156,15 @@ func New(max int, ctr Counters, clk clock.Clock) *Cache {
 }
 
 // stopper picks the counter for a binding that cannot be served at
-// instant now, or nil if it can. A binding is usable iff it exists,
-// its lease has not expired AND its generation is at or above the
-// directory's write floor.
-func (ca *Cache) stopper(n *node, e *entry, now int64) *obs.Counter {
+// instant now, or nil if it can. A binding is usable iff it exists and
+// its lease has not expired: one the client's own write superseded is
+// already gone (Observe), and Put admits none below the floor.
+func (ca *Cache) stopper(e *entry, now int64) *obs.Counter {
 	switch {
 	case e == nil:
 		return ca.ctr.Misses
 	case now >= e.expiry:
 		return ca.ctr.Expired
-	case e.gen < n.floor.gen.Load():
-		return ca.ctr.Invalidated
 	}
 	return nil
 }
@@ -173,7 +179,7 @@ func (ca *Cache) Get(dir cap.Capability, name string, now int64) (cap.Capability
 	if n != nil {
 		e = n.names[name]
 	}
-	if stop := ca.stopper(n, e, now); stop != nil {
+	if stop := ca.stopper(e, now); stop != nil {
 		ca.mu.RUnlock()
 		stop.Inc()
 		return cap.Capability{}, false
@@ -206,7 +212,7 @@ func (ca *Cache) ResolvePath(dir cap.Capability, path string, now int64) (cap.Ca
 		if n != nil {
 			e = n.names[name]
 		}
-		if stop := ca.stopper(n, e, now); stop != nil {
+		if stop := ca.stopper(e, now); stop != nil {
 			ca.mu.RUnlock()
 			stop.Inc()
 			if served > 0 {
@@ -251,11 +257,17 @@ func trimSlashes(path string) string {
 
 // Put caches a binding the server just granted a lease on: name in dir
 // resolves to c, observed at directory generation gen, valid until
-// expiry (UnixNano — stamp it from a clock read taken BEFORE the
-// request was sent, so the cached window is conservative).
+// expiry (a Now reading — take it BEFORE the request is sent, so the
+// cached window is conservative). A binding older than the
+// directory's floor is refused: its reply was in flight across one of
+// this client's own writes, and the binding may be the one that write
+// replaced.
 func (ca *Cache) Put(dir cap.Capability, name string, c cap.Capability, gen uint64, expiry int64) {
 	ca.mu.Lock()
 	defer ca.mu.Unlock()
+	if f := ca.floors[dirID{server: dir.Server, object: dir.Object}]; f != nil && gen < f.gen {
+		return
+	}
 	n := ca.dirs[dir]
 	if n != nil {
 		if e := n.names[name]; e != nil {
@@ -271,7 +283,8 @@ func (ca *Cache) Put(dir cap.Capability, name string, c cap.Capability, gen uint
 		n = ca.dirs[dir] // eviction may have retired it
 	}
 	if n == nil {
-		n = &node{names: make(map[string]*entry), floor: ca.floorLocked(dir.Server, dir.Object)}
+		n = &node{dir: dir, names: make(map[string]*entry), floor: ca.floorLocked(dir.Server, dir.Object)}
+		n.floor.nodes = append(n.floor.nodes, n)
 		ca.dirs[dir] = n
 	}
 	n.names[name] = &entry{c: c, gen: gen, expiry: expiry}
@@ -289,15 +302,34 @@ func (ca *Cache) floorLocked(server cap.Port, object uint32) *floorCell {
 	return f
 }
 
-// Now reads the client machine's clock, in unix nanoseconds.
-func (ca *Cache) Now() int64 { return ca.clk.Now().UnixNano() }
+// Now reads the client machine's clock: a clock.Mono reading, so a
+// step of the wall clock neither stretches nor shortens a lease.
+func (ca *Cache) Now() int64 { return clock.Mono(ca.clk) }
 
-// retireLocked takes a node out of dirs and empties it, so a walk
-// holding a stale link to it misses there.
-func (ca *Cache) retireLocked(dir cap.Capability, n *node) {
+// retireLocked takes a node out of dirs and its floor cell and empties
+// it, so a walk holding a stale link to it misses there.
+func (ca *Cache) retireLocked(n *node) {
 	ca.n -= len(n.names)
 	n.names = nil
-	delete(ca.dirs, dir)
+	delete(ca.dirs, n.dir)
+	f := n.floor
+	for i, m := range f.nodes {
+		if m == n {
+			last := len(f.nodes) - 1
+			f.nodes[i], f.nodes[last] = f.nodes[last], nil
+			f.nodes = f.nodes[:last]
+			break
+		}
+	}
+}
+
+// dropLocked forgets one binding, retiring its node if that empties it.
+func (ca *Cache) dropLocked(n *node, name string) {
+	delete(n.names, name)
+	ca.n--
+	if len(n.names) == 0 {
+		ca.retireLocked(n)
+	}
 }
 
 // evictOneLocked drops one binding out of a bounded sample: the first
@@ -309,42 +341,50 @@ func (ca *Cache) retireLocked(dir cap.Capability, n *node) {
 func (ca *Cache) evictOneLocked() {
 	now := ca.Now()
 	var (
-		vDir  cap.Capability
 		vNode *node
 		vName string
 	)
 	seen := 0
 sample:
-	for dir, n := range ca.dirs {
+	for _, n := range ca.dirs {
 		for name, e := range n.names {
-			vDir, vNode, vName = dir, n, name
+			vNode, vName = n, name
 			seen++
 			if now >= e.expiry || seen == evictSample {
 				break sample
 			}
 		}
 	}
-	if vNode == nil {
-		return
-	}
-	delete(vNode.names, vName)
-	ca.n--
-	if len(vNode.names) == 0 {
-		ca.retireLocked(vDir, vNode)
+	if vNode != nil {
+		ca.dropLocked(vNode, vName)
 	}
 }
 
-// Observe raises the write floor for a directory to gen: the caller
-// just mutated it and the reply carried the post-mutation generation.
-// Bindings cached at earlier generations stop being served instantly —
-// the client's own writes invalidate precisely, no lease wait.
-func (ca *Cache) Observe(server cap.Port, object uint32, gen uint64) {
+// Observe records the client's own write of name in a directory: the
+// reply carried gen, the directory's generation after the write. Every
+// binding for name older than gen — through every capability for the
+// directory — stops being served at once, with no lease wait, and the
+// directory's floor rises to gen, so no reply that left the server
+// before the write can cache the old binding again. Bindings for the
+// directory's other names are untouched.
+func (ca *Cache) Observe(server cap.Port, object uint32, name string, gen uint64) {
+	dropped := 0
 	ca.mu.Lock()
 	f := ca.floorLocked(server, object)
-	if gen > f.gen.Load() {
-		f.gen.Store(gen)
+	if gen > f.gen {
+		f.gen = gen
+	}
+	// Downwards: dropping may retire nodes[i], which moves an already
+	// visited node into its slot.
+	for i := len(f.nodes) - 1; i >= 0; i-- {
+		n := f.nodes[i]
+		if e := n.names[name]; e != nil && e.gen < gen {
+			ca.dropLocked(n, name)
+			dropped++
+		}
 	}
 	ca.mu.Unlock()
+	ca.ctr.Invalidated.Add(uint64(dropped))
 }
 
 // Drop forgets every binding under a directory — through every
@@ -352,14 +392,20 @@ func (ca *Cache) Observe(server cap.Port, object uint32, gen uint64) {
 // which the object number may be reused by a fresh directory whose
 // generations restart at zero.
 func (ca *Cache) Drop(server cap.Port, object uint32) {
+	id := dirID{server: server, object: object}
 	ca.mu.Lock()
-	for dir, n := range ca.dirs {
-		if dir.Server == server && dir.Object == object {
-			ca.retireLocked(dir, n)
-		}
+	if f := ca.floors[id]; f != nil {
+		ca.retireAllLocked(f)
+		delete(ca.floors, id)
 	}
-	delete(ca.floors, dirID{server: server, object: object})
 	ca.mu.Unlock()
+}
+
+// retireAllLocked retires every node of a directory.
+func (ca *Cache) retireAllLocked(f *floorCell) {
+	for len(f.nodes) > 0 {
+		ca.retireLocked(f.nodes[len(f.nodes)-1])
+	}
 }
 
 // Flush empties the cache (floors included). For tests and for
@@ -382,9 +428,14 @@ func (ca *Cache) Len() int {
 	return ca.n
 }
 
-// Poison makes every future Get under the directory miss until new
-// leases are granted, without forgetting the floor. Used when a
-// destroy reply is lost: fail closed.
+// Poison fails a directory closed: it drops every binding under it
+// and raises its floor to the maximum, so no lease granted later is
+// cached until Drop clears the floor. Used when a destroy reply is
+// lost.
 func (ca *Cache) Poison(server cap.Port, object uint32) {
-	ca.Observe(server, object, math.MaxUint64)
+	ca.mu.Lock()
+	f := ca.floorLocked(server, object)
+	f.gen = math.MaxUint64
+	ca.retireAllLocked(f)
+	ca.mu.Unlock()
 }

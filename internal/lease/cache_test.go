@@ -74,7 +74,7 @@ func TestCacheFloorInvalidatesOwnWrites(t *testing.T) {
 	c := New(0, Counters{}, stoppedAt{})
 	dir := testDir(7)
 	c.Put(dir, "a", testEntry(2), 4, 1_000_000)
-	c.Observe(dir.Server, dir.Object, 5) // my write bumped the dir to gen 5
+	c.Observe(dir.Server, dir.Object, "a", 5) // my write bumped the dir to gen 5
 	if _, ok := c.Get(dir, "a", 0); ok {
 		t.Fatal("served a binding older than my own write")
 	}
@@ -83,9 +83,180 @@ func TestCacheFloorInvalidatesOwnWrites(t *testing.T) {
 		t.Fatal("binding at the floor generation must serve")
 	}
 	// Floors never move backwards.
-	c.Observe(dir.Server, dir.Object, 2)
+	c.Observe(dir.Server, dir.Object, "a", 2)
 	if _, ok := c.Get(dir, "a", 0); !ok {
 		t.Fatal("a stale Observe moved the floor backwards")
+	}
+}
+
+// restrictedDir is a second capability for testDir(obj)'s directory.
+func restrictedDir(obj uint32) cap.Capability {
+	c := testDir(obj)
+	c.Rights = cap.RightRead
+	c.Check = 0x1111_0000 | uint64(obj)
+	return c
+}
+
+// TestCacheOwnWriteKeepsSibling: an own write of one name drops that
+// name's binding and no other — each name is its own register.
+func TestCacheOwnWriteKeepsSibling(t *testing.T) {
+	c := New(0, Counters{}, stoppedAt{})
+	dir := testDir(7)
+	c.Put(dir, "x", testEntry(2), 4, 1_000_000)
+	c.Put(dir, "y", testEntry(3), 4, 1_000_000)
+	c.Observe(dir.Server, dir.Object, "x", 5)
+	if _, ok := c.Get(dir, "x", 0); ok {
+		t.Fatal("served the binding my own write replaced")
+	}
+	if got, ok := c.Get(dir, "y", 0); !ok || got != testEntry(3) {
+		t.Fatal("my write of x dropped the binding for y")
+	}
+	if c.Len() != 1 {
+		t.Fatalf("Len = %d after dropping x, want 1", c.Len())
+	}
+}
+
+// TestCacheOwnWriteDropsEveryCapability: the written name is dropped
+// from the node of every capability for the directory, not only the
+// one the write went through, and nothing else of theirs is.
+func TestCacheOwnWriteDropsEveryCapability(t *testing.T) {
+	var ctr Counters
+	ctr.Invalidated = &obs.Counter{}
+	c := New(0, ctr, stoppedAt{})
+	owner, restricted, other := testDir(7), restrictedDir(7), testDir(8)
+	for _, d := range []cap.Capability{owner, restricted, other} {
+		c.Put(d, "x", testEntry(2), 4, 1_000_000)
+	}
+	c.Put(restricted, "y", testEntry(3), 4, 1_000_000)
+	c.Observe(owner.Server, owner.Object, "x", 5)
+	for _, d := range []cap.Capability{owner, restricted} {
+		if _, ok := c.Get(d, "x", 0); ok {
+			t.Fatalf("x still served through %v after my write", d)
+		}
+	}
+	if _, ok := c.Get(restricted, "y", 0); !ok {
+		t.Fatal("my write of x dropped y")
+	}
+	if _, ok := c.Get(other, "x", 0); !ok {
+		t.Fatal("my write of x in one directory dropped x in another")
+	}
+	if got := ctr.Invalidated.Value(); got != 2 {
+		t.Fatalf("invalidated = %d, want the 2 bindings dropped", got)
+	}
+}
+
+// TestCacheStaleObserveKeepsNewer: an own write drops only bindings
+// older than its generation, so a write's reply that arrives after a
+// lookup already cached a later generation keeps that binding.
+func TestCacheStaleObserveKeepsNewer(t *testing.T) {
+	c := New(0, Counters{}, stoppedAt{})
+	dir := testDir(7)
+	c.Put(dir, "x", testEntry(2), 4, 1_000_000)
+	c.Observe(dir.Server, dir.Object, "x", 5)
+	if _, ok := c.Get(dir, "x", 0); ok {
+		t.Fatal("served x at generation 4 after my write at 5")
+	}
+	c.Put(dir, "x", testEntry(3), 7, 1_000_000) // someone else wrote at 7
+	c.Observe(dir.Server, dir.Object, "x", 6)   // my second write's late reply
+	if got, ok := c.Get(dir, "x", 0); !ok || got != testEntry(3) {
+		t.Fatal("an Observe at generation 6 dropped the binding at 7")
+	}
+}
+
+// TestCachePutBelowFloorRefused: a lookup reply that left the server
+// before the client's own write — for the written name or any other —
+// is never cached after that write's Observe.
+func TestCachePutBelowFloorRefused(t *testing.T) {
+	c := New(0, Counters{}, stoppedAt{})
+	dir := testDir(7)
+	c.Observe(dir.Server, dir.Object, "x", 5)
+	c.Put(dir, "x", testEntry(2), 4, 1_000_000) // the reply in flight across the write
+	if _, ok := c.Get(dir, "x", 0); ok {
+		t.Fatal("a reply older than my write cached the binding it replaced")
+	}
+	c.Put(restrictedDir(7), "x", testEntry(2), 4, 1_000_000)
+	if _, ok := c.Get(restrictedDir(7), "x", 0); ok {
+		t.Fatal("the floor did not cover another capability for the directory")
+	}
+	if c.Len() != 0 {
+		t.Fatalf("Len = %d, want refused Puts to cache nothing", c.Len())
+	}
+	c.Put(dir, "x", testEntry(3), 5, 1_000_000)
+	if got, ok := c.Get(dir, "x", 0); !ok || got != testEntry(3) {
+		t.Fatal("a binding at the floor must be cached")
+	}
+}
+
+// TestCacheSoakOwnWritesPerName runs one goroutine flipping name x in
+// directory d — each flip an acknowledged own write at the next
+// generation, whose value is that generation — beside a putter
+// replaying lookup replies that were in flight across the flips, and
+// walkers resolving root/d/y/z and reading d/x. Every read of x must
+// reflect the last acknowledged write or a later one, and every walk
+// through y must be served whole. Run under -race.
+func TestCacheSoakOwnWritesPerName(t *testing.T) {
+	flips := 5000
+	if testing.Short() {
+		flips = 1000
+	}
+	c := New(0, Counters{}, stoppedAt{})
+	root, d, y, z := testDir(1), testDir(2), testDir(3), testDir(4)
+	c.Put(root, "d", d, 1, 1<<62)
+	c.Put(d, "y", y, 1, 1<<62)
+	c.Put(y, "z", z, 1, 1<<62)
+	value := func(g uint64) cap.Capability { return testEntry(uint32(g)) }
+	var (
+		acked               atomic.Uint64 // generation of the last acknowledged flip
+		done                atomic.Bool
+		stale, walkMiss, rd atomic.Int64
+		wg                  sync.WaitGroup
+	)
+	acked.Store(1)
+	c.Put(d, "x", value(1), 1, 1<<62)
+	for w := 0; w < 3; w++ {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			for !done.Load() {
+				if got, _, n := c.ResolvePath(root, "d/y/z", 0); n != 3 || got != z {
+					walkMiss.Add(1)
+				}
+				floor := acked.Load()
+				if got, ok := c.Get(d, "x", 0); ok {
+					rd.Add(1)
+					if uint64(got.Object) < floor {
+						stale.Add(1)
+					}
+				}
+			}
+		}()
+	}
+	wg.Add(1)
+	go func() { // replies that left the server before a flip
+		defer wg.Done()
+		rng := rand.New(rand.NewPCG(7, 7))
+		for !done.Load() {
+			g := acked.Load()
+			if back := uint64(rng.IntN(3)); back < g {
+				g -= back
+			}
+			c.Put(d, "x", value(g), g, 1<<62)
+		}
+	}()
+	for g := uint64(2); g < uint64(flips)+2; g++ {
+		c.Observe(d.Server, d.Object, "x", g)
+		acked.Store(g)
+		if g%2 == 0 { // half the flips are read back at once
+			c.Put(d, "x", value(g), g, 1<<62)
+		}
+	}
+	done.Store(true)
+	wg.Wait()
+	if n := stale.Load(); n > 0 {
+		t.Fatalf("%d reads of x (of %d) were older than the last acknowledged own write", n, rd.Load())
+	}
+	if n := walkMiss.Load(); n > 0 {
+		t.Fatalf("%d walks through y missed while only x was written", n)
 	}
 }
 
@@ -95,7 +266,7 @@ func TestCacheDropForgetsDirectory(t *testing.T) {
 	c.Put(dir, "a", testEntry(3), 1, 1_000_000)
 	c.Put(dir, "b", testEntry(4), 1, 1_000_000)
 	c.Put(other, "a", testEntry(5), 1, 1_000_000)
-	c.Observe(dir.Server, dir.Object, 9)
+	c.Observe(dir.Server, dir.Object, "a", 9)
 	c.Drop(dir.Server, dir.Object)
 	if c.Len() != 1 {
 		t.Fatalf("want 1 surviving binding, have %d", c.Len())
@@ -145,18 +316,18 @@ func TestCacheCounters(t *testing.T) {
 	}
 	c := New(0, ctr, stoppedAt{})
 	dir := testDir(1)
-	c.Get(dir, "a", 0)                    // miss
-	c.Put(dir, "a", testEntry(2), 3, 100) //
-	c.Get(dir, "a", 50)                   // hit
-	c.Get(dir, "a", 100)                  // expired
-	c.Observe(dir.Server, dir.Object, 4)  //
-	c.Get(dir, "a", 50)                   // invalidated
+	c.Get(dir, "a", 0)                        // miss
+	c.Put(dir, "a", testEntry(2), 3, 100)     //
+	c.Get(dir, "a", 50)                       // hit
+	c.Get(dir, "a", 100)                      // expired
+	c.Observe(dir.Server, dir.Object, "a", 4) // invalidated: my write dropped it
+	c.Get(dir, "a", 50)                       // miss
 	for name, want := range map[string]struct {
 		c    *obs.Counter
 		want uint64
 	}{
 		"hits":        {ctr.Hits, 1},
-		"misses":      {ctr.Misses, 1},
+		"misses":      {ctr.Misses, 2},
 		"expired":     {ctr.Expired, 1},
 		"invalidated": {ctr.Invalidated, 1},
 	} {
@@ -305,7 +476,7 @@ func TestCacheSoakDropIsFinal(t *testing.T) {
 				c.Flush()
 			case 1, 2, 3:
 				x := xdir(int(dropped.Load()))
-				c.Observe(x.Server, x.Object, 1)
+				c.Observe(x.Server, x.Object, "leaf", 1)
 			default:
 				c.Put(testDir(100_000), "noise", testEntry(uint32(i%2)), 1, 1<<62) // overwrite
 				c.Put(testDir(uint32(100_001+i%4096)), "noise", testEntry(7), 1, 1<<62)

@@ -8,6 +8,7 @@ import (
 	"time"
 
 	"amoeba/internal/cap"
+	"amoeba/internal/clock"
 	"amoeba/internal/crypto"
 	"amoeba/internal/fbox"
 	"amoeba/internal/rpc"
@@ -43,10 +44,11 @@ type Receiver struct {
 	srv *rpc.Server
 	k   *svc.Kernel
 
-	// contact is when the last TERM-VALID ship frame arrived (unixnano,
-	// on this machine's clock) — heartbeats included, OpSeq probes
-	// excluded (a deposed primary's reprobes must not suppress the
-	// failure detector). It is what the standby's Detector watches.
+	// contact is when the last TERM-VALID ship frame arrived (a
+	// clock.Mono reading of this machine's clock) — heartbeats
+	// included, OpSeq probes excluded (a deposed primary's reprobes
+	// must not suppress the failure detector). It is what the
+	// standby's Detector watches.
 	contact atomic.Int64
 
 	mu    sync.Mutex
@@ -80,20 +82,20 @@ func (r *Receiver) Port() cap.Port { return r.srv.PutPort() }
 // primary at all should still detect the silence, measured from its
 // own birth rather than from a heartbeat that never came.
 func (r *Receiver) Start() error {
-	r.contact.Store(r.srv.Clock().Now().UnixNano())
+	r.contact.Store(clock.Mono(r.srv.Clock()))
 	return r.srv.Start()
 }
 
 // LastContact returns the arrival time of the last term-valid ship
 // frame, on the standby machine's clock.
 func (r *Receiver) LastContact() time.Time {
-	return time.Unix(0, r.contact.Load())
+	return clock.MonoTime(r.contact.Load())
 }
 
 // Silence is how long the primary has been silent, measured on the
 // standby machine's own clock: the failure detector's input.
 func (r *Receiver) Silence() time.Duration {
-	return r.srv.Clock().Now().Sub(r.LastContact())
+	return time.Duration(clock.Mono(r.srv.Clock()) - r.contact.Load())
 }
 
 // Term returns the highest replication epoch this receiver has seen.
@@ -150,7 +152,7 @@ func (r *Receiver) handleShip(_ context.Context, _ rpc.Meta, req rpc.Request) rp
 		return rpc.Reply{Status: rpc.StatusStale, Data: ackData(Pos{Term: r.term})}
 	}
 	r.term = term
-	r.contact.Store(r.srv.Clock().Now().UnixNano())
+	r.contact.Store(clock.Mono(r.srv.Clock()))
 	if len(items) == 0 {
 		// Heartbeat: nothing to apply, just acknowledge (the ack is
 		// the lease grant) with the durable position.

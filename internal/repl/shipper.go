@@ -4,6 +4,7 @@ import (
 	"cmp"
 	"context"
 	"errors"
+	"math"
 	"slices"
 	"sync"
 	"sync/atomic"
@@ -106,7 +107,17 @@ type peer struct {
 
 	lost  atomic.Bool
 	acked atomic.Uint64 // this peer's durable high water, in the shipper's term
-	grant atomic.Uint64 // unixnano SEND time of the newest acked frame
+	grant atomic.Int64  // clock.Mono SEND time of the newest acked frame, or noGrant
+}
+
+// noGrant is a peer's grant before any frame to it is acked: below
+// every clock.Mono reading a clock set after 1970 can give.
+const noGrant = math.MinInt64
+
+func newPeer(dest cap.Port) *peer {
+	p := &peer{dest: dest}
+	p.grant.Store(noGrant)
+	return p
 }
 
 // shipCounters is ShipperStats' live form: bumped lock-free from the
@@ -191,7 +202,7 @@ func AttachGroup(k *svc.Kernel, c *rpc.Client, dests []cap.Port, o Options) (*Sh
 	s.ctx, s.cancel = context.WithCancel(context.Background())
 	peers := make([]*peer, len(dests))
 	for i, d := range dests {
-		peers[i] = &peer{dest: d}
+		peers[i] = newPeer(d)
 	}
 	if err := s.join(true, peers...); err != nil {
 		s.halt()
@@ -317,10 +328,10 @@ func (s *Shipper) majority() int { return s.o.GroupSize/2 + 1 }
 // time, so its view of its lease is pessimistic by exactly the network
 // delay — the safe direction.
 func (s *Shipper) LeaseValid() bool {
-	now := s.c.Clock().Now()
+	now := clock.Mono(s.c.Clock())
 	grants := 1 // the primary grants to itself
 	for _, p := range s.peerList() {
-		if g := p.grant.Load(); g != 0 && now.Sub(time.Unix(0, int64(g))) <= s.o.LeaseTerm {
+		if g := p.grant.Load(); g != noGrant && now-g <= int64(s.o.LeaseTerm) {
 			grants++
 		}
 	}
@@ -415,7 +426,7 @@ func (s *Shipper) join(first bool, ps ...*peer) error {
 // AddPeer joins the fresh standby at dest to the group — the
 // re-integration path Restart uses.
 func (s *Shipper) AddPeer(dest cap.Port) error {
-	return s.join(false, &peer{dest: dest})
+	return s.join(false, newPeer(dest))
 }
 
 // DropPeer removes the peer at dest from the group (its machine is
@@ -498,12 +509,12 @@ const (
 // flight is one target's progress through a round.
 type flight struct {
 	p      *peer
-	frame  int       // index of the frame in flight, or next to send
-	tries  int       // sends of that frame in the current attempt
-	call   rpc.Call  // the send in flight, unless paused
-	sent   time.Time // when call left: its ack's lease grant
-	due    time.Time // when call times out, or when a backoff pause ends
-	paused bool      // backing off between attempts, nothing in flight
+	frame  int      // index of the frame in flight, or next to send
+	tries  int      // sends of that frame in the current attempt
+	call   rpc.Call // the send in flight, unless paused
+	sent   int64    // clock.Mono when call left: its ack's lease grant
+	due    int64    // clock.Mono when call times out, or when a backoff pause ends
+	paused bool     // backing off between attempts, nothing in flight
 	over   bool
 	err    error // the outcome once over: nil when every frame was acked
 }
@@ -594,8 +605,8 @@ func (s *Shipper) launch(r *round, f *flight) {
 		return
 	}
 	m, err := s.c.Resolver().Lookup(s.ctx, f.p.dest)
-	f.sent = s.c.Clock().Now()
-	f.due = f.sent.Add(r.timeout)
+	f.sent = clock.Mono(s.c.Clock())
+	f.due = f.sent + int64(r.timeout)
 	var call rpc.Call
 	if err == nil {
 		s.n.frames.Add(1)
@@ -632,14 +643,14 @@ func (s *Shipper) step(r *round) bool {
 			rep, err := f.call.Await(s.ctx, nil)
 			s.land(r, f, rep, err)
 			return true
-		case next == nil || f.due.Before(next.due):
+		case next == nil || f.due < next.due:
 			next = f
 		}
 	}
 	if next == nil {
 		return false
 	}
-	d := next.due.Sub(s.c.Clock().Now())
+	d := time.Duration(next.due - clock.Mono(s.c.Clock()))
 	if r.timer == nil {
 		r.timer = s.c.Clock().NewTimer(d)
 	} else {
@@ -704,10 +715,10 @@ func (s *Shipper) land(r *round, f *flight, rep rpc.Reply, err error) {
 // from another term is alive but not on this stream (it never took our
 // base), which book reports as the conflict it is. A stale-term bounce
 // deposes this shipper.
-func (s *Shipper) book(p *peer, sent time.Time, rep rpc.Reply) rpc.Status {
+func (s *Shipper) book(p *peer, sent int64, rep rpc.Reply) rpc.Status {
 	switch rep.Status {
 	case rpc.StatusOK:
-		storeMax(&p.grant, uint64(sent.UnixNano()))
+		storeMax(&p.grant, sent)
 		at, err := ParseAck(rep.Data)
 		if err != nil || at.Term != s.o.Term {
 			return rpc.StatusConflict
@@ -731,7 +742,7 @@ func (s *Shipper) failed(r *round, f *flight) {
 		return
 	}
 	f.tries, f.paused = 0, true
-	f.due = s.c.Clock().Now().Add(s.o.Backoff)
+	f.due = clock.Mono(s.c.Clock()) + int64(s.o.Backoff)
 }
 
 // finish closes f with its outcome.
@@ -743,7 +754,10 @@ func (s *Shipper) finish(r *round, f *flight, err error) {
 }
 
 // storeMax raises a to v unless it is already there.
-func storeMax(a *atomic.Uint64, v uint64) {
+func storeMax[T int64 | uint64, A interface {
+	Load() T
+	CompareAndSwap(old, new T) bool
+}](a A, v T) {
 	for {
 		cur := a.Load()
 		if v <= cur || a.CompareAndSwap(cur, v) {

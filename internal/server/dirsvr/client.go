@@ -82,11 +82,12 @@ func (d *Client) Lookup(ctx context.Context, dir cap.Capability, name string) (c
 	return rep.Cap, nil
 }
 
-// observeMutation advances the cache's write floor from a mutation
-// reply carrying the post-mutation directory generation.
-func (d *Client) observeMutation(dir cap.Capability, replyData []byte) {
+// observeMutation tells the cache this client wrote name in dir: the
+// reply carries the post-mutation directory generation, and the cache
+// drops name's older bindings and admits none older than it.
+func (d *Client) observeMutation(dir cap.Capability, name string, replyData []byte) {
 	if d.cache != nil && len(replyData) == 8 {
-		d.cache.Observe(dir.Server, dir.Object, binary.BigEndian.Uint64(replyData))
+		d.cache.Observe(dir.Server, dir.Object, name, binary.BigEndian.Uint64(replyData))
 	}
 }
 
@@ -99,7 +100,7 @@ func (d *Client) Enter(ctx context.Context, dir cap.Capability, name string, ent
 	if err != nil {
 		return err
 	}
-	d.observeMutation(dir, rep.Data)
+	d.observeMutation(dir, name, rep.Data)
 	return nil
 }
 
@@ -109,7 +110,7 @@ func (d *Client) Remove(ctx context.Context, dir cap.Capability, name string) er
 	if err != nil {
 		return err
 	}
-	d.observeMutation(dir, rep.Data)
+	d.observeMutation(dir, name, rep.Data)
 	return nil
 }
 
@@ -153,8 +154,8 @@ func (d *Client) DestroyDir(ctx context.Context, dir cap.Capability) error {
 		// Forget the directory entirely, floor included: the object
 		// number may be reused by a fresh directory whose generations
 		// restart at zero. (A destroyed directory was empty, and every
-		// removal that emptied it already advanced the floor, so there
-		// is nothing live to forget — this is pure hygiene.)
+		// removal this client made to empty it already dropped that
+		// name's bindings; Drop also forgets the names others removed.)
 		d.cache.Drop(dir.Server, dir.Object)
 	}
 	return err

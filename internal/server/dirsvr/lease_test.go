@@ -2,6 +2,7 @@ package dirsvr
 
 import (
 	"context"
+	"fmt"
 	"testing"
 	"time"
 
@@ -204,6 +205,66 @@ func TestLeasePathWalkMergesEveryStep(t *testing.T) {
 	}
 	if hits := rig.ctr.Hits.Value(); hits != 6 {
 		t.Fatalf("want 6 hits (4-step walk + 2-step prefix), counted %d", hits)
+	}
+}
+
+// TestLeaseOwnWriteKeepsSiblingWalk: a client's own Enter and Remove
+// of a scratch name in a directory its cached walk passes through drop
+// only the scratch name's binding. The next walk costs zero RPCs — it
+// is served whole with the server gone — and the scratch name reads
+// back exactly what this client last wrote.
+func TestLeaseOwnWriteKeepsSiblingWalk(t *testing.T) {
+	const depth, mid = 6, 3 // the scratch name goes in the walk's 3rd directory
+	ctx := context.Background()
+	rig := newLeaseRig(t, 0x1EA7, time.Hour)
+	root, err := rig.d.CreateDir(ctx, rig.s.PutPort())
+	if err != nil {
+		t.Fatal(err)
+	}
+	cur, path, d := root, "", cap.Nil
+	for i := 0; i < depth; i++ {
+		if i == mid {
+			d = cur
+		}
+		sub, err := rig.d.CreateDir(ctx, rig.s.PutPort())
+		if err != nil {
+			t.Fatal(err)
+		}
+		name := fmt.Sprintf("d%d", i)
+		if err := rig.d.Enter(ctx, cur, name, sub); err != nil {
+			t.Fatal(err)
+		}
+		cur, path = sub, path+"/"+name
+	}
+	leaf := cur
+	if got, err := rig.d.LookupPath(ctx, root, path); err != nil || got != leaf {
+		t.Fatalf("warm walk: %v %v", got, err)
+	}
+
+	scratch := cap.Capability{Server: 0xBEEF, Object: 3, Rights: cap.RightRead, Check: 0x3333}
+	if err := rig.d.Enter(ctx, d, "scratch", scratch); err != nil {
+		t.Fatal(err)
+	}
+	if got, err := rig.d.Lookup(ctx, d, "scratch"); err != nil || got != scratch {
+		t.Fatalf("read my Enter back as %v %v, want %v", got, err, scratch)
+	}
+	if err := rig.d.Remove(ctx, d, "scratch"); err != nil {
+		t.Fatal(err)
+	}
+	if got, err := rig.d.Lookup(ctx, d, "scratch"); !rpc.IsStatus(err, rpc.StatusServerError) {
+		t.Fatalf("read my Remove back as %v %v, want no entry", got, err)
+	}
+
+	hits, misses := rig.ctr.Hits.Value(), rig.ctr.Misses.Value()
+	rig.s.Close()
+	if got, err := rig.d.LookupPath(ctx, root, path); err != nil || got != leaf {
+		t.Fatalf("walk after my writes in its directory, server gone: %v %v", got, err)
+	}
+	if h := rig.ctr.Hits.Value() - hits; h != depth {
+		t.Fatalf("the walk after my writes served %d components from cache, want %d", h, depth)
+	}
+	if m := rig.ctr.Misses.Value() - misses; m != 0 {
+		t.Fatalf("the walk after my writes missed %d times", m)
 	}
 }
 
