@@ -400,7 +400,7 @@ func BenchmarkE9_ForgeryRejection(b *testing.B) {
 
 func benchCluster(b *testing.B) *Cluster {
 	b.Helper()
-	cl, err := NewCluster(ClusterConfig{Seed: 0xE10, DiskBlocks: 8192})
+	cl, err := NewCluster(ClusterConfig{Seed: 0xE10})
 	if err != nil {
 		b.Fatal(err)
 	}
@@ -438,7 +438,6 @@ func BenchmarkE24_CachedDirLookup(b *testing.B) {
 	ctx := context.Background()
 	cl, err := NewCluster(ClusterConfig{
 		Seed:        0xE24,
-		DiskBlocks:  8192,
 		LookupLease: time.Minute,
 	})
 	if err != nil {

@@ -50,9 +50,6 @@ type ClusterConfig struct {
 	LossRate  float64
 	Duplicate float64
 	Reorder   float64
-	// DiskBlocks is the block server's size in 1 KiB blocks (default
-	// 4096).
-	DiskBlocks uint32
 	// Bank sets the bank server's policy (default: minting allowed,
 	// dollar/franc convertible at 5 francs per dollar).
 	Bank *banksvr.Config
@@ -204,9 +201,6 @@ func NewCluster(cfg ClusterConfig) (*Cluster, error) {
 	if cfg.Scheme == 0 {
 		cfg.Scheme = SchemeOneWay
 	}
-	if cfg.DiskBlocks == 0 {
-		cfg.DiskBlocks = 4096
-	}
 	scheme, err := cap.NewScheme(cfg.Scheme)
 	if err != nil {
 		return nil, err
@@ -277,7 +271,7 @@ func NewCluster(cfg ClusterConfig) (*Cluster, error) {
 	// table order; then (Replicas ≥ 2) each durable shard's replication
 	// group. Per-shard leases, detectors and elections — one shard's
 	// failover never touches another's.
-	if cl.disk, err = vdisk.New(cfg.DiskBlocks, diskBlockSize); err != nil {
+	if cl.disk, err = vdisk.New(diskBlocks, diskBlockSize); err != nil {
 		return nil, err
 	}
 	for _, row := range node.Services {
@@ -314,9 +308,10 @@ const (
 	walBlockSize = 512
 )
 
-// Fixed sizes nobody ever configured: the block server's block, and the
-// access-log ring of recent request records.
+// Fixed sizes nobody ever configured: the block server's disk and its
+// block, and the access-log ring of recent request records.
 const (
+	diskBlocks    = 4096
 	diskBlockSize = 1024
 	accessLogSize = 1024
 )

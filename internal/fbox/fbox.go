@@ -128,6 +128,11 @@ const listenerQueue = 256
 // allocation bill.
 const replyQueue = 2
 
+// freeReplies bounds an F-box's idle reply listeners: the transactions
+// its machine has in flight at once. One closed beyond it is left to
+// the collector.
+const freeReplies = 64
+
 // FBox is the per-machine function box. It owns the NIC: all traffic
 // in and out of the machine flows through it.
 type FBox struct {
@@ -139,6 +144,12 @@ type FBox struct {
 	locates   map[Port]bool // ports this F-box answers LOCATE for
 	waiters   map[Port][]chan amnet.MachineID
 	closed    bool
+
+	// replies recycles one-shot reply listeners (struct and channel)
+	// across this machine's transactions. The free list dies with the
+	// F-box (a sync.Pool field would keep it reachable through one more
+	// GC).
+	replies chan *Listener
 }
 
 // New wraps a NIC in an F-box using the given one-way function (nil
@@ -155,6 +166,7 @@ func New(nic amnet.NIC, f crypto.OneWay) *FBox {
 		listeners: make(map[Port]*Listener),
 		locates:   make(map[Port]bool),
 		waiters:   make(map[Port][]chan amnet.MachineID),
+		replies:   make(chan *Listener, freeReplies),
 	}
 	nic.SetReceiver(fb.handleFrame)
 	return fb
@@ -176,14 +188,8 @@ type Listener struct {
 	fb     *FBox
 	put    Port // the transformed port the listener is keyed by
 	ch     chan Received
-	pooled bool // reply listener: recycled through replyListeners
+	pooled bool // reply listener: recycled through fb.replies
 	closed bool // guarded by fb.mu
-}
-
-// replyListeners recycles one-shot reply listeners (struct and
-// channel) across transactions.
-var replyListeners = sync.Pool{
-	New: func() any { return &Listener{ch: make(chan Received, replyQueue)} },
 }
 
 // Recv returns the listener's message channel. For service listeners
@@ -223,7 +229,7 @@ func (l *Listener) Close() {
 			}
 			break
 		}
-		replyListeners.Put(l)
+		fb.recycle(l)
 		return
 	}
 	// Closing under the F-box lock serializes with handleFrame's
@@ -247,14 +253,26 @@ func (fb *FBox) Get(g Port, advertise bool) (*Listener, error) {
 // recycled through a pool when closed — the allocation-free fast path
 // under every RPC transaction.
 func (fb *FBox) GetReply(g Port) (*Listener, error) {
-	l := replyListeners.Get().(*Listener)
-	l.pooled = true
+	var l *Listener
+	select {
+	case l = <-fb.replies:
+	default:
+		l = &Listener{ch: make(chan Received, replyQueue), pooled: true}
+	}
 	got, err := fb.get(g, false, l)
 	if err != nil {
-		replyListeners.Put(l)
+		fb.recycle(l)
 		return nil, err
 	}
 	return got, nil
+}
+
+// recycle returns an idle reply listener to the free list.
+func (fb *FBox) recycle(l *Listener) {
+	select {
+	case fb.replies <- l:
+	default:
+	}
 }
 
 func (fb *FBox) get(g Port, advertise bool, reuse *Listener) (*Listener, error) {

@@ -44,7 +44,7 @@
 //     server returned — never from the object number — so a
 //     restricted capability reaches its own node or misses, never the
 //     owner's bindings.
-//   - A node that leaves dirs (Drop, Poison, or eviction or Observe
+//   - A node that leaves dirs (Drop, or eviction or Observe
 //     emptying it) is retired: its names map is cleared under the
 //     write lock, so every walk through a stale link misses there, and
 //     the walk re-probes dirs so a later Put for the same capability
@@ -52,7 +52,6 @@
 package lease
 
 import (
-	"math"
 	"strings"
 	"sync"
 	"sync/atomic"
@@ -395,17 +394,12 @@ func (ca *Cache) Drop(server cap.Port, object uint32) {
 	id := dirID{server: server, object: object}
 	ca.mu.Lock()
 	if f := ca.floors[id]; f != nil {
-		ca.retireAllLocked(f)
+		for len(f.nodes) > 0 {
+			ca.retireLocked(f.nodes[len(f.nodes)-1])
+		}
 		delete(ca.floors, id)
 	}
 	ca.mu.Unlock()
-}
-
-// retireAllLocked retires every node of a directory.
-func (ca *Cache) retireAllLocked(f *floorCell) {
-	for len(f.nodes) > 0 {
-		ca.retireLocked(f.nodes[len(f.nodes)-1])
-	}
 }
 
 // Flush empties the cache (floors included). For tests and for
@@ -426,16 +420,4 @@ func (ca *Cache) Len() int {
 	ca.mu.RLock()
 	defer ca.mu.RUnlock()
 	return ca.n
-}
-
-// Poison fails a directory closed: it drops every binding under it
-// and raises its floor to the maximum, so no lease granted later is
-// cached until Drop clears the floor. Used when a destroy reply is
-// lost.
-func (ca *Cache) Poison(server cap.Port, object uint32) {
-	ca.mu.Lock()
-	f := ca.floorLocked(server, object)
-	f.gen = math.MaxUint64
-	ca.retireAllLocked(f)
-	ca.mu.Unlock()
 }

@@ -282,20 +282,6 @@ func TestCacheDropForgetsDirectory(t *testing.T) {
 	}
 }
 
-func TestCachePoisonFailsClosed(t *testing.T) {
-	c := New(0, Counters{}, stoppedAt{})
-	dir := testDir(1)
-	c.Put(dir, "a", testEntry(2), 1, 1_000_000)
-	c.Poison(dir.Server, dir.Object)
-	if _, ok := c.Get(dir, "a", 0); ok {
-		t.Fatal("poisoned directory still served")
-	}
-	c.Put(dir, "a", testEntry(3), 7, 1_000_000)
-	if _, ok := c.Get(dir, "a", 0); ok {
-		t.Fatal("poison must outlast later leases (floor is max)")
-	}
-}
-
 func TestCacheBounded(t *testing.T) {
 	c := New(8, Counters{}, stoppedAt{})
 	dir := testDir(1)

@@ -31,7 +31,8 @@ type Config struct {
 	// Attempts is the number of broadcast rounds (default 3).
 	Attempts int
 	// TTL bounds how long a cache entry is trusted without
-	// reconfirmation (default 1 minute; 0 keeps entries forever).
+	// reconfirmation (0 selects the default, 1 minute; a negative TTL
+	// never expires).
 	TTL time.Duration
 	// Atlas, when set, lets the resolver route (port, object) pairs on
 	// sharded ports: the object's home shard comes from the port's
@@ -76,17 +77,8 @@ type Resolver struct {
 	cache   map[cap.Port]entry
 	flights map[cap.Port]*flight
 	maps    map[cap.Port]mapEntry // cached shard map per sharded port
-	shards  map[portShard]entry   // cached route per (port, shard)
 	rr      uint64                // round-robin cursor for objectless requests
 	stats   Stats
-}
-
-// portShard keys the per-shard route cache: each shard of a port has
-// its own entry, so evicting one shard's dead route cannot clobber its
-// siblings' live ones.
-type portShard struct {
-	p   cap.Port
-	idx int
 }
 
 // mapEntry is a cached shard map plus when it was learned.
@@ -97,8 +89,8 @@ type mapEntry struct {
 
 // Stats counts resolver activity for experiment E12.
 type Stats struct {
-	Hits       uint64 // answered from cache
-	Misses     uint64 // required broadcasting
+	Hits       uint64 // answered from cache (a route, or a cached shard map)
+	Misses     uint64 // required broadcasting (or re-reading the atlas)
 	Coalesced  uint64 // waited on another lookup's broadcast (single-flight)
 	Broadcasts uint64 // LOCATE rounds sent
 	Failures   uint64 // lookups that exhausted all attempts
@@ -112,7 +104,6 @@ func New(fb *fbox.FBox, cfg Config) *Resolver {
 		cache:   make(map[cap.Port]entry),
 		flights: make(map[cap.Port]*flight),
 		maps:    make(map[cap.Port]mapEntry),
-		shards:  make(map[portShard]entry),
 	}
 }
 
@@ -179,7 +170,8 @@ func (r *Resolver) Cached(p cap.Port) (amnet.MachineID, bool) {
 
 // LookupObject resolves (port, object) → machine. On a sharded port
 // (one with a map in the atlas) the object's home shard is computed
-// from the cached map and the per-shard route returned — no broadcast:
+// from the cached map, and the map names the shard's machine — no
+// broadcast:
 // every shard advertises the same put-port, so a LOCATE answer would
 // be ambiguous; the atlas plays the directory a wire deployment would
 // query. Requests that carry no capability (hasObj false — object
@@ -195,9 +187,12 @@ func (r *Resolver) LookupObject(ctx context.Context, p cap.Port, obj uint32, has
 	r.mu.Lock()
 	e, ok := r.maps[p]
 	m := e.m
-	if !ok || (r.cfg.TTL >= 0 && now.Sub(e.learned) >= r.cfg.TTL) {
+	if ok && (r.cfg.TTL < 0 || now.Sub(e.learned) < r.cfg.TTL) {
+		r.stats.Hits++
+	} else {
 		m = r.cfg.Atlas.Lookup(p)
 		if m != nil {
+			r.stats.Misses++
 			r.maps[p] = mapEntry{m: m, learned: now}
 		} else if ok {
 			delete(r.maps, p)
@@ -214,24 +209,14 @@ func (r *Resolver) LookupObject(ctx context.Context, p cap.Port, obj uint32, has
 		idx = int(r.rr % uint64(m.N))
 		r.rr++
 	}
-	key := portShard{p: p, idx: idx}
-	if se, ok := r.shards[key]; ok && (r.cfg.TTL < 0 || now.Sub(se.learned) < r.cfg.TTL) {
-		r.stats.Hits++
-		r.mu.Unlock()
-		return se.at, nil
-	}
-	r.stats.Misses++
-	at := m.Machines[idx]
-	r.shards[key] = entry{at: at, learned: now}
 	r.mu.Unlock()
-	return at, nil
+	return m.Machines[idx], nil
 }
 
 // Refresh drops p's cached shard map when it is no newer than gen —
 // the client calls it with the generation a StatusWrongShard reply
 // carried, so the retry recomputes the object's home from the current
-// map. Cached per-shard routes survive: the object→shard assignment
-// was stale, not the shard addresses.
+// map.
 func (r *Resolver) Refresh(p cap.Port, gen uint64) {
 	r.mu.Lock()
 	defer r.mu.Unlock()
@@ -296,41 +281,22 @@ func (r *Resolver) Invalidate(p cap.Port) {
 	defer r.mu.Unlock()
 	delete(r.cache, p)
 	delete(r.maps, p)
-	for k := range r.shards {
-		if k.p == p {
-			delete(r.shards, k)
-		}
-	}
 }
 
-// Evict drops p's cached routes that still name machine at — and ONLY
-// those. Two properties matter:
-//
-// Failover-safe: a transaction that timed out against a dead machine
-// must not clobber an entry a concurrent lookup already refreshed to
-// the server's NEW home — during a promotion storm that race would
-// send the whole client herd back to broadcast.
-//
-// Shard-aware: on a sharded port only the failing machine's shard
-// routes go; the sibling shards' cached routes survive, so one sick
-// shard cannot force the whole port back through the directory.
-// (Before this fix Evict assumed one machine per port and a failing
-// call to shard 2 clobbered shards 0/1 as collateral.)
+// Evict drops p's cached route, and its cached shard map, only while
+// they still name machine at: a transaction that timed out against a
+// dead machine must not clobber an entry a concurrent lookup already
+// refreshed to the server's NEW home — during a promotion storm that
+// race would send the whole client herd back to broadcast.
 func (r *Resolver) Evict(p cap.Port, at amnet.MachineID) {
 	r.mu.Lock()
 	defer r.mu.Unlock()
 	if e, ok := r.cache[p]; ok && e.at == at {
 		delete(r.cache, p)
 	}
-	for k, e := range r.shards {
-		if k.p == p && e.at == at {
-			delete(r.shards, k)
-		}
-	}
-	// If the failed machine appears in the cached map, the map's
-	// address for that shard is stale too (mid-failover): drop the map
-	// so the next lookup rereads the atlas, which the cluster updates
-	// when a shard changes primary.
+	// A map naming the failed machine is stale for that shard
+	// (mid-failover): the next lookup rereads the atlas, which the
+	// cluster updates when a shard changes primary.
 	if me, ok := r.maps[p]; ok {
 		for _, mach := range me.m.Machines {
 			if mach == at {

@@ -3,6 +3,7 @@ package locate
 import (
 	"context"
 	"testing"
+	"time"
 
 	"amoeba/internal/amnet"
 	"amoeba/internal/cap"
@@ -35,9 +36,9 @@ func TestLookupObjectRoutesByShard(t *testing.T) {
 			t.Fatalf("object %d routed to %v, want %v", obj, at, want)
 		}
 	}
-	// 3 route-cache misses (one per shard), 3 hits on the second pass.
-	if s := res.Stats(); s.Misses != 3 || s.Hits != 3 || s.Broadcasts != 0 {
-		t.Fatalf("stats %+v, want 3 misses / 3 hits / 0 broadcasts", s)
+	// One atlas read, then every lookup routes from the cached map.
+	if s := res.Stats(); s.Misses != 1 || s.Hits != 5 || s.Broadcasts != 0 {
+		t.Fatalf("stats %+v, want 1 miss / 5 hits / 0 broadcasts", s)
 	}
 }
 
@@ -62,51 +63,75 @@ func TestLookupObjectRoundRobinWithoutObject(t *testing.T) {
 	}
 }
 
-// TestShardedEvictSparesSiblingShards is the regression test for the
-// one-machine-per-port eviction bug: a failing call to shard 2 must
-// drop shard 2's cached route and ONLY shard 2's — before the fix the
-// whole port's routes went, and every client re-resolved all shards
-// because one was sick. The resolver's hit/miss counters are the tap:
-// a clobbered sibling shows up as an extra miss.
+// TestShardedEvictSparesSiblingShards: a failing call to shard 2 drops
+// the cached shard map, which names shard 2's machine, and nothing
+// routes through a broadcast: the sibling shards go on routing to
+// their machines from the map read afresh. An eviction blaming a
+// machine the map does not name keeps the map. (Evict once assumed one
+// machine per port, and a failing call to shard 2 sent every shard of
+// the port back to LOCATE.)
 func TestShardedEvictSparesSiblingShards(t *testing.T) {
 	ctx := context.Background()
 	res, _, p, machines := shardRig(t)
-	for obj := uint32(0); obj < 3; obj++ {
-		if _, err := res.LookupObject(ctx, p, obj, true); err != nil {
-			t.Fatal(err)
+	routesHome := func(why string) {
+		t.Helper()
+		for obj := uint32(0); obj < 3; obj++ {
+			at, err := res.LookupObject(ctx, p, obj, true)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if at != machines[obj] {
+				t.Fatalf("%s: object %d routed to %v, want %v", why, obj, at, machines[obj])
+			}
 		}
 	}
+	routesHome("warmup")
 	before := res.Stats()
-	if before.Misses != 3 {
-		t.Fatalf("warmup stats %+v, want 3 misses", before)
-	}
 
 	res.Evict(p, machines[2])
-
-	// Shards 0 and 1 still answer from cache…
-	for obj := uint32(0); obj < 2; obj++ {
-		if _, err := res.LookupObject(ctx, p, obj, true); err != nil {
-			t.Fatal(err)
-		}
-	}
+	routesHome("after evicting shard 2's machine")
 	s := res.Stats()
-	if s.Hits != before.Hits+2 || s.Misses != before.Misses {
-		t.Fatalf("sibling routes were clobbered: %+v (before %+v)", s, before)
+	if s.Misses != before.Misses+1 || s.Broadcasts != 0 {
+		t.Fatalf("want one atlas re-read and no broadcast after the eviction: %+v (before %+v)", s, before)
 	}
-	// …and only shard 2 re-resolves.
-	if _, err := res.LookupObject(ctx, p, 2, true); err != nil {
-		t.Fatal(err)
-	}
-	if s := res.Stats(); s.Misses != before.Misses+1 {
-		t.Fatalf("evicted shard did not re-resolve: %+v", s)
-	}
-	// An eviction blaming a machine that serves no shard touches nothing.
+
 	res.Evict(p, amnet.MachineID(999))
-	if _, err := res.LookupObject(ctx, p, 1, true); err != nil {
-		t.Fatal(err)
+	routesHome("after an unrelated eviction")
+	if s2 := res.Stats(); s2.Misses != s.Misses {
+		t.Fatalf("unrelated eviction dropped the map: %+v", s2)
 	}
-	if s2 := res.Stats(); s2.Misses != before.Misses+1 {
-		t.Fatalf("unrelated eviction clobbered a route: %+v", s2)
+}
+
+// TestLapsedMapRoutesMovedShard: when a shard's map lapses past
+// its TTL and the atlas has since moved the shard, the object routes
+// to the shard's new machine. A route learned after the map (a second
+// cache beside it) would outlive the map and keep sending the shard's
+// traffic to the old machine.
+func TestLapsedMapRoutesMovedShard(t *testing.T) {
+	ctx := context.Background()
+	r := newRig(t)
+	atlas := shard.NewAtlas()
+	p := cap.Port(0xBEEF)
+	machines := []amnet.MachineID{101, 102, 103}
+	atlas.Register(p, shard.NewMap(machines))
+	cfg := fastCfg()
+	cfg.Atlas = atlas
+	cfg.TTL = time.Minute
+	fb, clk := r.skewedMachine(t)
+	res := New(fb, cfg)
+
+	if at, err := res.LookupObject(ctx, p, 0, true); err != nil || at != machines[0] {
+		t.Fatalf("shard 0: at=%v err=%v, want %v", at, err, machines[0])
+	}
+	clk.off.Store(int64(40 * time.Second))
+	if at, err := res.LookupObject(ctx, p, 1, true); err != nil || at != machines[1] {
+		t.Fatalf("shard 1: at=%v err=%v, want %v", at, err, machines[1])
+	}
+	const moved = amnet.MachineID(201)
+	atlas.Update(p, func(m *shard.Map) *shard.Map { return m.WithMachine(1, moved) })
+	clk.off.Store(int64(70 * time.Second)) // the map, learned at 0, has lapsed
+	if at, err := res.LookupObject(ctx, p, 1, true); err != nil || at != moved {
+		t.Fatalf("shard 1 after its move: at=%v err=%v, want the new machine %v", at, err, moved)
 	}
 }
 

@@ -181,7 +181,14 @@ type Shipper struct {
 	n shipCounters
 
 	loops []chan struct{} // one per heartbeat/reprobe loop, closed as it exits
+
+	rounds chan *round // idle rounds, each with a timer on this machine's clock
 }
+
+// freeRounds bounds a shipper's idle rounds: its routines that ship at
+// once (the commit sink, join and the heartbeat loop), with room to
+// spare.
+const freeRounds = 8
 
 // AttachGroup starts replicating kernel k to the receivers at dests,
 // shipping through client c (a client on the primary's machine):
@@ -190,7 +197,7 @@ type Shipper struct {
 // snapshot; every mutation the primary acknowledges afterwards is on
 // the live standbys first.
 func AttachGroup(k *svc.Kernel, c *rpc.Client, dests []cap.Port, o Options) (*Shipper, error) {
-	s := &Shipper{k: k, c: c, o: o.withDefaults()}
+	s := &Shipper{k: k, c: c, o: o.withDefaults(), rounds: make(chan *round, freeRounds)}
 	if s.o.GroupSize <= 0 {
 		s.o.GroupSize = 1 + len(dests)
 	}
@@ -520,8 +527,8 @@ type flight struct {
 }
 
 // round is one ship: each target's flight, and the one timer the
-// shipping goroutine sleeps on. Rounds are pooled, so a steady stream
-// of commits allocates neither.
+// shipping goroutine sleeps on. Rounds are pooled per shipper, so a
+// steady stream of commits allocates neither.
 type round struct {
 	kind    roundKind
 	frames  [][]byte
@@ -529,8 +536,6 @@ type round struct {
 	fl      []flight
 	timer   clock.Timer
 }
-
-var rounds = sync.Pool{New: func() any { return new(round) }}
 
 // ship is the one ship routine, run on the calling goroutine: the
 // committer's (sink), the joiner's (join) or the heartbeat loop's. It
@@ -546,7 +551,12 @@ var rounds = sync.Pool{New: func() any { return new(round) }}
 // were, and the gravest failure among the rest: ErrBackupLost only when
 // no other error occurred.
 func (s *Shipper) ship(kind roundKind, ps []*peer, frames [][]byte) (acked, targets int, err error) {
-	r := rounds.Get().(*round)
+	var r *round
+	select {
+	case r = <-s.rounds:
+	default:
+		r = new(round)
+	}
 	r.kind, r.frames, r.timeout = kind, frames, s.o.Timeout
 	if kind == beatRound {
 		r.timeout = s.o.LeaseTerm / 3
@@ -589,7 +599,10 @@ func (s *Shipper) ship(kind roundKind, ps []*peer, frames [][]byte) (acked, targ
 	}
 	clear(r.fl)
 	r.fl, r.frames = r.fl[:0], nil
-	rounds.Put(r)
+	select {
+	case s.rounds <- r:
+	default:
+	}
 	return acked, targets, cmp.Or(err, lost)
 }
 

@@ -4,7 +4,6 @@ import (
 	"context"
 	"errors"
 	"fmt"
-	"sync"
 	"sync/atomic"
 	"time"
 
@@ -131,11 +130,22 @@ type Client struct {
 	// processes don't collide in a merged access log, incremented per
 	// transaction.
 	reqID atomic.Uint64
+	// timers recycles attempt timers: with Go's post-1.23 timer
+	// semantics Reset after Stop is race-free, so one timer serves many
+	// transactions instead of three allocations per attempt. The free
+	// list is the client's, so every timer in it was made on this
+	// machine's clock, and it dies with the client (a sync.Pool field
+	// would keep the client reachable through one more GC).
+	timers chan clock.Timer
 }
+
+// freeTimers bounds a client's idle timers: the attempts it has in
+// flight at once. A timer stopped beyond it is left to the collector.
+const freeTimers = 64
 
 // NewClient builds a client over fb, resolving ports with res.
 func NewClient(fb *fbox.FBox, res *locate.Resolver, cfg ClientConfig) *Client {
-	c := &Client{fb: fb, res: res, cfg: cfg.withDefaults()}
+	c := &Client{fb: fb, res: res, cfg: cfg.withDefaults(), timers: make(chan clock.Timer, freeTimers)}
 	c.reqID.Store(crypto.Rand48(c.cfg.Source) << 16)
 	return c
 }
@@ -505,7 +515,7 @@ func remainingBudget(ctx context.Context) time.Duration {
 // sleepCtx waits d, returning early with ctx.Err() on cancellation.
 func (c *Client) sleepCtx(ctx context.Context, d time.Duration) error {
 	t := c.startTimer(d)
-	defer stopTimer(t)
+	defer c.stopTimer(t)
 	select {
 	case <-t.C():
 		return nil
@@ -514,23 +524,22 @@ func (c *Client) sleepCtx(ctx context.Context, d time.Duration) error {
 	}
 }
 
-// timerPool recycles attempt timers: with Go's post-1.23 timer
-// semantics Reset after Stop is race-free, so one timer serves many
-// transactions instead of three allocations per attempt. Every clock's
-// timers are real ones, so one pool serves all machines.
-var timerPool sync.Pool
-
 func (c *Client) startTimer(d time.Duration) clock.Timer {
-	if t, ok := timerPool.Get().(clock.Timer); ok {
+	select {
+	case t := <-c.timers:
 		t.Reset(d)
 		return t
+	default:
+		return c.fb.Clock().NewTimer(d)
 	}
-	return c.fb.Clock().NewTimer(d)
 }
 
-func stopTimer(t clock.Timer) {
+func (c *Client) stopTimer(t clock.Timer) {
 	t.Stop()
-	timerPool.Put(t)
+	select {
+	case c.timers <- t:
+	default:
+	}
 }
 
 // attempt sends one request and waits one timeout for the reply: send,
@@ -542,7 +551,7 @@ func (c *Client) attempt(ctx context.Context, machine amnet.MachineID, dest cap.
 		return Reply{}, err
 	}
 	timer := c.startTimer(o.timeout)
-	defer stopTimer(timer)
+	defer c.stopTimer(timer)
 	return call.Await(ctx, timer.C())
 }
 

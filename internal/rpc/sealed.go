@@ -67,21 +67,22 @@ func openRequestCap(s CapSealer, req Request, src amnet.MachineID) (Request, err
 	return req, nil
 }
 
-// sealReplyCap seals the capability a reply carries toward dst.
-func sealReplyCap(s CapSealer, rep Reply, dst amnet.MachineID) (Reply, error) {
+// sealReplyCap seals the capability a reply carries toward dst. A seal
+// that fails turns the reply into a server error (releasing its
+// pooled Buf); one that succeeds keeps the Buf riding along.
+func sealReplyCap(s CapSealer, rep Reply, dst amnet.MachineID) Reply {
 	if s == nil || rep.Cap.IsNil() {
-		return rep, nil
+		return rep
 	}
 	enc, err := s.Seal(rep.Cap, dst)
-	if err != nil {
-		return Reply{}, err
+	if err == nil {
+		rep.Cap, err = cap.Decode(enc[:])
 	}
-	c, err := cap.Decode(enc[:])
 	if err != nil {
-		return Reply{}, err
+		rep.releaseBuf()
+		return ErrReply(StatusServerError, "sealing reply capability: "+err.Error())
 	}
-	rep.Cap = c
-	return rep, nil
+	return rep
 }
 
 // openReplyCap inverts sealReplyCap on the client.

@@ -100,29 +100,23 @@ type Server struct {
 	listener *fbox.Listener
 	started  bool
 	closed   bool
-	baseCtx  context.Context
 	cancel   context.CancelFunc
-	// handlerCtx is baseCtx pre-wrapped with the WithoutDeadline key,
-	// built once at Start so the no-deadline dispatch path allocates no
-	// context per request.
+	// handlerCtx is the base context (cancelled by Close) pre-wrapped
+	// with the WithoutDeadline key, built once at Start so the
+	// no-deadline dispatch path allocates no context per request.
 	handlerCtx context.Context
-
-	// gate is the quiesce point: every accepted request holds it
-	// shared for its whole execution (a batch counts once, for all its
-	// sub-requests), and Quiesce takes it exclusively — the consistent
-	// instant a durable service's checkpoint needs. Handlers never
-	// re-enter their own server, so the single shared acquisition per
-	// request cannot deadlock against a pending writer.
-	gate sync.RWMutex
 
 	// work hands requests from the dispatch loop to pool workers. It is
 	// unbuffered for backpressure: a send succeeds only when a worker is
 	// actually free, so a saturated pool stops the loop and the queue
-	// builds in the listener, where overload is shed. Close closes it.
-	work    chan job
-	tasks   sync.WaitGroup // accepted requests in flight
-	loopWG  sync.WaitGroup // the dispatch loop
-	workers sync.WaitGroup // pool workers
+	// builds in the listener, where overload is shed. The loop is its
+	// only sender, and closes it on the way out.
+	work chan job
+	// waits carries Drain's and Quiesce's requests to the dispatch loop,
+	// which takes them between frames; done is closed when the loop
+	// has exited, its last act after retiring the pool.
+	waits chan holdReq
+	done  chan struct{}
 
 	// stats, when set before Start, observes every admitted and shed
 	// request (SetObserver). Frozen at Start like the handlers.
@@ -135,7 +129,6 @@ type Server struct {
 	inflight atomic.Int64
 	ewmaWait atomic.Int64
 	draining atomic.Bool
-	drainMu  sync.Mutex // see accept
 
 	// admitGate, when set, is consulted before every pool admission; a
 	// non-nil error sheds the request with StatusOverload. The serving
@@ -145,12 +138,19 @@ type Server struct {
 }
 
 // job is one unit of worker-pool work: a decoded request, carried by
-// value so dispatch allocates nothing.
+// value so dispatch allocates nothing — or, when hold is set, no
+// request at all: the worker that takes it waits until hold closes.
 type job struct {
-	m   fbox.Received
-	req Request
-	enq time.Time // when dispatch queued it (feeds the queue-wait EWMA)
+	m    fbox.Received
+	req  Request
+	enq  time.Time // when dispatch queued it (feeds the queue-wait EWMA)
+	hold <-chan struct{}
 }
+
+// holdReq asks the dispatch loop, which takes it between frames, to
+// hold every worker and admit nothing until release closes. The loop
+// closes held once every worker holds.
+type holdReq struct{ held, release chan struct{} }
 
 // NewServer creates a server with a fresh secret get-port drawn from
 // src (nil selects crypto/rand) and the default worker pool. The
@@ -321,24 +321,25 @@ func (s *Server) SetObserver(st *obs.ServerStats) {
 // panic afterwards), so the dispatch path reads them without locking.
 func (s *Server) Start() error {
 	s.mu.Lock()
+	defer s.mu.Unlock()
 	if s.started {
-		s.mu.Unlock()
 		return errors.New("rpc: server already started")
 	}
 	if s.closed {
-		s.mu.Unlock()
 		return fbox.ErrClosed
 	}
 	l, err := s.fb.Get(s.get, true)
 	if err != nil {
-		s.mu.Unlock()
 		return fmt.Errorf("rpc: GET(G): %w", err)
 	}
 	s.listener = l
 	s.started = true
-	s.baseCtx, s.cancel = context.WithCancel(context.Background())
-	s.handlerCtx = context.WithValue(s.baseCtx, baseCtxKey{}, s.baseCtx)
+	var base context.Context
+	base, s.cancel = context.WithCancel(context.Background())
+	s.handlerCtx = context.WithValue(base, baseCtxKey{}, base)
 	s.work = make(chan job)
+	s.waits = make(chan holdReq)
+	s.done = make(chan struct{})
 	if s.stats != nil {
 		// Freeze the per-opcode metric families now, so the hot path
 		// only ever reads the stats maps.
@@ -349,21 +350,22 @@ func (s *Server) Start() error {
 		ops = append(ops, OpBatch)
 		s.stats.Freeze(ops)
 	}
-	s.mu.Unlock()
-
 	for i := 0; i < s.pool; i++ {
-		s.workers.Add(1)
 		go s.worker()
 	}
-	s.loopWG.Add(1)
-	go s.loop(l)
+	go s.loop(l.Recv())
 	return nil
 }
 
-// worker runs pool jobs until Close closes the work channel.
+// worker runs pool jobs until the loop closes the work channel. A hold
+// job parks it until the hold is released: it counts toward neither
+// inflight nor the queue-wait EWMA.
 func (s *Server) worker() {
-	defer s.workers.Done()
 	for j := range s.work {
+		if j.hold != nil {
+			<-j.hold
+			continue
+		}
 		// Fold this job's queue wait into the EWMA admission control
 		// reads (α = 1/8; the racy load/store loses an occasional
 		// update, which a smoothed estimate absorbs).
@@ -372,101 +374,131 @@ func (s *Server) worker() {
 		s.ewmaWait.Store(old + (int64(wait)-old)/8)
 		s.serve(j.m, j.req, wait)
 		s.inflight.Add(-1)
-		s.tasks.Done()
 	}
 }
 
-func (s *Server) loop(l *fbox.Listener) {
-	defer s.loopWG.Done()
-	// Handlers and the sealer are frozen at Start; read them lock-free.
-	sealer, clk := s.sealer, s.fb.Clock()
-	for m := range l.Recv() {
-		req, err := DecodeRequest(m.Payload)
-		if err != nil {
-			s.reply(sealer, m, ErrReply(StatusBadRequest, err.Error()))
-			m.Release()
-			continue
-		}
-		if sealer != nil {
-			// A failed Open yields a garbage capability rather than an
-			// error (wrong keys are indistinguishable from forgery);
-			// genuine errors here mean no key is installed for the
-			// source machine.
-			req, err = openRequestCap(sealer, req, m.From)
-			if err != nil {
-				s.reply(sealer, m, ErrReply(StatusBadCapability, err.Error()))
-				m.Release()
-				continue
+// loop is the dispatch loop, the only goroutine that admits requests.
+// Between frames it takes Drain's and Quiesce's waits. Once Close has
+// closed the listener it dispatches what was still queued, holds the
+// pool — every admitted request has replied — and retires the workers.
+func (s *Server) loop(recv <-chan fbox.Received) {
+	defer close(s.done)
+	for recv != nil {
+		select {
+		case m, ok := <-recv:
+			if !ok {
+				recv = nil
+				break
 			}
+			s.dispatch(m)
+		case w := <-s.waits:
+			recv = s.holdPool(recv, w.release)
+			close(w.held)
+			<-w.release
 		}
-		if req.Op != OpBatch && s.handlers[req.Op] == nil {
-			s.reply(sealer, m, ErrReply(StatusNoSuchOp, fmt.Sprintf("op %#04x", req.Op)))
-			m.Release()
-			continue
-		}
-		if !s.accept() {
-			// Graceful drain: everything new is refused — cheaply, with
-			// a status that tells the client the work was never started.
-			s.shed(sealer, m, req, shedDraining)
-			m.Release()
-			continue
-		}
-		// From here the request is counted in tasks: every path below
-		// either hands it to a worker or marks it Done.
-		if s.inline[req.Op] {
-			// Inline fast path (HandleInline): serve on the dispatch
-			// loop itself. tasks accounting keeps Close's drain exact.
-			s.serve(m, req, 0)
-			s.tasks.Done()
-			continue
-		}
-		if g, _ := s.admitGate.Load().(func() error); g != nil {
-			if err := g(); err != nil {
-				// A gate refusing because its authority is GONE (deposed,
-				// sealed, wedged — never coming back) says so with
-				// StatusStale, so clients re-LOCATE at once instead of
-				// politely backing off against a corpse.
-				if errors.Is(err, ErrStaleAuthority) {
-					s.shedStatus(sealer, m, req, StatusStale, []byte(err.Error()))
-				} else {
-					s.shed(sealer, m, req, []byte(err.Error()))
-				}
-				m.Release()
-				s.tasks.Done()
-				continue
-			}
-		}
-		// Queue wait starts when the frame came off the NIC, not when
-		// dispatch got around to it: under a deep burst the listener
-		// queue itself holds requests for most of their budget, and an
-		// EWMA that ignored that time admitted doomed requests.
-		enq := m.At
-		// Deadline-aware admission: if the pool is saturated and recent
-		// queue waits already exceed this request's REMAINING budget —
-		// budget minus what the listener queue has already consumed —
-		// the request would time out in the queue. Executing it then
-		// wastes a worker, disk bandwidth and possibly a WAL write on a
-		// reply nobody is waiting for. Refuse it NOW, before it costs
-		// anything, with a status the client can tell apart from loss.
-		if req.Budget > 0 {
-			remaining := req.Budget - clock.Since(clk, enq)
-			if remaining <= 0 || (s.inflight.Load() >= int64(s.pool) &&
-				time.Duration(s.ewmaWait.Load()) >= remaining) {
-				s.shed(sealer, m, req, shedQueueWait)
-				m.Release()
-				s.tasks.Done()
-				continue
-			}
-		}
-		s.inflight.Add(1)
-		// Backpressure: when every worker is busy this send blocks,
-		// the listener queue fills, and excess load is shed at the
-		// wire (the NIC counts it as an overrun) — clients time out
-		// and retry.
-		// Ownership of m's frame buffer rides into the job; the worker
-		// releases it once the reply is on the wire.
-		s.work <- job{m: m, req: req, enq: enq}
 	}
+	release := make(chan struct{})
+	s.holdPool(nil, release)
+	close(s.work)
+	close(release)
+}
+
+// holdPool sends one hold job per worker. A worker takes one only once
+// it has finished its request, so when the last send completes every
+// request admitted earlier has replied (an inline one ran on the loop
+// itself). Meanwhile a draining server sheds arrivals; any other leaves
+// them in the listener. It returns recv, or nil once that has closed.
+func (s *Server) holdPool(recv <-chan fbox.Received, release <-chan struct{}) <-chan fbox.Received {
+	var in <-chan fbox.Received
+	if s.draining.Load() {
+		in = recv // dispatch sheds everything: no send on work
+	}
+	for n := 0; n < s.pool; {
+		select {
+		case s.work <- job{hold: release}:
+			n++
+		case m, ok := <-in:
+			if !ok {
+				recv, in = nil, nil
+				continue
+			}
+			s.dispatch(m)
+		}
+	}
+	return recv
+}
+
+// dispatch admits one arriving frame: it answers a malformed or
+// unroutable request at once, sheds one that draining, the admit gate
+// or the deadline budget refuses, runs an inline handler on the loop,
+// and hands the rest to the pool. Handlers and the sealer are frozen
+// at Start, so it reads them without a lock.
+func (s *Server) dispatch(m fbox.Received) {
+	sealer := s.sealer
+	req, err := DecodeRequest(m.Payload)
+	if err != nil {
+		s.reply(sealer, m, ErrReply(StatusBadRequest, err.Error()))
+		m.Release()
+		return
+	}
+	// A failed Open yields a garbage capability rather than an error
+	// (wrong keys are indistinguishable from forgery); an error here
+	// means no key is installed for the source machine.
+	if req, err = openRequestCap(sealer, req, m.From); err != nil {
+		s.reply(sealer, m, ErrReply(StatusBadCapability, err.Error()))
+		m.Release()
+		return
+	}
+	if req.Op != OpBatch && s.handlers[req.Op] == nil {
+		s.reply(sealer, m, ErrReply(StatusNoSuchOp, fmt.Sprintf("op %#04x", req.Op)))
+		m.Release()
+		return
+	}
+	if s.draining.Load() {
+		// Graceful drain: everything new is refused — cheaply, with a
+		// status that tells the client the work was never started.
+		s.shed(m, req, StatusOverload, shedDraining)
+		return
+	}
+	if s.inline[req.Op] {
+		s.serve(m, req, 0) // HandleInline: on the dispatch loop itself
+		return
+	}
+	if g, _ := s.admitGate.Load().(func() error); g != nil {
+		if err := g(); err != nil {
+			// A gate refusing because its authority is GONE (deposed,
+			// sealed, wedged — never coming back) says so with
+			// StatusStale, so clients re-LOCATE at once instead of
+			// politely backing off against a corpse.
+			status := StatusOverload
+			if errors.Is(err, ErrStaleAuthority) {
+				status = StatusStale
+			}
+			s.shed(m, req, status, []byte(err.Error()))
+			return
+		}
+	}
+	// Deadline-aware admission. Queue wait counts from when the frame came
+	// off the NIC (m.At): under a deep burst the listener queue itself
+	// holds requests for most of their budget. A request whose remaining
+	// budget is spent, or is below recent queue waits while the pool is
+	// saturated, would time out in the queue; executing it would waste a
+	// worker, and possibly a WAL write, on a reply nobody waits for.
+	// Refuse it now, with a status the client can tell apart from loss.
+	if req.Budget > 0 {
+		remaining := req.Budget - clock.Since(s.fb.Clock(), m.At)
+		if remaining <= 0 || (s.inflight.Load() >= int64(s.pool) &&
+			time.Duration(s.ewmaWait.Load()) >= remaining) {
+			s.shed(m, req, StatusOverload, shedQueueWait)
+			return
+		}
+	}
+	s.inflight.Add(1)
+	// Backpressure: with every worker busy this send blocks, the listener
+	// queue fills, and excess load is shed at the wire (the NIC counts an
+	// overrun); clients time out and retry. The job owns m's frame
+	// buffer: the worker releases it once the reply is on the wire.
+	s.work <- job{m: m, req: req, enq: m.At}
 }
 
 // Static shed details: the refusal path must stay cheap under the very
@@ -476,20 +508,16 @@ var (
 	shedQueueWait = []byte("queue wait exceeds deadline budget")
 )
 
-// shed refuses a request with StatusOverload before it touches the
-// worker pool, and counts the refusal.
-func (s *Server) shed(sealer CapSealer, m fbox.Received, req Request, detail []byte) {
-	s.shedStatus(sealer, m, req, StatusOverload, detail)
-}
-
-// shedStatus is shed with an explicit refusal status (StatusStale for
-// a gate whose authority is permanently gone).
-func (s *Server) shedStatus(sealer CapSealer, m fbox.Received, req Request, status Status, detail []byte) {
+// shed refuses a request before it touches the worker pool, counts the
+// refusal and releases m. The status is StatusOverload, or StatusStale
+// for a gate whose authority is permanently gone.
+func (s *Server) shed(m fbox.Received, req Request, status Status, detail []byte) {
 	if st := s.stats; st != nil {
 		st.ObserveShed(req.Op, req.ID, uint32(m.From), uint16(status),
 			time.Duration(s.ewmaWait.Load()))
 	}
-	s.reply(sealer, m, Reply{Status: status, Data: detail})
+	s.reply(s.sealer, m, Reply{Status: status, Data: detail})
+	m.Release()
 }
 
 // serve runs one accepted request on a pool worker. It owns m's frame
@@ -498,8 +526,6 @@ func (s *Server) shedStatus(sealer CapSealer, m fbox.Received, req Request, stat
 // wait is how long the request queued before pickup (0 for inline).
 func (s *Server) serve(m fbox.Received, req Request, wait time.Duration) {
 	defer m.Release()
-	s.gate.RLock()
-	defer s.gate.RUnlock()
 	// The caller's remaining deadline budget (if any) bounds this
 	// handler and every nested RPC it issues; the base context stays
 	// reachable for WithoutDeadline cleanup. The request ID rides the
@@ -571,15 +597,7 @@ func (s *Server) serveBatch(ctx context.Context, sealer CapSealer, md Meta, req 
 	}
 	size := 0
 	for i := range replies {
-		if sealer != nil {
-			sealed, err := sealReplyCap(sealer, replies[i], md.From)
-			if err != nil {
-				replies[i].releaseBuf()
-				replies[i] = ErrReply(StatusServerError, "sealing reply capability: "+err.Error())
-			} else {
-				replies[i] = sealed
-			}
-		}
+		replies[i] = sealReplyCap(sealer, replies[i], md.From)
 		size += wireHeader + len(replies[i].Data)
 	}
 	// An over-MTU reply frame would be dropped by the wire and the
@@ -609,15 +627,7 @@ func (s *Server) reply(sealer CapSealer, m fbox.Received, rep Reply) {
 		rep.releaseBuf()
 		return // no reply requested
 	}
-	if sealer != nil {
-		sealed, err := sealReplyCap(sealer, rep, m.From)
-		if err != nil {
-			rep.releaseBuf()
-			rep = ErrReply(StatusServerError, "sealing reply capability: "+err.Error())
-		} else {
-			rep = sealed // the pooled Buf (if any) rides along
-		}
-	}
+	rep = sealReplyCap(sealer, rep, m.From)
 	var b *wire.Buf
 	if rep.Buf != nil && replyDataIsBuf(rep) {
 		// Zero-copy: the handler built its result in a pooled buffer
@@ -664,44 +674,41 @@ func (s *Server) SetAdmitGate(g func() error) {
 	s.admitGate.Store(g)
 }
 
-// Quiesce blocks new request execution and waits for every in-flight
+// Quiesce stops admitting requests and waits for every in-flight
 // handler (and its replies) to finish, returning the resume function.
 // While quiesced the server's state is still — the window in which a
-// durable service snapshots itself for a checkpoint. Dispatch resumes
-// when the returned function is called; requests arriving meanwhile
-// queue up behind the gate (and, past the queues, shed at the wire).
+// durable service snapshots itself for a checkpoint. Requests arriving
+// meanwhile queue in the listener (and, past its queue, shed at the
+// wire). A second Quiesce waits for the first one's resume. On a server
+// whose dispatch loop is not running (never started, or closed) it
+// returns at once.
 func (s *Server) Quiesce() (resume func()) {
-	s.gate.Lock()
-	return s.gate.Unlock
+	s.mu.Lock()
+	started := s.started
+	s.mu.Unlock()
+	if started {
+		w := holdReq{make(chan struct{}), make(chan struct{})}
+		select {
+		case s.waits <- w:
+			<-w.held
+			return func() { close(w.release) }
+		case <-s.done:
+		}
+	}
+	return func() {}
 }
 
 // Drain flips the server into refuse-everything mode — every request
 // arriving from now on is shed with StatusOverload, never executed —
-// and waits for the requests already admitted to finish. The listener
-// stays up (clients get a crisp refusal rather than silence) and the
-// server's state stops changing, which is the moment a graceful
-// shutdown wants for its final checkpoint. Drain does not reverse;
-// the only exit is Close.
+// and waits, shedding all the while, for the requests already admitted
+// to finish. The listener stays up (clients get a crisp refusal rather
+// than silence) and the server's state stops changing, which is the
+// moment a graceful shutdown wants for its final checkpoint. Drain does
+// not reverse; the only exit is Close. Before Start it returns at once,
+// and the server sheds from its first frame.
 func (s *Server) Drain() {
-	s.drainMu.Lock()
 	s.draining.Store(true)
-	s.drainMu.Unlock()
-	s.tasks.Wait()
-}
-
-// accept counts one arriving request into tasks, unless the server is
-// draining. drainMu orders the dispatch loop's check-then-Add against
-// Drain's flip-then-Wait: a sync.WaitGroup may not see an Add from zero
-// race its Wait, and a request that slipped between the two would run
-// after Drain had reported the server quiet.
-func (s *Server) accept() bool {
-	s.drainMu.Lock()
-	defer s.drainMu.Unlock()
-	if s.draining.Load() {
-		return false
-	}
-	s.tasks.Add(1)
-	return true
+	s.Quiesce()()
 }
 
 // Draining reports whether Drain has been called.
@@ -728,21 +735,13 @@ func (s *Server) Close() error {
 		return nil
 	}
 	s.closed = true
-	l := s.listener
-	cancel := s.cancel
-	work := s.work
+	l, cancel := s.listener, s.cancel
 	s.mu.Unlock()
-	if l != nil {
-		l.Close()
+	if l == nil {
+		return nil // never started
 	}
-	if cancel != nil {
-		cancel()
-	}
-	s.loopWG.Wait() // drains any remaining queued messages to workers
-	s.tasks.Wait()  // every accepted request has replied
-	if work != nil {
-		close(work) // the loop, its only sender, has exited
-	}
-	s.workers.Wait()
+	l.Close()
+	cancel()
+	<-s.done // the loop has held the pool and closed work
 	return nil
 }

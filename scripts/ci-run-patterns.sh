@@ -4,7 +4,8 @@
 # testing nothing. This pulls every `-run '<re>' <pkgs>` pair out of the
 # workflow (`-run '^$'`, which means to match nothing, aside) and fails
 # unless `go test -list` finds a test for each alternative of each
-# pattern in those packages.
+# pattern in those packages — listed under the line's GOEXPERIMENT, if
+# it sets one, since a test behind a build tag exists only there.
 #
 # Usage: scripts/ci-run-patterns.sh [workflow.yml]
 set -eu
@@ -12,9 +13,12 @@ set -eu
 cd "$(dirname "$0")/.."
 workflow="${1:-.github/workflows/ci.yml}"
 
-# One line per pair: the pattern, a tab, the packages.
+# One line per pair: the pattern, a tab, the packages, a tab, the
+# line's GOEXPERIMENT setting (possibly empty).
 pairs=$(awk '
 	/go test/ && /-run \047/ {
+		env = ""
+		if (match($0, /GOEXPERIMENT=[^ \t]+/)) env = substr($0, RSTART, RLENGTH)
 		line = $0
 		sub(/.*-run \047/, "", line)
 		re = line; sub(/\047.*/, "", re)
@@ -22,7 +26,7 @@ pairs=$(awk '
 		n = split(rest, tok, /[ \t]+/)
 		pkgs = ""
 		for (i = 1; i <= n; i++) if (tok[i] ~ /^\.(\/|$)/) pkgs = pkgs " " tok[i]
-		if (re != "^$" && pkgs != "") print re "\t" pkgs
+		if (re != "^$" && pkgs != "") print re "\t" pkgs "\t" env
 	}
 ' "$workflow")
 
@@ -33,14 +37,14 @@ fi
 
 bad=0
 tab=$(printf '\t')
-while IFS="$tab" read -r re pkgs; do
+while IFS="$tab" read -r re pkgs env; do
 	case "$re" in
 	*\(*) alts="$re" ;;                  # grouped: check it whole
 	*) alts=$(echo "$re" | tr '|' ' ') ;; # plain alternation: check each name
 	esac
 	for alt in $alts; do
-		# shellcheck disable=SC2086 # pkgs is a list
-		names=$(go test -list "$alt" $pkgs | grep -cEv '^(ok|\?)[ \t]' || true)
+		# shellcheck disable=SC2086 # pkgs is a list, env empty or one assignment
+		names=$(env $env go test -list "$alt" $pkgs | grep -cEv '^(ok|\?)[ \t]' || true)
 		if [ "$names" -eq 0 ]; then
 			echo "ci-run-patterns: -run '$alt' names no test in$pkgs ($workflow)" >&2
 			bad=1

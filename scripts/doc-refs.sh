@@ -17,6 +17,14 @@ cd "$(dirname "$0")/.."
 # shellcheck disable=SC2046 # one argument per package
 listed=$(go test -list '.*' $(go list ./... | grep -v '^amoeba/bench$') |
 	grep -E '^(Test|Benchmark|Fuzz|Example)')
+# Tests behind the synctest experiment are listed with it on.
+synctest_pkgs=$(grep -rl --include='*_test.go' --exclude-dir=bench '^//go:build goexperiment.synctest' . |
+	xargs -r -n1 dirname | sort -u)
+if [ -n "$synctest_pkgs" ]; then
+	# shellcheck disable=SC2086 # one argument per package
+	listed="$listed
+$(GOEXPERIMENT=synctest go test -list '.*' $synctest_pkgs | grep -E '^(Test|Benchmark|Fuzz|Example)')"
+fi
 
 # backticked FILE: the text of every backticked span, one per line.
 backticked() {
