@@ -42,7 +42,7 @@ var (
 	diskBlocks = flag.Uint("disk-blocks", 4096, "block server: number of blocks")
 	blockSize  = flag.Int("block-size", 1024, "block server: block size in bytes")
 	diskPath   = flag.String("disk-path", "", "block server: file-backed persistent disk (default in-memory)")
-	statePath  = flag.String("state-path", "", "block server: capability-table snapshot file; with -disk-path and -seed, previously issued block capabilities survive restarts")
+	statePath  = flag.String("state-path", "", "block server: checkpoint file, written at shutdown and restored at start (a file in any other format is refused); with -disk-path and -seed, previously issued block capabilities survive restarts")
 	debugAddr  = flag.String("debug-addr", "", "HTTP debug listener serving /metrics, /debug/vars, /debug/requests and /debug/pprof (empty = off)")
 )
 
@@ -112,7 +112,7 @@ func run(out io.Writer, stop <-chan os.Signal) error {
 		}
 		if name == "block" && *statePath != "" {
 			if deps.State, err = os.ReadFile(*statePath); err == nil {
-				log.Printf("block: restoring %d-byte state snapshot", len(deps.State))
+				log.Printf("block: restoring %d-byte checkpoint", len(deps.State))
 			} else if !os.IsNotExist(err) {
 				return err
 			}
@@ -127,8 +127,12 @@ func run(out io.Writer, stop <-chan os.Signal) error {
 			blockPort = k.PutPort()
 			if *statePath != "" { // saved once the server below has retired
 				defer func() {
-					if err := os.WriteFile(*statePath, k.Table().Snapshot(), 0o600); err != nil {
-						log.Printf("block: saving state: %v", err)
+					env, err := k.Envelope()
+					if err == nil {
+						err = os.WriteFile(*statePath, env, 0o600)
+					}
+					if err != nil {
+						log.Printf("block: saving checkpoint: %v", err)
 					}
 				}()
 			}

@@ -7,6 +7,7 @@ import (
 	"net"
 	"net/http"
 	"os"
+	"path/filepath"
 	"slices"
 	"strconv"
 	"strings"
@@ -14,6 +15,8 @@ import (
 	"time"
 
 	"amoeba/internal/amnet"
+	"amoeba/internal/cap"
+	"amoeba/internal/crypto"
 )
 
 func TestParseRegistry(t *testing.T) {
@@ -153,5 +156,55 @@ func TestServicesSubsets(t *testing.T) {
 				}
 			}
 		})
+	}
+}
+
+// TestStatePathRoundTrip: -state-path writes the block server's
+// checkpoint at shutdown and restores it at the next start; a file in
+// the bare table-snapshot format it replaced stops the daemon with an
+// error instead of starting an empty block server.
+func TestStatePathRoundTrip(t *testing.T) {
+	path := filepath.Join(t.TempDir(), "block.state")
+	t.Cleanup(func() { flag.Set("state-path", "") })
+	daemon := func() (stop chan os.Signal, done chan error) {
+		ln, err := net.Listen("tcp", "127.0.0.1:0")
+		if err != nil {
+			t.Fatal(err)
+		}
+		machine := ln.Addr().String()
+		ln.Close()
+		for name, value := range map[string]string{
+			"registry": "1=" + machine, "services": "block", "seed": "7", "debug-addr": "", "state-path": path,
+		} {
+			if err := flag.Set(name, value); err != nil {
+				t.Fatal(err)
+			}
+		}
+		stop, done = make(chan os.Signal, 1), make(chan error, 1)
+		go func() { done <- run(io.Discard, stop) }()
+		return stop, done
+	}
+	for i := 0; i < 2; i++ { // the second start restores what the first wrote
+		stop, done := daemon()
+		stop <- os.Interrupt
+		if err := <-done; err != nil {
+			t.Fatalf("start %d: %v", i, err)
+		}
+		if _, err := os.Stat(path); err != nil {
+			t.Fatalf("start %d wrote no checkpoint: %v", i, err)
+		}
+	}
+
+	scheme, err := cap.NewScheme(cap.SchemeOneWay)
+	if err != nil {
+		t.Fatal(err)
+	}
+	old := cap.NewTable(scheme, 1, crypto.NewSeededSource(1)).Snapshot()
+	if err := os.WriteFile(path, old, 0o600); err != nil {
+		t.Fatal(err)
+	}
+	_, done := daemon()
+	if err := <-done; err == nil || !strings.Contains(err.Error(), "not a checkpoint envelope") {
+		t.Fatalf("run over an old-format state file = %v, want a refusal", err)
 	}
 }

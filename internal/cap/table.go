@@ -384,7 +384,7 @@ func (t *Table) Restore(data []byte) error {
 	}
 	n := binary.BigEndian.Uint32(data[4:])
 	next := binary.BigEndian.Uint32(data[8:])
-	if uint32(len(data)-12) != n*12 {
+	if uint64(len(data)-12) != uint64(n)*12 { // in 64 bits: n*12 wraps a uint32
 		return fmt.Errorf("cap: snapshot truncated: %d entries, %d bytes", n, len(data))
 	}
 	secrets := store.New[entry](0)
@@ -400,6 +400,7 @@ func (t *Table) Restore(data []byte) error {
 	return nil
 }
 
-// Objects returns the live object numbers (unordered). Servers use it
-// after Restore to rebuild their own per-object state indexes.
+// Objects returns the live object numbers (unordered): the service
+// kernel writes one checkpoint entry per object it lists, and the block
+// server rebuilds its allocation bitmap from it after a Restore.
 func (t *Table) Objects() []uint32 { return t.secrets.Keys() }

@@ -363,4 +363,11 @@ func TestTableRestoreRejectsGarbage(t *testing.T) {
 	if err := tb.Restore(snap[:len(snap)-1]); err == nil && len(snap) > 12 {
 		t.Fatal("truncated restore accepted")
 	}
+	// A count whose 12-byte entries wrap a uint32 to the bytes present
+	// (0x40000002 × 12 = 24 mod 2^32) is a lie, not two entries.
+	wrapped := append(snap[:4:4], 0x40, 0, 0, 2, 0, 0, 0, 0)
+	wrapped = append(wrapped, make([]byte, 24)...)
+	if err := tb.Restore(wrapped); err == nil {
+		t.Fatal("restore accepted an entry count that wraps")
+	}
 }

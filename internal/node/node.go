@@ -57,8 +57,9 @@ type Deps struct {
 	// reappears at the same put-port; 0 draws a fresh one.
 	Port   cap.Port
 	Sealer rpc.CapSealer // key-matrix guard for this machine; nil = unsealed
-	// Store is the block service's disk; State, when set, a capability-
-	// table snapshot (Kernel.Table().Snapshot()) restored over it.
+	// Store is the block service's disk. State, when set, is a
+	// checkpoint envelope (svc.Kernel.Envelope) an earlier incarnation
+	// wrote, restored into any row's kernel before it starts.
 	Store  vdisk.Store
 	State  []byte
 	Blocks cap.Port // a NeedsBlocks row's block server put-port
@@ -88,9 +89,6 @@ var Services = []*Service{
 	}},
 	{Name: "block", Label: "blocks", open: func(env *Env, fb *fbox.FBox, d Deps) (*svc.Kernel, error) {
 		s, err := blocksvr.New(fb, env.Scheme, env.Source, d.Store)
-		if err == nil && d.State != nil {
-			err = s.RestoreState(d.State)
-		}
 		if err != nil {
 			return nil, err
 		}

@@ -11,9 +11,11 @@ import (
 
 	"amoeba/internal/amnet"
 	"amoeba/internal/cap"
+	"amoeba/internal/crypto"
 	"amoeba/internal/locate"
 	"amoeba/internal/obs"
 	"amoeba/internal/rpc"
+	"amoeba/internal/server/blocksvr"
 	"amoeba/internal/server/dirsvr"
 	"amoeba/internal/server/servertest"
 	"amoeba/internal/vdisk"
@@ -150,6 +152,72 @@ func TestOpenFailureNamesTheService(t *testing.T) {
 	}
 	if Lookup("nfs") != nil {
 		t.Fatal("Lookup found a service that is not in the table")
+	}
+}
+
+// TestStateRestoresThroughTheKernel: Deps.State is a checkpoint
+// envelope, restored by the kernel of whatever row is opened. A block
+// server reopened over its disk with the envelope its predecessor wrote
+// (at the same put-port: the same seeded source) answers the
+// predecessor's capabilities with their contents and keeps their blocks
+// allocated; a state in the bare table-snapshot format the envelope
+// replaced is refused, not ignored.
+func TestStateRestoresThroughTheKernel(t *testing.T) {
+	ctx := context.Background()
+	rig := servertest.New(t, 4)
+	disk, err := vdisk.New(16, 64)
+	if err != nil {
+		t.Fatal(err)
+	}
+	row := Lookup("block")
+	open := func(state []byte) (*Replica, error) {
+		env := testEnv(t, rig)
+		env.Source = crypto.NewSeededSource(0xB10C)
+		return Open(env, row, rig.NewFBox(t), Deps{Label: row.Label, Store: disk, State: state})
+	}
+	first, err := open(nil)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := first.Lead(nil, 0); err != nil {
+		t.Fatal(err)
+	}
+	blocks := blocksvr.NewClient(rig.Client, first.Kernel().PutPort())
+	blk, err := blocks.Alloc(ctx)
+	if err != nil {
+		t.Fatal(err)
+	}
+	data := bytes.Repeat([]byte{0x5A}, 64)
+	if err := blocks.Write(ctx, blk, data); err != nil {
+		t.Fatal(err)
+	}
+	if err := first.Retire(Drained); err != nil {
+		t.Fatal(err)
+	}
+	state, err := first.Kernel().Envelope()
+	if err != nil {
+		t.Fatal(err)
+	}
+
+	if _, err := open(first.Kernel().Table().Snapshot()); err == nil || !strings.Contains(err.Error(), "not a checkpoint envelope") {
+		t.Fatalf("Open over a bare table snapshot: %v", err)
+	}
+	second, err := open(state)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer second.Retire(Drained)
+	if err := second.Lead(nil, 0); err != nil {
+		t.Fatal(err)
+	}
+	if second.Kernel().PutPort() != blk.Server {
+		t.Fatalf("put-port moved: %v, was %v", second.Kernel().PutPort(), blk.Server)
+	}
+	if got, err := blocks.Read(ctx, blk); err != nil || !bytes.Equal(got, data) {
+		t.Fatalf("read after restore: %x, %v", got, err)
+	}
+	if _, _, nfree, err := blocks.Stat(ctx); err != nil || nfree != 15 {
+		t.Fatalf("free blocks after restore: %d, %v; want 15", nfree, err)
 	}
 }
 

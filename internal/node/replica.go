@@ -43,8 +43,9 @@ type Replica struct {
 
 // Open builds an un-started incarnation of row on fb. A Durable row
 // given a WAL disk writes ahead to it, through a fault injector, and
-// recovers what an earlier incarnation committed there. A failed Open
-// has undone everything it built.
+// recovers what an earlier incarnation committed there; Deps.State, when
+// set, is restored into the kernel of any row. A failed Open has undone
+// everything it built.
 func Open(env *Env, row *Service, fb *fbox.FBox, d Deps) (*Replica, error) {
 	r := &Replica{env: env, fb: fb, wal: d.WAL, group: d.Group, ownFB: d.OwnFB}
 	if row.NeedsBlocks {
@@ -64,6 +65,9 @@ func Open(env *Env, row *Service, fb *fbox.FBox, d Deps) (*Replica, error) {
 	}
 	if err == nil {
 		r.kern, err = row.open(env, fb, d)
+	}
+	if err == nil && d.State != nil {
+		err = r.kern.RestoreEnvelope(d.State)
 	}
 	if err != nil {
 		if r.kern == nil && d.log != nil {

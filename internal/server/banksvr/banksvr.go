@@ -141,9 +141,9 @@ func NewDurable(fb *fbox.FBox, scheme cap.Scheme, src crypto.Source, cfg Config,
 		Log:           log,
 		Snapshot:      s.snapshot,
 		Restore:       s.restoreSnapshot,
+		EncodeObject:  s.encodeObject,
 		ExtractObject: s.extractObject,
 		InstallObject: s.installObject,
-		RemoveObject:  s.removeObject,
 	})
 	s.table = s.Table()
 	s.Handle(OpCreateAccount, s.createAccount)
@@ -287,8 +287,9 @@ func (s *Server) apply(rec []byte) error {
 	return nil
 }
 
-// snapshot serializes the treasury and every account for a checkpoint.
-// It runs quiesced, so the cut conserves money exactly.
+// snapshot serializes the treasury for a checkpoint, whose entries
+// carry the accounts. It runs quiesced, so the cut conserves money
+// exactly.
 func (s *Server) snapshot() []byte {
 	out := make([]byte, 4)
 	binary.BigEndian.PutUint32(out, uint32(len(s.treasury)))
@@ -296,94 +297,14 @@ func (s *Server) snapshot() []byte {
 		out = appendCurrency(out, c)
 		out = appendU64(out, uint64(v))
 	}
-	at := len(out)
-	out = append(out, 0, 0, 0, 0)
-	count := 0
-	s.accounts.Range(func(obj uint32, a *account) bool {
-		count++
-		var hdr [6]byte
-		binary.BigEndian.PutUint32(hdr[0:], obj)
-		binary.BigEndian.PutUint16(hdr[4:], uint16(len(a.balances)))
-		out = append(out, hdr[:]...)
-		for c, v := range a.balances {
-			out = appendCurrency(out, c)
-			out = appendU64(out, uint64(v))
-		}
-		return true
-	})
-	binary.BigEndian.PutUint32(out[at:], uint32(count))
 	return out
 }
 
-// extractObject pulls one account out of the server for live
-// migration: nbal(2) ∥ nbal × (currency ∥ amount(8)) — the same
-// per-account body the snapshot writes. The dead flag is set under the
-// account lock, so a transfer racing the migration fails cleanly
-// instead of mutating state the destination already owns. The treasury
-// stays put: it is this instance's money supply, not the account's
-// (cross-shard transfers settle against the destination shard's
-// treasury — a documented non-goal to unify).
-func (s *Server) extractObject(obj uint32) ([]byte, error) {
-	a, ok := s.accounts.Get(obj)
-	if !ok {
-		return nil, fmt.Errorf("banksvr: no account %d", obj)
-	}
-	a.mu.Lock()
-	defer a.mu.Unlock()
-	if a.dead {
-		return nil, fmt.Errorf("banksvr: account %d destroyed", obj)
-	}
-	state := make([]byte, 2, 2+len(a.balances)*12)
-	binary.BigEndian.PutUint16(state, uint16(len(a.balances)))
-	for c, v := range a.balances {
-		state = appendCurrency(state, c)
-		state = appendU64(state, uint64(v))
-	}
-	a.dead = true
-	a.balances = nil
-	s.accounts.Delete(obj)
-	return state, nil
-}
-
-// installObject installs a migrated-in account.
-func (s *Server) installObject(obj uint32, state []byte) error {
-	if len(state) < 2 {
-		return fmt.Errorf("banksvr: truncated migrated account %d", obj)
-	}
-	nbal := binary.BigEndian.Uint16(state)
-	rest := state[2:]
-	a := &account{balances: make(map[string]int64, nbal)}
-	for i := uint16(0); i < nbal; i++ {
-		cur, r, err := takeCurrency(rest)
-		if err != nil || len(r) < 8 {
-			return fmt.Errorf("banksvr: truncated migrated account %d", obj)
-		}
-		a.balances[cur] = int64(binary.BigEndian.Uint64(r))
-		rest = r[8:]
-	}
-	s.accounts.Put(obj, a)
-	return nil
-}
-
-// removeObject drops an account whose migrate-out committed (replay
-// path); absence is fine — the in-memory extract already removed it.
-func (s *Server) removeObject(obj uint32) {
-	a, ok := s.accounts.Get(obj)
-	if !ok {
-		return
-	}
-	a.mu.Lock()
-	a.dead = true
-	a.balances = nil
-	a.mu.Unlock()
-	s.accounts.Delete(obj)
-}
-
-// restoreSnapshot replaces the treasury and account state.
+// restoreSnapshot replaces the treasury and drops every account; the
+// checkpoint's entries install them next.
 func (s *Server) restoreSnapshot(snap []byte) error {
-	bad := fmt.Errorf("banksvr: truncated snapshot")
 	if len(snap) < 4 {
-		return bad
+		return fmt.Errorf("banksvr: truncated snapshot")
 	}
 	ncur := binary.BigEndian.Uint32(snap)
 	rest := snap[4:]
@@ -391,37 +312,86 @@ func (s *Server) restoreSnapshot(snap []byte) error {
 	for i := uint32(0); i < ncur; i++ {
 		cur, r, err := takeCurrency(rest)
 		if err != nil || len(r) < 8 {
-			return bad
+			return fmt.Errorf("banksvr: truncated snapshot")
 		}
 		treasury[cur] = int64(binary.BigEndian.Uint64(r))
 		rest = r[8:]
 	}
-	if len(rest) < 4 {
-		return bad
-	}
-	naccts := binary.BigEndian.Uint32(rest)
-	rest = rest[4:]
-	accounts := store.New[*account](0)
-	for i := uint32(0); i < naccts; i++ {
-		if len(rest) < 6 {
-			return bad
-		}
-		obj := binary.BigEndian.Uint32(rest)
-		nbal := binary.BigEndian.Uint16(rest[4:])
-		rest = rest[6:]
-		a := &account{balances: make(map[string]int64, nbal)}
-		for j := uint16(0); j < nbal; j++ {
-			cur, r, err := takeCurrency(rest)
-			if err != nil || len(r) < 8 {
-				return bad
-			}
-			a.balances[cur] = int64(binary.BigEndian.Uint64(r))
-			rest = r[8:]
-		}
-		accounts.Put(obj, a)
-	}
 	s.treasury = treasury
-	s.accounts = accounts
+	s.accounts = store.New[*account](0)
+	return nil
+}
+
+// encodeAccount serializes one account's balances (caller holds a.mu):
+// nbal(2) ∥ nbal × (currency ∥ amount(8)), the format of a checkpoint
+// entry and of a migration alike.
+func encodeAccount(a *account) []byte {
+	state := make([]byte, 2, 2+len(a.balances)*12)
+	binary.BigEndian.PutUint16(state, uint16(len(a.balances)))
+	for c, v := range a.balances {
+		state = appendCurrency(state, c)
+		state = appendU64(state, uint64(v))
+	}
+	return state
+}
+
+// encodeObject serializes one account for a checkpoint entry.
+func (s *Server) encodeObject(obj uint32) ([]byte, error) {
+	a, err := s.acct(obj)
+	if err != nil {
+		return nil, err
+	}
+	a.mu.Lock()
+	defer a.mu.Unlock()
+	if a.dead {
+		return nil, fmt.Errorf("banksvr: object %d: %w", obj, cap.ErrNoSuchObject)
+	}
+	return encodeAccount(a), nil
+}
+
+// extractObject pulls one account out of the server for live migration
+// (or replays a migrate-out record, where absence is fine: the
+// in-memory extract already removed it). The dead flag is set under the
+// account lock, so a transfer racing the migration fails cleanly
+// instead of mutating state the destination already owns. The treasury
+// stays put: it is this instance's money supply, not the account's
+// (cross-shard transfers settle against the destination shard's
+// treasury — a documented non-goal to unify).
+func (s *Server) extractObject(obj uint32) ([]byte, error) {
+	a, err := s.acct(obj)
+	if err != nil {
+		return nil, err
+	}
+	a.mu.Lock()
+	defer a.mu.Unlock()
+	if a.dead {
+		return nil, fmt.Errorf("banksvr: account %d destroyed", obj)
+	}
+	state := encodeAccount(a)
+	a.dead = true
+	a.balances = nil
+	s.accounts.Delete(obj)
+	return state, nil
+}
+
+// installObject installs an account from a checkpoint entry or a
+// migration.
+func (s *Server) installObject(obj uint32, state []byte) error {
+	if len(state) < 2 {
+		return fmt.Errorf("banksvr: truncated account %d", obj)
+	}
+	nbal := binary.BigEndian.Uint16(state)
+	rest := state[2:]
+	a := &account{balances: make(map[string]int64, nbal)}
+	for i := uint16(0); i < nbal; i++ {
+		cur, r, err := takeCurrency(rest)
+		if err != nil || len(r) < 8 {
+			return fmt.Errorf("banksvr: truncated account %d", obj)
+		}
+		a.balances[cur] = int64(binary.BigEndian.Uint64(r))
+		rest = r[8:]
+	}
+	s.accounts.Put(obj, a)
 	return nil
 }
 

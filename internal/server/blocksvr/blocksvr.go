@@ -81,7 +81,8 @@ func New(fb *fbox.FBox, scheme cap.Scheme, src crypto.Source, disk vdisk.Store) 
 
 // NewWithPort is New with an explicit secret get-port, for services
 // that must reappear at the same put-port after a restart (pair with
-// RestoreState and a persistent disk).
+// a persistent disk and the kernel's RestoreEnvelope: a block server's
+// checkpoint is its table alone).
 func NewWithPort(fb *fbox.FBox, scheme cap.Scheme, g cap.Port, disk vdisk.Store) (*Server, error) {
 	return build(fb, scheme, svc.Config{Port: g}, disk)
 }
@@ -92,12 +93,13 @@ func build(fb *fbox.FBox, scheme cap.Scheme, cfg svc.Config, disk vdisk.Store) (
 			disk.NBlocks(), cap.ObjectMask)
 	}
 	s := &Server{
-		Kernel: svc.NewWithConfig(fb, scheme, cfg),
-		disk:   disk,
-		used:   make([]atomic.Bool, disk.NBlocks()),
-		locks:  make([]sync.Mutex, disk.NBlocks()),
-		nfree:  disk.NBlocks(),
+		disk:  disk,
+		used:  make([]atomic.Bool, disk.NBlocks()),
+		locks: make([]sync.Mutex, disk.NBlocks()),
+		nfree: disk.NBlocks(),
 	}
+	cfg.Restore = s.restoreBitmap
+	s.Kernel = svc.NewWithConfig(fb, scheme, cfg)
 	s.table = s.Table()
 	s.Handle(OpAlloc, s.alloc)
 	s.Handle(OpRead, s.read)
@@ -502,20 +504,10 @@ func (b *Client) Restrict(ctx context.Context, c cap.Capability, mask cap.Rights
 	return b.c.Restrict(ctx, c, mask)
 }
 
-// SnapshotState serializes the server's capability table (which, with
-// object numbers equal to block numbers, fully determines the
-// allocation state). Pair with a persistent vdisk.FileDisk so a
-// restarted block server honours previously issued block capabilities.
-func (s *Server) SnapshotState() []byte { return s.table.Snapshot() }
-
-// RestoreState rebuilds the capability table and the allocation bitmap
-// from a SnapshotState taken by a previous incarnation. Call before
-// Start. The daemon must reuse the same get-port (the table binds
-// capabilities to the put-port).
-func (s *Server) RestoreState(snap []byte) error {
-	if err := s.table.Restore(snap); err != nil {
-		return err
-	}
+// restoreBitmap rebuilds the allocation bitmap from the object table,
+// which the kernel has just restored: object numbers are block
+// numbers, so the table alone is the block server's checkpoint.
+func (s *Server) restoreBitmap([]byte) error {
 	s.allocMu.Lock()
 	defer s.allocMu.Unlock()
 	for i := range s.used {
@@ -524,12 +516,10 @@ func (s *Server) RestoreState(snap []byte) error {
 	s.nfree = s.disk.NBlocks()
 	for _, obj := range s.table.Objects() {
 		if obj >= s.disk.NBlocks() {
-			return fmt.Errorf("blocksvr: snapshot names block %d beyond disk (%d blocks)", obj, s.disk.NBlocks())
+			return fmt.Errorf("blocksvr: checkpoint names block %d beyond disk (%d blocks)", obj, s.disk.NBlocks())
 		}
-		if !s.used[obj].Load() {
-			s.used[obj].Store(true)
-			s.nfree--
-		}
+		s.used[obj].Store(true)
+		s.nfree--
 	}
 	return nil
 }

@@ -54,7 +54,10 @@ func TestBlockServerSurvivesRestart(t *testing.T) {
 	if err := c1.Free(ctx, blkB); err != nil {
 		t.Fatal(err)
 	}
-	snap := s1.SnapshotState()
+	snap, err := s1.Envelope()
+	if err != nil {
+		t.Fatal(err)
+	}
 	if err := s1.Close(); err != nil {
 		t.Fatal(err)
 	}
@@ -74,7 +77,7 @@ func TestBlockServerSurvivesRestart(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if err := s2.RestoreState(snap); err != nil {
+	if err := s2.RestoreEnvelope(snap); err != nil {
 		t.Fatal(err)
 	}
 	if err := s2.Start(); err != nil {

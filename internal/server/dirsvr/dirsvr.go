@@ -139,11 +139,10 @@ func NewDurable(fb *fbox.FBox, scheme cap.Scheme, src crypto.Source, log *wal.Lo
 		Source:        src,
 		Port:          g,
 		Log:           log,
-		Snapshot:      s.snapshot,
-		Restore:       s.restoreSnapshot,
+		Restore:       s.reset,
+		EncodeObject:  s.encodeObject,
 		ExtractObject: s.extractObject,
 		InstallObject: s.installObject,
-		RemoveObject:  s.removeObject,
 	})
 	s.table = s.Table()
 	s.Handle(OpCreateDir, s.createDir)
@@ -249,69 +248,11 @@ func (s *Server) apply(rec []byte) error {
 	return nil
 }
 
-// snapshot serializes every directory for a checkpoint. It runs
-// quiesced (the kernel has no handler in flight), so the walk is a
-// consistent cut.
-func (s *Server) snapshot() []byte {
-	out := make([]byte, 4)
-	count := 0
-	s.dirs.Range(func(obj uint32, d *directory) bool {
-		count++
-		var hdr [16]byte
-		binary.BigEndian.PutUint32(hdr[0:], obj)
-		binary.BigEndian.PutUint64(hdr[4:], d.gen)
-		binary.BigEndian.PutUint32(hdr[12:], uint32(len(d.entries)))
-		out = append(out, hdr[:]...)
-		for name, c := range d.entries {
-			var nl [2]byte
-			binary.BigEndian.PutUint16(nl[:], uint16(len(name)))
-			out = append(out, nl[:]...)
-			out = append(out, name...)
-			out = c.AppendTo(out)
-		}
-		return true
-	})
-	binary.BigEndian.PutUint32(out, uint32(count))
-	return out
-}
-
-// restoreSnapshot replaces the directory index from a snapshot.
-func (s *Server) restoreSnapshot(snap []byte) error {
-	if len(snap) < 4 {
-		return fmt.Errorf("dirsvr: truncated snapshot")
-	}
-	dirs := store.New[*directory](0)
-	count := binary.BigEndian.Uint32(snap)
-	at := 4
-	for i := uint32(0); i < count; i++ {
-		if len(snap)-at < 16 {
-			return fmt.Errorf("dirsvr: truncated snapshot")
-		}
-		obj := binary.BigEndian.Uint32(snap[at:])
-		gen := binary.BigEndian.Uint64(snap[at+4:])
-		n := binary.BigEndian.Uint32(snap[at+12:])
-		at += 16
-		d := &directory{entries: make(map[string]cap.Capability, n), gen: gen}
-		for j := uint32(0); j < n; j++ {
-			if len(snap)-at < 2 {
-				return fmt.Errorf("dirsvr: truncated snapshot")
-			}
-			nl := int(binary.BigEndian.Uint16(snap[at:]))
-			at += 2
-			if len(snap)-at < nl+cap.Size {
-				return fmt.Errorf("dirsvr: truncated snapshot")
-			}
-			name := string(snap[at : at+nl])
-			c, err := cap.Decode(snap[at+nl : at+nl+cap.Size])
-			if err != nil {
-				return err
-			}
-			at += nl + cap.Size
-			d.entries[name] = c
-		}
-		dirs.Put(obj, d)
-	}
-	s.dirs = dirs
+// reset drops every directory ahead of a checkpoint's restore, which
+// installs them one by one; a directory server keeps no state that
+// belongs to no directory.
+func (s *Server) reset([]byte) error {
+	s.dirs = store.New[*directory](0)
 	return nil
 }
 
@@ -361,10 +302,23 @@ func decodeDirEntries(state []byte) (map[string]cap.Capability, uint64, error) {
 	return entries, gen, nil
 }
 
-// extractObject cuts one directory out for migration: serialized and
-// removed under its own write lock, so the cut is exactly the state
-// the last acknowledged mutation left (handlers stage their records
-// under this same lock) and no other directory is touched.
+// encodeObject serializes one directory for a checkpoint entry, under
+// its read lock.
+func (s *Server) encodeObject(obj uint32) ([]byte, error) {
+	d, ok := s.dirs.Get(obj)
+	if !ok {
+		return nil, fmt.Errorf("dirsvr: object %d: %w", obj, cap.ErrNoSuchObject)
+	}
+	d.mu.RLock()
+	defer d.mu.RUnlock()
+	return encodeDirEntries(d), nil
+}
+
+// extractObject cuts one directory out for migration (or replays a
+// migrate-out record): serialized and removed under its own write lock,
+// so the cut is exactly the state the last acknowledged mutation left
+// (handlers stage their records under this same lock) and no other
+// directory is touched.
 func (s *Server) extractObject(obj uint32) ([]byte, error) {
 	d, ok := s.dirs.Get(obj)
 	if !ok {
@@ -381,8 +335,9 @@ func (s *Server) extractObject(obj uint32) ([]byte, error) {
 	return state, nil
 }
 
-// installObject adopts a migrated directory (or replays a migrate-in
-// record). Trusted like any replay: an existing object is overwritten.
+// installObject adopts a directory from a checkpoint entry or a
+// migration (or replays a migrate-in record). Trusted like any replay:
+// an existing object is overwritten.
 func (s *Server) installObject(obj uint32, state []byte) error {
 	entries, gen, err := decodeDirEntries(state)
 	if err != nil {
@@ -391,10 +346,6 @@ func (s *Server) installObject(obj uint32, state []byte) error {
 	s.dirs.Put(obj, &directory{entries: entries, gen: gen})
 	return nil
 }
-
-// removeObject replays a migrate-out record: the directory left this
-// shard.
-func (s *Server) removeObject(obj uint32) { s.dirs.Delete(obj) }
 
 func (s *Server) createDir(ctx context.Context, _ rpc.Meta, _ rpc.Request) rpc.Reply {
 	c, secret, err := s.table.CreateRecorded()

@@ -7,6 +7,7 @@ import (
 	"time"
 
 	"amoeba/internal/cap"
+	"amoeba/internal/fbox"
 	"amoeba/internal/repl"
 	"amoeba/internal/server/servertest"
 	"amoeba/internal/vdisk"
@@ -238,5 +239,89 @@ func TestPromotionShipsCheckpoints(t *testing.T) {
 	}
 	if err := backup.matches(model{root.Object: want}); err != nil {
 		t.Fatalf("standby diverged across shipped checkpoints: %v", err)
+	}
+}
+
+// TestBaseWaitsForMigrationInFlight: a standby that joins while a
+// directory is extracted for migration must not get a base cut without
+// it. An aborted migration puts the directory back in memory and logs
+// nothing, so a base missing it would leave the standby without the
+// directory, and a failover to that standby would lose acknowledged
+// state. The join waits for the abort, and its base holds the directory
+// and its secret.
+func TestBaseWaitsForMigrationInFlight(t *testing.T) {
+	ctx := context.Background()
+	r := servertest.New(t, 0xF0A9)
+	scheme, err := cap.NewScheme(cap.SchemeOneWay)
+	if err != nil {
+		t.Fatal(err)
+	}
+	durable := func(fb *fbox.FBox, g cap.Port) *Server {
+		disk, err := vdisk.New(256, 512)
+		if err != nil {
+			t.Fatal(err)
+		}
+		log, err := wal.Open(disk, wal.Options{})
+		if err != nil {
+			t.Fatal(err)
+		}
+		s, err := NewDurable(fb, scheme, r.Src, log, g)
+		if err != nil {
+			t.Fatal(err)
+		}
+		t.Cleanup(func() { s.Close() })
+		return s
+	}
+	primary := durable(r.NewFBox(t), 0)
+	if err := primary.Start(); err != nil {
+		t.Fatal(err)
+	}
+	dc := NewClient(r.Client)
+	root, err := dc.CreateDir(ctx, primary.PutPort())
+	if err != nil {
+		t.Fatal(err)
+	}
+	entry := cap.Capability{Server: 1, Object: 2, Rights: cap.RightRead, Check: 3}
+	if err := dc.Enter(ctx, root, "kept", entry); err != nil {
+		t.Fatal(err)
+	}
+	ship, err := repl.AttachGroup(primary.Kernel, r.NewClient(t), nil, repl.Options{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	t.Cleanup(ship.Stop)
+	backupFB := r.NewFBox(t)
+	backup := durable(backupFB, primary.GetPort())
+	recv := repl.NewReceiver(backupFB, r.Src, backup.Kernel)
+	if err := recv.Start(); err != nil {
+		t.Fatal(err)
+	}
+	t.Cleanup(func() { recv.Close() })
+
+	secret, state, err := primary.ExtractForMigration(root.Object)
+	if err != nil {
+		t.Fatal(err)
+	}
+	joined := make(chan error, 1)
+	go func() { joined <- ship.AddPeer(recv.Port()) }()
+	select {
+	case err := <-joined:
+		// Not Fatal: the abort below must still release the hold the
+		// extract took, or the cleanup's final checkpoint waits forever.
+		t.Errorf("the standby joined with a directory in flight (err %v)", err)
+		joined <- err
+	case <-time.After(300 * time.Millisecond):
+	}
+	if err := primary.AbortMigration(root.Object, secret, state); err != nil {
+		t.Fatal(err)
+	}
+	if err := <-joined; err != nil {
+		t.Fatal(err)
+	}
+	if got, ok := backup.Table().SecretOf(root.Object); !ok || got != secret {
+		t.Fatalf("standby's secret for the directory: %#x, %v; want %#x", got, ok, secret)
+	}
+	if err := backup.matches(model{root.Object: {"kept": entry}}); err != nil {
+		t.Fatalf("standby after the aborted migration: %v", err)
 	}
 }

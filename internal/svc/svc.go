@@ -71,25 +71,29 @@ type Config struct {
 	// snapshot with room to spare — a service that outgrows it sees
 	// ErrFull on appends until state shrinks.
 	Log *wal.Log
-	// Snapshot serializes the service's object state for a checkpoint.
-	// It is called quiesced (no handler in flight). Required with Log.
+	// Snapshot serializes, quiesced, the service state that belongs to
+	// no object (the bank's treasury) for a checkpoint; nil: none.
 	Snapshot func() []byte
-	// Restore replaces the service's object state from a Snapshot
-	// payload; it must reset, not merge (recovery may restore a newer
-	// checkpoint over an older replay). Required with Log.
+	// Restore resets the service from a Snapshot payload, the table
+	// already restored, before the checkpoint's objects are installed.
+	// It must drop every object, not merge (recovery may restore a newer
+	// checkpoint over an older replay).
 	Restore func(snap []byte) error
-	// ExtractObject serializes ONE object's service state and removes
-	// it, both under the object's own lock (one consistent cut — no
-	// whole-server quiesce). The migration source path. Optional:
-	// services without it cannot migrate objects out.
+	// EncodeObject serializes ONE object's service state without
+	// removing it: its checkpoint entry. An error wrapping
+	// cap.ErrNoSuchObject means obj has no state, and no entry.
+	EncodeObject func(obj uint32) ([]byte, error)
+	// ExtractObject is EncodeObject that also removes the object, both
+	// under the object's own lock (one consistent cut — no whole-server
+	// quiesce): the migration source path, and the migrate-out replay
+	// path, where the object may be absent. Optional: services without
+	// it cannot migrate objects out.
 	ExtractObject func(obj uint32) ([]byte, error)
-	// InstallObject installs one object's state from an ExtractObject
-	// payload — the migration destination path and the RecMigIn replay
-	// path. Install is trusted: an existing object is overwritten.
+	// InstallObject installs one object's state from an EncodeObject
+	// payload — the checkpoint restore path, the migration destination
+	// path and the RecMigIn replay path. Install is trusted: an existing
+	// object is overwritten.
 	InstallObject func(obj uint32, state []byte) error
-	// RemoveObject drops one object's state without serializing it —
-	// the RecMigOut replay path. Must tolerate an absent object.
-	RemoveObject func(obj uint32)
 }
 
 // Kernel bundles one service's transport, object table and (optional)
@@ -100,9 +104,9 @@ type Kernel struct {
 	log     *wal.Log
 	snap    func() []byte
 	restore func(snap []byte) error
+	encode  func(obj uint32) ([]byte, error)
 	extract func(obj uint32) ([]byte, error)
 	install func(obj uint32, state []byte) error
-	remove  func(obj uint32)
 	// apply is the service's redo-record applier, kept from Recover:
 	// the replica stream (ReplicaApply) replays through the same one.
 	apply func(rec []byte) error
@@ -151,9 +155,9 @@ func NewWithConfig(fb *fbox.FBox, scheme cap.Scheme, cfg Config) *Kernel {
 		log:     cfg.Log,
 		snap:    cfg.Snapshot,
 		restore: cfg.Restore,
+		encode:  cfg.EncodeObject,
 		extract: cfg.ExtractObject,
 		install: cfg.InstallObject,
-		remove:  cfg.RemoveObject,
 	}
 	k.srv = rpc.NewServerWithConfig(fb, rpc.ServerConfig{
 		Source: cfg.Source,
@@ -622,8 +626,8 @@ func (k *Kernel) applyKernelRec(rec []byte) (bool, error) {
 		}
 		obj := binary.BigEndian.Uint32(rec[1:])
 		k.table.ForgetObject(obj)
-		if k.remove != nil {
-			k.remove(obj)
+		if k.extract != nil {
+			_, _ = k.extract(obj) // the state left with the object
 		}
 		return true, nil
 	case RecMigIn:
@@ -640,13 +644,13 @@ func (k *Kernel) applyKernelRec(rec []byte) (bool, error) {
 	return false, nil
 }
 
-// Recover replays the log: the newest checkpoint is restored (via
-// Config.Restore and the table snapshot), then every record after it
-// is handed to apply in commit order — kernel records (revocation
-// re-keys) are consumed internally. The kernel keeps apply: a standby's
-// ReplicaApply routes the shipped records through it too. Recover must
-// run before Start on a durable kernel; on a volatile one it is a
-// no-op, so services call it unconditionally.
+// Recover replays the log: the newest checkpoint is restored
+// (RestoreEnvelope), then every record after it is handed to apply in
+// commit order — kernel records (revocation re-keys) are consumed
+// internally. The kernel keeps apply: a standby's ReplicaApply routes
+// the shipped records through it too. Recover must run before Start on
+// a durable kernel; on a volatile one it is a no-op, so services call
+// it unconditionally.
 func (k *Kernel) Recover(apply func(rec []byte) error) error {
 	if k.log == nil {
 		return nil
@@ -659,7 +663,7 @@ func (k *Kernel) Recover(apply func(rec []byte) error) error {
 	k.recovered = true
 	k.apply = apply
 	k.mu.Unlock()
-	return k.log.Recover(k.restoreCheckpoint, k.replay)
+	return k.log.Recover(k.RestoreEnvelope, k.replay)
 }
 
 // replay routes one record, recovered or shipped: kernel records are
@@ -679,13 +683,14 @@ func (k *Kernel) replay(rec []byte) error {
 // window a standby joins a replication stream through: base ships the
 // envelope (a Receiver installs it via ReplicaApply's checkpoint path)
 // and installs the commit sink with SetReplicaSink before it returns.
+// Like a checkpoint it waits out an extracted object in flight: a base
+// without it leaves the standby without the object if the migration
+// aborts, since an abort logs nothing.
 func (k *Kernel) Resnapshot(base func(snap []byte, nextSeq uint64) error) error {
 	if k.log == nil {
 		return errors.New("svc: volatile kernel cannot replicate")
 	}
-	resume := k.srv.Quiesce()
-	defer resume()
-	return base(k.envelope(), k.log.NextSeq())
+	return k.cut(func(env []byte) error { return base(env, k.log.NextSeq()) })
 }
 
 // SetReplicaSink installs sink as the log's commit sink (nil detaches
@@ -726,16 +731,16 @@ func (k *Kernel) ReplicaApply(r wal.Record) (*wal.Ticket, error) {
 		return nil, errors.New("svc: volatile kernel cannot apply a replica stream")
 	}
 	if r.Checkpoint {
-		if err := k.restoreCheckpoint(r.Data); err != nil {
+		if err := k.RestoreEnvelope(r.Data); err != nil {
 			return nil, err
 		}
 		return nil, k.log.Checkpoint(r.Data)
 	}
 	t, err := k.log.Append(r.Data)
 	if errors.Is(err, wal.ErrFull) {
-		// The standby is quiet (its receiver serializes), so its own
-		// envelope is a consistent cut it can checkpoint behind.
-		if ckErr := k.log.Checkpoint(k.envelope()); ckErr != nil {
+		// The standby is quiet (its receiver serializes, its kernel does
+		// not serve), so its own envelope is a consistent cut.
+		if ckErr := k.Checkpoint(); ckErr != nil {
 			return nil, ckErr
 		}
 		t, err = k.log.Append(r.Data)
@@ -748,59 +753,113 @@ func (k *Kernel) ReplicaApply(r wal.Record) (*wal.Ticket, error) {
 	return t, k.replay(r.Data)
 }
 
-const ckMagic = 0xA0EB_C4EC
+const ckMagic = 0xA0EB_C4ED
 
-// envelope packs the table snapshot and the service snapshot into one
-// checkpoint payload.
-func (k *Kernel) envelope() []byte {
-	tsnap := k.table.Snapshot()
+// Envelope is the one checkpoint format, for every service: magic(4) ∥
+// the table snapshot ∥ the service's object-less state (Snapshot), each
+// as len(4) ∥ bytes, then one obj(4) ∥ len(4) ∥ state entry per live
+// table object that has service state, in EncodeObject's format — the
+// one migration ships. Call it with the service quiesced or not
+// serving: the cut is consistent only if nothing mutates meanwhile.
+func (k *Kernel) Envelope() ([]byte, error) {
 	var ssnap []byte
 	if k.snap != nil {
 		ssnap = k.snap()
 	}
-	out := make([]byte, 0, 12+len(tsnap)+len(ssnap))
-	var hdr [8]byte
-	binary.BigEndian.PutUint32(hdr[0:], ckMagic)
-	binary.BigEndian.PutUint32(hdr[4:], uint32(len(tsnap)))
-	out = append(out, hdr[:]...)
-	out = append(out, tsnap...)
-	out = append(out, ssnap...)
-	return out
+	out := binary.BigEndian.AppendUint32(nil, ckMagic)
+	out = appendChunk(out, k.table.Snapshot())
+	out = appendChunk(out, ssnap)
+	if k.encode == nil {
+		return out, nil
+	}
+	for _, obj := range k.table.Objects() {
+		state, err := k.encode(obj)
+		if errors.Is(err, cap.ErrNoSuchObject) {
+			continue // a table entry with no service state: the secret is enough
+		}
+		if err != nil {
+			return nil, err
+		}
+		out = appendChunk(binary.BigEndian.AppendUint32(out, obj), state)
+	}
+	return out, nil
 }
 
-func (k *Kernel) restoreCheckpoint(snap []byte) error {
-	if len(snap) < 8 || binary.BigEndian.Uint32(snap) != ckMagic {
+// RestoreEnvelope replaces the kernel's state with an Envelope's: the
+// table first, then the service reset from its object-less state
+// (Restore), then InstallObject once per entry. Call it before Start.
+func (k *Kernel) RestoreEnvelope(env []byte) error {
+	if len(env) < 4 || binary.BigEndian.Uint32(env) != ckMagic {
 		return errors.New("svc: not a checkpoint envelope")
 	}
-	tlen := binary.BigEndian.Uint32(snap[4:])
-	if uint64(8)+uint64(tlen) > uint64(len(snap)) {
-		return errors.New("svc: truncated checkpoint envelope")
+	tsnap, rest, ok := takeChunk(env[4:])
+	ssnap, rest, ok2 := takeChunk(rest)
+	if !ok || !ok2 {
+		return errTruncated
 	}
-	if err := k.table.Restore(snap[8 : 8+tlen]); err != nil {
+	if err := k.table.Restore(tsnap); err != nil {
 		return err
 	}
 	if k.restore != nil {
-		return k.restore(snap[8+tlen:])
+		if err := k.restore(ssnap); err != nil {
+			return err
+		}
+	}
+	for len(rest) > 0 {
+		state, next, ok := takeChunk(rest[min(4, len(rest)):]) // past obj(4)
+		if !ok {
+			return errTruncated
+		}
+		if k.install == nil {
+			return ErrNotMigratable
+		}
+		if err := k.install(binary.BigEndian.Uint32(rest), state); err != nil {
+			return err
+		}
+		rest = next
 	}
 	return nil
 }
 
-// Checkpoint quiesces the service (no handler in flight), snapshots
-// the table and service state, writes the snapshot into the log and
-// truncates everything it covers. The kernel also checkpoints on its
-// own when the log signals pressure, and once more at Close.
+var errTruncated = errors.New("svc: truncated checkpoint envelope")
+
+func appendChunk(out, b []byte) []byte {
+	return append(binary.BigEndian.AppendUint32(out, uint32(len(b))), b...)
+}
+
+// takeChunk splits len(4) ∥ chunk off the front of b.
+func takeChunk(b []byte) (chunk, rest []byte, ok bool) {
+	if len(b) < 4 || uint64(binary.BigEndian.Uint32(b)) > uint64(len(b)-4) {
+		return nil, nil, false
+	}
+	n := 4 + int(binary.BigEndian.Uint32(b))
+	return b[4:n], b[n:], true
+}
+
+// Checkpoint quiesces the service (no handler in flight), writes its
+// Envelope into the log and truncates everything it covers. The kernel
+// also checkpoints on its own when the log signals pressure, and once
+// more at Close.
 func (k *Kernel) Checkpoint() error {
 	if k.log == nil {
 		return nil
 	}
-	// migMu: never cut a snapshot while an extracted object is in
-	// flight — it would be in neither the snapshot nor (yet) a
-	// migrate-out record.
+	return k.cut(k.log.Checkpoint)
+}
+
+// cut hands fn an Envelope taken quiesced, and never while an extracted
+// object is in flight (migMu): the object would be in neither the
+// envelope nor (yet) a migrate-out record.
+func (k *Kernel) cut(fn func(env []byte) error) error {
 	k.migMu.Lock()
 	defer k.migMu.Unlock()
 	resume := k.srv.Quiesce()
 	defer resume()
-	return k.log.Checkpoint(k.envelope())
+	env, err := k.Envelope()
+	if err != nil {
+		return err
+	}
+	return fn(env)
 }
 
 // Start begins serving; on durable kernels it also starts the

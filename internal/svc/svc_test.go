@@ -95,7 +95,7 @@ type rig struct {
 	client *rpc.Client
 }
 
-func newRig(t *testing.T) (*rig, *fbox.FBox) {
+func newRig(t testing.TB) (*rig, *fbox.FBox) {
 	t.Helper()
 	n := amnet.NewSimNet(amnet.SimConfig{})
 	t.Cleanup(func() { n.Close() })
