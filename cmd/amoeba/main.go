@@ -55,7 +55,7 @@ func main() {
 
 	// `cap` is offline: no cluster needed.
 	if args[0] == "cap" {
-		c := parseCap(arg(args, 1, "capability hex"))
+		c := must(parseCap(arg(args, 1, "capability hex")))
 		fmt.Printf("server port: %s\n", c.Server)
 		fmt.Printf("object:      %d\n", c.Object)
 		fmt.Printf("rights:      %s (%#02x)\n", c.Rights, uint8(c.Rights))
@@ -79,44 +79,44 @@ func main() {
 
 	switch args[0] {
 	case "locate":
-		port := parsePort(arg(args, 1, "port hex"))
+		port := must(parsePort(arg(args, 1, "port hex")))
 		at, err := res.Lookup(ctx, port)
 		if err != nil {
 			log.Fatalf("amoeba: %v", err)
 		}
 		fmt.Printf("port %s served by machine %v\n", port, at)
 	case "echo":
-		port := parsePort(arg(args, 1, "port hex"))
+		port := must(parsePort(arg(args, 1, "port hex")))
 		rep, err := client.Trans(ctx, port, rpc.Request{Op: rpc.OpEcho, Data: []byte(arg(args, 2, "text"))})
 		if err != nil {
 			log.Fatalf("amoeba: %v", err)
 		}
 		fmt.Printf("%s: %q\n", rep.Status, rep.Data)
 	case "file-create":
-		port := parsePort(arg(args, 1, "port hex"))
+		port := must(parsePort(arg(args, 1, "port hex")))
 		f, err := flatfs.NewClient(client, port).Create(ctx)
 		if err != nil {
 			log.Fatalf("amoeba: %v", err)
 		}
 		printCap(f)
 	case "file-write":
-		c := parseCap(arg(args, 1, "capability hex"))
-		pos := parseUint(arg(args, 2, "position"))
+		c := must(parseCap(arg(args, 1, "capability hex")))
+		pos := must(parseUint(arg(args, 2, "position"), 64))
 		if err := flatfs.NewClient(client, c.Server).WriteAt(ctx, c, pos, []byte(arg(args, 3, "text"))); err != nil {
 			log.Fatalf("amoeba: %v", err)
 		}
 		fmt.Println("ok")
 	case "file-read":
-		c := parseCap(arg(args, 1, "capability hex"))
-		pos := parseUint(arg(args, 2, "position"))
-		n := parseUint(arg(args, 3, "length"))
+		c := must(parseCap(arg(args, 1, "capability hex")))
+		pos := must(parseUint(arg(args, 2, "position"), 64))
+		n := must(parseUint(arg(args, 3, "length"), 32))
 		data, err := flatfs.NewClient(client, c.Server).ReadAt(ctx, c, pos, uint32(n))
 		if err != nil {
 			log.Fatalf("amoeba: %v", err)
 		}
 		fmt.Printf("%q\n", data)
 	case "restrict":
-		c := parseCap(arg(args, 1, "capability hex"))
+		c := must(parseCap(arg(args, 1, "capability hex")))
 		maskBytes, err := hex.DecodeString(arg(args, 2, "rights mask hex (2 digits)"))
 		if err != nil || len(maskBytes) != 1 {
 			log.Fatalf("amoeba: rights mask must be 2 hex digits")
@@ -127,14 +127,14 @@ func main() {
 		}
 		printCap(weak)
 	case "revoke":
-		c := parseCap(arg(args, 1, "capability hex"))
+		c := must(parseCap(arg(args, 1, "capability hex")))
 		fresh, err := client.Revoke(ctx, c)
 		if err != nil {
 			log.Fatalf("amoeba: %v", err)
 		}
 		printCap(fresh)
 	case "validate":
-		c := parseCap(arg(args, 1, "capability hex"))
+		c := must(parseCap(arg(args, 1, "capability hex")))
 		rights, err := client.Validate(ctx, c)
 		if err != nil {
 			log.Fatalf("amoeba: %v", err)
@@ -145,6 +145,14 @@ func main() {
 	}
 }
 
+// must returns v, or exits with err.
+func must[T any](v T, err error) T {
+	if err != nil {
+		log.Fatalf("amoeba: %v", err)
+	}
+	return v
+}
+
 func arg(args []string, i int, what string) string {
 	if len(args) <= i {
 		log.Fatalf("amoeba: missing argument: %s", what)
@@ -152,16 +160,12 @@ func arg(args []string, i int, what string) string {
 	return args[i]
 }
 
-func parseCap(s string) cap.Capability {
+func parseCap(s string) (cap.Capability, error) {
 	buf, err := hex.DecodeString(s)
 	if err != nil {
-		log.Fatalf("amoeba: bad capability hex: %v", err)
+		return cap.Capability{}, fmt.Errorf("bad capability hex: %v", err)
 	}
-	c, err := cap.Decode(buf)
-	if err != nil {
-		log.Fatalf("amoeba: %v", err)
-	}
-	return c
+	return cap.Decode(buf)
 }
 
 func printCap(c cap.Capability) {
@@ -169,18 +173,24 @@ func printCap(c cap.Capability) {
 	fmt.Printf("%s\n", hex.EncodeToString(w[:]))
 }
 
-func parsePort(s string) cap.Port {
+// parsePort refuses a port wider than the 48 bits the F-box puts on
+// the wire, rather than address whatever port its low bits name.
+func parsePort(s string) (cap.Port, error) {
 	v, err := strconv.ParseUint(s, 16, 64)
 	if err != nil {
-		log.Fatalf("amoeba: bad port hex: %v", err)
+		return 0, fmt.Errorf("bad port hex %q", s)
 	}
-	return cap.Port(v)
+	if p := cap.Port(v); p.Valid() {
+		return p, nil
+	}
+	return 0, fmt.Errorf("port %q is wider than 48 bits", s)
 }
 
-func parseUint(s string) uint64 {
-	v, err := strconv.ParseUint(s, 10, 64)
+// parseUint parses a decimal number that must fit in bits bits.
+func parseUint(s string, bits int) (uint64, error) {
+	v, err := strconv.ParseUint(s, 10, bits)
 	if err != nil {
-		log.Fatalf("amoeba: bad number %q", s)
+		return 0, fmt.Errorf("bad number %q: want a decimal below 2^%d", s, bits)
 	}
-	return v
+	return v, nil
 }

@@ -3,6 +3,7 @@ package main
 import (
 	"bytes"
 	"flag"
+	"fmt"
 	"io"
 	"net"
 	"net/http"
@@ -69,7 +70,8 @@ func TestParseRegistry(t *testing.T) {
 
 // TestServicesSubsets boots the daemon over several -services lists:
 // each hosted service announces itself on stdout, /metrics carries the
-// request counters and the queue gauges of exactly the hosted services,
+// request counters and the queue gauges of exactly the hosted services
+// and the transport's counters, /debug/vars and /debug/requests answer,
 // and a list that cannot start says why and leaves nothing behind.
 func TestServicesSubsets(t *testing.T) {
 	all := []string{"mem", "block", "file", "dir", "mv", "bank"}
@@ -119,15 +121,37 @@ func TestServicesSubsets(t *testing.T) {
 				ln.Close()
 				return
 			}
+			get := func(path string) (string, error) {
+				resp, err := http.Get("http://" + debug + path)
+				if err != nil {
+					return "", err
+				}
+				defer resp.Body.Close()
+				body, err := io.ReadAll(resp.Body)
+				if err == nil && resp.StatusCode != http.StatusOK {
+					err = fmt.Errorf("GET %s: %s", path, resp.Status)
+				}
+				return string(body), err
+			}
 			var metrics string
 			for deadline := time.Now().Add(10 * time.Second); metrics == ""; time.Sleep(10 * time.Millisecond) {
-				if resp, err := http.Get("http://" + debug + "/metrics"); err == nil {
-					body, _ := io.ReadAll(resp.Body)
-					resp.Body.Close()
-					metrics = string(body)
-				} else if time.Now().After(deadline) {
+				var err error
+				if metrics, err = get("/metrics"); err != nil && time.Now().After(deadline) {
 					t.Fatalf("/metrics never came up: %v", err)
 				}
+			}
+			// The transport's counters, the process expvars and the
+			// access-log ring are served beside the service series.
+			for _, series := range []string{"frames_out", "write_calls", "frames_in", "read_calls", "lane_dropped", "in_dropped"} {
+				if !strings.Contains(metrics, "\namoeba_tcp_"+series+"_total ") {
+					t.Errorf("/metrics has no amoeba_tcp_%s_total", series)
+				}
+			}
+			if vars, err := get("/debug/vars"); err != nil || !strings.Contains(vars, `"process"`) {
+				t.Errorf("/debug/vars = %.80q, %v; want the process expvars", vars, err)
+			}
+			if _, err := get("/debug/requests"); err != nil {
+				t.Errorf("/debug/requests: %v", err)
 			}
 			stop <- os.Interrupt
 			if err := <-done; err != nil {

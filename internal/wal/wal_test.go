@@ -451,7 +451,17 @@ func TestCloseFlushesStragglers(t *testing.T) {
 // batch is committed by one of its waiters, or by Close.
 func TestOpenStartsNoGoroutine(t *testing.T) {
 	d := newDisk(t, 256, 256)
+	// An earlier test's worker is still returning for a moment after
+	// its wg.Done; count once such stragglers are gone.
 	before := runtime.NumGoroutine()
+	for i := 0; i < 100; i++ {
+		time.Sleep(time.Millisecond)
+		n := runtime.NumGoroutine()
+		if n == before {
+			break
+		}
+		before = n
+	}
 	l, err := Open(d, Options{})
 	if err != nil {
 		t.Fatal(err)
