@@ -155,7 +155,7 @@ type Cluster struct {
 	// Migrate, elections, and so every node.Replica verb — end to end:
 	// none may observe another's intermediate states. mu guards what they
 	// swap: each shard's slots, primary and group state, and down flags.
-	lifeMu sync.Mutex
+	lifeMu chanLock
 	mu     sync.Mutex
 
 	// shards holds every service's shards under its metrics label (index
@@ -168,6 +168,15 @@ type Cluster struct {
 	shards map[string][]*svcShard
 	atlas  *shard.Atlas
 }
+
+// chanLock is a mutex made of a one-slot channel. A goroutine waiting
+// on a sync.Mutex is not durably blocked, so while a lifecycle verb
+// waits behind an election, a synctest bubble would never advance its
+// clock to the timers the election waits on.
+type chanLock chan struct{}
+
+func (l chanLock) Lock()   { l <- struct{}{} }
+func (l chanLock) Unlock() { <-l }
 
 // Machines identifies the cluster's machines on the simulated
 // network, for partitioning experiments (SimNet.Partition/Heal).
@@ -223,6 +232,7 @@ func NewCluster(cfg ClusterConfig) (*Cluster, error) {
 		}),
 		src:    src,
 		cfg:    cfg,
+		lifeMu: make(chanLock, 1),
 		shards: make(map[string][]*svcShard),
 		atlas:  shard.NewAtlas(),
 		reg:    obs.NewRegistry(),
@@ -695,13 +705,16 @@ func (cl *Cluster) sealerFor(fb *fbox.FBox) rpc.CapSealer {
 	return cl.matrix.DynamicGuard(fb.Machine(), nil)
 }
 
-// Close shuts every server and machine down.
+// Close shuts every server and machine down. A second Close returns at
+// once, touching nothing the first one closed.
 func (cl *Cluster) Close() error {
 	// The flag first: a detector that fires mid-teardown (queued on
 	// lifeMu) must not elect over closed resources. Then every slot
 	// retires, in reverse boot order (the file server before its block
 	// server), as a crash: nobody will read these disks again.
-	cl.closing.Store(true)
+	if cl.closing.Swap(true) {
+		return nil
+	}
 	cl.lifeMu.Lock()
 	var firstErr error
 	for i := len(node.Services) - 1; i >= 0; i-- {

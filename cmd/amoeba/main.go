@@ -67,7 +67,7 @@ func main() {
 	if err != nil {
 		log.Fatalf("amoeba: %v", err)
 	}
-	nic, err := amnet.NewTCPNet(amnet.MachineID(*machine), reg)
+	nic, err := amnet.NewTCPNet(must(amnet.MachineIDOf(uint64(*machine))), reg)
 	if err != nil {
 		log.Fatalf("amoeba: %v", err)
 	}

@@ -2,16 +2,28 @@ package main
 
 import (
 	"encoding/hex"
+	"flag"
 	"testing"
 
+	"amoeba/internal/amnet"
 	"amoeba/internal/cap"
 )
 
-// TestParseRefusesWhatItCannotCarry: a port wider than 48 bits or a
-// length wider than 32 is an error, not a value the wire truncates to
-// its low bits (2^48 would address port 0, a length of 2^32+1 read 1).
+// TestParseRefusesWhatItCannotCarry: a port wider than 48 bits, a
+// length wider than 32 or a -machine wider than 32 is an error, not a
+// value the wire truncates to its low bits (2^48 would address port 0,
+// a length of 2^32+1 read 1, machine 2^32+1 join as machine 1); so is
+// the broadcast address as a machine.
 func TestParseRefusesWhatItCannotCarry(t *testing.T) {
 	port := func(s string) (uint64, error) { p, err := parsePort(s); return uint64(p), err }
+	machine := func(s string) (uint64, error) {
+		if err := flag.Set("machine", s); err != nil {
+			return 0, err
+		}
+		m, err := amnet.MachineIDOf(uint64(*machine))
+		return uint64(m), err
+	}
+	defer flag.Set("machine", "99")
 	length := func(s string) (uint64, error) { return parseUint(s, 32) }
 	position := func(s string) (uint64, error) { return parseUint(s, 64) }
 	for _, tc := range []struct {
@@ -32,6 +44,9 @@ func TestParseRefusesWhatItCannotCarry(t *testing.T) {
 		{"length", length, "-1", 0, false},
 		{"position", position, "18446744073709551615", 1<<64 - 1, true},
 		{"position", position, "18446744073709551616", 0, false},
+		{"machine", machine, "4294967294", 1<<32 - 2, true},
+		{"machine", machine, "4294967295", 0, false}, // the broadcast address
+		{"machine", machine, "4294967297", 0, false}, // 2^32+1
 	} {
 		got, err := tc.parse(tc.in)
 		if ok := err == nil; ok != tc.ok || got != tc.want {

@@ -63,6 +63,10 @@ func main() {
 // through a drain, refusing new requests with StatusOverload while what
 // it admitted finishes.
 func run(out io.Writer, stop <-chan os.Signal) error {
+	id, err := amnet.MachineIDOf(uint64(*machine))
+	if err != nil {
+		return err
+	}
 	reg, err := amnet.ParseRegistry(*registry)
 	if err != nil {
 		return err
@@ -73,15 +77,15 @@ func run(out io.Writer, stop <-chan os.Signal) error {
 	}
 	src := crypto.SystemSource()
 	if *seed != 0 {
-		src = crypto.NewSeededSource(*seed ^ uint64(*machine)<<32)
+		src = crypto.NewSeededSource(*seed ^ uint64(id)<<32)
 	}
-	nic, err := amnet.NewTCPNet(amnet.MachineID(*machine), reg)
+	nic, err := amnet.NewTCPNet(id, reg)
 	if err != nil {
 		return err
 	}
 	fb := fbox.New(nic, nil)
 	defer fb.Close()
-	log.Printf("machine %d listening on %s (scheme %v)", *machine, nic.Addr(), cap.SchemeID(*schemeFlag))
+	log.Printf("machine %d listening on %s (scheme %v)", id, nic.Addr(), cap.SchemeID(*schemeFlag))
 
 	env := &node.Env{Scheme: scheme, Source: src, Metrics: obs.NewRegistry(), Ring: obs.NewRing(1024)}
 	registerTCPStats(env.Metrics, nic)

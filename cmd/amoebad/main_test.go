@@ -44,6 +44,8 @@ func TestParseRegistry(t *testing.T) {
 		},
 		{name: "missing equals", in: "1:badform", wantErr: true},
 		{name: "bad id", in: "x=host:1", wantErr: true},
+		{name: "id wider than 32 bits", in: "4294967297=host:1", wantErr: true},
+		{name: "broadcast id", in: "4294967295=host:1", wantErr: true},
 		{name: "empty", in: "", wantErr: true},
 		{name: "only commas", in: ",,,", wantErr: true},
 	}
@@ -65,6 +67,22 @@ func TestParseRegistry(t *testing.T) {
 				}
 			}
 		})
+	}
+}
+
+// TestRunRefusesMachineItCannotCarry: a -machine wider than 32 bits
+// would join as its low 32 bits, another machine (2^32+1 as machine 1),
+// and the broadcast address is every machine; both stop the daemon
+// before it listens.
+func TestRunRefusesMachineItCannotCarry(t *testing.T) {
+	t.Cleanup(func() { flag.Set("machine", "1") })
+	for _, id := range []string{"4294967297", "4294967295"} {
+		if err := flag.Set("machine", id); err != nil {
+			t.Fatal(err)
+		}
+		if err := run(io.Discard, nil); err == nil || !strings.Contains(err.Error(), "bad machine id") {
+			t.Errorf("-machine %s: run = %v, want a bad machine id", id, err)
+		}
 	}
 }
 

@@ -16,7 +16,7 @@ import (
 // healthy standby (majorities count the configured size, so nothing
 // loosens). Kill + Restart re-integrates the machine with a fresh disk.
 func TestStandbyWedgeDropsFromQuorum(t *testing.T) {
-	cl := groupCluster(t, 0x57DB)
+	cl := seeded(t, groupChaos, 0x57DB)
 	w := newWorkload(t, cl, "directory", 0, 2, 0x57DB)
 	primary, standbys, _ := group(cl, w.sh)
 	stMachine := standbys[0]
@@ -67,7 +67,7 @@ func TestStandbyWedgeDropsFromQuorum(t *testing.T) {
 // starting out lost, and Kill + Restart of the wedged machine must give
 // it back its quorum. Every acknowledged entry survives.
 func TestStandbyWedgeThenPrimaryDeath(t *testing.T) {
-	cl := groupCluster(t, 0x57DC)
+	cl := seeded(t, groupChaos, 0x57DC)
 	w := newWorkload(t, cl, "directory", 0, 2, 0x57DC)
 	for i := 0; i < 4; i++ {
 		w.mustWrite(fmt.Sprintf("before-wedge-%d", i))

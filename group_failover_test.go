@@ -19,7 +19,7 @@ import (
 // the group is whole again, with exactly one server ever behind the
 // port.
 func TestGroupLeaseSplitBrainGuard(t *testing.T) {
-	cl := groupCluster(t, 0x5B12)
+	cl := seeded(t, groupChaos, 0x5B12)
 	w := newWorkload(t, cl, "directory", 0, 2, 0x5B12)
 	w.mustWrite("pre")
 
@@ -52,7 +52,7 @@ func TestGroupLeaseSplitBrainGuard(t *testing.T) {
 // absorbed without an election, and a killed standby rejoins via
 // Restart.
 func TestGroupLifecycleGuards(t *testing.T) {
-	cl := groupCluster(t, 0x6A4E)
+	cl := seeded(t, groupChaos, 0x6A4E)
 	m := cl.Machines()
 	_, standbys, _ := group(cl, cl.shards["directory"][0])
 	stMachine := standbys[0]

@@ -31,6 +31,16 @@ type MachineID uint32
 // it to find which machine serves a port.
 const BroadcastID MachineID = 0xffffffff
 
+// MachineIDOf is n as a MachineID. An n wider than 32 bits, or
+// BroadcastID itself, is an error: the wire would carry it as some
+// other machine, or as every machine.
+func MachineIDOf(n uint64) (MachineID, error) {
+	if n >= uint64(BroadcastID) {
+		return 0, fmt.Errorf("bad machine id %d: want a decimal below %d", n, uint64(BroadcastID))
+	}
+	return MachineID(n), nil
+}
+
 // String renders the machine id.
 func (m MachineID) String() string {
 	if m == BroadcastID {

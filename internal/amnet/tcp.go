@@ -125,11 +125,15 @@ func ParseRegistry(s string) (map[MachineID]string, error) {
 		if !ok {
 			return nil, fmt.Errorf("bad registry entry %q (want id=host:port)", pair)
 		}
-		n, err := strconv.ParseUint(id, 10, 32)
+		n, err := strconv.ParseUint(id, 10, 64)
 		if err != nil {
 			return nil, fmt.Errorf("bad machine id %q: %w", id, err)
 		}
-		out[MachineID(n)] = addr
+		m, err := MachineIDOf(n)
+		if err != nil {
+			return nil, err
+		}
+		out[m] = addr
 	}
 	if len(out) == 0 {
 		return nil, errors.New("empty registry")

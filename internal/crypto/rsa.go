@@ -1,6 +1,7 @@
 package crypto
 
 import (
+	"bytes"
 	"crypto/rand"
 	"errors"
 	"fmt"
@@ -72,35 +73,41 @@ func GenerateRSA(bitsLen int, r io.Reader) (*RSAPrivateKey, error) {
 	}
 }
 
-// Encrypt encrypts msg to the public key. msg must be shorter than the
-// modulus; the library's callers encrypt short symmetric keys and
-// nonces only. A random non-zero prefix byte is prepended so that equal
-// plaintexts encrypt differently across calls (a minimal randomized
-// padding in the spirit of the era; not OAEP).
+// Encrypt encrypts msg to the public key. msg must be at least 11
+// bytes shorter than the modulus; the library's callers encrypt short
+// symmetric keys and nonces only. The padding is PKCS #1 v1.5's
+// (not OAEP): 0x00 0x02, at least 8 random non-zero bytes, 0x00, msg.
+// So equal plaintexts encrypt differently across calls, bar odds of
+// 255^-8.
 func (pub *RSAPublicKey) Encrypt(r io.Reader, msg []byte) ([]byte, error) {
 	if r == nil {
 		r = rand.Reader
 	}
 	k := (pub.N.BitLen() + 7) / 8
-	if len(msg) > k-2 {
+	if len(msg) > k-3-minPad {
 		return nil, ErrMessageTooLong
 	}
-	// Pad: [random nonzero byte | zero bytes | 0x01 | msg].
-	buf := make([]byte, k-1)
-	for {
-		if _, err := io.ReadFull(r, buf[:1]); err != nil {
-			return nil, fmt.Errorf("crypto: RSA padding: %w", err)
-		}
-		if buf[0] != 0 {
-			break
+	em := make([]byte, k)
+	em[1] = 2
+	pad := em[2 : k-len(msg)-1]
+	if _, err := io.ReadFull(r, pad); err != nil {
+		return nil, fmt.Errorf("crypto: RSA padding: %w", err)
+	}
+	for i := range pad {
+		for pad[i] == 0 {
+			if _, err := io.ReadFull(r, pad[i:i+1]); err != nil {
+				return nil, fmt.Errorf("crypto: RSA padding: %w", err)
+			}
 		}
 	}
-	buf[len(buf)-len(msg)-1] = 0x01
-	copy(buf[len(buf)-len(msg):], msg)
-	m := new(big.Int).SetBytes(buf)
+	copy(em[k-len(msg):], msg)
+	m := new(big.Int).SetBytes(em)
 	c := new(big.Int).Exp(m, pub.E, pub.N)
 	return c.FillBytes(make([]byte, k)), nil
 }
+
+// minPad is the fewest random bytes Encrypt pads with.
+const minPad = 8
 
 // Decrypt inverts Encrypt.
 func (priv *RSAPrivateKey) Decrypt(ct []byte) ([]byte, error) {
@@ -109,28 +116,14 @@ func (priv *RSAPrivateKey) Decrypt(ct []byte) ([]byte, error) {
 		return nil, errors.New("crypto: RSA ciphertext out of range")
 	}
 	m := new(big.Int).Exp(c, priv.D, priv.N)
-	k := (priv.N.BitLen() + 7) / 8
-	// A well-formed plaintext occupies at most k-1 bytes; decode into k
-	// and demand a leading zero so garbage ciphertexts fail cleanly.
-	full := m.FillBytes(make([]byte, k))
-	if full[0] != 0 {
+	em := m.FillBytes(make([]byte, (priv.N.BitLen()+7)/8))
+	// 0x00 0x02, the random bytes, the 0x00 separator: anything else is
+	// a garbage ciphertext, and fails cleanly.
+	sep := bytes.IndexByte(em[2:], 0)
+	if em[0] != 0 || em[1] != 2 || sep < minPad {
 		return nil, errors.New("crypto: RSA decryption failed (bad padding)")
 	}
-	buf := full[1:]
-	if buf[0] == 0 {
-		return nil, errors.New("crypto: RSA decryption failed (bad padding)")
-	}
-	// Skip the random byte, then zeros, then the 0x01 separator.
-	i := 1
-	for i < len(buf) && buf[i] == 0 {
-		i++
-	}
-	if i == len(buf) || buf[i] != 0x01 {
-		return nil, errors.New("crypto: RSA decryption failed (bad padding)")
-	}
-	out := make([]byte, len(buf)-i-1)
-	copy(out, buf[i+1:])
-	return out, nil
+	return bytes.Clone(em[2+sep+1:]), nil
 }
 
 // Sign produces a signature over digest: the RSA private operation on

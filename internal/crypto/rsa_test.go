@@ -58,9 +58,20 @@ func TestRSAEncryptionIsRandomized(t *testing.T) {
 
 func TestRSAMessageTooLong(t *testing.T) {
 	key := testKey(t)
-	long := make([]byte, testKeyBits/8)
-	if _, err := key.RSAPublicKey.Encrypt(nil, long); err != ErrMessageTooLong {
-		t.Fatalf("want ErrMessageTooLong, got %v", err)
+	for _, n := range []int{testKeyBits / 8, testKeyBits/8 - 10} {
+		if _, err := key.RSAPublicKey.Encrypt(nil, make([]byte, n)); err != ErrMessageTooLong {
+			t.Fatalf("%d bytes: want ErrMessageTooLong, got %v", n, err)
+		}
+	}
+	// The longest that fits leaves room for 0x00 0x02, 8 random bytes
+	// and the 0x00 separator.
+	msg := bytes.Repeat([]byte{0xA5}, testKeyBits/8-11)
+	ct, err := key.RSAPublicKey.Encrypt(nil, msg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if pt, err := key.Decrypt(ct); err != nil || !bytes.Equal(pt, msg) {
+		t.Fatalf("round trip of %d bytes: %x, %v", len(msg), pt, err)
 	}
 }
 

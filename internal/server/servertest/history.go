@@ -168,6 +168,19 @@ func (r *Recorder) Len() int {
 	return len(r.ops)
 }
 
+// Count reports how many recorded calls came back with outcome o.
+func (r *Recorder) Count(o Outcome) int {
+	r.mu.Lock()
+	defer r.mu.Unlock()
+	n := 0
+	for i := range r.ops {
+		if r.ops[i].Outcome == o {
+			n++
+		}
+	}
+	return n
+}
+
 // ErrNotLinearizable is the verdict on a history no order explains.
 var ErrNotLinearizable = errors.New("history not linearizable")
 

@@ -121,7 +121,7 @@ wall_lease_plant() { insert internal/lease/cache.go '^func \(ca \*Cache\) Get\('
 
 row one_checker 34 'Acked implies survives is checked once, by the servertest history checker: a conservation block, an "entry lost" check or a refusal swallowed by its text is a second, weaker checker.'
 one_checker_check() {
-	none -F -e 'money not conserved' -e 'acknowledged entry %q lost' -e 'strings.Contains(err.Error(), "exists")' ./*_test.go
+	none -F -e 'money not conserved' -e 'entry %q lost' -e 'strings.Contains(err.Error(), "exists")' ./*_test.go
 }
 one_checker_plant() { insert soak_test.go '' 'func conserved(t *testing.T, got, want int) { if got != want { t.Fatalf("money not conserved: %d != %d", got, want) } }'; }
 
@@ -194,6 +194,10 @@ repeat_names_test_check() {
 	go test -list '^TestStandbyWedgeDropsFromQuorum$' . | grep -qx 'TestStandbyWedgeDropsFromQuorum'
 }
 repeat_names_test_plant() { edit gray_failure_test.go 's/^func TestStandbyWedgeDropsFromQuorum(/func TestStandbyWedgeLeavesQuorum(/'; }
+
+row bubble_waits 45 'The soaks run in synctest bubbles, where a goroutine waiting on a sync.Mutex or a sync.WaitGroup is not durably blocked and the clock never moves: Cluster.lifeMu and the workload phases wait by channel.'
+bubble_waits_check() { none -E 'lifeMu[[:space:]]+sync\.Mutex' cluster.go && none 'sync\.WaitGroup' workload_test.go; }
+bubble_waits_plant() { insert cluster.go '^type Cluster struct' '	lifeMu sync.Mutex'; }
 
 why() { eval "echo \"guards: $1 (PR \$pr_$1): \$why_$1\""; }
 

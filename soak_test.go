@@ -2,18 +2,20 @@
 // a workload (workload_test.go) while the workload's writers hammer
 // through it: a crash and restart, an election forced or left to the
 // detectors, two elections back to back, a dead disk behind a live NIC, a
-// one-way partition, a flapping link, a shard primary's death, a drain.
-// Every run ends the same way: the workload is read back and the whole
-// history of typed-client calls goes to servertest's checker, which
-// enforces acked ⟹ survives — and that no answer was given that one
-// machine running the service alone could not have given — for every
-// row at once. A row asserts only what is particular to its fault:
-// terms, counters, live standbys, who serves. Seeded; CI repeats the
-// rows under -race. See EXPERIMENTS.md E19 and E21.
+// one-way partition, a flapping link, a shard primary's death, a drain,
+// a hot directory migrated between shards, and a migration whose
+// destination's primary dies. Every run ends the same way: the workload
+// is read back and the whole history of typed-client calls goes to
+// servertest's checker, which enforces acked ⟹ survives — and that no
+// answer was given that one machine running the service alone could not
+// have given — for every row at once. A row asserts only what is
+// particular to its fault: terms, counters, live standbys, who serves,
+// who stalls. Seeded. Built with GOEXPERIMENT=synctest, every seed runs
+// in a synctest bubble, in virtual time, and a row runs 500 seeds; CI's
+// race job does that. See EXPERIMENTS.md E19, E21 and E23.
 package amoeba
 
 import (
-	"cmp"
 	"context"
 	"fmt"
 	"strings"
@@ -22,6 +24,7 @@ import (
 
 	"amoeba/internal/amnet"
 	"amoeba/internal/obs"
+	"amoeba/internal/server/servertest"
 )
 
 func TestChaosKillRestartDirsvr(t *testing.T)   { runSoak(t, "kill-restart", 0xD00D_0000, "directory") }
@@ -38,84 +41,116 @@ func TestChaosFlappingLink(t *testing.T)        { runSoak(t, "flapping", 0xF1A9_
 func TestChaosShardPrimaryKill(t *testing.T)    { runSoak(t, "shard-kill", 0x51AD_0000, "directory") }
 func TestDrainHandoffMidSoak(t *testing.T)      { runSoak(t, "drain/handoff", 0xD0A1_0000, "directory") }
 func TestDrainRestartMidSoak(t *testing.T)      { runSoak(t, "drain/restart", 0xD0A1_4E57, "directory") }
+func TestChaosMigrateUnderLoad(t *testing.T)    { runSoak(t, "migrate", 0x316A_0000, "directory") }
+func TestShardKillPromoteOverlappingMigration(t *testing.T) {
+	runSoak(t, "migrate+kill", 0x5EAD_0000, "directory")
+}
 
 // both runs a row's directory and bank workloads side by side.
 var both = []string{"directory", "bank"}
 
-// A soak is one row: the cluster, how many seeded runs (0: chaosSeeds)
-// and the schedule. Every row's faults overlap calls, so every row
-// allows the cluster client's two retries as echoes.
+// A soak is one row: the cluster (runSoak adds the seed), how many
+// seeded runs it makes on the wall clock when that is fewer than
+// chaosSeeds, and the schedule. Every row's faults overlap calls, so
+// every row allows the cluster client's two retries as echoes.
 type soak struct {
-	cluster  func(*testing.T, uint64) *Cluster
-	runs     int
+	cfg      ClusterConfig
+	wallRuns int
 	schedule func(*testing.T, *Cluster, *workload)
 }
 
 var soaks = map[string]soak{
-	"kill-restart":    {cluster: killCluster, schedule: killRestart},
-	"failover/forced": {cluster: groupCluster, schedule: failover(true)},
-	"failover/auto":   {cluster: groupCluster, schedule: failover(false)},
-	"failover/double": {cluster: groupCluster, schedule: doubleFailure},
-	"disk-death":      {cluster: groupCluster, schedule: diskDeath},
-	"one-way":         {cluster: groupCluster, schedule: oneWayPartition},
-	"flapping":        {cluster: groupCluster, schedule: flappingLink},
-	"shard-kill":      {cluster: shardGroupCluster, schedule: shardPrimaryKill},
-	"drain/handoff":   {cluster: groupCluster, runs: 3, schedule: drainHandoff},
-	"drain/restart":   {cluster: killCluster, runs: 1, schedule: drainRestart},
+	"kill-restart":    {cfg: mildChaos, schedule: killRestart},
+	"failover/forced": {cfg: groupChaos, schedule: failover(true)},
+	"failover/auto":   {cfg: groupChaos, schedule: failover(false)},
+	"failover/double": {cfg: groupChaos, schedule: doubleFailure},
+	"disk-death":      {cfg: groupChaos, schedule: diskDeath},
+	"one-way":         {cfg: groupChaos, schedule: oneWayPartition},
+	"flapping":        {cfg: groupChaos, schedule: flappingLink},
+	"shard-kill":      {cfg: shardGroupChaos, schedule: shardPrimaryKill},
+	"drain/handoff":   {cfg: groupChaos, wallRuns: 3, schedule: drainHandoff},
+	"drain/restart":   {cfg: mildChaos, wallRuns: 1, schedule: drainRestart},
+	// No packet loss: the migration is the only fault, so a stall
+	// measures the migration, not the network.
+	"migrate":      {cfg: ClusterConfig{Shards: 2, Latency: 50 * time.Microsecond, Jitter: 100 * time.Microsecond}, schedule: migrate},
+	"migrate+kill": {cfg: shardGroupChaos, wallRuns: 5, schedule: migrateKill},
 }
 
-// runSoak runs row against each service, seed+i for run i. Two services
-// share one cluster and run side by side, each under its own fault.
+// The rows' clusters. Mild network chaos, so that the row's fault is the
+// main one. groupChaos makes the durable services 3-replica groups with
+// the production default lease: short enough for sub-second failovers,
+// long enough that the race detector's scheduler stalls rarely
+// counterfeit a 1.5-term silence on the wall clock. shardGroupChaos
+// makes that two shards, the configuration a shard primary's death needs
+// (a 2-member group cannot elect: majorities count the configured size).
+var (
+	mildChaos       = ClusterConfig{LossRate: 0.01, Latency: 50 * time.Microsecond, Jitter: 100 * time.Microsecond}
+	groupChaos      = ClusterConfig{LossRate: 0.01, Latency: 50 * time.Microsecond, Jitter: 100 * time.Microsecond, Replicas: 3, LeaseTerm: 150 * time.Millisecond}
+	shardGroupChaos = ClusterConfig{LossRate: 0.01, Latency: 50 * time.Microsecond, Jitter: 100 * time.Microsecond, Replicas: 3, LeaseTerm: 150 * time.Millisecond, Shards: 2}
+)
+
+// runSoak runs row against each service, seed+i for run i, each run in
+// its own bubble. Two services share one cluster and run side by side,
+// each under its own fault. A run that fails stops its writers and
+// closes its cluster on the way out, inside the bubble.
 func runSoak(t *testing.T, row string, seed uint64, services ...string) {
 	s := soaks[row]
-	for i := range cmp.Or(s.runs, chaosSeeds()) {
+	runs := chaosSeeds()
+	if !virtual && s.wallRuns > 0 {
+		runs = min(runs, s.wallRuns)
+	}
+	for i := range runs {
 		t.Run(fmt.Sprintf("seed=%d", i), func(t *testing.T) {
 			seed := seed + uint64(i)
-			cl := s.cluster(t, seed)
-			run := func(t *testing.T, svc string) {
-				w := newWorkload(t, cl, svc, 0, 2, seed)
-				s.schedule(t, cl, w)
-				w.wait()
-				w.verify(row)
-			}
-			if len(services) == 1 {
-				run(t, services[0])
-				return
-			}
-			for _, svc := range services {
-				t.Run(svc, func(t *testing.T) {
-					t.Parallel()
-					run(t, svc)
-				})
-			}
+			bubble(t, func() {
+				cl := seeded(t, s.cfg, seed)
+				defer cl.Close()
+				start := time.Now()
+				defer func() { t.Logf("seed %#x ran for %v", seed, time.Since(start)) }()
+				run := func(t *testing.T, svc string) {
+					w := newWorkload(t, cl, svc, 0, 2, seed)
+					defer w.stop()
+					s.schedule(t, cl, w)
+					w.wait()
+					w.verify(row)
+				}
+				if len(services) == 1 {
+					run(t, services[0])
+					return
+				}
+				done := make(chan struct{})
+				for _, svc := range services {
+					go func() {
+						defer func() { done <- struct{}{} }()
+						t.Run(svc, func(t *testing.T) { run(t, svc) })
+					}()
+				}
+				for range services {
+					<-done
+				}
+			})
 		})
 	}
 }
 
-// chaosSeeds is how many seeded runs a soak performs (the acceptance bar
-// is 20 consecutive green runs; -short trims).
+// chaosSeeds is how many seeded runs a soak performs: 500 in virtual
+// time, 20 on the wall clock; -short trims to 4.
 func chaosSeeds() int {
-	if testing.Short() {
+	switch {
+	case testing.Short():
 		return 4
+	case virtual:
+		return 500
 	}
 	return 20
 }
 
-// killCluster is a cluster under mild network chaos — the crash itself
-// is the main fault — with fast client timeouts so failover retries
-// turn around quickly.
-func killCluster(t *testing.T, seed uint64) *Cluster {
-	return testCluster(t, ClusterConfig{Seed: seed, LossRate: 0.01, Latency: 50 * time.Microsecond, Jitter: 100 * time.Microsecond})
-}
-
-// groupCluster boots a cluster whose durable services are 3-replica
-// groups under mild network chaos. The production default lease: short
-// enough for sub-second failovers, long enough that the race detector's
-// scheduler stalls rarely counterfeit a 1.5-term silence and false-alarm
-// a detector.
-func groupCluster(t *testing.T, seed uint64) *Cluster {
-	return testCluster(t, ClusterConfig{Seed: seed, LossRate: 0.01, Latency: 50 * time.Microsecond, Jitter: 100 * time.Microsecond,
-		Replicas: 3, LeaseTerm: 150 * time.Millisecond})
+// seeded boots a cluster of configuration cfg and seed seed that closes
+// with the test.
+func seeded(t *testing.T, cfg ClusterConfig, seed uint64) *Cluster {
+	t.Helper()
+	cfg.Seed = seed
+	return testCluster(t, cfg)
 }
 
 // testCluster boots a cluster that closes with the test.
@@ -312,6 +347,72 @@ func shardPrimaryKill(t *testing.T, cl *Cluster, w *workload) {
 	}
 	mark(w1, "post-reintegration")
 	w1.readBack()
+}
+
+// migrate moves the hot directory, the workload's home, to the other
+// shard and back while its writers enter names in it: two map
+// generations, two gate windows. A cold directory's writers on the
+// other shard carry on meanwhile. On a loss-free network the move is
+// the only fault: every call is answered, and the cold directory never
+// stalls for the gate window a whole-shard pause would cost.
+func migrate(t *testing.T, cl *Cluster, w *workload) {
+	cold := w.onShard(1)
+	for range 2 {
+		w.start(4)
+		cold.start(4)
+		time.Sleep(time.Millisecond) // writes in flight
+		if _, took := hop(t, cl, w); took > time.Second {
+			t.Fatalf("a migration took %v; the object-granular cut takes milliseconds", took)
+		}
+		w.wait()
+	}
+	if n := w.h.Count(servertest.Unknown); n != 0 {
+		t.Fatalf("%d calls left without an answer on a loss-free network", n)
+	}
+	if cold.slowest > 250*time.Millisecond {
+		t.Fatalf("a call on the other shard stalled %v during the migrations", cold.slowest)
+	}
+	acked(t, w, 12)
+}
+
+// migrateKill moves the hot directory and kills its new home's primary
+// at once (Shards=2 × Replicas=3). A call the move bounced
+// (StatusWrongShard → map refresh) then meets a dead authority: one
+// extra LOCATE round per cause, which the locate budget re-arms for.
+// After the election the same client, with the same locate cache and
+// shard map, converges.
+func migrateKill(t *testing.T, cl *Cluster, w *workload) {
+	w.start(4)
+	time.Sleep(time.Millisecond) // writes in flight
+	// Unbounded: at 1 % loss, a lost frame costs a hop the client's 1 s
+	// timeout.
+	dst, _ := hop(t, cl, w)
+	home := func(Machines) amnet.MachineID { return cl.ShardMachines(cl.DirPort())[dst] }
+	waitForFailover(t, cl, killPrimary(t, cl, home), home)
+	w.mustWrite("post-overlap")
+	w.wait()
+	acked(t, w, 12)
+}
+
+// hop migrates the workload's home to the other shard, and returns that
+// shard and how long the move took.
+func hop(t *testing.T, cl *Cluster, w *workload) (dst int, took time.Duration) {
+	t.Helper()
+	dst = 1 - cl.ShardOf(cl.DirPort(), w.home.Object)
+	start := time.Now()
+	if err := cl.Migrate(context.Background(), cl.DirPort(), w.home.Object, dst); err != nil {
+		t.Fatalf("migrating to shard %d: %v", dst, err)
+	}
+	return dst, time.Since(start)
+}
+
+// acked fails a run whose history holds fewer than n acknowledged
+// calls: the fault overlapped nothing.
+func acked(t *testing.T, w *workload, n int) {
+	t.Helper()
+	if got := w.h.Count(servertest.Ok); got < n {
+		t.Fatalf("%d calls acknowledged, want ≥ %d: the fault was not exercised", got, n)
+	}
 }
 
 // drainHandoff drains a group primary mid-soak: a zero-downtime restart.

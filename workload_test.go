@@ -46,27 +46,39 @@ type workload struct {
 	bank *banksvr.Client
 	src  [soakWorkers]Capability // bank: each worker's source account
 
-	mu    sync.Mutex
-	first Capability                // directory: the first subdirectory created
-	dst   [soakWorkers][]Capability // bank: each worker's destinations
-	sent  [soakWorkers]int          // bank: each worker's transfers so far
+	mu      sync.Mutex
+	first   Capability                // directory: the first subdirectory created
+	dst     [soakWorkers][]Capability // bank: each worker's destinations
+	sent    [soakWorkers]int          // bank: each worker's transfers so far
+	slowest time.Duration             // the longest recorded call
 
-	wg    sync.WaitGroup
+	*phases
 	units [soakWorkers]int // writes started per worker
-	stop  atomic.Bool
+}
+
+// phases are a workload's writers, shared with its onShard twins. Only
+// the test goroutine starts and waits for them, and it waits by
+// channel: a goroutine in WaitGroup.Wait is not durably blocked, so a
+// synctest bubble would never advance its clock.
+type phases struct {
+	done    chan struct{} // one send per worker as it exits
+	running int           // workers started and not yet waited for
+	halt    atomic.Bool
 }
 
 // newWorkload homes a workload on shard idx of service svc ("directory"
 // or "bank"), recording under the echo bound echoes.
 func newWorkload(t *testing.T, cl *Cluster, svc string, idx, echoes int, seed uint64) *workload {
 	t.Helper()
-	w := &workload{t: t, cl: cl, h: servertest.NewRecorder(echoes), seed: seed, sh: cl.shards[svc][idx]}
+	w := &workload{t: t, cl: cl, h: servertest.NewRecorder(echoes), seed: seed, sh: cl.shards[svc][idx],
+		phases: &phases{done: make(chan struct{})}}
 	// Writers still running when the test ends (it failed) stop at their
-	// next write, and the cluster outlives them. A run that failed before
-	// its check still shows what the checker makes of its history.
+	// next write, and the cluster outlives them. In a synctest bubble
+	// the runner has stopped them already: this runs outside it and
+	// waits for nothing. A run that failed before its check still shows
+	// what the checker makes of its history.
 	t.Cleanup(func() {
-		w.stop.Store(true)
-		w.wg.Wait()
+		w.stop()
 		if !t.Failed() {
 			return
 		}
@@ -95,11 +107,11 @@ func newWorkload(t *testing.T, cl *Cluster, svc string, idx, echoes int, seed ui
 }
 
 // onShard is a second workload of the same service on shard idx that
-// records into the same history.
+// records into the same history and runs in the same phases.
 func (w *workload) onShard(idx int) *workload {
 	w.t.Helper()
 	o := newWorkload(w.t, w.cl, w.sh.svc.Label, idx, 0, w.seed)
-	o.h = w.h
+	o.h, o.phases = w.h, w.phases
 	return o
 }
 
@@ -109,10 +121,10 @@ func (w *workload) start(n int) {
 	for g := range w.units {
 		lo := w.units[g]
 		w.units[g] += n
-		w.wg.Add(1)
+		w.running++
 		go func() {
-			defer w.wg.Done()
-			for i := lo; i < lo+n && !w.stop.Load(); i++ {
+			defer func() { w.done <- struct{}{} }()
+			for i := lo; i < lo+n && !w.halt.Load(); i++ {
 				if err := w.write(g, fmt.Sprintf("w%d-e%d", g, i)); err != nil {
 					w.t.Error(err)
 					return
@@ -122,8 +134,18 @@ func (w *workload) start(n int) {
 	}
 }
 
-// wait waits for the running phase.
-func (w *workload) wait() { w.wg.Wait() }
+// wait waits for the running phases.
+func (w *workload) wait() {
+	for ; w.running > 0; w.running-- {
+		<-w.done
+	}
+}
+
+// stop ends the running phases at each worker's next write.
+func (w *workload) stop() {
+	w.halt.Store(true)
+	w.wait()
+}
 
 // write is one unit of worker g's work, named tag. Safe from any
 // goroutine.
@@ -183,7 +205,12 @@ func answered(err error) error {
 // do records call, retrying until the service answers.
 func (w *workload) do(what string, op servertest.Op, call func(context.Context, *servertest.Op) error) error {
 	return retryOK(what, func(ctx context.Context) error {
-		return answered(w.h.Do(op, func(o *servertest.Op) error { return call(ctx, o) }))
+		start := time.Now()
+		err := w.h.Do(op, func(o *servertest.Op) error { return call(ctx, o) })
+		w.mu.Lock()
+		w.slowest = max(w.slowest, time.Since(start))
+		w.mu.Unlock()
+		return answered(err)
 	})
 }
 
